@@ -247,6 +247,9 @@ def _betti_table(run, label, report):
 
 
 def cmd_cohomology(args) -> int:
+    if args.compare and args.max_degree < 1:
+        raise SchemaError("--compare needs --max-degree >= 1: the comparison "
+                          "starts at degree 1")
     run = _Run(args)
     cap = _cap()
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
@@ -382,6 +385,16 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leibniz-kit",
@@ -410,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--rep", default="trivial",
                    help="'trivial', 'adjoint', or a representation JSON file")
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=3)
     p.add_argument("--naive", action="store_true",
                    help="compute the naive complex instead of the classical one")
     p.add_argument("--compare", action="store_true",
@@ -431,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_semidirect)
 
     p = sub.add_parser("omni", help="emit the omni algebra of Q^m")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_nonnegative_int, required=True)
     p.set_defaults(handler=cmd_omni)
 
     p = sub.add_parser("graph", help="check closure of a map V -> gl(V)")

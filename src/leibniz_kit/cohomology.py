@@ -451,7 +451,8 @@ def betti(rep: Representation, k_max: int,
         dim_ker = dim_c - ranks[k]
         prev = ranks[k - 1] if k else 0
         dim_h = dim_ker - prev
-        assert dim_h >= 0, "negative cohomology dimension"
+        if dim_h < 0:
+            raise AssertionError(f"negative cohomology dimension at degree {k}")
         rows.append(DegreeData(k, dim_c, ranks[k], dim_ker, dim_h))
     return BettiReport(tuple(rows))
 

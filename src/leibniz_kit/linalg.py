@@ -4,6 +4,12 @@ Scalars are ``fractions.Fraction`` (arbitrary-precision, always in lowest
 terms with positive denominator), so every rank, kernel and solution below
 is exact: there are no tolerances anywhere in this package.
 
+Two elimination kernels share that exactness.  ``rank`` needs no reduced
+matrix, so it clears denominators row by row and runs fraction-free forward
+elimination over Python ints.  ``rref`` (and through it ``kernel_basis``,
+``solve`` and ``span_of_rows``) needs the reduced matrix itself and runs
+Gauss-Jordan elimination over Fractions.
+
 Matrices are logically dense row-major arrays but store each row as a
 {column: nonzero} dict; coboundary matrices of tensor-power complexes are
 overwhelmingly sparse and dense row lists were measured to exhaust memory
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -234,7 +241,9 @@ def rref(m: Matrix) -> Echelon:
     """Reduced row echelon form by exact Gauss-Jordan elimination.
 
     Fractions renormalise (gcd) after every arithmetic operation, which keeps
-    intermediate entries small without a separate fraction-free pass.
+    intermediate entries small.  Callers that need only the rank should call
+    ``rank``, whose fraction-free integer elimination skips both the
+    back-elimination and the per-operation Fraction normalisation.
     """
     work = [dict(m._data[i]) for i in range(m.rows)]
     reduced: list[dict[int, Fraction]] = []
@@ -275,8 +284,52 @@ def rref(m: Matrix) -> Echelon:
     return Echelon(Matrix(m.rows, m.cols, data), len(reduced), tuple(pivots))
 
 
+def _content_free(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its entries."""
+    c = gcd(*row.values())
+    return row if c == 1 else {j: v // c for j, v in row.items()}
+
+
 def rank(m: Matrix) -> int:
-    return rref(m).rank
+    """Exact rank by fraction-free forward elimination over Python ints.
+
+    Each row is scaled by the lcm of its denominators to an integer row and
+    reduced against the pivot row on its leading column as a*row - b*pivot,
+    with a, b the two leading entries divided by their gcd; every reduced row
+    is then divided by its content (the gcd of its entries), as in Bareiss
+    (Math. Comp. 1968), so entries stay small.  Every step is an invertible
+    row operation (a is never 0), so the pivot count is the rank.  A tall
+    matrix is transposed first, which leaves the rank unchanged and makes
+    the rows the shorter side.
+    """
+    data = m.transpose()._data if m.rows > m.cols else m._data
+    pivots: dict[int, dict[int, int]] = {}
+    for entries in data:
+        if not entries:
+            continue
+        den = lcm(*[v.denominator for v in entries.values()])
+        row = {j: v.numerator * (den // v.denominator) for j, v in entries.items()}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = _content_free(row)
+                break
+            a, b = pivot[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, v in pivot.items():
+                nv = row.get(j, 0) - b * v
+                if nv:
+                    row[j] = nv
+                else:
+                    row.pop(j, None)
+            if row:
+                row = _content_free(row)
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -338,7 +391,8 @@ def kernel_basis(m: Matrix) -> Subspace:
                 v[p] = -coef
         basis.append(tuple(v))
     for v in basis:
-        assert viszero(m.mv(v)), "kernel vector failed verification"
+        if not viszero(m.mv(v)):
+            raise AssertionError("kernel vector failed verification")
     return Subspace(m.cols, tuple(basis))
 
 

@@ -101,6 +101,8 @@ def omni_bracket(m: int, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[F
 
 def omni_lie(m: int) -> LeibnizAlgebra:
     """The omni algebra of Q^m as an (m^2+m)-dimensional Leibniz algebra."""
+    if m < 0:
+        raise ValueError(f"omni algebra needs m >= 0, got {m}")
     n = m * m + m
     basis = [_basis(n, p) for p in range(n)]
     c = [[omni_bracket(m, basis[p], basis[q]) for q in range(n)] for p in range(n)]

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from leibniz_kit.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -203,3 +205,16 @@ def test_compare_with_file_rep_is_input_error(capsys):
     assert main(["cohomology", str(FIXTURES / "L2.json"),
                  "--rep", str(FIXTURES / "rep_adjoint_L2.json"),
                  "--compare"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("cohomology", str(FIXTURES / "L2.json"), "--max-degree", "-1"),
+    ("cohomology", str(FIXTURES / "L2.json"), "--rep", "adjoint",
+     "--compare", "--max-degree", "0"),
+    ("omni", "--dim", "-1"),
+])
+def test_nonsensical_arguments_exit_2(args):
+    # each of these used to exit 0 with an empty or vacuous result
+    result = run_cli(*args)
+    assert result.returncode == 2, result.stdout
+    assert result.stdout == b""

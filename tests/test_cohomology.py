@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import leibniz_kit.cohomology as cohomology_module
 from leibniz_kit import (
     Cochain,
     LeibnizAlgebra,
@@ -472,6 +475,36 @@ def test_betti_sl2_trivial_vanishes_positively():
     report = betti(trivial_rep(sl2()), 3)
     assert report.dim_h(0) == 1
     assert [report.dim_h(k) for k in (1, 2, 3)] == [0, 0, 0]
+
+
+def test_betti_rejects_overstated_rank(monkeypatch):
+    # the nonnegativity check on dim H is the safety net behind rank
+    true_rank = cohomology_module.rank
+    monkeypatch.setattr(cohomology_module, "rank", lambda m: true_rank(m) + 1)
+    with pytest.raises(AssertionError, match="negative cohomology dimension"):
+        betti(trivial_rep(LeibnizAlgebra.abelian(1)), 1)
+
+
+def test_rank_path_invariants_survive_optimize_flag():
+    # python -O strips assert statements; these checks must still fire
+    script = """
+import leibniz_kit.cohomology as cohomology
+import leibniz_kit.linalg as linalg
+from leibniz_kit import LeibnizAlgebra, Matrix, betti, kernel_basis, trivial_rep
+
+true_rank, true_rref = cohomology.rank, linalg.rref
+cohomology.rank = lambda m: true_rank(m) + 1
+linalg.rref = lambda m: true_rref(Matrix.zeros(m.rows, m.cols))
+for call in (lambda: betti(trivial_rep(LeibnizAlgebra.abelian(1)), 1),
+             lambda: kernel_basis(Matrix.identity(2))):
+    try:
+        call()
+    except AssertionError:
+        continue
+    raise SystemExit("a broken rank path went unnoticed")
+"""
+    result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_adjoint_h0_is_left_center_dim(positive_algebras):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibniz_kit.cohomology import adjoint_rep, betti
 from leibniz_kit.linalg import (
     Matrix,
     Subspace,
@@ -69,6 +70,10 @@ def test_rank_examples():
     assert rank(Matrix.identity(4)) == 4
     assert rank(Matrix.zeros(2, 5)) == 0
     assert rank(Matrix.from_rows([[1, 2], [2, 4], [3, 6]])) == 1
+    # tall, with mixed denominators and a zero row: transposed, then the
+    # rows are cleared of denominators and divided by their content
+    assert rank(Matrix.from_rows([[F(1, 2), F(1, 3)], [F(3, 7), F(2, 7)],
+                                  [1, F(2, 3)], [0, 0], [F(-1, 6), F(1, 6)]])) == 2
 
 
 def test_solve_identity():
@@ -150,3 +155,59 @@ def test_kernel_vectors_annihilate(m):
     ker = kernel_basis(m)
     for v in ker.basis:
         assert all(not c for c in m.mv(list(v)))
+
+
+rank_scalars = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+
+
+def matrices_of(rows, cols):
+    return st.lists(st.lists(rank_scalars, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda data: Matrix(rows, cols, [dict(enumerate(r)) for r in data]))
+
+
+@st.composite
+def rank_matrices(draw, max_side=12):
+    """Tall, wide, sparse, dense and low-rank matrices with zero rows and
+    columns and denominators up to 7."""
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    shape = draw(st.sampled_from(("dense", "sparse", "low-rank")))
+    if shape == "low-rank":
+        inner = draw(st.integers(0, 4))
+        a = draw(matrices_of(rows, inner))
+        b = draw(matrices_of(inner, cols))
+        m = a @ b
+    elif shape == "sparse":
+        data = [{} for _ in range(rows)]
+        if rows and cols:
+            for i, j, v in draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                                   st.integers(0, cols - 1),
+                                                   rank_scalars),
+                                         max_size=rows + cols)):
+                data[i][j] = v
+        m = Matrix(rows, cols, data)
+    else:
+        m = draw(matrices_of(rows, cols))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    return Matrix(rows, cols, [
+        {} if i in zero_rows else
+        {j: v for j, v in m.row_items(i) if j not in zero_cols}
+        for i in range(rows)])
+
+
+@given(rank_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_agrees_with_rref(m):
+    assert rank(m) == rref(m).rank == rank(m.transpose())
+
+
+def test_adjoint_betti_in_dense_rational_basis(dense_rational_algebras):
+    # a change of basis leaves cohomology unchanged, while the coboundary
+    # matrices get dense rational entries that grow under elimination
+    expected = {"sl2": [0, 0, 0, 0], "heis3": [1, 4, 8, 17]}
+    for name, g in dense_rational_algebras.items():
+        assert any(x.denominator > 1 for plane in g.c for row in plane for x in row)
+        report = betti(adjoint_rep(g), 3)
+        assert [d.dim_h for d in report.degrees] == expected[name]

@@ -58,6 +58,8 @@ E = lambda n, i: [F(j == i) for j in range(n)]
 
 def test_omni_zero_dim():
     assert omni_lie(0).dim == 0
+    with pytest.raises(ValueError):
+        omni_lie(-1)
 
 
 def test_omni_one_dim_structure():
