@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import Sequence
 
 from .linalg import (
@@ -26,7 +28,6 @@ from .linalg import (
     solve,
     span_of_rows,
     vaddto,
-    viszero,
     vzero,
 )
 
@@ -85,6 +86,11 @@ class Witness:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """Outcome of an identity checked on every basis tuple.
+
+    Witnesses come grouped by label, in the order the check evaluates its
+    identities, and within one label in lexicographic order of ``where``.
+    """
     holds: bool
     witnesses: tuple[Witness, ...] = ()
 
@@ -94,6 +100,128 @@ class IdentityReport:
 
 def _report(witnesses: list[Witness]) -> IdentityReport:
     return IdentityReport(not witnesses, tuple(witnesses))
+
+
+# ---------------------------------------------------------------------------
+# exact contraction of sparse structure tensors
+#
+# A sparse tensor is a dict {index tuple: Fraction} that omits zeros.  An
+# identity on basis tuples is a signed sum of contractions; every tuple that
+# no term reaches has residual exactly zero, so the nonzero entries of the
+# residual are precisely the failing tuples.
+
+def sparse(tensor, depth: int) -> dict:
+    """{index tuple: entry} of the nonzero entries of a nested sequence
+    indexed ``depth`` levels deep."""
+    out = {}
+
+    def walk(t, prefix):
+        if len(prefix) == depth:
+            if t:
+                out[prefix] = t
+            return
+        for i, sub in enumerate(t):
+            walk(sub, prefix + (i,))
+
+    walk(tensor, ())
+    return out
+
+
+def dense(tensor: dict, shape: tuple) -> tuple:
+    """The nested tuples of the given shape holding a sparse tensor."""
+    def build(prefix):
+        if len(prefix) == len(shape):
+            return tensor.get(prefix, ZERO)
+        return tuple(build(prefix + (i,)) for i in range(shape[len(prefix)]))
+    return build(())
+
+
+def _picker(letters: str, wanted: str):
+    """Map an index tuple labelled by ``letters`` to the tuple of ``wanted``."""
+    positions = [letters.index(ch) for ch in wanted]
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda key: (key[p],)
+    return itemgetter(*positions) if positions else lambda key: ()
+
+
+def _integral(t: dict) -> tuple[dict, int]:
+    """Integers n and a denominator d with t = n / d entrywise."""
+    d = lcm(*(v.denominator for v in t.values()))
+    return {k: v.numerator * (d // v.denominator) for k, v in t.items()}, d
+
+
+def contract(terms) -> dict:
+    """Sum of einsum-style terms ``(coeff, spec, *operands)`` over sparse tensors.
+
+    ``(1, "jka,iat->ijkt", x, y)`` adds sum_a x[j,k,a] * y[i,a,t] at
+    (i,j,k,t), and ``(-1, "jikt->ijkt", x)`` subtracts the transpose of x.
+    Letters missing from the output are summed over; only stored entries are
+    ever multiplied, so the cost follows the supports, not the dimension.
+    The sum is exact: each operand is scaled to integers, the terms are
+    accumulated as integers over one common denominator, and the nonzero
+    entries come back as Fractions.
+    """
+    integral: dict = {}
+    parsed = []
+    scale = 1
+    for coeff, spec, *operands in terms:
+        inputs, out = spec.split("->")
+        subs = inputs.split(",")
+        if (len(subs) != len(operands) or len(subs) > 2 or not set(out) <= set(inputs)
+                or any(len(set(sub)) != len(sub) for sub in subs)):
+            raise ValueError(f"bad contraction spec {spec!r}")
+        ints = []
+        weight = as_rational(coeff)
+        for t in operands:
+            if id(t) not in integral:  # holding t keeps its id from being reused
+                integral[id(t)] = (t, *_integral(t))
+            _, it, d = integral[id(t)]
+            ints.append(it)
+            weight /= d
+        parsed.append((weight, subs, out, ints))
+        scale = lcm(scale, weight.denominator)
+    acc: dict = {}
+    for weight, subs, out, ints in parsed:
+        w = weight.numerator * (scale // weight.denominator)
+        if len(subs) == 1:
+            pick = _picker(subs[0], out)
+            for key, v in ints[0].items():
+                k = pick(key)
+                acc[k] = acc.get(k, 0) + w * v
+            continue
+        (sx, sy), (x, y) = subs, ints
+        shared = "".join(ch for ch in sx if ch in sy)
+        by_shared: dict = {}
+        key_y = _picker(sy, shared)
+        for ky, vy in y.items():
+            by_shared.setdefault(key_y(ky), []).append((ky, vy))
+        key_x, pick = _picker(sx, shared), _picker(sx + sy, out)
+        for kx, vx in x.items():
+            matches = by_shared.get(key_x(kx))
+            if matches:
+                wx = w * vx
+                for ky, vy in matches:
+                    k = pick(kx + ky)
+                    acc[k] = acc.get(k, 0) + wx * vy
+    return {k: Fraction(v, scale) for k, v in acc.items() if v}
+
+
+def rows_of(tensor: dict, dim: int) -> dict:
+    """{index prefix: dense last-axis vector of length dim} for every prefix
+    at which the tensor has a nonzero entry."""
+    rows: dict = {}
+    for key, v in tensor.items():
+        if v:
+            rows.setdefault(key[:-1], vzero(dim))[key[-1]] = v
+    return rows
+
+
+def residual_witnesses(residual: dict, dim: int, label: str) -> list[Witness]:
+    """One witness per nonzero row of a residual, in lexicographic order of
+    ``where`` (all indices but the last)."""
+    return [Witness(where, tuple(d), label)
+            for where, d in sorted(rows_of(residual, dim).items())]
 
 
 def bracket(g: LeibnizAlgebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
@@ -120,23 +248,16 @@ def _basis(n: int, i: int) -> list[Fraction]:
 
 
 def check_leibniz(g: LeibnizAlgebra) -> IdentityReport:
-    """Evaluate [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]] on all basis triples."""
-    n = g.dim
-    witnesses = []
-    for i in range(n):
-        ei = _basis(n, i)
-        for j in range(n):
-            ej = _basis(n, j)
-            for k in range(n):
-                ek = _basis(n, k)
-                defect = bracket(g, ei, bracket(g, ej, ek))
-                for t, v in enumerate(bracket(g, bracket(g, ei, ej), ek)):
-                    defect[t] -= v
-                for t, v in enumerate(bracket(g, ej, bracket(g, ei, ek))):
-                    defect[t] -= v
-                if not viszero(defect):
-                    witnesses.append(Witness((i, j, k), tuple(defect), "leibniz"))
-    return _report(witnesses)
+    """Evaluate [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]] on all basis triples.
+
+    The three terms are contractions of the sparse structure tensor, and the
+    residual covers every basis triple: a triple no term reaches is exactly
+    zero, so a report that holds is a proof on the whole basis.
+    """
+    c = sparse(g.c, 3)
+    residual = contract([(1, "jka,iat->ijkt", c, c), (-1, "ija,akt->ijkt", c, c),
+                         (-1, "ika,jat->ijkt", c, c)])
+    return _report(residual_witnesses(residual, g.dim, "leibniz"))
 
 
 def left_multiplication_matrix(g: LeibnizAlgebra) -> Matrix:
@@ -172,18 +293,9 @@ def is_lie(g: LeibnizAlgebra) -> bool:
 def square_in_center_check(g: LeibnizAlgebra) -> IdentityReport:
     """Polarized form of "[x, x] lies in the left center":
     [[e_i,e_j] + [e_j,e_i], e_k] = 0 for all basis triples."""
-    n = g.dim
-    witnesses = []
-    for i in range(n):
-        for j in range(n):
-            sq = [a + b for a, b in zip(g.c[i][j], g.c[j][i])]
-            if viszero(sq):
-                continue
-            for k in range(n):
-                d = bracket(g, sq, _basis(n, k))
-                if not viszero(d):
-                    witnesses.append(Witness((i, j, k), tuple(d), "square-center"))
-    return _report(witnesses)
+    c = sparse(g.c, 3)
+    residual = contract([(1, "ija,akt->ijkt", c, c), (1, "jia,akt->ijkt", c, c)])
+    return _report(residual_witnesses(residual, g.dim, "square-center"))
 
 
 def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
@@ -192,7 +304,7 @@ def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
     The complement of Z(g) is spanned by the standard basis vectors whose
     indices avoid the pivot columns of the RREF'd center basis; this makes
     the construction deterministic.  The quotient of a Leibniz algebra by
-    its left center is a Lie algebra, which is asserted on the result.
+    its left center is a Lie algebra, which is checked on the result.
     """
     n = g.dim
     z = left_center(g)
@@ -205,12 +317,13 @@ def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
     # change of basis: center vectors first, then the complement basis vectors
     cols = list(z.basis) + [tuple(_basis(n, i)) for i in complement]
     basis_mat = Matrix.from_cols(n, cols)
-    ech = rref(basis_mat)
-    assert ech.rank == n, "center basis extension failed to span"
+    if rref(basis_mat).rank != n:
+        raise AssertionError("center basis extension failed to span")
 
     def project(v):
         coords = solve(basis_mat, v)
-        assert coords is not None
+        if coords is None:
+            raise AssertionError("vector outside the span of the extended center basis")
         return coords[z.dim:]
 
     c = [[[ZERO] * q for _ in range(q)] for _ in range(q)]

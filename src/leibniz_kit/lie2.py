@@ -10,6 +10,12 @@ the left center, and satisfies a ten-term cocycle-style identity.  Feeding
 J back in as a ternary homotopy yields a two-term graded algebra
 (Z(g) in degree 1, g in degree 0) with unary/binary/ternary operations
 l1, l2, l3, verified here against the five standard axioms.
+
+Every identity is a signed sum of exact contractions over the sparse
+supports of the structure tensors (``algebra.contract``), so its cost
+follows the nonzero constants rather than n^4 dense evaluations; the
+residual still covers every basis tuple, and any nonzero entry of it is a
+witness.
 """
 
 from __future__ import annotations
@@ -18,16 +24,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import IdentityReport, LeibnizAlgebra, Witness, _basis, _report, bracket, left_center
+from .algebra import (
+    IdentityReport,
+    LeibnizAlgebra,
+    Witness,
+    _report,
+    bracket,
+    contract,
+    dense,
+    left_center,
+    residual_witnesses,
+    rows_of,
+    sparse,
+)
 from .linalg import (
     HALF,
     Matrix,
     QUARTER,
     as_rational,
-    vadd,
     vaddto,
-    viszero,
-    vsub,
     vzero,
 )
 
@@ -61,10 +76,6 @@ def apply_bilinear(tensor, x: Sequence[Fraction], y: Sequence[Fraction]) -> list
 def jacobiator_direct(g: LeibnizAlgebra, x, y, z) -> list[Fraction]:
     """Cyclic sum of nested skew brackets."""
     s = skew_bracket(g)
-    return _jacobiator_direct(s, x, y, z)
-
-
-def _jacobiator_direct(s, x, y, z) -> list[Fraction]:
     out = apply_bilinear(s, x, apply_bilinear(s, y, z))
     for t, v in enumerate(apply_bilinear(s, y, apply_bilinear(s, z, x))):
         out[t] += v
@@ -83,34 +94,22 @@ def jacobiator_closed(g: LeibnizAlgebra, x, y, z) -> list[Fraction]:
     return [QUARTER * v for v in out]
 
 
-def jacobiator_table(g: LeibnizAlgebra) -> list:
-    """J on all basis triples, via the closed form."""
-    n = g.dim
-    table = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        ei = _basis(n, i)
-        for j in range(n):
-            ej = _basis(n, j)
-            for k in range(n):
-                table[i][j][k] = jacobiator_closed(g, ei, ej, _basis(n, k))
-    return table
+def _jacobiator(c: dict) -> dict:
+    """J(e_i,e_j,e_k) at (i,j,k,t) by the closed quarter-formula, from the
+    sparse structure tensor."""
+    return contract([(QUARTER, "kja,ait->ijkt", c, c), (QUARTER, "ika,ajt->ijkt", c, c),
+                     (QUARTER, "jia,akt->ijkt", c, c)])
 
 
-def _apply_trilinear(table, x, y, z):
-    n = len(table)
-    out = vzero(len(table[0][0][0]) if n else 0)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            cij = xi * yj
-            row = table[i][j]
-            for k, zk in enumerate(z):
-                if zk:
-                    vaddto(out, cij * zk, row[k])
-    return out
+def _antisymmetry_witnesses(t: dict, dim: int, label: str) -> list[Witness]:
+    """Total antisymmetry of a sparse trilinear tensor, by its two adjacent
+    transpositions; a witness's where is ((i, j, k), transposed triple)."""
+    found = []
+    for spec, swap in (("jikt->ijkt", lambda i, j, k: (j, i, k)),
+                       ("ikjt->ijkt", lambda i, j, k: (i, k, j))):
+        for w in residual_witnesses(contract([(1, "ijkt->ijkt", t), (1, spec, t)]), dim, label):
+            found.append(Witness((w.where, swap(*w.where)), w.defect, label))
+    return sorted(found, key=lambda w: w.where)
 
 
 def check_jacobiator_identities(g: LeibnizAlgebra) -> IdentityReport:
@@ -123,76 +122,27 @@ def check_jacobiator_identities(g: LeibnizAlgebra) -> IdentityReport:
         <<x,J(y,z,w)>> - <<y,J(x,z,w)>> + <<z,J(x,y,w)>> - <<w,J(x,y,z)>>
         - J(<<x,y>>,z,w) + J(<<x,z>>,y,w) - J(<<x,w>>,y,z)
         - J(<<y,z>>,x,w) + J(<<y,w>>,x,z) - J(<<z,w>>,x,y)  =  0.
+
+    Witnesses are labelled, and listed, in that order.
     """
     n = g.dim
-    s = skew_bracket(g)
-    jt = jacobiator_table(g)
-    witnesses: list[Witness] = []
-
-    for i in range(n):
-        ei = _basis(n, i)
-        for j in range(n):
-            ej = _basis(n, j)
-            for k in range(n):
-                direct = _jacobiator_direct(s, ei, ej, _basis(n, k))
-                d = vsub(direct, jt[i][j][k])
-                if not viszero(d):
-                    witnesses.append(Witness((i, j, k), tuple(d), "direct-vs-closed"))
-                # adjacent transpositions generate total antisymmetry
-                for perm in ((j, i, k), (i, k, j)):
-                    a, b, c = perm
-                    d = vadd(jt[i][j][k], jt[a][b][c])
-                    if not viszero(d):
-                        witnesses.append(Witness(((i, j, k), perm), tuple(d), "antisymmetry"))
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                val = jt[i][j][k]
-                if viszero(val):
-                    continue
-                for l in range(n):
-                    d = bracket(g, val, _basis(n, l))
-                    if not viszero(d):
-                        witnesses.append(Witness((i, j, k, l), tuple(d), "center"))
-
-    def j_of(x, y, z):
-        return _apply_trilinear(jt, x, y, z)
-
-    basis = [_basis(n, i) for i in range(n)]
-    for i in range(n):
-        x = basis[i]
-        for j in range(n):
-            y = basis[j]
-            sxy = s[i][j]
-            for k in range(n):
-                z = basis[k]
-                sxz = s[i][k]
-                syz = s[j][k]
-                for l in range(n):
-                    w = basis[l]
-                    acc = apply_bilinear(s, x, jt[j][k][l])
-                    for t, v in enumerate(apply_bilinear(s, y, jt[i][k][l])):
-                        acc[t] -= v
-                    for t, v in enumerate(apply_bilinear(s, z, jt[i][j][l])):
-                        acc[t] += v
-                    for t, v in enumerate(apply_bilinear(s, w, jt[i][j][k])):
-                        acc[t] -= v
-                    for t, v in enumerate(j_of(sxy, z, w)):
-                        acc[t] -= v
-                    for t, v in enumerate(j_of(sxz, y, w)):
-                        acc[t] += v
-                    for t, v in enumerate(j_of(s[i][l], y, z)):
-                        acc[t] -= v
-                    for t, v in enumerate(j_of(syz, x, w)):
-                        acc[t] -= v
-                    for t, v in enumerate(j_of(s[j][l], x, z)):
-                        acc[t] += v
-                    for t, v in enumerate(j_of(s[k][l], x, y)):
-                        acc[t] -= v
-                    if not viszero(acc):
-                        witnesses.append(Witness((i, j, k, l), tuple(acc), "ten-term"))
-    return _report(witnesses)
+    c = sparse(g.c, 3)
+    s = sparse(skew_bracket(g), 3)
+    jac = _jacobiator(c)
+    direct = contract([(1, "jka,iat->ijkt", s, s), (1, "kia,jat->ijkt", s, s),
+                       (1, "ija,kat->ijkt", s, s), (-1, "ijkt->ijkt", jac)])
+    center = contract([(1, "ijka,alt->ijklt", jac, c)])
+    ten_term = contract([
+        (1, "iat,jkla->ijklt", s, jac), (-1, "jat,ikla->ijklt", s, jac),
+        (1, "kat,ijla->ijklt", s, jac), (-1, "lat,ijka->ijklt", s, jac),
+        (-1, "ija,aklt->ijklt", s, jac), (1, "ika,ajlt->ijklt", s, jac),
+        (-1, "ila,ajkt->ijklt", s, jac), (-1, "jka,ailt->ijklt", s, jac),
+        (1, "jla,aikt->ijklt", s, jac), (-1, "kla,aijt->ijklt", s, jac),
+    ])
+    return _report(residual_witnesses(direct, n, "direct-vs-closed")
+                   + _antisymmetry_witnesses(jac, n, "antisymmetry")
+                   + residual_witnesses(center, n, "center")
+                   + residual_witnesses(ten_term, n, "ten-term"))
 
 
 def freeze(x):
@@ -227,26 +177,6 @@ class Lie2Algebra:
         for field in ("l2_00", "l2_01", "l2_11", "l3"):
             object.__setattr__(self, field, freeze(getattr(self, field)))
 
-    def l2_deg0(self, x, y):
-        return apply_bilinear(self.l2_00, x, y) if self.dim0 else []
-
-    def l2_mixed(self, x, a):
-        """l2 on (degree 0, degree 1); value in degree 1."""
-        if not self.dim0 or not self.dim1:
-            return vzero(self.dim1)
-        out = vzero(self.dim1)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.l2_01[i]
-            for al, aa in enumerate(a):
-                if aa:
-                    vaddto(out, xi * aa, row[al])
-        return out
-
-    def l3_apply(self, x, y, z):
-        return _apply_trilinear(self.l3, x, y, z) if self.dim0 else []
-
 
 @dataclass
 class AxiomReport:
@@ -272,59 +202,33 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     n = g.dim
     z = left_center(g)
     d1 = z.dim
-    l1 = z.basis_matrix()
+    c = sparse(g.c, 3)
 
-    s = skew_bracket(g)
+    def center_coords(tensor, context):
+        # a zero vector has zero coordinates, so only nonzero rows are solved
+        coords = {}
+        for where, v in sorted(rows_of(tensor, n).items()):
+            x = z.coordinates_of(v)
+            if x is None:
+                raise ValueError(f"{context.format(*where)} is not in the left center; "
+                                 "input violates the Leibniz identity")
+            coords.update(((*where, a), xa) for a, xa in enumerate(x) if xa)
+        return coords
 
-    def center_coords(v, context):
-        coords = z.coordinates_of(v)
-        if coords is None:
-            raise ValueError(f"{context} is not in the left center; "
-                             "input violates the Leibniz identity")
-        return tuple(coords)
-
-    l2_01 = []
-    for i in range(n):
-        ei = _basis(n, i)
-        row = []
-        for al in range(d1):
-            v = [HALF * t for t in bracket(g, ei, list(z.basis[al]))]
-            row.append(center_coords(v, f"[e_{i}, z_{al}]/2"))
-        l2_01.append(tuple(row))
-
-    jt = jacobiator_table(g)
-    l3 = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                row.append(center_coords(jt[i][j][k], f"J(e_{i},e_{j},e_{k})"))
-            plane.append(tuple(row))
-        l3.append(tuple(plane))
-
-    l2_11 = tuple(tuple(tuple(vzero(d1)) for _ in range(d1)) for _ in range(d1))
-    return Lie2Algebra(d1, n, l1, s, tuple(l2_01), l2_11, tuple(l3))
+    half_action = contract([(HALF, "ua,iat->iut", sparse(z.basis, 2), c)])
+    l2_01 = center_coords(half_action, "[e_{}, z_{}]/2")
+    l3 = center_coords(_jacobiator(c), "J(e_{},e_{},e_{})")
+    l2_11 = dense({}, (d1, d1, d1))
+    return Lie2Algebra(d1, n, z.basis_matrix(), skew_bracket(g), dense(l2_01, (n, d1, d1)),
+                       l2_11, dense(l3, (n, n, n, d1)))
 
 
 def check_lie2_structure(L: Lie2Algebra) -> IdentityReport:
     """Antisymmetry of l2 on degree 0 and total antisymmetry of l3."""
-    witnesses = []
-    n = L.dim0
-    for i in range(n):
-        for j in range(n):
-            d = vadd(L.l2_00[i][j], L.l2_00[j][i])
-            if not viszero(d):
-                witnesses.append(Witness((i, j), tuple(d), "l2-antisymmetry"))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for perm in ((j, i, k), (i, k, j)):
-                    a, b, c = perm
-                    d = vadd(L.l3[i][j][k], L.l3[a][b][c])
-                    if not viszero(d):
-                        witnesses.append(Witness(((i, j, k), perm), tuple(d), "l3-antisymmetry"))
-    return _report(witnesses)
+    s = sparse(L.l2_00, 3)
+    l2 = contract([(1, "ijt->ijt", s), (1, "jit->ijt", s)])
+    return _report(residual_witnesses(l2, L.dim0, "l2-antisymmetry")
+                   + _antisymmetry_witnesses(sparse(L.l3, 4), L.dim1, "l3-antisymmetry"))
 
 
 def verify_lie2(L: Lie2Algebra) -> AxiomReport:
@@ -342,77 +246,25 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
             + l3(l2(y,z),x,w) - l3(l2(y,w),x,z) + l3(l2(z,w),x,y)
     """
     n0, n1 = L.dim0, L.dim1
-    passed = {k: True for k in "abcde"}
+    l1 = {(r, a): v for r in range(n0) for a, v in L.l1.row_items(r)}
+    s, m, t = sparse(L.l2_00, 3), sparse(L.l2_01, 3), sparse(L.l3, 4)
+    axioms = {
+        "a": (n0, [(1, "iab,tb->iat", m, l1), (-1, "ua,iut->iat", l1, s)]),
+        "b": (n1, [(1, "ua,ubt->abt", l1, m), (1, "ub,uat->abt", l1, m)]),
+        "c": (n0, [(1, "jku,iut->ijkt", s, s), (1, "kiu,jut->ijkt", s, s),
+                   (1, "iju,kut->ijkt", s, s), (-1, "ijka,ta->ijkt", t, l1)]),
+        "d": (n1, [(1, "jab,ibt->ijat", m, m), (-1, "iab,jbt->ijat", m, m),
+                   (-1, "iju,uat->ijat", s, m), (-1, "ua,ijut->ijat", l1, t)]),
+        "e": (n1, [(-1, "ijkb,lbt->ijklt", t, m), (1, "ijlb,kbt->ijklt", t, m),
+                   (-1, "iklb,jbt->ijklt", t, m), (1, "jklb,ibt->ijklt", t, m),
+                   (-1, "iju,uklt->ijklt", s, t), (1, "iku,ujlt->ijklt", s, t),
+                   (-1, "ilu,ujkt->ijklt", s, t), (-1, "jku,uilt->ijklt", s, t),
+                   (1, "jlu,uikt->ijklt", s, t), (-1, "klu,uijt->ijklt", s, t)]),
+    }
+    passed = {}
     witnesses: list[Witness] = []
-    e0 = [_basis(n0, i) for i in range(n0)]
-    e1 = [_basis(n1, a) for a in range(n1)]
-    incl = [list(L.l1.column(a)) for a in range(n1)]
-
-    def fail(axiom, where, defect):
-        passed[axiom] = False
-        witnesses.append(Witness(where, tuple(defect), axiom))
-
-    for i in range(n0):
-        for a in range(n1):
-            lhs = L.l1.mv(L.l2_mixed(e0[i], e1[a]))
-            rhs = L.l2_deg0(e0[i], incl[a])
-            if not viszero(vsub(lhs, rhs)):
-                fail("a", (i, a), vsub(lhs, rhs))
-
-    for a in range(n1):
-        for b in range(n1):
-            lhs = L.l2_mixed(incl[a], e1[b])
-            rhs = [-v for v in L.l2_mixed(incl[b], e1[a])]
-            if not viszero(vsub(lhs, rhs)):
-                fail("b", (a, b), vsub(lhs, rhs))
-
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                acc = L.l2_deg0(e0[i], L.l2_00[j][k])
-                for t, v in enumerate(L.l2_deg0(e0[j], L.l2_00[k][i])):
-                    acc[t] += v
-                for t, v in enumerate(L.l2_deg0(e0[k], L.l2_00[i][j])):
-                    acc[t] += v
-                rhs = L.l1.mv(L.l3[i][j][k])
-                if not viszero(vsub(acc, rhs)):
-                    fail("c", (i, j, k), vsub(acc, rhs))
-
-    for i in range(n0):
-        for j in range(n0):
-            for a in range(n1):
-                acc = L.l2_mixed(e0[i], L.l2_01[j][a])
-                for t, v in enumerate(L.l2_mixed(e0[j], L.l2_01[i][a])):
-                    acc[t] -= v
-                for t, v in enumerate(L.l2_mixed(L.l2_00[i][j], e1[a])):
-                    acc[t] -= v
-                rhs = L.l3_apply(e0[i], e0[j], incl[a])
-                if not viszero(vsub(acc, rhs)):
-                    fail("d", (i, j, a), vsub(acc, rhs))
-
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                for l in range(n0):
-                    lhs = [-v for v in L.l2_mixed(e0[l], L.l3[i][j][k])]
-                    for t, v in enumerate(L.l2_mixed(e0[k], L.l3[i][j][l])):
-                        lhs[t] += v
-                    for t, v in enumerate(L.l2_mixed(e0[j], L.l3[i][k][l])):
-                        lhs[t] -= v
-                    for t, v in enumerate(L.l2_mixed(e0[i], L.l3[j][k][l])):
-                        lhs[t] += v
-                    rhs = L.l3_apply(L.l2_00[i][j], e0[k], e0[l])
-                    for t, v in enumerate(L.l3_apply(L.l2_00[i][k], e0[j], e0[l])):
-                        rhs[t] -= v
-                    for t, v in enumerate(L.l3_apply(L.l2_00[i][l], e0[j], e0[k])):
-                        rhs[t] += v
-                    for t, v in enumerate(L.l3_apply(L.l2_00[j][k], e0[i], e0[l])):
-                        rhs[t] += v
-                    for t, v in enumerate(L.l3_apply(L.l2_00[j][l], e0[i], e0[k])):
-                        rhs[t] -= v
-                    for t, v in enumerate(L.l3_apply(L.l2_00[k][l], e0[i], e0[j])):
-                        rhs[t] += v
-                    if not viszero(vsub(lhs, rhs)):
-                        fail("e", (i, j, k, l), vsub(lhs, rhs))
-
+    for name, (dim, terms) in axioms.items():
+        found = residual_witnesses(contract(terms), dim, name)
+        passed[name] = not found
+        witnesses += found
     return AxiomReport(passed, tuple(witnesses))

@@ -107,8 +107,8 @@ def omni_lie(m: int) -> LeibnizAlgebra:
     basis = [_basis(n, p) for p in range(n)]
     c = [[omni_bracket(m, basis[p], basis[q]) for q in range(n)] for p in range(n)]
     out = LeibnizAlgebra(n, c)
-    report = check_leibniz(out)
-    assert report.holds, "omni bracket failed the Leibniz identity"
+    if not check_leibniz(out).holds:
+        raise AssertionError("omni bracket failed the Leibniz identity")
     return out
 
 
@@ -161,7 +161,8 @@ def induced_leibniz(phi: GraphMap) -> LeibnizAlgebra:
     c = [[[phi.phi[i].entry(k, j) for k in range(m)] for j in range(m)]
          for i in range(m)]
     out = LeibnizAlgebra(m, c)
-    assert check_leibniz(out).holds, "graph-induced bracket failed the Leibniz identity"
+    if not check_leibniz(out).holds:
+        raise AssertionError("graph-induced bracket failed the Leibniz identity")
     return out
 
 
@@ -284,8 +285,10 @@ def adjoint_naive(g: LeibnizAlgebra) -> NaiveRepresentation:
     n = g.dim
     rho = NaiveRepresentation(g, n, adjoint_rep(g).l,
                               tuple(tuple(_basis(n, i)) for i in range(n)))
-    assert naive_check(rho).holds, "adjoint naive map is not a homomorphism"
-    assert rho.image.dim == n
+    if not naive_check(rho).holds:
+        raise AssertionError("adjoint naive map is not a homomorphism")
+    if rho.image.dim != n:
+        raise AssertionError(f"adjoint naive image has dim {rho.image.dim}, expected {n}")
     return rho
 
 
@@ -302,7 +305,8 @@ def naive_from_rep(rep: Representation) -> NaiveRepresentation:
     conj = conjugation_rep(left_only)
     theta = tuple(tuple(flatten_matrix(rep.r[i])) for i in range(n))
     rho = NaiveRepresentation(rep.algebra, rep.vdim * rep.vdim, conj.l, theta)
-    assert naive_check(rho).holds, "induced naive map is not a homomorphism"
+    if not naive_check(rho).holds:
+        raise AssertionError("induced naive map is not a homomorphism")
     return rho
 
 
@@ -366,8 +370,8 @@ def image_representation(rho: NaiveRepresentation) -> Representation:
         ls.append(Matrix.from_cols(d, lcols))
         rs.append(Matrix.from_cols(d, rcols))
     rep = Representation(g, d, tuple(ls), tuple(rs))
-    assert check_representation(rep).holds, \
-        "omni multiplication on the image is not a representation"
+    if not check_representation(rep).holds:
+        raise AssertionError("omni multiplication on the image is not a representation")
     return rep
 
 
@@ -530,7 +534,8 @@ def tautological_rep(phi: GraphMap) -> NaiveRepresentation:
     m = phi.vdim
     rho = NaiveRepresentation(g, m, phi.phi,
                               tuple(tuple(_basis(m, i)) for i in range(m)))
-    assert naive_check(rho).holds, "tautological graph map is not a homomorphism"
+    if not naive_check(rho).holds:
+        raise AssertionError("tautological graph map is not a homomorphism")
     return rho
 
 

@@ -218,3 +218,24 @@ def test_nonsensical_arguments_exit_2(args):
     result = run_cli(*args)
     assert result.returncode == 2, result.stdout
     assert result.stdout == b""
+
+
+def test_benchmark_structure_invariants(tmp_path, capsys):
+    # the invariants the structure workload checks, on the untransported algebras
+    from leibniz_kit import omni_lie
+    from leibniz_kit.serialize import algebra_to_json
+
+    def run(*args):
+        assert main([*args, "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    omni3, omni4 = tmp_path / "omni3.json", tmp_path / "omni4.json"
+    omni3.write_text(json.dumps(algebra_to_json(omni_lie(3))), encoding="utf-8")
+    omni4.write_text(json.dumps(algebra_to_json(omni_lie(4))), encoding="utf-8")
+    lie2 = run("lie2", str(omni3))
+    assert (lie2["dim1"], lie2["dim0"]) == (3, 12)
+    assert lie2["jacobiator_identities"] is True
+    assert lie2["axioms"] == {name: True for name in "abcde"}
+    check = run("check", str(omni4))
+    assert (check["dim"], check["left_center_dim"], check["derived_dim"]) == (20, 4, 19)
+    assert check["leibniz"] is True

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -410,3 +412,40 @@ def test_scaled_theta_admissible_only_for_zero_actions():
     assert naive_check(rho2).holds
     report = graph_rep_cohomology(rho2, zero_phi, 2)
     assert report.all_equal
+
+
+def test_construction_invariants_survive_optimize_flag():
+    # python -O strips assert statements; each construction re-checks its
+    # result explicitly, so a check forced to fail must still raise
+    script = """
+import leibniz_kit.algebra as algebra
+import leibniz_kit.omni as omni
+from leibniz_kit import IdentityReport, adjoint_rep
+from leibniz_kit.fixtures import graph_for, heisenberg3, l2_algebra
+
+phi = graph_for(heisenberg3())
+rho = omni.adjoint_naive(l2_algebra())
+failing = lambda *args: IdentityReport(False)
+cases = [
+    (omni, "check_leibniz", failing, lambda: omni.induced_leibniz(phi)),
+    (omni, "check_leibniz", failing, lambda: omni.omni_lie(1)),
+    (omni, "naive_check", failing, lambda: omni.adjoint_naive(l2_algebra())),
+    (omni, "naive_check", failing, lambda: omni.tautological_rep(phi)),
+    (omni, "naive_check", failing, lambda: omni.naive_from_rep(adjoint_rep(l2_algebra()))),
+    (omni, "check_representation", failing, lambda: omni.image_representation(rho)),
+    (algebra, "solve", lambda m, b: None,
+     lambda: algebra.quotient_by_left_center(l2_algebra())),
+]
+for module, name, fake, call in cases:
+    real = getattr(module, name)
+    setattr(module, name, fake)
+    try:
+        call()
+    except AssertionError:
+        continue
+    finally:
+        setattr(module, name, real)
+    raise SystemExit(f"a failing {name} went unnoticed")
+"""
+    result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True)
+    assert result.returncode == 0, result.stderr
