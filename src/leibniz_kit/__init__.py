@@ -39,7 +39,6 @@ from .cohomology import (
     right_action_cochain,
     semidirect,
     shuffles,
-    shuffles_by_filter,
     structure_cochain,
     trivial_rep,
 )
@@ -50,7 +49,6 @@ from .lie2 import (
     check_jacobiator_identities,
     check_lie2_structure,
     jacobiator_closed,
-    jacobiator_direct,
     skew_bracket,
     verify_lie2,
 )
@@ -66,7 +64,6 @@ from .linalg import (
 from .omni import (
     ComparisonReport,
     GraphMap,
-    NaiveCochain,
     NaiveRepresentation,
     adjoint_naive,
     compare_adjoint,

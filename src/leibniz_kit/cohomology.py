@@ -32,6 +32,7 @@ from .linalg import (
     ZERO,
     as_rational,
     commutator,
+    linear_combination,
     rank,
     vadd,
     vaddto,
@@ -77,18 +78,10 @@ class Representation:
 
     def l_of(self, x: Sequence[Fraction]) -> Matrix:
         """l extended linearly to a coordinate vector."""
-        out = Matrix.zeros(self.vdim, self.vdim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.l[i].scaled(xi)
-        return out
+        return linear_combination(x, self.l, (self.vdim, self.vdim))
 
     def r_of(self, x: Sequence[Fraction]) -> Matrix:
-        out = Matrix.zeros(self.vdim, self.vdim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.r[i].scaled(xi)
-        return out
+        return linear_combination(x, self.r, (self.vdim, self.vdim))
 
 
 def _matrix_witness(m: Matrix) -> tuple:
@@ -292,42 +285,6 @@ def basis_tuples(n: int, k: int):
 # ---------------------------------------------------------------------------
 # the coboundary operator
 
-def coboundary(rep: Representation, c: Cochain) -> Cochain:
-    """Apply the coboundary formula literally on every basis (k+1)-tuple."""
-    g = rep.algebra
-    n, m = g.dim, rep.vdim
-    if c.n != n or c.m != m:
-        raise ValueError("cochain does not match the representation")
-    k = c.degree
-    values = []
-    for S in basis_tuples(n, k + 1):
-        acc = vzero(m)
-        for i1 in range(1, k + 1):
-            sub = S[:i1 - 1] + S[i1:]
-            val = c.value_at(sub)
-            if not viszero(val):
-                sign = ONE if (i1 + 1) % 2 == 0 else -ONE
-                vaddto(acc, sign, rep.l[S[i1 - 1]].mv(val))
-        head = c.value_at(S[:k])
-        if not viszero(head):
-            sign = ONE if (k + 1) % 2 == 0 else -ONE
-            vaddto(acc, sign, rep.r[S[k]].mv(head))
-        for i1 in range(1, k + 1):
-            for j1 in range(i1 + 1, k + 2):
-                br = g.c[S[i1 - 1]][S[j1 - 1]]
-                if viszero(br):
-                    continue
-                sign = ONE if i1 % 2 == 0 else -ONE
-                reduced = S[:i1 - 1] + S[i1:]
-                slot = j1 - 2
-                for t, w in enumerate(br):
-                    if w:
-                        arg = reduced[:slot] + (t,) + reduced[slot + 1:]
-                        vaddto(acc, sign * w, c.value_at(arg))
-        values.append(tuple(acc))
-    return Cochain(k + 1, n, m, tuple(values))
-
-
 def _column_support(mat: Matrix) -> list[list[tuple[int, Fraction]]]:
     cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(mat.cols)]
     for i in range(mat.rows):
@@ -409,6 +366,17 @@ def coboundary_matrix(rep: Representation, k: int,
     return Matrix(out_dim, in_dim, data)
 
 
+def coboundary(rep: Representation, c: Cochain) -> Cochain:
+    """The coboundary of c: the uncapped degree-k coboundary matrix applied
+    to c's values."""
+    n, m = rep.algebra.dim, rep.vdim
+    if c.n != n or c.m != m:
+        raise ValueError("cochain does not match the representation")
+    flat = coboundary_matrix(rep, c.degree, None).mv([x for v in c.values for x in v])
+    return Cochain(c.degree + 1, n, m,
+                   tuple(tuple(flat[p * m:(p + 1) * m]) for p in range(n ** (c.degree + 1))))
+
+
 @dataclass(frozen=True)
 class DegreeData:
     k: int
@@ -473,21 +441,6 @@ def shuffles(k: int, q: int) -> list[tuple[tuple[int, ...], int]]:
         rest = tuple(x for x in range(1, total + 1) if x not in chosen)
         crossings = sum(s - i for i, s in enumerate(first, start=1))
         out.append((first + rest, -1 if crossings % 2 else 1))
-    return out
-
-
-def shuffles_by_filter(k: int, q: int) -> list[tuple[tuple[int, ...], int]]:
-    """Reference implementation: filter all permutations, count inversions."""
-    total = k + q
-    out = []
-    for perm in itertools.permutations(range(1, total + 1)):
-        if any(perm[i] > perm[i + 1] for i in range(k - 1)):
-            continue
-        if any(perm[i] > perm[i + 1] for i in range(k, total - 1)):
-            continue
-        inv = sum(1 for i in range(total) for j in range(i + 1, total)
-                  if perm[i] > perm[j])
-        out.append((perm, -1 if inv % 2 else 1))
     return out
 
 

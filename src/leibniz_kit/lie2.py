@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra import (
     IdentityReport,
@@ -42,8 +41,6 @@ from .linalg import (
     Matrix,
     QUARTER,
     as_rational,
-    vaddto,
-    vzero,
 )
 
 
@@ -54,34 +51,6 @@ def skew_bracket(g: LeibnizAlgebra) -> tuple:
         tuple(tuple(HALF * (g.c[i][j][k] - g.c[j][i][k]) for k in range(n))
               for j in range(n))
         for i in range(n))
-
-
-def apply_bilinear(tensor, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-    """Bilinear extension of a basis-indexed tensor t[i][j] -> vector."""
-    n = len(tensor)
-    if len(x) != n or len(y) != n:
-        raise ValueError(f"vectors must have length {n}")
-    out = vzero(len(tensor[0][0]) if n else 0)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        ti = tensor[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            vaddto(out, xi * yj, ti[j])
-    return out
-
-
-def jacobiator_direct(g: LeibnizAlgebra, x, y, z) -> list[Fraction]:
-    """Cyclic sum of nested skew brackets."""
-    s = skew_bracket(g)
-    out = apply_bilinear(s, x, apply_bilinear(s, y, z))
-    for t, v in enumerate(apply_bilinear(s, y, apply_bilinear(s, z, x))):
-        out[t] += v
-    for t, v in enumerate(apply_bilinear(s, z, apply_bilinear(s, x, y))):
-        out[t] += v
-    return out
 
 
 def jacobiator_closed(g: LeibnizAlgebra, x, y, z) -> list[Fraction]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -229,6 +230,24 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
 
+def linear_combination(coeffs: Sequence[Fraction], mats: Sequence[Matrix],
+                       shape: tuple[int, int]) -> Matrix:
+    """sum_i coeffs[i] mats[i], accumulated into one dict per row; a zero
+    matrix of the given shape when every coefficient is zero."""
+    if len(coeffs) != len(mats):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(mats)} matrices")
+    data: list[dict[int, Fraction]] = [{} for _ in range(shape[0])]
+    for c, mat in zip(coeffs, mats):
+        if not c:
+            continue
+        if mat.shape != shape:
+            raise ValueError(f"shape mismatch {mat.shape} vs {shape}")
+        for acc, row in zip(data, mat._data):
+            for j, v in row.items():
+                acc[j] = acc.get(j, ZERO) + c * v
+    return Matrix(shape[0], shape[1], data)
+
+
 @dataclass(frozen=True)
 class Echelon:
     """Result of row reduction: the RREF matrix, its rank, and pivot columns."""
@@ -260,16 +279,7 @@ def rref(m: Matrix) -> Echelon:
         p = row[col]
         if p != ONE:
             row = {j: v / p for j, v in row.items()}
-        for target in work:
-            f = target.get(col)
-            if f:
-                for j, v in row.items():
-                    nv = target.get(j, ZERO) - f * v
-                    if nv:
-                        target[j] = nv
-                    else:
-                        target.pop(j, None)
-        for target in reduced:
+        for target in chain(work, reduced):
             f = target.get(col)
             if f:
                 for j, v in row.items():

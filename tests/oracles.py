@@ -1,13 +1,15 @@
-"""Literal per-tuple formulas for the identity checks, as test oracles.
+"""Literal per-tuple formulas, as test oracles.
 
 Each function pushes basis vectors through the bilinear brackets one tuple
-at a time, exactly as the identities are written, and reports witnesses in
+at a time, exactly as the formulas are written, and reports witnesses in
 nested-loop order.  The library evaluates the same identities as sparse
-tensor contractions; the differential tests compare the two.
+tensor contractions and the coboundary as one sparse matrix; the
+differential tests compare the two.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from leibniz_kit import (
@@ -18,11 +20,9 @@ from leibniz_kit import (
     Witness,
     bracket,
     jacobiator_closed,
-    jacobiator_direct,
     left_center,
     skew_bracket,
 )
-from leibniz_kit.lie2 import apply_bilinear
 from leibniz_kit.linalg import HALF, vadd, vaddto, viszero, vsub, vzero
 
 
@@ -39,6 +39,17 @@ def _add(acc, sign, v):
         acc[t] += sign * x
 
 
+def apply_bilinear(tensor, x, y) -> list[Fraction]:
+    """Bilinear extension of a basis-indexed tensor t[i][j] -> vector."""
+    n = len(tensor)
+    out = vzero(len(tensor[0][0]) if n else 0)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi and yj:
+                vaddto(out, xi * yj, tensor[i][j])
+    return out
+
+
 def apply_trilinear(table, x, y, z) -> list[Fraction]:
     n = len(table)
     out = vzero(len(table[0][0][0]) if n else 0)
@@ -47,6 +58,71 @@ def apply_trilinear(table, x, y, z) -> list[Fraction]:
             if xi and yj:
                 for k, zk in enumerate(z):
                     vaddto(out, xi * yj * zk, table[i][j][k])
+    return out
+
+
+def jacobiator_direct(g: LeibnizAlgebra, x, y, z) -> list[Fraction]:
+    """Cyclic sum of nested skew brackets."""
+    s = skew_bracket(g)
+    out = apply_bilinear(s, x, apply_bilinear(s, y, z))
+    _add(out, 1, apply_bilinear(s, y, apply_bilinear(s, z, x)))
+    _add(out, 1, apply_bilinear(s, z, apply_bilinear(s, x, y)))
+    return out
+
+
+def shuffles_by_filter(k: int, q: int) -> list[tuple[tuple[int, ...], int]]:
+    """(k,q)-shuffles by filtering all permutations, signs by inversion count."""
+    total = k + q
+    out = []
+    for perm in itertools.permutations(range(1, total + 1)):
+        if any(perm[i] > perm[i + 1] for i in range(k - 1)):
+            continue
+        if any(perm[i] > perm[i + 1] for i in range(k, total - 1)):
+            continue
+        inv = sum(1 for i in range(total) for j in range(i + 1, total)
+                  if perm[i] > perm[j])
+        out.append((perm, -1 if inv % 2 else 1))
+    return out
+
+
+def coboundary(g: LeibnizAlgebra, left, right, values, k: int, m: int) -> list[list[Fraction]]:
+    """The coboundary formula literally on every basis (k+1)-tuple.
+
+    ``values`` holds the k-cochain's values on the n^k basis tuples in
+    lexicographic order, each of length m; ``left(s, v)`` and ``right(s, v)``
+    act on a value v by the basis element e_s.  With the actions of a
+    representation this is the classical coboundary
+
+        d c(x_1..x_{k+1}) = sum_{i<=k} (-1)^{i+1} l_{x_i} c(..^x_i..)
+                            + (-1)^{k+1} r_{x_{k+1}} c(x_1..x_k)
+                            + sum_{i<j} (-1)^i c(..^x_i.., [x_i,x_j] at slot j, ..);
+
+    with omni multiplication by rho(e_s) on ambient values it is the naive
+    one.  Returns the n^(k+1) values of d c in lexicographic order.
+    """
+    n = g.dim
+
+    def at(tup):
+        r = 0
+        for t in tup:
+            r = r * n + t
+        return values[r]
+
+    out = []
+    for S in itertools.product(range(n), repeat=k + 1):
+        acc = vzero(m)
+        for i1 in range(1, k + 1):
+            _add(acc, (-1) ** (i1 + 1), left(S[i1 - 1], at(S[:i1 - 1] + S[i1:])))
+        _add(acc, (-1) ** (k + 1), right(S[k], at(S[:k])))
+        for i1 in range(1, k + 1):
+            for j1 in range(i1 + 1, k + 2):
+                reduced = S[:i1 - 1] + S[i1:]
+                slot = j1 - 2
+                for t, w in enumerate(g.c[S[i1 - 1]][S[j1 - 1]]):
+                    if w:
+                        arg = reduced[:slot] + (t,) + reduced[slot + 1:]
+                        _add(acc, (-1) ** i1 * w, at(arg))
+        out.append(acc)
     return out
 
 

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
+from oracles import shuffles_by_filter
 from leibniz_kit import (
     DEFAULT_CAP,
     LeibnizAlgebra,
@@ -43,7 +44,6 @@ from leibniz_kit import (
     omni_lie,
     right_action_cochain,
     shuffles,
-    shuffles_by_filter,
     structure_cochain,
     tautological_rep,
     trivial_naive_rep,

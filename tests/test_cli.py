@@ -239,3 +239,14 @@ def test_benchmark_structure_invariants(tmp_path, capsys):
     check = run("check", str(omni4))
     assert (check["dim"], check["left_center_dim"], check["derived_dim"]) == (20, 4, 19)
     assert check["leibniz"] is True
+
+
+def test_cohomology_compare_omni2(capsys):
+    # the adjoint comparison on omni2 with its chain-level correspondence
+    assert main(["cohomology", str(FIXTURES / "omni2.json"), "--rep", "adjoint",
+                 "--compare", "--max-degree", "2", "--json"]) == 0
+    comparison = json.loads(capsys.readouterr().out)["results"]["comparison"]
+    rows = [(d["dim_naive"], d["dim_classical"]) for d in comparison["degrees"]]
+    assert rows == [(2, 2), (0, 0), (0, 0)]
+    assert comparison["side_checks_ok"] is True
+    assert comparison["notes"] == []

@@ -1,23 +1,24 @@
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from leibniz_kit import (
     Cochain,
     LeibnizAlgebra,
     Matrix,
     NaiveRepresentation,
+    Representation,
     adjoint_naive,
     adjoint_rep,
-    betti,
     bracket,
     build_lie2,
     check_leibniz,
-    coboundary,
     coboundary_matrix,
     compare_adjoint,
     compare_trivial,
@@ -49,7 +50,7 @@ from leibniz_kit.fixtures import (
     l2_algebra,
     sl2,
 )
-from leibniz_kit.omni import GraphMap, NaiveCochain
+from leibniz_kit.omni import GraphMap, _verify_adjoint_correspondence
 
 F = Fraction
 E = lambda n, i: [F(j == i) for j in range(n)]
@@ -223,25 +224,29 @@ def test_naive_from_rep_rejects_invalid():
 # ---------------------------------------------------------------------------
 # the naive coboundary: two routes
 
-def _basis_naive_cochains(rho, degree):
-    n, d = rho.algebra.dim, rho.image.dim
-    count = n ** degree
-    for pos in range(count):
-        for t in range(d):
-            values = [[F(0)] * d for _ in range(count)]
-            values[pos][t] = F(1)
-            yield NaiveCochain(rho, Cochain(degree, n, d, tuple(map(tuple, values))))
-
-
 def test_naive_coboundary_agrees_with_image_representation(small_algebras):
+    # the literal formula with omni multiplication by rho(e_s) on ambient
+    # values, re-expressed in image coordinates, is the coboundary of the
+    # image representation
+    rng = random.Random(11)
     for name, g in small_algebras.items():
-        for rho in (adjoint_naive(g),):
+        for rho in (adjoint_naive(g), naive_from_rep(adjoint_rep(g))):
             rep = image_representation(rho)
-            for k in range(2):
-                for f in _basis_naive_cochains(rho, k):
-                    direct = naive_coboundary(rho, f)
-                    via_rep = coboundary(rep, f.data)
-                    assert direct.data == via_rep, (name, k)
+            n, d, m = g.dim, rho.image.dim, rho.vdim
+            to_ambient = rho.image.basis_matrix()
+            for k in range(3):
+                coords = [[F(rng.randint(-3, 3)) for _ in range(d)] for _ in range(n ** k)]
+                ambient = [to_ambient.mv(c) for c in coords]
+                literal = oracles.coboundary(
+                    g, lambda s, v: omni_bracket(m, rho.rho_vectors[s], v),
+                    lambda s, v: omni_bracket(m, v, rho.rho_vectors[s]),
+                    ambient, k, rho.ambient_dim)
+                expected = [x for v in literal for x in rho.image_coordinates(v)]
+                flat = [x for c in coords for x in c]
+                assert coboundary_matrix(rep, k).mv(flat) == expected, (name, k)
+                f = to_naive_cochain(rho, ambient, k)
+                assert f == Cochain(k, n, d, tuple(map(tuple, coords)))
+                assert naive_coboundary(rho, f) == to_naive_cochain(rho, literal, k + 1)
 
 
 def test_naive_coboundary_trivial_rep_reduces_to_bracket_sum():
@@ -259,7 +264,7 @@ def test_naive_coboundary_trivial_rep_reduces_to_bracket_sum():
 def test_naive_cochain_shape_checked():
     rho = adjoint_naive(l2_algebra())
     with pytest.raises(ValueError):
-        NaiveCochain(rho, Cochain.zero(1, 2, 5))
+        naive_coboundary(rho, Cochain.zero(1, 2, 5))
 
 
 def test_to_naive_cochain_rejects_values_outside_image():
@@ -315,6 +320,42 @@ def test_compare_adjoint_small_fixtures(small_algebras):
         report = compare_adjoint(g, 2)
         assert report.all_equal, (name, report.rows)
         assert report.side_checks_ok, name
+
+
+def test_adjoint_correspondence_check_is_not_vacuous():
+    # doubling the right, then the left action of the classical side breaks
+    # the correspondence on exactly these basis cochains (degree, tuple, value)
+    broken = {
+        ("L2", "r"): [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0),
+                      (2, 3, 0)],
+        ("L2", "l"): [(1, 0, 0), (1, 1, 0), (2, 2, 0), (2, 3, 0)],
+        ("heis3", "r"): [(0, 0, 0), (0, 0, 1)]
+                        + [(1, pos, v) for pos in range(3) for v in range(2)]
+                        + [(2, pos, v) for pos in range(9) for v in range(2)],
+        ("heis3", "l"): [(1, pos, v) for pos in range(3) for v in range(2)]
+                        + [(2, 0, 0), (2, 1, 0), (2, 2, 0), (2, 3, 1), (2, 4, 1), (2, 5, 1),
+                           (2, 6, 0), (2, 6, 1), (2, 7, 0), (2, 7, 1), (2, 8, 0), (2, 8, 1)],
+    }
+    first = {
+        ("L2", "r"): "correspondence fails on basis cochain (degree 0, tuple #0, value 0)",
+        ("L2", "l"): "correspondence fails on basis cochain (degree 1, tuple #0, value 0)",
+        ("heis3", "r"): "correspondence fails on basis cochain (degree 0, tuple #0, value 0)",
+        ("heis3", "l"): "correspondence fails on basis cochain (degree 1, tuple #0, value 0)",
+    }
+    for name, g in (("L2", l2_algebra()), ("heis3", heisenberg3())):
+        rho = adjoint_naive(g)
+        irep = image_representation(rho)
+        arep = adjoint_rep(g)
+        assert _verify_adjoint_correspondence(rho, irep, arep, 2, None) == (True, [])
+        doubled = lambda mats: tuple(m.scaled(2) for m in mats)
+        for side, bad in (("r", Representation(g, g.dim, arep.l, doubled(arep.r))),
+                          ("l", Representation(g, g.dim, doubled(arep.l), arep.r))):
+            ok, notes = _verify_adjoint_correspondence(rho, irep, bad, 2, None)
+            assert not ok
+            assert notes[0] == first[name, side]
+            assert notes == [f"correspondence fails on basis cochain "
+                             f"(degree {k}, tuple #{pos}, value {v})"
+                             for k, pos, v in broken[name, side]]
 
 
 def test_compare_adjoint_degree0_matches_here():
