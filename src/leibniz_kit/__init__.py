@@ -29,6 +29,7 @@ from .cohomology import (
     check_representation,
     circle_product,
     coboundary,
+    coboundary_columns,
     coboundary_matrix,
     cocycle_check,
     conjugation_rep,
@@ -56,6 +57,7 @@ from .linalg import (
     Matrix,
     Rational,
     Subspace,
+    integer_rank,
     kernel_basis,
     rank,
     rref,

@@ -254,6 +254,11 @@ def cmd_cohomology(args) -> int:
     cap = _cap()
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     rep, rep_label = _resolve_representation(run, args, g)
+    leib = check_leibniz(g)
+    if not leib.holds:
+        run.fail(f"input is not a Leibniz algebra; first witness at "
+                 f"{leib.witnesses[0].where}")
+        return run.finish()
     rep_report = check_representation(rep)
     if not rep_report.holds:
         run.fail(f"input is not a representation; first witness at "

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import IdentityReport, LeibnizAlgebra, Witness, _report, check_leibniz
@@ -285,21 +286,16 @@ def basis_tuples(n: int, k: int):
 # ---------------------------------------------------------------------------
 # the coboundary operator
 
-def _column_support(mat: Matrix) -> list[list[tuple[int, Fraction]]]:
-    cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(mat.cols)]
-    for i in range(mat.rows):
-        for j, v in mat.row_items(i):
-            cols[j].append((i, v))
-    return cols
+def coboundary_columns(rep: Representation, k: int,
+                       cap: Optional[int] = DEFAULT_CAP) -> tuple[int, list[dict[int, int]]]:
+    """The degree-k coboundary as integer columns over one common denominator.
 
-
-def coboundary_matrix(rep: Representation, k: int,
-                      cap: Optional[int] = DEFAULT_CAP) -> Matrix:
-    """Matrix of the degree-k coboundary in the lexicographic monomial basis.
-
-    Shape (n^(k+1) m) x (n^k m); column (t, v) collects the contributions of
-    the basis cochain supported on tuple t with value e_v.  Refuses to build
-    when the target dimension n^(k+1) m exceeds the cap.
+    Returns (D, columns): D is the lcm of every denominator in rep.l, rep.r
+    and the structure constants, and columns[j] holds the nonzero entries
+    {row: D * d_k[row][j]} of column j of the coboundary in the lexicographic
+    monomial basis, of shape (n^(k+1) m) x (n^k m).  Column j = (t, v) is the
+    coboundary of the basis cochain supported on tuple t with value e_v.
+    Refuses to build when the target dimension n^(k+1) m exceeds the cap.
     """
     if k < 0:
         raise ValueError("degree must be >= 0")
@@ -308,18 +304,26 @@ def coboundary_matrix(rep: Representation, k: int,
     out_dim = n ** (k + 1) * m
     if cap is not None and out_dim > cap:
         raise ResourceCapExceeded(out_dim, cap)
-    in_dim = n ** k * m
-    data: list[dict[int, Fraction]] = [dict() for _ in range(out_dim)]
+    den = lcm(*[v.denominator for mat in (*rep.l, *rep.r) for i in range(mat.rows)
+                for _, v in mat.row_items(i)],
+              *[w.denominator for plane in g.c for row in plane for w in row])
 
-    lcols = [_column_support(rep.l[s]) for s in range(n)]
-    rcols = [_column_support(rep.r[s]) for s in range(n)]
-    # structure constants grouped by target index: target -> [(a, b, coeff)]
-    by_target: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(n)]
+    def integer_columns(mat: Matrix) -> list[list[tuple[int, int]]]:
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(mat.cols)]
+        for i in range(mat.rows):
+            for j, v in mat.row_items(i):
+                cols[j].append((i, v.numerator * (den // v.denominator)))
+        return cols
+
+    lcols = [integer_columns(rep.l[s]) for s in range(n)]
+    rcols = [integer_columns(rep.r[s]) for s in range(n)]
+    # structure constants grouped by target index: target -> [(a, b, D*coeff)]
+    by_target: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for a in range(n):
         for b in range(n):
             for t, w in enumerate(g.c[a][b]):
                 if w:
-                    by_target[t].append((a, b, w))
+                    by_target[t].append((a, b, w.numerator * (den // w.denominator)))
 
     def rank_of(tup) -> int:
         r = 0
@@ -327,43 +331,47 @@ def coboundary_matrix(rep: Representation, k: int,
             r = r * n + t
         return r
 
-    def add(row: int, col: int, val: Fraction) -> None:
-        cur = data[row].get(col, ZERO) + val
-        if cur:
-            data[row][col] = cur
-        else:
-            data[row].pop(col, None)
-
-    r_sign = ONE if (k + 1) % 2 == 0 else -ONE
+    r_sign = 1 if (k + 1) % 2 == 0 else -1
+    columns: list[dict[int, int]] = []
     for T in basis_tuples(n, k):
-        base_col = rank_of(T) * m
+        # row offsets and signs of the three kinds of terms depend on T only
+        l_terms = [(1 if p % 2 == 0 else -1, lcols[s], rank_of(T[:p] + (s,) + T[p:]) * m)
+                   for p in range(k) for s in range(n)]
+        r_terms = [(r_sign, rcols[s], rank_of(T + (s,)) * m) for s in range(n)]
+        c_terms = []
+        for j1 in range(2, k + 2):
+            slot = j1 - 2
+            for a, b, w in by_target[T[slot]]:
+                u = T[:slot] + (b,) + T[slot + 1:]
+                for i1 in range(1, j1):
+                    c_terms.append((rank_of(u[:i1 - 1] + (a,) + u[i1 - 1:]) * m,
+                                    -w if i1 % 2 == 1 else w))
         for v in range(m):
-            col = base_col + v
-            for p in range(k):
-                sign = ONE if p % 2 == 0 else -ONE
-                for s in range(n):
-                    support = lcols[s][v]
-                    if not support:
-                        continue
-                    rbase = rank_of(T[:p] + (s,) + T[p:]) * m
-                    for w, val in support:
-                        add(rbase + w, col, sign * val)
-            for s in range(n):
-                support = rcols[s][v]
-                if not support:
-                    continue
-                rbase = rank_of(T + (s,)) * m
-                for w, val in support:
-                    add(rbase + w, col, r_sign * val)
-            for j1 in range(2, k + 2):
-                slot = j1 - 2
-                for a, b, w in by_target[T[slot]]:
-                    u = T[:slot] + (b,) + T[slot + 1:]
-                    for i1 in range(1, j1):
-                        sign = -w if i1 % 2 == 1 else w
-                        rbase = rank_of(u[:i1 - 1] + (a,) + u[i1 - 1:]) * m
-                        add(rbase + v, col, sign)
-    return Matrix(out_dim, in_dim, data)
+            acc: dict[int, int] = {}
+            for sign, cols, rbase in itertools.chain(l_terms, r_terms):
+                for w, val in cols[v]:
+                    row = rbase + w
+                    acc[row] = acc.get(row, 0) + sign * val
+            for rbase, val in c_terms:
+                row = rbase + v
+                acc[row] = acc.get(row, 0) + val
+            columns.append({row: val for row, val in acc.items() if val})
+    return den, columns
+
+
+def coboundary_matrix(rep: Representation, k: int,
+                      cap: Optional[int] = DEFAULT_CAP) -> Matrix:
+    """Matrix of the degree-k coboundary in the lexicographic monomial basis,
+    of shape (n^(k+1) m) x (n^k m): ``coboundary_columns`` laid out by rows
+    and divided by their common denominator.  Refuses to build when the
+    target dimension n^(k+1) m exceeds the cap.
+    """
+    den, columns = coboundary_columns(rep, k, cap)
+    data: list[dict[int, Fraction]] = [{} for _ in range(rep.algebra.dim ** (k + 1) * rep.vdim)]
+    for col, entries in enumerate(columns):
+        for row, val in entries.items():
+            data[row][col] = Fraction(val, den)
+    return Matrix(len(data), len(columns), data)
 
 
 def coboundary(rep: Representation, c: Cochain) -> Cochain:
@@ -400,19 +408,23 @@ def betti(rep: Representation, k_max: int,
           assert_square_zero: bool = False) -> BettiReport:
     """Cohomology dimensions for degrees 0..k_max via exact rank-nullity.
 
-    With assert_square_zero the consecutive coboundary matrices are also
-    multiplied out and required to vanish.
+    The rank of d_k is taken on its integer columns from
+    ``coboundary_columns``, as the rows of the integer matrix (D d_k)^T, so
+    no Fraction matrix and no transpose is built.  With assert_square_zero
+    every composite (D d_(k-1))^T (D d_k)^T = D^2 (d_k d_(k-1))^T is also
+    multiplied out in integers and required to vanish.
     """
     n, m = rep.algebra.dim, rep.vdim
     ranks = []
     prev_mat: Optional[Matrix] = None
     for k in range(k_max + 1):
-        mat = coboundary_matrix(rep, k, cap)
-        if assert_square_zero and prev_mat is not None:
-            if not (mat @ prev_mat).is_zero():
-                raise AssertionError(f"coboundary squared is nonzero at degree {k - 1}")
+        columns = coboundary_columns(rep, k, cap)[1]
+        mat = Matrix(len(columns), n ** (k + 1) * m, columns)
+        if prev_mat is not None and not (prev_mat @ mat).is_zero():
+            raise AssertionError(f"coboundary squared is nonzero at degree {k - 1}")
         ranks.append(rank(mat))
-        prev_mat = mat
+        if assert_square_zero:
+            prev_mat = mat
     rows = []
     for k in range(k_max + 1):
         dim_c = n ** k * m

@@ -4,11 +4,14 @@ Scalars are ``fractions.Fraction`` (arbitrary-precision, always in lowest
 terms with positive denominator), so every rank, kernel and solution below
 is exact: there are no tolerances anywhere in this package.
 
-Two elimination kernels share that exactness.  ``rank`` needs no reduced
-matrix, so it clears denominators row by row and runs fraction-free forward
-elimination over Python ints.  ``rref`` (and through it ``kernel_basis``,
-``solve`` and ``span_of_rows``) needs the reduced matrix itself and runs
-Gauss-Jordan elimination over Fractions.
+One elimination kernel computes every rank: ``integer_rank`` runs
+fraction-free forward elimination over Python ints, sparsest rows first.
+``rank`` feeds it the shorter side of a matrix, each row scaled to
+integers; ``cohomology.betti`` hands ``rank`` the coboundary columns over
+one common denominator, which are integer already.  ``rref`` (and through
+it ``kernel_basis``, ``solve`` and ``span_of_rows``) needs the reduced
+matrix itself, not just its rank, and runs Gauss-Jordan elimination over
+Fractions.
 
 Matrices are logically dense row-major arrays but store each row as a
 {column: nonzero} dict; coboundary matrices of tensor-power complexes are
@@ -80,7 +83,7 @@ def veq(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
 
 
 class Matrix:
-    """Immutable rows x cols matrix of Fractions.
+    """Immutable rows x cols matrix of exact rationals (Fractions, or ints).
 
     ``entry(i, j)`` gives the dense view; internally each row is a dict of
     its nonzero entries.  All operations return new matrices.
@@ -164,7 +167,7 @@ class Matrix:
             acc: dict[int, Fraction] = {}
             for k, a in row.items():
                 for j, b in other._data[k].items():
-                    acc[j] = acc.get(j, ZERO) + a * b
+                    acc[j] = acc.get(j, 0) + a * b
             data.append(acc)
         return Matrix(self.rows, other.cols, data)
 
@@ -300,25 +303,23 @@ def _content_free(row: dict[int, int]) -> dict[int, int]:
     return row if c == 1 else {j: v // c for j, v in row.items()}
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank by fraction-free forward elimination over Python ints.
+def integer_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Exact rank of an integer matrix given by its rows as {column: nonzero
+    int} dicts, by fraction-free forward elimination; the rows are not
+    modified.
 
-    Each row is scaled by the lcm of its denominators to an integer row and
-    reduced against the pivot row on its leading column as a*row - b*pivot,
-    with a, b the two leading entries divided by their gcd; every reduced row
-    is then divided by its content (the gcd of its entries), as in Bareiss
-    (Math. Comp. 1968), so entries stay small.  Every step is an invertible
-    row operation (a is never 0), so the pivot count is the rank.  A tall
-    matrix is transposed first, which leaves the rank unchanged and makes
-    the rows the shorter side.
+    Rows are reduced in order of increasing number of nonzeros (a stable
+    sort), so sparse rows become pivots first and dense rows meet a full set
+    of pivots.  Each row is reduced against the pivot row on its leading
+    column as a*row - b*pivot, with a, b the two leading entries divided by
+    their gcd; every reduced row is then divided by its content (the gcd of
+    its entries), as in Bareiss (Math. Comp. 1968), so entries stay small.
+    Every step is an invertible row operation (a is never 0), so the pivot
+    count is the rank.
     """
-    data = m.transpose()._data if m.rows > m.cols else m._data
     pivots: dict[int, dict[int, int]] = {}
-    for entries in data:
-        if not entries:
-            continue
-        den = lcm(*[v.denominator for v in entries.values()])
-        row = {j: v.numerator * (den // v.denominator) for j, v in entries.items()}
+    for row in sorted(filter(None, rows), key=len):
+        row = dict(row)
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -340,6 +341,24 @@ def rank(m: Matrix) -> int:
             if row:
                 row = _content_free(row)
     return len(pivots)
+
+
+def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
+    """The row scaled by the lcm of its denominators to integer entries."""
+    den = lcm(*{v.denominator for v in row.values()})
+    if den == 1:
+        return {j: v.numerator for j, v in row.items()}
+    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank by ``integer_rank`` on the shorter side of m: its rows, or
+    the rows of its transpose when m is tall, each scaled to integers.
+
+    Entries may be Fractions or ints (``betti`` passes the integer matrix
+    (D d_k)^T, which is already the shorter side)."""
+    data = m.transpose()._data if m.rows > m.cols else m._data
+    return integer_rank(map(_integer_row, data))
 
 
 @dataclass(frozen=True)

@@ -250,3 +250,22 @@ def test_cohomology_compare_omni2(capsys):
     assert rows == [(2, 2), (0, 0), (0, 0)]
     assert comparison["side_checks_ok"] is True
     assert comparison["notes"] == []
+
+
+@pytest.mark.parametrize("optimize", [(), ("-O",)])
+@pytest.mark.parametrize("degree_args", [
+    ("--max-degree", "1"),
+    ("--max-degree", "2"),
+    ("--compare", "--max-degree", "2"),
+])
+def test_cohomology_refuses_non_leibniz_algebra(optimize, degree_args):
+    # with the trivial representation nothing else looks at the bracket: this
+    # used to print Betti numbers and exit 0 at degree 1 and die on an
+    # uncaught AssertionError at degree 2
+    result = subprocess.run([sys.executable, *optimize, "-m", "leibniz_kit", "cohomology",
+                             str(FIXTURES / "nonleibniz.json"), "--rep", "trivial",
+                             *degree_args], capture_output=True)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr == b""
+    assert result.stdout == (b"FAILED: input is not a Leibniz algebra; "
+                             b"first witness at (0, 0, 0)\n")

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -24,6 +24,7 @@ from leibniz_kit import (
     check_representation,
     circle_product,
     coboundary,
+    coboundary_columns,
     coboundary_matrix,
     cocycle_check,
     conjugation_rep,
@@ -35,6 +36,7 @@ from leibniz_kit import (
     omni_lie,
     rbar,
     right_action_cochain,
+    rref,
     semidirect,
     shuffles,
     structure_cochain,
@@ -208,6 +210,78 @@ def test_coboundary_matrix_matches_direct_evaluation(small_algebras, dense_ratio
                 expected = [x for v in literal for x in v]
                 assert coboundary_matrix(rep, k).mv(_flat(c)) == expected, (name, k)
                 assert _flat(coboundary(rep, c)) == expected, (name, k)
+
+
+def _fractional_rep() -> Representation:
+    """Two commuting left actions with denominators 2 and 3 on Q^2, over the
+    abelian plane; the right action is zero."""
+    a = Matrix.from_rows([[F(1, 2), F(1, 3)], [0, F(-1, 2)]])
+    b = a @ a
+    z = Matrix.zeros(2, 2)
+    return Representation(LeibnizAlgebra.abelian(2), 2, (a, b), (z, z))
+
+
+def _zero_module() -> Representation:
+    return Representation(sl2(), 0, (Matrix.zeros(0, 0),) * 3, (Matrix.zeros(0, 0),) * 3)
+
+
+def _reps_for_kernel_checks(small_algebras, dense_rational_algebras):
+    for name, g in {**small_algebras, **dense_rational_algebras}.items():
+        yield name + "/trivial", trivial_rep(g)
+        yield name + "/adjoint", adjoint_rep(g)
+    yield "fractional", _fractional_rep()
+    yield "vdim0", _zero_module()
+
+
+def test_coboundary_matrix_is_columns_over_common_denominator(small_algebras,
+                                                              dense_rational_algebras):
+    for name, rep in _reps_for_kernel_checks(small_algebras, dense_rational_algebras):
+        g = rep.algebra
+        entries = [v for mat in (*rep.l, *rep.r) for i in range(mat.rows)
+                   for _, v in mat.row_items(i)]
+        entries += [w for plane in g.c for row in plane for w in row]
+        expected_den = lcm(*[x.denominator for x in entries])
+        for k in range(3):
+            den, columns = coboundary_columns(rep, k)
+            assert den == expected_den, name
+            out_dim = g.dim ** (k + 1) * rep.vdim
+            assert len(columns) == g.dim ** k * rep.vdim, (name, k)
+            assert all(type(x) is int and x and 0 <= row < out_dim
+                       for col in columns for row, x in col.items()), (name, k)
+            transposed = Matrix(len(columns), out_dim, columns).transpose()
+            assert coboundary_matrix(rep, k) == transposed.scaled(F(1, den)), (name, k)
+    assert check_representation(_fractional_rep()).holds
+    assert coboundary_columns(_fractional_rep(), 0)[0] == 12  # a has 2, 3; a^2 has 4
+
+
+def test_betti_of_zero_module_and_fractional_actions():
+    assert coboundary_columns(_zero_module(), 2) == (1, [])
+    degrees = betti(_zero_module(), 2).degrees
+    assert [(d.dim_cochains, d.rank_d, d.dim_h) for d in degrees] == [(0, 0, 0)] * 3
+    rep = _fractional_rep()
+    ranks = [d.rank_d for d in betti(rep, 2).degrees]
+    assert ranks == [rref(coboundary_matrix(rep, k)).rank for k in range(3)]
+    assert ranks[0] == 0  # degree 0 sees only r = 0
+
+
+def test_square_zero_check_is_not_vacuous():
+    # [e, e] = e violates the Leibniz identity, and its adjoint coboundary
+    # does not square to zero
+    rep = adjoint_rep(nonleibniz())
+    assert not (coboundary_matrix(rep, 1) @ coboundary_matrix(rep, 0)).is_zero()
+    with pytest.raises(AssertionError, match="coboundary squared is nonzero at degree 0"):
+        betti(rep, 2, assert_square_zero=True)
+    script = """
+from leibniz_kit import adjoint_rep, betti
+from leibniz_kit.fixtures import nonleibniz
+try:
+    betti(adjoint_rep(nonleibniz()), 2, assert_square_zero=True)
+except AssertionError as exc:
+    raise SystemExit(0 if "coboundary squared is nonzero" in str(exc) else str(exc))
+raise SystemExit("a nonzero square went unnoticed")
+"""
+    result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_coboundary_squares_to_zero_spot(small_algebras):

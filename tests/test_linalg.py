@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from leibniz_kit.cohomology import adjoint_rep, betti
 from leibniz_kit.linalg import (
     Matrix,
     Subspace,
+    integer_rank,
     kernel_basis,
     rank,
     rref,
@@ -211,3 +213,43 @@ def test_adjoint_betti_in_dense_rational_basis(dense_rational_algebras):
         assert any(x.denominator > 1 for plane in g.c for row in plane for x in row)
         report = betti(adjoint_rep(g), 3)
         assert [d.dim_h for d in report.degrees] == expected[name]
+
+
+@given(rank_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rank_invariant_under_row_operations(m, data):
+    # permuting rows, scaling them by nonzero rationals and inserting zero
+    # rows leave the rank unchanged, and it still agrees with rref
+    rows = [dict(m.row_items(i)) for i in range(m.rows)]
+    order = data.draw(st.permutations(range(m.rows)))
+    factors = data.draw(st.lists(rank_scalars.filter(bool), min_size=m.rows,
+                                 max_size=m.rows))
+    rows = [{j: factors[i] * v for j, v in rows[i].items()} for i in order]
+    for at in data.draw(st.lists(st.integers(0, len(rows)), max_size=3)):
+        rows.insert(at, {})
+    moved = Matrix(len(rows), m.cols, rows)
+    assert rank(moved) == rank(m) == rref(moved).rank == rref(m).rank
+
+
+@given(rank_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_rank_of_integer_rows(m, data):
+    # integer rows in any order; the rows handed in are left alone
+    rows = []
+    for i in range(m.rows):
+        row = dict(m.row_items(i))
+        den = lcm(*[v.denominator for v in row.values()])
+        rows.append({j: int(v * den) for j, v in row.items()})
+    rows = data.draw(st.permutations(rows))
+    before = [dict(r) for r in rows]
+    assert integer_rank(rows) == rref(m).rank
+    assert rows == before
+    assert rank(Matrix(len(rows), m.cols, rows)) == rref(m).rank
+
+
+def test_integer_rank_examples():
+    assert integer_rank([]) == 0
+    assert integer_rank([{}, {}]) == 0
+    assert integer_rank([{0: 2, 1: 4}, {0: 3, 1: 6}, {2: -5}]) == 2
+    # a sparse row sorted ahead of a dense one that shares its leading column
+    assert integer_rank([{0: 1, 1: 1, 2: 1}, {0: 1}, {1: 7}, {2: 7}]) == 3
