@@ -429,10 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", default="trivial",
                    help="'trivial', 'adjoint', or a representation JSON file")
     p.add_argument("--max-degree", type=_nonnegative_int, default=3)
-    p.add_argument("--naive", action="store_true",
-                   help="compute the naive complex instead of the classical one")
-    p.add_argument("--compare", action="store_true",
-                   help="compare naive and classical dimensions degree by degree")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--naive", action="store_true",
+                      help="compute the naive complex instead of the classical one")
+    mode.add_argument("--compare", action="store_true",
+                      help="compare naive and classical dimensions degree by degree")
     add_json(p)
     p.set_defaults(handler=cmd_cohomology)
 
@@ -460,8 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_graph)
 
     p = sub.add_parser("fixtures", help="list or export the built-in corpus")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--dest", help="directory to write the corpus into")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--list", action="store_true")
+    mode.add_argument("--dest", help="directory to write the corpus into")
     p.set_defaults(handler=cmd_fixtures)
 
     return parser

@@ -5,13 +5,15 @@ terms with positive denominator), so every rank, kernel and solution below
 is exact: there are no tolerances anywhere in this package.
 
 One elimination kernel computes every rank: ``integer_rank`` runs
-fraction-free forward elimination over Python ints, sparsest rows first.
-``rank`` feeds it the shorter side of a matrix, each row scaled to
-integers; ``cohomology.betti`` hands ``rank`` the coboundary columns over
-one common denominator, which are integer already.  ``rref`` (and through
-it ``kernel_basis``, ``solve`` and ``span_of_rows``) needs the reduced
-matrix itself, not just its rank, and runs Gauss-Jordan elimination over
-Fractions.
+right-looking, fraction-free elimination over Python ints with a
+Markowitz-style pivot (the sparsest live row, on its column with the fewest
+live rows, ties to the lowest index), so its fill-in stays low whatever the
+order of the basis.  ``rank`` feeds it the shorter side of a matrix, rows of
+ints as they are and rational rows scaled to integers; ``cohomology.betti``
+hands ``rank`` the coboundary columns over one common denominator, which are
+integer already.  ``rref`` (and through it ``kernel_basis``, ``solve`` and
+``span_of_rows``) needs the reduced matrix itself, not just its rank, and
+runs Gauss-Jordan elimination over Fractions.
 
 Matrices are logically dense row-major arrays but store each row as a
 {column: nonzero} dict; coboundary matrices of tensor-power complexes are
@@ -21,8 +23,10 @@ near the resource cap.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -96,8 +100,10 @@ class Matrix:
             raise ValueError("inconsistent matrix shape")
         self.rows = rows
         self.cols = cols
-        # scrub explicit zeros so equality and sparsity stay canonical
-        self._data = [{j: v for j, v in row.items() if v} for row in data]
+        # scrub explicit zeros so equality and sparsity stay canonical; a row
+        # without one is kept as given, so callers must not change it later
+        self._data = [row if all(row.values()) else {j: v for j, v in row.items() if v}
+                      for row in data]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -297,54 +303,83 @@ def rref(m: Matrix) -> Echelon:
     return Echelon(Matrix(m.rows, m.cols, data), len(reduced), tuple(pivots))
 
 
-def _content_free(row: dict[int, int]) -> dict[int, int]:
-    """The row divided by the gcd of its entries."""
-    c = gcd(*row.values())
-    return row if c == 1 else {j: v // c for j, v in row.items()}
-
-
 def integer_rank(rows: Iterable[dict[int, int]]) -> int:
     """Exact rank of an integer matrix given by its rows as {column: nonzero
-    int} dicts, by fraction-free forward elimination; the rows are not
-    modified.
+    int} dicts, by right-looking fraction-free elimination with a
+    Markowitz-style pivot; the rows are not modified.
 
-    Rows are reduced in order of increasing number of nonzeros (a stable
-    sort), so sparse rows become pivots first and dense rows meet a full set
-    of pivots.  Each row is reduced against the pivot row on its leading
-    column as a*row - b*pivot, with a, b the two leading entries divided by
-    their gcd; every reduced row is then divided by its content (the gcd of
-    its entries), as in Bareiss (Math. Comp. 1968), so entries stay small.
-    Every step is an invertible row operation (a is never 0), so the pivot
-    count is the rank.
+    Each step takes the sparsest live row from a heap (ties: lowest row
+    index) and pivots on its column with the fewest live rows (ties: lowest
+    column index), so every run takes the same steps and the fill-in stays
+    low whatever the order of the basis (Markowitz, Management Science
+    1957; LaMacchia-Odlyzko, structured Gaussian elimination, CRYPTO 1990).
+    Every other live row holding that column is replaced by a*row - b*pivot,
+    with a, b the two entries in the pivot column divided by their gcd, and
+    then divided by its content (the gcd of its entries), as in Bareiss
+    (Math. Comp. 1968), so entries stay small.  Column-to-row sets track
+    which live rows hold each column as entries fill in or cancel.  Every
+    step is an invertible row operation (a is never 0) and leaves the pivot
+    row alone in its column, so the pivot count is the rank.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(filter(None, rows), key=len):
-        row = dict(row)
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = _content_free(row)
-                break
-            a, b = pivot[lead], row[lead]
-            g = gcd(a, b)
-            a, b = a // g, b // g
+    live: dict[int, dict[int, int]] = {}
+    col_rows: defaultdict[int, set[int]] = defaultdict(set)
+    for i, row in enumerate(filter(None, rows)):
+        c = gcd(*row.values())
+        live[i] = dict(row) if c == 1 else {j: v // c for j, v in row.items()}
+        for j in row:
+            col_rows[j].add(i)
+    heap = [(len(row), i) for i, row in live.items()]
+    heapify(heap)
+    count = 0
+    while heap:
+        size, i = heappop(heap)
+        pivot = live.get(i)
+        if pivot is None or len(pivot) != size:
+            continue  # eliminated, or an entry left from before the row changed
+        del live[i]
+        count += 1
+        counts = [len(col_rows[j]) for j in pivot]
+        fewest = min(counts)
+        col = min(j for j, n in zip(pivot, counts) if n == fewest)
+        for j in pivot:
+            col_rows[j].discard(i)
+        p = pivot.pop(col)
+        rest = pivot.items()
+        for s in col_rows.pop(col):
+            row = live[s]
+            b = row.pop(col)
+            g = gcd(p, b)
+            a, b = p // g, b // g
             if a != 1:
                 for j in row:
                     row[j] *= a
-            for j, v in pivot.items():
-                nv = row.get(j, 0) - b * v
-                if nv:
-                    row[j] = nv
+            for j, v in rest:
+                w = row.get(j)
+                if w is None:
+                    row[j] = -b * v
+                    col_rows[j].add(s)
                 else:
-                    row.pop(j, None)
+                    w -= b * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                        col_rows[j].discard(s)
             if row:
-                row = _content_free(row)
-    return len(pivots)
+                c = gcd(*row.values())
+                if c != 1:
+                    live[s] = row = {j: v // c for j, v in row.items()}
+                heappush(heap, (len(row), s))
+            else:
+                del live[s]
+    return count
 
 
 def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
-    """The row scaled by the lcm of its denominators to integer entries."""
+    """The row scaled by the lcm of its denominators to integer entries; a
+    row of ints as it is (``integer_rank`` copies its rows anyway)."""
+    if set(map(type, row.values())) <= {int}:
+        return row
     den = lcm(*{v.denominator for v in row.values()})
     if den == 1:
         return {j: v.numerator for j, v in row.items()}
@@ -356,7 +391,8 @@ def rank(m: Matrix) -> int:
     the rows of its transpose when m is tall, each scaled to integers.
 
     Entries may be Fractions or ints (``betti`` passes the integer matrix
-    (D d_k)^T, which is already the shorter side)."""
+    (D d_k)^T, which is already the shorter side, and whose rows reach the
+    kernel without a copy)."""
     data = m.transpose()._data if m.rows > m.cols else m._data
     return integer_rank(map(_integer_row, data))
 

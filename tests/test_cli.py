@@ -212,12 +212,24 @@ def test_compare_with_file_rep_is_input_error(capsys):
     ("cohomology", str(FIXTURES / "L2.json"), "--rep", "adjoint",
      "--compare", "--max-degree", "0"),
     ("omni", "--dim", "-1"),
+    # --compare computes the naive complex itself; --naive was ignored
+    ("cohomology", str(FIXTURES / "L2.json"), "--naive", "--compare",
+     "--max-degree", "1"),
 ])
 def test_nonsensical_arguments_exit_2(args):
     # each of these used to exit 0 with an empty or vacuous result
     result = run_cli(*args)
     assert result.returncode == 2, result.stdout
     assert result.stdout == b""
+
+
+def test_fixtures_list_with_dest_exit_2(tmp_path):
+    # used to print the list, write nothing and exit 0
+    dest = tmp_path / "out"
+    result = run_cli("fixtures", "--list", "--dest", str(dest))
+    assert result.returncode == 2, result.stdout
+    assert result.stdout == b""
+    assert not dest.exists()
 
 
 def test_benchmark_structure_invariants(tmp_path, capsys):

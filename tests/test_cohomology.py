@@ -554,6 +554,14 @@ def test_betti_sl2_trivial_vanishes_positively():
     assert [report.dim_h(k) for k in (1, 2, 3)] == [0, 0, 0]
 
 
+def test_betti_sl2_vanishes_in_higher_degrees():
+    # the Leibniz cohomology of a simple Lie algebra vanishes in positive
+    # degrees with trivial coefficients, and in every degree with adjoint ones
+    # (Ntolo, C. R. Acad. Sci. Paris 1989; Pirashvili, Ann. Inst. Fourier 1994)
+    assert [d.dim_h for d in betti(trivial_rep(sl2()), 6).degrees] == [1, 0, 0, 0, 0, 0, 0]
+    assert [d.dim_h for d in betti(adjoint_rep(sl2()), 5).degrees] == [0] * 6
+
+
 def test_betti_rejects_overstated_rank(monkeypatch):
     # the nonnegativity check on dim H is the safety net behind rank
     true_rank = cohomology_module.rank

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leibniz_kit.linalg as linalg_module
 from leibniz_kit.cohomology import adjoint_rep, betti
 from leibniz_kit.linalg import (
     Matrix,
@@ -253,3 +255,68 @@ def test_integer_rank_examples():
     assert integer_rank([{0: 2, 1: 4}, {0: 3, 1: 6}, {2: -5}]) == 2
     # a sparse row sorted ahead of a dense one that shares its leading column
     assert integer_rank([{0: 1, 1: 1, 2: 1}, {0: 1}, {1: 7}, {2: 7}]) == 3
+
+
+nonzero_ints = st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def filling_rows(draw, max_side=14):
+    """(cols, rows) of a sparse integer matrix whose elimination fills in and
+    cancels: at most three entries per row, optionally an arrow (a dense row
+    plus an entry in column 0 of every other row, so that any pivot on it
+    fills every row), and rows that are integer combinations of two others."""
+    cols = draw(st.integers(1, max_side))
+    rows = []
+    for _ in range(draw(st.integers(0, max_side))):
+        support = draw(st.sets(st.integers(0, cols - 1), max_size=3))
+        rows.append({j: draw(nonzero_ints) for j in sorted(support)})
+    if draw(st.booleans()):
+        for row in rows:
+            row[0] = draw(nonzero_ints)
+        rows.append({j: draw(nonzero_ints) for j in range(cols)})
+    for _ in range(draw(st.integers(0, 3)) if len(rows) >= 2 else 0):
+        i, k = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2,
+                             unique=True))
+        x, y = draw(nonzero_ints), draw(nonzero_ints)
+        combined = {j: x * rows[i].get(j, 0) + y * rows[k].get(j, 0)
+                    for j in rows[i].keys() | rows[k].keys()}
+        rows.append({j: v for j, v in combined.items() if v})
+    return cols, rows
+
+
+def rref_rank_of_ints(cols, rows):
+    return rref(Matrix(len(rows), cols, [{j: F(v) for j, v in row.items()}
+                                         for row in rows])).rank
+
+
+@given(filling_rows(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rank_invariant_under_column_permutations(case, data):
+    # relabelling the columns changes which pivots the kernel picks and where
+    # it fills in, never the rank; it agrees with rref either way
+    cols, rows = case
+    perm = data.draw(st.permutations(range(cols)))
+    moved = [{perm[j]: v for j, v in row.items()} for row in rows]
+    expected = rref_rank_of_ints(cols, rows)
+    assert integer_rank(rows) == integer_rank(moved) == expected
+    assert rank(Matrix(len(moved), cols, moved)) == rref_rank_of_ints(cols, moved) == expected
+
+
+def test_integer_rank_entries_stay_within_hadamard_bound(monkeypatch):
+    # every reduced row goes through gcd to lose its content, so the entries
+    # seen there are at most 2 H^2, with H the Hadamard bound on the minors;
+    # fraction-free elimination without content removal outgrows it at once
+    rng = random.Random(5)
+    rows = [{j: rng.choice((-9, -7, -4, -1, 2, 3, 5, 8)) for j in range(10)}
+            for _ in range(10)]
+    seen = []
+
+    def recording_gcd(*args):
+        seen.extend(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(linalg_module, "gcd", recording_gcd)
+    assert integer_rank(rows) == rref_rank_of_ints(10, rows)
+    hadamard = prod(isqrt(sum(v * v for v in row.values())) + 1 for row in rows)
+    assert seen and max(map(abs, seen)) <= 2 * hadamard ** 2
