@@ -303,6 +303,12 @@ def rref(m: Matrix) -> Echelon:
     return Echelon(Matrix(m.rows, m.cols, data), len(reduced), tuple(pivots))
 
 
+def _content_free(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its entries."""
+    c = gcd(*row.values())
+    return row if c == 1 else {j: v // c for j, v in row.items()}
+
+
 def integer_rank(rows: Iterable[dict[int, int]]) -> int:
     """Exact rank of an integer matrix given by its rows as {column: nonzero
     int} dicts, by right-looking fraction-free elimination with a
@@ -324,8 +330,7 @@ def integer_rank(rows: Iterable[dict[int, int]]) -> int:
     live: dict[int, dict[int, int]] = {}
     col_rows: defaultdict[int, set[int]] = defaultdict(set)
     for i, row in enumerate(filter(None, rows)):
-        c = gcd(*row.values())
-        live[i] = dict(row) if c == 1 else {j: v // c for j, v in row.items()}
+        live[i] = _content_free(dict(row))
         for j in row:
             col_rows[j].add(i)
     heap = [(len(row), i) for i, row in live.items()]
@@ -366,9 +371,7 @@ def integer_rank(rows: Iterable[dict[int, int]]) -> int:
                         del row[j]
                         col_rows[j].discard(s)
             if row:
-                c = gcd(*row.values())
-                if c != 1:
-                    live[s] = row = {j: v // c for j, v in row.items()}
+                live[s] = row = _content_free(row)
                 heappush(heap, (len(row), s))
             else:
                 del live[s]
