@@ -27,20 +27,16 @@ from .cohomology import (
     adjoint_rep,
     betti,
     check_representation,
-    circle_product,
     coboundary,
     coboundary_columns,
     coboundary_matrix,
     cocycle_check,
     conjugation_rep,
     dual_rep,
-    graded_bracket,
     maurer_cartan_check,
     rbar,
     right_action_cochain,
     semidirect,
-    shuffles,
-    structure_cochain,
     trivial_rep,
 )
 from .lie2 import (

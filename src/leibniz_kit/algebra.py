@@ -23,6 +23,7 @@ from .linalg import (
     Subspace,
     ZERO,
     as_rational,
+    freeze,
     kernel_basis,
     rref,
     solve,
@@ -30,22 +31,6 @@ from .linalg import (
     vaddto,
     vzero,
 )
-
-
-def _freeze_tensor3(c, n: int):
-    if len(c) != n:
-        raise ValueError("structure tensor has wrong outer length")
-    out = []
-    for plane in c:
-        if len(plane) != n:
-            raise ValueError("structure tensor has a ragged plane")
-        rows = []
-        for row in plane:
-            if len(row) != n:
-                raise ValueError("structure tensor has a ragged row")
-            rows.append(tuple(as_rational(v) for v in row))
-        out.append(tuple(rows))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -56,7 +41,7 @@ class LeibnizAlgebra:
     c: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _freeze_tensor3(self.c, self.dim))
+        object.__setattr__(self, "c", freeze(self.c, (self.dim,) * 3, "structure tensor"))
 
     @classmethod
     def abelian(cls, n: int) -> "LeibnizAlgebra":
@@ -217,11 +202,16 @@ def rows_of(tensor: dict, dim: int) -> dict:
     return rows
 
 
-def residual_witnesses(residual: dict, dim: int, label: str) -> list[Witness]:
-    """One witness per nonzero row of a residual, in lexicographic order of
-    ``where`` (all indices but the last)."""
-    return [Witness(where, tuple(d), label)
-            for where, d in sorted(rows_of(residual, dim).items())]
+def residual_witnesses(residual: dict, dim: int, label: str, axes: int = 1) -> list[Witness]:
+    """One witness per nonzero block of a residual, in lexicographic order of
+    ``where``: the indices but the last ``axes``, whose block of length dim
+    on each axis is the dense defect (a vector, or a matrix when axes=2)."""
+    blocks: dict = {}
+    for key, v in residual.items():
+        if v:
+            blocks.setdefault(key[:-axes], {})[key[-axes:]] = v
+    return [Witness(where, dense(block, (dim,) * axes), label)
+            for where, block in sorted(blocks.items())]
 
 
 def bracket(g: LeibnizAlgebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:

@@ -238,6 +238,18 @@ def _resolve_representation(run, args, g):
     return representation_from_json(g, doc), args.rep
 
 
+def _refusal(g, rep):
+    """Why g and rep are not a Leibniz algebra and a representation of it,
+    or None when they are."""
+    report = check_leibniz(g)
+    if not report.holds:
+        return f"input is not a Leibniz algebra; first witness at {report.witnesses[0].where}"
+    report = check_representation(rep)
+    if not report.holds:
+        return f"input is not a representation; first witness at {report.witnesses[0].where}"
+    return None
+
+
 def _betti_table(run, label, report):
     run.say(f"{label}:")
     run.say("  k  dim_C  rank_d  dim_ker  dim_H")
@@ -254,15 +266,9 @@ def cmd_cohomology(args) -> int:
     cap = _cap()
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     rep, rep_label = _resolve_representation(run, args, g)
-    leib = check_leibniz(g)
-    if not leib.holds:
-        run.fail(f"input is not a Leibniz algebra; first witness at "
-                 f"{leib.witnesses[0].where}")
-        return run.finish()
-    rep_report = check_representation(rep)
-    if not rep_report.holds:
-        run.fail(f"input is not a representation; first witness at "
-                 f"{rep_report.witnesses[0].where}")
+    refusal = _refusal(g, rep)
+    if refusal:
+        run.fail(refusal)
         return run.finish()
     k_max = args.max_degree
     run.results["rep"] = rep_label
@@ -318,10 +324,9 @@ def cmd_mc(args) -> int:
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     rep = representation_from_json(g, run.read_document(args.representation,
                                                         "representation"))
-    rep_report = check_representation(rep)
-    if not rep_report.holds:
-        run.fail(f"input is not a representation; first witness at "
-                 f"{rep_report.witnesses[0].where}")
+    refusal = _refusal(g, rep)
+    if refusal:
+        run.fail(refusal)
         return run.finish()
     report = maurer_cartan_check(g, rep)
     run.results["maurer_cartan"] = report.holds
@@ -338,10 +343,9 @@ def cmd_semidirect(args) -> int:
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     rep = representation_from_json(g, run.read_document(args.representation,
                                                         "representation"))
-    rep_report = check_representation(rep)
-    if not rep_report.holds:
-        print(f"FAILED: input is not a representation; first witness at "
-              f"{rep_report.witnesses[0].where}", file=sys.stderr)
+    refusal = _refusal(g, rep)
+    if refusal:
+        print(f"FAILED: {refusal}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     out = semidirect(g, rep, args.mode)
     print(json.dumps(algebra_to_json(out), indent=1))

@@ -8,21 +8,13 @@ fixtures are shipped so that every checker has a failing input.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
 from .algebra import LeibnizAlgebra
 from .cohomology import Representation, adjoint_rep, semidirect
 from .linalg import Matrix
 from .omni import GraphMap, omni_lie
-from .serialize import (
-    algebra_from_json,
-    algebra_to_json,
-    graph_from_json,
-    graph_to_json,
-    representation_from_json,
-    representation_to_json,
-)
+from .serialize import algebra_to_json, graph_to_json, representation_to_json
 
 
 def abelian(n: int) -> LeibnizAlgebra:
@@ -152,23 +144,3 @@ def write_corpus(dest: Path) -> list[Path]:
         written.append(path)
     return written
 
-
-def packaged_fixture_dir():
-    return resources.files("leibniz_kit") / "fixtures"
-
-
-def load_packaged(fname: str) -> dict:
-    return json.loads((packaged_fixture_dir() / fname).read_text(encoding="utf-8"))
-
-
-def packaged_algebra(name: str) -> LeibnizAlgebra:
-    return algebra_from_json(load_packaged(f"{name}.json"))
-
-
-def packaged_representation(algebra_name: str, rep_name: str) -> Representation:
-    g = packaged_algebra(algebra_name)
-    return representation_from_json(g, load_packaged(f"{rep_name}.json"))
-
-
-def packaged_graph(name: str) -> GraphMap:
-    return graph_from_json(load_packaged(f"{name}.json"))

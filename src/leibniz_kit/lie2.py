@@ -40,7 +40,7 @@ from .linalg import (
     HALF,
     Matrix,
     QUARTER,
-    as_rational,
+    freeze,
 )
 
 
@@ -114,13 +114,6 @@ def check_jacobiator_identities(g: LeibnizAlgebra) -> IdentityReport:
                    + residual_witnesses(ten_term, n, "ten-term"))
 
 
-def freeze(x):
-    """Recursively tuple-ify nested sequences, coercing leaves to Fraction."""
-    if isinstance(x, (list, tuple)):
-        return tuple(freeze(v) for v in x)
-    return as_rational(x)
-
-
 @dataclass(frozen=True)
 class Lie2Algebra:
     """Two-term graded algebra: degree-1 piece of dim1, degree-0 piece of dim0.
@@ -143,8 +136,13 @@ class Lie2Algebra:
     def __post_init__(self):
         if self.l1.shape != (self.dim0, self.dim1):
             raise ValueError("l1 must be dim0 x dim1")
-        for field in ("l2_00", "l2_01", "l2_11", "l3"):
-            object.__setattr__(self, field, freeze(getattr(self, field)))
+        # a degree-1 piece of dimension 0 leaves l2_01 empty, given as () or
+        # as dim0 empty planes, so its first axis is not checked
+        n0, n1 = self.dim0, self.dim1
+        shapes = {"l2_00": (n0, n0, n0), "l2_01": (None, n1, n1),
+                  "l2_11": (n1, n1, n1), "l3": (n0, n0, n0, n1)}
+        for field, shape in shapes.items():
+            object.__setattr__(self, field, freeze(getattr(self, field), shape, field))
 
 
 @dataclass

@@ -50,6 +50,19 @@ def as_rational(x) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
 
 
+def freeze(x, shape: tuple, what: str) -> tuple:
+    """Nested tuples of Fractions from nested sequences of the given shape.
+
+    Raises ValueError, naming ``what``, when an axis has the wrong length;
+    an axis given as None may have any length.
+    """
+    if shape[0] is not None and len(x) != shape[0]:
+        raise ValueError(f"{what}: an axis of length {len(x)}, expected {shape[0]}")
+    if len(shape) == 1:
+        return tuple(map(as_rational, x))
+    return tuple(freeze(v, shape[1:], what) for v in x)
+
+
 # ---------------------------------------------------------------------------
 # dense vectors (plain tuples/lists of Fractions)
 
@@ -57,16 +70,8 @@ def vzero(n: int) -> list[Fraction]:
     return [ZERO] * n
 
 
-def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-    return [a + b for a, b in zip(u, v)]
-
-
 def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
     return [a - b for a, b in zip(u, v)]
-
-
-def vscale(c: Fraction, u: Sequence[Fraction]) -> list[Fraction]:
-    return [c * a for a in u]
 
 
 def vaddto(acc: list[Fraction], c: Fraction, u: Sequence[Fraction]) -> None:
@@ -80,10 +85,6 @@ def vaddto(acc: list[Fraction], c: Fraction, u: Sequence[Fraction]) -> None:
 
 def viszero(u: Sequence[Fraction]) -> bool:
     return all(not a for a in u)
-
-
-def veq(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    return len(u) == len(v) and all(a == b for a, b in zip(u, v))
 
 
 class Matrix:
@@ -287,7 +288,7 @@ def rref(m: Matrix) -> Echelon:
         row = work.pop(pivot_row)
         p = row[col]
         if p != ONE:
-            row = {j: v / p for j, v in row.items()}
+            row = {j: Fraction(v, p) for j, v in row.items()}
         for target in chain(work, reduced):
             f = target.get(col)
             if f:

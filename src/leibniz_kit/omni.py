@@ -234,24 +234,25 @@ class NaiveRepresentation:
 
 def naive_check(rho: NaiveRepresentation) -> IdentityReport:
     """Homomorphism test, both through the component conditions and directly
-    against the omni bracket; the two routes must agree."""
+    against the omni bracket; the two routes must agree.  Witnesses come
+    grouped by label (con1, con2, hom), each in lexicographic order."""
     g = rho.algebra
     n = g.dim
-    witnesses = []
+    found: dict[str, list[Witness]] = {"con1": [], "con2": [], "hom": []}
     for i in range(n):
         for j in range(n):
             br = g.c[i][j]
             phi_br = linear_combination(br, rho.phi, (rho.vdim, rho.vdim))
             d1 = phi_br - commutator(rho.phi[i], rho.phi[j])
             if not d1.is_zero():
-                witnesses.append(Witness((i, j), tuple(map(tuple, d1.to_rows())), "con1"))
+                found["con1"].append(Witness((i, j), tuple(map(tuple, d1.to_rows())), "con1"))
             theta_br = vzero(rho.vdim)
             for k, w in enumerate(br):
                 if w:
                     vaddto(theta_br, w, rho.theta[k])
             d2 = vsub(theta_br, rho.phi[i].mv(list(rho.theta[j])))
             if not viszero(d2):
-                witnesses.append(Witness((i, j), tuple(d2), "con2"))
+                found["con2"].append(Witness((i, j), tuple(d2), "con2"))
             rho_br = vzero(rho.ambient_dim)
             for k, w in enumerate(br):
                 if w:
@@ -259,8 +260,8 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
             d3 = vsub(rho_br, omni_bracket(rho.vdim, rho.rho_vectors[i],
                                            rho.rho_vectors[j]))
             if not viszero(d3):
-                witnesses.append(Witness((i, j), tuple(d3), "hom"))
-    return _report(witnesses)
+                found["hom"].append(Witness((i, j), tuple(d3), "hom"))
+    return _report([w for ws in found.values() for w in ws])
 
 
 def trivial_naive_space(g: LeibnizAlgebra) -> Subspace:

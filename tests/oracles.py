@@ -2,9 +2,14 @@
 
 Each function pushes basis vectors through the bilinear brackets one tuple
 at a time, exactly as the formulas are written, and reports witnesses in
-nested-loop order.  The library evaluates the same identities as sparse
-tensor contractions and the coboundary as one sparse matrix; the
-differential tests compare the two.
+nested-loop order, grouped by label.  The library evaluates the same
+identities as sparse tensor contractions and the coboundary as one sparse
+matrix; the differential tests compare the two.
+
+The dense cochain algebra lives here too: sums, multiples and multilinear
+evaluation of ``Cochain`` values, shuffles, the circle product and the
+graded bracket (Balavoine, "Deformations of algebras over a quadratic
+operad", 1997), with which the Maurer-Cartan identity is stated.
 """
 
 from __future__ import annotations
@@ -14,16 +19,33 @@ from fractions import Fraction
 
 from leibniz_kit import (
     AxiomReport,
+    Cochain,
     IdentityReport,
     LeibnizAlgebra,
     Lie2Algebra,
+    Representation,
     Witness,
     bracket,
     jacobiator_closed,
     left_center,
+    semidirect,
     skew_bracket,
 )
-from leibniz_kit.linalg import HALF, vadd, vaddto, viszero, vsub, vzero
+from leibniz_kit.linalg import (
+    HALF,
+    ONE,
+    ZERO,
+    commutator,
+    linear_combination,
+    vaddto,
+    viszero,
+    vsub,
+    vzero,
+)
+
+
+def vadd(u, v) -> list[Fraction]:
+    return [a + b for a, b in zip(u, v)]
 
 
 def basis(n: int, i: int) -> list[Fraction]:
@@ -315,3 +337,168 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
                     _add(rhs, 1, l3(l2(z, w), x, y))
                     check("e", (i, j, k, l), lhs, rhs)
     return AxiomReport(passed, tuple(witnesses))
+
+
+def check_representation(rep: Representation) -> IdentityReport:
+    """The three compatibility conditions as dense matrix identities, one
+    basis pair at a time."""
+    n, shape = rep.algebra.dim, (rep.vdim, rep.vdim)
+    found = {"l-of-bracket": [], "r-of-bracket": [], "r-absorbs-l": []}
+    for i in range(n):
+        for j in range(n):
+            br = rep.algebra.c[i][j]
+            defects = {
+                "l-of-bracket": (linear_combination(br, rep.l, shape)
+                                 - commutator(rep.l[i], rep.l[j])),
+                "r-of-bracket": (linear_combination(br, rep.r, shape)
+                                 - commutator(rep.l[i], rep.r[j])),
+                "r-absorbs-l": rep.r[j] @ rep.l[i] + rep.r[j] @ rep.r[i],
+            }
+            for label, d in defects.items():
+                if not d.is_zero():
+                    found[label].append(Witness((i, j), tuple(map(tuple, d.to_rows())), label))
+    return _report([w for ws in found.values() for w in ws])
+
+
+# ---------------------------------------------------------------------------
+# dense cochain algebra
+
+def add(alpha: Cochain, beta: Cochain) -> Cochain:
+    if (alpha.degree, alpha.n, alpha.m) != (beta.degree, beta.n, beta.m):
+        raise ValueError("cochain shape mismatch")
+    return Cochain(alpha.degree, alpha.n, alpha.m,
+                   tuple(vadd(a, b) for a, b in zip(alpha.values, beta.values)))
+
+
+def scale(c, alpha: Cochain) -> Cochain:
+    return Cochain(alpha.degree, alpha.n, alpha.m,
+                   tuple([c * x for x in v] for v in alpha.values))
+
+
+def sub(alpha: Cochain, beta: Cochain) -> Cochain:
+    return add(alpha, scale(-ONE, beta))
+
+
+def evaluate(alpha: Cochain, args) -> list[Fraction]:
+    """Full multilinear extension of a cochain to coordinate vectors."""
+    if len(args) != alpha.degree:
+        raise ValueError(f"need {alpha.degree} arguments")
+    supports = [[(i, x) for i, x in enumerate(v) if x] for v in args]
+    out = vzero(alpha.m)
+    for combo in itertools.product(*supports):
+        coeff = ONE
+        for _, x in combo:
+            coeff *= x
+        vaddto(out, coeff, alpha.value_at([i for i, _ in combo]))
+    return out
+
+
+def structure_cochain(g: LeibnizAlgebra) -> Cochain:
+    """The bracket of g as a 2-cochain with values in g."""
+    n = g.dim
+    return Cochain(2, n, n, tuple(g.c[i][j] for i in range(n) for j in range(n)))
+
+
+def shuffles(k: int, q: int) -> list[tuple[tuple[int, ...], int]]:
+    """(k,q)-shuffles of {1..k+q} with signs.
+
+    A shuffle is ascending on its first k slots and on its last q slots; the
+    sign comes from the crossing count sum(s_i - i) over the first block.
+    """
+    total = k + q
+    out = []
+    for first in itertools.combinations(range(1, total + 1), k):
+        rest = tuple(x for x in range(1, total + 1) if x not in first)
+        crossings = sum(s - i for i, s in enumerate(first, start=1))
+        out.append((first + rest, -1 if crossings % 2 else 1))
+    return out
+
+
+def circle_product(alpha: Cochain, beta: Cochain) -> Cochain:
+    """Insertion product of g-valued cochains.
+
+    For alpha of degree p+1 and beta of degree q+1:
+
+        (alpha o beta)(x_1..x_{p+q+1}) =
+            sum_{k=0..p} (-1)^{kq} sum_{shuffles s of (k,q)} sgn(s)
+                alpha(x_{s(1)}..x_{s(k)},
+                      beta(x_{s(k+1)}..x_{s(k+q)}, x_{k+q+1}),
+                      x_{k+q+2}..x_{p+q+1})
+    """
+    if alpha.m != alpha.n or beta.m != beta.n or alpha.n != beta.n:
+        raise ValueError("circle product needs cochains valued in the algebra itself")
+    if alpha.degree < 1 or beta.degree < 1:
+        raise ValueError("circle product needs degrees >= 1")
+    n = alpha.n
+    p = alpha.degree - 1
+    q = beta.degree - 1
+    deg = p + q + 1
+    cache = {kk: shuffles(kk, q) for kk in range(p + 1)}
+    values = []
+    for X in itertools.product(range(n), repeat=deg):
+        acc = vzero(n)
+        for kk in range(p + 1):
+            ksign = -1 if (kk * q) % 2 else 1
+            trailing = X[kk + q + 1:]
+            last = X[kk + q]
+            for sigma, ssign in cache[kk]:
+                sign = ONE if ksign * ssign > 0 else -ONE
+                first = tuple(X[s - 1] for s in sigma[:kk])
+                beta_args = tuple(X[s - 1] for s in sigma[kk:]) + (last,)
+                for t, bv in enumerate(beta.value_at(beta_args)):
+                    if bv:
+                        vaddto(acc, sign * bv, alpha.value_at(first + (t,) + trailing))
+        values.append(tuple(acc))
+    return Cochain(deg, n, n, tuple(values))
+
+
+def graded_bracket(alpha: Cochain, beta: Cochain) -> Cochain:
+    """[alpha, beta] = alpha o beta + (-1)^(pq+1) beta o alpha."""
+    p = alpha.degree - 1
+    q = beta.degree - 1
+    sign = 1 if (p * q + 1) % 2 == 0 else -1
+    return add(circle_product(alpha, beta), scale(sign, circle_product(beta, alpha)))
+
+
+# ---------------------------------------------------------------------------
+# the Maurer-Cartan identity
+
+def rbar(g: LeibnizAlgebra, rep: Representation) -> Cochain:
+    """The right action as a 2-cochain on g (+) V:  (x+u, y+v) -> r_y u."""
+    n, m = g.dim, rep.vdim
+    total = n + m
+    values = [vzero(total) for _ in range(total * total)]
+    for a in range(m):
+        for j in range(n):
+            col = rep.r[j].column(a)
+            values[(n + a) * total + j] = [ZERO] * n + col
+    return Cochain(2, total, total, tuple(map(tuple, values)))
+
+
+def maurer_cartan_defect(h: LeibnizAlgebra, r: Cochain) -> Cochain:
+    """d r - [r, r]/2, with d the literal adjoint coboundary of h."""
+    n = h.dim
+    e = [basis(n, s) for s in range(n)]
+    d = coboundary(h, lambda s, v: bracket(h, e[s], v), lambda s, v: bracket(h, v, e[s]),
+                   r.values, 2, n)
+    return sub(Cochain(3, n, n, tuple(map(tuple, d))), scale(HALF, graded_bracket(r, r)))
+
+
+def maurer_cartan_witnesses(defect: Cochain) -> list[Witness]:
+    return [Witness(S, defect.value_at(S), "maurer-cartan")
+            for S in itertools.product(range(defect.n), repeat=3)
+            if not viszero(defect.value_at(S))]
+
+
+def maurer_cartan_check(g: LeibnizAlgebra, rep: Representation) -> IdentityReport:
+    h0 = semidirect(g, rep, "l0")
+    rb = rbar(g, rep)
+    witnesses = maurer_cartan_witnesses(maurer_cartan_defect(h0, rb))
+    hlr = semidirect(g, rep, "lr")
+    total = h0.dim
+    for i in range(total):
+        for j in range(total):
+            d = vsub(vadd(h0.c[i][j], rb.value_at((i, j))), hlr.c[i][j])
+            if not viszero(d):
+                witnesses.append(Witness((i, j), tuple(d), "deformation"))
+    return _report(witnesses)

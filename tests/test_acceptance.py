@@ -10,12 +10,13 @@ to see one PASS line with timing per criterion.
 
 from __future__ import annotations
 
+import itertools
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
-from oracles import shuffles_by_filter
+from oracles import graded_bracket, shuffles, shuffles_by_filter, structure_cochain
 from leibniz_kit import (
     DEFAULT_CAP,
     LeibnizAlgebra,
@@ -35,7 +36,6 @@ from leibniz_kit import (
     compare_trivial,
     conjugation_rep,
     dual_rep,
-    graded_bracket,
     graph_rep_cohomology,
     image_representation,
     left_center,
@@ -43,8 +43,6 @@ from leibniz_kit import (
     naive_from_rep,
     omni_lie,
     right_action_cochain,
-    shuffles,
-    structure_cochain,
     tautological_rep,
     trivial_naive_rep,
     trivial_naive_space,
@@ -52,6 +50,8 @@ from leibniz_kit import (
     verify_lie2,
 )
 from leibniz_kit import fixtures as corpus
+from leibniz_kit.algebra import residual_witnesses, sparse
+from leibniz_kit.cohomology import maurer_cartan_residual
 from leibniz_kit.fixtures import graph_for
 
 F = Fraction
@@ -165,7 +165,8 @@ def test_criterion_4_complex_property():
 
 def test_criterion_5_graded_bracket_equivalence():
     with criterion(5, 5.0, "self-bracket vanishes exactly for Leibniz tensors; "
-                           "matches the trilinear expansion everywhere"):
+                           "matches the trilinear expansion, the Leibniz residual "
+                           "and the Maurer-Cartan residual everywhere"):
         cases = dict(_positives())
         for name, g in cases.items():
             alpha = structure_cochain(g)
@@ -190,6 +191,14 @@ def test_criterion_5_graded_bracket_equivalence():
                                 bracket(g, y, bracket(g, x, z)))
                         ]
                         assert list(squared.value_at((i, j, k))) == expected, name
+            # with zero structure the Maurer-Cartan residual of alpha is
+            # -[alpha, alpha]/2, which is the Leibniz residual of g
+            leibniz = check_leibniz(g).witnesses
+            mc = residual_witnesses(maurer_cartan_residual({}, sparse(g.c, 3)), n, "leibniz")
+            assert tuple(mc) == leibniz, name
+            defects = {w.where: w.defect for w in leibniz}
+            for where, value in zip(itertools.product(range(n), repeat=3), squared.values):
+                assert value == tuple(-2 * x for x in defects.get(where, (0,) * n)), name
 
 
 def test_criterion_6_maurer_cartan():

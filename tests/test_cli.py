@@ -125,6 +125,40 @@ def test_mc_command(capsys):
     assert "Maurer-Cartan identity: ok" in out
 
 
+@pytest.fixture
+def nonleibniz_trivial_rep(tmp_path):
+    """The trivial representation of the non-Leibniz fixture, as a file; it
+    passes the representation conditions, which never see [e1, e1] = e1."""
+    from leibniz_kit import trivial_rep
+    from leibniz_kit.fixtures import nonleibniz
+    from leibniz_kit.serialize import representation_to_json
+    path = tmp_path / "R.json"
+    path.write_text(json.dumps(representation_to_json(trivial_rep(nonleibniz()))),
+                    encoding="utf-8")
+    return path
+
+
+REFUSAL = "input is not a Leibniz algebra; first witness at (0, 0, 0)"
+
+
+def test_mc_refuses_non_leibniz_algebra(nonleibniz_trivial_rep, capsys):
+    args = ["mc", str(FIXTURES / "nonleibniz.json"), str(nonleibniz_trivial_rep)]
+    assert main(args) == 1
+    assert capsys.readouterr().out == f"FAILED: {REFUSAL}\n"
+    assert main(args + ["--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["failures"], report["results"]) == ("fail", [REFUSAL], {})
+
+
+@pytest.mark.parametrize("mode", ["lr", "l0"])
+def test_semidirect_refuses_non_leibniz_algebra(nonleibniz_trivial_rep, mode):
+    result = run_cli("semidirect", str(FIXTURES / "nonleibniz.json"),
+                     str(nonleibniz_trivial_rep), "--mode", mode)
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == b""
+    assert result.stderr.decode() == f"FAILED: {REFUSAL}\n"
+
+
 def test_graph_command(capsys):
     assert main(["graph", str(FIXTURES / "graph_L2.json")]) == 0
     assert main(["graph", str(FIXTURES / "graph_bad.json")]) == 1

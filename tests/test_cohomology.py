@@ -8,9 +8,13 @@ from fractions import Fraction
 from math import comb, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leibniz_kit.cohomology as cohomology_module
 import oracles
+from conftest import change_basis
+from oracles import circle_product, graded_bracket, shuffles, structure_cochain
 from leibniz_kit import (
     Cochain,
     LeibnizAlgebra,
@@ -22,26 +26,24 @@ from leibniz_kit import (
     bracket,
     check_leibniz,
     check_representation,
-    circle_product,
     coboundary,
     coboundary_columns,
     coboundary_matrix,
     cocycle_check,
     conjugation_rep,
     dual_rep,
-    graded_bracket,
     kernel_basis,
     left_center,
     maurer_cartan_check,
     omni_lie,
+    rank,
     rbar,
     right_action_cochain,
     rref,
     semidirect,
-    shuffles,
-    structure_cochain,
     trivial_rep,
 )
+from leibniz_kit import fixtures as corpus
 from leibniz_kit.fixtures import (
     bad_representation,
     heisenberg3,
@@ -102,6 +104,26 @@ def test_negated_right_action_fails_where_products_survive():
     ad2 = adjoint_rep(g2)
     flipped2 = Representation(g2, 2, ad2.l, tuple(-m for m in ad2.r))
     assert check_representation(flipped2).holds  # all r-products vanish here
+
+
+def test_representation_witnesses_grouped_by_label():
+    # doubling the left action of sl2 breaks all three conditions; the
+    # witnesses list every l-of-bracket failure first, then r-of-bracket,
+    # then r-absorbs-l, each in lexicographic order of (i, j)
+    g = sl2()
+    ad = adjoint_rep(g)
+    report = check_representation(Representation(g, 3, tuple(m.scaled(2) for m in ad.l), ad.r))
+    labels = [w.label for w in report.witnesses]
+    order = ["l-of-bracket", "r-of-bracket", "r-absorbs-l"]
+    assert labels == sorted(labels, key=order.index)
+    assert set(labels) == set(order)
+    for label in order:
+        where = [w.where for w in report.witnesses if w.label == label]
+        assert where == sorted(where), label
+    first = report.witnesses[0]
+    assert (first.where, first.label) == ((0, 1), "l-of-bracket")
+    # [l_h, l_e] = 2 l_e, so doubling gives 2*2 l_e - 4*2 l_e = -4 l_e
+    assert first.defect == tuple(tuple(-4 * x for x in row) for row in ad.l[1].to_rows())
 
 
 def test_dual_rep_is_negative_transpose():
@@ -330,9 +352,10 @@ def _circle_oracle(alpha: Cochain, beta: Cochain) -> Cochain:
         for k in range(p + 1):
             for sigma, sgn in oracles.shuffles_by_filter(k, q):
                 coeff = F((-1) ** (k * q) * sgn)
-                beta_val = beta.evaluate([args[s - 1] for s in sigma[k:]] + [args[k + q]])
+                beta_args = [args[s - 1] for s in sigma[k:]] + [args[k + q]]
+                beta_val = oracles.evaluate(beta, beta_args)
                 alpha_args = [args[s - 1] for s in sigma[:k]] + [beta_val] + args[k + q + 1:]
-                term = alpha.evaluate(alpha_args)
+                term = oracles.evaluate(alpha, alpha_args)
                 for t in range(n):
                     acc[t] += coeff * term[t]
         values.append(tuple(acc))
@@ -378,8 +401,8 @@ def test_graded_bracket_antisymmetry():
         alpha = _random_cochain(rng, p + 1, n, n)
         beta = _random_cochain(rng, q + 1, n, n)
         lhs = graded_bracket(alpha, beta)
-        rhs = graded_bracket(beta, alpha).scale((-1) ** (p * q))
-        assert lhs.add(rhs).is_zero()
+        rhs = oracles.scale((-1) ** (p * q), graded_bracket(beta, alpha))
+        assert oracles.add(lhs, rhs).is_zero()
 
 
 def test_self_bracket_vanishes_iff_leibniz(positive_algebras):
@@ -504,6 +527,19 @@ def test_maurer_cartan_trivially_zero_without_right_action():
 def test_maurer_cartan_adjoint_fixtures():
     for g in (l2_algebra(), heisenberg3(), sl2()):
         assert maurer_cartan_check(g, adjoint_rep(g)).holds
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["sl2", "heis3", "L2"]), st.data())
+def test_maurer_cartan_survives_change_of_basis(name, data):
+    g = corpus.algebra(name)
+    n = g.dim
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    b = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+                  .filter(lambda rows: rank(Matrix.from_rows(rows)) == n))
+    moved = change_basis(g, b)
+    report = maurer_cartan_check(moved, adjoint_rep(moved))
+    assert report.holds, (name, b, report.witnesses[:1])
 
 
 # ---------------------------------------------------------------------------

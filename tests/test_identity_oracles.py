@@ -5,26 +5,39 @@ contraction spec changes some report."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracles
 from leibniz_kit import (
+    Cochain,
     LeibnizAlgebra,
     Lie2Algebra,
     Matrix,
+    Representation,
+    adjoint_rep,
     build_lie2,
     check_jacobiator_identities,
     check_leibniz,
     check_lie2_structure,
+    check_representation,
+    conjugation_rep,
+    dual_rep,
+    maurer_cartan_check,
     omni_lie,
+    semidirect,
     square_in_center_check,
+    trivial_rep,
     verify_lie2,
 )
 from leibniz_kit import fixtures as corpus
 from leibniz_kit.algebra import contract, dense, residual_witnesses, sparse
+from leibniz_kit.cohomology import maurer_cartan_residual
+from leibniz_kit.serialize import representation_from_json
 
 F = Fraction
 
@@ -169,3 +182,130 @@ def test_residual_witnesses_group_by_prefix_in_order():
 def test_sparse_and_dense_round_trip():
     t = _random_tensor(random.Random(3), (2, 3, 2))
     assert dense(sparse(t, 3), (2, 3, 2)) == tuple(tuple(map(tuple, p)) for p in t)
+
+
+# ---------------------------------------------------------------------------
+# representations and the Maurer-Cartan identity
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _fixture_representations() -> dict:
+    """Every representation file in fixtures/, over the algebra its name ends in."""
+    out = {}
+    for path in sorted(FIXTURES.glob("rep_*.json")):
+        g = corpus.algebra(path.stem.rsplit("_", 1)[1])
+        out[path.stem] = representation_from_json(g, json.loads(path.read_text("utf-8")))
+    return out
+
+
+def _left_only(rep: Representation) -> Representation:
+    z = Matrix.zeros(rep.vdim, rep.vdim)
+    return Representation(rep.algebra, rep.vdim, rep.l, (z,) * rep.algebra.dim)
+
+
+def _valid_representations(dense_rational_algebras) -> dict:
+    out = {name: rep for name, rep in _fixture_representations().items()
+           if "bad" not in name}
+    for name, g in {**{n: corpus.algebra(n) for n in ("L2", "heis3", "sl2", "omni1")},
+                    **{f"dense-{n}": g for n, g in dense_rational_algebras.items()}}.items():
+        out[f"{name}/trivial"] = trivial_rep(g)
+        out[f"{name}/adjoint"] = adjoint_rep(g)
+        left = _left_only(adjoint_rep(g))
+        out[f"{name}/dual"] = dual_rep(left)
+        out[f"{name}/conjugation"] = conjugation_rep(left)
+    return out
+
+
+def _random_matrix(rng: random.Random, m: int) -> Matrix:
+    return Matrix.from_rows(_random_tensor(rng, (m, m)))
+
+
+def _broken_representations(dense_rational_algebras) -> dict:
+    sl2 = corpus.algebra("sl2")
+    ad = adjoint_rep(sl2)
+    dense_heis = adjoint_rep(dense_rational_algebras["heis3"])
+    rng = random.Random(5)
+    nudged_r = list(dense_heis.r)
+    nudged_r[1] = nudged_r[1] + _random_matrix(rng, 3)
+    out = {"rep_bad_L2": _fixture_representations()["rep_bad_L2"],
+           "sl2/doubled-l": Representation(sl2, 3, tuple(m.scaled(2) for m in ad.l), ad.r),
+           "sl2/negated-r": Representation(sl2, 3, ad.l, tuple(-m for m in ad.r)),
+           "dense-heis3/nudged-r": Representation(dense_heis.algebra, 3, dense_heis.l,
+                                                  nudged_r)}
+    for seed in range(3):
+        rng = random.Random(seed)
+        g = corpus.algebra("heis3")
+        out[f"heis3/random-{seed}"] = Representation(
+            g, 2, [_random_matrix(rng, 2) for _ in range(3)],
+            [_random_matrix(rng, 2) for _ in range(3)])
+    return out
+
+
+def test_check_representation_matches_oracle(dense_rational_algebras):
+    cases = {**_valid_representations(dense_rational_algebras),
+             **_broken_representations(dense_rational_algebras)}
+    for name, rep in cases.items():
+        new, old = check_representation(rep), oracles.check_representation(rep)
+        assert new.holds == old.holds, name
+        assert new.witnesses == old.witnesses, name
+
+
+def test_broken_representations_fail_every_condition(dense_rational_algebras):
+    # these inputs make the differential test above exercise every label
+    labels = set()
+    for name, rep in _broken_representations(dense_rational_algebras).items():
+        report = check_representation(rep)
+        assert not report.holds, name
+        labels |= {w.label for w in report.witnesses}
+    assert labels == {"l-of-bracket", "r-of-bracket", "r-absorbs-l"}
+    random_labels = {w.label for w in check_representation(
+        _broken_representations(dense_rational_algebras)["heis3/random-0"]).witnesses}
+    assert random_labels == labels
+
+
+def _outcome(check, rep):
+    try:
+        report = check(rep.algebra, rep)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return report.holds, report.witnesses
+
+
+def test_maurer_cartan_check_matches_oracle(dense_rational_algebras):
+    # through the public function the identity holds on every valid
+    # representation, and a broken one is refused when its semidirect
+    # product is built; the residual itself is compared on random cochains
+    # below
+    cases = {**_valid_representations(dense_rational_algebras),
+             **_broken_representations(dense_rational_algebras)}
+    outcomes = set()
+    for name, rep in cases.items():
+        if rep.algebra.dim + rep.vdim > 8:
+            continue  # the dense oracle walks every triple of the semidirect basis
+        new = _outcome(maurer_cartan_check, rep)
+        assert new == _outcome(oracles.maurer_cartan_check, rep), name
+        outcomes.add(new[0])
+    assert outcomes == {True, "refused"}
+
+
+def _random_sparse_cochain(rng: random.Random, total: int, count: int) -> dict:
+    return {(rng.randrange(total), rng.randrange(total), rng.randrange(total)):
+            F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(count)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_maurer_cartan_residual_matches_oracle_on_random_cochains(seed):
+    # a valid representation cannot fail the identity, so the residual is
+    # fed random cochains r over the half-product of heis3 or L2 directly
+    rng = random.Random(seed)
+    g = corpus.algebra("heis3" if seed % 2 else "L2")
+    h = semidirect(g, adjoint_rep(g), "l0")
+    total = h.dim
+    r = _random_sparse_cochain(rng, total, 4 + seed)
+    new = residual_witnesses(maurer_cartan_residual(sparse(h.c, 3), r), total, "maurer-cartan")
+    planes = dense(r, (total,) * 3)
+    cochain = Cochain(2, total, total, tuple(row for plane in planes for row in plane))
+    old = oracles.maurer_cartan_witnesses(oracles.maurer_cartan_defect(h, cochain))
+    assert new, seed
+    assert new == old, seed

@@ -55,6 +55,18 @@ def test_rref_normalizes_pivots():
     assert ech.pivot_columns == (0, 1)
 
 
+def test_rref_of_int_matrix_stays_exact():
+    # pivots 2 and 5/2: dividing ints by them must give Fractions, not floats
+    ech = rref(Matrix(2, 3, [{0: 2, 1: 1}, {0: 1, 1: 3, 2: 1}]))
+    assert ech.matrix.to_rows() == [[1, 0, F(-1, 5)], [0, 1, F(2, 5)]]
+    assert all(isinstance(v, (int, F)) for row in ech.matrix.to_rows() for v in row)
+
+
+def test_kernel_of_int_matrix_with_pivot_three():
+    ker = kernel_basis(Matrix(1, 3, [{0: 3, 1: 1, 2: 1}]))
+    assert ker.basis == ((F(-1, 3), 1, 0), (F(-1, 3), 0, 1))
+
+
 def test_kernel_of_zero_map():
     assert kernel_basis(Matrix.zeros(2, 3)).dim == 3
 

@@ -22,7 +22,6 @@ from leibniz_kit import (
     coboundary_matrix,
     compare_adjoint,
     compare_trivial,
-    graded_bracket,
     graph_check,
     graph_rep_cohomology,
     image_representation,
@@ -34,7 +33,6 @@ from leibniz_kit import (
     naive_from_rep,
     omni_bracket,
     omni_lie,
-    structure_cochain,
     tautological_rep,
     to_naive_cochain,
     trivial_naive_rep,
@@ -133,8 +131,8 @@ def test_induced_leibniz_rejects_bad_graph():
 
 def test_induced_structure_has_vanishing_self_bracket():
     g = induced_leibniz(graph_for(heisenberg3()))
-    alpha = structure_cochain(g)
-    assert graded_bracket(alpha, alpha).is_zero()
+    alpha = oracles.structure_cochain(g)
+    assert oracles.graded_bracket(alpha, alpha).is_zero()
 
 
 def test_graph_subalgebra_brackets_match_induced():
@@ -185,6 +183,26 @@ def test_naive_check_three_routes_agree_on_corruption():
     assert not report.holds
     labels = {w.label for w in report.witnesses}
     assert "con2" in labels and "hom" in labels and "con1" not in labels
+
+
+def test_naive_check_witnesses_grouped_by_label():
+    # con2 and hom fail at (0, 0) and (0, 1): every con2 witness comes before
+    # every hom witness
+    g = l2_algebra()
+    bad = NaiveRepresentation(g, 2, adjoint_naive(g).phi, (list(E(2, 0)), [F(1), F(1)]))
+    assert [(w.where, w.label) for w in naive_check(bad).witnesses] == [
+        ((0, 0), "con2"), ((0, 1), "con2"), ((0, 0), "hom"), ((0, 1), "hom")]
+    # doubling phi on sl2 breaks all three routes
+    rho = adjoint_naive(sl2())
+    doubled = NaiveRepresentation(rho.algebra, 3, tuple(m.scaled(2) for m in rho.phi),
+                                  rho.theta)
+    report = naive_check(doubled)
+    labels = [w.label for w in report.witnesses]
+    assert labels == sorted(labels, key=["con1", "con2", "hom"].index)
+    assert set(labels) == {"con1", "con2", "hom"}
+    for label in ("con1", "con2", "hom"):
+        where = [w.where for w in report.witnesses if w.label == label]
+        assert where == sorted(where), label
 
 
 def test_trivial_naive_space_values():

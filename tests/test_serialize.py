@@ -12,10 +12,6 @@ from leibniz_kit.fixtures import (
     graph_for,
     heisenberg3,
     l2_algebra,
-    packaged_algebra,
-    packaged_fixture_dir,
-    packaged_graph,
-    packaged_representation,
 )
 from leibniz_kit.omni import adjoint_naive
 from leibniz_kit.serialize import (
@@ -140,16 +136,6 @@ def _normalize(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def test_packaged_corpus_matches_builders():
-    built = corpus()
-    packaged = packaged_fixture_dir()
-    names = sorted(p.name for p in packaged.iterdir() if p.name.endswith(".json"))
-    assert names == sorted(built)
-    for name in names:
-        on_disk = json.loads((packaged / name).read_text(encoding="utf-8"))
-        assert _normalize(on_disk) == _normalize(built[name]), name
-
-
 def test_repo_fixture_directory_matches_builders():
     built = corpus()
     fdir = REPO_ROOT / "fixtures"
@@ -158,12 +144,3 @@ def test_repo_fixture_directory_matches_builders():
     for name in names:
         on_disk = json.loads((fdir / name).read_text(encoding="utf-8"))
         assert _normalize(on_disk) == _normalize(built[name]), name
-
-
-def test_packaged_loaders():
-    g = packaged_algebra("heis3")
-    assert g.c == heisenberg3().c
-    rep = packaged_representation("heis3", "rep_adjoint_heis3")
-    assert rep.l == adjoint_rep(g).l
-    phi = packaged_graph("graph_heis3")
-    assert phi.vdim == 3
