@@ -25,6 +25,7 @@ from .linalg import (
     as_rational,
     freeze,
     kernel_basis,
+    rank,
     rref,
     solve,
     span_of_rows,
@@ -307,7 +308,7 @@ def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
     # change of basis: center vectors first, then the complement basis vectors
     cols = list(z.basis) + [tuple(_basis(n, i)) for i in complement]
     basis_mat = Matrix.from_cols(n, cols)
-    if rref(basis_mat).rank != n:
+    if rank(basis_mat) != n:
         raise AssertionError("center basis extension failed to span")
 
     def project(v):

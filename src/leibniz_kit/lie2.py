@@ -136,10 +136,8 @@ class Lie2Algebra:
     def __post_init__(self):
         if self.l1.shape != (self.dim0, self.dim1):
             raise ValueError("l1 must be dim0 x dim1")
-        # a degree-1 piece of dimension 0 leaves l2_01 empty, given as () or
-        # as dim0 empty planes, so its first axis is not checked
         n0, n1 = self.dim0, self.dim1
-        shapes = {"l2_00": (n0, n0, n0), "l2_01": (None, n1, n1),
+        shapes = {"l2_00": (n0, n0, n0), "l2_01": (n0, n1, n1),
                   "l2_11": (n1, n1, n1), "l3": (n0, n0, n0, n1)}
         for field, shape in shapes.items():
             object.__setattr__(self, field, freeze(getattr(self, field), shape, field))

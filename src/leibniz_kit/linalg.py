@@ -13,7 +13,10 @@ ints as they are and rational rows scaled to integers; ``cohomology.betti``
 hands ``rank`` the coboundary columns over one common denominator, which are
 integer already.  ``rref`` (and through it ``kernel_basis``, ``solve`` and
 ``span_of_rows``) needs the reduced matrix itself, not just its rank, and
-runs Gauss-Jordan elimination over Fractions.
+runs Gauss-Jordan elimination over Fractions.  It stays a second loop:
+canonical bases (spans, naive images, the left center) need lowest-column
+pivots and back-elimination, which the Markowitz kernel lacks and which
+would slow every rank.
 
 Matrices are logically dense row-major arrays but store each row as a
 {column: nonzero} dict; coboundary matrices of tensor-power complexes are
@@ -53,10 +56,9 @@ def as_rational(x) -> Fraction:
 def freeze(x, shape: tuple, what: str) -> tuple:
     """Nested tuples of Fractions from nested sequences of the given shape.
 
-    Raises ValueError, naming ``what``, when an axis has the wrong length;
-    an axis given as None may have any length.
+    Raises ValueError, naming ``what``, when an axis has the wrong length.
     """
-    if shape[0] is not None and len(x) != shape[0]:
+    if len(x) != shape[0]:
         raise ValueError(f"{what}: an axis of length {len(x)}, expected {shape[0]}")
     if len(shape) == 1:
         return tuple(map(as_rational, x))
@@ -234,10 +236,6 @@ class Matrix:
     def _same_shape(self, other: "Matrix") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-
-
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b - b @ a
 
 
 def linear_combination(coeffs: Sequence[Fraction], mats: Sequence[Matrix],

@@ -16,14 +16,18 @@ Cochains valued in the image of rho carry the naive coboundary: the
 coboundary formula with omni multiplication by rho(x) in place of the
 actions.  In image coordinates it is the coboundary of the image
 representation (left and right omni multiplication by rho(e_i) on the
-image), so the naive complex is one more ``coboundary_matrix``.  Its
+image), so the naive complex is one more ``coboundary_columns``.  Its
 cohomology is compared degree-by-degree against the classical complex for
 the matching representation.  For the adjoint naive representation the
-chain-level correspondence F -> rho o F is checked as the matrix identity
+chain-level correspondence F -> rho o F is checked as the identity
 
     D^img_k E_k = E_{k+1} D^cl_k,
 
 with E_k block-diagonal rho on the values of the n^k basis tuples.
+
+Graph closure, the component conditions of a naive representation and that
+correspondence are ``algebra.contract`` sums, like every other identity;
+``naive_check`` also tests rho against ``omni_bracket`` as a second route.
 """
 
 from __future__ import annotations
@@ -39,7 +43,10 @@ from .algebra import (
     _basis,
     _report,
     check_leibniz,
+    contract,
     derived_subalgebra,
+    residual_witnesses,
+    sparse,
 )
 from .cohomology import (
     DEFAULT_CAP,
@@ -47,11 +54,12 @@ from .cohomology import (
     Cochain,
     Matrix,
     Representation,
+    _action_tensor,
     adjoint_rep,
     betti,
     check_representation,
     coboundary,
-    coboundary_matrix,
+    coboundary_columns,
     conjugation_rep,
     flatten_matrix,
     trivial_rep,
@@ -59,7 +67,6 @@ from .cohomology import (
 from .linalg import (
     Subspace,
     as_rational,
-    commutator,
     kernel_basis,
     linear_combination,
     rref,
@@ -144,16 +151,13 @@ class GraphMap:
 
 
 def graph_check(phi: GraphMap) -> IdentityReport:
-    """The closure condition [phi(u), phi(v)] = phi(phi(u) v) on basis pairs."""
-    m = phi.vdim
-    witnesses = []
-    for i in range(m):
-        for j in range(m):
-            rhs = phi.apply(phi.phi[i].column(j))
-            d = commutator(phi.phi[i], phi.phi[j]) - rhs
-            if not d.is_zero():
-                witnesses.append(Witness((i, j), tuple(map(tuple, d.to_rows())), "graph"))
-    return _report(witnesses)
+    """The closure condition [phi(u), phi(v)] = phi(phi(u) v) on basis pairs,
+    as a contraction of P[i,a,b] = (phi_i)[a][b] with itself; each witness
+    carries the m x m defect at (i, j)."""
+    P = _action_tensor(phi.phi)
+    residual = contract([(1, "iau,jub->ijab", P, P), (-1, "jau,iub->ijab", P, P),
+                         (-1, "iuj,uab->ijab", P, P)])
+    return _report(residual_witnesses(residual, phi.vdim, "graph", axes=2))
 
 
 def induced_leibniz(phi: GraphMap) -> LeibnizAlgebra:
@@ -235,33 +239,28 @@ class NaiveRepresentation:
 def naive_check(rho: NaiveRepresentation) -> IdentityReport:
     """Homomorphism test, both through the component conditions and directly
     against the omni bracket; the two routes must agree.  Witnesses come
-    grouped by label (con1, con2, hom), each in lexicographic order."""
+    grouped by label (con1, con2, hom), each in lexicographic order.  The
+    component conditions contract c with P[i,a,b] = (phi_i)[a][b] and
+    T[i,a] = theta_i[a]."""
     g = rho.algebra
     n = g.dim
-    found: dict[str, list[Witness]] = {"con1": [], "con2": [], "hom": []}
+    c, P, T = sparse(g.c, 3), _action_tensor(rho.phi), sparse(rho.theta, 2)
+    con1 = contract([(1, "ijk,kab->ijab", c, P), (-1, "iau,jub->ijab", P, P),
+                     (1, "jau,iub->ijab", P, P)])
+    con2 = contract([(1, "ijk,ka->ija", c, T), (-1, "iab,jb->ija", P, T)])
+    hom = []
     for i in range(n):
         for j in range(n):
-            br = g.c[i][j]
-            phi_br = linear_combination(br, rho.phi, (rho.vdim, rho.vdim))
-            d1 = phi_br - commutator(rho.phi[i], rho.phi[j])
-            if not d1.is_zero():
-                found["con1"].append(Witness((i, j), tuple(map(tuple, d1.to_rows())), "con1"))
-            theta_br = vzero(rho.vdim)
-            for k, w in enumerate(br):
-                if w:
-                    vaddto(theta_br, w, rho.theta[k])
-            d2 = vsub(theta_br, rho.phi[i].mv(list(rho.theta[j])))
-            if not viszero(d2):
-                found["con2"].append(Witness((i, j), tuple(d2), "con2"))
             rho_br = vzero(rho.ambient_dim)
-            for k, w in enumerate(br):
+            for k, w in enumerate(g.c[i][j]):
                 if w:
                     vaddto(rho_br, w, rho.rho_vectors[k])
             d3 = vsub(rho_br, omni_bracket(rho.vdim, rho.rho_vectors[i],
                                            rho.rho_vectors[j]))
             if not viszero(d3):
-                found["hom"].append(Witness((i, j), tuple(d3), "hom"))
-    return _report([w for ws in found.values() for w in ws])
+                hom.append(Witness((i, j), tuple(d3), "hom"))
+    return _report(residual_witnesses(con1, rho.vdim, "con1", axes=2)
+                   + residual_witnesses(con2, rho.vdim, "con2") + hom)
 
 
 def trivial_naive_space(g: LeibnizAlgebra) -> Subspace:
@@ -452,34 +451,33 @@ def compare_adjoint(g: LeibnizAlgebra, k_max: int,
     return ComparisonReport(rows, side_ok, tuple(notes))
 
 
-def _embedding(rho: NaiveRepresentation, tuples: int) -> Matrix:
-    """E: block-diagonal, one block per basis tuple, each block the columns
-    rho(e_v) in image coordinates."""
-    n, d = rho.algebra.dim, rho.image.dim
-    block = [rho.image_coordinates(v) for v in rho.rho_vectors]
-    data: list[dict] = [{} for _ in range(tuples * d)]
-    for pos in range(tuples):
-        for v, col in enumerate(block):
-            for a, x in enumerate(col):
-                if x:
-                    data[pos * d + a][pos * n + v] = x
-    return Matrix(tuples * d, tuples * n, data)
+def _keyed_coboundary(rep: Representation, k: int) -> tuple[int, dict]:
+    """(D, {(target tuple, target coordinate, source tuple, source
+    coordinate): D * d_k entry}) from ``coboundary_columns``, uncapped."""
+    den, columns = coboundary_columns(rep, k, None)
+    m = rep.vdim
+    return den, {(*divmod(row, m), *divmod(col, m)): x
+                 for col, entries in enumerate(columns) for row, x in entries.items()}
 
 
 def _verify_adjoint_correspondence(rho, irep, arep, k_max, cap):
+    """D^img_k E_k - E_{k+1} D^cl_k as one contraction per degree, with
+    B[a, v] the image coordinate a of rho(e_v) as the block of E; a nonzero
+    entry at (.., tuple #pos, value v) names a failing basis cochain."""
     n = rho.algebra.dim
+    B = {(a, v): x for v, vec in enumerate(rho.rho_vectors)
+         for a, x in enumerate(rho.image_coordinates(vec)) if x}
     notes = []
     ok = True
     for k in range(min(k_max, 2) + 1):
         if cap is not None and (n ** (k + 1)) * max(rho.image.dim, 1) > cap:
             notes.append(f"correspondence check skipped from degree {k} on (cap)")
             return ok, notes
-        lhs = coboundary_matrix(irep, k, None) @ _embedding(rho, n ** k)
-        rhs = _embedding(rho, n ** (k + 1)) @ coboundary_matrix(arep, k, None)
-        diff = lhs - rhs
-        for col in sorted({j for i in range(diff.rows) for j, _ in diff.row_items(i)}):
+        (d_img, img), (d_cl, cl) = _keyed_coboundary(irep, k), _keyed_coboundary(arep, k)
+        residual = contract([(Fraction(1, d_img), "RApa,av->RApv", img, B),
+                             (-Fraction(1, d_cl), "AW,RWpv->RApv", B, cl)])
+        for pos, v in sorted({key[2:] for key in residual}):
             ok = False
-            pos, v = divmod(col, n)
             notes.append(f"correspondence fails on basis cochain "
                          f"(degree {k}, tuple #{pos}, value {v})")
     return ok, notes

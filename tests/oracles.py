@@ -9,7 +9,9 @@ matrix; the differential tests compare the two.
 The dense cochain algebra lives here too: sums, multiples and multilinear
 evaluation of ``Cochain`` values, shuffles, the circle product and the
 graded bracket (Balavoine, "Deformations of algebras over a quadratic
-operad", 1997), with which the Maurer-Cartan identity is stated.
+operad", 1997), with which the Maurer-Cartan identity is stated.  So do the
+dense matrix forms of the graph closure condition, the naive-representation
+conditions and the chain-level adjoint correspondence D^img E = E D^cl.
 """
 
 from __future__ import annotations
@@ -20,14 +22,19 @@ from fractions import Fraction
 from leibniz_kit import (
     AxiomReport,
     Cochain,
+    GraphMap,
     IdentityReport,
     LeibnizAlgebra,
     Lie2Algebra,
+    Matrix,
+    NaiveRepresentation,
     Representation,
     Witness,
     bracket,
+    coboundary_matrix,
     jacobiator_closed,
     left_center,
+    omni_bracket,
     semidirect,
     skew_bracket,
 )
@@ -35,7 +42,6 @@ from leibniz_kit.linalg import (
     HALF,
     ONE,
     ZERO,
-    commutator,
     linear_combination,
     vaddto,
     viszero,
@@ -339,6 +345,10 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
     return AxiomReport(passed, tuple(witnesses))
 
 
+def commutator(a: Matrix, b: Matrix) -> Matrix:
+    return a @ b - b @ a
+
+
 def check_representation(rep: Representation) -> IdentityReport:
     """The three compatibility conditions as dense matrix identities, one
     basis pair at a time."""
@@ -502,3 +512,87 @@ def maurer_cartan_check(g: LeibnizAlgebra, rep: Representation) -> IdentityRepor
             if not viszero(d):
                 witnesses.append(Witness((i, j), tuple(d), "deformation"))
     return _report(witnesses)
+
+
+# ---------------------------------------------------------------------------
+# graphs, naive representations and the adjoint correspondence
+
+def graph_check(phi: GraphMap) -> IdentityReport:
+    """[phi(e_i), phi(e_j)] - phi(phi(e_i) e_j) as a dense matrix, one basis
+    pair at a time."""
+    m = phi.vdim
+    witnesses = []
+    for i in range(m):
+        for j in range(m):
+            rhs = phi.apply(phi.phi[i].column(j))
+            d = commutator(phi.phi[i], phi.phi[j]) - rhs
+            if not d.is_zero():
+                witnesses.append(Witness((i, j), tuple(map(tuple, d.to_rows())), "graph"))
+    return _report(witnesses)
+
+
+def naive_check(rho: NaiveRepresentation) -> IdentityReport:
+    """The two component conditions as dense matrix and vector identities,
+    and the homomorphism condition against the omni bracket, one basis pair
+    at a time."""
+    g = rho.algebra
+    n = g.dim
+    found: dict[str, list[Witness]] = {"con1": [], "con2": [], "hom": []}
+    for i in range(n):
+        for j in range(n):
+            br = g.c[i][j]
+            phi_br = linear_combination(br, rho.phi, (rho.vdim, rho.vdim))
+            d1 = phi_br - commutator(rho.phi[i], rho.phi[j])
+            if not d1.is_zero():
+                found["con1"].append(Witness((i, j), tuple(map(tuple, d1.to_rows())), "con1"))
+            theta_br = vzero(rho.vdim)
+            for k, w in enumerate(br):
+                if w:
+                    vaddto(theta_br, w, rho.theta[k])
+            d2 = vsub(theta_br, rho.phi[i].mv(list(rho.theta[j])))
+            if not viszero(d2):
+                found["con2"].append(Witness((i, j), tuple(d2), "con2"))
+            rho_br = vzero(rho.ambient_dim)
+            for k, w in enumerate(br):
+                if w:
+                    vaddto(rho_br, w, rho.rho_vectors[k])
+            d3 = vsub(rho_br, omni_bracket(rho.vdim, rho.rho_vectors[i],
+                                           rho.rho_vectors[j]))
+            if not viszero(d3):
+                found["hom"].append(Witness((i, j), tuple(d3), "hom"))
+    return _report([w for ws in found.values() for w in ws])
+
+
+def embedding(rho: NaiveRepresentation, tuples: int) -> Matrix:
+    """E: block-diagonal, one block per basis tuple, each block the columns
+    rho(e_v) in image coordinates."""
+    n, d = rho.algebra.dim, rho.image.dim
+    block = [rho.image_coordinates(v) for v in rho.rho_vectors]
+    data: list[dict] = [{} for _ in range(tuples * d)]
+    for pos in range(tuples):
+        for v, col in enumerate(block):
+            for a, x in enumerate(col):
+                if x:
+                    data[pos * d + a][pos * n + v] = x
+    return Matrix(tuples * d, tuples * n, data)
+
+
+def verify_adjoint_correspondence(rho, irep, arep, k_max, cap):
+    """D^img_k E_k - E_{k+1} D^cl_k multiplied out as Fraction matrices;
+    every nonzero column names a failing basis cochain."""
+    n = rho.algebra.dim
+    notes = []
+    ok = True
+    for k in range(min(k_max, 2) + 1):
+        if cap is not None and (n ** (k + 1)) * max(rho.image.dim, 1) > cap:
+            notes.append(f"correspondence check skipped from degree {k} on (cap)")
+            return ok, notes
+        lhs = coboundary_matrix(irep, k, None) @ embedding(rho, n ** k)
+        rhs = embedding(rho, n ** (k + 1)) @ coboundary_matrix(arep, k, None)
+        diff = lhs - rhs
+        for col in sorted({j for i in range(diff.rows) for j, _ in diff.row_items(i)}):
+            ok = False
+            pos, v = divmod(col, n)
+            notes.append(f"correspondence fails on basis cochain "
+                         f"(degree {k}, tuple #{pos}, value {v})")
+    return ok, notes

@@ -15,10 +15,13 @@ import pytest
 import oracles
 from leibniz_kit import (
     Cochain,
+    GraphMap,
     LeibnizAlgebra,
     Lie2Algebra,
     Matrix,
+    NaiveRepresentation,
     Representation,
+    adjoint_naive,
     adjoint_rep,
     build_lie2,
     check_jacobiator_identities,
@@ -27,7 +30,11 @@ from leibniz_kit import (
     check_representation,
     conjugation_rep,
     dual_rep,
+    graph_check,
+    image_representation,
     maurer_cartan_check,
+    naive_check,
+    naive_from_rep,
     omni_lie,
     semidirect,
     square_in_center_check,
@@ -37,7 +44,8 @@ from leibniz_kit import (
 from leibniz_kit import fixtures as corpus
 from leibniz_kit.algebra import contract, dense, residual_witnesses, sparse
 from leibniz_kit.cohomology import maurer_cartan_residual
-from leibniz_kit.serialize import representation_from_json
+from leibniz_kit.omni import _verify_adjoint_correspondence
+from leibniz_kit.serialize import graph_from_json, representation_from_json
 
 F = Fraction
 
@@ -309,3 +317,82 @@ def test_maurer_cartan_residual_matches_oracle_on_random_cochains(seed):
     old = oracles.maurer_cartan_witnesses(oracles.maurer_cartan_defect(h, cochain))
     assert new, seed
     assert new == old, seed
+
+
+# ---------------------------------------------------------------------------
+# graphs, naive representations and the adjoint correspondence
+
+def _graphs(dense_rational_algebras) -> dict:
+    out = {path.stem: graph_from_json(json.loads(path.read_text("utf-8")))
+           for path in sorted(FIXTURES.glob("graph_*.json"))}
+    out["sl2"] = corpus.graph_for(corpus.algebra("sl2"))
+    for name, g in dense_rational_algebras.items():
+        out[f"dense-{name}"] = corpus.graph_for(g)
+    for seed in range(4):
+        rng = random.Random(seed)
+        m = 2 + seed % 2
+        out[f"random-{seed}"] = GraphMap(m, [_random_matrix(rng, m) for _ in range(m)])
+    return out
+
+
+def test_graph_check_matches_oracle(dense_rational_algebras):
+    outcomes = set()
+    for name, phi in _graphs(dense_rational_algebras).items():
+        new, old = graph_check(phi), oracles.graph_check(phi)
+        assert new.holds == old.holds, name
+        assert new.witnesses == old.witnesses, name
+        outcomes.add(new.holds)
+    assert outcomes == {True, False}
+
+
+def _scaled_phi(rho: NaiveRepresentation, factor) -> NaiveRepresentation:
+    return NaiveRepresentation(rho.algebra, rho.vdim, [m.scaled(factor) for m in rho.phi],
+                               rho.theta)
+
+
+def _naive_representations(small_algebras, dense_rational_algebras) -> dict:
+    out = {}
+    for name, g in {**small_algebras,
+                    **{f"dense-{n}": g for n, g in dense_rational_algebras.items()}}.items():
+        out[f"{name}/adjoint"] = adjoint_naive(g)
+        out[f"{name}/from-adjoint-rep"] = naive_from_rep(adjoint_rep(g))
+        out[f"{name}/doubled-phi"] = _scaled_phi(out[f"{name}/adjoint"], 2)
+    for seed in range(4):
+        rng = random.Random(seed)
+        g = corpus.algebra("heis3" if seed % 2 else "L2")
+        m = 2 + seed // 2
+        out[f"random-{seed}"] = NaiveRepresentation(
+            g, m, [_random_matrix(rng, m) for _ in range(g.dim)],
+            _random_tensor(rng, (g.dim, m)))
+    return out
+
+
+def test_naive_check_matches_oracle(small_algebras, dense_rational_algebras):
+    labels = set()
+    for name, rho in _naive_representations(small_algebras, dense_rational_algebras).items():
+        new, old = naive_check(rho), oracles.naive_check(rho)
+        assert new.holds == old.holds, name
+        assert new.witnesses == old.witnesses, name
+        labels |= {w.label for w in new.witnesses}
+    # every term of both component conditions is exercised
+    assert labels == {"con1", "con2", "hom"}
+
+
+@pytest.mark.parametrize("cap", [None, 30])
+def test_adjoint_correspondence_matches_oracle(dense_rational_algebras, cap):
+    # the classical side with one action scaled by 3/2 breaks the
+    # correspondence; a cap of 30 checks degrees 0 and 1 and skips degree 2
+    for name, g in dense_rational_algebras.items():
+        rho = adjoint_naive(g)
+        irep = image_representation(rho)
+        arep = adjoint_rep(g)
+        scaled = lambda mats: tuple(m.scaled(F(3, 2)) for m in mats)
+        for side, rep in (("none", arep),
+                          ("l", Representation(g, g.dim, scaled(arep.l), arep.r)),
+                          ("r", Representation(g, g.dim, arep.l, scaled(arep.r)))):
+            ok, notes = _verify_adjoint_correspondence(rho, irep, rep, 2, cap)
+            assert (ok, notes) == oracles.verify_adjoint_correspondence(rho, irep, rep, 2,
+                                                                         cap), (name, side)
+            assert ok == (side == "none"), (name, side)
+            if cap is not None:
+                assert notes[-1] == "correspondence check skipped from degree 2 on (cap)"

@@ -152,10 +152,18 @@ def test_omni2_has_nonzero_l3():
 
 def test_lie_algebra_with_trivial_degree_one_piece_passes():
     g = sl2()
-    L = Lie2Algebra(0, 3, Matrix.zeros(3, 0), g.c, (), (),
+    L = Lie2Algebra(0, 3, Matrix.zeros(3, 0), g.c, ((),) * 3, (),
                     tuple(tuple(tuple(() for _ in range(3)) for _ in range(3))
                           for _ in range(3)))
     assert verify_lie2(L).all_pass
+
+
+def test_empty_l2_01_is_refused_when_degree_zero_is_not():
+    # l2_01 holds one (empty) plane per degree-0 basis element
+    g = sl2()
+    l3 = tuple(tuple(tuple(() for _ in range(3)) for _ in range(3)) for _ in range(3))
+    with pytest.raises(ValueError, match="l2_01"):
+        Lie2Algebra(0, 3, Matrix.zeros(3, 0), g.c, (), (), l3)
 
 
 def test_zeroing_l3_breaks_axiom_c():

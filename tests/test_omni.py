@@ -6,8 +6,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import change_basis
 from leibniz_kit import (
     Cochain,
     LeibnizAlgebra,
@@ -40,6 +43,7 @@ from leibniz_kit import (
     trivial_rep,
     verify_lie2,
 )
+from leibniz_kit import fixtures as corpus
 from leibniz_kit.fixtures import (
     bad_graph,
     bad_representation,
@@ -48,6 +52,7 @@ from leibniz_kit.fixtures import (
     l2_algebra,
     sl2,
 )
+from leibniz_kit.linalg import rank
 from leibniz_kit.omni import GraphMap, _verify_adjoint_correspondence
 
 F = Fraction
@@ -374,6 +379,19 @@ def test_adjoint_correspondence_check_is_not_vacuous():
             assert notes == [f"correspondence fails on basis cochain "
                              f"(degree {k}, tuple #{pos}, value {v})"
                              for k, pos, v in broken[name, side]]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["L2", "heis3", "sl2"]), st.data())
+def test_compare_adjoint_survives_change_of_basis(name, data):
+    g = corpus.algebra(name)
+    n = g.dim
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    b = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+                  .filter(lambda rows: rank(Matrix.from_rows(rows)) == n))
+    report = compare_adjoint(change_basis(g, b), 2)
+    assert report.side_checks_ok, (name, b, report.notes[:1])
+    assert report.rows == compare_adjoint(g, 2).rows, (name, b)
 
 
 def test_compare_adjoint_degree0_matches_here():
