@@ -12,13 +12,13 @@ special case.  Everything is encoded by the tensor c with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import (
+    Frozen,
     Matrix,
     Subspace,
     ZERO,
@@ -34,15 +34,13 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class LeibnizAlgebra:
+class LeibnizAlgebra(Frozen):
     """Structure constants c[i][j][k] of [e_i, e_j] = sum_k c[i][j][k] e_k."""
 
-    dim: int
-    c: tuple
+    __slots__ = ("dim", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", freeze(self.c, (self.dim,) * 3, "structure tensor"))
+    def __init__(self, dim: int, c: tuple):
+        self._set(dim, freeze(c, (dim,) * 3, "structure tensor"))
 
     @classmethod
     def abelian(cls, n: int) -> "LeibnizAlgebra":
@@ -62,16 +60,14 @@ class LeibnizAlgebra:
         return self.c[i][j]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A failed identity instance: where it failed and by how much."""
     where: tuple
     defect: tuple
     label: str = ""
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of an identity checked on every basis tuple.
 
     Witnesses come grouped by label, in the order the check evaluates its
@@ -245,10 +241,14 @@ def check_leibniz(g: LeibnizAlgebra) -> IdentityReport:
     residual covers every basis triple: a triple no term reaches is exactly
     zero, so a report that holds is a proof on the whole basis.
     """
-    c = sparse(g.c, 3)
+    return leibniz_report(sparse(g.c, 3), g.dim)
+
+
+def leibniz_report(c: dict, dim: int) -> IdentityReport:
+    """``check_leibniz`` of the algebra with sparse structure tensor c."""
     residual = contract([(1, "jka,iat->ijkt", c, c), (-1, "ija,akt->ijkt", c, c),
                          (-1, "ika,jat->ijkt", c, c)])
-    return _report(residual_witnesses(residual, g.dim, "leibniz"))
+    return _report(residual_witnesses(residual, dim, "leibniz"))
 
 
 def left_multiplication_matrix(g: LeibnizAlgebra) -> Matrix:
@@ -317,12 +317,7 @@ def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
             raise AssertionError("vector outside the span of the extended center basis")
         return coords[z.dim:]
 
-    c = [[[ZERO] * q for _ in range(q)] for _ in range(q)]
-    for a, ia in enumerate(complement):
-        for b, ib in enumerate(complement):
-            img = project(list(g.c[ia][ib]))
-            for k, v in enumerate(img):
-                c[a][b][k] = v
+    c = [[project(list(g.c[ia][ib])) for ib in complement] for ia in complement]
     quotient = LeibnizAlgebra(q, c)
     if not is_lie(quotient):
         raise RuntimeError("quotient by the left center is not antisymmetric; "

@@ -27,22 +27,21 @@ stated with are evaluated only by the test oracles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
     IdentityReport,
     LeibnizAlgebra,
     _report,
-    check_leibniz,
     contract,
     dense,
+    leibniz_report,
     residual_witnesses,
     sparse,
 )
-from .linalg import Matrix, ZERO, freeze, rank, viszero, vzero
+from .linalg import Frozen, Matrix, ZERO, freeze, rank, viszero, vzero
 
 DEFAULT_CAP = 20000
 
@@ -59,24 +58,19 @@ class ResourceCapExceeded(Exception):
 # ---------------------------------------------------------------------------
 # representations
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Frozen):
     """Left/right action matrices (one pair per basis element of g) on Q^vdim."""
 
-    algebra: LeibnizAlgebra
-    vdim: int
-    l: tuple
-    r: tuple
+    __slots__ = ("algebra", "vdim", "l", "r")
 
-    def __post_init__(self):
-        n, m = self.algebra.dim, self.vdim
-        object.__setattr__(self, "l", tuple(self.l))
-        object.__setattr__(self, "r", tuple(self.r))
-        if len(self.l) != n or len(self.r) != n:
+    def __init__(self, algebra: LeibnizAlgebra, vdim: int, l: tuple, r: tuple):
+        l, r = tuple(l), tuple(r)
+        if len(l) != algebra.dim or len(r) != algebra.dim:
             raise ValueError("need one l and one r matrix per basis element")
-        for mat in (*self.l, *self.r):
-            if mat.shape != (m, m):
-                raise ValueError(f"action matrices must be {m}x{m}")
+        for mat in (*l, *r):
+            if mat.shape != (vdim, vdim):
+                raise ValueError(f"action matrices must be {vdim}x{vdim}")
+        self._set(algebra, vdim, l, r)
 
 
 def _action_tensor(mats) -> dict:
@@ -185,22 +179,17 @@ def flatten_matrix(mat: Matrix) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # cochains
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Frozen):
     """Multilinear map on k-tuples of g with values in Q^m.
 
     values[rank(t)] is the image of the basis tuple t, with rank the
     lexicographic position of t among all n^k tuples.
     """
 
-    degree: int
-    n: int
-    m: int
-    values: tuple
+    __slots__ = ("degree", "n", "m", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", freeze(self.values, (self.n ** self.degree, self.m),
-                                                  "cochain values"))
+    def __init__(self, degree: int, n: int, m: int, values: tuple):
+        self._set(degree, n, m, freeze(values, (n ** degree, m), "cochain values"))
 
     @classmethod
     def zero(cls, degree: int, n: int, m: int) -> "Cochain":
@@ -325,8 +314,7 @@ def coboundary(rep: Representation, c: Cochain) -> Cochain:
                    tuple(tuple(flat[p * m:(p + 1) * m]) for p in range(n ** (c.degree + 1))))
 
 
-@dataclass(frozen=True)
-class DegreeData:
+class DegreeData(NamedTuple):
     k: int
     dim_cochains: int
     rank_d: int
@@ -334,8 +322,7 @@ class DegreeData:
     dim_h: int
 
 
-@dataclass(frozen=True)
-class BettiReport:
+class BettiReport(NamedTuple):
     """Per-degree dimensions of a coboundary complex."""
     degrees: tuple[DegreeData, ...]
 
@@ -386,12 +373,8 @@ def _right_action_tensor(g: LeibnizAlgebra, rep: Representation) -> dict:
     return {(n + a, j, n + w): v for (j, w, a), v in _action_tensor(rep.r).items()}
 
 
-def semidirect(g: LeibnizAlgebra, rep: Representation, mode: str) -> LeibnizAlgebra:
-    """Leibniz structure on g (+) V:
-
-        mode "lr": [x+u, y+v] = [x,y] + l_x v + r_y u
-        mode "l0": [x+u, y+v] = [x,y] + l_x v
-    """
+def _semidirect_tensor(g: LeibnizAlgebra, rep: Representation, mode: str) -> dict:
+    """The sparse structure tensor of ``semidirect``, refused unless Leibniz."""
     if mode not in ("lr", "l0"):
         raise ValueError("mode must be 'lr' or 'l0'")
     n = g.dim
@@ -399,14 +382,22 @@ def semidirect(g: LeibnizAlgebra, rep: Representation, mode: str) -> LeibnizAlge
     c.update(((i, n + b, n + w), v) for (i, w, b), v in _action_tensor(rep.l).items())
     if mode == "lr":
         c.update(_right_action_tensor(g, rep))
-    total = n + rep.vdim
-    out = LeibnizAlgebra(total, dense(c, (total,) * 3))
-    report = check_leibniz(out)
+    report = leibniz_report(c, n + rep.vdim)
     if not report.holds:
         raise ValueError("semidirect product violates the Leibniz identity; "
                          f"first witness at {report.witnesses[0].where} "
                          "(is the representation valid?)")
-    return out
+    return c
+
+
+def semidirect(g: LeibnizAlgebra, rep: Representation, mode: str) -> LeibnizAlgebra:
+    """Leibniz structure on g (+) V:
+
+        mode "lr": [x+u, y+v] = [x,y] + l_x v + r_y u
+        mode "l0": [x+u, y+v] = [x,y] + l_x v
+    """
+    total = g.dim + rep.vdim
+    return LeibnizAlgebra(total, dense(_semidirect_tensor(g, rep, mode), (total,) * 3))
 
 
 def rbar(g: LeibnizAlgebra, rep: Representation) -> Cochain:
@@ -450,9 +441,9 @@ def maurer_cartan_check(g: LeibnizAlgebra, rep: Representation) -> IdentityRepor
     for the coboundary of the adjoint representation of the (l,0)-product,
     and that the (l,0)-bracket plus rbar equals the (l,r)-bracket.
     """
-    c0 = sparse(semidirect(g, rep, "l0").c, 3)
+    c0 = _semidirect_tensor(g, rep, "l0")
     r = _right_action_tensor(g, rep)
-    clr = sparse(semidirect(g, rep, "lr").c, 3)
+    clr = _semidirect_tensor(g, rep, "lr")
     deformation = contract([(1, "ijt->ijt", c0), (1, "ijt->ijt", r), (-1, "ijt->ijt", clr)])
     total = g.dim + rep.vdim
     return _report(residual_witnesses(maurer_cartan_residual(c0, r), total, "maurer-cartan")

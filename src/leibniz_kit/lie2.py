@@ -20,8 +20,8 @@ witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     IdentityReport,
@@ -38,6 +38,7 @@ from .algebra import (
 )
 from .linalg import (
     HALF,
+    Frozen,
     Matrix,
     QUARTER,
     freeze,
@@ -114,8 +115,7 @@ def check_jacobiator_identities(g: LeibnizAlgebra) -> IdentityReport:
                    + residual_witnesses(ten_term, n, "ten-term"))
 
 
-@dataclass(frozen=True)
-class Lie2Algebra:
+class Lie2Algebra(Frozen):
     """Two-term graded algebra: degree-1 piece of dim1, degree-0 piece of dim0.
 
     l1    : dim0 x dim1 matrix (degree -1 map, degree 1 -> degree 0)
@@ -125,26 +125,18 @@ class Lie2Algebra:
     l3    : trilinear deg0^3 -> deg1, totally antisymmetric
     """
 
-    dim1: int
-    dim0: int
-    l1: Matrix
-    l2_00: tuple
-    l2_01: tuple
-    l2_11: tuple
-    l3: tuple
+    __slots__ = ("dim1", "dim0", "l1", "l2_00", "l2_01", "l2_11", "l3")
 
-    def __post_init__(self):
-        if self.l1.shape != (self.dim0, self.dim1):
+    def __init__(self, dim1: int, dim0: int, l1: Matrix, l2_00: tuple, l2_01: tuple,
+                 l2_11: tuple, l3: tuple):
+        if l1.shape != (dim0, dim1):
             raise ValueError("l1 must be dim0 x dim1")
-        n0, n1 = self.dim0, self.dim1
-        shapes = {"l2_00": (n0, n0, n0), "l2_01": (n0, n1, n1),
-                  "l2_11": (n1, n1, n1), "l3": (n0, n0, n0, n1)}
-        for field, shape in shapes.items():
-            object.__setattr__(self, field, freeze(getattr(self, field), shape, field))
+        self._set(dim1, dim0, l1, freeze(l2_00, (dim0,) * 3, "l2_00"),
+                  freeze(l2_01, (dim0, dim1, dim1), "l2_01"),
+                  freeze(l2_11, (dim1,) * 3, "l2_11"), freeze(l3, (dim0,) * 3 + (dim1,), "l3"))
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of the five two-term homotopy-algebra axioms (a)-(e)."""
     passed: dict
     witnesses: tuple[Witness, ...] = ()

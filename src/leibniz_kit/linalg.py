@@ -27,12 +27,11 @@ near the resource cap.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Rational = Fraction
 
@@ -51,6 +50,41 @@ def as_rational(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
+
+
+class Frozen:
+    """Base of the validated value types: a subclass names its fields in
+    ``__slots__`` in constructor order and stores them once, with ``_set``.
+    Equality, hash and repr go by value; assigning raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def freeze(x, shape: tuple, what: str) -> tuple:
@@ -256,8 +290,7 @@ def linear_combination(coeffs: Sequence[Fraction], mats: Sequence[Matrix],
     return Matrix(shape[0], shape[1], data)
 
 
-@dataclass(frozen=True)
-class Echelon:
+class Echelon(NamedTuple):
     """Result of row reduction: the RREF matrix, its rank, and pivot columns."""
     matrix: Matrix
     rank: int
@@ -399,18 +432,18 @@ def rank(m: Matrix) -> int:
     return integer_rank(map(_integer_row, data))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """A subspace of Q^ambient_dim given by a linearly independent basis."""
-    ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
-        for v in self.basis:
-            if len(v) != self.ambient_dim:
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: tuple[tuple[Fraction, ...], ...]):
+        for v in basis:
+            if len(v) != ambient_dim:
                 raise ValueError("basis vector of wrong length")
-        if self.basis and rank(Matrix.from_rows(self.basis)) != len(self.basis):
+        if basis and rank(Matrix.from_rows(basis)) != len(basis):
             raise ValueError("basis vectors are linearly dependent")
+        self._set(ambient_dim, basis)
 
     @property
     def dim(self) -> int:

@@ -32,9 +32,8 @@ correspondence are ``algebra.contract`` sums, like every other identity;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
     IdentityReport,
@@ -65,6 +64,7 @@ from .cohomology import (
     trivial_rep,
 )
 from .linalg import (
+    Frozen,
     Subspace,
     as_rational,
     kernel_basis,
@@ -131,20 +131,19 @@ def omni_lie(m: int) -> LeibnizAlgebra:
 # ---------------------------------------------------------------------------
 # graphs of maps V -> gl(V)
 
-@dataclass(frozen=True)
-class GraphMap:
+class GraphMap(Frozen):
     """A linear map phi: V -> gl(V), phi(u) = sum_a u_a phi[a]."""
 
-    vdim: int
-    phi: tuple
+    __slots__ = ("vdim", "phi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(self.phi))
-        if len(self.phi) != self.vdim:
+    def __init__(self, vdim: int, phi: tuple):
+        phi = tuple(phi)
+        if len(phi) != vdim:
             raise ValueError("need one matrix per basis vector of V")
-        for mat in self.phi:
-            if mat.shape != (self.vdim, self.vdim):
-                raise ValueError(f"graph matrices must be {self.vdim}x{self.vdim}")
+        for mat in phi:
+            if mat.shape != (vdim, vdim):
+                raise ValueError(f"graph matrices must be {vdim}x{vdim}")
+        self._set(vdim, phi)
 
     def apply(self, u: Sequence[Fraction]) -> Matrix:
         return linear_combination(u, self.phi, (self.vdim, self.vdim))
@@ -368,16 +367,14 @@ def naive_betti(rho: NaiveRepresentation, k_max: int,
 # ---------------------------------------------------------------------------
 # degree-by-degree comparisons
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     k: int
     dim_naive: int
     dim_classical: int
     equal: bool
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Naive-vs-classical cohomology dimensions.  Degree 0 is reported for
     information only; the headline equality is over degrees >= 1."""
 

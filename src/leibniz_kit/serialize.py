@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from .algebra import LeibnizAlgebra
 from .cohomology import BettiReport, Representation
@@ -30,12 +30,20 @@ def scalar_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _scalar(x: Any, parsed: dict) -> Optional[Fraction]:
+    """x as a Fraction, or None if it is no scalar; strings go through the memo."""
+    if not isinstance(x, str):
+        return Fraction(x) if isinstance(x, int) else None
+    if x not in parsed and _SCALAR_RE.match(x):
+        parsed[x] = Fraction(x)
+    return parsed.get(x)
+
+
 def str_to_scalar(s: Any, where: str = "scalar") -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if not isinstance(s, str) or not _SCALAR_RE.match(s):
+    q = _scalar(s, {})
+    if q is None:
         raise SchemaError(f"{where}: expected an integer or 'p/q' string, got {s!r}")
-    return Fraction(s)
+    return q
 
 
 def _expect(data: Any, key: str, where: str) -> Any:
@@ -69,17 +77,21 @@ def vector_to_json(v) -> list[str]:
     return [scalar_to_str(x) for x in v]
 
 
-def vector_from_json(v: Any, length: int, where: str) -> list[Fraction]:
-    return [str_to_scalar(x, f"{where}[{i}]")
-            for i, x in enumerate(_expect_list(v, length, where))]
+def vector_from_json(v: Any, length: int, where: str, parsed: dict) -> list[Fraction]:
+    """The scalars of a list, memoized in ``parsed``; ``str_to_scalar`` refuses a bad one."""
+    out = []
+    for i, x in enumerate(_expect_list(v, length, where)):
+        q = _scalar(x, parsed)
+        out.append(q if q is not None else str_to_scalar(x, f"{where}[{i}]"))
+    return out
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
     return [vector_to_json(m.row_list(i)) for i in range(m.rows)]
 
 
-def matrix_from_json(data: Any, rows: int, cols: int, where: str) -> Matrix:
-    out = [vector_from_json(row, cols, f"{where}[{i}]")
+def matrix_from_json(data: Any, rows: int, cols: int, where: str, parsed: dict) -> Matrix:
+    out = [vector_from_json(row, cols, f"{where}[{i}]", parsed)
            for i, row in enumerate(_expect_list(data, rows, where))]
     return Matrix.from_rows(out) if rows else Matrix.zeros(0, cols)
 
@@ -100,10 +112,10 @@ def algebra_from_json(data: Any) -> LeibnizAlgebra:
     _expect_schema(data, where)
     n = _expect_dim(data, "dim", where)
     raw = _expect_list(_expect(data, "c", where), n, f"{where}.c")
-    c = []
+    c, parsed = [], {}
     for i, plane in enumerate(raw):
         plane = _expect_list(plane, n, f"{where}.c[{i}]")
-        c.append([vector_from_json(row, n, f"{where}.c[{i}][{j}]")
+        c.append([vector_from_json(row, n, f"{where}.c[{i}][{j}]", parsed)
                   for j, row in enumerate(plane)])
     return LeibnizAlgebra(n, c)
 
@@ -120,10 +132,10 @@ def representation_to_json(rep: Representation) -> dict:
 def representation_from_json(g: LeibnizAlgebra, data: Any) -> Representation:
     where = "representation"
     _expect_schema(data, where)
-    m = _expect_dim(data, "vdim", where)
-    ls = [matrix_from_json(mat, m, m, f"{where}.l[{i}]")
+    m, parsed = _expect_dim(data, "vdim", where), {}
+    ls = [matrix_from_json(mat, m, m, f"{where}.l[{i}]", parsed)
           for i, mat in enumerate(_expect_list(_expect(data, "l", where), g.dim, f"{where}.l"))]
-    rs = [matrix_from_json(mat, m, m, f"{where}.r[{i}]")
+    rs = [matrix_from_json(mat, m, m, f"{where}.r[{i}]", parsed)
           for i, mat in enumerate(_expect_list(_expect(data, "r", where), g.dim, f"{where}.r"))]
     return Representation(g, m, tuple(ls), tuple(rs))
 
@@ -140,10 +152,10 @@ def naive_to_json(rho: NaiveRepresentation) -> dict:
 def naive_from_json(g: LeibnizAlgebra, data: Any) -> NaiveRepresentation:
     where = "naive representation"
     _expect_schema(data, where)
-    m = _expect_dim(data, "vdim", where)
-    phi = [matrix_from_json(mat, m, m, f"{where}.phi[{i}]")
+    m, parsed = _expect_dim(data, "vdim", where), {}
+    phi = [matrix_from_json(mat, m, m, f"{where}.phi[{i}]", parsed)
            for i, mat in enumerate(_expect_list(_expect(data, "phi", where), g.dim, f"{where}.phi"))]
-    theta = [vector_from_json(t, m, f"{where}.theta[{i}]")
+    theta = [vector_from_json(t, m, f"{where}.theta[{i}]", parsed)
              for i, t in enumerate(_expect_list(_expect(data, "theta", where), g.dim, f"{where}.theta"))]
     return NaiveRepresentation(g, m, tuple(phi), tuple(theta))
 
@@ -156,8 +168,8 @@ def graph_to_json(phi: GraphMap) -> dict:
 def graph_from_json(data: Any) -> GraphMap:
     where = "graph map"
     _expect_schema(data, where)
-    m = _expect_dim(data, "vdim", where)
-    mats = [matrix_from_json(mat, m, m, f"{where}.phi[{i}]")
+    m, parsed = _expect_dim(data, "vdim", where), {}
+    mats = [matrix_from_json(mat, m, m, f"{where}.phi[{i}]", parsed)
             for i, mat in enumerate(_expect_list(_expect(data, "phi", where), m, f"{where}.phi"))]
     return GraphMap(m, tuple(mats))
 

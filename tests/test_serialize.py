@@ -13,6 +13,7 @@ from leibniz_kit.fixtures import (
     heisenberg3,
     l2_algebra,
 )
+from leibniz_kit.linalg import Matrix
 from leibniz_kit.omni import adjoint_naive
 from leibniz_kit.serialize import (
     SCHEMA,
@@ -90,6 +91,36 @@ def test_algebra_schema_errors():
         algebra_from_json({"schema": SCHEMA, "dim": -1, "c": []})
     with pytest.raises(SchemaError):
         algebra_from_json({"schema": SCHEMA, "dim": 1, "c": [[["0.5"]]]})
+    # a refused scalar is named by its full path, wherever it sits
+    c = [[["0", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]]
+    c[1][0][1] = "0.5"
+    with pytest.raises(SchemaError) as caught:
+        algebra_from_json({"schema": SCHEMA, "dim": 2, "c": c})
+    assert str(caught.value) == ("algebra.c[1][0][1]: expected an integer or 'p/q' "
+                                 "string, got '0.5'")
+    # a bad string is never remembered as read: every repeat is refused too,
+    # and so is a float equal to an integer already read
+    for c in ([[["x", "x"], ["x", "x"]], [["x", "x"], ["x", "x"]]],
+              [[["1", "1"], ["1", "1"]], [["1", "1"], ["1", 1.0]]],
+              [[[1, 1], [1, 1]], [[1, 1], [1, 1.0]]]):
+        with pytest.raises(SchemaError, match="expected an integer"):
+            algebra_from_json({"schema": SCHEMA, "dim": 2, "c": c})
+
+
+def test_scalars_read_once_per_document_keep_their_values():
+    doc = {"schema": SCHEMA, "dim": 2,
+           "c": [[["2/4", "1/2"], ["-0", "3"]], [[0, "+3"], ["1/2", "2/4"]]]}
+    c = algebra_from_json(doc).c
+    assert c[0][0] == (Fraction(1, 2),) * 2 == c[1][1]
+    assert c[0][1] == (0, 3) == c[1][0]
+    rep = representation_from_json(l2_algebra(), {
+        "schema": SCHEMA, "vdim": 1, "l": [[["2/4"]], [["0"]]], "r": [[["1/2"]], [["0/7"]]]})
+    assert rep.l[0] == rep.r[0] == Matrix.from_rows([[Fraction(1, 2)]])
+    with pytest.raises(SchemaError) as caught:
+        representation_from_json(l2_algebra(), {
+            "schema": SCHEMA, "vdim": 1, "l": [[["1"]], [["1"]]], "r": [[["1"]], [["1/0"]]]})
+    assert str(caught.value) == ("representation.r[1][0][0]: expected an integer or "
+                                 "'p/q' string, got '1/0'")
 
 
 def test_representation_schema_errors():

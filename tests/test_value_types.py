@@ -1,0 +1,170 @@
+"""The validated value types: equality and hash by value, no assignment to a
+field, and the shape checks of each constructor, also under ``python -O``;
+and the start-up cost they keep out of every command."""
+
+from __future__ import annotations
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+from leibniz_kit import (
+    Cochain,
+    GraphMap,
+    LeibnizAlgebra,
+    Lie2Algebra,
+    Representation,
+    Subspace,
+)
+from leibniz_kit.linalg import Matrix
+
+Z2 = Matrix.zeros(2, 2)
+
+
+def _l2(c01="1"):
+    return LeibnizAlgebra(2, [[["0", c01], ["0", "0"]], [["0", "0"], ["0", "0"]]])
+
+
+def _lie2(dim1=1, dim0=2, **changes):
+    fields = {"l1": Matrix.zeros(dim0, dim1), "l2_00": [[[0] * dim0] * dim0] * dim0,
+              "l2_01": [[[0] * dim1] * dim1] * dim0, "l2_11": [[[0] * dim1] * dim1] * dim1,
+              "l3": [[[[0] * dim1] * dim0] * dim0] * dim0}
+    fields.update(changes)
+    return Lie2Algebra(dim1, dim0, **fields)
+
+
+# Each builder makes one value from the given variant; variant 0 and 1 are
+# equal values built from different inputs (lists or tuples, ints or
+# strings), variant 2 is a different value.
+BUILDERS = {
+    "LeibnizAlgebra": lambda v: [_l2(), LeibnizAlgebra(2, (((0, 1), (0, 0)), ((0, 0), (0, 0)))),
+                                 _l2("2")][v],
+    "Representation": lambda v: Representation(_l2(), 2, [Z2, Z2] if v == 0 else (Z2, Z2),
+                                               (Z2, Z2 if v < 2 else Matrix.identity(2))),
+    "Cochain": lambda v: Cochain(1, 2, 1, [["1"], ["0"]] if v == 0 else ((1,), (v - 1,))),
+    "Subspace": lambda v: Subspace(2, ((F(1), F(0)),) if v == 0 else ((1, v // 2),)),
+    "GraphMap": lambda v: GraphMap(2, [Z2, Z2] if v == 0
+                                   else (Z2, Z2 if v < 2 else Matrix.identity(2))),
+    "Lie2Algebra": lambda v: _lie2(l2_01=[[["0"]], [["0"]]] if v == 0
+                                   else (((0,),), ((v // 2,),))),
+}
+
+FIELDS = {"LeibnizAlgebra": "c", "Representation": "l", "Cochain": "values",
+          "Subspace": "basis", "GraphMap": "phi", "Lie2Algebra": "l3"}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_equal_values_compare_equal_and_hash_alike(name):
+    a, b, other = (BUILDERS[name](v) for v in range(3))
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != other and not a == other
+    assert len({a, b, other}) == 2
+    assert a != (a,) and (a == object()) is False
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_fields_cannot_be_assigned_or_deleted(name):
+    value = BUILDERS[name](0)
+    field = FIELDS[name]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.not_a_field = 1
+    assert value == BUILDERS[name](1)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_copies_and_pickles_are_equal_values(name):
+    value = BUILDERS[name](0)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and type(twin) is type(value)
+
+
+def test_repr_names_every_field():
+    assert (repr(Subspace(1, ((F(1),),)))
+            == "Subspace(ambient_dim=1, basis=((Fraction(1, 1),),))")
+    assert (repr(Cochain(0, 3, 1, [[2]]))
+            == "Cochain(degree=0, n=3, m=1, values=((Fraction(2, 1),),))")
+
+
+# (constructor call, the ValueError message it must raise)
+WRONG_SHAPES = [
+    (lambda: LeibnizAlgebra(2, [[["0", "0"]]]),
+     "structure tensor: an axis of length 1, expected 2"),
+    (lambda: LeibnizAlgebra(1, [[["0", "0"]]]),
+     "structure tensor: an axis of length 2, expected 1"),
+    (lambda: Representation(_l2(), 2, (Z2,), (Z2, Z2)),
+     "need one l and one r matrix per basis element"),
+    (lambda: Representation(_l2(), 2, (Z2, Z2), (Z2,)),
+     "need one l and one r matrix per basis element"),
+    (lambda: Representation(_l2(), 2, (Z2, Matrix.zeros(1, 1)), (Z2, Z2)),
+     "action matrices must be 2x2"),
+    (lambda: Representation(_l2(), 2, (Z2, Z2), (Z2, Matrix.zeros(2, 1))),
+     "action matrices must be 2x2"),
+    (lambda: Cochain(2, 2, 1, [[0]] * 3), "cochain values: an axis of length 3, expected 4"),
+    (lambda: Cochain(1, 2, 2, [[0, 0], [0]]),
+     "cochain values: an axis of length 1, expected 2"),
+    (lambda: Subspace(2, ((F(1),),)), "basis vector of wrong length"),
+    (lambda: Subspace(2, ((F(1), F(2)), (F(2), F(4)))), "basis vectors are linearly dependent"),
+    (lambda: GraphMap(2, (Z2,)), "need one matrix per basis vector of V"),
+    (lambda: GraphMap(2, (Z2, Matrix.zeros(2, 3))), "graph matrices must be 2x2"),
+    (lambda: _lie2(l1=Matrix.zeros(1, 2)), "l1 must be dim0 x dim1"),
+    (lambda: _lie2(l2_00=[[[0] * 2] * 2]), "l2_00: an axis of length 1, expected 2"),
+    (lambda: _lie2(l2_01=()), "l2_01: an axis of length 0, expected 2"),
+    (lambda: _lie2(l2_11=[[[0, 0]]]), "l2_11: an axis of length 2, expected 1"),
+    (lambda: _lie2(l3=[[[[0]] * 2] * 2] * 3), "l3: an axis of length 3, expected 2"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(WRONG_SHAPES)))
+def test_wrong_shapes_raise_their_value_error(index):
+    build, message = WRONG_SHAPES[index]
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_checks_hold_under_optimize():
+    # the same three checks in a `python -O` interpreter, where an assert
+    # would be stripped; one module-level run keeps it to one process
+    script = f"""
+import sys
+sys.path.insert(0, {os.path.dirname(__file__)!r})
+import test_value_types as t
+if not sys.flags.optimize:
+    sys.exit("not optimized")
+for name in t.BUILDERS:
+    t.test_fields_cannot_be_assigned_or_deleted(name)
+    a, b, other = (t.BUILDERS[name](v) for v in range(3))
+    if not (a == b and hash(a) == hash(b) and a != other):
+        sys.exit(f"{{name}}: equality by value fails")
+for build, message in t.WRONG_SHAPES:
+    try:
+        build()
+    except ValueError as exc:
+        if str(exc) != message:
+            sys.exit(f"{{message!r}}: got {{exc}}")
+    else:
+        sys.exit(f"{{message!r}}: not raised")
+print("ok")
+"""
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert (done.returncode, done.stdout.strip()) == (0, "ok"), done.stderr
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command starts a fresh interpreter and imports the CLI; the
+    # dataclasses module (which loads inspect, ast, dis and tokenize) used
+    # to be most of that import
+    script = ("import sys; before = set(sys.modules); import leibniz_kit.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (done.returncode, done.stdout.strip()) == (0, "[]"), done.stderr
