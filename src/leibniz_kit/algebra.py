@@ -22,6 +22,7 @@ from .linalg import (
     Matrix,
     Subspace,
     ZERO,
+    _to_integers,
     as_rational,
     freeze,
     kernel_basis,
@@ -35,12 +36,17 @@ from .linalg import (
 
 
 class LeibnizAlgebra(Frozen):
-    """Structure constants c[i][j][k] of [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    """Structure constants c[i][j][k] of [e_i, e_j] = sum_k c[i][j][k] e_k.
 
-    __slots__ = ("dim", "c")
+    ``c`` is the dense public (and JSON) view; ``_c`` is its sparse form
+    {(i, j, k): c[i][j][k]} over the nonzero constants, derived once here
+    and read by every check.  Nothing may change ``_c``."""
+
+    __slots__ = ("dim", "c", "_c")
 
     def __init__(self, dim: int, c: tuple):
-        self._set(dim, freeze(c, (dim,) * 3, "structure tensor"))
+        c = freeze(c, (dim,) * 3, "structure tensor")
+        self._set(dim, c, sparse(c, 3))
 
     @classmethod
     def abelian(cls, n: int) -> "LeibnizAlgebra":
@@ -90,23 +96,19 @@ def _report(witnesses: list[Witness]) -> IdentityReport:
 # A sparse tensor is a dict {index tuple: Fraction} that omits zeros.  An
 # identity on basis tuples is a signed sum of contractions; every tuple that
 # no term reaches has residual exactly zero, so the nonzero entries of the
-# residual are precisely the failing tuples.
+# residual are precisely the failing tuples.  The structure tensor of an
+# algebra and the action tensors of a representation are derived in sparse
+# form once, by their constructors (``LeibnizAlgebra._c``,
+# ``Representation._l`` and ``_r``); the checks read those and never walk
+# the dense nested tuples.
 
 def sparse(tensor, depth: int) -> dict:
     """{index tuple: entry} of the nonzero entries of a nested sequence
-    indexed ``depth`` levels deep."""
-    out = {}
-
-    def walk(t, prefix):
-        if len(prefix) == depth:
-            if t:
-                out[prefix] = t
-            return
-        for i, sub in enumerate(t):
-            walk(sub, prefix + (i,))
-
-    walk(tensor, ())
-    return out
+    indexed ``depth`` >= 1 levels deep, in lexicographic order."""
+    items = [((), tensor)]
+    for _ in range(depth - 1):
+        items = [(key + (i,), sub) for key, t in items for i, sub in enumerate(t)]
+    return {key + (i,): v for key, t in items for i, v in enumerate(t) if v}
 
 
 def dense(tensor: dict, shape: tuple) -> tuple:
@@ -125,12 +127,6 @@ def _picker(letters: str, wanted: str):
         p = positions[0]
         return lambda key: (key[p],)
     return itemgetter(*positions) if positions else lambda key: ()
-
-
-def _integral(t: dict) -> tuple[dict, int]:
-    """Integers n and a denominator d with t = n / d entrywise."""
-    d = lcm(*(v.denominator for v in t.values()))
-    return {k: v.numerator * (d // v.denominator) for k, v in t.items()}, d
 
 
 def contract(terms) -> dict:
@@ -157,7 +153,7 @@ def contract(terms) -> dict:
         weight = as_rational(coeff)
         for t in operands:
             if id(t) not in integral:  # holding t keeps its id from being reused
-                integral[id(t)] = (t, *_integral(t))
+                integral[id(t)] = (t, *_to_integers(t))
             _, it, d = integral[id(t)]
             ints.append(it)
             weight /= d
@@ -241,7 +237,7 @@ def check_leibniz(g: LeibnizAlgebra) -> IdentityReport:
     residual covers every basis triple: a triple no term reaches is exactly
     zero, so a report that holds is a proof on the whole basis.
     """
-    return leibniz_report(sparse(g.c, 3), g.dim)
+    return leibniz_report(g._c, g.dim)
 
 
 def leibniz_report(c: dict, dim: int) -> IdentityReport:
@@ -254,11 +250,9 @@ def leibniz_report(c: dict, dim: int) -> IdentityReport:
 def left_multiplication_matrix(g: LeibnizAlgebra) -> Matrix:
     """The n^2 x n matrix of x -> ([x, e_j] for all j), rows indexed by (j, k)."""
     n = g.dim
-    data = []
-    for j in range(n):
-        for k in range(n):
-            row = {i: g.c[i][j][k] for i in range(n) if g.c[i][j][k]}
-            data.append(row)
+    data: list[dict] = [{} for _ in range(n * n)]
+    for (i, j, k), v in g._c.items():
+        data[j * n + k][i] = v
     return Matrix(n * n, n, data)
 
 
@@ -268,23 +262,21 @@ def left_center(g: LeibnizAlgebra) -> Subspace:
 
 
 def derived_subalgebra(g: LeibnizAlgebra) -> Subspace:
-    """Span of all brackets [e_i, e_j]."""
-    n = g.dim
-    return span_of_rows(n, (g.c[i][j] for i in range(n) for j in range(n)))
+    """Span of all brackets [e_i, e_j]; the canonical basis does not depend
+    on which zero brackets are left out."""
+    return span_of_rows(g.dim, rows_of(g._c, g.dim).values())
 
 
 def is_lie(g: LeibnizAlgebra) -> bool:
     """Antisymmetry of the structure tensor; with the derivation identity this
     already implies Jacobi."""
-    n = g.dim
-    return all(g.c[i][j][k] == -g.c[j][i][k]
-               for i in range(n) for j in range(n) for k in range(n))
+    return all(g._c.get((j, i, k)) == -v for (i, j, k), v in g._c.items())
 
 
 def square_in_center_check(g: LeibnizAlgebra) -> IdentityReport:
     """Polarized form of "[x, x] lies in the left center":
     [[e_i,e_j] + [e_j,e_i], e_k] = 0 for all basis triples."""
-    c = sparse(g.c, 3)
+    c = g._c
     residual = contract([(1, "ija,akt->ijkt", c, c), (1, "jia,akt->ijkt", c, c)])
     return _report(residual_witnesses(residual, g.dim, "square-center"))
 

@@ -203,9 +203,9 @@ def cmd_check(args) -> int:
 def cmd_lie2(args) -> int:
     run = _Run(args)
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
-    leib = check_leibniz(g)
-    if not leib.holds:
-        run.fail("input is not a Leibniz algebra")
+    refusal = _refusal(g)
+    if refusal:
+        run.fail(refusal)
         return run.finish()
     jac = check_jacobiator_identities(g)
     run.results["jacobiator_identities"] = jac.holds
@@ -238,12 +238,14 @@ def _resolve_representation(run, args, g):
     return representation_from_json(g, doc), args.rep
 
 
-def _refusal(g, rep):
-    """Why g and rep are not a Leibniz algebra and a representation of it,
-    or None when they are."""
+def _refusal(g, rep=None):
+    """Why g is not a Leibniz algebra, or rep (when given) not a
+    representation of it, or None when they are."""
     report = check_leibniz(g)
     if not report.holds:
         return f"input is not a Leibniz algebra; first witness at {report.witnesses[0].where}"
+    if rep is None:
+        return None
     report = check_representation(rep)
     if not report.holds:
         return f"input is not a representation; first witness at {report.witnesses[0].where}"
@@ -262,6 +264,8 @@ def cmd_cohomology(args) -> int:
     if args.compare and args.max_degree < 1:
         raise SchemaError("--compare needs --max-degree >= 1: the comparison "
                           "starts at degree 1")
+    if args.compare and args.rep not in ("trivial", "adjoint"):
+        raise SchemaError("--compare supports only --rep trivial or adjoint")
     run = _Run(args)
     cap = _cap()
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
@@ -277,10 +281,8 @@ def cmd_cohomology(args) -> int:
     if args.compare:
         if rep_label == "trivial":
             comparison = compare_trivial(g, k_max, cap)
-        elif rep_label == "adjoint":
-            comparison = compare_adjoint(g, k_max, cap)
         else:
-            raise SchemaError("--compare supports only --rep trivial or adjoint")
+            comparison = compare_adjoint(g, k_max, cap)
         run.results["comparison"] = comparison_to_json(comparison)
         run.say("naive vs classical cohomology:")
         run.say("  k  naive  classical  equal")

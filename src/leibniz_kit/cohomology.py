@@ -39,9 +39,8 @@ from .algebra import (
     dense,
     leibniz_report,
     residual_witnesses,
-    sparse,
 )
-from .linalg import Frozen, Matrix, ZERO, freeze, rank, viszero, vzero
+from .linalg import Frozen, Matrix, ZERO, _to_integers, freeze, rank, viszero, vzero
 
 DEFAULT_CAP = 20000
 
@@ -59,9 +58,13 @@ class ResourceCapExceeded(Exception):
 # representations
 
 class Representation(Frozen):
-    """Left/right action matrices (one pair per basis element of g) on Q^vdim."""
+    """Left/right action matrices (one pair per basis element of g) on Q^vdim.
 
-    __slots__ = ("algebra", "vdim", "l", "r")
+    ``_l`` and ``_r`` are the sparse action tensors L[i,a,b] = (l_i)[a][b]
+    and R[i,a,b] = (r_i)[a][b] over the nonzero entries, derived once here
+    and read by every check.  Nothing may change them."""
+
+    __slots__ = ("algebra", "vdim", "l", "r", "_l", "_r")
 
     def __init__(self, algebra: LeibnizAlgebra, vdim: int, l: tuple, r: tuple):
         l, r = tuple(l), tuple(r)
@@ -70,7 +73,7 @@ class Representation(Frozen):
         for mat in (*l, *r):
             if mat.shape != (vdim, vdim):
                 raise ValueError(f"action matrices must be {vdim}x{vdim}")
-        self._set(algebra, vdim, l, r)
+        self._set(algebra, vdim, l, r, _action_tensor(l), _action_tensor(r))
 
 
 def _action_tensor(mats) -> dict:
@@ -86,8 +89,7 @@ def check_representation(rep: Representation) -> IdentityReport:
     L[i,a,b] = (l_i)[a][b] and R[i,a,b] = (r_i)[a][b], and each witness
     carries the m x m defect matrix at (i, j).
     """
-    c = sparse(rep.algebra.c, 3)
-    L, R = _action_tensor(rep.l), _action_tensor(rep.r)
+    c, L, R = rep.algebra._c, rep._l, rep._r
     identities = {
         "l-of-bracket": [(1, "ijk,kab->ijab", c, L), (-1, "iau,jub->ijab", L, L),
                          (1, "jau,iub->ijab", L, L)],
@@ -108,19 +110,13 @@ def trivial_rep(g: LeibnizAlgebra) -> Representation:
 def adjoint_rep(g: LeibnizAlgebra) -> Representation:
     """Left and right multiplications of g acting on itself."""
     n = g.dim
-    ls, rs = [], []
-    for i in range(n):
-        ldata = [{} for _ in range(n)]
-        rdata = [{} for _ in range(n)]
-        for j in range(n):
-            for k in range(n):
-                if g.c[i][j][k]:
-                    ldata[k][j] = g.c[i][j][k]
-                if g.c[j][i][k]:
-                    rdata[k][j] = g.c[j][i][k]
-        ls.append(Matrix(n, n, ldata))
-        rs.append(Matrix(n, n, rdata))
-    return Representation(g, n, tuple(ls), tuple(rs))
+    ldata = [[{} for _ in range(n)] for _ in range(n)]
+    rdata = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j, k), v in g._c.items():
+        ldata[i][k][j] = v  # (l_i)[k][j] = c[i][j][k]
+        rdata[j][k][i] = v  # (r_j)[k][i] = c[i][j][k]
+    return Representation(g, n, tuple(Matrix(n, n, data) for data in ldata),
+                          tuple(Matrix(n, n, data) for data in rdata))
 
 
 def _require_left_only(rep: Representation, what: str) -> None:
@@ -233,26 +229,18 @@ def coboundary_columns(rep: Representation, k: int,
     out_dim = n ** (k + 1) * m
     if cap is not None and out_dim > cap:
         raise ResourceCapExceeded(out_dim, cap)
-    den = lcm(*[v.denominator for mat in (*rep.l, *rep.r) for i in range(mat.rows)
-                for _, v in mat.row_items(i)],
-              *[w.denominator for plane in g.c for row in plane for w in row])
-
-    def integer_columns(mat: Matrix) -> list[list[tuple[int, int]]]:
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(mat.cols)]
-        for i in range(mat.rows):
-            for j, v in mat.row_items(i):
-                cols[j].append((i, v.numerator * (den // v.denominator)))
-        return cols
-
-    lcols = [integer_columns(rep.l[s]) for s in range(n)]
-    rcols = [integer_columns(rep.r[s]) for s in range(n)]
+    (c, dc), (l, dl), (r, dr) = (_to_integers(t) for t in (g._c, rep._l, rep._r))
+    den = lcm(dc, dl, dr)
+    # lcols[s][b] = [(a, D*(l_s)[a][b])], column b of D*l_s; rcols likewise
+    lcols = [[[] for _ in range(m)] for _ in range(n)]
+    rcols = [[[] for _ in range(m)] for _ in range(n)]
+    for cols, t, d in ((lcols, l, dl), (rcols, r, dr)):
+        for (s, a, b), x in t.items():
+            cols[s][b].append((a, x * (den // d)))
     # structure constants grouped by target index: target -> [(a, b, D*coeff)]
     by_target: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for t, w in enumerate(g.c[a][b]):
-                if w:
-                    by_target[t].append((a, b, w.numerator * (den // w.denominator)))
+    for (a, b, t), w in c.items():
+        by_target[t].append((a, b, w * (den // dc)))
 
     def rank_of(tup) -> int:
         r = 0
@@ -370,7 +358,7 @@ def betti(rep: Representation, k_max: int,
 def _right_action_tensor(g: LeibnizAlgebra, rep: Representation) -> dict:
     """rbar as a sparse tensor on g (+) V: (n+a, j, n+w) -> (r_j)[w][a]."""
     n = g.dim
-    return {(n + a, j, n + w): v for (j, w, a), v in _action_tensor(rep.r).items()}
+    return {(n + a, j, n + w): v for (j, w, a), v in rep._r.items()}
 
 
 def _semidirect_tensor(g: LeibnizAlgebra, rep: Representation, mode: str) -> dict:
@@ -378,8 +366,8 @@ def _semidirect_tensor(g: LeibnizAlgebra, rep: Representation, mode: str) -> dic
     if mode not in ("lr", "l0"):
         raise ValueError("mode must be 'lr' or 'l0'")
     n = g.dim
-    c = sparse(g.c, 3)
-    c.update(((i, n + b, n + w), v) for (i, w, b), v in _action_tensor(rep.l).items())
+    c = dict(g._c)
+    c.update(((i, n + b, n + w), v) for (i, w, b), v in rep._l.items())
     if mode == "lr":
         c.update(_right_action_tensor(g, rep))
     report = leibniz_report(c, n + rep.vdim)

@@ -45,13 +45,15 @@ from .linalg import (
 )
 
 
+def _skew(g: LeibnizAlgebra) -> dict:
+    """<<e_i, e_j>> = ([e_i,e_j] - [e_j,e_i]) / 2 as a sparse tensor: half the
+    difference of the structure tensor and its transpose."""
+    return contract([(HALF, "ijk->ijk", g._c), (-HALF, "jik->ijk", g._c)])
+
+
 def skew_bracket(g: LeibnizAlgebra) -> tuple:
     """Tensor of <<e_i, e_j>> = ([e_i,e_j] - [e_j,e_i]) / 2; antisymmetric."""
-    n = g.dim
-    return tuple(
-        tuple(tuple(HALF * (g.c[i][j][k] - g.c[j][i][k]) for k in range(n))
-              for j in range(n))
-        for i in range(n))
+    return dense(_skew(g), (g.dim,) * 3)
 
 
 def jacobiator_closed(g: LeibnizAlgebra, x, y, z) -> list[Fraction]:
@@ -95,9 +97,7 @@ def check_jacobiator_identities(g: LeibnizAlgebra) -> IdentityReport:
 
     Witnesses are labelled, and listed, in that order.
     """
-    n = g.dim
-    c = sparse(g.c, 3)
-    s = sparse(skew_bracket(g), 3)
+    n, c, s = g.dim, g._c, _skew(g)
     jac = _jacobiator(c)
     direct = contract([(1, "jka,iat->ijkt", s, s), (1, "kia,jat->ijkt", s, s),
                        (1, "ija,kat->ijkt", s, s), (-1, "ijkt->ijkt", jac)])
@@ -159,7 +159,7 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     n = g.dim
     z = left_center(g)
     d1 = z.dim
-    c = sparse(g.c, 3)
+    c = g._c
 
     def center_coords(tensor, context):
         # a zero vector has zero coordinates, so only nonzero rows are solved

@@ -11,9 +11,13 @@ live rows, ties to the lowest index), so its fill-in stays low whatever the
 order of the basis.  ``rank`` feeds it the shorter side of a matrix, rows of
 ints as they are and rational rows scaled to integers; ``cohomology.betti``
 hands ``rank`` the coboundary columns over one common denominator, which are
-integer already.  ``rref`` (and through it ``kernel_basis``, ``solve`` and
-``span_of_rows``) needs the reduced matrix itself, not just its rank, and
-runs Gauss-Jordan elimination over Fractions.  It stays a second loop:
+integer already.  One helper, ``_to_integers``, scales a sparse rational
+tensor to integers over its common denominator: the rows ``rank``
+eliminates, the operands of ``algebra.contract`` and the structure and
+action tensors ``cohomology.coboundary_columns`` assembles.  ``rref`` (and
+through it ``kernel_basis``, ``solve`` and ``span_of_rows``) needs the
+reduced matrix itself, not just its rank, and runs Gauss-Jordan
+elimination over Fractions.  It stays a second loop:
 canonical bases (spans, naive images, the left center) need lowest-column
 pivots and back-elimination, which the Markowitz kernel lacks and which
 would slow every rank.
@@ -55,7 +59,12 @@ def as_rational(x) -> Fraction:
 class Frozen:
     """Base of the validated value types: a subclass names its fields in
     ``__slots__`` in constructor order and stores them once, with ``_set``.
-    Equality, hash and repr go by value; assigning raises AttributeError."""
+    Equality, hash and repr go by value; assigning raises AttributeError.
+
+    Slots named with a leading underscore come last and hold forms derived
+    from the fields (the sparse tensors the checks read).  ``_set`` stores
+    them too, but equality, hash, repr and pickling see only the fields, so
+    a copy or an unpickled twin derives them again in its constructor."""
 
     __slots__ = ()
 
@@ -63,8 +72,11 @@ class Frozen:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
+    def _fields(self) -> list:
+        return [name for name in self.__slots__ if name[0] != "_"]
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields())
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot change field {name!r}")
@@ -83,7 +95,7 @@ class Frozen:
         return type(self), self._values()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields())
         return f"{type(self).__name__}({fields})"
 
 
@@ -410,15 +422,16 @@ def integer_rank(rows: Iterable[dict[int, int]]) -> int:
     return count
 
 
-def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
-    """The row scaled by the lcm of its denominators to integer entries; a
-    row of ints as it is (``integer_rank`` copies its rows anyway)."""
-    if set(map(type, row.values())) <= {int}:
-        return row
-    den = lcm(*{v.denominator for v in row.values()})
-    if den == 1:
-        return {j: v.numerator for j, v in row.items()}
-    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+def _to_integers(t: dict) -> tuple[dict, int]:
+    """Integers and a denominator d with t = integers / d entrywise, for a
+    sparse tensor or matrix row {key: nonzero}; d is the lcm of the
+    denominators.  A dict of ints comes back as it is, with d = 1, so the
+    integer rows ``betti`` passes to ``rank`` are not copied (callers never
+    change the result)."""
+    if set(map(type, t.values())) <= {int}:
+        return t, 1
+    d = lcm(*{v.denominator for v in t.values()})
+    return {k: v.numerator * (d // v.denominator) for k, v in t.items()}, d
 
 
 def rank(m: Matrix) -> int:
@@ -429,7 +442,7 @@ def rank(m: Matrix) -> int:
     (D d_k)^T, which is already the shorter side, and whose rows reach the
     kernel without a copy)."""
     data = m.transpose()._data if m.rows > m.cols else m._data
-    return integer_rank(map(_integer_row, data))
+    return integer_rank(_to_integers(row)[0] for row in data)
 
 
 class Subspace(Frozen):

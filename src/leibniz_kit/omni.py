@@ -243,19 +243,18 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
     T[i,a] = theta_i[a]."""
     g = rho.algebra
     n = g.dim
-    c, P, T = sparse(g.c, 3), _action_tensor(rho.phi), sparse(rho.theta, 2)
+    c, P, T = g._c, _action_tensor(rho.phi), sparse(rho.theta, 2)
     con1 = contract([(1, "ijk,kab->ijab", c, P), (-1, "iau,jub->ijab", P, P),
                      (1, "jau,iub->ijab", P, P)])
     con2 = contract([(1, "ijk,ka->ija", c, T), (-1, "iab,jb->ija", P, T)])
+    rho_br = {}  # (i, j) -> rho([e_i, e_j]) where the bracket is nonzero
+    for (i, j, k), w in c.items():
+        vaddto(rho_br.setdefault((i, j), vzero(rho.ambient_dim)), w, rho.rho_vectors[k])
     hom = []
     for i in range(n):
         for j in range(n):
-            rho_br = vzero(rho.ambient_dim)
-            for k, w in enumerate(g.c[i][j]):
-                if w:
-                    vaddto(rho_br, w, rho.rho_vectors[k])
-            d3 = vsub(rho_br, omni_bracket(rho.vdim, rho.rho_vectors[i],
-                                           rho.rho_vectors[j]))
+            d3 = vsub(rho_br.get((i, j), vzero(rho.ambient_dim)),
+                      omni_bracket(rho.vdim, rho.rho_vectors[i], rho.rho_vectors[j]))
             if not viszero(d3):
                 hom.append(Witness((i, j), tuple(d3), "hom"))
     return _report(residual_witnesses(con1, rho.vdim, "con1", axes=2)

@@ -6,6 +6,10 @@ nested-loop order, grouped by label.  The library evaluates the same
 identities as sparse tensor contractions and the coboundary as one sparse
 matrix; the differential tests compare the two.
 
+The adjoint representation, the left multiplication matrix, antisymmetry
+and the skew bracket are here as walks over all n^3 entries of the dense
+structure tensor; the library reads them off its sparse form.
+
 The dense cochain algebra lives here too: sums, multiples and multilinear
 evaluation of ``Cochain`` values, shuffles, the circle product and the
 graded bracket (Balavoine, "Deformations of algebras over a quadratic
@@ -36,7 +40,6 @@ from leibniz_kit import (
     left_center,
     omni_bracket,
     semidirect,
-    skew_bracket,
 )
 from leibniz_kit.linalg import (
     HALF,
@@ -87,6 +90,49 @@ def apply_trilinear(table, x, y, z) -> list[Fraction]:
                 for k, zk in enumerate(z):
                     vaddto(out, xi * yj * zk, table[i][j][k])
     return out
+
+
+def skew_bracket(g: LeibnizAlgebra) -> tuple:
+    """<<e_i, e_j>> = ([e_i,e_j] - [e_j,e_i]) / 2, entry by entry."""
+    n = g.dim
+    return tuple(
+        tuple(tuple(HALF * (g.c[i][j][k] - g.c[j][i][k]) for k in range(n))
+              for j in range(n))
+        for i in range(n))
+
+
+def is_lie(g: LeibnizAlgebra) -> bool:
+    n = g.dim
+    return all(g.c[i][j][k] == -g.c[j][i][k]
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+def left_multiplication_matrix(g: LeibnizAlgebra) -> Matrix:
+    """The n^2 x n matrix of x -> ([x, e_j] for all j), rows indexed by (j, k)."""
+    n = g.dim
+    data = []
+    for j in range(n):
+        for k in range(n):
+            data.append({i: g.c[i][j][k] for i in range(n) if g.c[i][j][k]})
+    return Matrix(n * n, n, data)
+
+
+def adjoint_rep(g: LeibnizAlgebra) -> Representation:
+    """(l_i)[k][j] = c[i][j][k] and (r_i)[k][j] = c[j][i][k]."""
+    n = g.dim
+    ls, rs = [], []
+    for i in range(n):
+        ldata = [{} for _ in range(n)]
+        rdata = [{} for _ in range(n)]
+        for j in range(n):
+            for k in range(n):
+                if g.c[i][j][k]:
+                    ldata[k][j] = g.c[i][j][k]
+                if g.c[j][i][k]:
+                    rdata[k][j] = g.c[j][i][k]
+        ls.append(Matrix(n, n, ldata))
+        rs.append(Matrix(n, n, rdata))
+    return Representation(g, n, tuple(ls), tuple(rs))
 
 
 def jacobiator_direct(g: LeibnizAlgebra, x, y, z) -> list[Fraction]:

@@ -75,6 +75,7 @@ def test_lie2_command(capsys):
 
 def test_lie2_rejects_non_leibniz(capsys):
     assert main(["lie2", str(FIXTURES / "nonleibniz.json")]) == 1
+    assert capsys.readouterr().out == f"FAILED: {REFUSAL}\n"
 
 
 def test_cohomology_table(capsys):
@@ -249,6 +250,9 @@ def test_compare_with_file_rep_is_input_error(capsys):
     # --compare computes the naive complex itself; --naive was ignored
     ("cohomology", str(FIXTURES / "L2.json"), "--naive", "--compare",
      "--max-degree", "1"),
+    # --compare takes no representation file; it was read and checked first
+    ("cohomology", str(FIXTURES / "L2.json"), "--rep", str(FIXTURES / "rep_bad_L2.json"),
+     "--compare", "--max-degree", "1"),
 ])
 def test_nonsensical_arguments_exit_2(args):
     # each of these used to exit 0 with an empty or vacuous result

@@ -8,9 +8,12 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from leibniz_kit import (
@@ -28,22 +31,33 @@ from leibniz_kit import (
     check_leibniz,
     check_lie2_structure,
     check_representation,
+    coboundary_columns,
     conjugation_rep,
+    derived_subalgebra,
     dual_rep,
     graph_check,
     image_representation,
+    is_lie,
     maurer_cartan_check,
     naive_check,
     naive_from_rep,
     omni_lie,
     semidirect,
+    skew_bracket,
     square_in_center_check,
     trivial_rep,
     verify_lie2,
 )
 from leibniz_kit import fixtures as corpus
-from leibniz_kit.algebra import contract, dense, residual_witnesses, sparse
-from leibniz_kit.cohomology import maurer_cartan_residual
+from leibniz_kit.algebra import (
+    contract,
+    dense,
+    left_multiplication_matrix,
+    residual_witnesses,
+    sparse,
+)
+from leibniz_kit.cohomology import _action_tensor, maurer_cartan_residual
+from leibniz_kit.linalg import span_of_rows
 from leibniz_kit.omni import _verify_adjoint_correspondence
 from leibniz_kit.serialize import graph_from_json, representation_from_json
 
@@ -190,6 +204,49 @@ def test_residual_witnesses_group_by_prefix_in_order():
 def test_sparse_and_dense_round_trip():
     t = _random_tensor(random.Random(3), (2, 3, 2))
     assert dense(sparse(t, 3), (2, 3, 2)) == tuple(tuple(map(tuple, p)) for p in t)
+
+
+def _rational_tensors(shape: tuple):
+    """Dense tensors of the given shape with up to 12 drawn entries, each a
+    rational with denominator at most 3 (zero included); the rest are zero."""
+    if not all(shape):
+        return st.just(dense({}, shape))
+    keys = st.tuples(*(st.integers(0, d - 1) for d in shape))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.dictionaries(keys, values, max_size=12).map(lambda t: dense(t, shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_forms_match_dense_walks(data):
+    # any structure tensor and any actions, Leibniz or not: the forms the
+    # constructors derive, everything read off them, and the coboundary
+    # columns against the entry-by-entry definitions
+    n, m = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
+    g = LeibnizAlgebra(n, data.draw(_rational_tensors((n, n, n))))
+    l, r = ([Matrix.from_rows(a) for a in data.draw(_rational_tensors((n, m, m)))]
+            for _ in range(2))
+    rep = Representation(g, m, l, r)
+    assert g._c == sparse(g.c, 3)
+    assert (rep._l, rep._r) == (_action_tensor(rep.l), _action_tensor(rep.r))
+    assert adjoint_rep(g) == oracles.adjoint_rep(g)
+    assert left_multiplication_matrix(g) == oracles.left_multiplication_matrix(g)
+    assert is_lie(g) == oracles.is_lie(g)
+    assert skew_bracket(g) == oracles.skew_bracket(g)
+    assert derived_subalgebra(g) == span_of_rows(n, (row for plane in g.c for row in plane))
+    entries = [w for plane in g.c for row in plane for w in row]
+    entries += [v for mat in (*rep.l, *rep.r) for row in mat.to_rows() for v in row]
+    for k in (0, 1):
+        den, columns = coboundary_columns(rep, k)
+        assert den == lcm(*(x.denominator for x in entries))
+        assert len(columns) == n ** k * m
+        for j, column in enumerate(columns):
+            values = [[0] * m for _ in range(n ** k)]
+            values[j // m][j % m] = 1  # the basis cochain of column j
+            literal = oracles.coboundary(g, lambda s, v: rep.l[s].mv(v),
+                                         lambda s, v: rep.r[s].mv(v), values, k, m)
+            flat = [x for v in literal for x in v]
+            assert column == {row: den * x for row, x in enumerate(flat) if x}, (k, j)
 
 
 # ---------------------------------------------------------------------------

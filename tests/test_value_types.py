@@ -57,6 +57,17 @@ BUILDERS = {
 FIELDS = {"LeibnizAlgebra": "c", "Representation": "l", "Cochain": "values",
           "Subspace": "basis", "GraphMap": "phi", "Lie2Algebra": "l3"}
 
+# The slots holding forms a constructor derives from the fields.
+DERIVED = {"LeibnizAlgebra": ("_c",), "Representation": ("_l", "_r")}
+
+
+def _with_bogus_derived_forms(name):
+    """Variant 0 built again, with something else in its derived slots."""
+    twin = BUILDERS[name](0)
+    for slot in DERIVED.get(name, ()):
+        object.__setattr__(twin, slot, {"bogus": slot})
+    return twin
+
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_equal_values_compare_equal_and_hash_alike(name):
@@ -66,6 +77,10 @@ def test_equal_values_compare_equal_and_hash_alike(name):
     assert a != other and not a == other
     assert len({a, b, other}) == 2
     assert a != (a,) and (a == object()) is False
+    # derived forms are not part of equality, hash or repr
+    bogus = _with_bogus_derived_forms(name)
+    assert bogus == a and hash(bogus) == hash(a) and repr(bogus) == repr(a)
+    assert not any(f"{slot}=" in repr(a) for slot in DERIVED.get(name, ()))
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -86,6 +101,12 @@ def test_copies_and_pickles_are_equal_values(name):
     value = BUILDERS[name](0)
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert twin == value and type(twin) is type(value)
+        for slot in DERIVED.get(name, ()):
+            assert getattr(twin, slot) == getattr(value, slot)
+    # a pickle holds the fields only; the derived forms are derived again
+    assert pickle.dumps(_with_bogus_derived_forms(name)) == pickle.dumps(value)
+    for slot in DERIVED.get(name, ()):
+        assert getattr(copy.copy(_with_bogus_derived_forms(name)), slot) != {"bogus": slot}
 
 
 def test_repr_names_every_field():
