@@ -26,9 +26,6 @@ from .linalg import (
     as_rational,
     freeze,
     kernel_basis,
-    rank,
-    rref,
-    solve,
     span_of_rows,
     vaddto,
     vzero,
@@ -60,10 +57,6 @@ class LeibnizAlgebra(Frozen):
             for k, coeff in val.items():
                 c[i][j][k] = as_rational(coeff)
         return cls(n, c)
-
-    def bracket_basis(self, i: int, j: int) -> tuple:
-        """[e_i, e_j] as a coordinate vector."""
-        return self.c[i][j]
 
 
 class Witness(NamedTuple):
@@ -291,20 +284,17 @@ def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
     """
     n = g.dim
     z = left_center(g)
-    pivot_set = set()
-    if z.dim:
-        pivot_set = set(rref(Matrix.from_rows(z.basis)).pivot_columns)
-    complement = [i for i in range(n) if i not in pivot_set]
+    complement = [i for i in range(n) if i not in z._pivots]
     q = len(complement)
 
     # change of basis: center vectors first, then the complement basis vectors
-    cols = list(z.basis) + [tuple(_basis(n, i)) for i in complement]
-    basis_mat = Matrix.from_cols(n, cols)
-    if rank(basis_mat) != n:
+    try:
+        extended = Subspace(n, z.basis + tuple(tuple(_basis(n, i)) for i in complement))
+    except ValueError:
         raise AssertionError("center basis extension failed to span")
 
     def project(v):
-        coords = solve(basis_mat, v)
+        coords = extended.coordinates_of(v)
         if coords is None:
             raise AssertionError("vector outside the span of the extended center basis")
         return coords[z.dim:]

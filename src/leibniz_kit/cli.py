@@ -390,7 +390,10 @@ def cmd_fixtures(args) -> int:
         for name in sorted(fixture_corpus.corpus()):
             print(name)
         return EXIT_OK
-    written = fixture_corpus.write_corpus(args.dest)
+    try:
+        written = fixture_corpus.write_corpus(args.dest)
+    except OSError as exc:
+        raise SchemaError(f"cannot write the corpus to {args.dest}: {exc}")
     for path in written:
         print(path)
     return EXIT_OK

@@ -121,19 +121,20 @@ class Lie2Algebra(Frozen):
     l1    : dim0 x dim1 matrix (degree -1 map, degree 1 -> degree 0)
     l2_00 : bilinear deg0 x deg0 -> deg0, antisymmetric
     l2_01 : bilinear deg0 x deg1 -> deg1 (the deg1-first variant is its negative)
-    l2_11 : bilinear deg1 x deg1 -> deg1, identically zero here (kept explicit)
     l3    : trilinear deg0^3 -> deg1, totally antisymmetric
+
+    l2 on two degree-1 elements would land in degree 2, which is zero here.
     """
 
-    __slots__ = ("dim1", "dim0", "l1", "l2_00", "l2_01", "l2_11", "l3")
+    __slots__ = ("dim1", "dim0", "l1", "l2_00", "l2_01", "l3")
 
     def __init__(self, dim1: int, dim0: int, l1: Matrix, l2_00: tuple, l2_01: tuple,
-                 l2_11: tuple, l3: tuple):
+                 l3: tuple):
         if l1.shape != (dim0, dim1):
             raise ValueError("l1 must be dim0 x dim1")
         self._set(dim1, dim0, l1, freeze(l2_00, (dim0,) * 3, "l2_00"),
                   freeze(l2_01, (dim0, dim1, dim1), "l2_01"),
-                  freeze(l2_11, (dim1,) * 3, "l2_11"), freeze(l3, (dim0,) * 3 + (dim1,), "l3"))
+                  freeze(l3, (dim0,) * 3 + (dim1,), "l3"))
 
 
 class AxiomReport(NamedTuple):
@@ -153,7 +154,7 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     the skew bracket, l2 of a degree-0 and a center element is half the
     original bracket (which still lies in the center since Z(g) is an
     ideal), and l3 is the Jacobiator in center coordinates.  Both center
-    memberships are established by exact solves; failure means the input
+    memberships are exact coordinate checks in Z(g); failure means the input
     was not a Leibniz algebra.
     """
     n = g.dim
@@ -162,7 +163,7 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     c = g._c
 
     def center_coords(tensor, context):
-        # a zero vector has zero coordinates, so only nonzero rows are solved
+        # a zero vector has zero coordinates, so only nonzero rows are read
         coords = {}
         for where, v in sorted(rows_of(tensor, n).items()):
             x = z.coordinates_of(v)
@@ -175,9 +176,8 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     half_action = contract([(HALF, "ua,iat->iut", sparse(z.basis, 2), c)])
     l2_01 = center_coords(half_action, "[e_{}, z_{}]/2")
     l3 = center_coords(_jacobiator(c), "J(e_{},e_{},e_{})")
-    l2_11 = dense({}, (d1, d1, d1))
     return Lie2Algebra(d1, n, z.basis_matrix(), skew_bracket(g), dense(l2_01, (n, d1, d1)),
-                       l2_11, dense(l3, (n, n, n, d1)))
+                       dense(l3, (n, n, n, d1)))
 
 
 def check_lie2_structure(L: Lie2Algebra) -> IdentityReport:

@@ -15,12 +15,12 @@ integer already.  One helper, ``_to_integers``, scales a sparse rational
 tensor to integers over its common denominator: the rows ``rank``
 eliminates, the operands of ``algebra.contract`` and the structure and
 action tensors ``cohomology.coboundary_columns`` assembles.  ``rref`` (and
-through it ``kernel_basis``, ``solve`` and ``span_of_rows``) needs the
-reduced matrix itself, not just its rank, and runs Gauss-Jordan
-elimination over Fractions.  It stays a second loop:
-canonical bases (spans, naive images, the left center) need lowest-column
-pivots and back-elimination, which the Markowitz kernel lacks and which
-would slow every rank.
+through it ``kernel_basis``, ``span_of_rows``, ``solve`` and the
+coordinate form each ``Subspace`` derives once) needs the reduced matrix
+itself, not just its rank, and runs Gauss-Jordan elimination over
+Fractions.  It stays a second loop: canonical bases (spans, naive images,
+the left center) need lowest-column pivots and back-elimination, which the
+Markowitz kernel lacks and which would slow every rank.
 
 Matrices are logically dense row-major arrays but store each row as a
 {column: nonzero} dict; coboundary matrices of tensor-power complexes are
@@ -62,9 +62,10 @@ class Frozen:
     Equality, hash and repr go by value; assigning raises AttributeError.
 
     Slots named with a leading underscore come last and hold forms derived
-    from the fields (the sparse tensors the checks read).  ``_set`` stores
-    them too, but equality, hash, repr and pickling see only the fields, so
-    a copy or an unpickled twin derives them again in its constructor."""
+    from the fields (the sparse tensors the checks read, the coordinate
+    form of a subspace).  ``_set`` stores them too, but equality, hash,
+    repr and pickling see only the fields, so a copy or an unpickled twin
+    derives them again in its constructor."""
 
     __slots__ = ()
 
@@ -446,17 +447,28 @@ def rank(m: Matrix) -> int:
 
 
 class Subspace(Frozen):
-    """A subspace of Q^ambient_dim given by a linearly independent basis."""
+    """A subspace of Q^ambient_dim given by a linearly independent basis.
 
-    __slots__ = ("ambient_dim", "basis")
+    The constructor row-reduces [B | I] once, with the basis vectors as the
+    rows of B.  That gives E B in RREF, so E B is the identity on its pivot
+    columns and E = B[:, pivots]^-1; a pivot in the I part means the basis
+    is dependent.  ``coordinates_of`` reads a vector at the pivots and
+    multiplies by E, with no elimination per query.
+    """
+
+    __slots__ = ("ambient_dim", "basis", "_pivots", "_inverse")
 
     def __init__(self, ambient_dim: int, basis: tuple[tuple[Fraction, ...], ...]):
         for v in basis:
             if len(v) != ambient_dim:
                 raise ValueError("basis vector of wrong length")
-        if basis and rank(Matrix.from_rows(basis)) != len(basis):
+        identity = Matrix.identity(len(basis)).to_rows()
+        ech = rref(Matrix.from_rows([[*v, *e] for v, e in zip(basis, identity)]))
+        if any(p >= ambient_dim for p in ech.pivot_columns):
             raise ValueError("basis vectors are linearly dependent")
-        self._set(ambient_dim, basis)
+        inverse = tuple({j - ambient_dim: x for j, x in ech.matrix.row_items(i)
+                         if j >= ambient_dim} for i in range(ech.rank))
+        self._set(ambient_dim, basis, ech.pivot_columns, inverse)
 
     @property
     def dim(self) -> int:
@@ -467,12 +479,21 @@ class Subspace(Frozen):
         return Matrix.from_cols(self.ambient_dim, list(self.basis))
 
     def coordinates_of(self, v: Sequence[Fraction]) -> Optional[list[Fraction]]:
-        """Coordinates of v in this basis, or None if v is outside the span."""
+        """Coordinates of v in this basis, or None if v is outside the span.
+
+        v[pivots] E is the only candidate; it is checked exactly by
+        rebuilding v from the basis."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector of wrong length")
-        if self.dim == 0:
-            return [] if viszero(v) else None
-        return solve(self.basis_matrix(), list(v))
+        x = vzero(self.dim)
+        for p, row in zip(self._pivots, self._inverse):
+            if v[p]:
+                for a, e in row.items():
+                    x[a] += v[p] * e
+        residual = list(v)
+        for xa, b in zip(x, self.basis):
+            vaddto(residual, -xa, b)
+        return x if viszero(residual) else None
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return self.coordinates_of(v) is not None

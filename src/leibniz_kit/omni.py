@@ -69,7 +69,7 @@ from .linalg import (
     as_rational,
     kernel_basis,
     linear_combination,
-    rref,
+    span_of_rows,
     vaddto,
     viszero,
     vsub,
@@ -204,11 +204,7 @@ class NaiveRepresentation:
         self.ambient_dim = vdim * vdim + vdim
         self.rho_vectors = tuple(
             tuple(flatten_matrix(phi[i]) + list(theta[i])) for i in range(n))
-        stacked = Matrix.from_rows(self.rho_vectors) if n else Matrix.zeros(0, self.ambient_dim)
-        ech = rref(stacked)
-        basis = tuple(tuple(ech.matrix.row_list(i)) for i in range(ech.rank))
-        self.image = Subspace(self.ambient_dim, basis)
-        self._pivots = ech.pivot_columns
+        self.image = span_of_rows(self.ambient_dim, self.rho_vectors)
 
     def rho_of(self, x: Sequence[Fraction]) -> list[Fraction]:
         out = vzero(self.ambient_dim)
@@ -216,23 +212,6 @@ class NaiveRepresentation:
             if xi:
                 vaddto(out, xi, self.rho_vectors[i])
         return out
-
-    def image_coordinates(self, v: Sequence[Fraction]) -> Optional[list[Fraction]]:
-        """Coordinates of v in the image basis, or None if v escapes the image.
-
-        The basis is in RREF, so candidate coordinates can be read off the
-        pivot positions and then verified.
-        """
-        coords = [v[p] for p in self._pivots]
-        residual = list(v)
-        for c, b in zip(coords, self.image.basis):
-            if c:
-                for t, bt in enumerate(b):
-                    if bt:
-                        residual[t] -= c * bt
-        if not viszero(residual):
-            return None
-        return coords
 
 
 def naive_check(rho: NaiveRepresentation) -> IdentityReport:
@@ -264,10 +243,7 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
 def trivial_naive_space(g: LeibnizAlgebra) -> Subspace:
     """Functionals vanishing on the derived subalgebra: the candidates for
     the V part of a naive representation on Q with zero gl part."""
-    derived = derived_subalgebra(g)
-    if derived.dim == 0:
-        return Subspace(g.dim, tuple(tuple(_basis(g.dim, i)) for i in range(g.dim)))
-    return kernel_basis(Matrix.from_rows(derived.basis))
+    return kernel_basis(derived_subalgebra(g).basis_matrix().transpose())
 
 
 def trivial_naive_rep(g: LeibnizAlgebra, xi: Sequence[Fraction]) -> NaiveRepresentation:
@@ -325,8 +301,8 @@ def image_representation(rho: NaiveRepresentation) -> Representation:
     for i in range(n):
         lcols, rcols = [], []
         for b in rho.image.basis:
-            lv = rho.image_coordinates(omni_bracket(m, rho.rho_vectors[i], b))
-            rv = rho.image_coordinates(omni_bracket(m, b, rho.rho_vectors[i]))
+            lv = rho.image.coordinates_of(omni_bracket(m, rho.rho_vectors[i], b))
+            rv = rho.image.coordinates_of(omni_bracket(m, b, rho.rho_vectors[i]))
             if lv is None or rv is None:
                 raise ValueError("image of the representation is not closed under "
                                  "the omni bracket; the map is not a homomorphism")
@@ -343,7 +319,7 @@ def image_representation(rho: NaiveRepresentation) -> Representation:
 def to_naive_cochain(rho: NaiveRepresentation, ambient_values, degree: int) -> Cochain:
     """An image-valued cochain, in image coordinates, from ambient
     gl(V)(+)V value vectors."""
-    coords = [rho.image_coordinates(v) for v in ambient_values]
+    coords = [rho.image.coordinates_of(v) for v in ambient_values]
     if any(c is None for c in coords):
         raise ValueError("cochain value escapes the image of the representation")
     return Cochain(degree, rho.algebra.dim, rho.image.dim, tuple(map(tuple, coords)))
@@ -462,7 +438,7 @@ def _verify_adjoint_correspondence(rho, irep, arep, k_max, cap):
     entry at (.., tuple #pos, value v) names a failing basis cochain."""
     n = rho.algebra.dim
     B = {(a, v): x for v, vec in enumerate(rho.rho_vectors)
-         for a, x in enumerate(rho.image_coordinates(vec)) if x}
+         for a, x in enumerate(rho.image.coordinates_of(vec)) if x}
     notes = []
     ok = True
     for k in range(min(k_max, 2) + 1):

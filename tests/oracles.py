@@ -46,6 +46,7 @@ from leibniz_kit.linalg import (
     ONE,
     ZERO,
     linear_combination,
+    solve,
     vaddto,
     viszero,
     vsub,
@@ -300,7 +301,7 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     d1 = z.dim
 
     def coords(v):
-        x = z.coordinates_of(v)
+        x = solve(z.basis_matrix(), v)
         if x is None:
             raise ValueError("not in the left center")
         return tuple(x)
@@ -309,8 +310,7 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
               for a in range(d1)] for i in range(n)]
     jt = jacobiator_table(g)
     l3 = [[[coords(jt[i][j][k]) for k in range(n)] for j in range(n)] for i in range(n)]
-    l2_11 = [[vzero(d1) for _ in range(d1)] for _ in range(d1)]
-    return Lie2Algebra(d1, n, z.basis_matrix(), skew_bracket(g), l2_01, l2_11, l3)
+    return Lie2Algebra(d1, n, z.basis_matrix(), skew_bracket(g), l2_01, l3)
 
 
 def check_lie2_structure(L: Lie2Algebra) -> IdentityReport:
@@ -613,7 +613,7 @@ def embedding(rho: NaiveRepresentation, tuples: int) -> Matrix:
     """E: block-diagonal, one block per basis tuple, each block the columns
     rho(e_v) in image coordinates."""
     n, d = rho.algebra.dim, rho.image.dim
-    block = [rho.image_coordinates(v) for v in rho.rho_vectors]
+    block = [solve(rho.image.basis_matrix(), list(v)) for v in rho.rho_vectors]
     data: list[dict] = [{} for _ in range(tuples * d)]
     for pos in range(tuples):
         for v, col in enumerate(block):

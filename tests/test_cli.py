@@ -270,6 +270,20 @@ def test_fixtures_list_with_dest_exit_2(tmp_path):
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("under", [(), ("sub",)])
+def test_fixtures_dest_on_a_file_exit_2(tmp_path, under):
+    # used to die with a FileExistsError or NotADirectoryError traceback, exit 1
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    result = run_cli("fixtures", "--dest", str(taken.joinpath(*under)))
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == b""
+    assert result.stderr.startswith(b"input error: cannot write the corpus to ")
+    assert b"Traceback" not in result.stderr
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
 def test_benchmark_structure_invariants(tmp_path, capsys):
     # the invariants the structure workload checks, on the untransported algebras
     from leibniz_kit import omni_lie

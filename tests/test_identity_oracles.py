@@ -83,7 +83,7 @@ def _corrupted_lie2() -> Lie2Algebra:
     l3[0][1][5][0] += 1
     l2_01 = [[list(v) for v in row] for row in L.l2_01]
     l2_01[0][1][0] -= F(1, 3)
-    return Lie2Algebra(L.dim1, L.dim0, L.l1, L.l2_00, l2_01, L.l2_11, l3)
+    return Lie2Algebra(L.dim1, L.dim0, L.l1, L.l2_00, l2_01, l3)
 
 
 def _random_lie2(seed: int) -> Lie2Algebra:
@@ -91,7 +91,7 @@ def _random_lie2(seed: int) -> Lie2Algebra:
     n1, n0 = 2, 3
     return Lie2Algebra(n1, n0, Matrix.from_rows(_random_tensor(rng, (n0, n1))),
                        _random_tensor(rng, (n0, n0, n0)), _random_tensor(rng, (n0, n1, n1)),
-                       dense({}, (n1, n1, n1)), _random_tensor(rng, (n0, n0, n0, n1)))
+                       _random_tensor(rng, (n0, n0, n0, n1)))
 
 
 def _algebras(dense_rational_algebras) -> dict:

@@ -152,7 +152,7 @@ def test_omni2_has_nonzero_l3():
 
 def test_lie_algebra_with_trivial_degree_one_piece_passes():
     g = sl2()
-    L = Lie2Algebra(0, 3, Matrix.zeros(3, 0), g.c, ((),) * 3, (),
+    L = Lie2Algebra(0, 3, Matrix.zeros(3, 0), g.c, ((),) * 3,
                     tuple(tuple(tuple(() for _ in range(3)) for _ in range(3))
                           for _ in range(3)))
     assert verify_lie2(L).all_pass
@@ -163,14 +163,14 @@ def test_empty_l2_01_is_refused_when_degree_zero_is_not():
     g = sl2()
     l3 = tuple(tuple(tuple(() for _ in range(3)) for _ in range(3)) for _ in range(3))
     with pytest.raises(ValueError, match="l2_01"):
-        Lie2Algebra(0, 3, Matrix.zeros(3, 0), g.c, (), (), l3)
+        Lie2Algebra(0, 3, Matrix.zeros(3, 0), g.c, (), l3)
 
 
 def test_zeroing_l3_breaks_axiom_c():
     L = build_lie2(omni_lie(2))
     zero_l3 = tuple(tuple(tuple(tuple(F(0) for _ in v) for v in r) for r in p)
                     for p in L.l3)
-    broken = Lie2Algebra(L.dim1, L.dim0, L.l1, L.l2_00, L.l2_01, L.l2_11, zero_l3)
+    broken = Lie2Algebra(L.dim1, L.dim0, L.l1, L.l2_00, L.l2_01, zero_l3)
     report = verify_lie2(broken)
     assert not report.passed["c"]
     assert not report.all_pass

@@ -18,6 +18,7 @@ from leibniz_kit.linalg import (
     rank,
     rref,
     solve,
+    span_of_rows,
 )
 
 F = Fraction
@@ -120,6 +121,11 @@ def test_subspace_coordinates():
     s = Subspace(3, ((F(1), F(0), F(1)), (F(0), F(1), F(0))))
     assert s.coordinates_of([F(2), F(3), F(2)]) == [F(2), F(3)]
     assert s.coordinates_of([F(0), F(0), F(1)]) is None
+    assert Subspace(0, ()).coordinates_of([]) == []
+    assert Subspace(2, ()).coordinates_of([F(0), F(0)]) == []
+    assert Subspace(2, ()).coordinates_of([F(0), F(1)]) is None
+    full = Subspace(2, ((F(1, 2), F(1)), (F(1), F(3))))
+    assert full.coordinates_of([F(1), F(1)]) == [F(4), F(-1)]
 
 
 def test_matrix_product_shapes():
@@ -163,6 +169,43 @@ def test_solve_roundtrip(m, data):
     y = solve(m, b)
     assert y is not None
     assert m.mv(y) == b
+
+
+@st.composite
+def subspaces(draw):
+    """A subspace with an RREF basis (``span_of_rows``), a ``kernel_basis``
+    basis, or a dense rational basis: the rows of L U [I | C] with permuted
+    columns, L unit lower and U upper triangular with a nonzero diagonal."""
+    kind = draw(st.sampled_from(["rref", "kernel", "dense"]))
+    if kind != "dense":
+        m = draw(matrices())
+        return span_of_rows(m.cols, m.to_rows()) if kind == "rref" else kernel_basis(m)
+    n = draw(st.integers(0, 4))
+    d = draw(st.integers(0, n))
+    if d == 0:
+        return Subspace(n, ())
+    unit = Matrix.identity(d)
+    lower = Matrix.from_rows([[draw(scalars) if b < a else unit.entry(a, b) for b in range(d)]
+                              for a in range(d)])
+    upper = Matrix.from_rows([[draw(scalars) if b > a else F(0) if b < a else
+                               draw(scalars.filter(bool)) for b in range(d)] for a in range(d)])
+    echelon = Matrix.from_rows([unit.row_list(a) + [draw(scalars) for _ in range(n - d)]
+                                for a in range(d)])
+    order = draw(st.permutations(range(n)))
+    rows = (lower @ upper @ echelon).to_rows()
+    return Subspace(n, tuple(tuple(row[j] for j in order) for row in rows))
+
+
+@given(subspaces(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_subspace_coordinates_match_solve(s, data):
+    # coordinates read at the pivots against a fresh elimination, for a
+    # vector inside the span and for an arbitrary one (mostly outside it)
+    x = data.draw(st.lists(scalars, min_size=s.dim, max_size=s.dim))
+    inside = s.basis_matrix().mv(x)
+    assert s.coordinates_of(inside) == x == solve(s.basis_matrix(), inside)
+    v = data.draw(st.lists(scalars, min_size=s.ambient_dim, max_size=s.ambient_dim))
+    assert s.coordinates_of(v) == solve(s.basis_matrix(), v)
 
 
 @given(matrices())

@@ -32,8 +32,7 @@ def _l2(c01="1"):
 
 def _lie2(dim1=1, dim0=2, **changes):
     fields = {"l1": Matrix.zeros(dim0, dim1), "l2_00": [[[0] * dim0] * dim0] * dim0,
-              "l2_01": [[[0] * dim1] * dim1] * dim0, "l2_11": [[[0] * dim1] * dim1] * dim1,
-              "l3": [[[[0] * dim1] * dim0] * dim0] * dim0}
+              "l2_01": [[[0] * dim1] * dim1] * dim0, "l3": [[[[0] * dim1] * dim0] * dim0] * dim0}
     fields.update(changes)
     return Lie2Algebra(dim1, dim0, **fields)
 
@@ -58,7 +57,8 @@ FIELDS = {"LeibnizAlgebra": "c", "Representation": "l", "Cochain": "values",
           "Subspace": "basis", "GraphMap": "phi", "Lie2Algebra": "l3"}
 
 # The slots holding forms a constructor derives from the fields.
-DERIVED = {"LeibnizAlgebra": ("_c",), "Representation": ("_l", "_r")}
+DERIVED = {"LeibnizAlgebra": ("_c",), "Representation": ("_l", "_r"),
+           "Subspace": ("_pivots", "_inverse")}
 
 
 def _with_bogus_derived_forms(name):
@@ -140,7 +140,7 @@ WRONG_SHAPES = [
     (lambda: _lie2(l1=Matrix.zeros(1, 2)), "l1 must be dim0 x dim1"),
     (lambda: _lie2(l2_00=[[[0] * 2] * 2]), "l2_00: an axis of length 1, expected 2"),
     (lambda: _lie2(l2_01=()), "l2_01: an axis of length 0, expected 2"),
-    (lambda: _lie2(l2_11=[[[0, 0]]]), "l2_11: an axis of length 2, expected 1"),
+    (lambda: _lie2(l2_01=[[[0, 0]]] * 2), "l2_01: an axis of length 2, expected 1"),
     (lambda: _lie2(l3=[[[[0]] * 2] * 2] * 3), "l3: an axis of length 3, expected 2"),
 ]
 
