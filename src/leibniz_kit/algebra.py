@@ -305,11 +305,5 @@ def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
         raise RuntimeError("quotient by the left center is not antisymmetric; "
                            "input violates the Leibniz identity")
 
-    proj_rows = []
-    for t in range(q):
-        proj_rows.append([ZERO] * n)
-    for i in range(n):
-        coords = project(_basis(n, i))
-        for t in range(q):
-            proj_rows[t][i] = coords[t]
-    return quotient, Matrix.from_rows(proj_rows)
+    # q x n, column i the projection of e_i; the shape holds also when q = 0
+    return quotient, Matrix.from_cols(q, [project(_basis(n, i)) for i in range(n)])

@@ -35,6 +35,7 @@ from .algebra import (
     IdentityReport,
     LeibnizAlgebra,
     _report,
+    check_leibniz,
     contract,
     dense,
     leibniz_report,
@@ -323,23 +324,48 @@ def betti(rep: Representation, k_max: int,
           assert_square_zero: bool = False) -> BettiReport:
     """Cohomology dimensions for degrees 0..k_max via exact rank-nullity.
 
-    The rank of d_k is taken on its integer columns from
-    ``coboundary_columns``, as the rows of the integer matrix (D d_k)^T, so
-    no Fraction matrix and no transpose is built.  With assert_square_zero
-    every composite (D d_(k-1))^T (D d_k)^T = D^2 (d_k d_(k-1))^T is also
-    multiplied out in integers and required to vanish.
+    Every degree is checked against the cap before any is built, and the
+    first one over it raises ResourceCapExceeded.  The rank of d_k is taken
+    on its integer columns from ``coboundary_columns``, as the rows of the
+    integer matrix (D d_k)^T, so no Fraction matrix and no transpose is
+    built.  With assert_square_zero every composite
+    (D d_(k-1))^T (D d_k)^T = D^2 (d_k d_(k-1))^T is also multiplied out in
+    integers and required to vanish.
+
+    The ranks are cleared: the elimination of d_(k-1) reports its pivot
+    columns, coordinates of C^k on which im d_(k-1) projects isomorphically.
+    When d_k d_(k-1) = 0, d_k of each such coordinate is a combination of d_k
+    on the other coordinates, so those rows of (D d_k)^T are dropped before
+    ``rank``.  That needs d^2 = 0 proven on the instance: by the Leibniz
+    identity and the representation conditions holding exactly
+    (Loday-Pirashvili, Math. Ann. 1993), or by the product check of
+    assert_square_zero.  Otherwise every row is kept.
     """
-    n, m = rep.algebra.dim, rep.vdim
+    g = rep.algebra
+    n, m = g.dim, rep.vdim
+    if cap is not None:
+        for k in range(k_max + 1):
+            if n ** (k + 1) * m > cap:
+                raise ResourceCapExceeded(n ** (k + 1) * m, cap)
+    square_zero = assert_square_zero or (check_leibniz(g).holds
+                                         and check_representation(rep).holds)
     ranks = []
     prev_mat: Optional[Matrix] = None
+    cleared: frozenset[int] = frozenset()
     for k in range(k_max + 1):
         columns = coboundary_columns(rep, k, cap)[1]
         mat = Matrix(len(columns), n ** (k + 1) * m, columns)
         if prev_mat is not None and not (prev_mat @ mat).is_zero():
             raise AssertionError(f"coboundary squared is nonzero at degree {k - 1}")
-        ranks.append(rank(mat))
         if assert_square_zero:
             prev_mat = mat
+        if cleared:
+            kept = [col for j, col in enumerate(columns) if j not in cleared]
+            mat = Matrix(len(kept), mat.cols, kept)
+        pivots: list[int] = []
+        ranks.append(rank(mat, pivots))
+        if square_zero:
+            cleared = frozenset(pivots)
     rows = []
     for k in range(k_max + 1):
         dim_c = n ** k * m

@@ -22,6 +22,16 @@ Fractions.  It stays a second loop: canonical bases (spans, naive images,
 the left center) need lowest-column pivots and back-elimination, which the
 Markowitz kernel lacks and which would slow every rank.
 
+The kernel also reports, on request, the pivot column of each step; the
+input restricted to those columns keeps its rank.  ``betti`` uses this to
+clear, as persistent-homology codes do (Chen and Kerber, EuroCG 2011;
+Bauer, Kerber and Reininghaus, "Clear and compress", 2014).  Once
+d_k d_(k-1) = 0 is proven on the instance, im d_(k-1) projects
+isomorphically onto the pivot coordinates of its elimination, so the
+columns of d_k at those coordinates are combinations of the others and are
+dropped before d_k is reduced.  Where d^2 = 0 is not proven, nothing is
+dropped.
+
 Matrices are logically dense row-major arrays but store each row as a
 {column: nonzero} dict; coboundary matrices of tensor-power complexes are
 overwhelmingly sparse and dense row lists were measured to exhaust memory
@@ -354,7 +364,8 @@ def _content_free(row: dict[int, int]) -> dict[int, int]:
     return row if c == 1 else {j: v // c for j, v in row.items()}
 
 
-def integer_rank(rows: Iterable[dict[int, int]]) -> int:
+def integer_rank(rows: Iterable[dict[int, int]],
+                 pivots: Optional[list[int]] = None) -> int:
     """Exact rank of an integer matrix given by its rows as {column: nonzero
     int} dicts, by right-looking fraction-free elimination with a
     Markowitz-style pivot; the rows are not modified.
@@ -371,6 +382,12 @@ def integer_rank(rows: Iterable[dict[int, int]]) -> int:
     which live rows hold each column as entries fill in or cancel.  Every
     step is an invertible row operation (a is never 0) and leaves the pivot
     row alone in its column, so the pivot count is the rank.
+
+    When ``pivots`` is a list, the pivot column of each step is appended to
+    it.  They are distinct, and the input restricted to them keeps its rank:
+    in the order the steps took them, the reduced rows are triangular on
+    these columns with a nonzero diagonal.  ``cohomology.betti`` clears the
+    next degree's rank with them.
     """
     live: dict[int, dict[int, int]] = {}
     col_rows: defaultdict[int, set[int]] = defaultdict(set)
@@ -391,6 +408,8 @@ def integer_rank(rows: Iterable[dict[int, int]]) -> int:
         counts = [len(col_rows[j]) for j in pivot]
         fewest = min(counts)
         col = min(j for j, n in zip(pivot, counts) if n == fewest)
+        if pivots is not None:
+            pivots.append(col)
         for j in pivot:
             col_rows[j].discard(i)
         p = pivot.pop(col)
@@ -435,15 +454,17 @@ def _to_integers(t: dict) -> tuple[dict, int]:
     return {k: v.numerator * (d // v.denominator) for k, v in t.items()}, d
 
 
-def rank(m: Matrix) -> int:
+def rank(m: Matrix, pivots: Optional[list[int]] = None) -> int:
     """Exact rank by ``integer_rank`` on the shorter side of m: its rows, or
     the rows of its transpose when m is tall, each scaled to integers.
+    ``pivots`` goes to ``integer_rank``, so it receives columns of m, or rows
+    of m when m is tall.
 
     Entries may be Fractions or ints (``betti`` passes the integer matrix
     (D d_k)^T, which is already the shorter side, and whose rows reach the
     kernel without a copy)."""
     data = m.transpose()._data if m.rows > m.cols else m._data
-    return integer_rank(_to_integers(row)[0] for row in data)
+    return integer_rank((_to_integers(row)[0] for row in data), pivots)
 
 
 class Subspace(Frozen):

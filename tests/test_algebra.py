@@ -125,8 +125,11 @@ def test_square_in_center_negative():
 
 
 def test_quotient_abelian():
-    q, _ = quotient_by_left_center(LeibnizAlgebra.abelian(3))
+    q, proj = quotient_by_left_center(LeibnizAlgebra.abelian(3))
     assert q.dim == 0
+    # the projection onto the 0-dimensional quotient still has 3 columns
+    assert proj.shape == (0, 3)
+    assert proj.mv([F(1), F(-2), F(1, 3)]) == []
 
 
 def test_quotient_l2():

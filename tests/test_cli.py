@@ -67,6 +67,20 @@ def test_resource_cap_exit_code():
     assert b"7776" in result.stderr or b"dimension" in result.stderr
 
 
+def test_over_cap_degree_refused_with_the_same_line():
+    # degree 13 of L2 adjoint is over the default cap; the refusal comes
+    # before degree 0 is built, with the line it has always had
+    import os
+    env = {k: v for k, v in os.environ.items() if k != "LEIBNIZ_KIT_CAP"}
+    result = subprocess.run([sys.executable, "-m", "leibniz_kit", "cohomology",
+                             str(FIXTURES / "L2.json"), "--rep", "adjoint",
+                             "--max-degree", "13"], capture_output=True, env=env)
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == (b"resource cap: cochain space of dimension 32768 exceeds "
+                             b"cap 20000 (override with LEIBNIZ_KIT_CAP)\n")
+
+
 def test_lie2_command(capsys):
     assert main(["lie2", str(FIXTURES / "heis3.json")]) == 0
     out = capsys.readouterr().out

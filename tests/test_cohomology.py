@@ -601,7 +601,8 @@ def test_betti_sl2_vanishes_in_higher_degrees():
 def test_betti_rejects_overstated_rank(monkeypatch):
     # the nonnegativity check on dim H is the safety net behind rank
     true_rank = cohomology_module.rank
-    monkeypatch.setattr(cohomology_module, "rank", lambda m: true_rank(m) + 1)
+    monkeypatch.setattr(cohomology_module, "rank",
+                        lambda m, pivots=None: true_rank(m, pivots) + 1)
     with pytest.raises(AssertionError, match="negative cohomology dimension"):
         betti(trivial_rep(LeibnizAlgebra.abelian(1)), 1)
 
@@ -614,7 +615,7 @@ import leibniz_kit.linalg as linalg
 from leibniz_kit import LeibnizAlgebra, Matrix, betti, kernel_basis, trivial_rep
 
 true_rank, true_rref = cohomology.rank, linalg.rref
-cohomology.rank = lambda m: true_rank(m) + 1
+cohomology.rank = lambda m, pivots=None: true_rank(m, pivots) + 1
 linalg.rref = lambda m: true_rref(Matrix.zeros(m.rows, m.cols))
 for call in (lambda: betti(trivial_rep(LeibnizAlgebra.abelian(1)), 1),
              lambda: kernel_basis(Matrix.identity(2))):
@@ -626,6 +627,84 @@ for call in (lambda: betti(trivial_rep(LeibnizAlgebra.abelian(1)), 1),
 """
     result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True)
     assert result.returncode == 0, result.stderr
+
+
+def _seeded_dense_basis(n: int, seed: str) -> list[list[Fraction]]:
+    """An invertible n x n matrix with every entry a nonzero rational of
+    numerator and denominator at most 3, drawn from a seeded generator."""
+    rng = random.Random(seed)
+    while True:
+        b = [[F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        if rank(Matrix.from_rows(b)) == n:
+            return b
+
+
+@pytest.mark.parametrize("name", ["L2", "heis3", "sl2", "omni1"])
+def test_cleared_ranks_match_full_matrices_in_any_basis(name):
+    # betti drops the columns of d_k at the pivots of d_(k-1); every rank must
+    # still be the rank of the whole matrix, and no Betti number may move with
+    # the basis
+    g = corpus.algebra(name)
+    moved = change_basis(g, _seeded_dense_basis(g.dim, name))
+    assert any(x.denominator > 1 for plane in moved.c for row in plane for x in row)
+    for make in (trivial_rep, adjoint_rep):
+        dims = []
+        for h in (g, moved):
+            rep = make(h)
+            report = betti(rep, 3)
+            assert [d.rank_d for d in report.degrees] == \
+                [rref(coboundary_matrix(rep, k)).rank for k in range(4)], (name, make)
+            dims.append([d.dim_h for d in report.degrees])
+        assert dims[0] == dims[1], (name, make)
+
+
+@pytest.mark.parametrize("assert_square_zero", [False, True])
+def test_betti_clears_the_pivots_of_the_degree_below(monkeypatch, assert_square_zero):
+    # d^2 = 0 is proven (by the identities, or by the product check), so d_k
+    # reaches rank without the rank(d_(k-1)) rows at the pivots of d_(k-1)
+    true_rank = cohomology_module.rank
+    rows = []
+    monkeypatch.setattr(cohomology_module, "rank",
+                        lambda m, pivots=None: rows.append(m.rows) or true_rank(m, pivots))
+    report = betti(adjoint_rep(sl2()), 3, assert_square_zero=assert_square_zero)
+    ranks = [0] + [d.rank_d for d in report.degrees]
+    assert rows == [d.dim_cochains - ranks[d.k] for d in report.degrees] == [3, 6, 21, 60]
+
+
+@pytest.mark.parametrize("g,fails_at", [(nonleibniz(), 1), (nonleibniz2(), 2)])
+def test_nothing_is_cleared_without_square_zero(monkeypatch, g, fails_at):
+    # d^2 != 0 here, so the pivots of d_(k-1) say nothing about d_k: every
+    # rank is the full matrix's, and the dimensions come out negative as
+    # they would without clearing
+    true_rank = cohomology_module.rank
+    seen = []
+    monkeypatch.setattr(cohomology_module, "rank",
+                        lambda m, pivots=None: seen.append(true_rank(m, pivots)) or seen[-1])
+    rep = adjoint_rep(g)
+    assert not check_leibniz(g).holds
+    with pytest.raises(AssertionError, match=f"negative cohomology dimension at degree {fails_at}"):
+        betti(rep, 3)
+    assert seen == [rref(coboundary_matrix(rep, k)).rank for k in range(4)]
+
+
+def test_over_cap_betti_refuses_before_any_work(monkeypatch):
+    built = []
+    monkeypatch.setattr(cohomology_module, "coboundary_columns",
+                        lambda *args: built.append(args[1]))
+    monkeypatch.setattr(cohomology_module, "check_leibniz",
+                        lambda g: built.append("check_leibniz"))
+    # 2^14 = 16384 target rows in degree 12 fit under 20000, 32768 in degree 13 do not
+    with pytest.raises(ResourceCapExceeded,
+                       match="^cochain space of dimension 32768 exceeds cap 20000$"):
+        betti(adjoint_rep(l2_algebra()), 13)
+    with pytest.raises(ResourceCapExceeded,
+                       match="^cochain space of dimension 81 exceeds cap 80$"):
+        betti(adjoint_rep(heisenberg3()), 5, cap=80)
+    with pytest.raises(ResourceCapExceeded,
+                       match="^cochain space of dimension 9 exceeds cap 8$"):
+        betti(adjoint_rep(heisenberg3()), 2, cap=8)
+    assert built == []
 
 
 def test_adjoint_h0_is_left_center_dim(positive_algebras):

@@ -304,6 +304,35 @@ def test_integer_rank_of_integer_rows(m, data):
     assert rank(Matrix(len(rows), m.cols, rows)) == rref(m).rank
 
 
+@given(rank_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_rank_reports_pivot_columns(m, data):
+    # one pivot column per step, all distinct, and the input restricted to
+    # them keeps its rank: the isomorphism the clearing in betti relies on
+    rows = []
+    for i in range(m.rows):
+        row = dict(m.row_items(i))
+        den = lcm(*[v.denominator for v in row.values()])
+        rows.append({j: int(v * den) for j, v in row.items()})
+    rows = data.draw(st.permutations(rows))
+    pivots = []
+    r = integer_rank(rows, pivots)
+    assert r == integer_rank(rows) == rref(m).rank == len(pivots)
+    assert len(set(pivots)) == len(pivots)
+    assert all(0 <= j < m.cols for j in pivots)
+    restricted = [{j: v for j, v in row.items() if j in pivots} for row in rows]
+    assert rref_rank_of_ints(m.cols, restricted) == r
+    # rank forwards the list: columns of a wide matrix, rows of a tall one
+    mat = Matrix(len(rows), m.cols, rows)
+    forwarded = []
+    assert rank(mat, forwarded) == r
+    if mat.rows <= mat.cols:
+        assert forwarded == pivots
+    else:
+        assert len(set(forwarded)) == r and all(0 <= i < mat.rows for i in forwarded)
+        assert rref(Matrix(r, m.cols, [rows[i] for i in forwarded])).rank == r
+
+
 def test_integer_rank_examples():
     assert integer_rank([]) == 0
     assert integer_rank([{}, {}]) == 0
