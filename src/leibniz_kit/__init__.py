@@ -45,7 +45,6 @@ from .lie2 import (
     build_lie2,
     check_jacobiator_identities,
     check_lie2_structure,
-    jacobiator_closed,
     skew_bracket,
     verify_lie2,
 )

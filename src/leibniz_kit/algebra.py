@@ -89,11 +89,11 @@ def _report(witnesses: list[Witness]) -> IdentityReport:
 # A sparse tensor is a dict {index tuple: Fraction} that omits zeros.  An
 # identity on basis tuples is a signed sum of contractions; every tuple that
 # no term reaches has residual exactly zero, so the nonzero entries of the
-# residual are precisely the failing tuples.  The structure tensor of an
-# algebra and the action tensors of a representation are derived in sparse
-# form once, by their constructors (``LeibnizAlgebra._c``,
-# ``Representation._l`` and ``_r``); the checks read those and never walk
-# the dense nested tuples.
+# residual are precisely the failing tuples.  Every value type derives its
+# tensors in sparse form once, in its constructor (``LeibnizAlgebra._c``,
+# ``Representation._l`` and ``_r``, ``Lie2Algebra._l1`` .. ``_l3``,
+# ``GraphMap._phi``, ``NaiveRepresentation._phi`` and ``_theta``); the
+# checks read those and never walk the dense nested tuples.
 
 def sparse(tensor, depth: int) -> dict:
     """{index tuple: entry} of the nonzero entries of a nested sequence

@@ -31,9 +31,9 @@ from .algebra import (
 from .cohomology import (
     DEFAULT_CAP,
     ResourceCapExceeded,
+    _refusal,
     adjoint_rep,
     betti,
-    check_representation,
     maurer_cartan_check,
     semidirect,
     trivial_rep,
@@ -219,7 +219,8 @@ def cmd_lie2(args) -> int:
     run.results["dim1"] = L.dim1
     run.results["dim0"] = L.dim0
     run.results["axioms"] = dict(axioms.passed)
-    run.results["lie2"] = lie2_to_json(L)
+    if run.json_mode or args.emit:  # plain runs print no JSON, so none is built
+        run.results["lie2"] = lie2_to_json(L)
     run.say(f"graded pieces: degree 1 of dim {L.dim1}, degree 0 of dim {L.dim0}")
     for name in "abcde":
         run.say(f"axiom ({name}): {'ok' if axioms.passed[name] else 'FAILED'}")
@@ -236,20 +237,6 @@ def _resolve_representation(run, args, g):
         return adjoint_rep(g), "adjoint"
     doc = run.read_document(args.rep, "representation")
     return representation_from_json(g, doc), args.rep
-
-
-def _refusal(g, rep=None):
-    """Why g is not a Leibniz algebra, or rep (when given) not a
-    representation of it, or None when they are."""
-    report = check_leibniz(g)
-    if not report.holds:
-        return f"input is not a Leibniz algebra; first witness at {report.witnesses[0].where}"
-    if rep is None:
-        return None
-    report = check_representation(rep)
-    if not report.holds:
-        return f"input is not a representation; first witness at {report.witnesses[0].where}"
-    return None
 
 
 def _betti_table(run, label, report):

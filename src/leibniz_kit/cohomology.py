@@ -41,7 +41,7 @@ from .algebra import (
     leibniz_report,
     residual_witnesses,
 )
-from .linalg import Frozen, Matrix, ZERO, _to_integers, freeze, rank, viszero, vzero
+from .linalg import Frozen, Matrix, _to_integers, freeze, rank, viszero, vzero
 
 DEFAULT_CAP = 20000
 
@@ -83,6 +83,15 @@ def _action_tensor(mats) -> dict:
             for a in range(mat.rows) for b, v in mat.row_items(a)}
 
 
+def _matrices(t: dict, count: int, m: int) -> tuple:
+    """The ``count`` m x m matrices whose action tensor is t: the inverse of
+    ``_action_tensor``."""
+    data = [[{} for _ in range(m)] for _ in range(count)]
+    for (i, a, b), v in t.items():
+        data[i][a][b] = v
+    return tuple(Matrix(m, m, rows) for rows in data)
+
+
 def check_representation(rep: Representation) -> IdentityReport:
     """All three compatibility conditions on all basis pairs (i, j).
 
@@ -102,6 +111,20 @@ def check_representation(rep: Representation) -> IdentityReport:
                     for w in residual_witnesses(contract(terms), rep.vdim, label, axes=2)])
 
 
+def _refusal(g: LeibnizAlgebra, rep: Optional[Representation] = None) -> Optional[str]:
+    """Why g is not a Leibniz algebra, or rep (when given) not a
+    representation of it, or None when they are."""
+    report = check_leibniz(g)
+    if not report.holds:
+        return f"input is not a Leibniz algebra; first witness at {report.witnesses[0].where}"
+    if rep is None:
+        return None
+    report = check_representation(rep)
+    if not report.holds:
+        return f"input is not a representation; first witness at {report.witnesses[0].where}"
+    return None
+
+
 def trivial_rep(g: LeibnizAlgebra) -> Representation:
     """(Q, 0, 0)."""
     z = Matrix.zeros(1, 1)
@@ -111,13 +134,9 @@ def trivial_rep(g: LeibnizAlgebra) -> Representation:
 def adjoint_rep(g: LeibnizAlgebra) -> Representation:
     """Left and right multiplications of g acting on itself."""
     n = g.dim
-    ldata = [[{} for _ in range(n)] for _ in range(n)]
-    rdata = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, j, k), v in g._c.items():
-        ldata[i][k][j] = v  # (l_i)[k][j] = c[i][j][k]
-        rdata[j][k][i] = v  # (r_j)[k][i] = c[i][j][k]
-    return Representation(g, n, tuple(Matrix(n, n, data) for data in ldata),
-                          tuple(Matrix(n, n, data) for data in rdata))
+    # (l_i)[k][j] = (r_j)[k][i] = c[i][j][k]
+    return Representation(g, n, _matrices({(i, k, j): v for (i, j, k), v in g._c.items()}, n, n),
+                          _matrices({(j, k, i): v for (i, j, k), v in g._c.items()}, n, n))
 
 
 def _require_left_only(rep: Representation, what: str) -> None:
@@ -138,30 +157,16 @@ def conjugation_rep(rep: Representation) -> Representation:
     """Commutator action A -> [l_x, A] on the m^2-dimensional matrix space.
 
     Basis: elementary matrices in row-major order, so a matrix A flattens to
-    the vector (A[0][0], A[0][1], ..).
+    the vector (A[0][0], A[0][1], ..).  [l_i, E_cd] has entry
+    (l_i)[a][c] delta(d, b) - delta(a, c) (l_i)[d][b] at (a, b): one
+    contraction of the action tensor with the identity.
     """
     _require_left_only(rep, "the conjugation representation")
-    m = rep.vdim
-    m2 = m * m
-    ls = []
-    for li in rep.l:
-        data = [dict() for _ in range(m2)]
-        for c in range(m):
-            for d in range(m):
-                col = c * m + d
-                for a in range(m):
-                    v = li.entry(a, c)
-                    if v:
-                        row = a * m + d
-                        data[row][col] = data[row].get(col, ZERO) + v
-                for b in range(m):
-                    v = li.entry(d, b)
-                    if v:
-                        row = c * m + b
-                        data[row][col] = data[row].get(col, ZERO) - v
-        ls.append(Matrix(m2, m2, data))
-    zs = (Matrix.zeros(m2, m2),) * rep.algebra.dim
-    return Representation(rep.algebra, m2, tuple(ls), zs)
+    n, m = rep.algebra.dim, rep.vdim
+    eye = {(a, a): 1 for a in range(m)}
+    t = contract([(1, "iac,db->iabcd", rep._l, eye), (-1, "ac,idb->iabcd", eye, rep._l)])
+    ls = _matrices({(i, a * m + b, c * m + d): v for (i, a, b, c, d), v in t.items()}, n, m * m)
+    return Representation(rep.algebra, m * m, ls, (Matrix.zeros(m * m, m * m),) * n)
 
 
 def flatten_matrix(mat: Matrix) -> list[Fraction]:
@@ -325,21 +330,21 @@ def betti(rep: Representation, k_max: int,
     """Cohomology dimensions for degrees 0..k_max via exact rank-nullity.
 
     Every degree is checked against the cap before any is built, and the
-    first one over it raises ResourceCapExceeded.  The rank of d_k is taken
-    on its integer columns from ``coboundary_columns``, as the rows of the
-    integer matrix (D d_k)^T, so no Fraction matrix and no transpose is
-    built.  With assert_square_zero every composite
+    first one over it raises ResourceCapExceeded.  Then an algebra that
+    fails the Leibniz identity, or a representation that fails its
+    conditions, is refused with a ValueError naming the first witness.  The
+    rank of d_k is taken on its integer columns from ``coboundary_columns``,
+    as the rows of the integer matrix (D d_k)^T, so no Fraction matrix and
+    no transpose is built.  With assert_square_zero every composite
     (D d_(k-1))^T (D d_k)^T = D^2 (d_k d_(k-1))^T is also multiplied out in
     integers and required to vanish.
 
     The ranks are cleared: the elimination of d_(k-1) reports its pivot
     columns, coordinates of C^k on which im d_(k-1) projects isomorphically.
-    When d_k d_(k-1) = 0, d_k of each such coordinate is a combination of d_k
-    on the other coordinates, so those rows of (D d_k)^T are dropped before
-    ``rank``.  That needs d^2 = 0 proven on the instance: by the Leibniz
-    identity and the representation conditions holding exactly
-    (Loday-Pirashvili, Math. Ann. 1993), or by the product check of
-    assert_square_zero.  Otherwise every row is kept.
+    Since d_k d_(k-1) = 0, d_k of each such coordinate is a combination of
+    d_k on the other coordinates, so those rows of (D d_k)^T are dropped
+    before ``rank``.  That d^2 = 0 follows from the identities the refusal
+    has just proven on the instance (Loday-Pirashvili, Math. Ann. 1993).
     """
     g = rep.algebra
     n, m = g.dim, rep.vdim
@@ -347,25 +352,23 @@ def betti(rep: Representation, k_max: int,
         for k in range(k_max + 1):
             if n ** (k + 1) * m > cap:
                 raise ResourceCapExceeded(n ** (k + 1) * m, cap)
-    square_zero = assert_square_zero or (check_leibniz(g).holds
-                                         and check_representation(rep).holds)
+    refusal = _refusal(g, rep)
+    if refusal:
+        raise ValueError(refusal)
     ranks = []
     prev_mat: Optional[Matrix] = None
-    cleared: frozenset[int] = frozenset()
+    pivots: list[int] = []
     for k in range(k_max + 1):
         columns = coboundary_columns(rep, k, cap)[1]
-        mat = Matrix(len(columns), n ** (k + 1) * m, columns)
-        if prev_mat is not None and not (prev_mat @ mat).is_zero():
-            raise AssertionError(f"coboundary squared is nonzero at degree {k - 1}")
         if assert_square_zero:
+            mat = Matrix(len(columns), n ** (k + 1) * m, columns)
+            if prev_mat is not None and not (prev_mat @ mat).is_zero():
+                raise AssertionError(f"coboundary squared is nonzero at degree {k - 1}")
             prev_mat = mat
-        if cleared:
-            kept = [col for j, col in enumerate(columns) if j not in cleared]
-            mat = Matrix(len(kept), mat.cols, kept)
-        pivots: list[int] = []
-        ranks.append(rank(mat, pivots))
-        if square_zero:
-            cleared = frozenset(pivots)
+        cleared = frozenset(pivots)
+        kept = [col for j, col in enumerate(columns) if j not in cleared]
+        pivots = []
+        ranks.append(rank(Matrix(len(kept), n ** (k + 1) * m, kept), pivots))
     rows = []
     for k in range(k_max + 1):
         dim_c = n ** k * m

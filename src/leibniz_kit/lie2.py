@@ -20,7 +20,6 @@ witness.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (
@@ -28,7 +27,6 @@ from .algebra import (
     LeibnizAlgebra,
     Witness,
     _report,
-    bracket,
     contract,
     dense,
     left_center,
@@ -54,16 +52,6 @@ def _skew(g: LeibnizAlgebra) -> dict:
 def skew_bracket(g: LeibnizAlgebra) -> tuple:
     """Tensor of <<e_i, e_j>> = ([e_i,e_j] - [e_j,e_i]) / 2; antisymmetric."""
     return dense(_skew(g), (g.dim,) * 3)
-
-
-def jacobiator_closed(g: LeibnizAlgebra, x, y, z) -> list[Fraction]:
-    """([[z,y],x] + [[x,z],y] + [[y,x],z]) / 4, equal to the cyclic Jacobiator."""
-    out = bracket(g, bracket(g, z, y), x)
-    for t, v in enumerate(bracket(g, bracket(g, x, z), y)):
-        out[t] += v
-    for t, v in enumerate(bracket(g, bracket(g, y, x), z)):
-        out[t] += v
-    return [QUARTER * v for v in out]
 
 
 def _jacobiator(c: dict) -> dict:
@@ -124,17 +112,26 @@ class Lie2Algebra(Frozen):
     l3    : trilinear deg0^3 -> deg1, totally antisymmetric
 
     l2 on two degree-1 elements would land in degree 2, which is zero here.
+
+    ``_l1``, ``_l2_00``, ``_l2_01`` and ``_l3`` are the sparse forms of the
+    four operations over their nonzero entries, ``_l1`` keyed (r, a) by the
+    entries of the matrix; they are derived once here and read by every
+    check.  Nothing may change them.
     """
 
-    __slots__ = ("dim1", "dim0", "l1", "l2_00", "l2_01", "l3")
+    __slots__ = ("dim1", "dim0", "l1", "l2_00", "l2_01", "l3",
+                 "_l1", "_l2_00", "_l2_01", "_l3")
 
     def __init__(self, dim1: int, dim0: int, l1: Matrix, l2_00: tuple, l2_01: tuple,
                  l3: tuple):
         if l1.shape != (dim0, dim1):
             raise ValueError("l1 must be dim0 x dim1")
-        self._set(dim1, dim0, l1, freeze(l2_00, (dim0,) * 3, "l2_00"),
-                  freeze(l2_01, (dim0, dim1, dim1), "l2_01"),
-                  freeze(l3, (dim0,) * 3 + (dim1,), "l3"))
+        l2_00 = freeze(l2_00, (dim0,) * 3, "l2_00")
+        l2_01 = freeze(l2_01, (dim0, dim1, dim1), "l2_01")
+        l3 = freeze(l3, (dim0,) * 3 + (dim1,), "l3")
+        self._set(dim1, dim0, l1, l2_00, l2_01, l3,
+                  {(r, a): v for r in range(dim0) for a, v in l1.row_items(r)},
+                  sparse(l2_00, 3), sparse(l2_01, 3), sparse(l3, 4))
 
 
 class AxiomReport(NamedTuple):
@@ -182,10 +179,10 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
 
 def check_lie2_structure(L: Lie2Algebra) -> IdentityReport:
     """Antisymmetry of l2 on degree 0 and total antisymmetry of l3."""
-    s = sparse(L.l2_00, 3)
+    s = L._l2_00
     l2 = contract([(1, "ijt->ijt", s), (1, "jit->ijt", s)])
     return _report(residual_witnesses(l2, L.dim0, "l2-antisymmetry")
-                   + _antisymmetry_witnesses(sparse(L.l3, 4), L.dim1, "l3-antisymmetry"))
+                   + _antisymmetry_witnesses(L._l3, L.dim1, "l3-antisymmetry"))
 
 
 def verify_lie2(L: Lie2Algebra) -> AxiomReport:
@@ -203,8 +200,7 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
             + l3(l2(y,z),x,w) - l3(l2(y,w),x,z) + l3(l2(z,w),x,y)
     """
     n0, n1 = L.dim0, L.dim1
-    l1 = {(r, a): v for r in range(n0) for a, v in L.l1.row_items(r)}
-    s, m, t = sparse(L.l2_00, 3), sparse(L.l2_01, 3), sparse(L.l3, 4)
+    l1, s, m, t = L._l1, L._l2_00, L._l2_01, L._l3
     axioms = {
         "a": (n0, [(1, "iab,tb->iat", m, l1), (-1, "ua,iut->iat", l1, s)]),
         "b": (n1, [(1, "ua,ubt->abt", l1, m), (1, "ub,uat->abt", l1, m)]),

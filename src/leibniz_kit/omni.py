@@ -54,6 +54,7 @@ from .cohomology import (
     Matrix,
     Representation,
     _action_tensor,
+    _matrices,
     adjoint_rep,
     betti,
     check_representation,
@@ -132,9 +133,12 @@ def omni_lie(m: int) -> LeibnizAlgebra:
 # graphs of maps V -> gl(V)
 
 class GraphMap(Frozen):
-    """A linear map phi: V -> gl(V), phi(u) = sum_a u_a phi[a]."""
+    """A linear map phi: V -> gl(V), phi(u) = sum_a u_a phi[a].
 
-    __slots__ = ("vdim", "phi")
+    ``_phi`` is the sparse tensor P[i,a,b] = (phi_i)[a][b] over the nonzero
+    entries, derived once here.  Nothing may change it."""
+
+    __slots__ = ("vdim", "phi", "_phi")
 
     def __init__(self, vdim: int, phi: tuple):
         phi = tuple(phi)
@@ -143,7 +147,7 @@ class GraphMap(Frozen):
         for mat in phi:
             if mat.shape != (vdim, vdim):
                 raise ValueError(f"graph matrices must be {vdim}x{vdim}")
-        self._set(vdim, phi)
+        self._set(vdim, phi, _action_tensor(phi))
 
     def apply(self, u: Sequence[Fraction]) -> Matrix:
         return linear_combination(u, self.phi, (self.vdim, self.vdim))
@@ -153,7 +157,7 @@ def graph_check(phi: GraphMap) -> IdentityReport:
     """The closure condition [phi(u), phi(v)] = phi(phi(u) v) on basis pairs,
     as a contraction of P[i,a,b] = (phi_i)[a][b] with itself; each witness
     carries the m x m defect at (i, j)."""
-    P = _action_tensor(phi.phi)
+    P = phi._phi
     residual = contract([(1, "iau,jub->ijab", P, P), (-1, "jau,iub->ijab", P, P),
                          (-1, "iuj,uab->ijab", P, P)])
     return _report(residual_witnesses(residual, phi.vdim, "graph", axes=2))
@@ -182,7 +186,9 @@ class NaiveRepresentation:
 
     phi[i] is the gl(V) component and theta[i] the V component of rho(e_i).
     The image subspace is computed once (RREF basis); cochain values are
-    stored in its coordinates.
+    stored in its coordinates.  ``_phi`` and ``_theta`` are the sparse
+    tensors P[i,a,b] = (phi_i)[a][b] and T[i,a] = theta_i[a], derived once
+    here.
     """
 
     def __init__(self, algebra: LeibnizAlgebra, vdim: int, phi, theta):
@@ -201,6 +207,8 @@ class NaiveRepresentation:
         self.vdim = vdim
         self.phi = phi
         self.theta = theta
+        self._phi = _action_tensor(phi)
+        self._theta = sparse(theta, 2)
         self.ambient_dim = vdim * vdim + vdim
         self.rho_vectors = tuple(
             tuple(flatten_matrix(phi[i]) + list(theta[i])) for i in range(n))
@@ -222,7 +230,7 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
     T[i,a] = theta_i[a]."""
     g = rho.algebra
     n = g.dim
-    c, P, T = g._c, _action_tensor(rho.phi), sparse(rho.theta, 2)
+    c, P, T = g._c, rho._phi, rho._theta
     con1 = contract([(1, "ijk,kab->ijab", c, P), (-1, "iau,jub->ijab", P, P),
                      (1, "jau,iub->ijab", P, P)])
     con2 = contract([(1, "ijk,ka->ija", c, T), (-1, "iab,jb->ija", P, T)])
@@ -484,12 +492,9 @@ def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
             raise ValueError(f"image of basis element {i} escapes the graph")
     if not naive_check(rho).holds:
         raise ValueError("the map is not a naive representation")
-    ls = tuple(phi.apply(rho.theta[i]) for i in range(n))
-    rs = []
-    for i in range(n):
-        cols = [phi.phi[a].mv(list(rho.theta[i])) for a in range(m)]
-        rs.append(Matrix.from_cols(m, cols))
-    rep = Representation(g, m, ls, tuple(rs))
+    # the escape check has proven l_x = phi(theta(x)) = rho.phi[x]
+    rs = _matrices(contract([(1, "auv,iv->iua", phi._phi, rho._theta)]), n, m)
+    rep = Representation(g, m, rho.phi, rs)
     report = check_representation(rep)
     if not report.holds:
         raise ValueError("induced actions fail the representation conditions at "

@@ -8,7 +8,10 @@ matrix; the differential tests compare the two.
 
 The adjoint representation, the left multiplication matrix, antisymmetry
 and the skew bracket are here as walks over all n^3 entries of the dense
-structure tensor; the library reads them off its sparse form.
+structure tensor; the library reads them off its sparse form.  The
+conjugation representation is here as a loop over matrix entries, and the
+closed form of the Jacobiator as nested brackets of basis vectors; the
+library contracts sparse tensors for both.
 
 The dense cochain algebra lives here too: sums, multiples and multilinear
 evaluation of ``Cochain`` values, shuffles, the circle product and the
@@ -36,7 +39,6 @@ from leibniz_kit import (
     Witness,
     bracket,
     coboundary_matrix,
-    jacobiator_closed,
     left_center,
     omni_bracket,
     semidirect,
@@ -136,6 +138,32 @@ def adjoint_rep(g: LeibnizAlgebra) -> Representation:
     return Representation(g, n, tuple(ls), tuple(rs))
 
 
+def conjugation_rep(rep: Representation) -> Representation:
+    """A -> [l_x, A] on row-major flattened m x m matrices, entry by entry:
+    column (c, d) holds l_x E_cd - E_cd l_x."""
+    m = rep.vdim
+    m2 = m * m
+    ls = []
+    for li in rep.l:
+        data = [dict() for _ in range(m2)]
+        for c in range(m):
+            for d in range(m):
+                col = c * m + d
+                for a in range(m):
+                    v = li.entry(a, c)
+                    if v:
+                        row = a * m + d
+                        data[row][col] = data[row].get(col, ZERO) + v
+                for b in range(m):
+                    v = li.entry(d, b)
+                    if v:
+                        row = c * m + b
+                        data[row][col] = data[row].get(col, ZERO) - v
+        ls.append(Matrix(m2, m2, data))
+    zs = (Matrix.zeros(m2, m2),) * rep.algebra.dim
+    return Representation(rep.algebra, m2, tuple(ls), zs)
+
+
 def jacobiator_direct(g: LeibnizAlgebra, x, y, z) -> list[Fraction]:
     """Cyclic sum of nested skew brackets."""
     s = skew_bracket(g)
@@ -227,6 +255,14 @@ def square_in_center_check(g: LeibnizAlgebra) -> IdentityReport:
                 if not viszero(d):
                     witnesses.append(Witness((i, j, k), tuple(d), "square-center"))
     return _report(witnesses)
+
+
+def jacobiator_closed(g: LeibnizAlgebra, x, y, z) -> list[Fraction]:
+    """([[z,y],x] + [[x,z],y] + [[y,x],z]) / 4, equal to the cyclic Jacobiator."""
+    out = bracket(g, bracket(g, z, y), x)
+    _add(out, 1, bracket(g, bracket(g, x, z), y))
+    _add(out, 1, bracket(g, bracket(g, y, x), z))
+    return [v / 4 for v in out]
 
 
 def jacobiator_table(g: LeibnizAlgebra) -> list:

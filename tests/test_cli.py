@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import leibniz_kit.cli as cli
 from leibniz_kit.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -85,6 +86,31 @@ def test_lie2_command(capsys):
     assert main(["lie2", str(FIXTURES / "heis3.json")]) == 0
     out = capsys.readouterr().out
     assert "axiom (e): ok" in out
+
+
+def test_plain_lie2_builds_no_json(monkeypatch, capsys):
+    # the JSON form of the Lie 2-algebra is built only when it is printed
+    built = []
+    monkeypatch.setattr(cli, "lie2_to_json", lambda L: built.append(L) or {})
+    assert main(["lie2", str(FIXTURES / "L2.json")]) == 0
+    out = capsys.readouterr().out
+    assert out.count(": ok\n") == 6 and out.endswith("\nok\n")
+    assert built == []
+    for flag in ("--emit", "--json"):
+        assert main(["lie2", str(FIXTURES / "L2.json"), flag]) == 0
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("name, dims", [("L2", [1, 1, 1]), ("heis3", [2, 4, 10]),
+                                        ("sl2", [0, 0, 0])])
+def test_naive_cohomology_of_a_representation_file(capsys, name, dims):
+    # --naive with a file goes through naive_from_rep and conjugation_rep
+    assert main(["cohomology", str(FIXTURES / f"{name}.json"),
+                 "--rep", str(FIXTURES / f"rep_adjoint_{name}.json"),
+                 "--naive", "--max-degree", "2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert [d["dim_H"] for d in report["results"]["naive_betti"]["degrees"]] == dims
 
 
 def test_lie2_rejects_non_leibniz(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from conftest import change_basis
 from oracles import circle_product, graded_bracket, shuffles, structure_cochain
 from leibniz_kit import (
     Cochain,
+    IdentityReport,
     LeibnizAlgebra,
     Matrix,
     Representation,
@@ -30,6 +32,7 @@ from leibniz_kit import (
     coboundary_columns,
     coboundary_matrix,
     cocycle_check,
+    compare_trivial,
     conjugation_rep,
     dual_rep,
     kernel_basis,
@@ -286,16 +289,22 @@ def test_betti_of_zero_module_and_fractional_actions():
     assert ranks[0] == 0  # degree 0 sees only r = 0
 
 
-def test_square_zero_check_is_not_vacuous():
+def test_square_zero_check_is_not_vacuous(monkeypatch):
     # [e, e] = e violates the Leibniz identity, and its adjoint coboundary
-    # does not square to zero
+    # does not square to zero; with the refusal patched away, the product
+    # check of assert_square_zero is what stops betti
     rep = adjoint_rep(nonleibniz())
     assert not (coboundary_matrix(rep, 1) @ coboundary_matrix(rep, 0)).is_zero()
+    holds = lambda *args: IdentityReport(True)
+    monkeypatch.setattr(cohomology_module, "check_leibniz", holds)
+    monkeypatch.setattr(cohomology_module, "check_representation", holds)
     with pytest.raises(AssertionError, match="coboundary squared is nonzero at degree 0"):
         betti(rep, 2, assert_square_zero=True)
     script = """
-from leibniz_kit import adjoint_rep, betti
+import leibniz_kit.cohomology as cohomology
+from leibniz_kit import IdentityReport, adjoint_rep, betti
 from leibniz_kit.fixtures import nonleibniz
+cohomology.check_leibniz = cohomology.check_representation = lambda *a: IdentityReport(True)
 try:
     betti(adjoint_rep(nonleibniz()), 2, assert_square_zero=True)
 except AssertionError as exc:
@@ -672,20 +681,28 @@ def test_betti_clears_the_pivots_of_the_degree_below(monkeypatch, assert_square_
     assert rows == [d.dim_cochains - ranks[d.k] for d in report.degrees] == [3, 6, 21, 60]
 
 
-@pytest.mark.parametrize("g,fails_at", [(nonleibniz(), 1), (nonleibniz2(), 2)])
-def test_nothing_is_cleared_without_square_zero(monkeypatch, g, fails_at):
-    # d^2 != 0 here, so the pivots of d_(k-1) say nothing about d_k: every
-    # rank is the full matrix's, and the dimensions come out negative as
-    # they would without clearing
-    true_rank = cohomology_module.rank
-    seen = []
-    monkeypatch.setattr(cohomology_module, "rank",
-                        lambda m, pivots=None: seen.append(true_rank(m, pivots)) or seen[-1])
-    rep = adjoint_rep(g)
-    assert not check_leibniz(g).holds
-    with pytest.raises(AssertionError, match=f"negative cohomology dimension at degree {fails_at}"):
-        betti(rep, 3)
-    assert seen == [rref(coboundary_matrix(rep, k)).rank for k in range(4)]
+@pytest.mark.parametrize("rep, message", [
+    (adjoint_rep(nonleibniz()), "input is not a Leibniz algebra; first witness at (0, 0, 0)"),
+    (adjoint_rep(nonleibniz2()), "input is not a Leibniz algebra; first witness at (0, 0, 0)"),
+    (bad_representation(), "input is not a representation; first witness at (0, 0)"),
+], ids=["nonleibniz", "nonleibniz2", "rep_bad_L2"])
+def test_betti_refuses_input_that_fails_its_identities(monkeypatch, rep, message):
+    # clearing needs d^2 = 0, which the identities prove; input failing them
+    # is refused, in the CLI's words, before any coboundary is built
+    built = []
+    monkeypatch.setattr(cohomology_module, "coboundary_columns",
+                        lambda *args: built.append(args[1]))
+    for assert_square_zero in (False, True):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            betti(rep, 3, assert_square_zero=assert_square_zero)
+    assert built == []
+
+
+@pytest.mark.parametrize("g", [nonleibniz(), nonleibniz2()], ids=["nonleibniz", "nonleibniz2"])
+def test_comparisons_refuse_non_leibniz_input(g):
+    message = "^input is not a Leibniz algebra; first witness at \\(0, 0, 0\\)$"
+    with pytest.raises(ValueError, match=message):
+        compare_trivial(g, 2)
 
 
 def test_over_cap_betti_refuses_before_any_work(monkeypatch):

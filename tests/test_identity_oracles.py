@@ -206,6 +206,40 @@ def test_sparse_and_dense_round_trip():
     assert dense(sparse(t, 3), (2, 3, 2)) == tuple(tuple(map(tuple, p)) for p in t)
 
 
+def _assert_derived_forms_match_fields(value) -> None:
+    """Each sparse form the constructor derived is the walk of its field."""
+    if isinstance(value, Lie2Algebra):
+        assert value._l1 == sparse(value.l1.to_rows(), 2)
+        assert value._l2_00 == sparse(value.l2_00, 3)
+        assert value._l2_01 == sparse(value.l2_01, 3)
+        assert value._l3 == sparse(value.l3, 4)
+    elif isinstance(value, GraphMap):
+        assert value._phi == _action_tensor(value.phi)
+    else:
+        assert value._phi == _action_tensor(value.phi)
+        assert value._theta == sparse(value.theta, 2)
+
+
+def test_derived_forms_match_fields_on_the_corpus(positive_algebras, small_algebras,
+                                                  dense_rational_algebras):
+    values = [build_lie2(g) for g in {**positive_algebras, **dense_rational_algebras}.values()]
+    values += [_random_lie2(11), _corrupted_lie2()]
+    values += _graphs(dense_rational_algebras).values()
+    values += _naive_representations(small_algebras, dense_rational_algebras).values()
+    assert {type(v) for v in values} == {Lie2Algebra, GraphMap, NaiveRepresentation}
+    for value in values:
+        _assert_derived_forms_match_fields(value)
+    # every derived form is nonempty somewhere, so no comparison is vacuous
+    for slot in ("_l1", "_l2_00", "_l2_01", "_l3", "_phi", "_theta"):
+        assert any(getattr(v, slot, None) for v in values), slot
+
+
+def test_conjugation_rep_matches_oracle(positive_algebras):
+    for name, g in positive_algebras.items():
+        for rep in (trivial_rep(g), _left_only(adjoint_rep(g))):
+            assert conjugation_rep(rep) == oracles.conjugation_rep(rep), name
+
+
 def _rational_tensors(shape: tuple):
     """Dense tensors of the given shape with up to 12 drawn entries, each a
     rational with denominator at most 3 (zero included); the rest are zero."""
@@ -229,6 +263,16 @@ def test_sparse_forms_match_dense_walks(data):
     rep = Representation(g, m, l, r)
     assert g._c == sparse(g.c, 3)
     assert (rep._l, rep._r) == (_action_tensor(rep.l), _action_tensor(rep.r))
+    n1 = data.draw(st.integers(0, 2))
+    L = Lie2Algebra(n1, n, Matrix.from_cols(n, data.draw(_rational_tensors((n1, n)))),
+                    *(data.draw(_rational_tensors(shape))
+                      for shape in ((n, n, n), (n, n1, n1), (n, n, n, n1))))
+    phi = GraphMap(m, [Matrix.from_rows(a) for a in data.draw(_rational_tensors((m, m, m)))])
+    rho = NaiveRepresentation(g, m, l, data.draw(_rational_tensors((n, m))))
+    for value in (L, phi, rho):
+        _assert_derived_forms_match_fields(value)
+    left = Representation(g, m, l, [Matrix.zeros(m, m)] * n)
+    assert conjugation_rep(left) == oracles.conjugation_rep(left)
     assert adjoint_rep(g) == oracles.adjoint_rep(g)
     assert left_multiplication_matrix(g) == oracles.left_multiplication_matrix(g)
     assert is_lie(g) == oracles.is_lie(g)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import jacobiator_direct
+from oracles import jacobiator_closed, jacobiator_direct
 from leibniz_kit import (
     LeibnizAlgebra,
     Matrix,
@@ -12,7 +12,6 @@ from leibniz_kit import (
     build_lie2,
     check_jacobiator_identities,
     check_lie2_structure,
-    jacobiator_closed,
     left_center,
     omni_lie,
     skew_bracket,

@@ -58,7 +58,8 @@ FIELDS = {"LeibnizAlgebra": "c", "Representation": "l", "Cochain": "values",
 
 # The slots holding forms a constructor derives from the fields.
 DERIVED = {"LeibnizAlgebra": ("_c",), "Representation": ("_l", "_r"),
-           "Subspace": ("_pivots", "_inverse")}
+           "Subspace": ("_pivots", "_inverse"), "GraphMap": ("_phi",),
+           "Lie2Algebra": ("_l1", "_l2_00", "_l2_01", "_l3")}
 
 
 def _with_bogus_derived_forms(name):
