@@ -7,7 +7,7 @@ bilinear bracket [.,.] whose left multiplications are derivations:
 
 The bracket need not be antisymmetric; Lie algebras are the antisymmetric
 special case.  Everything is encoded by the tensor c with
-[e_i, e_j] = sum_k c[i][j][k] e_k.
+[e_i, e_j] = sum_k c[i, j, k] e_k, stored sparse.
 """
 
 from __future__ import annotations
@@ -24,39 +24,35 @@ from .linalg import (
     ZERO,
     _to_integers,
     as_rational,
-    freeze,
     kernel_basis,
     span_of_rows,
-    vaddto,
+    sparse_tensor,
     vzero,
 )
 
 
 class LeibnizAlgebra(Frozen):
-    """Structure constants c[i][j][k] of [e_i, e_j] = sum_k c[i][j][k] e_k.
+    """Structure constants of [e_i, e_j] = sum_k c[i, j, k] e_k.
 
-    ``c`` is the dense public (and JSON) view; ``_c`` is its sparse form
-    {(i, j, k): c[i][j][k]} over the nonzero constants, derived once here
-    and read by every check.  Nothing may change ``_c``."""
+    ``c`` is the read-only sparse ``linalg.Tensor`` {(i, j, k): nonzero
+    Fraction}, the one stored form that every check reads; ``g.c[i][j][k]``
+    reads an entry.  The constructor takes that mapping or the dense
+    nested sequences (``linalg.sparse_tensor``)."""
 
-    __slots__ = ("dim", "c", "_c")
+    __slots__ = ("dim", "c")
 
-    def __init__(self, dim: int, c: tuple):
-        c = freeze(c, (dim,) * 3, "structure tensor")
-        self._set(dim, c, sparse(c, 3))
+    def __init__(self, dim: int, c):
+        self._set(dim, sparse_tensor(c, (dim,) * 3, "structure tensor"))
 
     @classmethod
     def abelian(cls, n: int) -> "LeibnizAlgebra":
-        return cls(n, [[[ZERO] * n for _ in range(n)] for _ in range(n)])
+        return cls(n, {})
 
     @classmethod
     def from_brackets(cls, n: int, brackets: dict) -> "LeibnizAlgebra":
         """Build from a sparse {(i, j): {k: coeff}} description; 0-based indices."""
-        c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for (i, j), val in brackets.items():
-            for k, coeff in val.items():
-                c[i][j][k] = as_rational(coeff)
-        return cls(n, c)
+        return cls(n, {(i, j, k): coeff for (i, j), val in brackets.items()
+                       for k, coeff in val.items()})
 
 
 class Witness(NamedTuple):
@@ -89,20 +85,12 @@ def _report(witnesses: list[Witness]) -> IdentityReport:
 # A sparse tensor is a dict {index tuple: Fraction} that omits zeros.  An
 # identity on basis tuples is a signed sum of contractions; every tuple that
 # no term reaches has residual exactly zero, so the nonzero entries of the
-# residual are precisely the failing tuples.  Every value type derives its
-# tensors in sparse form once, in its constructor (``LeibnizAlgebra._c``,
-# ``Representation._l`` and ``_r``, ``Lie2Algebra._l1`` .. ``_l3``,
-# ``GraphMap._phi``, ``NaiveRepresentation._phi`` and ``_theta``); the
-# checks read those and never walk the dense nested tuples.
-
-def sparse(tensor, depth: int) -> dict:
-    """{index tuple: entry} of the nonzero entries of a nested sequence
-    indexed ``depth`` >= 1 levels deep, in lexicographic order."""
-    items = [((), tensor)]
-    for _ in range(depth - 1):
-        items = [(key + (i,), sub) for key, t in items for i, sub in enumerate(t)]
-    return {key + (i,): v for key, t in items for i, v in enumerate(t) if v}
-
+# residual are precisely the failing tuples.  Structure tensors are stored
+# in this form only, as a read-only ``linalg.Tensor`` (``LeibnizAlgebra.c``,
+# ``Lie2Algebra.l2_00``, ``l2_01``, ``l3``); value types holding matrices
+# derive it once in their constructor (``Representation._l``, ``_r``,
+# ``Lie2Algebra._l1``, ``GraphMap._phi``, ``NaiveRepresentation._phi``,
+# ``_theta``).  Only witnesses and ``rbar`` build dense tuples.
 
 def dense(tensor: dict, shape: tuple) -> tuple:
     """The nested tuples of the given shape holding a sparse tensor."""
@@ -207,13 +195,10 @@ def bracket(g: LeibnizAlgebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> 
         raise ValueError(f"vectors must have length {n}")
     out = vzero(n)
     for i, xi in enumerate(x):
-        if not xi:
-            continue
-        ci = g.c[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            vaddto(out, xi * yj, ci[j])
+        if xi:
+            for (j, k), v in g.c[i].items():
+                if y[j]:
+                    out[k] += xi * y[j] * v
     return out
 
 
@@ -230,21 +215,17 @@ def check_leibniz(g: LeibnizAlgebra) -> IdentityReport:
     residual covers every basis triple: a triple no term reaches is exactly
     zero, so a report that holds is a proof on the whole basis.
     """
-    return leibniz_report(g._c, g.dim)
-
-
-def leibniz_report(c: dict, dim: int) -> IdentityReport:
-    """``check_leibniz`` of the algebra with sparse structure tensor c."""
+    c = g.c
     residual = contract([(1, "jka,iat->ijkt", c, c), (-1, "ija,akt->ijkt", c, c),
                          (-1, "ika,jat->ijkt", c, c)])
-    return _report(residual_witnesses(residual, dim, "leibniz"))
+    return _report(residual_witnesses(residual, g.dim, "leibniz"))
 
 
 def left_multiplication_matrix(g: LeibnizAlgebra) -> Matrix:
     """The n^2 x n matrix of x -> ([x, e_j] for all j), rows indexed by (j, k)."""
     n = g.dim
     data: list[dict] = [{} for _ in range(n * n)]
-    for (i, j, k), v in g._c.items():
+    for (i, j, k), v in g.c.items():
         data[j * n + k][i] = v
     return Matrix(n * n, n, data)
 
@@ -257,19 +238,19 @@ def left_center(g: LeibnizAlgebra) -> Subspace:
 def derived_subalgebra(g: LeibnizAlgebra) -> Subspace:
     """Span of all brackets [e_i, e_j]; the canonical basis does not depend
     on which zero brackets are left out."""
-    return span_of_rows(g.dim, rows_of(g._c, g.dim).values())
+    return span_of_rows(g.dim, rows_of(g.c, g.dim).values())
 
 
 def is_lie(g: LeibnizAlgebra) -> bool:
     """Antisymmetry of the structure tensor; with the derivation identity this
     already implies Jacobi."""
-    return all(g._c.get((j, i, k)) == -v for (i, j, k), v in g._c.items())
+    return all(g.c.get((j, i, k)) == -v for (i, j, k), v in g.c.items())
 
 
 def square_in_center_check(g: LeibnizAlgebra) -> IdentityReport:
     """Polarized form of "[x, x] lies in the left center":
     [[e_i,e_j] + [e_j,e_i], e_k] = 0 for all basis triples."""
-    c = g._c
+    c = g.c
     residual = contract([(1, "ija,akt->ijkt", c, c), (1, "jia,akt->ijkt", c, c)])
     return _report(residual_witnesses(residual, g.dim, "square-center"))
 
@@ -299,8 +280,10 @@ def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
             raise AssertionError("vector outside the span of the extended center basis")
         return coords[z.dim:]
 
-    c = [[project(list(g.c[ia][ib])) for ib in complement] for ia in complement]
-    quotient = LeibnizAlgebra(q, c)
+    rows = rows_of(g.c, n)
+    quotient = LeibnizAlgebra(q, {(a, b, k): x for a, ia in enumerate(complement)
+                                  for b, ib in enumerate(complement) if (ia, ib) in rows
+                                  for k, x in enumerate(project(rows[ia, ib]))})
     if not is_lie(quotient):
         raise RuntimeError("quotient by the left center is not antisymmetric; "
                            "input violates the Leibniz identity")

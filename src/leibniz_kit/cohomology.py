@@ -38,7 +38,6 @@ from .algebra import (
     check_leibniz,
     contract,
     dense,
-    leibniz_report,
     residual_witnesses,
 )
 from .linalg import Frozen, Matrix, _to_integers, freeze, rank, viszero, vzero
@@ -99,7 +98,7 @@ def check_representation(rep: Representation) -> IdentityReport:
     L[i,a,b] = (l_i)[a][b] and R[i,a,b] = (r_i)[a][b], and each witness
     carries the m x m defect matrix at (i, j).
     """
-    c, L, R = rep.algebra._c, rep._l, rep._r
+    c, L, R = rep.algebra.c, rep._l, rep._r
     identities = {
         "l-of-bracket": [(1, "ijk,kab->ijab", c, L), (-1, "iau,jub->ijab", L, L),
                          (1, "jau,iub->ijab", L, L)],
@@ -135,8 +134,8 @@ def adjoint_rep(g: LeibnizAlgebra) -> Representation:
     """Left and right multiplications of g acting on itself."""
     n = g.dim
     # (l_i)[k][j] = (r_j)[k][i] = c[i][j][k]
-    return Representation(g, n, _matrices({(i, k, j): v for (i, j, k), v in g._c.items()}, n, n),
-                          _matrices({(j, k, i): v for (i, j, k), v in g._c.items()}, n, n))
+    return Representation(g, n, _matrices({(i, k, j): v for (i, j, k), v in g.c.items()}, n, n),
+                          _matrices({(j, k, i): v for (i, j, k), v in g.c.items()}, n, n))
 
 
 def _require_left_only(rep: Representation, what: str) -> None:
@@ -235,7 +234,7 @@ def coboundary_columns(rep: Representation, k: int,
     out_dim = n ** (k + 1) * m
     if cap is not None and out_dim > cap:
         raise ResourceCapExceeded(out_dim, cap)
-    (c, dc), (l, dl), (r, dr) = (_to_integers(t) for t in (g._c, rep._l, rep._r))
+    (c, dc), (l, dl), (r, dr) = (_to_integers(t) for t in (g.c, rep._l, rep._r))
     den = lcm(dc, dl, dr)
     # lcols[s][b] = [(a, D*(l_s)[a][b])], column b of D*l_s; rcols likewise
     lcols = [[[] for _ in range(m)] for _ in range(n)]
@@ -390,31 +389,26 @@ def _right_action_tensor(g: LeibnizAlgebra, rep: Representation) -> dict:
     return {(n + a, j, n + w): v for (j, w, a), v in rep._r.items()}
 
 
-def _semidirect_tensor(g: LeibnizAlgebra, rep: Representation, mode: str) -> dict:
-    """The sparse structure tensor of ``semidirect``, refused unless Leibniz."""
-    if mode not in ("lr", "l0"):
-        raise ValueError("mode must be 'lr' or 'l0'")
-    n = g.dim
-    c = dict(g._c)
-    c.update(((i, n + b, n + w), v) for (i, w, b), v in rep._l.items())
-    if mode == "lr":
-        c.update(_right_action_tensor(g, rep))
-    report = leibniz_report(c, n + rep.vdim)
-    if not report.holds:
-        raise ValueError("semidirect product violates the Leibniz identity; "
-                         f"first witness at {report.witnesses[0].where} "
-                         "(is the representation valid?)")
-    return c
-
-
 def semidirect(g: LeibnizAlgebra, rep: Representation, mode: str) -> LeibnizAlgebra:
-    """Leibniz structure on g (+) V:
+    """Leibniz structure on g (+) V, refused unless it is Leibniz:
 
         mode "lr": [x+u, y+v] = [x,y] + l_x v + r_y u
         mode "l0": [x+u, y+v] = [x,y] + l_x v
     """
-    total = g.dim + rep.vdim
-    return LeibnizAlgebra(total, dense(_semidirect_tensor(g, rep, mode), (total,) * 3))
+    if mode not in ("lr", "l0"):
+        raise ValueError("mode must be 'lr' or 'l0'")
+    n = g.dim
+    c = dict(g.c)
+    c.update(((i, n + b, n + w), v) for (i, w, b), v in rep._l.items())
+    if mode == "lr":
+        c.update(_right_action_tensor(g, rep))
+    out = LeibnizAlgebra(n + rep.vdim, c)
+    report = check_leibniz(out)
+    if not report.holds:
+        raise ValueError("semidirect product violates the Leibniz identity; "
+                         f"first witness at {report.witnesses[0].where} "
+                         "(is the representation valid?)")
+    return out
 
 
 def rbar(g: LeibnizAlgebra, rep: Representation) -> Cochain:
@@ -458,9 +452,9 @@ def maurer_cartan_check(g: LeibnizAlgebra, rep: Representation) -> IdentityRepor
     for the coboundary of the adjoint representation of the (l,0)-product,
     and that the (l,0)-bracket plus rbar equals the (l,r)-bracket.
     """
-    c0 = _semidirect_tensor(g, rep, "l0")
+    c0 = semidirect(g, rep, "l0").c
     r = _right_action_tensor(g, rep)
-    clr = _semidirect_tensor(g, rep, "lr")
+    clr = semidirect(g, rep, "lr").c
     deformation = contract([(1, "ijt->ijt", c0), (1, "ijt->ijt", r), (-1, "ijt->ijt", clr)])
     total = g.dim + rep.vdim
     return _report(residual_witnesses(maurer_cartan_residual(c0, r), total, "maurer-cartan")

@@ -28,30 +28,24 @@ from .algebra import (
     Witness,
     _report,
     contract,
-    dense,
     left_center,
     residual_witnesses,
     rows_of,
-    sparse,
 )
 from .linalg import (
     HALF,
     Frozen,
     Matrix,
     QUARTER,
-    freeze,
+    sparse,
+    sparse_tensor,
 )
 
 
-def _skew(g: LeibnizAlgebra) -> dict:
+def skew_bracket(g: LeibnizAlgebra) -> dict:
     """<<e_i, e_j>> = ([e_i,e_j] - [e_j,e_i]) / 2 as a sparse tensor: half the
-    difference of the structure tensor and its transpose."""
-    return contract([(HALF, "ijk->ijk", g._c), (-HALF, "jik->ijk", g._c)])
-
-
-def skew_bracket(g: LeibnizAlgebra) -> tuple:
-    """Tensor of <<e_i, e_j>> = ([e_i,e_j] - [e_j,e_i]) / 2; antisymmetric."""
-    return dense(_skew(g), (g.dim,) * 3)
+    difference of the structure tensor and its transpose; antisymmetric."""
+    return contract([(HALF, "ijk->ijk", g.c), (-HALF, "jik->ijk", g.c)])
 
 
 def _jacobiator(c: dict) -> dict:
@@ -85,7 +79,7 @@ def check_jacobiator_identities(g: LeibnizAlgebra) -> IdentityReport:
 
     Witnesses are labelled, and listed, in that order.
     """
-    n, c, s = g.dim, g._c, _skew(g)
+    n, c, s = g.dim, g.c, skew_bracket(g)
     jac = _jacobiator(c)
     direct = contract([(1, "jka,iat->ijkt", s, s), (1, "kia,jat->ijkt", s, s),
                        (1, "ija,kat->ijkt", s, s), (-1, "ijkt->ijkt", jac)])
@@ -113,25 +107,22 @@ class Lie2Algebra(Frozen):
 
     l2 on two degree-1 elements would land in degree 2, which is zero here.
 
-    ``_l1``, ``_l2_00``, ``_l2_01`` and ``_l3`` are the sparse forms of the
-    four operations over their nonzero entries, ``_l1`` keyed (r, a) by the
-    entries of the matrix; they are derived once here and read by every
-    check.  Nothing may change them.
+    ``l2_00``, ``l2_01`` and ``l3`` are read-only sparse ``linalg.Tensor``s,
+    indexed as above with the output last; the constructor takes mappings or
+    dense nested sequences (``linalg.sparse_tensor``).  ``_l1`` is the
+    sparse form {(r, a): entry} of the matrix ``l1``, derived once here and
+    read by every check.  Nothing may change it.
     """
 
-    __slots__ = ("dim1", "dim0", "l1", "l2_00", "l2_01", "l3",
-                 "_l1", "_l2_00", "_l2_01", "_l3")
+    __slots__ = ("dim1", "dim0", "l1", "l2_00", "l2_01", "l3", "_l1")
 
-    def __init__(self, dim1: int, dim0: int, l1: Matrix, l2_00: tuple, l2_01: tuple,
-                 l3: tuple):
+    def __init__(self, dim1: int, dim0: int, l1: Matrix, l2_00, l2_01, l3):
         if l1.shape != (dim0, dim1):
             raise ValueError("l1 must be dim0 x dim1")
-        l2_00 = freeze(l2_00, (dim0,) * 3, "l2_00")
-        l2_01 = freeze(l2_01, (dim0, dim1, dim1), "l2_01")
-        l3 = freeze(l3, (dim0,) * 3 + (dim1,), "l3")
-        self._set(dim1, dim0, l1, l2_00, l2_01, l3,
-                  {(r, a): v for r in range(dim0) for a, v in l1.row_items(r)},
-                  sparse(l2_00, 3), sparse(l2_01, 3), sparse(l3, 4))
+        self._set(dim1, dim0, l1, sparse_tensor(l2_00, (dim0,) * 3, "l2_00"),
+                  sparse_tensor(l2_01, (dim0, dim1, dim1), "l2_01"),
+                  sparse_tensor(l3, (dim0,) * 3 + (dim1,), "l3"),
+                  {(r, a): v for r in range(dim0) for a, v in l1.row_items(r)})
 
 
 class AxiomReport(NamedTuple):
@@ -157,7 +148,7 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     n = g.dim
     z = left_center(g)
     d1 = z.dim
-    c = g._c
+    c = g.c
 
     def center_coords(tensor, context):
         # a zero vector has zero coordinates, so only nonzero rows are read
@@ -173,16 +164,15 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     half_action = contract([(HALF, "ua,iat->iut", sparse(z.basis, 2), c)])
     l2_01 = center_coords(half_action, "[e_{}, z_{}]/2")
     l3 = center_coords(_jacobiator(c), "J(e_{},e_{},e_{})")
-    return Lie2Algebra(d1, n, z.basis_matrix(), skew_bracket(g), dense(l2_01, (n, d1, d1)),
-                       dense(l3, (n, n, n, d1)))
+    return Lie2Algebra(d1, n, z.basis_matrix(), skew_bracket(g), l2_01, l3)
 
 
 def check_lie2_structure(L: Lie2Algebra) -> IdentityReport:
     """Antisymmetry of l2 on degree 0 and total antisymmetry of l3."""
-    s = L._l2_00
+    s = L.l2_00
     l2 = contract([(1, "ijt->ijt", s), (1, "jit->ijt", s)])
     return _report(residual_witnesses(l2, L.dim0, "l2-antisymmetry")
-                   + _antisymmetry_witnesses(L._l3, L.dim1, "l3-antisymmetry"))
+                   + _antisymmetry_witnesses(L.l3, L.dim1, "l3-antisymmetry"))
 
 
 def verify_lie2(L: Lie2Algebra) -> AxiomReport:
@@ -200,7 +190,7 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
             + l3(l2(y,z),x,w) - l3(l2(y,w),x,z) + l3(l2(z,w),x,y)
     """
     n0, n1 = L.dim0, L.dim1
-    l1, s, m, t = L._l1, L._l2_00, L._l2_01, L._l3
+    l1, s, m, t = L._l1, L.l2_00, L.l2_01, L.l3
     axioms = {
         "a": (n0, [(1, "iab,tb->iat", m, l1), (-1, "ua,iut->iat", l1, s)]),
         "b": (n1, [(1, "ua,ubt->abt", l1, m), (1, "ub,uat->abt", l1, m)]),

@@ -40,12 +40,13 @@ near the resource cap.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 Rational = Fraction
 
@@ -72,10 +73,9 @@ class Frozen:
     Equality, hash and repr go by value; assigning raises AttributeError.
 
     Slots named with a leading underscore come last and hold forms derived
-    from the fields (the sparse tensors the checks read, the coordinate
-    form of a subspace).  ``_set`` stores them too, but equality, hash,
-    repr and pickling see only the fields, so a copy or an unpickled twin
-    derives them again in its constructor."""
+    from the fields.  ``_set`` stores them too, but equality, hash, repr and
+    pickling see only the fields, so a copy or an unpickled twin derives
+    them again in its constructor."""
 
     __slots__ = ()
 
@@ -120,6 +120,79 @@ def freeze(x, shape: tuple, what: str) -> tuple:
     if len(shape) == 1:
         return tuple(map(as_rational, x))
     return tuple(freeze(v, shape[1:], what) for v in x)
+
+
+def sparse(tensor, depth: int) -> dict:
+    """{index tuple: entry} of the nonzero entries of a nested sequence
+    indexed ``depth`` >= 1 levels deep, in lexicographic order."""
+    items = [((), tensor)]
+    for _ in range(depth - 1):
+        items = [(key + (i,), sub) for key, t in items for i, sub in enumerate(t)]
+    return {key + (i,): v for key, t in items for i, v in enumerate(t) if v}
+
+
+class Tensor(dict):
+    """A read-only sparse tensor of a given ``shape``: the dict {index tuple:
+    nonzero Fraction}, keys in lexicographic order, that ``sparse_tensor``
+    builds.  It hashes by its items and pickles as a dict; ``len``, ``in``,
+    ``keys``, ``items``, ``get``, lookup by index tuple and equality are a
+    dict's.
+
+    An int index and iteration read the dense form along the first axis,
+    for code that reads the fields as nested sequences (the benchmark's own
+    tests do): ``t[i]`` is the sub-tensor at i, or the entry (zero included)
+    on the last axis.  It is found by bisecting the keys, so ``t[i][j]``
+    costs a slice of the support, not a dense walk."""
+
+    __slots__ = ("shape", "_keys")
+
+    def __init__(self, shape: tuple, entries: dict):
+        super().__init__(entries)
+        self.shape, self._keys = shape, list(entries)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a sparse tensor is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return Tensor, (self.shape, dict(self.items()))
+
+    def __getitem__(self, index):
+        if isinstance(index, tuple):
+            return super().__getitem__(index)
+        if not 0 <= index < self.shape[0]:
+            raise IndexError(f"index {index} out of range for axis of length {self.shape[0]}")
+        if len(self.shape) == 1:
+            return self.get((index,), ZERO)
+        keys = self._keys
+        keys = keys[bisect_left(keys, (index,)):bisect_left(keys, (index + 1,))]
+        return Tensor(self.shape[1:], {k[1:]: self.get(k) for k in keys})
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.shape[0]))
+
+
+def sparse_tensor(t, shape: tuple, what: str) -> Tensor:
+    """The ``Tensor`` of the given shape holding t: a mapping {index tuple:
+    scalar}, or the nested sequences of the dense form.  Zeros are dropped.
+    Raises ValueError, naming ``what``, on a key that is no index of the
+    shape or on an axis of the wrong length."""
+    if not isinstance(t, Mapping):
+        t = sparse(freeze(t, shape, what), len(shape))
+    out = {}
+    for key, v in t.items():
+        if not (isinstance(key, tuple) and len(key) == len(shape)
+                and all(isinstance(i, int) and 0 <= i < d for i, d in zip(key, shape))):
+            raise ValueError(f"{what}: key {key!r} is no index of shape {shape}")
+        v = as_rational(v)
+        if v:
+            out[key] = v
+    return Tensor(shape, dict(sorted(out.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .algebra import (
     contract,
     derived_subalgebra,
     residual_witnesses,
-    sparse,
 )
 from .cohomology import (
     DEFAULT_CAP,
@@ -71,6 +70,7 @@ from .linalg import (
     kernel_basis,
     linear_combination,
     span_of_rows,
+    sparse,
     vaddto,
     viszero,
     vsub,
@@ -122,8 +122,8 @@ def omni_lie(m: int) -> LeibnizAlgebra:
         raise ValueError(f"omni algebra needs m >= 0, got {m}")
     n = m * m + m
     basis = [_basis(n, p) for p in range(n)]
-    c = [[omni_bracket(m, basis[p], basis[q]) for q in range(n)] for p in range(n)]
-    out = LeibnizAlgebra(n, c)
+    out = LeibnizAlgebra(n, {(p, q, k): v for p in range(n) for q in range(n)
+                             for k, v in enumerate(omni_bracket(m, basis[p], basis[q])) if v})
     if not check_leibniz(out).holds:
         raise AssertionError("omni bracket failed the Leibniz identity")
     return out
@@ -169,10 +169,8 @@ def induced_leibniz(phi: GraphMap) -> LeibnizAlgebra:
     if not report.holds:
         raise ValueError("graph map fails the closure condition at "
                          f"{report.witnesses[0].where}")
-    m = phi.vdim
-    c = [[[phi.phi[i].entry(k, j) for k in range(m)] for j in range(m)]
-         for i in range(m)]
-    out = LeibnizAlgebra(m, c)
+    # [e_i, e_j] = phi_i e_j has entry (phi_i)[k][j] at k
+    out = LeibnizAlgebra(phi.vdim, {(i, j, k): v for (i, k, j), v in phi._phi.items()})
     if not check_leibniz(out).holds:
         raise AssertionError("graph-induced bracket failed the Leibniz identity")
     return out
@@ -230,7 +228,7 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
     T[i,a] = theta_i[a]."""
     g = rho.algebra
     n = g.dim
-    c, P, T = g._c, rho._phi, rho._theta
+    c, P, T = g.c, rho._phi, rho._theta
     con1 = contract([(1, "ijk,kab->ijab", c, P), (-1, "iau,jub->ijab", P, P),
                      (1, "jau,iub->ijab", P, P)])
     con2 = contract([(1, "ijk,ka->ija", c, T), (-1, "iab,jb->ija", P, T)])

@@ -31,9 +31,10 @@ def scalar_to_str(q: Fraction) -> str:
 
 
 def _scalar(x: Any, parsed: dict) -> Optional[Fraction]:
-    """x as a Fraction, or None if it is no scalar; strings go through the memo."""
+    """x as a Fraction, or None if it is no scalar (a JSON true or false is
+    none); strings go through the memo."""
     if not isinstance(x, str):
-        return Fraction(x) if isinstance(x, int) else None
+        return Fraction(x) if isinstance(x, int) and not isinstance(x, bool) else None
     if x not in parsed and _SCALAR_RE.match(x):
         parsed[x] = Fraction(x)
     return parsed.get(x)
@@ -73,10 +74,6 @@ def _expect_list(v: Any, length: int, where: str) -> list:
     return v
 
 
-def vector_to_json(v) -> list[str]:
-    return [scalar_to_str(x) for x in v]
-
-
 def vector_from_json(v: Any, length: int, where: str, parsed: dict) -> list[Fraction]:
     """The scalars of a list, memoized in ``parsed``; ``str_to_scalar`` refuses a bad one."""
     out = []
@@ -86,25 +83,31 @@ def vector_from_json(v: Any, length: int, where: str, parsed: dict) -> list[Frac
     return out
 
 
-def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [vector_to_json(m.row_list(i)) for i in range(m.rows)]
-
-
 def matrix_from_json(data: Any, rows: int, cols: int, where: str, parsed: dict) -> Matrix:
     out = [vector_from_json(row, cols, f"{where}[{i}]", parsed)
            for i, row in enumerate(_expect_list(data, rows, where))]
     return Matrix.from_rows(out) if rows else Matrix.zeros(0, cols)
 
 
-def tensor3_to_json(c) -> list:
-    return [[vector_to_json(row) for row in plane] for plane in c]
+def tensor_to_json(t, shape: tuple) -> list:
+    """The nested lists of the given shape holding a sparse tensor, "0" where
+    it has no entry; every matrix and tensor is written from its sparse form."""
+    def zeros(axes):
+        return [zeros(axes[1:]) for _ in range(axes[0])] if len(axes) > 1 else ["0"] * axes[0]
+    out = zeros(shape)
+    for key, v in t.items():
+        row = out
+        for i in key[:-1]:
+            row = row[i]
+        row[key[-1]] = scalar_to_str(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # algebras
 
 def algebra_to_json(g: LeibnizAlgebra) -> dict:
-    return {"schema": SCHEMA, "dim": g.dim, "c": tensor3_to_json(g.c)}
+    return {"schema": SCHEMA, "dim": g.dim, "c": tensor_to_json(g.c, (g.dim,) * 3)}
 
 
 def algebra_from_json(data: Any) -> LeibnizAlgebra:
@@ -112,11 +115,12 @@ def algebra_from_json(data: Any) -> LeibnizAlgebra:
     _expect_schema(data, where)
     n = _expect_dim(data, "dim", where)
     raw = _expect_list(_expect(data, "c", where), n, f"{where}.c")
-    c, parsed = [], {}
+    c, parsed = {}, {}
     for i, plane in enumerate(raw):
-        plane = _expect_list(plane, n, f"{where}.c[{i}]")
-        c.append([vector_from_json(row, n, f"{where}.c[{i}][{j}]", parsed)
-                  for j, row in enumerate(plane)])
+        for j, row in enumerate(_expect_list(plane, n, f"{where}.c[{i}]")):
+            for k, v in enumerate(vector_from_json(row, n, f"{where}.c[{i}][{j}]", parsed)):
+                if v:
+                    c[i, j, k] = v
     return LeibnizAlgebra(n, c)
 
 
@@ -124,9 +128,9 @@ def algebra_from_json(data: Any) -> LeibnizAlgebra:
 # representations
 
 def representation_to_json(rep: Representation) -> dict:
+    shape = (rep.algebra.dim, rep.vdim, rep.vdim)
     return {"schema": SCHEMA, "vdim": rep.vdim,
-            "l": [matrix_to_json(m) for m in rep.l],
-            "r": [matrix_to_json(m) for m in rep.r]}
+            "l": tensor_to_json(rep._l, shape), "r": tensor_to_json(rep._r, shape)}
 
 
 def representation_from_json(g: LeibnizAlgebra, data: Any) -> Representation:
@@ -144,9 +148,9 @@ def representation_from_json(g: LeibnizAlgebra, data: Any) -> Representation:
 # naive representations and graph maps
 
 def naive_to_json(rho: NaiveRepresentation) -> dict:
-    return {"schema": SCHEMA, "vdim": rho.vdim,
-            "phi": [matrix_to_json(m) for m in rho.phi],
-            "theta": [vector_to_json(t) for t in rho.theta]}
+    n, m = rho.algebra.dim, rho.vdim
+    return {"schema": SCHEMA, "vdim": m, "phi": tensor_to_json(rho._phi, (n, m, m)),
+            "theta": tensor_to_json(rho._theta, (n, m))}
 
 
 def naive_from_json(g: LeibnizAlgebra, data: Any) -> NaiveRepresentation:
@@ -161,8 +165,7 @@ def naive_from_json(g: LeibnizAlgebra, data: Any) -> NaiveRepresentation:
 
 
 def graph_to_json(phi: GraphMap) -> dict:
-    return {"schema": SCHEMA, "vdim": phi.vdim,
-            "phi": [matrix_to_json(m) for m in phi.phi]}
+    return {"schema": SCHEMA, "vdim": phi.vdim, "phi": tensor_to_json(phi._phi, (phi.vdim,) * 3)}
 
 
 def graph_from_json(data: Any) -> GraphMap:
@@ -182,10 +185,10 @@ def lie2_to_json(L: Lie2Algebra) -> dict:
         "schema": SCHEMA,
         "dim1": L.dim1,
         "dim0": L.dim0,
-        "l1": matrix_to_json(L.l1),
-        "l2_00": tensor3_to_json(L.l2_00),
-        "l2_01": tensor3_to_json(L.l2_01),
-        "l3": [[[vector_to_json(v) for v in row] for row in plane] for plane in L.l3],
+        "l1": tensor_to_json(L._l1, (L.dim0, L.dim1)),
+        "l2_00": tensor_to_json(L.l2_00, (L.dim0,) * 3),
+        "l2_01": tensor_to_json(L.l2_01, (L.dim0, L.dim1, L.dim1)),
+        "l3": tensor_to_json(L.l3, (L.dim0,) * 3 + (L.dim1,)),
     }
 
 

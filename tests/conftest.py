@@ -7,7 +7,7 @@ import pytest
 
 from leibniz_kit import fixtures as corpus
 from leibniz_kit.algebra import LeibnizAlgebra, bracket
-from leibniz_kit.linalg import Matrix, solve
+from leibniz_kit.linalg import Matrix, solve, sparse
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,7 +45,7 @@ def change_basis(g: LeibnizAlgebra, b) -> LeibnizAlgebra:
     f = [bm.column(i) for i in range(g.dim)]
     c = [[solve(bm, bracket(g, f[i], f[j])) for j in range(g.dim)]
          for i in range(g.dim)]
-    return LeibnizAlgebra(g.dim, c)
+    return LeibnizAlgebra(g.dim, sparse(c, 3))
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,8 @@ matrix; the differential tests compare the two.
 
 The adjoint representation, the left multiplication matrix, antisymmetry
 and the skew bracket are here as walks over all n^3 entries of the dense
-structure tensor; the library reads them off its sparse form.  The
+structure tensor, which each oracle builds once with ``dense``; the library
+reads them off its sparse form.  The
 conjugation representation is here as a loop over matrix entries, and the
 closed form of the Jacobiator as nested brackets of basis vectors; the
 library contracts sparse tensors for both.
@@ -43,12 +44,14 @@ from leibniz_kit import (
     omni_bracket,
     semidirect,
 )
+from leibniz_kit.algebra import dense
 from leibniz_kit.linalg import (
     HALF,
     ONE,
     ZERO,
     linear_combination,
     solve,
+    sparse,
     vaddto,
     viszero,
     vsub,
@@ -98,41 +101,45 @@ def apply_trilinear(table, x, y, z) -> list[Fraction]:
 def skew_bracket(g: LeibnizAlgebra) -> tuple:
     """<<e_i, e_j>> = ([e_i,e_j] - [e_j,e_i]) / 2, entry by entry."""
     n = g.dim
+    c = dense(g.c, (n,) * 3)
     return tuple(
-        tuple(tuple(HALF * (g.c[i][j][k] - g.c[j][i][k]) for k in range(n))
+        tuple(tuple(HALF * (c[i][j][k] - c[j][i][k]) for k in range(n))
               for j in range(n))
         for i in range(n))
 
 
 def is_lie(g: LeibnizAlgebra) -> bool:
     n = g.dim
-    return all(g.c[i][j][k] == -g.c[j][i][k]
+    c = dense(g.c, (n,) * 3)
+    return all(c[i][j][k] == -c[j][i][k]
                for i in range(n) for j in range(n) for k in range(n))
 
 
 def left_multiplication_matrix(g: LeibnizAlgebra) -> Matrix:
     """The n^2 x n matrix of x -> ([x, e_j] for all j), rows indexed by (j, k)."""
     n = g.dim
+    c = dense(g.c, (n,) * 3)
     data = []
     for j in range(n):
         for k in range(n):
-            data.append({i: g.c[i][j][k] for i in range(n) if g.c[i][j][k]})
+            data.append({i: c[i][j][k] for i in range(n) if c[i][j][k]})
     return Matrix(n * n, n, data)
 
 
 def adjoint_rep(g: LeibnizAlgebra) -> Representation:
     """(l_i)[k][j] = c[i][j][k] and (r_i)[k][j] = c[j][i][k]."""
     n = g.dim
+    c = dense(g.c, (n,) * 3)
     ls, rs = [], []
     for i in range(n):
         ldata = [{} for _ in range(n)]
         rdata = [{} for _ in range(n)]
         for j in range(n):
             for k in range(n):
-                if g.c[i][j][k]:
-                    ldata[k][j] = g.c[i][j][k]
-                if g.c[j][i][k]:
-                    rdata[k][j] = g.c[j][i][k]
+                if c[i][j][k]:
+                    ldata[k][j] = c[i][j][k]
+                if c[j][i][k]:
+                    rdata[k][j] = c[j][i][k]
         ls.append(Matrix(n, n, ldata))
         rs.append(Matrix(n, n, rdata))
     return Representation(g, n, tuple(ls), tuple(rs))
@@ -204,6 +211,7 @@ def coboundary(g: LeibnizAlgebra, left, right, values, k: int, m: int) -> list[l
     one.  Returns the n^(k+1) values of d c in lexicographic order.
     """
     n = g.dim
+    c = dense(g.c, (n,) * 3)
 
     def at(tup):
         r = 0
@@ -221,7 +229,7 @@ def coboundary(g: LeibnizAlgebra, left, right, values, k: int, m: int) -> list[l
             for j1 in range(i1 + 1, k + 2):
                 reduced = S[:i1 - 1] + S[i1:]
                 slot = j1 - 2
-                for t, w in enumerate(g.c[S[i1 - 1]][S[j1 - 1]]):
+                for t, w in enumerate(c[S[i1 - 1]][S[j1 - 1]]):
                     if w:
                         arg = reduced[:slot] + (t,) + reduced[slot + 1:]
                         _add(acc, (-1) ** i1 * w, at(arg))
@@ -246,10 +254,11 @@ def check_leibniz(g: LeibnizAlgebra) -> IdentityReport:
 
 def square_in_center_check(g: LeibnizAlgebra) -> IdentityReport:
     n = g.dim
+    c = dense(g.c, (n,) * 3)
     witnesses = []
     for i in range(n):
         for j in range(n):
-            sq = vadd(g.c[i][j], g.c[j][i])
+            sq = vadd(c[i][j], c[j][i])
             for k in range(n):
                 d = bracket(g, sq, basis(n, k))
                 if not viszero(d):
@@ -346,22 +355,26 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
               for a in range(d1)] for i in range(n)]
     jt = jacobiator_table(g)
     l3 = [[[coords(jt[i][j][k]) for k in range(n)] for j in range(n)] for i in range(n)]
-    return Lie2Algebra(d1, n, z.basis_matrix(), skew_bracket(g), l2_01, l3)
+    return Lie2Algebra(d1, n, z.basis_matrix(), sparse(skew_bracket(g), 3), sparse(l2_01, 3),
+                       sparse(l3, 4))
 
 
 def check_lie2_structure(L: Lie2Algebra) -> IdentityReport:
     n = L.dim0
+    s, t = dense(L.l2_00, (n,) * 3), dense(L.l3, (n,) * 3 + (L.dim1,))
     witnesses = []
     for i in range(n):
         for j in range(n):
-            d = vadd(L.l2_00[i][j], L.l2_00[j][i])
+            d = vadd(s[i][j], s[j][i])
             if not viszero(d):
                 witnesses.append(Witness((i, j), tuple(d), "l2-antisymmetry"))
-    return _report(witnesses + _antisymmetry(L.l3, n, "l3-antisymmetry"))
+    return _report(witnesses + _antisymmetry(t, n, "l3-antisymmetry"))
 
 
 def verify_lie2(L: Lie2Algebra) -> AxiomReport:
     n0, n1 = L.dim0, L.dim1
+    s, m = dense(L.l2_00, (n0,) * 3), dense(L.l2_01, (n0, n1, n1))
+    t = dense(L.l3, (n0,) * 3 + (n1,))
     e0 = [basis(n0, i) for i in range(n0)]
     e1 = [basis(n1, a) for a in range(n1)]
     incl = [list(L.l1.column(a)) for a in range(n1)]
@@ -369,17 +382,17 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
     witnesses = []
 
     def l2(x, y):
-        return apply_bilinear(L.l2_00, x, y) if n0 else []
+        return apply_bilinear(s, x, y) if n0 else []
 
     def l2_mixed(x, a):
         out = vzero(n1)
         for i, xi in enumerate(x):
             for b, ab in enumerate(a):
-                vaddto(out, xi * ab, L.l2_01[i][b])
+                vaddto(out, xi * ab, m[i][b])
         return out
 
     def l3(x, y, z):
-        return apply_trilinear(L.l3, x, y, z) if n0 else []
+        return apply_trilinear(t, x, y, z) if n0 else []
 
     def check(axiom, where, lhs, rhs):
         d = vsub(lhs, rhs)
@@ -400,7 +413,7 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
                 acc = l2(e0[i], l2(e0[j], e0[k]))
                 _add(acc, 1, l2(e0[j], l2(e0[k], e0[i])))
                 _add(acc, 1, l2(e0[k], l2(e0[i], e0[j])))
-                check("c", (i, j, k), acc, L.l1.mv(L.l3[i][j][k]))
+                check("c", (i, j, k), acc, L.l1.mv(t[i][j][k]))
     for i in range(n0):
         for j in range(n0):
             for a in range(n1):
@@ -435,10 +448,11 @@ def check_representation(rep: Representation) -> IdentityReport:
     """The three compatibility conditions as dense matrix identities, one
     basis pair at a time."""
     n, shape = rep.algebra.dim, (rep.vdim, rep.vdim)
+    c = dense(rep.algebra.c, (n,) * 3)
     found = {"l-of-bracket": [], "r-of-bracket": [], "r-absorbs-l": []}
     for i in range(n):
         for j in range(n):
-            br = rep.algebra.c[i][j]
+            br = c[i][j]
             defects = {
                 "l-of-bracket": (linear_combination(br, rep.l, shape)
                                  - commutator(rep.l[i], rep.l[j])),
@@ -488,7 +502,8 @@ def evaluate(alpha: Cochain, args) -> list[Fraction]:
 def structure_cochain(g: LeibnizAlgebra) -> Cochain:
     """The bracket of g as a 2-cochain with values in g."""
     n = g.dim
-    return Cochain(2, n, n, tuple(g.c[i][j] for i in range(n) for j in range(n)))
+    c = dense(g.c, (n,) * 3)
+    return Cochain(2, n, n, tuple(c[i][j] for i in range(n) for j in range(n)))
 
 
 def shuffles(k: int, q: int) -> list[tuple[tuple[int, ...], int]]:
@@ -588,9 +603,10 @@ def maurer_cartan_check(g: LeibnizAlgebra, rep: Representation) -> IdentityRepor
     witnesses = maurer_cartan_witnesses(maurer_cartan_defect(h0, rb))
     hlr = semidirect(g, rep, "lr")
     total = h0.dim
+    c0, clr = dense(h0.c, (total,) * 3), dense(hlr.c, (total,) * 3)
     for i in range(total):
         for j in range(total):
-            d = vsub(vadd(h0.c[i][j], rb.value_at((i, j))), hlr.c[i][j])
+            d = vsub(vadd(c0[i][j], rb.value_at((i, j))), clr[i][j])
             if not viszero(d):
                 witnesses.append(Witness((i, j), tuple(d), "deformation"))
     return _report(witnesses)
@@ -619,10 +635,11 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
     at a time."""
     g = rho.algebra
     n = g.dim
+    c = dense(g.c, (n,) * 3)
     found: dict[str, list[Witness]] = {"con1": [], "con2": [], "hom": []}
     for i in range(n):
         for j in range(n):
-            br = g.c[i][j]
+            br = c[i][j]
             phi_br = linear_combination(br, rho.phi, (rho.vdim, rho.vdim))
             d1 = phi_br - commutator(rho.phi[i], rho.phi[j])
             if not d1.is_zero():

@@ -166,6 +166,22 @@ def test_mc_command(capsys):
     assert "Maurer-Cartan identity: ok" in out
 
 
+def test_json_booleans_are_refused_exit_2(tmp_path, capsys):
+    # true is no 1: [e1, e1] = e1 written with true used to be read and fail
+    # the Leibniz check (exit 1), and a representation holding false passed
+    algebra = tmp_path / "A.json"
+    algebra.write_text('{"schema": "leibniz-kit/1", "dim": 1, "c": [[[true]]]}', encoding="utf-8")
+    assert main(["check", str(algebra)]) == 2
+    assert capsys.readouterr().err == ("input error: algebra.c[0][0][0]: expected an integer "
+                                       "or 'p/q' string, got True\n")
+    rep = tmp_path / "R.json"
+    rep.write_text(json.dumps({"schema": "leibniz-kit/1", "vdim": 1, "l": [[["0"]], [["0"]]],
+                               "r": [[[False]], [["0"]]]}), encoding="utf-8")
+    assert main(["mc", str(FIXTURES / "L2.json"), str(rep)]) == 2
+    assert capsys.readouterr().err == ("input error: representation.r[0][0][0]: expected an "
+                                       "integer or 'p/q' string, got False\n")
+
+
 @pytest.fixture
 def nonleibniz_trivial_rep(tmp_path):
     """The trivial representation of the non-Leibniz fixture, as a file; it

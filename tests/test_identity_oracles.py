@@ -54,10 +54,9 @@ from leibniz_kit.algebra import (
     dense,
     left_multiplication_matrix,
     residual_witnesses,
-    sparse,
 )
 from leibniz_kit.cohomology import _action_tensor, maurer_cartan_residual
-from leibniz_kit.linalg import span_of_rows
+from leibniz_kit.linalg import span_of_rows, sparse
 from leibniz_kit.omni import _verify_adjoint_correspondence
 from leibniz_kit.serialize import graph_from_json, representation_from_json
 
@@ -71,18 +70,17 @@ def _random_tensor(rng: random.Random, shape: tuple):
 
 
 def _perturbed_omni2() -> LeibnizAlgebra:
-    c = [[list(v) for v in plane] for plane in omni_lie(2).c]
-    c[0][1][2] += 1
-    c[5][3][4] -= F(1, 2)
+    c = dict(omni_lie(2).c)
+    c[0, 1, 2] = c.get((0, 1, 2), 0) + 1
+    c[5, 3, 4] = c.get((5, 3, 4), 0) - F(1, 2)
     return LeibnizAlgebra(6, c)
 
 
 def _corrupted_lie2() -> Lie2Algebra:
     L = build_lie2(omni_lie(2))
-    l3 = [[[list(v) for v in row] for row in plane] for plane in L.l3]
-    l3[0][1][5][0] += 1
-    l2_01 = [[list(v) for v in row] for row in L.l2_01]
-    l2_01[0][1][0] -= F(1, 3)
+    l3, l2_01 = dict(L.l3), dict(L.l2_01)
+    l3[0, 1, 5, 0] = l3.get((0, 1, 5, 0), 0) + 1
+    l2_01[0, 1, 0] = l2_01.get((0, 1, 0), 0) - F(1, 3)
     return Lie2Algebra(L.dim1, L.dim0, L.l1, L.l2_00, l2_01, l3)
 
 
@@ -90,8 +88,9 @@ def _random_lie2(seed: int) -> Lie2Algebra:
     rng = random.Random(seed)
     n1, n0 = 2, 3
     return Lie2Algebra(n1, n0, Matrix.from_rows(_random_tensor(rng, (n0, n1))),
-                       _random_tensor(rng, (n0, n0, n0)), _random_tensor(rng, (n0, n1, n1)),
-                       _random_tensor(rng, (n0, n0, n0, n1)))
+                       sparse(_random_tensor(rng, (n0, n0, n0)), 3),
+                       sparse(_random_tensor(rng, (n0, n1, n1)), 3),
+                       sparse(_random_tensor(rng, (n0, n0, n0, n1)), 4))
 
 
 def _algebras(dense_rational_algebras) -> dict:
@@ -99,7 +98,7 @@ def _algebras(dense_rational_algebras) -> dict:
            for name in corpus.positive_algebra_names() + corpus.negative_algebra_names()}
     out.update({f"dense-{name}": g for name, g in dense_rational_algebras.items()})
     out["perturbed-omni2"] = _perturbed_omni2()
-    out["random-3"] = LeibnizAlgebra(3, _random_tensor(random.Random(7), (3, 3, 3)))
+    out["random-3"] = LeibnizAlgebra(3, sparse(_random_tensor(random.Random(7), (3, 3, 3)), 3))
     return out
 
 
@@ -210,9 +209,6 @@ def _assert_derived_forms_match_fields(value) -> None:
     """Each sparse form the constructor derived is the walk of its field."""
     if isinstance(value, Lie2Algebra):
         assert value._l1 == sparse(value.l1.to_rows(), 2)
-        assert value._l2_00 == sparse(value.l2_00, 3)
-        assert value._l2_01 == sparse(value.l2_01, 3)
-        assert value._l3 == sparse(value.l3, 4)
     elif isinstance(value, GraphMap):
         assert value._phi == _action_tensor(value.phi)
     else:
@@ -230,7 +226,7 @@ def test_derived_forms_match_fields_on_the_corpus(positive_algebras, small_algeb
     for value in values:
         _assert_derived_forms_match_fields(value)
     # every derived form is nonempty somewhere, so no comparison is vacuous
-    for slot in ("_l1", "_l2_00", "_l2_01", "_l3", "_phi", "_theta"):
+    for slot in ("_l1", "_phi", "_theta"):
         assert any(getattr(v, slot, None) for v in values), slot
 
 
@@ -240,14 +236,19 @@ def test_conjugation_rep_matches_oracle(positive_algebras):
             assert conjugation_rep(rep) == oracles.conjugation_rep(rep), name
 
 
-def _rational_tensors(shape: tuple):
-    """Dense tensors of the given shape with up to 12 drawn entries, each a
-    rational with denominator at most 3 (zero included); the rest are zero."""
+def _rational_entries(shape: tuple):
+    """Up to 12 entries {index tuple: rational} of a tensor of the given
+    shape, each with denominator at most 3; explicit zeros included."""
     if not all(shape):
-        return st.just(dense({}, shape))
+        return st.just({})
     keys = st.tuples(*(st.integers(0, d - 1) for d in shape))
     values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    return st.dictionaries(keys, values, max_size=12).map(lambda t: dense(t, shape))
+    return st.dictionaries(keys, values, max_size=12)
+
+
+def _rational_tensors(shape: tuple):
+    """The dense tensors of ``_rational_entries``: zero where nothing is drawn."""
+    return _rational_entries(shape).map(lambda t: dense(t, shape))
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,15 +258,16 @@ def test_sparse_forms_match_dense_walks(data):
     # constructors derive, everything read off them, and the coboundary
     # columns against the entry-by-entry definitions
     n, m = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
-    g = LeibnizAlgebra(n, data.draw(_rational_tensors((n, n, n))))
+    c = data.draw(_rational_entries((n, n, n)))
+    g = LeibnizAlgebra(n, c)
     l, r = ([Matrix.from_rows(a) for a in data.draw(_rational_tensors((n, m, m)))]
             for _ in range(2))
     rep = Representation(g, m, l, r)
-    assert g._c == sparse(g.c, 3)
+    assert g.c == {key: v for key, v in c.items() if v} and list(g.c.keys()) == sorted(g.c.keys())
     assert (rep._l, rep._r) == (_action_tensor(rep.l), _action_tensor(rep.r))
     n1 = data.draw(st.integers(0, 2))
     L = Lie2Algebra(n1, n, Matrix.from_cols(n, data.draw(_rational_tensors((n1, n)))),
-                    *(data.draw(_rational_tensors(shape))
+                    *(data.draw(_rational_entries(shape))
                       for shape in ((n, n, n), (n, n1, n1), (n, n, n, n1))))
     phi = GraphMap(m, [Matrix.from_rows(a) for a in data.draw(_rational_tensors((m, m, m)))])
     rho = NaiveRepresentation(g, m, l, data.draw(_rational_tensors((n, m))))
@@ -276,9 +278,10 @@ def test_sparse_forms_match_dense_walks(data):
     assert adjoint_rep(g) == oracles.adjoint_rep(g)
     assert left_multiplication_matrix(g) == oracles.left_multiplication_matrix(g)
     assert is_lie(g) == oracles.is_lie(g)
-    assert skew_bracket(g) == oracles.skew_bracket(g)
-    assert derived_subalgebra(g) == span_of_rows(n, (row for plane in g.c for row in plane))
-    entries = [w for plane in g.c for row in plane for w in row]
+    assert dense(skew_bracket(g), (n,) * 3) == oracles.skew_bracket(g)
+    planes = dense(g.c, (n,) * 3)
+    assert derived_subalgebra(g) == span_of_rows(n, (row for plane in planes for row in plane))
+    entries = list(g.c.values())
     entries += [v for mat in (*rep.l, *rep.r) for row in mat.to_rows() for v in row]
     for k in (0, 1):
         den, columns = coboundary_columns(rep, k)
@@ -412,7 +415,7 @@ def test_maurer_cartan_residual_matches_oracle_on_random_cochains(seed):
     h = semidirect(g, adjoint_rep(g), "l0")
     total = h.dim
     r = _random_sparse_cochain(rng, total, 4 + seed)
-    new = residual_witnesses(maurer_cartan_residual(sparse(h.c, 3), r), total, "maurer-cartan")
+    new = residual_witnesses(maurer_cartan_residual(h.c, r), total, "maurer-cartan")
     planes = dense(r, (total,) * 3)
     cochain = Cochain(2, total, total, tuple(row for plane in planes for row in plane))
     old = oracles.maurer_cartan_witnesses(oracles.maurer_cartan_defect(h, cochain))

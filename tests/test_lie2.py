@@ -17,6 +17,7 @@ from leibniz_kit import (
     skew_bracket,
     verify_lie2,
 )
+from leibniz_kit.algebra import dense
 from leibniz_kit.fixtures import heisenberg3, l2_algebra, nonleibniz, sl2
 from leibniz_kit.lie2 import Lie2Algebra
 
@@ -30,19 +31,18 @@ def test_skew_bracket_of_lie_algebra_is_its_bracket():
 
 
 def test_skew_bracket_of_l2_vanishes():
-    s = skew_bracket(l2_algebra())
-    assert all(not c for plane in s for row in plane for c in row)
+    assert skew_bracket(l2_algebra()) == {}
 
 
 def test_skew_bracket_omni_matches_half_difference():
     # on gl(V) (+) V the skew bracket is [A,B] + (Av - Bu)/2
     m = 2
     g = omni_lie(m)
-    s = skew_bracket(g)
     n = g.dim
+    c, s = dense(g.c, (n,) * 3), dense(skew_bracket(g), (n,) * 3)
     for p in range(n):
         for q in range(n):
-            expected = [F(1, 2) * (g.c[p][q][k] - g.c[q][p][k]) for k in range(n)]
+            expected = [F(1, 2) * (c[p][q][k] - c[q][p][k]) for k in range(n)]
             assert list(s[p][q]) == expected
 
 
@@ -103,9 +103,7 @@ def test_build_lie2_l2_fixture():
     L = build_lie2(l2_algebra())
     assert (L.dim1, L.dim0) == (1, 2)
     assert L.l1.column(0) == [F(0), F(1)]          # center basis is e2
-    assert all(not c for p in L.l2_00 for r in p for c in r)
-    assert all(not c for p in L.l2_01 for r in p for c in r)
-    assert all(not c for p in L.l3 for r in p for v in r for c in v)
+    assert L.l2_00 == L.l2_01 == L.l3 == {}
 
 
 def test_build_lie2_lie_algebra_keeps_bracket():
@@ -114,7 +112,7 @@ def test_build_lie2_lie_algebra_keeps_bracket():
         L = build_lie2(g)
         assert L.dim1 == left_center(g).dim
         assert L.l2_00 == g.c
-        assert all(not c for p in L.l3 for r in p for v in r for c in v)
+        assert L.l3 == {}
 
 
 def test_build_lie2_omni1_half_action():
@@ -123,12 +121,10 @@ def test_build_lie2_omni1_half_action():
     L = build_lie2(g)
     assert (L.dim1, L.dim0) == (1, 2)
     assert list(L.l1.column(0)) == [F(0), F(1)]
-    assert L.l2_00[0][1] == (F(0), F(1, 2))
-    assert L.l2_00[1][0] == (F(0), F(-1, 2))
-    assert all(not c for p in L.l3 for r in p for v in r for c in v)
+    assert L.l2_00 == {(0, 1, 1): F(1, 2), (1, 0, 1): F(-1, 2)}
+    assert L.l3 == {}
     # l2 of the degree-0 matrix unit with the central vector is half of it
-    assert L.l2_01[0][0] == (F(1, 2),)
-    assert L.l2_01[1][0] == (F(0),)
+    assert L.l2_01 == {(0, 0, 0): F(1, 2)}
 
 
 def test_build_lie2_center_dimension_matches(positive_algebras):
@@ -146,30 +142,30 @@ def test_verify_lie2_accepts_all_fixtures(positive_algebras):
 
 def test_omni2_has_nonzero_l3():
     L = build_lie2(omni_lie(2))
-    assert any(c for p in L.l3 for r in p for v in r for c in v)
+    assert L.l3 and all(L.l3.values())
 
 
 def test_lie_algebra_with_trivial_degree_one_piece_passes():
     g = sl2()
-    L = Lie2Algebra(0, 3, Matrix.zeros(3, 0), g.c, ((),) * 3,
-                    tuple(tuple(tuple(() for _ in range(3)) for _ in range(3))
-                          for _ in range(3)))
+    L = Lie2Algebra(0, 3, Matrix.zeros(3, 0), g.c, {}, {})
     assert verify_lie2(L).all_pass
 
 
 def test_empty_l2_01_is_refused_when_degree_zero_is_not():
-    # l2_01 holds one (empty) plane per degree-0 basis element
+    # l2_01 holds one (empty) plane per degree-0 basis element; in the
+    # sparse form its shape (3, 0, 0) has no index, so any entry is refused
     g = sl2()
     l3 = tuple(tuple(tuple(() for _ in range(3)) for _ in range(3)) for _ in range(3))
     with pytest.raises(ValueError, match="l2_01"):
         Lie2Algebra(0, 3, Matrix.zeros(3, 0), g.c, (), l3)
+    with pytest.raises(ValueError, match="l2_01"):
+        Lie2Algebra(0, 3, Matrix.zeros(3, 0), g.c, {(0, 0, 0): 1}, {})
 
 
 def test_zeroing_l3_breaks_axiom_c():
     L = build_lie2(omni_lie(2))
-    zero_l3 = tuple(tuple(tuple(tuple(F(0) for _ in v) for v in r) for r in p)
-                    for p in L.l3)
-    broken = Lie2Algebra(L.dim1, L.dim0, L.l1, L.l2_00, L.l2_01, zero_l3)
+    broken = Lie2Algebra(L.dim1, L.dim0, L.l1, L.l2_00, L.l2_01, dict.fromkeys(L.l3.keys(), F(0)))
+    assert broken.l3 == {}
     report = verify_lie2(broken)
     assert not report.passed["c"]
     assert not report.all_pass

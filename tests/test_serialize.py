@@ -13,6 +13,7 @@ from leibniz_kit.fixtures import (
     heisenberg3,
     l2_algebra,
 )
+from leibniz_kit.algebra import dense
 from leibniz_kit.linalg import Matrix
 from leibniz_kit.omni import adjoint_naive
 from leibniz_kit.serialize import (
@@ -110,7 +111,7 @@ def test_algebra_schema_errors():
 def test_scalars_read_once_per_document_keep_their_values():
     doc = {"schema": SCHEMA, "dim": 2,
            "c": [[["2/4", "1/2"], ["-0", "3"]], [[0, "+3"], ["1/2", "2/4"]]]}
-    c = algebra_from_json(doc).c
+    c = dense(algebra_from_json(doc).c, (2,) * 3)
     assert c[0][0] == (Fraction(1, 2),) * 2 == c[1][1]
     assert c[0][1] == (0, 3) == c[1][0]
     rep = representation_from_json(l2_algebra(), {
@@ -121,6 +122,26 @@ def test_scalars_read_once_per_document_keep_their_values():
             "schema": SCHEMA, "vdim": 1, "l": [[["1"]], [["1"]]], "r": [[["1"]], [["1/0"]]]})
     assert str(caught.value) == ("representation.r[1][0][0]: expected an integer or "
                                  "'p/q' string, got '1/0'")
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_json_booleans_are_not_scalars(flag):
+    # JSON true and false arrive as Python bools, which are ints; every
+    # reader refuses them with the path of the value
+    refused = f"expected an integer or 'p/q' string, got {flag}"
+    with pytest.raises(SchemaError) as caught:
+        algebra_from_json({"schema": SCHEMA, "dim": 1, "c": [[[flag]]]})
+    assert str(caught.value) == f"algebra.c[0][0][0]: {refused}"
+    with pytest.raises(SchemaError) as caught:
+        representation_from_json(l2_algebra(), {
+            "schema": SCHEMA, "vdim": 1, "l": [[["0"]], [["0"]]], "r": [[["0"]], [[flag]]]})
+    assert str(caught.value) == f"representation.r[1][0][0]: {refused}"
+    with pytest.raises(SchemaError) as caught:
+        graph_from_json({"schema": SCHEMA, "vdim": 1, "phi": [[[flag]]]})
+    assert str(caught.value) == f"graph map.phi[0][0][0]: {refused}"
+    with pytest.raises(SchemaError) as caught:
+        str_to_scalar(flag)
+    assert str(caught.value) == f"scalar: {refused}"
 
 
 def test_representation_schema_errors():

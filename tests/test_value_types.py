@@ -1,6 +1,7 @@
 """The validated value types: equality and hash by value, no assignment to a
 field, and the shape checks of each constructor, also under ``python -O``;
-and the start-up cost they keep out of every command."""
+the read-only sparse tensors stored in ``LeibnizAlgebra`` and
+``Lie2Algebra``; and the start-up cost they keep out of every command."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibniz_kit import (
     Cochain,
@@ -21,45 +24,43 @@ from leibniz_kit import (
     Representation,
     Subspace,
 )
+from leibniz_kit.algebra import dense
 from leibniz_kit.linalg import Matrix
 
 Z2 = Matrix.zeros(2, 2)
 
 
 def _l2(c01="1"):
-    return LeibnizAlgebra(2, [[["0", c01], ["0", "0"]], [["0", "0"], ["0", "0"]]])
+    return LeibnizAlgebra(2, {(0, 0, 0): "0", (0, 0, 1): c01})
 
 
 def _lie2(dim1=1, dim0=2, **changes):
-    fields = {"l1": Matrix.zeros(dim0, dim1), "l2_00": [[[0] * dim0] * dim0] * dim0,
-              "l2_01": [[[0] * dim1] * dim1] * dim0, "l3": [[[[0] * dim1] * dim0] * dim0] * dim0}
+    fields = {"l1": Matrix.zeros(dim0, dim1), "l2_00": {}, "l2_01": {}, "l3": {}}
     fields.update(changes)
     return Lie2Algebra(dim1, dim0, **fields)
 
 
 # Each builder makes one value from the given variant; variant 0 and 1 are
 # equal values built from different inputs (lists or tuples, ints or
-# strings), variant 2 is a different value.
+# strings, explicit zeros or none), variant 2 is a different value.
 BUILDERS = {
-    "LeibnizAlgebra": lambda v: [_l2(), LeibnizAlgebra(2, (((0, 1), (0, 0)), ((0, 0), (0, 0)))),
-                                 _l2("2")][v],
+    "LeibnizAlgebra": lambda v: [_l2(), LeibnizAlgebra(2, {(0, 0, 1): F(1)}), _l2("2")][v],
     "Representation": lambda v: Representation(_l2(), 2, [Z2, Z2] if v == 0 else (Z2, Z2),
                                                (Z2, Z2 if v < 2 else Matrix.identity(2))),
     "Cochain": lambda v: Cochain(1, 2, 1, [["1"], ["0"]] if v == 0 else ((1,), (v - 1,))),
     "Subspace": lambda v: Subspace(2, ((F(1), F(0)),) if v == 0 else ((1, v // 2),)),
     "GraphMap": lambda v: GraphMap(2, [Z2, Z2] if v == 0
                                    else (Z2, Z2 if v < 2 else Matrix.identity(2))),
-    "Lie2Algebra": lambda v: _lie2(l2_01=[[["0"]], [["0"]]] if v == 0
-                                   else (((0,),), ((v // 2,),))),
+    "Lie2Algebra": lambda v: _lie2(l2_01={(0, 0, 0): "0", (1, 0, 0): "0"} if v == 0
+                                   else {(1, 0, 0): v // 2}),
 }
 
 FIELDS = {"LeibnizAlgebra": "c", "Representation": "l", "Cochain": "values",
           "Subspace": "basis", "GraphMap": "phi", "Lie2Algebra": "l3"}
 
 # The slots holding forms a constructor derives from the fields.
-DERIVED = {"LeibnizAlgebra": ("_c",), "Representation": ("_l", "_r"),
-           "Subspace": ("_pivots", "_inverse"), "GraphMap": ("_phi",),
-           "Lie2Algebra": ("_l1", "_l2_00", "_l2_01", "_l3")}
+DERIVED = {"Representation": ("_l", "_r"), "Subspace": ("_pivots", "_inverse"),
+           "GraphMap": ("_phi",), "Lie2Algebra": ("_l1",)}
 
 
 def _with_bogus_derived_forms(name):
@@ -143,6 +144,20 @@ WRONG_SHAPES = [
     (lambda: _lie2(l2_01=()), "l2_01: an axis of length 0, expected 2"),
     (lambda: _lie2(l2_01=[[[0, 0]]] * 2), "l2_01: an axis of length 2, expected 1"),
     (lambda: _lie2(l3=[[[[0]] * 2] * 2] * 3), "l3: an axis of length 3, expected 2"),
+    # the sparse form: a key out of range, of the wrong arity or no tuple of ints
+    (lambda: LeibnizAlgebra(2, {(0, 2, 0): 1}),
+     "structure tensor: key (0, 2, 0) is no index of shape (2, 2, 2)"),
+    (lambda: LeibnizAlgebra(1, {(0, 0): 1}),
+     "structure tensor: key (0, 0) is no index of shape (1, 1, 1)"),
+    (lambda: _lie2(l2_00={(0, 0, -1): 1}),
+     "l2_00: key (0, 0, -1) is no index of shape (2, 2, 2)"),
+    (lambda: _lie2(l2_01={(2, 0, 0): 0}), "l2_01: key (2, 0, 0) is no index of shape (2, 1, 1)"),
+    (lambda: _lie2(l2_01={(0, 0, 0, 0): 1}),
+     "l2_01: key (0, 0, 0, 0) is no index of shape (2, 1, 1)"),
+    (lambda: _lie2(l3={(0, 0, 0, 1): 1}), "l3: key (0, 0, 0, 1) is no index of shape (2, 2, 2, 1)"),
+    (lambda: LeibnizAlgebra(1, {0: 1}), "structure tensor: key 0 is no index of shape (1, 1, 1)"),
+    (lambda: LeibnizAlgebra(2, {(0, "1", 0): 1}),
+     "structure tensor: key (0, '1', 0) is no index of shape (2, 2, 2)"),
 ]
 
 
@@ -152,6 +167,62 @@ def test_wrong_shapes_raise_their_value_error(index):
     with pytest.raises(ValueError) as caught:
         build()
     assert str(caught.value) == message
+
+
+def test_sparse_tensors_are_read_only():
+    g, L = _l2(), _lie2(l3={(0, 1, 0, 0): 1})
+    for tensor in (g.c, L.l3):
+        key = next(iter(tensor.keys()))
+        for change in (lambda: tensor.__setitem__((0, 0, 0), 1), lambda: tensor.__delitem__(key),
+                       lambda: tensor.update({key: 2}), lambda: tensor.pop(key),
+                       tensor.popitem, tensor.clear, lambda: tensor.setdefault(key, 2)):
+            with pytest.raises(TypeError, match="a sparse tensor is read-only"):
+                change()
+        with pytest.raises(TypeError):
+            tensor |= {key: 2}
+    assert g.c == {(0, 0, 1): 1} and L.l3 == {(0, 1, 0, 0): 1}
+
+
+def test_sparse_tensors_read_as_their_dense_form():
+    # an int index and iteration give the nested form the fields once held,
+    # and the constructors still take it
+    g = _l2()
+    assert g.c[0][0][1] == 1 and g.c[0][0][0] == g.c[1][1][1] == 0
+    assert [[list(row) for row in plane] for plane in g.c] == [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]
+    assert g.c[0] == {(0, 1): 1} and g.c[0].shape == (2, 2) and g.c[1] == {}
+    assert LeibnizAlgebra(2, [[["0", "1"], [0, 0]], [[0, 0], [0, 0]]]) == g
+    assert _lie2(l3=[[[[0]] * 2] * 2, [[[0], [0]], [[0], [F(3)]]]]).l3 == {(1, 1, 1, 0): 3}
+    for index in (2, -1):
+        with pytest.raises(IndexError):
+            g.c[index]
+
+
+# a rational as the JSON reader, the fixtures or a caller may give it
+_SCALARS = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2)]).flatmap(
+    lambda q: st.sampled_from([q, str(q)] + ([int(q)] if q.denominator == 1 else [])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_equal_iff_dense_tensors_are_equal(data):
+    # two algebras from drawn entries (explicit zeros, int, str and Fraction
+    # values, the second mostly a re-encoding of the first) are equal exactly
+    # when their dense tensors are, and equal values hash alike
+    n = data.draw(st.integers(1, 2))
+    keys = st.tuples(*[st.integers(0, n - 1)] * 3)
+    first = data.draw(st.dictionaries(keys, _SCALARS, max_size=5))
+    second = {key: data.draw(st.sampled_from([v, str(F(v)), F(v)])) for key, v in first.items()}
+    second.update(data.draw(st.dictionaries(keys, _SCALARS, max_size=2)))
+    a, b = LeibnizAlgebra(n, first), LeibnizAlgebra(n, second)
+    assert (a == b) == (dense(a.c, (n,) * 3) == dense(b.c, (n,) * 3))
+    assert tuple(tuple(tuple(row) for row in plane) for plane in a.c) == dense(a.c, (n,) * 3)
+    assert LeibnizAlgebra(n, dense(a.c, (n,) * 3)) == a
+    assert (a == b) == ({k: F(v) for k, v in first.items() if F(v)}
+                        == {k: F(v) for k, v in second.items() if F(v)})
+    if a == b:
+        assert hash(a) == hash(b)
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and hash(twin) == hash(a)
 
 
 def test_checks_hold_under_optimize():
