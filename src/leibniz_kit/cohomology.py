@@ -26,7 +26,6 @@ stated with are evaluated only by the test oracles.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
@@ -209,23 +208,21 @@ class Cochain(Frozen):
         return all(viszero(v) for v in self.values)
 
 
-def basis_tuples(n: int, k: int):
-    return itertools.product(range(n), repeat=k)
-
-
 # ---------------------------------------------------------------------------
 # the coboundary operator
 
-def coboundary_columns(rep: Representation, k: int,
-                       cap: Optional[int] = DEFAULT_CAP) -> tuple[int, list[dict[int, int]]]:
+def coboundary_columns(rep: Representation, k: int, cap: Optional[int] = DEFAULT_CAP,
+                       skip: frozenset = frozenset()) -> tuple[int, list[dict[int, int]]]:
     """The degree-k coboundary as integer columns over one common denominator.
 
     Returns (D, columns): D is the lcm of every denominator in rep.l, rep.r
-    and the structure constants, and columns[j] holds the nonzero entries
-    {row: D * d_k[row][j]} of column j of the coboundary in the lexicographic
-    monomial basis, of shape (n^(k+1) m) x (n^k m).  Column j = (t, v) is the
-    coboundary of the basis cochain supported on tuple t with value e_v.
-    Refuses to build when the target dimension n^(k+1) m exceeds the cap.
+    and the structure constants, and columns holds, for each column j of
+    the coboundary not in ``skip``, in order, the nonzero entries
+    {row: D * d_k[row][j]} of that column in the lexicographic monomial
+    basis, of shape (n^(k+1) m) x (n^k m).  Column j = (t, v) is the
+    coboundary of the basis cochain supported on tuple t with value e_v;
+    a skipped column is never built.  Refuses to build when the target
+    dimension n^(k+1) m exceeds the cap.
     """
     if k < 0:
         raise ValueError("degree must be >= 0")
@@ -236,48 +233,51 @@ def coboundary_columns(rep: Representation, k: int,
         raise ResourceCapExceeded(out_dim, cap)
     (c, dc), (l, dl), (r, dr) = (_to_integers(t) for t in (g.c, rep._l, rep._r))
     den = lcm(dc, dl, dr)
-    # lcols[s][b] = [(a, D*(l_s)[a][b])], column b of D*l_s; rcols likewise
-    lcols = [[[] for _ in range(m)] for _ in range(n)]
-    rcols = [[[] for _ in range(m)] for _ in range(n)]
-    for cols, t, d in ((lcols, l, dl), (rcols, r, dr)):
+    # lent[s] = [(a, b, D*(l_s)[a][b])] over the nonzero entries; rent likewise
+    lent = [[] for _ in range(n)]
+    rent = [[] for _ in range(n)]
+    for ent, t, d in ((lent, l, dl), (rent, r, dr)):
         for (s, a, b), x in t.items():
-            cols[s][b].append((a, x * (den // d)))
+            ent[s].append((a, b, x * (den // d)))
     # structure constants grouped by target index: target -> [(a, b, D*coeff)]
     by_target: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for (a, b, t), w in c.items():
         by_target[t].append((a, b, w * (den // dc)))
 
-    def rank_of(tup) -> int:
-        r = 0
-        for t in tup:
-            r = r * n + t
-        return r
-
+    # A tuple T of rank R (its lexicographic position) is the base-n digits
+    # of R, and T[q] = R // power[q+1] % n with power[q] = n^(k-q).  Putting
+    # s into T before position q gives the (k+1)-tuple of rank
+    # base[q] + s * power[q], with base[q] the rank when s is 0.
+    power = [n ** (k - q) for q in range(k + 1)]
     r_sign = 1 if (k + 1) % 2 == 0 else -1
     columns: list[dict[int, int]] = []
-    for T in basis_tuples(n, k):
-        # row offsets and signs of the three kinds of terms depend on T only
-        l_terms = [(1 if p % 2 == 0 else -1, lcols[s], rank_of(T[:p] + (s,) + T[p:]) * m)
-                   for p in range(k) for s in range(n)]
-        r_terms = [(r_sign, rcols[s], rank_of(T + (s,)) * m) for s in range(n)]
-        c_terms = []
-        for j1 in range(2, k + 2):
-            slot = j1 - 2
-            for a, b, w in by_target[T[slot]]:
-                u = T[:slot] + (b,) + T[slot + 1:]
-                for i1 in range(1, j1):
-                    c_terms.append((rank_of(u[:i1 - 1] + (a,) + u[i1 - 1:]) * m,
-                                    -w if i1 % 2 == 1 else w))
-        for v in range(m):
-            acc: dict[int, int] = {}
-            for sign, cols, rbase in itertools.chain(l_terms, r_terms):
-                for w, val in cols[v]:
-                    row = rbase + w
-                    acc[row] = acc.get(row, 0) + sign * val
-            for rbase, val in c_terms:
-                row = rbase + v
-                acc[row] = acc.get(row, 0) + val
-            columns.append({row: val for row, val in acc.items() if val})
+    for R in range(n ** k):
+        values = [v for v in range(m) if R * m + v not in skip]
+        if not values:
+            continue
+        base = [R // p * p * n + R % p for p in power]
+        # the bracket terms: [x_i, x_j] at slot j replaces T[slot] by b and
+        # puts a before position q <= slot.  They act on the value alone, so
+        # they are summed once, by row offset, for all m columns of T.
+        terms: dict[int, int] = {}
+        for slot in range(k):
+            t = R // power[slot + 1] % n
+            for a, b, w in by_target[t]:
+                shift = (b - t) * power[slot + 1]
+                for q in range(slot + 1):
+                    rbase = (base[q] + a * power[q] + shift) * m
+                    terms[rbase] = terms.get(rbase, 0) + (-w if q % 2 == 0 else w)
+        accs = [{rbase + v: w for rbase, w in terms.items() if w} for v in range(m)]
+        # the action terms: l_s put before position q < k, r_s after the last
+        for q in range(k + 1):
+            sign = r_sign if q == k else (1 if q % 2 == 0 else -1)
+            for s in range(n):
+                rbase = (base[q] + s * power[q]) * m
+                for a, b, x in (rent if q == k else lent)[s]:
+                    acc = accs[b]
+                    row = rbase + a
+                    acc[row] = acc.get(row, 0) + sign * x
+        columns += [{row: x for row, x in accs[v].items() if x} for v in values]
     return den, columns
 
 
@@ -341,9 +341,12 @@ def betti(rep: Representation, k_max: int,
     The ranks are cleared: the elimination of d_(k-1) reports its pivot
     columns, coordinates of C^k on which im d_(k-1) projects isomorphically.
     Since d_k d_(k-1) = 0, d_k of each such coordinate is a combination of
-    d_k on the other coordinates, so those rows of (D d_k)^T are dropped
-    before ``rank``.  That d^2 = 0 follows from the identities the refusal
-    has just proven on the instance (Loday-Pirashvili, Math. Ann. 1993).
+    d_k on the other coordinates, so those rows of (D d_k)^T are never
+    built: ``coboundary_columns`` skips them.  The product check of
+    assert_square_zero needs every column, so there they are built and
+    dropped before ``rank``.  That d^2 = 0 follows from the identities the
+    refusal has just proven on the instance (Loday-Pirashvili, Math. Ann.
+    1993).
     """
     g = rep.algebra
     n, m = g.dim, rep.vdim
@@ -356,18 +359,20 @@ def betti(rep: Representation, k_max: int,
         raise ValueError(refusal)
     ranks = []
     prev_mat: Optional[Matrix] = None
-    pivots: list[int] = []
+    cleared: frozenset = frozenset()
     for k in range(k_max + 1):
-        columns = coboundary_columns(rep, k, cap)[1]
         if assert_square_zero:
+            columns = coboundary_columns(rep, k, cap)[1]
             mat = Matrix(len(columns), n ** (k + 1) * m, columns)
             if prev_mat is not None and not (prev_mat @ mat).is_zero():
                 raise AssertionError(f"coboundary squared is nonzero at degree {k - 1}")
             prev_mat = mat
-        cleared = frozenset(pivots)
-        kept = [col for j, col in enumerate(columns) if j not in cleared]
-        pivots = []
+            kept = [col for j, col in enumerate(columns) if j not in cleared]
+        else:
+            kept = coboundary_columns(rep, k, cap, cleared)[1]
+        pivots: list[int] = []
         ranks.append(rank(Matrix(len(kept), n ** (k + 1) * m, kept), pivots))
+        cleared = frozenset(pivots)
     rows = []
     for k in range(k_max + 1):
         dim_c = n ** k * m

@@ -679,6 +679,43 @@ def test_betti_clears_the_pivots_of_the_degree_below(monkeypatch, assert_square_
     assert rows == [d.dim_cochains - ranks[d.k] for d in report.degrees] == [3, 6, 21, 60]
 
 
+def test_coboundary_columns_builds_all_but_the_skipped_columns(positive_algebras,
+                                                              dense_rational_algebras):
+    # the subset build is the full build with the skipped columns removed
+    rng = random.Random(15)
+    for name, rep in _reps_for_kernel_checks(positive_algebras, dense_rational_algebras):
+        for k in range(4):
+            den, full = coboundary_columns(rep, k)
+            everything = range(len(full))
+            for skip in (frozenset(), frozenset(everything), frozenset({0, len(full) - 1}),
+                         frozenset(j for j in everything if rng.random() < 0.5)):
+                kept = [col for j, col in enumerate(full) if j not in skip]
+                assert coboundary_columns(rep, k, skip=skip) == (den, kept), (name, k)
+
+
+@pytest.mark.parametrize("rep", [adjoint_rep(sl2()), adjoint_rep(heisenberg3()),
+                                 trivial_rep(omni_lie(1)), _fractional_rep()],
+                         ids=["sl2/adjoint", "heis3/adjoint", "omni1/trivial", "fractional"])
+def test_betti_builds_only_the_columns_it_ranks(monkeypatch, rep):
+    # without the product check, the columns at the pivots of d_(k-1) are
+    # never built; the product check needs every column
+    true_build = cohomology_module.coboundary_columns
+    built = []
+
+    def counting_build(*args, **kwargs):
+        den, columns = true_build(*args, **kwargs)
+        built.append(len(columns))
+        return den, columns
+
+    monkeypatch.setattr(cohomology_module, "coboundary_columns", counting_build)
+    report = betti(rep, 3)
+    ranks = [0] + [d.rank_d for d in report.degrees]
+    assert built == [d.dim_cochains - ranks[d.k] for d in report.degrees]
+    built.clear()
+    assert betti(rep, 3, assert_square_zero=True) == report
+    assert built == [d.dim_cochains for d in report.degrees]
+
+
 @pytest.mark.parametrize("rep, message", [
     (adjoint_rep(nonleibniz()), "input is not a Leibniz algebra; first witness at (0, 0, 0)"),
     (adjoint_rep(nonleibniz2()), "input is not a Leibniz algebra; first witness at (0, 0, 0)"),

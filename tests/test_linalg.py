@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heappop
 from math import gcd, isqrt, lcm, prod
 
 import pytest
@@ -404,3 +405,82 @@ def test_integer_rank_entries_stay_within_hadamard_bound(monkeypatch):
     assert integer_rank(rows) == rref_rank_of_ints(10, rows)
     hadamard = prod(isqrt(sum(v * v for v in row.values())) + 1 for row in rows)
     assert seen and max(map(abs, seen)) <= 2 * hadamard ** 2
+
+
+@st.composite
+def peeling_rows(draw, max_side=12):
+    """(cols, rows) of a sparse integer matrix shaped for the peel: columns
+    that hold one row, a staircase whose columns fall to one row only as the
+    rows before them are peeled, scaled copies of rows, and empty rows, in
+    any order."""
+    cols = draw(st.integers(1, max_side))
+    rows = []
+    for _ in range(draw(st.integers(0, max_side))):
+        support = draw(st.sets(st.integers(0, cols - 1), max_size=3))
+        rows.append({j: draw(nonzero_ints) for j in support})
+    steps = draw(st.integers(0, cols - 1))
+    first = draw(st.integers(0, cols - 1 - steps))
+    for j in range(first, first + steps):
+        rows.append({j: draw(nonzero_ints), j + 1: draw(nonzero_ints)})
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row, x = draw(st.sampled_from(rows)), draw(nonzero_ints)
+        rows.append({j: x * v for j, v in row.items()})
+    rows += [{}] * draw(st.integers(0, 2))
+    return cols, draw(st.permutations(rows))
+
+
+@given(peeling_rows(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_peeled_rank_agrees_with_rref(case, data):
+    # the peel and the Markowitz loop together: the rank of rref, distinct
+    # pivots on which the input keeps its rank, and the rows left alone;
+    # rank agrees on the same rows as ints and as Fractions
+    cols, rows = case
+    expected = rref_rank_of_ints(cols, rows)
+    before = [dict(row) for row in rows]
+    pivots = []
+    assert integer_rank(rows, pivots) == expected == len(pivots)
+    assert rows == before
+    assert len(set(pivots)) == len(pivots)
+    restricted = [{j: v for j, v in row.items() if j in pivots} for row in rows]
+    assert rref_rank_of_ints(cols, restricted) == expected
+    dens = data.draw(st.lists(st.integers(1, 7), min_size=len(rows), max_size=len(rows)))
+    fractional = [{j: F(v, d) for j, v in row.items()} for row, d in zip(rows, dens)]
+    assert rank(Matrix(len(rows), cols, rows)) == expected
+    assert rank(Matrix(len(rows), cols, fractional)) == expected
+
+
+def test_a_staircase_resolves_in_the_peel(monkeypatch):
+    # only column 0 holds a single row; each peeled row leaves the next
+    # column with a single row, so no row reaches the Markowitz heap
+    rows = [{j: j + 1, j + 1: -1} for j in range(5)] + [{5: 3}]
+    popped = []
+    monkeypatch.setattr(linalg_module, "heappop", lambda heap: popped.append(heap) or heappop(heap))
+    for order in (rows, rows[::-1]):
+        pivots = []
+        assert integer_rank(order, pivots) == 6
+        assert pivots == [0, 1, 2, 3, 4, 5]
+    assert popped == []
+
+
+def test_integer_rank_leaves_its_rows_alone_in_both_stages(monkeypatch):
+    # betti hands rank the coboundary columns uncopied: neither the peel nor
+    # the Markowitz loop may change them
+    staircase = [{0: 2, 1: 3}, {1: 5, 2: -1}, {2: 4, 5: 1}]
+    block = [{5: 1, 6: 2, 7: 3}, {5: 4, 6: 5, 7: 6}, {5: 7, 6: 8, 7: 10}]
+    rows = [block[0], staircase[2], block[1], staircase[0], block[2], staircase[1]]
+    before = [dict(row) for row in rows]
+    popped = []
+    monkeypatch.setattr(linalg_module, "heappop", lambda heap: popped.append(heap) or heappop(heap))
+    pivots = []
+    assert integer_rank(rows, pivots) == 6
+    assert pivots[:3] == [0, 1, 2] and popped  # the staircase peels, the block is eliminated
+    assert rows == before
+    mat = Matrix(len(rows), 8, rows)
+    assert rank(mat) == 6
+    assert [dict(mat.row_items(i)) for i in range(mat.rows)] == before
+
+
+def test_integer_rank_refuses_a_negative_column():
+    with pytest.raises(ValueError, match="negative"):
+        integer_rank([{0: 1}, {-1: 2}])
