@@ -85,12 +85,13 @@ def _report(witnesses: list[Witness]) -> IdentityReport:
 # A sparse tensor is a dict {index tuple: Fraction} that omits zeros.  An
 # identity on basis tuples is a signed sum of contractions; every tuple that
 # no term reaches has residual exactly zero, so the nonzero entries of the
-# residual are precisely the failing tuples.  Structure tensors are stored
-# in this form only, as a read-only ``linalg.Tensor`` (``LeibnizAlgebra.c``,
-# ``Lie2Algebra.l2_00``, ``l2_01``, ``l3``); value types holding matrices
-# derive it once in their constructor (``Representation._l``, ``_r``,
-# ``Lie2Algebra._l1``, ``GraphMap._phi``, ``NaiveRepresentation._phi``,
-# ``_theta``).  Only witnesses and ``rbar`` build dense tuples.
+# residual are precisely the failing tuples.  Structure tensors and actions
+# are stored in this form only, as a read-only ``linalg.Tensor`` built in the
+# constructor: ``LeibnizAlgebra.c``, ``Lie2Algebra.l1``, ``l2_00``, ``l2_01``,
+# ``l3``, ``Representation.l``, ``r``, ``GraphMap.phi`` and
+# ``NaiveRepresentation.phi``, ``theta``.  Only witnesses, ``rbar``,
+# cochains and the dense vectors of a naive representation's image build
+# dense tuples.
 
 def dense(tensor: dict, shape: tuple) -> tuple:
     """The nested tuples of the given shape holding a sparse tensor."""

@@ -85,6 +85,11 @@ def _cap() -> int:
     return value
 
 
+def _print_json(doc) -> None:
+    """Print a JSON document on stdout, as every command writes one."""
+    print(json.dumps(doc, indent=1))
+
+
 class _Run:
     """Collects inputs, results and timing for the final report."""
 
@@ -134,12 +139,12 @@ class _Run:
                 "elapsed_s": round(time.perf_counter() - self.started, 6),
                 "status": status,
             }
-            print(json.dumps(report, indent=1))
+            _print_json(report)
         else:
             for message in self.failures:
                 print(f"FAILED: {message}")
             if payload is not None:
-                print(json.dumps(payload, indent=1))
+                _print_json(payload)
         if not self.json_mode and not self.failures and payload is None:
             print("ok")
         return code
@@ -337,13 +342,13 @@ def cmd_semidirect(args) -> int:
         print(f"FAILED: {refusal}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     out = semidirect(g, rep, args.mode)
-    print(json.dumps(algebra_to_json(out), indent=1))
+    _print_json(algebra_to_json(out))
     return EXIT_OK
 
 
 def cmd_omni(args) -> int:
     out = omni_lie(args.dim)
-    print(json.dumps(algebra_to_json(out), indent=1))
+    _print_json(algebra_to_json(out))
     return EXIT_OK
 
 
@@ -358,7 +363,7 @@ def cmd_graph(args) -> int:
             print("FAILED: graph map does not close; first witness at "
                   f"{report.witnesses[0].where}", file=sys.stderr)
             return EXIT_CHECK_FAILED
-        print(json.dumps(algebra_to_json(induced_leibniz(phi)), indent=1))
+        _print_json(algebra_to_json(induced_leibniz(phi)))
         return EXIT_OK
     run.say(f"graph closure [phi(u), phi(v)] = phi(phi(u) v): "
             f"{'ok' if report.holds else 'FAILED'}")

@@ -39,7 +39,7 @@ from .algebra import (
     dense,
     residual_witnesses,
 )
-from .linalg import Frozen, Matrix, _to_integers, freeze, rank, viszero, vzero
+from .linalg import Frozen, Matrix, _to_integers, freeze, rank, sparse_tensor, viszero, vzero
 
 DEFAULT_CAP = 20000
 
@@ -57,37 +57,21 @@ class ResourceCapExceeded(Exception):
 # representations
 
 class Representation(Frozen):
-    """Left/right action matrices (one pair per basis element of g) on Q^vdim.
+    """Left and right actions of g on Q^vdim, one pair of vdim x vdim
+    matrices per basis element of g.
 
-    ``_l`` and ``_r`` are the sparse action tensors L[i,a,b] = (l_i)[a][b]
-    and R[i,a,b] = (r_i)[a][b] over the nonzero entries, derived once here
-    and read by every check.  Nothing may change them."""
+    ``l`` and ``r`` are read-only sparse ``linalg.Tensor``s of shape
+    (n, vdim, vdim): L[i,a,b] = (l_i)[a][b] and R[i,a,b] = (r_i)[a][b] over
+    the nonzero entries, the one stored form that every check reads;
+    ``rep.l[i][a][b]`` reads an entry.  The constructor takes that mapping
+    or the dense nested sequences (``linalg.sparse_tensor``)."""
 
-    __slots__ = ("algebra", "vdim", "l", "r", "_l", "_r")
+    __slots__ = ("algebra", "vdim", "l", "r")
 
-    def __init__(self, algebra: LeibnizAlgebra, vdim: int, l: tuple, r: tuple):
-        l, r = tuple(l), tuple(r)
-        if len(l) != algebra.dim or len(r) != algebra.dim:
-            raise ValueError("need one l and one r matrix per basis element")
-        for mat in (*l, *r):
-            if mat.shape != (vdim, vdim):
-                raise ValueError(f"action matrices must be {vdim}x{vdim}")
-        self._set(algebra, vdim, l, r, _action_tensor(l), _action_tensor(r))
-
-
-def _action_tensor(mats) -> dict:
-    """{(i, a, b): entry (a, b) of mats[i]} over the nonzero entries."""
-    return {(i, a, b): v for i, mat in enumerate(mats)
-            for a in range(mat.rows) for b, v in mat.row_items(a)}
-
-
-def _matrices(t: dict, count: int, m: int) -> tuple:
-    """The ``count`` m x m matrices whose action tensor is t: the inverse of
-    ``_action_tensor``."""
-    data = [[{} for _ in range(m)] for _ in range(count)]
-    for (i, a, b), v in t.items():
-        data[i][a][b] = v
-    return tuple(Matrix(m, m, rows) for rows in data)
+    def __init__(self, algebra: LeibnizAlgebra, vdim: int, l, r):
+        shape = (algebra.dim, vdim, vdim)
+        self._set(algebra, vdim, sparse_tensor(l, shape, "left action"),
+                  sparse_tensor(r, shape, "right action"))
 
 
 def check_representation(rep: Representation) -> IdentityReport:
@@ -97,7 +81,7 @@ def check_representation(rep: Representation) -> IdentityReport:
     L[i,a,b] = (l_i)[a][b] and R[i,a,b] = (r_i)[a][b], and each witness
     carries the m x m defect matrix at (i, j).
     """
-    c, L, R = rep.algebra.c, rep._l, rep._r
+    c, L, R = rep.algebra.c, rep.l, rep.r
     identities = {
         "l-of-bracket": [(1, "ijk,kab->ijab", c, L), (-1, "iau,jub->ijab", L, L),
                          (1, "jau,iub->ijab", L, L)],
@@ -125,30 +109,27 @@ def _refusal(g: LeibnizAlgebra, rep: Optional[Representation] = None) -> Optiona
 
 def trivial_rep(g: LeibnizAlgebra) -> Representation:
     """(Q, 0, 0)."""
-    z = Matrix.zeros(1, 1)
-    return Representation(g, 1, (z,) * g.dim, (z,) * g.dim)
+    return Representation(g, 1, {}, {})
 
 
 def adjoint_rep(g: LeibnizAlgebra) -> Representation:
     """Left and right multiplications of g acting on itself."""
     n = g.dim
     # (l_i)[k][j] = (r_j)[k][i] = c[i][j][k]
-    return Representation(g, n, _matrices({(i, k, j): v for (i, j, k), v in g.c.items()}, n, n),
-                          _matrices({(j, k, i): v for (i, j, k), v in g.c.items()}, n, n))
+    return Representation(g, n, {(i, k, j): v for (i, j, k), v in g.c.items()},
+                          {(j, k, i): v for (i, j, k), v in g.c.items()})
 
 
 def _require_left_only(rep: Representation, what: str) -> None:
-    if any(not m.is_zero() for m in rep.r):
+    if rep.r:
         raise ValueError(f"{what} is defined only for representations with zero right action")
 
 
 def dual_rep(rep: Representation) -> Representation:
     """Dual of (V, l, 0): acts by negative transposes on V*."""
     _require_left_only(rep, "the dual representation")
-    n = rep.algebra.dim
-    ls = tuple(-rep.l[i].transpose() for i in range(n))
-    zs = (Matrix.zeros(rep.vdim, rep.vdim),) * n
-    return Representation(rep.algebra, rep.vdim, ls, zs)
+    return Representation(rep.algebra, rep.vdim,
+                          {(i, b, a): -v for (i, a, b), v in rep.l.items()}, {})
 
 
 def conjugation_rep(rep: Representation) -> Representation:
@@ -160,20 +141,11 @@ def conjugation_rep(rep: Representation) -> Representation:
     contraction of the action tensor with the identity.
     """
     _require_left_only(rep, "the conjugation representation")
-    n, m = rep.algebra.dim, rep.vdim
+    m = rep.vdim
     eye = {(a, a): 1 for a in range(m)}
-    t = contract([(1, "iac,db->iabcd", rep._l, eye), (-1, "ac,idb->iabcd", eye, rep._l)])
-    ls = _matrices({(i, a * m + b, c * m + d): v for (i, a, b, c, d), v in t.items()}, n, m * m)
-    return Representation(rep.algebra, m * m, ls, (Matrix.zeros(m * m, m * m),) * n)
-
-
-def flatten_matrix(mat: Matrix) -> list[Fraction]:
-    """Row-major coordinates of a square matrix in the elementary basis."""
-    out = vzero(mat.rows * mat.cols)
-    for i in range(mat.rows):
-        for j, v in mat.row_items(i):
-            out[i * mat.cols + j] = v
-    return out
+    t = contract([(1, "iac,db->iabcd", rep.l, eye), (-1, "ac,idb->iabcd", eye, rep.l)])
+    return Representation(rep.algebra, m * m, {(i, a * m + b, c * m + d): v
+                                               for (i, a, b, c, d), v in t.items()}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +203,7 @@ def coboundary_columns(rep: Representation, k: int, cap: Optional[int] = DEFAULT
     out_dim = n ** (k + 1) * m
     if cap is not None and out_dim > cap:
         raise ResourceCapExceeded(out_dim, cap)
-    (c, dc), (l, dl), (r, dr) = (_to_integers(t) for t in (g.c, rep._l, rep._r))
+    (c, dc), (l, dl), (r, dr) = (_to_integers(t) for t in (g.c, rep.l, rep.r))
     den = lcm(dc, dl, dr)
     # lent[s] = [(a, b, D*(l_s)[a][b])] over the nonzero entries; rent likewise
     lent = [[] for _ in range(n)]
@@ -323,6 +295,16 @@ class BettiReport(NamedTuple):
         return self.degrees[k].dim_h
 
 
+def _require_within_cap(n: int, m: int, k_max: int, cap: Optional[int]) -> None:
+    """Raise ResourceCapExceeded for the first degree k <= k_max whose
+    coboundary into n^(k+1) m target rows exceeds the cap, before any is
+    built; no cap (None) admits every degree."""
+    if cap is not None:
+        for k in range(k_max + 1):
+            if n ** (k + 1) * m > cap:
+                raise ResourceCapExceeded(n ** (k + 1) * m, cap)
+
+
 def betti(rep: Representation, k_max: int,
           cap: Optional[int] = DEFAULT_CAP, *,
           assert_square_zero: bool = False) -> BettiReport:
@@ -350,10 +332,7 @@ def betti(rep: Representation, k_max: int,
     """
     g = rep.algebra
     n, m = g.dim, rep.vdim
-    if cap is not None:
-        for k in range(k_max + 1):
-            if n ** (k + 1) * m > cap:
-                raise ResourceCapExceeded(n ** (k + 1) * m, cap)
+    _require_within_cap(n, m, k_max, cap)
     refusal = _refusal(g, rep)
     if refusal:
         raise ValueError(refusal)
@@ -391,7 +370,7 @@ def betti(rep: Representation, k_max: int,
 def _right_action_tensor(g: LeibnizAlgebra, rep: Representation) -> dict:
     """rbar as a sparse tensor on g (+) V: (n+a, j, n+w) -> (r_j)[w][a]."""
     n = g.dim
-    return {(n + a, j, n + w): v for (j, w, a), v in rep._r.items()}
+    return {(n + a, j, n + w): v for (j, w, a), v in rep.r.items()}
 
 
 def semidirect(g: LeibnizAlgebra, rep: Representation, mode: str) -> LeibnizAlgebra:
@@ -404,7 +383,7 @@ def semidirect(g: LeibnizAlgebra, rep: Representation, mode: str) -> LeibnizAlge
         raise ValueError("mode must be 'lr' or 'l0'")
     n = g.dim
     c = dict(g.c)
-    c.update(((i, n + b, n + w), v) for (i, w, b), v in rep._l.items())
+    c.update(((i, n + b, n + w), v) for (i, w, b), v in rep.l.items())
     if mode == "lr":
         c.update(_right_action_tensor(g, rep))
     out = LeibnizAlgebra(n + rep.vdim, c)
@@ -475,7 +454,8 @@ def cocycle_check(rep: Representation, c: Cochain) -> bool:
 
 
 def right_action_cochain(rep: Representation) -> Cochain:
-    """The right action as a 1-cochain valued in flattened gl(V)."""
+    """The right action as a 1-cochain valued in gl(V), each matrix
+    flattened row-major: (r_i)[a][b] at coordinate a * m + b."""
     n, m = rep.algebra.dim, rep.vdim
-    values = [tuple(flatten_matrix(rep.r[i])) for i in range(n)]
-    return Cochain(1, n, m * m, tuple(values))
+    flat = {(i, a * m + b): v for (i, a, b), v in rep.r.items()}
+    return Cochain(1, n, m * m, dense(flat, (n, m * m)))

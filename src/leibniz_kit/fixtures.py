@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .algebra import LeibnizAlgebra
 from .cohomology import Representation, adjoint_rep, semidirect
-from .linalg import Matrix
 from .omni import GraphMap, omni_lie
 from .serialize import algebra_to_json, graph_to_json, representation_to_json
 
@@ -58,10 +57,9 @@ def graph_for(g: LeibnizAlgebra) -> GraphMap:
 
 
 def bad_graph() -> GraphMap:
-    """phi(e1), phi(e2) spanning the first row of gl(2); fails closure at (0, 0)."""
-    e11 = Matrix.from_rows([[1, 0], [0, 0]])
-    e12 = Matrix.from_rows([[0, 1], [0, 0]])
-    return GraphMap(2, (e11, e12))
+    """phi(e1) = E_11 and phi(e2) = E_12, spanning the first row of gl(2);
+    fails closure at (0, 0)."""
+    return GraphMap(2, {(0, 0, 0): 1, (1, 0, 1): 1})
 
 
 def bad_representation() -> Representation:
@@ -69,8 +67,8 @@ def bad_representation() -> Representation:
     e1 replaced by the identity; fails the compatibility conditions."""
     g = l2_algebra()
     rep = adjoint_rep(g)
-    rs = (Matrix.identity(2),) + rep.r[1:]
-    return Representation(g, 2, rep.l, rs)
+    rs = {key: v for key, v in rep.r.items() if key[0] != 0}
+    return Representation(g, 2, rep.l, {(0, 0, 0): 1, (0, 1, 1): 1, **rs})
 
 
 _ALGEBRAS = {

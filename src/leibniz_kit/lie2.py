@@ -35,7 +35,6 @@ from .algebra import (
 from .linalg import (
     HALF,
     Frozen,
-    Matrix,
     QUARTER,
     sparse,
     sparse_tensor,
@@ -107,22 +106,19 @@ class Lie2Algebra(Frozen):
 
     l2 on two degree-1 elements would land in degree 2, which is zero here.
 
-    ``l2_00``, ``l2_01`` and ``l3`` are read-only sparse ``linalg.Tensor``s,
-    indexed as above with the output last; the constructor takes mappings or
-    dense nested sequences (``linalg.sparse_tensor``).  ``_l1`` is the
-    sparse form {(r, a): entry} of the matrix ``l1``, derived once here and
-    read by every check.  Nothing may change it.
+    All four are read-only sparse ``linalg.Tensor``s, indexed as above with
+    the output first for ``l1`` ((r, a) is row r, column a) and last for the
+    others; the constructor takes mappings or dense nested sequences
+    (``linalg.sparse_tensor``).
     """
 
-    __slots__ = ("dim1", "dim0", "l1", "l2_00", "l2_01", "l3", "_l1")
+    __slots__ = ("dim1", "dim0", "l1", "l2_00", "l2_01", "l3")
 
-    def __init__(self, dim1: int, dim0: int, l1: Matrix, l2_00, l2_01, l3):
-        if l1.shape != (dim0, dim1):
-            raise ValueError("l1 must be dim0 x dim1")
-        self._set(dim1, dim0, l1, sparse_tensor(l2_00, (dim0,) * 3, "l2_00"),
+    def __init__(self, dim1: int, dim0: int, l1, l2_00, l2_01, l3):
+        self._set(dim1, dim0, sparse_tensor(l1, (dim0, dim1), "l1"),
+                  sparse_tensor(l2_00, (dim0,) * 3, "l2_00"),
                   sparse_tensor(l2_01, (dim0, dim1, dim1), "l2_01"),
-                  sparse_tensor(l3, (dim0,) * 3 + (dim1,), "l3"),
-                  {(r, a): v for r in range(dim0) for a, v in l1.row_items(r)})
+                  sparse_tensor(l3, (dim0,) * 3 + (dim1,), "l3"))
 
 
 class AxiomReport(NamedTuple):
@@ -161,10 +157,12 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
             coords.update(((*where, a), xa) for a, xa in enumerate(x) if xa)
         return coords
 
-    half_action = contract([(HALF, "ua,iat->iut", sparse(z.basis, 2), c)])
+    basis = sparse(z.basis, 2)  # (u, a): coordinate a of the center basis vector u
+    half_action = contract([(HALF, "ua,iat->iut", basis, c)])
     l2_01 = center_coords(half_action, "[e_{}, z_{}]/2")
     l3 = center_coords(_jacobiator(c), "J(e_{},e_{},e_{})")
-    return Lie2Algebra(d1, n, z.basis_matrix(), skew_bracket(g), l2_01, l3)
+    return Lie2Algebra(d1, n, {(a, u): v for (u, a), v in basis.items()}, skew_bracket(g),
+                       l2_01, l3)
 
 
 def check_lie2_structure(L: Lie2Algebra) -> IdentityReport:
@@ -190,7 +188,7 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
             + l3(l2(y,z),x,w) - l3(l2(y,w),x,z) + l3(l2(z,w),x,y)
     """
     n0, n1 = L.dim0, L.dim1
-    l1, s, m, t = L._l1, L.l2_00, L.l2_01, L.l3
+    l1, s, m, t = L.l1, L.l2_00, L.l2_01, L.l3
     axioms = {
         "a": (n0, [(1, "iab,tb->iat", m, l1), (-1, "ua,iut->iat", l1, s)]),
         "b": (n1, [(1, "ua,ubt->abt", l1, m), (1, "ub,uat->abt", l1, m)]),

@@ -205,10 +205,6 @@ def vzero(n: int) -> list[Fraction]:
     return [ZERO] * n
 
 
-def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-    return [a - b for a, b in zip(u, v)]
-
-
 def vaddto(acc: list[Fraction], c: Fraction, u: Sequence[Fraction]) -> None:
     """acc += c*u in place, skipping zero work."""
     if not c:
@@ -263,10 +259,6 @@ class Matrix:
         return cls(ncols_ambient, len(cols), data)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [{} for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [{i: ONE} for i in range(n)])
 
@@ -284,9 +276,6 @@ class Matrix:
 
     def to_rows(self) -> list[list[Fraction]]:
         return [self.row_list(i) for i in range(self.rows)]
-
-    def column(self, j: int) -> list[Fraction]:
-        return [self._data[i].get(j, ZERO) for i in range(self.rows)]
 
     def mv(self, x: Sequence[Fraction]) -> list[Fraction]:
         if len(x) != self.cols:
@@ -312,27 +301,6 @@ class Matrix:
                     acc[j] = acc.get(j, 0) + a * b
             data.append(acc)
         return Matrix(self.rows, other.cols, data)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        data = []
-        for r1, r2 in zip(self._data, other._data):
-            row = dict(r1)
-            for j, v in r2.items():
-                row[j] = row.get(j, ZERO) + v
-            data.append(row)
-        return Matrix(self.rows, self.cols, data)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scaled(-ONE)
-
-    def __neg__(self) -> "Matrix":
-        return self.scaled(-ONE)
-
-    def scaled(self, c) -> "Matrix":
-        c = as_rational(c)
-        return Matrix(self.rows, self.cols,
-                      [{j: c * v for j, v in row.items()} for row in self._data])
 
     def transpose(self) -> "Matrix":
         data: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
@@ -365,29 +333,6 @@ class Matrix:
         return "Matrix(" + "; ".join(
             " ".join(str(self.entry(i, j)) for j in range(self.cols))
             for i in range(self.rows)) + ")"
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-
-
-def linear_combination(coeffs: Sequence[Fraction], mats: Sequence[Matrix],
-                       shape: tuple[int, int]) -> Matrix:
-    """sum_i coeffs[i] mats[i], accumulated into one dict per row; a zero
-    matrix of the given shape when every coefficient is zero."""
-    if len(coeffs) != len(mats):
-        raise ValueError(f"{len(coeffs)} coefficients for {len(mats)} matrices")
-    data: list[dict[int, Fraction]] = [{} for _ in range(shape[0])]
-    for c, mat in zip(coeffs, mats):
-        if not c:
-            continue
-        if mat.shape != shape:
-            raise ValueError(f"shape mismatch {mat.shape} vs {shape}")
-        for acc, row in zip(data, mat._data):
-            for j, v in row.items():
-                acc[j] = acc.get(j, ZERO) + c * v
-    return Matrix(shape[0], shape[1], data)
-
 
 class Echelon(NamedTuple):
     """Result of row reduction: the RREF matrix, its rank, and pivot columns."""

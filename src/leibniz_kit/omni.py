@@ -33,6 +33,7 @@ correspondence are ``algebra.contract`` sums, like every other identity;
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
@@ -50,30 +51,23 @@ from .cohomology import (
     DEFAULT_CAP,
     BettiReport,
     Cochain,
-    Matrix,
     Representation,
-    _action_tensor,
-    _matrices,
+    _require_within_cap,
     adjoint_rep,
     betti,
     check_representation,
     coboundary,
     coboundary_columns,
     conjugation_rep,
-    flatten_matrix,
     trivial_rep,
 )
 from .linalg import (
     Frozen,
     Subspace,
-    as_rational,
     kernel_basis,
-    linear_combination,
     span_of_rows,
-    sparse,
+    sparse_tensor,
     vaddto,
-    viszero,
-    vsub,
     vzero,
 )
 
@@ -83,36 +77,32 @@ from .linalg import (
 
 def omni_bracket(m: int, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
     """[[A+u, B+v]] = [A,B] + Av on flattened coordinates (gl part row-major,
-    then the V part).  Iterates only the nonzero matrix entries."""
+    then the V part).  Only the nonzero coordinates of x and y are visited:
+    one pass over each finds them, grouped by matrix row."""
     m2 = m * m
     if len(x) != m2 + m or len(y) != m2 + m:
         raise ValueError(f"omni vectors must have length {m2 + m}")
+
+    def by_row(z):
+        # rows[t] holds (b, z[t][b]) for the gl part; rows[m] the V part
+        rows = [[] for _ in range(m + 1)]
+        for p in compress(range(m2 + m), z):
+            t, b = divmod(p, m)
+            rows[t].append((b, z[p]))
+        return rows
+
+    xr, yr = by_row(x), by_row(y)
+    v = dict(yr[m])
     out = vzero(m2 + m)
-    for idx in range(m2):
-        va = x[idx]
-        if not va:
-            continue
-        a, t = divmod(idx, m)
-        row = t * m
-        arow = a * m
-        for b in range(m):
-            vb = y[row + b]
-            if vb:
-                out[arow + b] += va * vb
-        vv = y[m2 + t]
-        if vv:
-            out[m2 + a] += va * vv
-    for idx in range(m2):
-        vb = y[idx]
-        if not vb:
-            continue
-        a, t = divmod(idx, m)
-        row = t * m
-        arow = a * m
-        for b in range(m):
-            vx = x[row + b]
-            if vx:
-                out[arow + b] -= vb * vx
+    for a in range(m):
+        for t, va in xr[a]:  # A[a][t]: (AB)[a][b] and (Av)[a]
+            for b, vb in yr[t]:
+                out[a * m + b] += va * vb
+            if t in v:
+                out[m2 + a] += va * v[t]
+        for t, vb in yr[a]:  # B[a][t]: (BA)[a][b]
+            for b, va in xr[t]:
+                out[a * m + b] -= vb * va
     return out
 
 
@@ -133,31 +123,24 @@ def omni_lie(m: int) -> LeibnizAlgebra:
 # graphs of maps V -> gl(V)
 
 class GraphMap(Frozen):
-    """A linear map phi: V -> gl(V), phi(u) = sum_a u_a phi[a].
+    """A linear map phi: V -> gl(V), phi(u) = sum_a u_a phi_a.
 
-    ``_phi`` is the sparse tensor P[i,a,b] = (phi_i)[a][b] over the nonzero
-    entries, derived once here.  Nothing may change it."""
+    ``phi`` is the read-only sparse ``linalg.Tensor`` of shape (m, m, m),
+    P[a,i,j] = (phi_a)[i][j] over the nonzero entries, the one stored form;
+    the constructor takes that mapping or the dense nested sequences
+    (``linalg.sparse_tensor``)."""
 
-    __slots__ = ("vdim", "phi", "_phi")
+    __slots__ = ("vdim", "phi")
 
-    def __init__(self, vdim: int, phi: tuple):
-        phi = tuple(phi)
-        if len(phi) != vdim:
-            raise ValueError("need one matrix per basis vector of V")
-        for mat in phi:
-            if mat.shape != (vdim, vdim):
-                raise ValueError(f"graph matrices must be {vdim}x{vdim}")
-        self._set(vdim, phi, _action_tensor(phi))
-
-    def apply(self, u: Sequence[Fraction]) -> Matrix:
-        return linear_combination(u, self.phi, (self.vdim, self.vdim))
+    def __init__(self, vdim: int, phi):
+        self._set(vdim, sparse_tensor(phi, (vdim,) * 3, "graph map"))
 
 
 def graph_check(phi: GraphMap) -> IdentityReport:
     """The closure condition [phi(u), phi(v)] = phi(phi(u) v) on basis pairs,
     as a contraction of P[i,a,b] = (phi_i)[a][b] with itself; each witness
     carries the m x m defect at (i, j)."""
-    P = phi._phi
+    P = phi.phi
     residual = contract([(1, "iau,jub->ijab", P, P), (-1, "jau,iub->ijab", P, P),
                          (-1, "iuj,uab->ijab", P, P)])
     return _report(residual_witnesses(residual, phi.vdim, "graph", axes=2))
@@ -170,7 +153,7 @@ def induced_leibniz(phi: GraphMap) -> LeibnizAlgebra:
         raise ValueError("graph map fails the closure condition at "
                          f"{report.witnesses[0].where}")
     # [e_i, e_j] = phi_i e_j has entry (phi_i)[k][j] at k
-    out = LeibnizAlgebra(phi.vdim, {(i, j, k): v for (i, k, j), v in phi._phi.items()})
+    out = LeibnizAlgebra(phi.vdim, {(i, j, k): v for (i, k, j), v in phi.phi.items()})
     if not check_leibniz(out).holds:
         raise AssertionError("graph-induced bracket failed the Leibniz identity")
     return out
@@ -179,44 +162,62 @@ def induced_leibniz(phi: GraphMap) -> LeibnizAlgebra:
 # ---------------------------------------------------------------------------
 # naive representations
 
-class NaiveRepresentation:
+def _rho_entries(m: int, phi: dict, theta: dict) -> dict:
+    """{(i, p): coordinate p of rho(e_i)} over the nonzero coordinates in
+    gl(V) (+) V: phi_i flattened row-major (p = a m + b), then theta_i
+    (p = m^2 + a)."""
+    out = {(i, a * m + b): v for (i, a, b), v in phi.items()}
+    out.update(((i, m * m + a), v) for (i, a), v in theta.items())
+    return out
+
+
+def _rho_vectors(n: int, m: int, phi: dict, theta: dict) -> tuple:
+    """rho(e_i) for each i as a dense vector of gl(V) (+) V."""
+    rows = [vzero(m * m + m) for _ in range(n)]
+    for (i, p), v in _rho_entries(m, phi, theta).items():
+        rows[i][p] = v
+    return tuple(map(tuple, rows))
+
+
+class NaiveRepresentation(Frozen):
     """A linear map rho = phi + theta : g -> gl(V) (+) V.
 
-    phi[i] is the gl(V) component and theta[i] the V component of rho(e_i).
-    The image subspace is computed once (RREF basis); cochain values are
-    stored in its coordinates.  ``_phi`` and ``_theta`` are the sparse
-    tensors P[i,a,b] = (phi_i)[a][b] and T[i,a] = theta_i[a], derived once
-    here.
+    ``phi`` (shape n x m x m, P[i,a,b] = (phi_i)[a][b]) and ``theta``
+    (shape n x m, T[i,a] = theta_i[a]) are read-only sparse
+    ``linalg.Tensor``s, the gl(V) and V components of rho(e_i) and their
+    one stored form; the constructor takes those mappings or the dense
+    nested sequences (``linalg.sparse_tensor``).  The image subspace is
+    computed once (RREF basis) into the derived slot ``_image``; cochain
+    values are stored in its coordinates.
     """
+
+    __slots__ = ("algebra", "vdim", "phi", "theta", "_image")
 
     def __init__(self, algebra: LeibnizAlgebra, vdim: int, phi, theta):
         n = algebra.dim
-        phi = tuple(phi)
-        theta = tuple(tuple(as_rational(x) for x in t) for t in theta)
-        if len(phi) != n or len(theta) != n:
-            raise ValueError("need one phi matrix and one theta vector per basis element")
-        for mat in phi:
-            if mat.shape != (vdim, vdim):
-                raise ValueError(f"phi matrices must be {vdim}x{vdim}")
-        for t in theta:
-            if len(t) != vdim:
-                raise ValueError(f"theta vectors must have length {vdim}")
-        self.algebra = algebra
-        self.vdim = vdim
-        self.phi = phi
-        self.theta = theta
-        self._phi = _action_tensor(phi)
-        self._theta = sparse(theta, 2)
-        self.ambient_dim = vdim * vdim + vdim
-        self.rho_vectors = tuple(
-            tuple(flatten_matrix(phi[i]) + list(theta[i])) for i in range(n))
-        self.image = span_of_rows(self.ambient_dim, self.rho_vectors)
+        phi = sparse_tensor(phi, (n, vdim, vdim), "phi")
+        theta = sparse_tensor(theta, (n, vdim), "theta")
+        self._set(algebra, vdim, phi, theta,
+                  span_of_rows(vdim * vdim + vdim, _rho_vectors(n, vdim, phi, theta)))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.vdim * self.vdim + self.vdim
+
+    @property
+    def image(self) -> Subspace:
+        return self._image
+
+    @property
+    def rho_vectors(self) -> tuple:
+        """rho(e_i) for each i, dense, built from the tensors on each read."""
+        return _rho_vectors(self.algebra.dim, self.vdim, self.phi, self.theta)
 
     def rho_of(self, x: Sequence[Fraction]) -> list[Fraction]:
         out = vzero(self.ambient_dim)
-        for i, xi in enumerate(x):
+        for xi, v in zip(x, self.rho_vectors):
             if xi:
-                vaddto(out, xi, self.rho_vectors[i])
+                vaddto(out, xi, v)
         return out
 
 
@@ -227,21 +228,28 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
     component conditions contract c with P[i,a,b] = (phi_i)[a][b] and
     T[i,a] = theta_i[a]."""
     g = rho.algebra
-    n = g.dim
-    c, P, T = g.c, rho._phi, rho._theta
+    n, m = g.dim, rho.vdim
+    c, P, T = g.c, rho.phi, rho.theta
     con1 = contract([(1, "ijk,kab->ijab", c, P), (-1, "iau,jub->ijab", P, P),
                      (1, "jau,iub->ijab", P, P)])
     con2 = contract([(1, "ijk,ka->ija", c, T), (-1, "iab,jb->ija", P, T)])
-    rho_br = {}  # (i, j) -> rho([e_i, e_j]) where the bracket is nonzero
-    for (i, j, k), w in c.items():
-        vaddto(rho_br.setdefault((i, j), vzero(rho.ambient_dim)), w, rho.rho_vectors[k])
+    # rho([e_i, e_j]) by pair, sparse: c contracted with the rho(e_k)
+    rho_br: dict = {}
+    for (i, j, p), v in contract([(1, "ijk,kp->ijp", c, _rho_entries(m, P, T))]).items():
+        rho_br.setdefault((i, j), {})[p] = v
+    vectors = rho.rho_vectors
     hom = []
     for i in range(n):
         for j in range(n):
-            d3 = vsub(rho_br.get((i, j), vzero(rho.ambient_dim)),
-                      omni_bracket(rho.vdim, rho.rho_vectors[i], rho.rho_vectors[j]))
-            if not viszero(d3):
-                hom.append(Witness((i, j), tuple(d3), "hom"))
+            got = omni_bracket(m, vectors[i], vectors[j])
+            want = vzero(len(got))
+            for p, v in rho_br.get((i, j), {}).items():
+                want[p] = v
+            # list equality: a zero left untouched on both sides is the one
+            # object ZERO and matches without arithmetic, so only the
+            # nonzero entries are compared as Fractions
+            if want != got:
+                hom.append(Witness((i, j), tuple(w - x for w, x in zip(want, got)), "hom"))
     return _report(residual_witnesses(con1, rho.vdim, "con1", axes=2)
                    + residual_witnesses(con2, rho.vdim, "con2") + hom)
 
@@ -254,8 +262,7 @@ def trivial_naive_space(g: LeibnizAlgebra) -> Subspace:
 
 def trivial_naive_rep(g: LeibnizAlgebra, xi: Sequence[Fraction]) -> NaiveRepresentation:
     """The naive representation on Q determined by a functional xi killing [g,g]."""
-    zero = Matrix.zeros(1, 1)
-    rho = NaiveRepresentation(g, 1, (zero,) * g.dim, tuple((as_rational(x),) for x in xi))
+    rho = NaiveRepresentation(g, 1, {}, [(x,) for x in xi])
     report = naive_check(rho)
     if not report.holds:
         raise ValueError("functional does not vanish on the derived subalgebra")
@@ -265,8 +272,7 @@ def trivial_naive_rep(g: LeibnizAlgebra, xi: Sequence[Fraction]) -> NaiveReprese
 def adjoint_naive(g: LeibnizAlgebra) -> NaiveRepresentation:
     """rho(x) = (left multiplication by x) + x, acting on g itself."""
     n = g.dim
-    rho = NaiveRepresentation(g, n, adjoint_rep(g).l,
-                              tuple(tuple(_basis(n, i)) for i in range(n)))
+    rho = NaiveRepresentation(g, n, adjoint_rep(g).l, {(i, i): 1 for i in range(n)})
     if not naive_check(rho).holds:
         raise AssertionError("adjoint naive map is not a homomorphism")
     if rho.image.dim != n:
@@ -281,12 +287,10 @@ def naive_from_rep(rep: Representation) -> NaiveRepresentation:
     report = check_representation(rep)
     if not report.holds:
         raise ValueError(f"not a representation; first witness {report.witnesses[0].where}")
-    n = rep.algebra.dim
-    left_only = Representation(rep.algebra, rep.vdim, rep.l,
-                               (Matrix.zeros(rep.vdim, rep.vdim),) * n)
-    conj = conjugation_rep(left_only)
-    theta = tuple(tuple(flatten_matrix(rep.r[i])) for i in range(n))
-    rho = NaiveRepresentation(rep.algebra, rep.vdim * rep.vdim, conj.l, theta)
+    m = rep.vdim
+    conj = conjugation_rep(Representation(rep.algebra, m, rep.l, {}))
+    theta = {(i, a * m + b): v for (i, a, b), v in rep.r.items()}
+    rho = NaiveRepresentation(rep.algebra, m * m, conj.l, theta)
     if not naive_check(rho).holds:
         raise AssertionError("induced naive map is not a homomorphism")
     return rho
@@ -302,21 +306,19 @@ def image_representation(rho: NaiveRepresentation) -> Representation:
     to zero) is re-verified on every instance.
     """
     g = rho.algebra
-    n, d, m = g.dim, rho.image.dim, rho.vdim
-    ls, rs = [], []
-    for i in range(n):
-        lcols, rcols = [], []
-        for b in rho.image.basis:
-            lv = rho.image.coordinates_of(omni_bracket(m, rho.rho_vectors[i], b))
-            rv = rho.image.coordinates_of(omni_bracket(m, b, rho.rho_vectors[i]))
+    image, m = rho.image, rho.vdim
+    ls: dict = {}
+    rs: dict = {}
+    for i, rho_i in enumerate(rho.rho_vectors):
+        for col, b in enumerate(image.basis):
+            lv = image.coordinates_of(omni_bracket(m, rho_i, b))
+            rv = image.coordinates_of(omni_bracket(m, b, rho_i))
             if lv is None or rv is None:
                 raise ValueError("image of the representation is not closed under "
                                  "the omni bracket; the map is not a homomorphism")
-            lcols.append(lv)
-            rcols.append(rv)
-        ls.append(Matrix.from_cols(d, lcols))
-        rs.append(Matrix.from_cols(d, rcols))
-    rep = Representation(g, d, tuple(ls), tuple(rs))
+            ls.update(((i, a, col), x) for a, x in enumerate(lv) if x)
+            rs.update(((i, a, col), x) for a, x in enumerate(rv) if x)
+    rep = Representation(g, image.dim, ls, rs)
     if not check_representation(rep).holds:
         raise AssertionError("omni multiplication on the image is not a representation")
     return rep
@@ -341,7 +343,9 @@ def naive_betti(rho: NaiveRepresentation, k_max: int,
                 cap: Optional[int] = DEFAULT_CAP) -> BettiReport:
     """Cohomology of the naive complex, computed through the induced
     representation on the image; squares of the coboundary matrices are
-    asserted to vanish."""
+    asserted to vanish.  The cap is checked on the image dimension before
+    the image representation is built."""
+    _require_within_cap(rho.algebra.dim, rho.image.dim, k_max, cap)
     return betti(image_representation(rho), k_max, cap, assert_square_zero=True)
 
 
@@ -465,8 +469,7 @@ def tautological_rep(phi: GraphMap) -> NaiveRepresentation:
     """u -> phi(u) + u over the algebra the graph induces on V."""
     g = induced_leibniz(phi)
     m = phi.vdim
-    rho = NaiveRepresentation(g, m, phi.phi,
-                              tuple(tuple(_basis(m, i)) for i in range(m)))
+    rho = NaiveRepresentation(g, m, phi.phi, {(i, i): 1 for i in range(m)})
     if not naive_check(rho).holds:
         raise AssertionError("tautological graph map is not a homomorphism")
     return rho
@@ -484,15 +487,14 @@ def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
     if phi.vdim != rho.vdim:
         raise ValueError("graph and representation act on different spaces")
     g = rho.algebra
-    n, m = g.dim, rho.vdim
-    for i in range(n):
-        if phi.apply(rho.theta[i]) != rho.phi[i]:
-            raise ValueError(f"image of basis element {i} escapes the graph")
+    escapes = contract([(1, "ia,auv->iuv", rho.theta, phi.phi), (-1, "iuv->iuv", rho.phi)])
+    if escapes:
+        raise ValueError(f"image of basis element {min(escapes)[0]} escapes the graph")
     if not naive_check(rho).holds:
         raise ValueError("the map is not a naive representation")
     # the escape check has proven l_x = phi(theta(x)) = rho.phi[x]
-    rs = _matrices(contract([(1, "auv,iv->iua", phi._phi, rho._theta)]), n, m)
-    rep = Representation(g, m, rho.phi, rs)
+    rs = contract([(1, "auv,iv->iua", phi.phi, rho.theta)])
+    rep = Representation(g, rho.vdim, rho.phi, rs)
     report = check_representation(rep)
     if not report.holds:
         raise ValueError("induced actions fail the representation conditions at "

@@ -14,7 +14,6 @@ from typing import Any, Optional
 from .algebra import LeibnizAlgebra
 from .cohomology import BettiReport, Representation
 from .lie2 import Lie2Algebra
-from .linalg import Matrix
 from .omni import ComparisonReport, GraphMap, NaiveRepresentation
 
 SCHEMA = "leibniz-kit/1"
@@ -74,19 +73,31 @@ def _expect_list(v: Any, length: int, where: str) -> list:
     return v
 
 
-def vector_from_json(v: Any, length: int, where: str, parsed: dict) -> list[Fraction]:
-    """The scalars of a list, memoized in ``parsed``; ``str_to_scalar`` refuses a bad one."""
-    out = []
-    for i, x in enumerate(_expect_list(v, length, where)):
-        q = _scalar(x, parsed)
-        out.append(q if q is not None else str_to_scalar(x, f"{where}[{i}]"))
+def tensor_from_json(data: Any, shape: tuple, where: str = "tensor",
+                     parsed: Optional[dict] = None) -> dict:
+    """The sparse tensor {index tuple: nonzero Fraction} that nested lists of
+    the given shape hold, keys in lexicographic order: the mirror of
+    ``tensor_to_json``.  Scalars are memoized in ``parsed``.  A list of the
+    wrong length is refused with its path, ``where`` followed by one [i] per
+    axis above it, and a bad scalar (``str_to_scalar``) with its own path."""
+    parsed = {} if parsed is None else parsed
+    out: dict = {}
+
+    def walk(v, key, where):
+        v = _expect_list(v, shape[len(key)], where)
+        if len(key) + 1 < len(shape):
+            for i, sub in enumerate(v):
+                walk(sub, key + (i,), f"{where}[{i}]")
+            return
+        for i, x in enumerate(v):
+            q = _scalar(x, parsed)
+            if q is None:
+                str_to_scalar(x, f"{where}[{i}]")  # refuses x with its path
+            if q:
+                out[key + (i,)] = q
+
+    walk(data, (), where)
     return out
-
-
-def matrix_from_json(data: Any, rows: int, cols: int, where: str, parsed: dict) -> Matrix:
-    out = [vector_from_json(row, cols, f"{where}[{i}]", parsed)
-           for i, row in enumerate(_expect_list(data, rows, where))]
-    return Matrix.from_rows(out) if rows else Matrix.zeros(0, cols)
 
 
 def tensor_to_json(t, shape: tuple) -> list:
@@ -114,14 +125,7 @@ def algebra_from_json(data: Any) -> LeibnizAlgebra:
     where = "algebra"
     _expect_schema(data, where)
     n = _expect_dim(data, "dim", where)
-    raw = _expect_list(_expect(data, "c", where), n, f"{where}.c")
-    c, parsed = {}, {}
-    for i, plane in enumerate(raw):
-        for j, row in enumerate(_expect_list(plane, n, f"{where}.c[{i}]")):
-            for k, v in enumerate(vector_from_json(row, n, f"{where}.c[{i}][{j}]", parsed)):
-                if v:
-                    c[i, j, k] = v
-    return LeibnizAlgebra(n, c)
+    return LeibnizAlgebra(n, tensor_from_json(_expect(data, "c", where), (n,) * 3, f"{where}.c"))
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +134,16 @@ def algebra_from_json(data: Any) -> LeibnizAlgebra:
 def representation_to_json(rep: Representation) -> dict:
     shape = (rep.algebra.dim, rep.vdim, rep.vdim)
     return {"schema": SCHEMA, "vdim": rep.vdim,
-            "l": tensor_to_json(rep._l, shape), "r": tensor_to_json(rep._r, shape)}
+            "l": tensor_to_json(rep.l, shape), "r": tensor_to_json(rep.r, shape)}
 
 
 def representation_from_json(g: LeibnizAlgebra, data: Any) -> Representation:
     where = "representation"
     _expect_schema(data, where)
     m, parsed = _expect_dim(data, "vdim", where), {}
-    ls = [matrix_from_json(mat, m, m, f"{where}.l[{i}]", parsed)
-          for i, mat in enumerate(_expect_list(_expect(data, "l", where), g.dim, f"{where}.l"))]
-    rs = [matrix_from_json(mat, m, m, f"{where}.r[{i}]", parsed)
-          for i, mat in enumerate(_expect_list(_expect(data, "r", where), g.dim, f"{where}.r"))]
-    return Representation(g, m, tuple(ls), tuple(rs))
+    ls, rs = (tensor_from_json(_expect(data, key, where), (g.dim, m, m), f"{where}.{key}", parsed)
+              for key in ("l", "r"))
+    return Representation(g, m, ls, rs)
 
 
 # ---------------------------------------------------------------------------
@@ -149,32 +151,28 @@ def representation_from_json(g: LeibnizAlgebra, data: Any) -> Representation:
 
 def naive_to_json(rho: NaiveRepresentation) -> dict:
     n, m = rho.algebra.dim, rho.vdim
-    return {"schema": SCHEMA, "vdim": m, "phi": tensor_to_json(rho._phi, (n, m, m)),
-            "theta": tensor_to_json(rho._theta, (n, m))}
+    return {"schema": SCHEMA, "vdim": m, "phi": tensor_to_json(rho.phi, (n, m, m)),
+            "theta": tensor_to_json(rho.theta, (n, m))}
 
 
 def naive_from_json(g: LeibnizAlgebra, data: Any) -> NaiveRepresentation:
     where = "naive representation"
     _expect_schema(data, where)
     m, parsed = _expect_dim(data, "vdim", where), {}
-    phi = [matrix_from_json(mat, m, m, f"{where}.phi[{i}]", parsed)
-           for i, mat in enumerate(_expect_list(_expect(data, "phi", where), g.dim, f"{where}.phi"))]
-    theta = [vector_from_json(t, m, f"{where}.theta[{i}]", parsed)
-             for i, t in enumerate(_expect_list(_expect(data, "theta", where), g.dim, f"{where}.theta"))]
-    return NaiveRepresentation(g, m, tuple(phi), tuple(theta))
+    phi = tensor_from_json(_expect(data, "phi", where), (g.dim, m, m), f"{where}.phi", parsed)
+    theta = tensor_from_json(_expect(data, "theta", where), (g.dim, m), f"{where}.theta", parsed)
+    return NaiveRepresentation(g, m, phi, theta)
 
 
 def graph_to_json(phi: GraphMap) -> dict:
-    return {"schema": SCHEMA, "vdim": phi.vdim, "phi": tensor_to_json(phi._phi, (phi.vdim,) * 3)}
+    return {"schema": SCHEMA, "vdim": phi.vdim, "phi": tensor_to_json(phi.phi, (phi.vdim,) * 3)}
 
 
 def graph_from_json(data: Any) -> GraphMap:
     where = "graph map"
     _expect_schema(data, where)
-    m, parsed = _expect_dim(data, "vdim", where), {}
-    mats = [matrix_from_json(mat, m, m, f"{where}.phi[{i}]", parsed)
-            for i, mat in enumerate(_expect_list(_expect(data, "phi", where), m, f"{where}.phi"))]
-    return GraphMap(m, tuple(mats))
+    m = _expect_dim(data, "vdim", where)
+    return GraphMap(m, tensor_from_json(_expect(data, "phi", where), (m,) * 3, f"{where}.phi"))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +183,7 @@ def lie2_to_json(L: Lie2Algebra) -> dict:
         "schema": SCHEMA,
         "dim1": L.dim1,
         "dim0": L.dim0,
-        "l1": tensor_to_json(L._l1, (L.dim0, L.dim1)),
+        "l1": tensor_to_json(L.l1, (L.dim0, L.dim1)),
         "l2_00": tensor_to_json(L.l2_00, (L.dim0,) * 3),
         "l2_01": tensor_to_json(L.l2_01, (L.dim0, L.dim1, L.dim1)),
         "l3": tensor_to_json(L.l3, (L.dim0,) * 3 + (L.dim1,)),

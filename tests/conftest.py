@@ -42,7 +42,7 @@ DENSE_BASIS_3 = tuple(tuple(Fraction(x) for x in row) for row in (
 def change_basis(g: LeibnizAlgebra, b) -> LeibnizAlgebra:
     """g in the basis f_i = sum_a b[a][i] e_a, for an invertible matrix b."""
     bm = Matrix.from_rows(b)
-    f = [bm.column(i) for i in range(g.dim)]
+    f = [[bm.entry(a, i) for a in range(g.dim)] for i in range(g.dim)]
     c = [[solve(bm, bracket(g, f[i], f[j])) for j in range(g.dim)]
          for i in range(g.dim)]
     return LeibnizAlgebra(g.dim, sparse(c, 3))

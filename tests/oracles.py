@@ -20,6 +20,12 @@ graded bracket (Balavoine, "Deformations of algebras over a quadratic
 operad", 1997), with which the Maurer-Cartan identity is stated.  So do the
 dense matrix forms of the graph closure condition, the naive-representation
 conditions and the chain-level adjoint correspondence D^img E = E D^cl.
+
+The library stores every action (of a representation, a graph map or a
+naive representation) and the map l1 of a two-term algebra only as a sparse
+tensor.  ``matrices`` and ``matrix`` give the dense matrix view of one, as
+the formulas write it, for these oracles and for the tests; the sums and
+linear combinations of matrices the formulas need are here as well.
 """
 
 from __future__ import annotations
@@ -49,18 +55,89 @@ from leibniz_kit.linalg import (
     HALF,
     ONE,
     ZERO,
-    linear_combination,
     solve,
     sparse,
     vaddto,
     viszero,
-    vsub,
     vzero,
 )
 
 
 def vadd(u, v) -> list[Fraction]:
     return [a + b for a, b in zip(u, v)]
+
+
+def vsub(u, v) -> list[Fraction]:
+    return [a - b for a, b in zip(u, v)]
+
+
+# ---------------------------------------------------------------------------
+# the dense matrix view of sparse action tensors
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, [{} for _ in range(rows)])
+
+
+def matrix(t) -> Matrix:
+    """The matrix whose entry (a, b) is t[a, b], for a tensor of shape
+    (rows, cols) such as ``Lie2Algebra.l1``."""
+    rows, cols = t.shape
+    data = [{} for _ in range(rows)]
+    for (a, b), v in t.items():
+        data[a][b] = v
+    return Matrix(rows, cols, data)
+
+
+def matrices(t) -> tuple:
+    """One matrix per index i, with entry (a, b) the entry t[i, a, b], for a
+    tensor of shape (count, rows, cols): the actions of a ``Representation``,
+    ``GraphMap`` or ``NaiveRepresentation`` as they are written by hand."""
+    count, rows, cols = t.shape
+    data = [[{} for _ in range(rows)] for _ in range(count)]
+    for (i, a, b), v in t.items():
+        data[i][a][b] = v
+    return tuple(Matrix(rows, cols, d) for d in data)
+
+
+def action_tensor(mats) -> dict:
+    """{(i, a, b): entry (a, b) of mats[i]} over the nonzero entries: the
+    inverse of ``matrices``."""
+    return {(i, a, b): v for i, mat in enumerate(mats)
+            for a in range(mat.rows) for b, v in mat.row_items(a)}
+
+
+def scaled(t, c) -> dict:
+    """c times a sparse tensor, entry by entry."""
+    return {key: c * v for key, v in t.items()}
+
+
+def column(mat: Matrix, j: int) -> list[Fraction]:
+    return [mat.entry(i, j) for i in range(mat.rows)]
+
+
+def linear_combination(coeffs, mats, shape: tuple) -> Matrix:
+    """sum_i coeffs[i] mats[i], entry by entry; the zero matrix of the given
+    shape when there are no terms."""
+    data = [{} for _ in range(shape[0])]
+    for c, mat in zip(coeffs, mats):
+        if mat.shape != shape:
+            raise ValueError(f"shape mismatch {mat.shape} vs {shape}")
+        for acc, row in zip(data, mat._data):
+            for j, v in row.items():
+                acc[j] = acc.get(j, ZERO) + c * v
+    return Matrix(shape[0], shape[1], data)
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return linear_combination((ONE, ONE), (a, b), a.shape)
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return linear_combination((ONE, -ONE), (a, b), a.shape)
+
+
+def commutator(a: Matrix, b: Matrix) -> Matrix:
+    return mat_sub(a @ b, b @ a)
 
 
 def basis(n: int, i: int) -> list[Fraction]:
@@ -130,19 +207,9 @@ def adjoint_rep(g: LeibnizAlgebra) -> Representation:
     """(l_i)[k][j] = c[i][j][k] and (r_i)[k][j] = c[j][i][k]."""
     n = g.dim
     c = dense(g.c, (n,) * 3)
-    ls, rs = [], []
-    for i in range(n):
-        ldata = [{} for _ in range(n)]
-        rdata = [{} for _ in range(n)]
-        for j in range(n):
-            for k in range(n):
-                if c[i][j][k]:
-                    ldata[k][j] = c[i][j][k]
-                if c[j][i][k]:
-                    rdata[k][j] = c[j][i][k]
-        ls.append(Matrix(n, n, ldata))
-        rs.append(Matrix(n, n, rdata))
-    return Representation(g, n, tuple(ls), tuple(rs))
+    ls = [[[c[i][j][k] for j in range(n)] for k in range(n)] for i in range(n)]
+    rs = [[[c[j][i][k] for j in range(n)] for k in range(n)] for i in range(n)]
+    return Representation(g, n, ls, rs)
 
 
 def conjugation_rep(rep: Representation) -> Representation:
@@ -151,7 +218,7 @@ def conjugation_rep(rep: Representation) -> Representation:
     m = rep.vdim
     m2 = m * m
     ls = []
-    for li in rep.l:
+    for li in matrices(rep.l):
         data = [dict() for _ in range(m2)]
         for c in range(m):
             for d in range(m):
@@ -167,8 +234,7 @@ def conjugation_rep(rep: Representation) -> Representation:
                         row = c * m + b
                         data[row][col] = data[row].get(col, ZERO) - v
         ls.append(Matrix(m2, m2, data))
-    zs = (Matrix.zeros(m2, m2),) * rep.algebra.dim
-    return Representation(rep.algebra, m2, tuple(ls), zs)
+    return Representation(rep.algebra, m2, action_tensor(ls), {})
 
 
 def jacobiator_direct(g: LeibnizAlgebra, x, y, z) -> list[Fraction]:
@@ -355,8 +421,8 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
               for a in range(d1)] for i in range(n)]
     jt = jacobiator_table(g)
     l3 = [[[coords(jt[i][j][k]) for k in range(n)] for j in range(n)] for i in range(n)]
-    return Lie2Algebra(d1, n, z.basis_matrix(), sparse(skew_bracket(g), 3), sparse(l2_01, 3),
-                       sparse(l3, 4))
+    return Lie2Algebra(d1, n, sparse(z.basis_matrix().to_rows(), 2), sparse(skew_bracket(g), 3),
+                       sparse(l2_01, 3), sparse(l3, 4))
 
 
 def check_lie2_structure(L: Lie2Algebra) -> IdentityReport:
@@ -377,7 +443,8 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
     t = dense(L.l3, (n0,) * 3 + (n1,))
     e0 = [basis(n0, i) for i in range(n0)]
     e1 = [basis(n1, a) for a in range(n1)]
-    incl = [list(L.l1.column(a)) for a in range(n1)]
+    l1 = matrix(L.l1)
+    incl = [column(l1, a) for a in range(n1)]
     passed = {axiom: True for axiom in "abcde"}
     witnesses = []
 
@@ -402,7 +469,7 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
 
     for i in range(n0):
         for a in range(n1):
-            check("a", (i, a), L.l1.mv(l2_mixed(e0[i], e1[a])), l2(e0[i], incl[a]))
+            check("a", (i, a), l1.mv(l2_mixed(e0[i], e1[a])), l2(e0[i], incl[a]))
     for a in range(n1):
         for b in range(n1):
             check("b", (a, b), l2_mixed(incl[a], e1[b]),
@@ -413,7 +480,7 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
                 acc = l2(e0[i], l2(e0[j], e0[k]))
                 _add(acc, 1, l2(e0[j], l2(e0[k], e0[i])))
                 _add(acc, 1, l2(e0[k], l2(e0[i], e0[j])))
-                check("c", (i, j, k), acc, L.l1.mv(t[i][j][k]))
+                check("c", (i, j, k), acc, l1.mv(t[i][j][k]))
     for i in range(n0):
         for j in range(n0):
             for a in range(n1):
@@ -440,25 +507,22 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
     return AxiomReport(passed, tuple(witnesses))
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b - b @ a
-
-
 def check_representation(rep: Representation) -> IdentityReport:
     """The three compatibility conditions as dense matrix identities, one
     basis pair at a time."""
     n, shape = rep.algebra.dim, (rep.vdim, rep.vdim)
     c = dense(rep.algebra.c, (n,) * 3)
+    ls, rs = matrices(rep.l), matrices(rep.r)
     found = {"l-of-bracket": [], "r-of-bracket": [], "r-absorbs-l": []}
     for i in range(n):
         for j in range(n):
             br = c[i][j]
             defects = {
-                "l-of-bracket": (linear_combination(br, rep.l, shape)
-                                 - commutator(rep.l[i], rep.l[j])),
-                "r-of-bracket": (linear_combination(br, rep.r, shape)
-                                 - commutator(rep.l[i], rep.r[j])),
-                "r-absorbs-l": rep.r[j] @ rep.l[i] + rep.r[j] @ rep.r[i],
+                "l-of-bracket": mat_sub(linear_combination(br, ls, shape),
+                                        commutator(ls[i], ls[j])),
+                "r-of-bracket": mat_sub(linear_combination(br, rs, shape),
+                                        commutator(ls[i], rs[j])),
+                "r-absorbs-l": mat_add(rs[j] @ ls[i], rs[j] @ rs[i]),
             }
             for label, d in defects.items():
                 if not d.is_zero():
@@ -575,9 +639,10 @@ def rbar(g: LeibnizAlgebra, rep: Representation) -> Cochain:
     n, m = g.dim, rep.vdim
     total = n + m
     values = [vzero(total) for _ in range(total * total)]
+    rs = matrices(rep.r)
     for a in range(m):
         for j in range(n):
-            col = rep.r[j].column(a)
+            col = column(rs[j], a)
             values[(n + a) * total + j] = [ZERO] * n + col
     return Cochain(2, total, total, tuple(map(tuple, values)))
 
@@ -619,11 +684,12 @@ def graph_check(phi: GraphMap) -> IdentityReport:
     """[phi(e_i), phi(e_j)] - phi(phi(e_i) e_j) as a dense matrix, one basis
     pair at a time."""
     m = phi.vdim
+    ps = matrices(phi.phi)
     witnesses = []
     for i in range(m):
         for j in range(m):
-            rhs = phi.apply(phi.phi[i].column(j))
-            d = commutator(phi.phi[i], phi.phi[j]) - rhs
+            rhs = linear_combination(column(ps[i], j), ps, (m, m))  # phi(phi(e_i) e_j)
+            d = mat_sub(commutator(ps[i], ps[j]), rhs)
             if not d.is_zero():
                 witnesses.append(Witness((i, j), tuple(map(tuple, d.to_rows())), "graph"))
     return _report(witnesses)
@@ -636,19 +702,20 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
     g = rho.algebra
     n = g.dim
     c = dense(g.c, (n,) * 3)
+    ps, theta = matrices(rho.phi), dense(rho.theta, (n, rho.vdim))
     found: dict[str, list[Witness]] = {"con1": [], "con2": [], "hom": []}
     for i in range(n):
         for j in range(n):
             br = c[i][j]
-            phi_br = linear_combination(br, rho.phi, (rho.vdim, rho.vdim))
-            d1 = phi_br - commutator(rho.phi[i], rho.phi[j])
+            phi_br = linear_combination(br, ps, (rho.vdim, rho.vdim))
+            d1 = mat_sub(phi_br, commutator(ps[i], ps[j]))
             if not d1.is_zero():
                 found["con1"].append(Witness((i, j), tuple(map(tuple, d1.to_rows())), "con1"))
             theta_br = vzero(rho.vdim)
             for k, w in enumerate(br):
                 if w:
-                    vaddto(theta_br, w, rho.theta[k])
-            d2 = vsub(theta_br, rho.phi[i].mv(list(rho.theta[j])))
+                    vaddto(theta_br, w, theta[k])
+            d2 = vsub(theta_br, ps[i].mv(list(theta[j])))
             if not viszero(d2):
                 found["con2"].append(Witness((i, j), tuple(d2), "con2"))
             rho_br = vzero(rho.ambient_dim)
@@ -688,7 +755,7 @@ def verify_adjoint_correspondence(rho, irep, arep, k_max, cap):
             return ok, notes
         lhs = coboundary_matrix(irep, k, None) @ embedding(rho, n ** k)
         rhs = embedding(rho, n ** (k + 1)) @ coboundary_matrix(arep, k, None)
-        diff = lhs - rhs
+        diff = mat_sub(lhs, rhs)
         for col in sorted({j for i in range(diff.rows) for j, _ in diff.row_items(i)}):
             ok = False
             pos, v = divmod(col, n)

@@ -20,7 +20,6 @@ from oracles import graded_bracket, shuffles, shuffles_by_filter, structure_coch
 from leibniz_kit import (
     DEFAULT_CAP,
     LeibnizAlgebra,
-    Matrix,
     Representation,
     ResourceCapExceeded,
     adjoint_naive,
@@ -110,8 +109,7 @@ def test_criterion_3_lie2_axioms():
 
 
 def _left_only(rep: Representation) -> Representation:
-    z = Matrix.zeros(rep.vdim, rep.vdim)
-    return Representation(rep.algebra, rep.vdim, rep.l, (z,) * rep.algebra.dim)
+    return Representation(rep.algebra, rep.vdim, rep.l, {})
 
 
 def _square_products(rep: Representation) -> tuple[int, int]:

@@ -15,7 +15,16 @@ from hypothesis import strategies as st
 import leibniz_kit.cohomology as cohomology_module
 import oracles
 from conftest import change_basis
-from oracles import circle_product, graded_bracket, shuffles, structure_cochain
+from oracles import (
+    circle_product,
+    column,
+    graded_bracket,
+    matrices,
+    scaled,
+    shuffles,
+    structure_cochain,
+    zeros,
+)
 from leibniz_kit import (
     Cochain,
     IdentityReport,
@@ -61,8 +70,7 @@ E = lambda n, i: [F(j == i) for j in range(n)]
 
 
 def left_only(rep: Representation) -> Representation:
-    z = Matrix.zeros(rep.vdim, rep.vdim)
-    return Representation(rep.algebra, rep.vdim, rep.l, (z,) * rep.algebra.dim)
+    return Representation(rep.algebra, rep.vdim, rep.l, {})
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +85,14 @@ def test_trivial_and_adjoint_are_representations(positive_algebras):
 def test_adjoint_matrices_read_off_structure_constants():
     g = l2_algebra()
     ad = adjoint_rep(g)
-    assert ad.l[0] == Matrix.from_rows([[0, 0], [1, 0]])   # e1 -> e2
-    assert ad.l[1] == Matrix.zeros(2, 2)
-    assert ad.r[0] == Matrix.from_rows([[0, 0], [1, 0]])
-    assert ad.r[1] == Matrix.zeros(2, 2)
+    assert matrices(ad.l)[0] == Matrix.from_rows([[0, 0], [1, 0]])   # e1 -> e2
+    assert matrices(ad.l)[1] == zeros(2, 2)
+    assert matrices(ad.r)[0] == Matrix.from_rows([[0, 0], [1, 0]])
+    assert matrices(ad.r)[1] == zeros(2, 2)
     h = heisenberg3()
     adh = adjoint_rep(h)
-    assert adh.l[0].column(1) == [F(0), F(0), F(1)]        # [e1, e2] = e3
-    assert adh.r[0].column(1) == [F(0), F(0), F(-1)]       # [e2, e1] = -e3
+    assert column(matrices(adh.l)[0], 1) == [F(0), F(0), F(1)]        # [e1, e2] = e3
+    assert column(matrices(adh.r)[0], 1) == [F(0), F(0), F(-1)]       # [e2, e1] = -e3
 
 
 def test_bad_representation_fails():
@@ -98,14 +106,14 @@ def test_negated_right_action_fails_where_products_survive():
     # product r_y r_x is nonzero: true for sl2, vacuous for the nilpotent L2
     g = sl2()
     ad = adjoint_rep(g)
-    flipped = Representation(g, 3, ad.l, tuple(-m for m in ad.r))
+    flipped = Representation(g, 3, ad.l, scaled(ad.r, -1))
     report = check_representation(flipped)
     assert not report.holds
     assert any(w.label == "r-absorbs-l" for w in report.witnesses)
 
     g2 = l2_algebra()
     ad2 = adjoint_rep(g2)
-    flipped2 = Representation(g2, 2, ad2.l, tuple(-m for m in ad2.r))
+    flipped2 = Representation(g2, 2, ad2.l, scaled(ad2.r, -1))
     assert check_representation(flipped2).holds  # all r-products vanish here
 
 
@@ -115,7 +123,7 @@ def test_representation_witnesses_grouped_by_label():
     # then r-absorbs-l, each in lexicographic order of (i, j)
     g = sl2()
     ad = adjoint_rep(g)
-    report = check_representation(Representation(g, 3, tuple(m.scaled(2) for m in ad.l), ad.r))
+    report = check_representation(Representation(g, 3, scaled(ad.l, 2), ad.r))
     labels = [w.label for w in report.witnesses]
     order = ["l-of-bracket", "r-of-bracket", "r-absorbs-l"]
     assert labels == sorted(labels, key=order.index)
@@ -126,15 +134,16 @@ def test_representation_witnesses_grouped_by_label():
     first = report.witnesses[0]
     assert (first.where, first.label) == ((0, 1), "l-of-bracket")
     # [l_h, l_e] = 2 l_e, so doubling gives 2*2 l_e - 4*2 l_e = -4 l_e
-    assert first.defect == tuple(tuple(-4 * x for x in row) for row in ad.l[1].to_rows())
+    assert first.defect == tuple(tuple(-4 * x for x in row)
+                                 for row in matrices(ad.l)[1].to_rows())
 
 
 def test_dual_rep_is_negative_transpose():
     g = l2_algebra()
     rep = left_only(adjoint_rep(g))
     dual = dual_rep(rep)
-    assert dual.l[0] == Matrix.from_rows([[0, -1], [0, 0]])
-    assert all(m.is_zero() for m in dual.r)
+    assert matrices(dual.l)[0] == Matrix.from_rows([[0, -1], [0, 0]])
+    assert all(m.is_zero() for m in matrices(dual.r))
     assert check_representation(dual).holds
     # dualizing twice restores the original matrices
     assert dual_rep(dual).l == rep.l
@@ -152,16 +161,16 @@ def test_conjugation_rep_values():
     assert check_representation(conj).holds
     # [l, I] = 0 for any l
     identity_flat = [F(1), F(0), F(0), F(1)]
-    assert all(not c for c in conj.l[0].mv(identity_flat))
+    assert all(not c for c in matrices(conj.l)[0].mv(identity_flat))
     # with l = E21: [E21, E12] = E22 - E11 (flattened row-major)
     e12_flat = [F(0), F(1), F(0), F(0)]
-    assert conj.l[0].mv(e12_flat) == [F(-1), F(0), F(0), F(1)]
+    assert matrices(conj.l)[0].mv(e12_flat) == [F(-1), F(0), F(0), F(1)]
 
 
 def test_conjugation_of_zero_is_zero():
     g = LeibnizAlgebra.abelian(2)
     conj = conjugation_rep(trivial_rep(g))
-    assert all(m.is_zero() for m in conj.l)
+    assert all(m.is_zero() for m in matrices(conj.l))
 
 
 def test_dual_and_conjugation_valid_for_all_fixtures(positive_algebras):
@@ -230,8 +239,9 @@ def test_coboundary_matrix_matches_direct_evaluation(small_algebras, dense_ratio
         for rep in (trivial_rep(g), adjoint_rep(g)):
             for k in range(3):
                 c = _random_cochain(rng, k, g.dim, rep.vdim)
-                literal = oracles.coboundary(g, lambda s, v: rep.l[s].mv(v),
-                                             lambda s, v: rep.r[s].mv(v), c.values, k, rep.vdim)
+                ls, rs = matrices(rep.l), matrices(rep.r)
+                literal = oracles.coboundary(g, lambda s, v: ls[s].mv(v),
+                                             lambda s, v: rs[s].mv(v), c.values, k, rep.vdim)
                 expected = [x for v in literal for x in v]
                 assert coboundary_matrix(rep, k).mv(_flat(c)) == expected, (name, k)
                 assert _flat(coboundary(rep, c)) == expected, (name, k)
@@ -242,12 +252,11 @@ def _fractional_rep() -> Representation:
     abelian plane; the right action is zero."""
     a = Matrix.from_rows([[F(1, 2), F(1, 3)], [0, F(-1, 2)]])
     b = a @ a
-    z = Matrix.zeros(2, 2)
-    return Representation(LeibnizAlgebra.abelian(2), 2, (a, b), (z, z))
+    return Representation(LeibnizAlgebra.abelian(2), 2, oracles.action_tensor((a, b)), {})
 
 
 def _zero_module() -> Representation:
-    return Representation(sl2(), 0, (Matrix.zeros(0, 0),) * 3, (Matrix.zeros(0, 0),) * 3)
+    return Representation(sl2(), 0, {}, {})
 
 
 def _reps_for_kernel_checks(small_algebras, dense_rational_algebras):
@@ -262,7 +271,7 @@ def test_coboundary_matrix_is_columns_over_common_denominator(small_algebras,
                                                               dense_rational_algebras):
     for name, rep in _reps_for_kernel_checks(small_algebras, dense_rational_algebras):
         g = rep.algebra
-        entries = [v for mat in (*rep.l, *rep.r) for i in range(mat.rows)
+        entries = [v for mat in (*matrices(rep.l), *matrices(rep.r)) for i in range(mat.rows)
                    for _, v in mat.row_items(i)]
         entries += list(g.c.values())
         expected_den = lcm(*[x.denominator for x in entries])
@@ -274,7 +283,8 @@ def test_coboundary_matrix_is_columns_over_common_denominator(small_algebras,
             assert all(type(x) is int and x and 0 <= row < out_dim
                        for col in columns for row, x in col.items()), (name, k)
             transposed = Matrix(len(columns), out_dim, columns).transpose()
-            assert coboundary_matrix(rep, k) == transposed.scaled(F(1, den)), (name, k)
+            assert coboundary_matrix(rep, k) == oracles.linear_combination(
+                (F(1, den),), (transposed,), transposed.shape), (name, k)
     assert check_representation(_fractional_rep()).holds
     assert coboundary_columns(_fractional_rep(), 0)[0] == 12  # a has 2, 3; a^2 has 4
 
@@ -390,7 +400,7 @@ def test_circle_product_of_one_cochains_is_composition():
     b = Matrix.from_cols(n, [beta.value_at((j,)) for j in range(n)])
     composed = a @ b
     for j in range(n):
-        assert list(got.value_at((j,))) == composed.column(j)
+        assert list(got.value_at((j,))) == column(composed, j)
 
 
 def test_circle_with_identity_insert():
@@ -494,7 +504,7 @@ def test_omni_is_semidirect_of_gl_with_natural_rep():
         Matrix.from_rows([[F(1) if (a, b) == (row, col) else F(0)
                            for col in range(n)] for row in range(n)])
         for a in range(n) for b in range(n))
-    natural = Representation(gl, n, basis_action, (Matrix.zeros(n, n),) * (n * n))
+    natural = Representation(gl, n, oracles.action_tensor(basis_action), {})
     assert check_representation(natural).holds
     assert semidirect(gl, natural, "l0").c == omni_lie(n).c
 
@@ -623,7 +633,7 @@ from leibniz_kit import LeibnizAlgebra, Matrix, betti, kernel_basis, trivial_rep
 
 true_rank, true_rref = cohomology.rank, linalg.rref
 cohomology.rank = lambda m, pivots=None: true_rank(m, pivots) + 1
-linalg.rref = lambda m: true_rref(Matrix.zeros(m.rows, m.cols))
+linalg.rref = lambda m: true_rref(Matrix(m.rows, m.cols, [{} for _ in range(m.rows)]))
 for call in (lambda: betti(trivial_rep(LeibnizAlgebra.abelian(1)), 1),
              lambda: kernel_basis(Matrix.identity(2))):
     try:

@@ -21,7 +21,6 @@ from leibniz_kit import (
     GraphMap,
     LeibnizAlgebra,
     Lie2Algebra,
-    Matrix,
     NaiveRepresentation,
     Representation,
     adjoint_naive,
@@ -55,8 +54,8 @@ from leibniz_kit.algebra import (
     left_multiplication_matrix,
     residual_witnesses,
 )
-from leibniz_kit.cohomology import _action_tensor, maurer_cartan_residual
-from leibniz_kit.linalg import span_of_rows, sparse
+from leibniz_kit.cohomology import maurer_cartan_residual
+from leibniz_kit.linalg import Tensor, span_of_rows, sparse
 from leibniz_kit.omni import _verify_adjoint_correspondence
 from leibniz_kit.serialize import graph_from_json, representation_from_json
 
@@ -87,7 +86,7 @@ def _corrupted_lie2() -> Lie2Algebra:
 def _random_lie2(seed: int) -> Lie2Algebra:
     rng = random.Random(seed)
     n1, n0 = 2, 3
-    return Lie2Algebra(n1, n0, Matrix.from_rows(_random_tensor(rng, (n0, n1))),
+    return Lie2Algebra(n1, n0, _random_tensor(rng, (n0, n1)),
                        sparse(_random_tensor(rng, (n0, n0, n0)), 3),
                        sparse(_random_tensor(rng, (n0, n1, n1)), 3),
                        sparse(_random_tensor(rng, (n0, n0, n0, n1)), 4))
@@ -205,29 +204,47 @@ def test_sparse_and_dense_round_trip():
     assert dense(sparse(t, 3), (2, 3, 2)) == tuple(tuple(map(tuple, p)) for p in t)
 
 
-def _assert_derived_forms_match_fields(value) -> None:
-    """Each sparse form the constructor derived is the walk of its field."""
-    if isinstance(value, Lie2Algebra):
-        assert value._l1 == sparse(value.l1.to_rows(), 2)
-    elif isinstance(value, GraphMap):
-        assert value._phi == _action_tensor(value.phi)
-    else:
-        assert value._phi == _action_tensor(value.phi)
-        assert value._theta == sparse(value.theta, 2)
+# The tensor fields of each value type that holds maps, with their shapes.
+TENSOR_FIELDS = {
+    Lie2Algebra: lambda L: {"l1": (L.dim0, L.dim1)},
+    GraphMap: lambda phi: {"phi": (phi.vdim,) * 3},
+    NaiveRepresentation: lambda rho: {"phi": (rho.algebra.dim, rho.vdim, rho.vdim),
+                                      "theta": (rho.algebra.dim, rho.vdim)},
+    Representation: lambda rep: dict.fromkeys("lr", (rep.algebra.dim, rep.vdim, rep.vdim)),
+}
 
 
-def test_derived_forms_match_fields_on_the_corpus(positive_algebras, small_algebras,
-                                                  dense_rational_algebras):
+def _assert_tensor_fields_are_canonical(value) -> None:
+    """Each field is a read-only sparse tensor of its shape, with nonzero
+    Fraction entries in lexicographic order, and the value is rebuilt from
+    the dense form of its fields."""
+    shapes = TENSOR_FIELDS[type(value)](value)
+    for name, shape in shapes.items():
+        t = getattr(value, name)
+        assert type(t) is Tensor and t.shape == shape, name
+        assert list(t.keys()) == sorted(t.keys()), name
+        assert all(type(v) is Fraction and v for v in t.values()), name
+    fields = {name: (dense(getattr(value, name), shapes[name]) if name in shapes
+                     else getattr(value, name)) for name in value._fields()}
+    assert type(value)(**fields) == value
+
+
+def test_tensor_fields_are_canonical_on_the_corpus(positive_algebras, small_algebras,
+                                                   dense_rational_algebras):
     values = [build_lie2(g) for g in {**positive_algebras, **dense_rational_algebras}.values()]
     values += [_random_lie2(11), _corrupted_lie2()]
     values += _graphs(dense_rational_algebras).values()
     values += _naive_representations(small_algebras, dense_rational_algebras).values()
-    assert {type(v) for v in values} == {Lie2Algebra, GraphMap, NaiveRepresentation}
+    values += _valid_representations(dense_rational_algebras).values()
+    values += _broken_representations(dense_rational_algebras).values()
+    assert {type(v) for v in values} == set(TENSOR_FIELDS)
     for value in values:
-        _assert_derived_forms_match_fields(value)
-    # every derived form is nonempty somewhere, so no comparison is vacuous
-    for slot in ("_l1", "_phi", "_theta"):
-        assert any(getattr(v, slot, None) for v in values), slot
+        _assert_tensor_fields_are_canonical(value)
+    # every field is nonempty somewhere, so no check is vacuous
+    for kind, fields in (("Lie2Algebra", "l1"), ("GraphMap", "phi"),
+                         ("NaiveRepresentation", "phi theta"), ("Representation", "l r")):
+        for name in fields.split():
+            assert any(getattr(v, name) for v in values if type(v).__name__ == kind), name
 
 
 def test_conjugation_rep_matches_oracle(positive_algebras):
@@ -260,20 +277,19 @@ def test_sparse_forms_match_dense_walks(data):
     n, m = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
     c = data.draw(_rational_entries((n, n, n)))
     g = LeibnizAlgebra(n, c)
-    l, r = ([Matrix.from_rows(a) for a in data.draw(_rational_tensors((n, m, m)))]
-            for _ in range(2))
+    l, r = (data.draw(_rational_tensors((n, m, m))) for _ in range(2))
     rep = Representation(g, m, l, r)
     assert g.c == {key: v for key, v in c.items() if v} and list(g.c.keys()) == sorted(g.c.keys())
-    assert (rep._l, rep._r) == (_action_tensor(rep.l), _action_tensor(rep.r))
+    assert (rep.l, rep.r) == (sparse(l, 3), sparse(r, 3))
     n1 = data.draw(st.integers(0, 2))
-    L = Lie2Algebra(n1, n, Matrix.from_cols(n, data.draw(_rational_tensors((n1, n)))),
+    L = Lie2Algebra(n1, n, data.draw(_rational_tensors((n, n1))),
                     *(data.draw(_rational_entries(shape))
                       for shape in ((n, n, n), (n, n1, n1), (n, n, n, n1))))
-    phi = GraphMap(m, [Matrix.from_rows(a) for a in data.draw(_rational_tensors((m, m, m)))])
+    phi = GraphMap(m, data.draw(_rational_tensors((m, m, m))))
     rho = NaiveRepresentation(g, m, l, data.draw(_rational_tensors((n, m))))
-    for value in (L, phi, rho):
-        _assert_derived_forms_match_fields(value)
-    left = Representation(g, m, l, [Matrix.zeros(m, m)] * n)
+    for value in (L, phi, rho, rep):
+        _assert_tensor_fields_are_canonical(value)
+    left = Representation(g, m, l, {})
     assert conjugation_rep(left) == oracles.conjugation_rep(left)
     assert adjoint_rep(g) == oracles.adjoint_rep(g)
     assert left_multiplication_matrix(g) == oracles.left_multiplication_matrix(g)
@@ -282,7 +298,7 @@ def test_sparse_forms_match_dense_walks(data):
     planes = dense(g.c, (n,) * 3)
     assert derived_subalgebra(g) == span_of_rows(n, (row for plane in planes for row in plane))
     entries = list(g.c.values())
-    entries += [v for mat in (*rep.l, *rep.r) for row in mat.to_rows() for v in row]
+    entries += [*rep.l.values(), *rep.r.values()]
     for k in (0, 1):
         den, columns = coboundary_columns(rep, k)
         assert den == lcm(*(x.denominator for x in entries))
@@ -290,8 +306,9 @@ def test_sparse_forms_match_dense_walks(data):
         for j, column in enumerate(columns):
             values = [[0] * m for _ in range(n ** k)]
             values[j // m][j % m] = 1  # the basis cochain of column j
-            literal = oracles.coboundary(g, lambda s, v: rep.l[s].mv(v),
-                                         lambda s, v: rep.r[s].mv(v), values, k, m)
+            ls, rs = oracles.matrices(rep.l), oracles.matrices(rep.r)
+            literal = oracles.coboundary(g, lambda s, v: ls[s].mv(v),
+                                         lambda s, v: rs[s].mv(v), values, k, m)
             flat = [x for v in literal for x in v]
             assert column == {row: den * x for row, x in enumerate(flat) if x}, (k, j)
 
@@ -312,8 +329,7 @@ def _fixture_representations() -> dict:
 
 
 def _left_only(rep: Representation) -> Representation:
-    z = Matrix.zeros(rep.vdim, rep.vdim)
-    return Representation(rep.algebra, rep.vdim, rep.l, (z,) * rep.algebra.dim)
+    return Representation(rep.algebra, rep.vdim, rep.l, {})
 
 
 def _valid_representations(dense_rational_algebras) -> dict:
@@ -329,8 +345,9 @@ def _valid_representations(dense_rational_algebras) -> dict:
     return out
 
 
-def _random_matrix(rng: random.Random, m: int) -> Matrix:
-    return Matrix.from_rows(_random_tensor(rng, (m, m)))
+def _random_matrices(rng: random.Random, count: int, m: int) -> list:
+    """``count`` random m x m matrices as dense nested lists."""
+    return [_random_tensor(rng, (m, m)) for _ in range(count)]
 
 
 def _broken_representations(dense_rational_algebras) -> dict:
@@ -338,19 +355,19 @@ def _broken_representations(dense_rational_algebras) -> dict:
     ad = adjoint_rep(sl2)
     dense_heis = adjoint_rep(dense_rational_algebras["heis3"])
     rng = random.Random(5)
-    nudged_r = list(dense_heis.r)
-    nudged_r[1] = nudged_r[1] + _random_matrix(rng, 3)
+    nudged_r = dict(dense_heis.r)
+    for (a, b), x in sparse(_random_tensor(rng, (3, 3)), 2).items():
+        nudged_r[1, a, b] = nudged_r.get((1, a, b), 0) + x
     out = {"rep_bad_L2": _fixture_representations()["rep_bad_L2"],
-           "sl2/doubled-l": Representation(sl2, 3, tuple(m.scaled(2) for m in ad.l), ad.r),
-           "sl2/negated-r": Representation(sl2, 3, ad.l, tuple(-m for m in ad.r)),
+           "sl2/doubled-l": Representation(sl2, 3, oracles.scaled(ad.l, 2), ad.r),
+           "sl2/negated-r": Representation(sl2, 3, ad.l, oracles.scaled(ad.r, -1)),
            "dense-heis3/nudged-r": Representation(dense_heis.algebra, 3, dense_heis.l,
                                                   nudged_r)}
     for seed in range(3):
         rng = random.Random(seed)
         g = corpus.algebra("heis3")
         out[f"heis3/random-{seed}"] = Representation(
-            g, 2, [_random_matrix(rng, 2) for _ in range(3)],
-            [_random_matrix(rng, 2) for _ in range(3)])
+            g, 2, _random_matrices(rng, 3, 2), _random_matrices(rng, 3, 2))
     return out
 
 
@@ -435,7 +452,7 @@ def _graphs(dense_rational_algebras) -> dict:
     for seed in range(4):
         rng = random.Random(seed)
         m = 2 + seed % 2
-        out[f"random-{seed}"] = GraphMap(m, [_random_matrix(rng, m) for _ in range(m)])
+        out[f"random-{seed}"] = GraphMap(m, _random_matrices(rng, m, m))
     return out
 
 
@@ -450,7 +467,7 @@ def test_graph_check_matches_oracle(dense_rational_algebras):
 
 
 def _scaled_phi(rho: NaiveRepresentation, factor) -> NaiveRepresentation:
-    return NaiveRepresentation(rho.algebra, rho.vdim, [m.scaled(factor) for m in rho.phi],
+    return NaiveRepresentation(rho.algebra, rho.vdim, oracles.scaled(rho.phi, factor),
                                rho.theta)
 
 
@@ -466,8 +483,7 @@ def _naive_representations(small_algebras, dense_rational_algebras) -> dict:
         g = corpus.algebra("heis3" if seed % 2 else "L2")
         m = 2 + seed // 2
         out[f"random-{seed}"] = NaiveRepresentation(
-            g, m, [_random_matrix(rng, m) for _ in range(g.dim)],
-            _random_tensor(rng, (g.dim, m)))
+            g, m, _random_matrices(rng, g.dim, m), _random_tensor(rng, (g.dim, m)))
     return out
 
 
@@ -490,7 +506,7 @@ def test_adjoint_correspondence_matches_oracle(dense_rational_algebras, cap):
         rho = adjoint_naive(g)
         irep = image_representation(rho)
         arep = adjoint_rep(g)
-        scaled = lambda mats: tuple(m.scaled(F(3, 2)) for m in mats)
+        scaled = lambda t: oracles.scaled(t, F(3, 2))
         for side, rep in (("none", arep),
                           ("l", Representation(g, g.dim, scaled(arep.l), arep.r)),
                           ("r", Representation(g, g.dim, arep.l, scaled(arep.r)))):

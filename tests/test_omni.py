@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leibniz_kit.omni as omni_module
 import oracles
 from conftest import change_basis
 from leibniz_kit import (
@@ -17,6 +18,7 @@ from leibniz_kit import (
     Matrix,
     NaiveRepresentation,
     Representation,
+    ResourceCapExceeded,
     adjoint_naive,
     adjoint_rep,
     bracket,
@@ -52,6 +54,7 @@ from leibniz_kit.fixtures import (
     l2_algebra,
     sl2,
 )
+from leibniz_kit.algebra import dense
 from leibniz_kit.linalg import rank
 from leibniz_kit.omni import GraphMap, _verify_adjoint_correspondence
 
@@ -98,7 +101,7 @@ def test_omni_lie2_passes_axioms():
 # graphs
 
 def test_zero_graph_closes():
-    phi = GraphMap(2, (Matrix.zeros(2, 2),) * 2)
+    phi = GraphMap(2, {})
     assert graph_check(phi).holds
     induced = induced_leibniz(phi)
     assert not induced.c
@@ -106,7 +109,7 @@ def test_zero_graph_closes():
 
 def test_scalar_multiplication_graph_fails():
     # m = 1, phi(u) = u: commutators vanish but phi(phi(u)v) = uv does not
-    phi = GraphMap(1, (Matrix.identity(1),))
+    phi = GraphMap(1, [[[1]]])
     report = graph_check(phi)
     assert not report.holds
     assert report.witnesses[0].where == (0, 0)
@@ -152,12 +155,26 @@ def test_graph_subalgebra_brackets_match_induced():
             assert got == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda m: st.tuples(
+    st.just(m), *[st.lists(st.sampled_from([F(0), F(0), F(1), F(-2), F(1, 3)]),
+                           min_size=m * m + m, max_size=m * m + m)] * 2)))
+def test_omni_bracket_matches_the_matrix_formula(case):
+    # [[A+u, B+v]] = AB - BA + Av with A, B the row-major gl parts
+    m, x, y = case
+    a, b = (Matrix.from_rows([z[r * m:(r + 1) * m] for r in range(m)]) if m
+            else oracles.zeros(0, 0) for z in (x, y))
+    gl = oracles.mat_sub(a @ b, b @ a)
+    expected = [gl.entry(r, c) for r in range(m) for c in range(m)] + a.mv(y[m * m:])
+    assert omni_bracket(m, x, y) == expected
+
+
 # ---------------------------------------------------------------------------
 # naive representations
 
 def test_zero_naive_rep_passes():
     g = sl2()
-    rho = NaiveRepresentation(g, 2, (Matrix.zeros(2, 2),) * 3,
+    rho = NaiveRepresentation(g, 2, {},
                               ([F(0), F(0)],) * 3)
     assert naive_check(rho).holds
     assert rho.image.dim == 0
@@ -197,8 +214,7 @@ def test_naive_check_witnesses_grouped_by_label():
         ((0, 0), "con2"), ((0, 1), "con2"), ((0, 0), "hom"), ((0, 1), "hom")]
     # doubling phi on sl2 breaks all three routes
     rho = adjoint_naive(sl2())
-    doubled = NaiveRepresentation(rho.algebra, 3, tuple(m.scaled(2) for m in rho.phi),
-                                  rho.theta)
+    doubled = NaiveRepresentation(rho.algebra, 3, oracles.scaled(rho.phi, 2), rho.theta)
     report = naive_check(doubled)
     labels = [w.label for w in report.witnesses]
     assert labels == sorted(labels, key=["con1", "con2", "hom"].index)
@@ -297,9 +313,40 @@ def test_to_naive_cochain_rejects_values_outside_image():
 
 def test_naive_betti_of_zero_rep_is_zero():
     g = sl2()
-    rho = NaiveRepresentation(g, 1, (Matrix.zeros(1, 1),) * 3, ([F(0)],) * 3)
+    rho = NaiveRepresentation(g, 1, {}, ([F(0)],) * 3)
     report = naive_betti(rho, 2)
     assert [d.dim_h for d in report.degrees] == [0, 0, 0]
+
+
+def test_naive_betti_checks_the_cap_before_building_the_image_representation(monkeypatch):
+    # heis3 adjoint: the image has dim 3, so degree 2 needs 3^3 * 3 = 81 rows
+    rho = adjoint_naive(heisenberg3())
+    assert [d.dim_h for d in naive_betti(rho, 2, 81).degrees] == [1, 4, 8]
+
+    def refuse(rho):
+        raise RuntimeError("image_representation was built")
+
+    monkeypatch.setattr(omni_module, "image_representation", refuse)
+    with pytest.raises(ResourceCapExceeded) as caught:
+        naive_betti(rho, 2, 80)
+    assert (caught.value.required, caught.value.cap) == (81, 80)
+    with pytest.raises(RuntimeError, match="was built"):
+        naive_betti(rho, 2, 81)
+
+
+def test_naive_representation_is_a_frozen_value():
+    # its fields cannot be changed after it is built, so no check or image
+    # goes stale, and it compares and hashes by value
+    g = heisenberg3()
+    rho = adjoint_naive(g)
+    for field, value in (("phi", (Matrix.identity(3),) * 3), ("theta", {}), ("vdim", 2),
+                         ("image", rho.image), ("_image", rho.image)):
+        with pytest.raises(AttributeError):
+            setattr(rho, field, value)
+    assert naive_check(rho).holds and rho.image.dim == 3
+    assert rho == adjoint_naive(g) and hash(rho) == hash(adjoint_naive(g))
+    assert rho != adjoint_naive(l2_algebra())
+    assert (rho.ambient_dim, len(rho.rho_vectors)) == (12, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +415,7 @@ def test_adjoint_correspondence_check_is_not_vacuous():
         irep = image_representation(rho)
         arep = adjoint_rep(g)
         assert _verify_adjoint_correspondence(rho, irep, arep, 2, None) == (True, [])
-        doubled = lambda mats: tuple(m.scaled(2) for m in mats)
+        doubled = lambda t: oracles.scaled(t, 2)
         for side, bad in (("r", Representation(g, g.dim, arep.l, doubled(arep.r))),
                           ("l", Representation(g, g.dim, doubled(arep.l), arep.r))):
             ok, notes = _verify_adjoint_correspondence(rho, irep, bad, 2, None)
@@ -417,17 +464,18 @@ def test_graph_rep_matches_adjoint_actions():
     rho = tautological_rep(phi)
     ad = adjoint_rep(g)
     n = g.dim
+    ps, theta = oracles.matrices(phi.phi), dense(rho.theta, (n, n))
     for i in range(n):
-        assert phi.apply(rho.theta[i]) == ad.l[i]
-        cols = [phi.phi[a].mv(list(rho.theta[i])) for a in range(n)]
-        assert Matrix.from_cols(n, cols) == ad.r[i]
+        assert oracles.linear_combination(theta[i], ps, (n, n)) == oracles.matrices(ad.l)[i]
+        cols = [ps[a].mv(list(theta[i])) for a in range(n)]
+        assert Matrix.from_cols(n, cols) == oracles.matrices(ad.r)[i]
 
 
 def test_graph_rep_rejects_escaping_image():
     phi = graph_for(l2_algebra())
     g = induced_leibniz(phi)
     # zero gl part but nonzero theta: rho(e_i) is not on the graph
-    rho = NaiveRepresentation(g, 2, (Matrix.zeros(2, 2),) * 2,
+    rho = NaiveRepresentation(g, 2, {},
                               tuple(tuple(E(2, i)) for i in range(2)))
     with pytest.raises(ValueError):
         graph_rep_cohomology(rho, phi, 2)
@@ -436,7 +484,7 @@ def test_graph_rep_rejects_escaping_image():
 def test_graph_rep_rejects_bad_graph():
     phi = bad_graph()
     g = l2_algebra()
-    rho = NaiveRepresentation(g, 2, (Matrix.zeros(2, 2),) * 2,
+    rho = NaiveRepresentation(g, 2, {},
                               ([F(0), F(0)],) * 2)
     with pytest.raises(ValueError):
         graph_rep_cohomology(rho, phi, 2)
@@ -445,8 +493,8 @@ def test_graph_rep_rejects_bad_graph():
 def test_graph_rep_zero_theta_reduces_to_trivial_branch():
     # theta = 0 forces rho = 0; over sl2 both sides vanish in degrees >= 1
     g = sl2()
-    phi = GraphMap(2, (Matrix.zeros(2, 2),) * 2)
-    rho = NaiveRepresentation(g, 2, (Matrix.zeros(2, 2),) * 3,
+    phi = GraphMap(2, {})
+    rho = NaiveRepresentation(g, 2, {},
                               ([F(0), F(0)],) * 3)
     report = graph_rep_cohomology(rho, phi, 2)
     assert report.all_equal
@@ -459,9 +507,9 @@ def test_graph_rep_surjective_quotient_theta():
     # heis3 -> Q^2 (kill the center), phi = 0: a non-injective surjective
     # theta; both complexes coincide with the rank-two trivial complex
     g = heisenberg3()
-    phi = GraphMap(2, (Matrix.zeros(2, 2),) * 2)
+    phi = GraphMap(2, {})
     theta = (E(2, 0), E(2, 1), [F(0), F(0)])
-    rho = NaiveRepresentation(g, 2, (Matrix.zeros(2, 2),) * 3, theta)
+    rho = NaiveRepresentation(g, 2, {}, theta)
     assert naive_check(rho).holds
     assert rho.image.dim == 2
     report = graph_rep_cohomology(rho, phi, 2)
@@ -473,17 +521,17 @@ def test_scaled_theta_admissible_only_for_zero_actions():
     # homomorphism condition (the two sides scale differently) ...
     phi = graph_for(l2_algebra())
     g = induced_leibniz(phi)
-    doubled = NaiveRepresentation(g, 2, tuple(m.scaled(2) for m in phi.phi),
+    doubled = NaiveRepresentation(g, 2, oracles.scaled(phi.phi, 2),
                                   tuple(tuple(2 * x for x in E(2, i)) for i in range(2)))
     assert not naive_check(doubled).holds
     with pytest.raises(ValueError):
         graph_rep_cohomology(doubled, phi, 2)
     # ... but stays admissible when the graph is zero and theta kills [g,g]
     h = heisenberg3()
-    zero_phi = GraphMap(2, (Matrix.zeros(2, 2),) * 2)
+    zero_phi = GraphMap(2, {})
     theta = (E(2, 0), E(2, 1), [F(0), F(0)])
     doubled_theta = tuple(tuple(2 * x for x in t) for t in theta)
-    rho2 = NaiveRepresentation(h, 2, (Matrix.zeros(2, 2),) * 3, doubled_theta)
+    rho2 = NaiveRepresentation(h, 2, {}, doubled_theta)
     assert naive_check(rho2).holds
     report = graph_rep_cohomology(rho2, zero_phi, 2)
     assert report.all_equal

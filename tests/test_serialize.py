@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import matrices
 from leibniz_kit import adjoint_rep, betti, build_lie2, trivial_rep
 from leibniz_kit.fixtures import (
     corpus,
@@ -14,7 +18,7 @@ from leibniz_kit.fixtures import (
     l2_algebra,
 )
 from leibniz_kit.algebra import dense
-from leibniz_kit.linalg import Matrix
+from leibniz_kit.linalg import Matrix, sparse_tensor
 from leibniz_kit.omni import adjoint_naive
 from leibniz_kit.serialize import (
     SCHEMA,
@@ -32,6 +36,8 @@ from leibniz_kit.serialize import (
     representation_to_json,
     scalar_to_str,
     str_to_scalar,
+    tensor_from_json,
+    tensor_to_json,
 )
 
 F = Fraction
@@ -116,7 +122,7 @@ def test_scalars_read_once_per_document_keep_their_values():
     assert c[0][1] == (0, 3) == c[1][0]
     rep = representation_from_json(l2_algebra(), {
         "schema": SCHEMA, "vdim": 1, "l": [[["2/4"]], [["0"]]], "r": [[["1/2"]], [["0/7"]]]})
-    assert rep.l[0] == rep.r[0] == Matrix.from_rows([[Fraction(1, 2)]])
+    assert matrices(rep.l)[0] == matrices(rep.r)[0] == Matrix.from_rows([[Fraction(1, 2)]])
     with pytest.raises(SchemaError) as caught:
         representation_from_json(l2_algebra(), {
             "schema": SCHEMA, "vdim": 1, "l": [[["1"]], [["1"]]], "r": [[["1"]], [["1/0"]]]})
@@ -142,6 +148,77 @@ def test_json_booleans_are_not_scalars(flag):
     with pytest.raises(SchemaError) as caught:
         str_to_scalar(flag)
     assert str(caught.value) == f"scalar: {refused}"
+
+
+def _tensors():
+    """A shape of one to four axes, zero-length axes included, and a tensor
+    of that shape from up to eight drawn entries, explicit zeros included."""
+    def of_shape(shape):
+        if not all(shape):
+            return st.tuples(st.just(shape), st.just({}))
+        keys = st.tuples(*(st.integers(0, d - 1) for d in shape))
+        values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        return st.tuples(st.just(shape), st.dictionaries(keys, values, max_size=8))
+    shapes = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple)
+    return shapes.flatmap(of_shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tensors())
+def test_tensor_from_json_inverts_tensor_to_json(case):
+    shape, entries = case
+    t = sparse_tensor(entries, shape, "drawn")
+    for doc in (tensor_to_json(t, shape), json.loads(json.dumps(tensor_to_json(t, shape)))):
+        back = tensor_from_json(doc, shape)
+        assert back == t and list(back.keys()) == list(t.keys())
+
+
+def _corrupted(doc: dict, path: tuple, value) -> dict:
+    """A copy of doc with the entry at path (a key, then list indices)
+    replaced by value."""
+    out = copy.deepcopy(doc)
+    target = out
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return out
+
+
+# (reader, a valid document, the key of one of its tensors, the path that
+# names that tensor in a refusal)
+TENSOR_READERS = [
+    (algebra_from_json, algebra_to_json(heisenberg3()), "c", "algebra.c"),
+    (lambda doc: representation_from_json(l2_algebra(), doc),
+     representation_to_json(adjoint_rep(l2_algebra())), "r", "representation.r"),
+    (lambda doc: naive_from_json(l2_algebra(), doc),
+     naive_to_json(adjoint_naive(l2_algebra())), "phi", "naive representation.phi"),
+    (lambda doc: naive_from_json(l2_algebra(), doc),
+     naive_to_json(adjoint_naive(l2_algebra())), "theta", "naive representation.theta"),
+    (graph_from_json, graph_to_json(graph_for(heisenberg3())), "phi", "graph map.phi"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(TENSOR_READERS)))
+def test_malformed_tensors_are_refused_with_their_path_at_every_depth(index):
+    # along the last index at every depth: a list one too short, one too
+    # long, or no list at all is refused with the path of that list; at the
+    # bottom a bad scalar, a JSON true or false, a float or a null with its own
+    read, doc, key, where = TENSOR_READERS[index]
+    read(doc)  # the document itself is valid
+    path, node = (key,), doc[key]
+    while True:
+        for bad in (node[:-1], node + node[-1:], "0"):
+            with pytest.raises(SchemaError) as caught:
+                read(_corrupted(doc, path, bad))
+            assert str(caught.value) == f"{where}: expected a list of length {len(node)}"
+        last = len(node) - 1
+        path, where, node = path + (last,), f"{where}[{last}]", node[last]
+        if not isinstance(node, list):
+            break
+    for bad in ("x", "1/0", True, False, 1.5, None):
+        with pytest.raises(SchemaError) as caught:
+            read(_corrupted(doc, path, bad))
+        assert str(caught.value) == f"{where}: expected an integer or 'p/q' string, got {bad!r}"
 
 
 def test_representation_schema_errors():

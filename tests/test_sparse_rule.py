@@ -1,8 +1,8 @@
-"""Each value type derives its sparse forms once, in its constructor, and the
-checks read those: outside an ``__init__``, no code in the package hands a
-field of a value it was given to ``sparse`` or ``_action_tensor``, as in
-``sparse(L.l3, 4)``.  Read from syntax trees with the standard library's
-``ast``."""
+"""Each value type stores its tensors in sparse form, built once in its
+constructor, and the checks read that form: outside an ``__init__``, no code
+in the package hands a field of a value it was given to ``sparse``, the walk
+of a dense tensor, as in ``sparse(L.l3, 4)``.  Read from syntax trees with
+the standard library's ``ast``."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "leibniz_kit"
-WALKS = {"sparse", "_action_tensor"}
+WALKS = {"sparse"}
 
 
 def _parameters(fn: ast.FunctionDef) -> set[str]:
@@ -55,14 +55,14 @@ def verify(L):
 
 class Graph:
     def __init__(self, phi):
-        self._phi = _action_tensor(phi.phi)
+        self._phi = sparse(phi.phi, 3)
 
     def check(self, rho):
         def inner(x):
-            return algebra._action_tensor(x.phi), sparse(rho.theta, 2)
+            return linalg.sparse(x.phi, 3), sparse(rho.theta, 2)
         return sparse(self.basis, 2), sparse(local.theta, 2)
 ''')
     # a parameter of an enclosing function counts too; a local does not
     assert [src for *_, src in _walks_of_parameter_fields(tree)] == [
-        "sparse(L.l3, 4)", "algebra._action_tensor(x.phi)", "sparse(rho.theta, 2)",
+        "sparse(L.l3, 4)", "linalg.sparse(x.phi, 3)", "sparse(rho.theta, 2)",
         "sparse(self.basis, 2)"]

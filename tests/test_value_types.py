@@ -1,7 +1,8 @@
 """The validated value types: equality and hash by value, no assignment to a
 field, and the shape checks of each constructor, also under ``python -O``;
-the read-only sparse tensors stored in ``LeibnizAlgebra`` and
-``Lie2Algebra``; and the start-up cost they keep out of every command."""
+the read-only sparse tensors stored in ``LeibnizAlgebra``, ``Lie2Algebra``,
+``Representation``, ``GraphMap`` and ``NaiveRepresentation``; and the
+start-up cost they keep out of every command."""
 
 from __future__ import annotations
 
@@ -21,13 +22,14 @@ from leibniz_kit import (
     GraphMap,
     LeibnizAlgebra,
     Lie2Algebra,
+    NaiveRepresentation,
     Representation,
     Subspace,
 )
 from leibniz_kit.algebra import dense
-from leibniz_kit.linalg import Matrix
 
-Z2 = Matrix.zeros(2, 2)
+Z2 = [[0, 0], [0, 0]]
+I2 = [[1, 0], [0, 1]]
 
 
 def _l2(c01="1"):
@@ -35,7 +37,7 @@ def _l2(c01="1"):
 
 
 def _lie2(dim1=1, dim0=2, **changes):
-    fields = {"l1": Matrix.zeros(dim0, dim1), "l2_00": {}, "l2_01": {}, "l3": {}}
+    fields = {"l1": {}, "l2_00": {}, "l2_01": {}, "l3": {}}
     fields.update(changes)
     return Lie2Algebra(dim1, dim0, **fields)
 
@@ -45,22 +47,27 @@ def _lie2(dim1=1, dim0=2, **changes):
 # strings, explicit zeros or none), variant 2 is a different value.
 BUILDERS = {
     "LeibnizAlgebra": lambda v: [_l2(), LeibnizAlgebra(2, {(0, 0, 1): F(1)}), _l2("2")][v],
-    "Representation": lambda v: Representation(_l2(), 2, [Z2, Z2] if v == 0 else (Z2, Z2),
-                                               (Z2, Z2 if v < 2 else Matrix.identity(2))),
+    "Representation": lambda v: Representation(_l2(), 2, [Z2, Z2] if v == 0 else {},
+                                               (Z2, Z2 if v < 2 else I2)),
     "Cochain": lambda v: Cochain(1, 2, 1, [["1"], ["0"]] if v == 0 else ((1,), (v - 1,))),
     "Subspace": lambda v: Subspace(2, ((F(1), F(0)),) if v == 0 else ((1, v // 2),)),
     "GraphMap": lambda v: GraphMap(2, [Z2, Z2] if v == 0
-                                   else (Z2, Z2 if v < 2 else Matrix.identity(2))),
+                                   else {(1, 1, 1): 0} if v == 1 else {(1, 0, 0): 1, (1, 1, 1): 1}),
     "Lie2Algebra": lambda v: _lie2(l2_01={(0, 0, 0): "0", (1, 0, 0): "0"} if v == 0
                                    else {(1, 0, 0): v // 2}),
+    "NaiveRepresentation": lambda v: NaiveRepresentation(
+        _l2(), 2, [Z2, Z2] if v == 0 else {(0, 1, 0): "0"},
+        [["1", 0], [0, 0]] if v < 2 else {(0, 0): 1, (1, 1): F(1, 2)}),
 }
 
 FIELDS = {"LeibnizAlgebra": "c", "Representation": "l", "Cochain": "values",
-          "Subspace": "basis", "GraphMap": "phi", "Lie2Algebra": "l3"}
+          "Subspace": "basis", "GraphMap": "phi", "Lie2Algebra": "l3",
+          "NaiveRepresentation": "phi"}
 
-# The slots holding forms a constructor derives from the fields.
-DERIVED = {"Representation": ("_l", "_r"), "Subspace": ("_pivots", "_inverse"),
-           "GraphMap": ("_phi",), "Lie2Algebra": ("_l1",)}
+# The slots holding forms a constructor derives from the fields: the
+# elimination a subspace and the image of a naive representation need.  Every
+# tensor is stored once, as its field.
+DERIVED = {"Subspace": ("_pivots", "_inverse"), "NaiveRepresentation": ("_image",)}
 
 
 def _with_bogus_derived_forms(name):
@@ -125,21 +132,21 @@ WRONG_SHAPES = [
     (lambda: LeibnizAlgebra(1, [[["0", "0"]]]),
      "structure tensor: an axis of length 2, expected 1"),
     (lambda: Representation(_l2(), 2, (Z2,), (Z2, Z2)),
-     "need one l and one r matrix per basis element"),
+     "left action: an axis of length 1, expected 2"),
     (lambda: Representation(_l2(), 2, (Z2, Z2), (Z2,)),
-     "need one l and one r matrix per basis element"),
-    (lambda: Representation(_l2(), 2, (Z2, Matrix.zeros(1, 1)), (Z2, Z2)),
-     "action matrices must be 2x2"),
-    (lambda: Representation(_l2(), 2, (Z2, Z2), (Z2, Matrix.zeros(2, 1))),
-     "action matrices must be 2x2"),
+     "right action: an axis of length 1, expected 2"),
+    (lambda: Representation(_l2(), 2, (Z2, [[0]]), (Z2, Z2)),
+     "left action: an axis of length 1, expected 2"),
+    (lambda: Representation(_l2(), 2, (Z2, Z2), (Z2, [[0], [0]])),
+     "right action: an axis of length 1, expected 2"),
     (lambda: Cochain(2, 2, 1, [[0]] * 3), "cochain values: an axis of length 3, expected 4"),
     (lambda: Cochain(1, 2, 2, [[0, 0], [0]]),
      "cochain values: an axis of length 1, expected 2"),
     (lambda: Subspace(2, ((F(1),),)), "basis vector of wrong length"),
     (lambda: Subspace(2, ((F(1), F(2)), (F(2), F(4)))), "basis vectors are linearly dependent"),
-    (lambda: GraphMap(2, (Z2,)), "need one matrix per basis vector of V"),
-    (lambda: GraphMap(2, (Z2, Matrix.zeros(2, 3))), "graph matrices must be 2x2"),
-    (lambda: _lie2(l1=Matrix.zeros(1, 2)), "l1 must be dim0 x dim1"),
+    (lambda: GraphMap(2, (Z2,)), "graph map: an axis of length 1, expected 2"),
+    (lambda: GraphMap(2, (Z2, [[0] * 3] * 2)), "graph map: an axis of length 3, expected 2"),
+    (lambda: _lie2(l1=[[0, 0]]), "l1: an axis of length 1, expected 2"),
     (lambda: _lie2(l2_00=[[[0] * 2] * 2]), "l2_00: an axis of length 1, expected 2"),
     (lambda: _lie2(l2_01=()), "l2_01: an axis of length 0, expected 2"),
     (lambda: _lie2(l2_01=[[[0, 0]]] * 2), "l2_01: an axis of length 2, expected 1"),
@@ -158,6 +165,17 @@ WRONG_SHAPES = [
     (lambda: LeibnizAlgebra(1, {0: 1}), "structure tensor: key 0 is no index of shape (1, 1, 1)"),
     (lambda: LeibnizAlgebra(2, {(0, "1", 0): 1}),
      "structure tensor: key (0, '1', 0) is no index of shape (2, 2, 2)"),
+    # the actions: every field of every value type goes through one check
+    (lambda: Representation(_l2(), 2, {(2, 0, 0): 1}, {}),
+     "left action: key (2, 0, 0) is no index of shape (2, 2, 2)"),
+    (lambda: GraphMap(1, {(0, 0): 1}), "graph map: key (0, 0) is no index of shape (1, 1, 1)"),
+    (lambda: _lie2(l1={(0, 1): 1}), "l1: key (0, 1) is no index of shape (2, 1)"),
+    (lambda: NaiveRepresentation(_l2(), 2, [Z2], [[0, 0]] * 2),
+     "phi: an axis of length 1, expected 2"),
+    (lambda: NaiveRepresentation(_l2(), 2, {}, [[0, 0, 0]] * 2),
+     "theta: an axis of length 3, expected 2"),
+    (lambda: NaiveRepresentation(_l2(), 1, {(0, 0, 1): 1}, {}),
+     "phi: key (0, 0, 1) is no index of shape (2, 1, 1)"),
 ]
 
 
@@ -170,8 +188,10 @@ def test_wrong_shapes_raise_their_value_error(index):
 
 
 def test_sparse_tensors_are_read_only():
-    g, L = _l2(), _lie2(l3={(0, 1, 0, 0): 1})
-    for tensor in (g.c, L.l3):
+    g, L = _l2(), _lie2(l3={(0, 1, 0, 0): 1}, l1={(1, 0): 1})
+    rep, phi, rho = (BUILDERS[name](2) for name in ("Representation", "GraphMap",
+                                                    "NaiveRepresentation"))
+    for tensor in (g.c, L.l3, L.l1, rep.r, phi.phi, rho.theta):
         key = next(iter(tensor.keys()))
         for change in (lambda: tensor.__setitem__((0, 0, 0), 1), lambda: tensor.__delitem__(key),
                        lambda: tensor.update({key: 2}), lambda: tensor.pop(key),
