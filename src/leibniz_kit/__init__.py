@@ -21,7 +21,6 @@ from .algebra import (
 from .cohomology import (
     DEFAULT_CAP,
     BettiReport,
-    Cochain,
     Representation,
     ResourceCapExceeded,
     adjoint_rep,

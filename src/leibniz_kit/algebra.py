@@ -89,9 +89,10 @@ def _report(witnesses: list[Witness]) -> IdentityReport:
 # are stored in this form only, as a read-only ``linalg.Tensor`` built in the
 # constructor: ``LeibnizAlgebra.c``, ``Lie2Algebra.l1``, ``l2_00``, ``l2_01``,
 # ``l3``, ``Representation.l``, ``r``, ``GraphMap.phi`` and
-# ``NaiveRepresentation.phi``, ``theta``.  Only witnesses, ``rbar``,
-# cochains and the dense vectors of a naive representation's image build
-# dense tuples.
+# ``NaiveRepresentation.phi``, ``theta``.  A cochain is such a tensor too:
+# ``coboundary`` takes and returns one, and ``rbar`` and
+# ``right_action_cochain`` build one.  Only witnesses and the dense vectors
+# of a naive representation's image build dense tuples.
 
 def dense(tensor: dict, shape: tuple) -> tuple:
     """The nested tuples of the given shape holding a sparse tensor."""

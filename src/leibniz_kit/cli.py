@@ -32,6 +32,7 @@ from .cohomology import (
     DEFAULT_CAP,
     ResourceCapExceeded,
     _refusal,
+    _require_within_cap,
     adjoint_rep,
     betti,
     maurer_cartan_check,
@@ -299,6 +300,8 @@ def cmd_cohomology(args) -> int:
                 return run.finish()
             rho = trivial_naive_rep(g, space.basis[0])
         elif rep_label == "adjoint":
+            # its image has dim n: refuse an over-cap degree before building it
+            _require_within_cap(g.dim, g.dim, k_max, cap)
             rho = adjoint_naive(g)
         else:
             rho = naive_from_rep(rep)

@@ -7,8 +7,9 @@ l, r : g -> gl(V) with, for all x, y in g:
     l_[x,y] = [l_x, l_y]      r_[x,y] = [l_x, r_y]      r_y l_x = -r_y r_x
 
 k-cochains are arbitrary multilinear maps on the k-th tensor power of g
-with values in V (no antisymmetrization), stored densely on basis tuples
-in lexicographic order.  The coboundary is
+with values in V = Q^m (no antisymmetrization).  A k-cochain f is a
+read-only sparse ``linalg.Tensor`` of shape (n,)*k + (m,): the entry at
+(t_1, .., t_k, v) is coordinate v of f(e_t1, .., e_tk).  The coboundary is
 
     d c(x_1..x_{k+1}) = sum_{i<=k} (-1)^{i+1} l_{x_i} c(..^x_i..)
                         + (-1)^{k+1} r_{x_{k+1}} c(x_1..x_k)
@@ -27,8 +28,9 @@ stated with are evaluated only by the test oracles.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .algebra import (
     IdentityReport,
@@ -36,10 +38,9 @@ from .algebra import (
     _report,
     check_leibniz,
     contract,
-    dense,
     residual_witnesses,
 )
-from .linalg import Frozen, Matrix, _to_integers, freeze, rank, sparse_tensor, viszero, vzero
+from .linalg import Frozen, Matrix, Tensor, _to_integers, rank, sparse_tensor
 
 DEFAULT_CAP = 20000
 
@@ -149,38 +150,6 @@ def conjugation_rep(rep: Representation) -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# cochains
-
-class Cochain(Frozen):
-    """Multilinear map on k-tuples of g with values in Q^m.
-
-    values[rank(t)] is the image of the basis tuple t, with rank the
-    lexicographic position of t among all n^k tuples.
-    """
-
-    __slots__ = ("degree", "n", "m", "values")
-
-    def __init__(self, degree: int, n: int, m: int, values: tuple):
-        self._set(degree, n, m, freeze(values, (n ** degree, m), "cochain values"))
-
-    @classmethod
-    def zero(cls, degree: int, n: int, m: int) -> "Cochain":
-        return cls(degree, n, m, tuple(tuple(vzero(m)) for _ in range(n ** degree)))
-
-    def rank_of(self, tup: Sequence[int]) -> int:
-        r = 0
-        for t in tup:
-            r = r * self.n + t
-        return r
-
-    def value_at(self, tup: Sequence[int]) -> tuple:
-        return self.values[self.rank_of(tup)]
-
-    def is_zero(self) -> bool:
-        return all(viszero(v) for v in self.values)
-
-
-# ---------------------------------------------------------------------------
 # the coboundary operator
 
 def coboundary_columns(rep: Representation, k: int, cap: Optional[int] = DEFAULT_CAP,
@@ -268,15 +237,26 @@ def coboundary_matrix(rep: Representation, k: int,
     return Matrix(len(data), len(columns), data)
 
 
-def coboundary(rep: Representation, c: Cochain) -> Cochain:
-    """The coboundary of c: the uncapped degree-k coboundary matrix applied
-    to c's values."""
+def coboundary(rep: Representation, f: Tensor) -> Tensor:
+    """The coboundary of the k-cochain f, a ``linalg.Tensor`` of shape
+    (n,)*k + (m,) keyed (t_1, .., t_k, v): the uncapped degree-k columns of
+    ``coboundary_columns`` applied to the nonzero entries of f.  Column
+    R m + v is the basis cochain at the k-tuple of lexicographic rank R
+    with value e_v, and row R' m + w is coordinate w at the (k+1)-tuple of
+    rank R'."""
     n, m = rep.algebra.dim, rep.vdim
-    if c.n != n or c.m != m:
+    k = len(f.shape) - 1
+    if f.shape != (n,) * k + (m,):
         raise ValueError("cochain does not match the representation")
-    flat = coboundary_matrix(rep, c.degree, None).mv([x for v in c.values for x in v])
-    return Cochain(c.degree + 1, n, m,
-                   tuple(tuple(flat[p * m:(p + 1) * m]) for p in range(n ** (c.degree + 1))))
+    den, columns = coboundary_columns(rep, k, None)
+    rank_of = {t: r for r, t in enumerate(product(range(n), repeat=k))}
+    tuples = list(product(range(n), repeat=k + 1))
+    acc: dict[int, Fraction] = {}
+    for key, x in f.items():
+        for row, w in columns[rank_of[key[:-1]] * m + key[-1]].items():
+            acc[row] = acc.get(row, 0) + x * w
+    return sparse_tensor({(*tuples[row // m], row % m): x / den for row, x in acc.items()},
+                         (n,) * (k + 1) + (m,), "coboundary")
 
 
 class DegreeData(NamedTuple):
@@ -367,12 +347,6 @@ def betti(rep: Representation, k_max: int,
 # ---------------------------------------------------------------------------
 # semidirect products and the Maurer-Cartan identity
 
-def _right_action_tensor(g: LeibnizAlgebra, rep: Representation) -> dict:
-    """rbar as a sparse tensor on g (+) V: (n+a, j, n+w) -> (r_j)[w][a]."""
-    n = g.dim
-    return {(n + a, j, n + w): v for (j, w, a), v in rep.r.items()}
-
-
 def semidirect(g: LeibnizAlgebra, rep: Representation, mode: str) -> LeibnizAlgebra:
     """Leibniz structure on g (+) V, refused unless it is Leibniz:
 
@@ -385,7 +359,7 @@ def semidirect(g: LeibnizAlgebra, rep: Representation, mode: str) -> LeibnizAlge
     c = dict(g.c)
     c.update(((i, n + b, n + w), v) for (i, w, b), v in rep.l.items())
     if mode == "lr":
-        c.update(_right_action_tensor(g, rep))
+        c.update(rbar(g, rep))
     out = LeibnizAlgebra(n + rep.vdim, c)
     report = check_leibniz(out)
     if not report.holds:
@@ -395,11 +369,12 @@ def semidirect(g: LeibnizAlgebra, rep: Representation, mode: str) -> LeibnizAlge
     return out
 
 
-def rbar(g: LeibnizAlgebra, rep: Representation) -> Cochain:
-    """The right action as a 2-cochain on g (+) V:  (x+u, y+v) -> r_y u."""
-    total = g.dim + rep.vdim
-    planes = dense(_right_action_tensor(g, rep), (total,) * 3)
-    return Cochain(2, total, total, tuple(row for plane in planes for row in plane))
+def rbar(g: LeibnizAlgebra, rep: Representation) -> Tensor:
+    """The right action as a 2-cochain on g (+) V, (x+u, y+v) -> r_y u: the
+    tensor of shape (n+m,)*3 keyed (n+a, j, n+w) -> (r_j)[w][a]."""
+    n, total = g.dim, g.dim + rep.vdim
+    return sparse_tensor({(n + a, j, n + w): v for (j, w, a), v in rep.r.items()},
+                         (total,) * 3, "rbar")
 
 
 def maurer_cartan_residual(c0: dict, r: dict) -> dict:
@@ -437,7 +412,7 @@ def maurer_cartan_check(g: LeibnizAlgebra, rep: Representation) -> IdentityRepor
     and that the (l,0)-bracket plus rbar equals the (l,r)-bracket.
     """
     c0 = semidirect(g, rep, "l0").c
-    r = _right_action_tensor(g, rep)
+    r = rbar(g, rep)
     clr = semidirect(g, rep, "lr").c
     deformation = contract([(1, "ijt->ijt", c0), (1, "ijt->ijt", r), (-1, "ijt->ijt", clr)])
     total = g.dim + rep.vdim
@@ -448,14 +423,15 @@ def maurer_cartan_check(g: LeibnizAlgebra, rep: Representation) -> IdentityRepor
 # ---------------------------------------------------------------------------
 # cocycles
 
-def cocycle_check(rep: Representation, c: Cochain) -> bool:
-    """True iff the coboundary of c vanishes identically."""
-    return coboundary(rep, c).is_zero()
+def cocycle_check(rep: Representation, f: Tensor) -> bool:
+    """True iff the coboundary of the cochain f vanishes identically."""
+    return not coboundary(rep, f)
 
 
-def right_action_cochain(rep: Representation) -> Cochain:
+def right_action_cochain(rep: Representation) -> Tensor:
     """The right action as a 1-cochain valued in gl(V), each matrix
-    flattened row-major: (r_i)[a][b] at coordinate a * m + b."""
+    flattened row-major: the tensor of shape (n, m*m) keyed (i, a*m + b) ->
+    (r_i)[a][b]."""
     n, m = rep.algebra.dim, rep.vdim
-    flat = {(i, a * m + b): v for (i, a, b), v in rep.r.items()}
-    return Cochain(1, n, m * m, dense(flat, (n, m * m)))
+    return sparse_tensor({(i, a * m + b): v for (i, a, b), v in rep.r.items()},
+                         (n, m * m), "right action cochain")

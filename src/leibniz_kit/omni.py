@@ -16,10 +16,12 @@ Cochains valued in the image of rho carry the naive coboundary: the
 coboundary formula with omni multiplication by rho(x) in place of the
 actions.  In image coordinates it is the coboundary of the image
 representation (left and right omni multiplication by rho(e_i) on the
-image), so the naive complex is one more ``coboundary_columns``.  Its
-cohomology is compared degree-by-degree against the classical complex for
-the matching representation.  For the adjoint naive representation the
-chain-level correspondence F -> rho o F is checked as the identity
+image): ``naive_coboundary(rho, f)`` is
+``coboundary(image_representation(rho), f)``, and the naive complex is one
+more ``coboundary_columns``.  Its cohomology is compared degree-by-degree
+against the classical complex for the matching representation.  For the
+adjoint naive representation the chain-level correspondence F -> rho o F is
+checked as the identity
 
     D^img_k E_k = E_{k+1} D^cl_k,
 
@@ -33,7 +35,7 @@ correspondence are ``algebra.contract`` sums, like every other identity;
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
@@ -50,7 +52,6 @@ from .algebra import (
 from .cohomology import (
     DEFAULT_CAP,
     BettiReport,
-    Cochain,
     Representation,
     _require_within_cap,
     adjoint_rep,
@@ -64,10 +65,10 @@ from .cohomology import (
 from .linalg import (
     Frozen,
     Subspace,
+    Tensor,
     kernel_basis,
     span_of_rows,
     sparse_tensor,
-    vaddto,
     vzero,
 )
 
@@ -187,8 +188,9 @@ class NaiveRepresentation(Frozen):
     ``linalg.Tensor``s, the gl(V) and V components of rho(e_i) and their
     one stored form; the constructor takes those mappings or the dense
     nested sequences (``linalg.sparse_tensor``).  The image subspace is
-    computed once (RREF basis) into the derived slot ``_image``; cochain
-    values are stored in its coordinates.
+    computed once (RREF basis) into the derived slot ``_image``; cochains of
+    the naive complex take their values in its coordinates
+    (``image.coordinates_of``).
     """
 
     __slots__ = ("algebra", "vdim", "phi", "theta", "_image")
@@ -212,13 +214,6 @@ class NaiveRepresentation(Frozen):
     def rho_vectors(self) -> tuple:
         """rho(e_i) for each i, dense, built from the tensors on each read."""
         return _rho_vectors(self.algebra.dim, self.vdim, self.phi, self.theta)
-
-    def rho_of(self, x: Sequence[Fraction]) -> list[Fraction]:
-        out = vzero(self.ambient_dim)
-        for xi, v in zip(x, self.rho_vectors):
-            if xi:
-                vaddto(out, xi, v)
-        return out
 
 
 def naive_check(rho: NaiveRepresentation) -> IdentityReport:
@@ -324,18 +319,21 @@ def image_representation(rho: NaiveRepresentation) -> Representation:
     return rep
 
 
-def to_naive_cochain(rho: NaiveRepresentation, ambient_values, degree: int) -> Cochain:
-    """An image-valued cochain, in image coordinates, from ambient
-    gl(V)(+)V value vectors."""
+def to_naive_cochain(rho: NaiveRepresentation, ambient_values, degree: int) -> Tensor:
+    """An image-valued cochain tensor, in image coordinates, from its ambient
+    gl(V)(+)V values on the n^degree basis tuples in lexicographic order."""
+    n = rho.algebra.dim
     coords = [rho.image.coordinates_of(v) for v in ambient_values]
     if any(c is None for c in coords):
         raise ValueError("cochain value escapes the image of the representation")
-    return Cochain(degree, rho.algebra.dim, rho.image.dim, tuple(map(tuple, coords)))
+    tuples = product(range(n), repeat=degree)
+    return sparse_tensor({(*t, a): x for t, c in zip(tuples, coords, strict=True)
+                          for a, x in enumerate(c)}, (n,) * degree + (rho.image.dim,), "cochain")
 
 
-def naive_coboundary(rho: NaiveRepresentation, f: Cochain) -> Cochain:
-    """The naive coboundary of an image-valued cochain, in image coordinates:
-    the coboundary of the image representation."""
+def naive_coboundary(rho: NaiveRepresentation, f: Tensor) -> Tensor:
+    """The naive coboundary of an image-valued cochain tensor, in image
+    coordinates: the coboundary of the image representation."""
     return coboundary(image_representation(rho), f)
 
 
@@ -420,8 +418,11 @@ def compare_adjoint(g: LeibnizAlgebra, k_max: int,
     the value of a g-valued cochain on each of the n^k basis tuples.  Column
     (tuple #pos, value v) of each side is the image of one basis cochain,
     so a differing column names a basis cochain on which the
-    correspondence fails.
+    correspondence fails.  The cap is checked before anything is built: the
+    image of the adjoint naive representation has dimension n, so both
+    complexes have n^(k+1) n target rows in degree k.
     """
+    _require_within_cap(g.dim, g.dim, k_max, cap)
     rho = adjoint_naive(g)
     irep = image_representation(rho)
     arep = adjoint_rep(g)

@@ -3,8 +3,8 @@
 Each function pushes basis vectors through the bilinear brackets one tuple
 at a time, exactly as the formulas are written, and reports witnesses in
 nested-loop order, grouped by label.  The library evaluates the same
-identities as sparse tensor contractions and the coboundary as one sparse
-matrix; the differential tests compare the two.
+identities as sparse tensor contractions and the coboundary as sparse
+integer columns; the differential tests compare the two.
 
 The adjoint representation, the left multiplication matrix, antisymmetry
 and the skew bracket are here as walks over all n^3 entries of the dense
@@ -14,9 +14,11 @@ conjugation representation is here as a loop over matrix entries, and the
 closed form of the Jacobiator as nested brackets of basis vectors; the
 library contracts sparse tensors for both.
 
-The dense cochain algebra lives here too: sums, multiples and multilinear
-evaluation of ``Cochain`` values, shuffles, the circle product and the
-graded bracket (Balavoine, "Deformations of algebras over a quadratic
+The dense cochain algebra lives here too.  The library stores a cochain
+only as a sparse tensor; here a ``Cochain`` is a dense record of its values
+on all basis tuples (``cochain_tensor`` and ``dense_cochain`` convert), with
+sums, multiples and multilinear evaluation, shuffles, the circle product
+and the graded bracket (Balavoine, "Deformations of algebras over a quadratic
 operad", 1997), with which the Maurer-Cartan identity is stated.  So do the
 dense matrix forms of the graph closure condition, the naive-representation
 conditions and the chain-level adjoint correspondence D^img E = E D^cl.
@@ -31,11 +33,11 @@ linear combinations of matrices the formulas need are here as well.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from leibniz_kit import (
     AxiomReport,
-    Cochain,
     GraphMap,
     IdentityReport,
     LeibnizAlgebra,
@@ -55,8 +57,11 @@ from leibniz_kit.linalg import (
     HALF,
     ONE,
     ZERO,
+    Tensor,
+    freeze,
     solve,
     sparse,
+    sparse_tensor,
     vaddto,
     viszero,
     vzero,
@@ -533,6 +538,53 @@ def check_representation(rep: Representation) -> IdentityReport:
 # ---------------------------------------------------------------------------
 # dense cochain algebra
 
+@dataclass(frozen=True)
+class Cochain:
+    """A k-cochain on g = Q^n with values in Q^m, dense: values[rank(t)] is
+    the value on the basis tuple t, with rank the lexicographic position of
+    t among all n^k tuples.  The library's form of the same cochain is the
+    sparse tensor ``cochain_tensor`` gives."""
+
+    degree: int
+    n: int
+    m: int
+    values: tuple
+
+    def __post_init__(self):
+        shape = (self.n ** self.degree, self.m)
+        object.__setattr__(self, "values", freeze(self.values, shape, "cochain values"))
+
+    def value_at(self, tup) -> tuple:
+        r = 0
+        for t in tup:
+            r = r * self.n + t
+        return self.values[r]
+
+    def is_zero(self) -> bool:
+        return all(viszero(v) for v in self.values)
+
+
+def cochain_tensor(c: Cochain) -> Tensor:
+    """The sparse tensor of shape (n,)*k + (m,) keyed (t_1..t_k, v) that the
+    library takes and returns for the cochain c."""
+    tuples = itertools.product(range(c.n), repeat=c.degree)
+    return sparse_tensor({(*t, v): x for t, value in zip(tuples, c.values)
+                          for v, x in enumerate(value)},
+                         (c.n,) * c.degree + (c.m,), "cochain")
+
+
+def dense_cochain(f: Tensor, n: int) -> Cochain:
+    """The dense cochain of a library cochain tensor on g = Q^n."""
+    k, m = len(f.shape) - 1, f.shape[-1]
+    values = [vzero(m) for _ in range(n ** k)]
+    for key, x in f.items():
+        r = 0
+        for t in key[:-1]:
+            r = r * n + t
+        values[r][key[-1]] = x
+    return Cochain(k, n, m, values)
+
+
 def add(alpha: Cochain, beta: Cochain) -> Cochain:
     if (alpha.degree, alpha.n, alpha.m) != (beta.degree, beta.n, beta.m):
         raise ValueError("cochain shape mismatch")
@@ -645,6 +697,13 @@ def rbar(g: LeibnizAlgebra, rep: Representation) -> Cochain:
             col = column(rs[j], a)
             values[(n + a) * total + j] = [ZERO] * n + col
     return Cochain(2, total, total, tuple(map(tuple, values)))
+
+
+def right_action_cochain(rep: Representation) -> Cochain:
+    """The right action as a 1-cochain valued in gl(V): the value on e_i is
+    r_i flattened row-major."""
+    return Cochain(1, rep.algebra.dim, rep.vdim ** 2,
+                   tuple(tuple(x for row in r.to_rows() for x in row) for r in matrices(rep.r)))
 
 
 def maurer_cartan_defect(h: LeibnizAlgebra, r: Cochain) -> Cochain:

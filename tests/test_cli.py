@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import leibniz_kit.cli as cli
+import leibniz_kit.omni as omni_module
 from leibniz_kit.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -80,6 +81,22 @@ def test_over_cap_degree_refused_with_the_same_line():
     assert result.stdout == b""
     assert result.stderr == (b"resource cap: cochain space of dimension 32768 exceeds "
                              b"cap 20000 (override with LEIBNIZ_KIT_CAP)\n")
+
+
+@pytest.mark.parametrize("mode", ["--naive", "--compare"])
+def test_adjoint_naive_is_not_built_past_the_cap(monkeypatch, capsys, mode):
+    # heis3 adjoint to degree 2 needs 3^3 * 3 = 81 target rows on both sides;
+    # under a cap of 80 both modes refuse before building the naive side
+    def refuse(*args):
+        raise RuntimeError("the adjoint naive representation was built")
+
+    monkeypatch.setattr(cli, "adjoint_naive", refuse)
+    monkeypatch.setattr(omni_module, "adjoint_naive", refuse)
+    monkeypatch.setenv("LEIBNIZ_KIT_CAP", "80")
+    assert main(["cohomology", str(FIXTURES / "heis3.json"), "--rep", "adjoint",
+                 "--max-degree", "2", mode]) == 3
+    assert capsys.readouterr().err == ("resource cap: cochain space of dimension 81 exceeds "
+                                       "cap 80 (override with LEIBNIZ_KIT_CAP)\n")
 
 
 def test_lie2_command(capsys):

@@ -16,7 +16,9 @@ import leibniz_kit.cohomology as cohomology_module
 import oracles
 from conftest import change_basis
 from oracles import (
+    Cochain,
     circle_product,
+    cochain_tensor,
     column,
     graded_bracket,
     matrices,
@@ -26,7 +28,6 @@ from oracles import (
     zeros,
 )
 from leibniz_kit import (
-    Cochain,
     IdentityReport,
     LeibnizAlgebra,
     Matrix,
@@ -64,6 +65,7 @@ from leibniz_kit.fixtures import (
     nonleibniz2,
     sl2,
 )
+from leibniz_kit.linalg import Tensor, sparse_tensor
 
 F = Fraction
 E = lambda n, i: [F(j == i) for j in range(n)]
@@ -186,8 +188,8 @@ def test_dual_and_conjugation_valid_for_all_fixtures(positive_algebras):
 def test_coboundary_trivial_rep_vanishes_on_abelian():
     g = LeibnizAlgebra.abelian(2)
     rep = trivial_rep(g)
-    c = Cochain(1, 2, 1, ((F(1),), (F(2),)))
-    assert coboundary(rep, c).is_zero()
+    d = coboundary(rep, sparse_tensor({(0, 0): 1, (1, 0): 2}, (2, 1), "cochain"))
+    assert d == {} and d.shape == (2, 2, 1)
     assert coboundary_matrix(rep, 0).is_zero()
     assert coboundary_matrix(rep, 2).is_zero()
 
@@ -195,12 +197,8 @@ def test_coboundary_trivial_rep_vanishes_on_abelian():
 def test_coboundary_degree1_trivial_l2():
     # d xi (x, y) = -xi([x, y]); with xi = e2* only (e1, e1) survives
     g = l2_algebra()
-    xi = Cochain(1, 2, 1, ((F(0),), (F(1),)))
-    d = coboundary(trivial_rep(g), xi)
-    assert d.value_at((0, 0)) == (F(-1),)
-    assert d.value_at((0, 1)) == (F(0),)
-    assert d.value_at((1, 0)) == (F(0),)
-    assert d.value_at((1, 1)) == (F(0),)
+    d = coboundary(trivial_rep(g), sparse_tensor({(1, 0): 1}, (2, 1), "cochain"))
+    assert d == {(0, 0, 0): -1} and d.shape == (2, 2, 1)
 
 
 def test_coboundary_degree0_kernel_is_left_center(positive_algebras):
@@ -233,20 +231,6 @@ def _flat(c: Cochain) -> list[Fraction]:
     return out
 
 
-def test_coboundary_matrix_matches_direct_evaluation(small_algebras, dense_rational_algebras):
-    rng = random.Random(7)
-    for name, g in {**small_algebras, **dense_rational_algebras}.items():
-        for rep in (trivial_rep(g), adjoint_rep(g)):
-            for k in range(3):
-                c = _random_cochain(rng, k, g.dim, rep.vdim)
-                ls, rs = matrices(rep.l), matrices(rep.r)
-                literal = oracles.coboundary(g, lambda s, v: ls[s].mv(v),
-                                             lambda s, v: rs[s].mv(v), c.values, k, rep.vdim)
-                expected = [x for v in literal for x in v]
-                assert coboundary_matrix(rep, k).mv(_flat(c)) == expected, (name, k)
-                assert _flat(coboundary(rep, c)) == expected, (name, k)
-
-
 def _fractional_rep() -> Representation:
     """Two commuting left actions with denominators 2 and 3 on Q^2, over the
     abelian plane; the right action is zero."""
@@ -267,10 +251,52 @@ def _reps_for_kernel_checks(small_algebras, dense_rational_algebras):
     yield "vdim0", _zero_module()
 
 
+def _random_sparse_cochain(rng, k, n, m) -> Tensor:
+    """A few random Fraction entries of a k-cochain on Q^n with values in Q^m."""
+    shape = (n,) * k + (m,)
+    if not m:
+        return sparse_tensor({}, shape, "cochain")
+    return sparse_tensor({tuple(rng.randrange(d) for d in shape):
+                          F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                          for _ in range(rng.randint(1, 4))}, shape, "cochain")
+
+
+def test_coboundary_matrix_matches_direct_evaluation(positive_algebras, dense_rational_algebras):
+    # the literal formula on random sparse cochains against the coboundary
+    # and against the coboundary matrix; the coboundary squares to zero
+    rng = random.Random(7)
+    for name, rep in _reps_for_kernel_checks(positive_algebras, dense_rational_algebras):
+        g, m = rep.algebra, rep.vdim
+        ls, rs = matrices(rep.l), matrices(rep.r)
+        for k in range(3):
+            f = _random_sparse_cochain(rng, k, g.dim, m)
+            c = oracles.dense_cochain(f, g.dim)
+            literal = oracles.coboundary(g, lambda s, v: ls[s].mv(v),
+                                         lambda s, v: rs[s].mv(v), c.values, k, m)
+            expected = Cochain(k + 1, g.dim, m, literal)
+            d = coboundary(rep, f)
+            assert d == cochain_tensor(expected), (name, k)
+            assert d.shape == (g.dim,) * (k + 1) + (m,) and isinstance(d, Tensor), (name, k)
+            assert coboundary_matrix(rep, k).mv(_flat(c)) == _flat(expected), (name, k)
+            assert coboundary(rep, d) == {}, (name, k)
+
+
+def test_coboundary_refuses_a_cochain_of_another_shape():
+    rep = adjoint_rep(l2_algebra())
+    for shape in ((), (3,), (2, 3), (3, 2), (2, 2, 1), (1, 2, 2)):
+        f = sparse_tensor({}, shape, "cochain")
+        for check in (coboundary, cocycle_check):
+            with pytest.raises(ValueError, match="cochain does not match the representation"):
+                check(rep, f)
+
+
 def test_coboundary_matrix_is_columns_over_common_denominator(small_algebras,
                                                               dense_rational_algebras):
+    # column j of d_k, over the common denominator, is column j of the
+    # coboundary matrix and the coboundary of the basis cochain j: the tuple
+    # of rank j // m with value e_(j % m)
     for name, rep in _reps_for_kernel_checks(small_algebras, dense_rational_algebras):
-        g = rep.algebra
+        g, m = rep.algebra, rep.vdim
         entries = [v for mat in (*matrices(rep.l), *matrices(rep.r)) for i in range(mat.rows)
                    for _, v in mat.row_items(i)]
         entries += list(g.c.values())
@@ -278,13 +304,19 @@ def test_coboundary_matrix_is_columns_over_common_denominator(small_algebras,
         for k in range(3):
             den, columns = coboundary_columns(rep, k)
             assert den == expected_den, name
-            out_dim = g.dim ** (k + 1) * rep.vdim
-            assert len(columns) == g.dim ** k * rep.vdim, (name, k)
+            out_dim = g.dim ** (k + 1) * m
+            assert len(columns) == g.dim ** k * m, (name, k)
             assert all(type(x) is int and x and 0 <= row < out_dim
                        for col in columns for row, x in col.items()), (name, k)
             transposed = Matrix(len(columns), out_dim, columns).transpose()
             assert coboundary_matrix(rep, k) == oracles.linear_combination(
                 (F(1, den),), (transposed,), transposed.shape), (name, k)
+            for j, col in enumerate(columns):
+                values = [[0] * m for _ in range(g.dim ** k)]
+                values[j // m][j % m] = 1
+                d = coboundary(rep, cochain_tensor(Cochain(k, g.dim, m, values)))
+                assert (_flat(oracles.dense_cochain(d, g.dim))
+                        == [F(col.get(row, 0), den) for row in range(out_dim)]), (name, k, j)
     assert check_representation(_fractional_rep()).holds
     assert coboundary_columns(_fractional_rep(), 0)[0] == 12  # a has 2, 3; a^2 has 4
 
@@ -519,7 +551,8 @@ def test_semidirect_adjoint_fixtures_are_leibniz():
 
 def test_rbar_zero_when_no_right_action():
     g = heisenberg3()
-    assert rbar(g, left_only(adjoint_rep(g))).is_zero()
+    rb = rbar(g, left_only(adjoint_rep(g)))
+    assert rb == {} and rb.shape == (6, 6, 6)
 
 
 def test_rbar_values_on_basis_pairs():
@@ -527,13 +560,20 @@ def test_rbar_values_on_basis_pairs():
     g = l2_algebra()
     rb = rbar(g, adjoint_rep(g))
     n = 2
-    for a in range(n):
-        for j in range(n):
-            expected = [F(0)] * n + bracket(g, E(n, a), E(n, j))
-            assert list(rb.value_at((n + a, j))) == expected
-    for i in range(n):
-        for q in range(2 * n):
-            assert all(not c for c in rb.value_at((i, q)))
+    expected = {(n + a, j, n + w): x for a in range(n) for j in range(n)
+                for w, x in enumerate(bracket(g, E(n, a), E(n, j))) if x}
+    assert expected and rb == expected and rb.shape == (2 * n,) * 3
+
+
+def test_rbar_and_right_action_cochain_match_the_oracle(positive_algebras,
+                                                         dense_rational_algebras):
+    for name, g in {**positive_algebras, **dense_rational_algebras}.items():
+        for rep in (adjoint_rep(g), trivial_rep(g)):
+            assert rbar(g, rep) == cochain_tensor(oracles.rbar(g, rep)), name
+            assert rbar(g, rep).shape == (g.dim + rep.vdim,) * 3, name
+            got = right_action_cochain(rep)
+            assert got == cochain_tensor(oracles.right_action_cochain(rep)), name
+            assert got.shape == (g.dim, rep.vdim ** 2), name
 
 
 def test_maurer_cartan_trivially_zero_without_right_action():
@@ -571,16 +611,16 @@ def test_right_action_is_conjugation_cocycle(positive_algebras):
 
 def test_zero_cochain_is_cocycle():
     g = l2_algebra()
-    assert cocycle_check(adjoint_rep(g), Cochain.zero(1, 2, 2))
+    assert cocycle_check(adjoint_rep(g), sparse_tensor({}, (2, 2), "cochain"))
 
 
 def test_identity_cochain_is_not_a_cocycle_for_l2_adjoint():
     # d c(x,y) = [x, c(y)] + [c(x), y] - c([x,y]); with c = id this is [x,y]
     g = l2_algebra()
-    ident = Cochain(1, 2, 2, tuple(tuple(E(2, i)) for i in range(2)))
+    ident = sparse_tensor({(0, 0): 1, (1, 1): 1}, (2, 2), "cochain")
     assert not cocycle_check(adjoint_rep(g), ident)
     d = coboundary(adjoint_rep(g), ident)
-    assert list(d.value_at((0, 0))) == bracket(g, E(2, 0), E(2, 0))
+    assert [d.get((0, 0, w), 0) for w in range(2)] == bracket(g, E(2, 0), E(2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import oracles
 from leibniz_kit import (
-    Cochain,
     GraphMap,
     LeibnizAlgebra,
     Lie2Algebra,
@@ -434,7 +433,7 @@ def test_maurer_cartan_residual_matches_oracle_on_random_cochains(seed):
     r = _random_sparse_cochain(rng, total, 4 + seed)
     new = residual_witnesses(maurer_cartan_residual(h.c, r), total, "maurer-cartan")
     planes = dense(r, (total,) * 3)
-    cochain = Cochain(2, total, total, tuple(row for plane in planes for row in plane))
+    cochain = oracles.Cochain(2, total, total, tuple(row for plane in planes for row in plane))
     old = oracles.maurer_cartan_witnesses(oracles.maurer_cartan_defect(h, cochain))
     assert new, seed
     assert new == old, seed

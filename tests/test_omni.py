@@ -13,7 +13,6 @@ import leibniz_kit.omni as omni_module
 import oracles
 from conftest import change_basis
 from leibniz_kit import (
-    Cochain,
     LeibnizAlgebra,
     Matrix,
     NaiveRepresentation,
@@ -24,6 +23,7 @@ from leibniz_kit import (
     bracket,
     build_lie2,
     check_leibniz,
+    coboundary,
     coboundary_matrix,
     compare_adjoint,
     compare_trivial,
@@ -54,8 +54,8 @@ from leibniz_kit.fixtures import (
     l2_algebra,
     sl2,
 )
-from leibniz_kit.algebra import dense
-from leibniz_kit.linalg import rank
+from leibniz_kit.algebra import contract, dense
+from leibniz_kit.linalg import rank, sparse, sparse_tensor
 from leibniz_kit.omni import GraphMap, _verify_adjoint_correspondence
 
 F = Fraction
@@ -147,12 +147,13 @@ def test_graph_subalgebra_brackets_match_induced():
     g = induced_leibniz(phi)
     m = phi.vdim
     rho = tautological_rep(phi)
+    rho_entries = sparse(rho.rho_vectors, 2)
     for i in range(m):
         for j in range(m):
             br = bracket(g, E(m, i), E(m, j))
-            expected = rho.rho_of(br)
+            expected = contract([(1, "k,kp->p", sparse(br, 1), rho_entries)])  # rho([u, v])
             got = omni_bracket(m, rho.rho_vectors[i], rho.rho_vectors[j])
-            assert got == expected
+            assert tuple(got) == dense(expected, (rho.ambient_dim,))
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,8 +283,10 @@ def test_naive_coboundary_agrees_with_image_representation(small_algebras):
                 flat = [x for c in coords for x in c]
                 assert coboundary_matrix(rep, k).mv(flat) == expected, (name, k)
                 f = to_naive_cochain(rho, ambient, k)
-                assert f == Cochain(k, n, d, tuple(map(tuple, coords)))
+                assert f == oracles.cochain_tensor(oracles.Cochain(k, n, d, coords))
+                assert f.shape == (n,) * k + (d,)
                 assert naive_coboundary(rho, f) == to_naive_cochain(rho, literal, k + 1)
+                assert naive_coboundary(rho, f) == coboundary(rep, f)
 
 
 def test_naive_coboundary_trivial_rep_reduces_to_bracket_sum():
@@ -300,14 +303,17 @@ def test_naive_coboundary_trivial_rep_reduces_to_bracket_sum():
 
 def test_naive_cochain_shape_checked():
     rho = adjoint_naive(l2_algebra())
+    with pytest.raises(ValueError, match="cochain does not match the representation"):
+        naive_coboundary(rho, sparse_tensor({}, (2, 5), "cochain"))
     with pytest.raises(ValueError):
-        naive_coboundary(rho, Cochain.zero(1, 2, 5))
+        to_naive_cochain(rho, [rho.rho_vectors[0]] * 3, 2)  # 4 basis tuples
 
 
 def test_to_naive_cochain_rejects_values_outside_image():
     rho = adjoint_naive(l2_algebra())
     stray = [F(1)] + [F(0)] * (rho.ambient_dim - 1)
-    with pytest.raises(ValueError):
+    assert rho.image.coordinates_of(stray) is None
+    with pytest.raises(ValueError, match="escapes the image"):
         to_naive_cochain(rho, [stray, stray], 1)
 
 
@@ -332,6 +338,24 @@ def test_naive_betti_checks_the_cap_before_building_the_image_representation(mon
     assert (caught.value.required, caught.value.cap) == (81, 80)
     with pytest.raises(RuntimeError, match="was built"):
         naive_betti(rho, 2, 81)
+
+
+def test_compare_adjoint_checks_the_cap_before_building_anything(monkeypatch):
+    # heis3: the image of the adjoint naive representation has dim 3, so both
+    # complexes need 3^3 * 3 = 81 target rows in degree 2
+    g = heisenberg3()
+    assert compare_adjoint(g, 2, 81).all_equal
+
+    def refuse(*args):
+        raise RuntimeError("the adjoint naive side was built")
+
+    monkeypatch.setattr(omni_module, "adjoint_naive", refuse)
+    monkeypatch.setattr(omni_module, "image_representation", refuse)
+    with pytest.raises(ResourceCapExceeded) as caught:
+        compare_adjoint(g, 2, 80)
+    assert (caught.value.required, caught.value.cap) == (81, 80)
+    with pytest.raises(RuntimeError, match="was built"):
+        compare_adjoint(g, 2, 81)
 
 
 def test_naive_representation_is_a_frozen_value():

@@ -1,8 +1,8 @@
 """The validated value types: equality and hash by value, no assignment to a
 field, and the shape checks of each constructor, also under ``python -O``;
 the read-only sparse tensors stored in ``LeibnizAlgebra``, ``Lie2Algebra``,
-``Representation``, ``GraphMap`` and ``NaiveRepresentation``; and the
-start-up cost they keep out of every command."""
+``Representation``, ``GraphMap`` and ``NaiveRepresentation``, and the
+cochains the library returns; and the start-up cost they keep out of every command."""
 
 from __future__ import annotations
 
@@ -18,15 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz_kit import (
-    Cochain,
     GraphMap,
     LeibnizAlgebra,
     Lie2Algebra,
     NaiveRepresentation,
     Representation,
     Subspace,
+    right_action_cochain,
 )
 from leibniz_kit.algebra import dense
+from leibniz_kit.linalg import sparse_tensor
 
 Z2 = [[0, 0], [0, 0]]
 I2 = [[1, 0], [0, 1]]
@@ -49,7 +50,6 @@ BUILDERS = {
     "LeibnizAlgebra": lambda v: [_l2(), LeibnizAlgebra(2, {(0, 0, 1): F(1)}), _l2("2")][v],
     "Representation": lambda v: Representation(_l2(), 2, [Z2, Z2] if v == 0 else {},
                                                (Z2, Z2 if v < 2 else I2)),
-    "Cochain": lambda v: Cochain(1, 2, 1, [["1"], ["0"]] if v == 0 else ((1,), (v - 1,))),
     "Subspace": lambda v: Subspace(2, ((F(1), F(0)),) if v == 0 else ((1, v // 2),)),
     "GraphMap": lambda v: GraphMap(2, [Z2, Z2] if v == 0
                                    else {(1, 1, 1): 0} if v == 1 else {(1, 0, 0): 1, (1, 1, 1): 1}),
@@ -60,8 +60,7 @@ BUILDERS = {
         [["1", 0], [0, 0]] if v < 2 else {(0, 0): 1, (1, 1): F(1, 2)}),
 }
 
-FIELDS = {"LeibnizAlgebra": "c", "Representation": "l", "Cochain": "values",
-          "Subspace": "basis", "GraphMap": "phi", "Lie2Algebra": "l3",
+FIELDS = {"LeibnizAlgebra": "c", "Representation": "l", "Subspace": "basis", "GraphMap": "phi", "Lie2Algebra": "l3",
           "NaiveRepresentation": "phi"}
 
 # The slots holding forms a constructor derives from the fields: the
@@ -121,8 +120,6 @@ def test_copies_and_pickles_are_equal_values(name):
 def test_repr_names_every_field():
     assert (repr(Subspace(1, ((F(1),),)))
             == "Subspace(ambient_dim=1, basis=((Fraction(1, 1),),))")
-    assert (repr(Cochain(0, 3, 1, [[2]]))
-            == "Cochain(degree=0, n=3, m=1, values=((Fraction(2, 1),),))")
 
 
 # (constructor call, the ValueError message it must raise)
@@ -139,9 +136,11 @@ WRONG_SHAPES = [
      "left action: an axis of length 1, expected 2"),
     (lambda: Representation(_l2(), 2, (Z2, Z2), (Z2, [[0], [0]])),
      "right action: an axis of length 1, expected 2"),
-    (lambda: Cochain(2, 2, 1, [[0]] * 3), "cochain values: an axis of length 3, expected 4"),
-    (lambda: Cochain(1, 2, 2, [[0, 0], [0]]),
-     "cochain values: an axis of length 1, expected 2"),
+    # a cochain is a tensor of shape (n,)*k + (m,), built by sparse_tensor
+    (lambda: sparse_tensor([[[0]] * 2] * 3, (2, 2, 1), "cochain"),
+     "cochain: an axis of length 3, expected 2"),
+    (lambda: sparse_tensor([[0, 0], [0]], (2, 2), "cochain"),
+     "cochain: an axis of length 1, expected 2"),
     (lambda: Subspace(2, ((F(1),),)), "basis vector of wrong length"),
     (lambda: Subspace(2, ((F(1), F(2)), (F(2), F(4)))), "basis vectors are linearly dependent"),
     (lambda: GraphMap(2, (Z2,)), "graph map: an axis of length 1, expected 2"),
@@ -191,7 +190,7 @@ def test_sparse_tensors_are_read_only():
     g, L = _l2(), _lie2(l3={(0, 1, 0, 0): 1}, l1={(1, 0): 1})
     rep, phi, rho = (BUILDERS[name](2) for name in ("Representation", "GraphMap",
                                                     "NaiveRepresentation"))
-    for tensor in (g.c, L.l3, L.l1, rep.r, phi.phi, rho.theta):
+    for tensor in (g.c, L.l3, L.l1, rep.r, phi.phi, rho.theta, right_action_cochain(rep)):
         key = next(iter(tensor.keys()))
         for change in (lambda: tensor.__setitem__((0, 0, 0), 1), lambda: tensor.__delitem__(key),
                        lambda: tensor.update({key: 2}), lambda: tensor.pop(key),
