@@ -18,6 +18,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .linalg import (
+    ONE,
     Frozen,
     Matrix,
     Subspace,
@@ -27,7 +28,6 @@ from .linalg import (
     kernel_basis,
     span_of_rows,
     sparse_tensor,
-    vzero,
 )
 
 
@@ -91,8 +91,10 @@ def _report(witnesses: list[Witness]) -> IdentityReport:
 # ``l3``, ``Representation.l``, ``r``, ``GraphMap.phi`` and
 # ``NaiveRepresentation.phi``, ``theta``.  A cochain is such a tensor too:
 # ``coboundary`` takes and returns one, and ``rbar`` and
-# ``right_action_cochain`` build one.  Only witnesses and the dense vectors
-# of a naive representation's image build dense tuples.
+# ``right_action_cochain`` build one.  A vector is the 1-axis tensor
+# {(a,): x}, and a family of vectors, such as a ``Subspace.basis`` or the
+# rho(e_i) of a naive representation, one 2-axis tensor.  Only witnesses
+# (and the CLI's basis strings) build dense tuples, with ``dense``.
 
 def dense(tensor: dict, shape: tuple) -> tuple:
     """The nested tuples of the given shape holding a sparse tensor."""
@@ -168,13 +170,13 @@ def contract(terms) -> dict:
     return {k: Fraction(v, scale) for k, v in acc.items() if v}
 
 
-def rows_of(tensor: dict, dim: int) -> dict:
-    """{index prefix: dense last-axis vector of length dim} for every prefix
+def rows_of(tensor: dict) -> dict:
+    """{index prefix: sparse last-axis vector {(k,): entry}} for every prefix
     at which the tensor has a nonzero entry."""
     rows: dict = {}
     for key, v in tensor.items():
         if v:
-            rows.setdefault(key[:-1], vzero(dim))[key[-1]] = v
+            rows.setdefault(key[:-1], {})[key[-1:]] = v
     return rows
 
 
@@ -195,19 +197,13 @@ def bracket(g: LeibnizAlgebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> 
     n = g.dim
     if len(x) != n or len(y) != n:
         raise ValueError(f"vectors must have length {n}")
-    out = vzero(n)
+    out = [ZERO] * n
     for i, xi in enumerate(x):
         if xi:
             for (j, k), v in g.c[i].items():
                 if y[j]:
                     out[k] += xi * y[j] * v
     return out
-
-
-def _basis(n: int, i: int) -> list[Fraction]:
-    e = vzero(n)
-    e[i] = Fraction(1)
-    return e
 
 
 def check_leibniz(g: LeibnizAlgebra) -> IdentityReport:
@@ -240,7 +236,7 @@ def left_center(g: LeibnizAlgebra) -> Subspace:
 def derived_subalgebra(g: LeibnizAlgebra) -> Subspace:
     """Span of all brackets [e_i, e_j]; the canonical basis does not depend
     on which zero brackets are left out."""
-    return span_of_rows(g.dim, rows_of(g.c, g.dim).values())
+    return span_of_rows(g.dim, rows_of(g.c).values())
 
 
 def is_lie(g: LeibnizAlgebra) -> bool:
@@ -270,9 +266,9 @@ def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
     complement = [i for i in range(n) if i not in z._pivots]
     q = len(complement)
 
-    # change of basis: center vectors first, then the complement basis vectors
+    # change of basis: center vectors first, then the complement unit vectors
     try:
-        extended = Subspace(n, z.basis + tuple(tuple(_basis(n, i)) for i in complement))
+        extended = Subspace(n, [*z.basis, *({(i,): ONE} for i in complement)])
     except ValueError:
         raise AssertionError("center basis extension failed to span")
 
@@ -280,15 +276,19 @@ def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
         coords = extended.coordinates_of(v)
         if coords is None:
             raise AssertionError("vector outside the span of the extended center basis")
-        return coords[z.dim:]
+        return {(a - z.dim,): x for (a,), x in coords.items() if a >= z.dim}
 
-    rows = rows_of(g.c, n)
+    rows = rows_of(g.c)
     quotient = LeibnizAlgebra(q, {(a, b, k): x for a, ia in enumerate(complement)
                                   for b, ib in enumerate(complement) if (ia, ib) in rows
-                                  for k, x in enumerate(project(rows[ia, ib]))})
+                                  for (k,), x in project(rows[ia, ib]).items()})
     if not is_lie(quotient):
         raise RuntimeError("quotient by the left center is not antisymmetric; "
                            "input violates the Leibniz identity")
 
     # q x n, column i the projection of e_i; the shape holds also when q = 0
-    return quotient, Matrix.from_cols(q, [project(_basis(n, i)) for i in range(n)])
+    data: list[dict] = [{} for _ in range(q)]
+    for i in range(n):
+        for (k,), x in project({(i,): ONE}).items():
+            data[k][i] = x
+    return quotient, Matrix(q, n, data)

@@ -23,6 +23,7 @@ import time
 from . import fixtures as fixture_corpus
 from .algebra import (
     check_leibniz,
+    dense,
     derived_subalgebra,
     is_lie,
     left_center,
@@ -168,7 +169,7 @@ def _witness_lines(report, limit: int = 5) -> list[str]:
 
 
 def _basis_strings(space) -> list[list[str]]:
-    return [[scalar_to_str(x) for x in v] for v in space.basis]
+    return [[scalar_to_str(x) for x in v] for v in dense(space.basis, space.basis.shape)]
 
 
 def cmd_check(args) -> int:

@@ -36,7 +36,6 @@ from .linalg import (
     HALF,
     Frozen,
     QUARTER,
-    sparse,
     sparse_tensor,
 )
 
@@ -149,19 +148,19 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     def center_coords(tensor, context):
         # a zero vector has zero coordinates, so only nonzero rows are read
         coords = {}
-        for where, v in sorted(rows_of(tensor, n).items()):
+        for where, v in sorted(rows_of(tensor).items()):
             x = z.coordinates_of(v)
             if x is None:
                 raise ValueError(f"{context.format(*where)} is not in the left center; "
                                  "input violates the Leibniz identity")
-            coords.update(((*where, a), xa) for a, xa in enumerate(x) if xa)
+            coords.update(((*where, a), xa) for (a,), xa in x.items())
         return coords
 
-    basis = sparse(z.basis, 2)  # (u, a): coordinate a of the center basis vector u
-    half_action = contract([(HALF, "ua,iat->iut", basis, c)])
+    # z.basis[u, a] is coordinate a of the center basis vector u
+    half_action = contract([(HALF, "ua,iat->iut", z.basis, c)])
     l2_01 = center_coords(half_action, "[e_{}, z_{}]/2")
     l3 = center_coords(_jacobiator(c), "J(e_{},e_{},e_{})")
-    return Lie2Algebra(d1, n, {(a, u): v for (u, a), v in basis.items()}, skew_bracket(g),
+    return Lie2Algebra(d1, n, {(a, u): v for (u, a), v in z.basis.items()}, skew_bracket(g),
                        l2_01, l3)
 
 

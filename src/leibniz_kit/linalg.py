@@ -38,7 +38,13 @@ not built.  Where d^2 = 0 is not proven, nothing is dropped.
 Matrices are logically dense row-major arrays but store each row as a
 {column: nonzero} dict; coboundary matrices of tensor-power complexes are
 overwhelmingly sparse and dense row lists were measured to exhaust memory
-near the resource cap.
+near the resource cap.  A vector is sparse too: the 1-axis tensor
+{(a,): nonzero Fraction} that ``algebra.contract`` reads and writes.  A
+family of vectors, such as the basis of a ``Subspace``, is one read-only
+2-axis ``Tensor`` whose row u is ``t[u]``.  ``Subspace``,
+``coordinates_of`` and ``span_of_rows`` take sparse vectors (or dense
+sequences, through ``sparse_tensor``), and ``coordinates_of`` costs the
+supports it touches, not the ambient dimension.
 """
 
 from __future__ import annotations
@@ -198,26 +204,6 @@ def sparse_tensor(t, shape: tuple, what: str) -> Tensor:
     return Tensor(shape, dict(sorted(out.items())))
 
 
-# ---------------------------------------------------------------------------
-# dense vectors (plain tuples/lists of Fractions)
-
-def vzero(n: int) -> list[Fraction]:
-    return [ZERO] * n
-
-
-def vaddto(acc: list[Fraction], c: Fraction, u: Sequence[Fraction]) -> None:
-    """acc += c*u in place, skipping zero work."""
-    if not c:
-        return
-    for i, a in enumerate(u):
-        if a:
-            acc[i] += c * a
-
-
-def viszero(u: Sequence[Fraction]) -> bool:
-    return all(not a for a in u)
-
-
 class Matrix:
     """Immutable rows x cols matrix of exact rationals (Fractions, or ints).
 
@@ -237,58 +223,11 @@ class Matrix:
         self._data = [row if all(row.values()) else {j: v for j, v in row.items() if v}
                       for row in data]
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        rows = [list(map(as_rational, r)) for r in rows]
-        cols = len(rows[0]) if rows else 0
-        if any(len(r) != cols for r in rows):
-            raise ValueError("ragged rows")
-        data = [{j: v for j, v in enumerate(r) if v} for r in rows]
-        return cls(len(rows), cols, data)
-
-    @classmethod
-    def from_cols(cls, ncols_ambient: int, cols: Sequence[Sequence]) -> "Matrix":
-        """Matrix whose j-th column is cols[j]; ambient length gives the row count."""
-        data: list[dict[int, Fraction]] = [{} for _ in range(ncols_ambient)]
-        for j, col in enumerate(cols):
-            if len(col) != ncols_ambient:
-                raise ValueError("column of wrong length")
-            for i, v in enumerate(col):
-                if v:
-                    data[i][j] = as_rational(v)
-        return cls(ncols_ambient, len(cols), data)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [{i: ONE} for i in range(n)])
-
     def entry(self, i: int, j: int) -> Fraction:
         return self._data[i].get(j, ZERO)
 
     def row_items(self, i: int):
         return self._data[i].items()
-
-    def row_list(self, i: int) -> list[Fraction]:
-        out = vzero(self.cols)
-        for j, v in self._data[i].items():
-            out[j] = v
-        return out
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [self.row_list(i) for i in range(self.rows)]
-
-    def mv(self, x: Sequence[Fraction]) -> list[Fraction]:
-        if len(x) != self.cols:
-            raise ValueError(f"vector length {len(x)} != cols {self.cols}")
-        out = vzero(self.rows)
-        for i, row in enumerate(self._data):
-            s = ZERO
-            for j, v in row.items():
-                xj = x[j]
-                if xj:
-                    s += v * xj
-            out[i] = s
-        return out
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -536,85 +475,90 @@ def rank(m: Matrix, pivots: Optional[list[int]] = None) -> int:
 class Subspace(Frozen):
     """A subspace of Q^ambient_dim given by a linearly independent basis.
 
-    The constructor row-reduces [B | I] once, with the basis vectors as the
-    rows of B.  That gives E B in RREF, so E B is the identity on its pivot
-    columns and E = B[:, pivots]^-1; a pivot in the I part means the basis
-    is dependent.  ``coordinates_of`` reads a vector at the pivots and
-    multiplies by E, with no elimination per query.
+    ``basis`` is the read-only sparse ``Tensor`` of shape (dim, ambient_dim)
+    whose row u, ``basis[u]``, is the u-th basis vector.  The constructor
+    takes a sequence of vectors, each a sparse vector {(a,): x} or a dense
+    sequence (``sparse_tensor``), or such a ``Tensor``.
+
+    It row-reduces [B | I] once, with the basis vectors as the rows of B.
+    That gives E B in RREF, so E B is the identity on its pivot columns and
+    E = B[:, pivots]^-1; a pivot in the I part means the basis is dependent.
+    ``coordinates_of`` reads a vector at the pivots and multiplies by E,
+    with no elimination per query.
     """
 
     __slots__ = ("ambient_dim", "basis", "_pivots", "_inverse")
 
-    def __init__(self, ambient_dim: int, basis: tuple[tuple[Fraction, ...], ...]):
-        for v in basis:
-            if len(v) != ambient_dim:
-                raise ValueError("basis vector of wrong length")
-        identity = Matrix.identity(len(basis)).to_rows()
-        ech = rref(Matrix.from_rows([[*v, *e] for v, e in zip(basis, identity)]))
+    def __init__(self, ambient_dim: int, basis):
+        rows = [sparse_tensor(v, (ambient_dim,), "basis vector") for v in basis]
+        d = len(rows)
+        ech = rref(Matrix(d, ambient_dim + d, [{**{a: x for (a,), x in row.items()},
+                                                 ambient_dim + u: ONE}
+                                                for u, row in enumerate(rows)]))
         if any(p >= ambient_dim for p in ech.pivot_columns):
             raise ValueError("basis vectors are linearly dependent")
         inverse = tuple({j - ambient_dim: x for j, x in ech.matrix.row_items(i)
                          if j >= ambient_dim} for i in range(ech.rank))
+        basis = Tensor((d, ambient_dim), {(u, *key): x for u, row in enumerate(rows)
+                                          for key, x in row.items()})
         self._set(ambient_dim, basis, ech.pivot_columns, inverse)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.shape[0]
 
-    def basis_matrix(self) -> Matrix:
-        """ambient_dim x dim matrix whose columns are the basis vectors."""
-        return Matrix.from_cols(self.ambient_dim, list(self.basis))
+    def coordinates_of(self, v) -> Optional[dict]:
+        """Coordinates {(u,): nonzero x} of v in this basis, or None if v is
+        outside the span; v is a sparse vector {(a,): x} or a dense sequence.
 
-    def coordinates_of(self, v: Sequence[Fraction]) -> Optional[list[Fraction]]:
-        """Coordinates of v in this basis, or None if v is outside the span.
-
-        v[pivots] E is the only candidate; it is checked exactly by
-        rebuilding v from the basis."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector of wrong length")
-        x = vzero(self.dim)
+        v[pivots] E is the only candidate.  It is checked exactly by
+        rebuilding v from the basis, which touches only the supports of v and
+        of the basis vectors it uses."""
+        v = sparse_tensor(v, (self.ambient_dim,), "vector")
+        x: dict = {}
         for p, row in zip(self._pivots, self._inverse):
-            if v[p]:
-                for a, e in row.items():
-                    x[a] += v[p] * e
-        residual = list(v)
-        for xa, b in zip(x, self.basis):
-            vaddto(residual, -xa, b)
-        return x if viszero(residual) else None
+            vp = v.get((p,))
+            if vp:
+                for u, e in row.items():
+                    x[u] = x.get(u, ZERO) + vp * e
+        x = {u: xu for u, xu in x.items() if xu}
+        residual = dict(v)
+        for u, xu in x.items():
+            for key, b in self.basis[u].items():
+                residual[key] = residual.get(key, ZERO) - xu * b
+        if any(residual.values()):
+            return None
+        return {(u,): xu for u, xu in x.items()}
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return self.coordinates_of(v) is not None
 
-
-def span_of_rows(ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> Subspace:
-    """Subspace spanned by the given vectors, with a canonical (RREF) basis."""
-    vecs = [list(map(as_rational, v)) for v in vectors]
-    if not vecs:
-        return Subspace(ambient_dim, ())
-    ech = rref(Matrix.from_rows(vecs))
-    basis = tuple(tuple(ech.matrix.row_list(i)) for i in range(ech.rank))
-    return Subspace(ambient_dim, basis)
+def span_of_rows(ambient_dim: int, vectors: Iterable) -> Subspace:
+    """Subspace spanned by the given vectors, each a sparse vector {(a,): x}
+    or a dense sequence, with a canonical (RREF) basis."""
+    rows = [{a: x for (a,), x in sparse_tensor(v, (ambient_dim,), "vector").items()}
+            for v in vectors]
+    ech = rref(Matrix(len(rows), ambient_dim, rows))
+    return Subspace(ambient_dim, [{(a,): x for a, x in ech.matrix.row_items(i)}
+                                  for i in range(ech.rank)])
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Basis of {x : m x = 0}; dimension is cols - rank by rank-nullity."""
+    """Basis of {x : m x = 0}; dimension is cols - rank by rank-nullity.  The
+    basis K is verified by one product, m K^T = 0."""
     ech = rref(m)
     pivot_set = set(ech.pivot_columns)
-    basis = []
+    rows = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
-        v = vzero(m.cols)
-        v[free] = ONE
+        v = {free: ONE}
         for i, p in enumerate(ech.pivot_columns):
             coef = ech.matrix.entry(i, free)
             if coef:
                 v[p] = -coef
-        basis.append(tuple(v))
-    for v in basis:
-        if not viszero(m.mv(v)):
-            raise AssertionError("kernel vector failed verification")
-    return Subspace(m.cols, tuple(basis))
+        rows.append(v)
+    if not (m @ Matrix(len(rows), m.cols, rows).transpose()).is_zero():
+        raise AssertionError("kernel vector failed verification")
+    return Subspace(m.cols, [{(a,): x for a, x in v.items()} for v in rows])
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[list[Fraction]]:
@@ -630,7 +574,7 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[list[Fraction]]:
     ech = rref(aug)
     if m.cols in ech.pivot_columns:
         return None
-    x = vzero(m.cols)
+    x = [ZERO] * m.cols
     for i, p in enumerate(ech.pivot_columns):
         x[p] = ech.matrix.entry(i, m.cols)
     return x

@@ -30,22 +30,30 @@ with E_k block-diagonal rho on the values of the n^k basis tuples.
 Graph closure, the component conditions of a naive representation and that
 correspondence are ``algebra.contract`` sums, like every other identity;
 ``naive_check`` also tests rho against ``omni_bracket`` as a second route.
+
+A vector of gl(V) (+) V is sparse, the 1-axis tensor {(p,): x}, with the gl
+part row-major at p = a m + b and the V part at p = m^2 + a.
+``omni_bracket`` takes and returns such vectors and visits only their
+nonzero coordinates; ``omni_lie`` is that bracket on unit vectors.  The
+vectors rho(e_i) are the rows of the 2-axis tensor ``rho.rho_vectors``, and
+the image's coordinates are ``rho.image.coordinates_of``, so the naive
+image costs the supports of these vectors, not the ambient dimension m^2+m.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, product
-from typing import NamedTuple, Optional, Sequence
+from itertools import product
+from typing import NamedTuple, Optional
 
 from .algebra import (
     IdentityReport,
     LeibnizAlgebra,
     Witness,
-    _basis,
     _report,
     check_leibniz,
     contract,
+    dense,
     derived_subalgebra,
     residual_witnesses,
 )
@@ -63,58 +71,63 @@ from .cohomology import (
     trivial_rep,
 )
 from .linalg import (
+    ONE,
+    ZERO,
     Frozen,
+    Matrix,
     Subspace,
     Tensor,
     kernel_basis,
     span_of_rows,
     sparse_tensor,
-    vzero,
 )
 
 
 # ---------------------------------------------------------------------------
 # the omni algebra
 
-def omni_bracket(m: int, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-    """[[A+u, B+v]] = [A,B] + Av on flattened coordinates (gl part row-major,
-    then the V part).  Only the nonzero coordinates of x and y are visited:
-    one pass over each finds them, grouped by matrix row."""
+def omni_bracket(m: int, x, y) -> Tensor:
+    """[[A+u, B+v]] = [A,B] + Av on sparse vectors {(p,): x} of gl(V) (+) V
+    (or dense sequences), as a read-only sparse vector of shape (m^2+m,).
+    Only the nonzero coordinates of x and y are visited, grouped by matrix
+    row."""
     m2 = m * m
-    if len(x) != m2 + m or len(y) != m2 + m:
-        raise ValueError(f"omni vectors must have length {m2 + m}")
+    x, y = (sparse_tensor(z, (m2 + m,), "omni vector") for z in (x, y))
 
     def by_row(z):
         # rows[t] holds (b, z[t][b]) for the gl part; rows[m] the V part
-        rows = [[] for _ in range(m + 1)]
-        for p in compress(range(m2 + m), z):
+        rows: dict = {}
+        for (p,), zp in z.items():
             t, b = divmod(p, m)
-            rows[t].append((b, z[p]))
+            rows.setdefault(t, []).append((b, zp))
         return rows
 
     xr, yr = by_row(x), by_row(y)
-    v = dict(yr[m])
-    out = vzero(m2 + m)
-    for a in range(m):
-        for t, va in xr[a]:  # A[a][t]: (AB)[a][b] and (Av)[a]
-            for b, vb in yr[t]:
-                out[a * m + b] += va * vb
+    v = dict(yr.pop(m, ()))
+    xr.pop(m, None)
+    out: dict = {}
+    for a, row in xr.items():
+        for t, va in row:  # A[a][t]: (AB)[a][b] and (Av)[a]
+            for b, vb in yr.get(t, ()):
+                out[a * m + b] = out.get(a * m + b, ZERO) + va * vb
             if t in v:
-                out[m2 + a] += va * v[t]
-        for t, vb in yr[a]:  # B[a][t]: (BA)[a][b]
-            for b, va in xr[t]:
-                out[a * m + b] -= vb * va
-    return out
+                out[m2 + a] = out.get(m2 + a, ZERO) + va * v[t]
+    for a, row in yr.items():
+        for t, vb in row:  # B[a][t]: (BA)[a][b]
+            for b, va in xr.get(t, ()):
+                out[a * m + b] = out.get(a * m + b, ZERO) - vb * va
+    return Tensor((m2 + m,), {(p,): w for p, w in sorted(out.items()) if w})
 
 
 def omni_lie(m: int) -> LeibnizAlgebra:
-    """The omni algebra of Q^m as an (m^2+m)-dimensional Leibniz algebra."""
+    """The omni algebra of Q^m as an (m^2+m)-dimensional Leibniz algebra:
+    ``omni_bracket`` on every pair of unit vectors."""
     if m < 0:
         raise ValueError(f"omni algebra needs m >= 0, got {m}")
     n = m * m + m
-    basis = [_basis(n, p) for p in range(n)]
+    units = [Tensor((n,), {(p,): ONE}) for p in range(n)]
     out = LeibnizAlgebra(n, {(p, q, k): v for p in range(n) for q in range(n)
-                             for k, v in enumerate(omni_bracket(m, basis[p], basis[q])) if v})
+                             for (k,), v in omni_bracket(m, units[p], units[q]).items()})
     if not check_leibniz(out).holds:
         raise AssertionError("omni bracket failed the Leibniz identity")
     return out
@@ -163,21 +176,12 @@ def induced_leibniz(phi: GraphMap) -> LeibnizAlgebra:
 # ---------------------------------------------------------------------------
 # naive representations
 
-def _rho_entries(m: int, phi: dict, theta: dict) -> dict:
-    """{(i, p): coordinate p of rho(e_i)} over the nonzero coordinates in
-    gl(V) (+) V: phi_i flattened row-major (p = a m + b), then theta_i
-    (p = m^2 + a)."""
+def _rho_entries(n: int, m: int, phi: dict, theta: dict) -> Tensor:
+    """rho(e_i) as row i of a sparse tensor of shape (n, m^2 + m): phi_i
+    flattened row-major (p = a m + b), then theta_i (p = m^2 + a)."""
     out = {(i, a * m + b): v for (i, a, b), v in phi.items()}
     out.update(((i, m * m + a), v) for (i, a), v in theta.items())
-    return out
-
-
-def _rho_vectors(n: int, m: int, phi: dict, theta: dict) -> tuple:
-    """rho(e_i) for each i as a dense vector of gl(V) (+) V."""
-    rows = [vzero(m * m + m) for _ in range(n)]
-    for (i, p), v in _rho_entries(m, phi, theta).items():
-        rows[i][p] = v
-    return tuple(map(tuple, rows))
+    return Tensor((n, m * m + m), dict(sorted(out.items())))
 
 
 class NaiveRepresentation(Frozen):
@@ -200,7 +204,7 @@ class NaiveRepresentation(Frozen):
         phi = sparse_tensor(phi, (n, vdim, vdim), "phi")
         theta = sparse_tensor(theta, (n, vdim), "theta")
         self._set(algebra, vdim, phi, theta,
-                  span_of_rows(vdim * vdim + vdim, _rho_vectors(n, vdim, phi, theta)))
+                  span_of_rows(vdim * vdim + vdim, _rho_entries(n, vdim, phi, theta)))
 
     @property
     def ambient_dim(self) -> int:
@@ -211,9 +215,11 @@ class NaiveRepresentation(Frozen):
         return self._image
 
     @property
-    def rho_vectors(self) -> tuple:
-        """rho(e_i) for each i, dense, built from the tensors on each read."""
-        return _rho_vectors(self.algebra.dim, self.vdim, self.phi, self.theta)
+    def rho_vectors(self) -> Tensor:
+        """rho(e_i) as row i, ``rho_vectors[i]``, of the read-only sparse
+        tensor of shape (n, ambient_dim), built from phi and theta on each
+        read."""
+        return _rho_entries(self.algebra.dim, self.vdim, self.phi, self.theta)
 
 
 def naive_check(rho: NaiveRepresentation) -> IdentityReport:
@@ -229,22 +235,20 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
                      (1, "jau,iub->ijab", P, P)])
     con2 = contract([(1, "ijk,ka->ija", c, T), (-1, "iab,jb->ija", P, T)])
     # rho([e_i, e_j]) by pair, sparse: c contracted with the rho(e_k)
+    rho_vectors = rho.rho_vectors
     rho_br: dict = {}
-    for (i, j, p), v in contract([(1, "ijk,kp->ijp", c, _rho_entries(m, P, T))]).items():
-        rho_br.setdefault((i, j), {})[p] = v
-    vectors = rho.rho_vectors
+    for (i, j, p), v in contract([(1, "ijk,kp->ijp", c, rho_vectors)]).items():
+        rho_br.setdefault((i, j), {})[(p,)] = v
+    vectors = list(rho_vectors)
     hom = []
     for i in range(n):
         for j in range(n):
             got = omni_bracket(m, vectors[i], vectors[j])
-            want = vzero(len(got))
-            for p, v in rho_br.get((i, j), {}).items():
-                want[p] = v
-            # list equality: a zero left untouched on both sides is the one
-            # object ZERO and matches without arithmetic, so only the
-            # nonzero entries are compared as Fractions
+            want = rho_br.get((i, j), {})
             if want != got:
-                hom.append(Witness((i, j), tuple(w - x for w, x in zip(want, got)), "hom"))
+                defect = {key: want.get(key, ZERO) - got.get(key, ZERO)
+                          for key in want.keys() | got.keys()}
+                hom.append(Witness((i, j), dense(defect, (rho.ambient_dim,)), "hom"))
     return _report(residual_witnesses(con1, rho.vdim, "con1", axes=2)
                    + residual_witnesses(con2, rho.vdim, "con2") + hom)
 
@@ -252,12 +256,16 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
 def trivial_naive_space(g: LeibnizAlgebra) -> Subspace:
     """Functionals vanishing on the derived subalgebra: the candidates for
     the V part of a naive representation on Q with zero gl part."""
-    return kernel_basis(derived_subalgebra(g).basis_matrix().transpose())
+    d = derived_subalgebra(g)
+    return kernel_basis(Matrix(d.dim, g.dim, [{a: x for (a,), x in row.items()}
+                                              for row in d.basis]))
 
 
-def trivial_naive_rep(g: LeibnizAlgebra, xi: Sequence[Fraction]) -> NaiveRepresentation:
-    """The naive representation on Q determined by a functional xi killing [g,g]."""
-    rho = NaiveRepresentation(g, 1, {}, [(x,) for x in xi])
+def trivial_naive_rep(g: LeibnizAlgebra, xi) -> NaiveRepresentation:
+    """The naive representation on Q determined by a functional xi killing
+    [g,g], a sparse vector {(i,): x} (or a dense sequence) of length dim g."""
+    xi = sparse_tensor(xi, (g.dim,), "functional")
+    rho = NaiveRepresentation(g, 1, {}, {(i, 0): x for (i,), x in xi.items()})
     report = naive_check(rho)
     if not report.holds:
         raise ValueError("functional does not vanish on the derived subalgebra")
@@ -304,15 +312,16 @@ def image_representation(rho: NaiveRepresentation) -> Representation:
     image, m = rho.image, rho.vdim
     ls: dict = {}
     rs: dict = {}
+    basis = list(image.basis)
     for i, rho_i in enumerate(rho.rho_vectors):
-        for col, b in enumerate(image.basis):
+        for col, b in enumerate(basis):
             lv = image.coordinates_of(omni_bracket(m, rho_i, b))
             rv = image.coordinates_of(omni_bracket(m, b, rho_i))
             if lv is None or rv is None:
                 raise ValueError("image of the representation is not closed under "
                                  "the omni bracket; the map is not a homomorphism")
-            ls.update(((i, a, col), x) for a, x in enumerate(lv) if x)
-            rs.update(((i, a, col), x) for a, x in enumerate(rv) if x)
+            ls.update(((i, a, col), x) for (a,), x in lv.items())
+            rs.update(((i, a, col), x) for (a,), x in rv.items())
     rep = Representation(g, image.dim, ls, rs)
     if not check_representation(rep).holds:
         raise AssertionError("omni multiplication on the image is not a representation")
@@ -321,14 +330,15 @@ def image_representation(rho: NaiveRepresentation) -> Representation:
 
 def to_naive_cochain(rho: NaiveRepresentation, ambient_values, degree: int) -> Tensor:
     """An image-valued cochain tensor, in image coordinates, from its ambient
-    gl(V)(+)V values on the n^degree basis tuples in lexicographic order."""
+    gl(V)(+)V values on the n^degree basis tuples in lexicographic order,
+    each a sparse vector {(p,): x} (or a dense sequence)."""
     n = rho.algebra.dim
     coords = [rho.image.coordinates_of(v) for v in ambient_values]
     if any(c is None for c in coords):
         raise ValueError("cochain value escapes the image of the representation")
     tuples = product(range(n), repeat=degree)
     return sparse_tensor({(*t, a): x for t, c in zip(tuples, coords, strict=True)
-                          for a, x in enumerate(c)}, (n,) * degree + (rho.image.dim,), "cochain")
+                          for (a,), x in c.items()}, (n,) * degree + (rho.image.dim,), "cochain")
 
 
 def naive_coboundary(rho: NaiveRepresentation, f: Tensor) -> Tensor:
@@ -426,7 +436,7 @@ def compare_adjoint(g: LeibnizAlgebra, k_max: int,
     rho = adjoint_naive(g)
     irep = image_representation(rho)
     arep = adjoint_rep(g)
-    side_ok, notes = _verify_adjoint_correspondence(rho, irep, arep, k_max, cap)
+    side_ok, notes = _verify_adjoint_correspondence(rho, irep, arep, k_max)
     naive = betti(irep, k_max, cap, assert_square_zero=True)
     classical = betti(arep, k_max, cap)
     rows = _rows_from_dims([naive.dim_h(k) for k in range(k_max + 1)],
@@ -443,19 +453,16 @@ def _keyed_coboundary(rep: Representation, k: int) -> tuple[int, dict]:
                  for col, entries in enumerate(columns) for row, x in entries.items()}
 
 
-def _verify_adjoint_correspondence(rho, irep, arep, k_max, cap):
+def _verify_adjoint_correspondence(rho, irep, arep, k_max):
     """D^img_k E_k - E_{k+1} D^cl_k as one contraction per degree, with
     B[a, v] the image coordinate a of rho(e_v) as the block of E; a nonzero
-    entry at (.., tuple #pos, value v) names a failing basis cochain."""
-    n = rho.algebra.dim
+    entry at (.., tuple #pos, value v) names a failing basis cochain.  The
+    caller has checked the cap for degree k_max."""
     B = {(a, v): x for v, vec in enumerate(rho.rho_vectors)
-         for a, x in enumerate(rho.image.coordinates_of(vec)) if x}
+         for (a,), x in rho.image.coordinates_of(vec).items()}
     notes = []
     ok = True
     for k in range(min(k_max, 2) + 1):
-        if cap is not None and (n ** (k + 1)) * max(rho.image.dim, 1) > cap:
-            notes.append(f"correspondence check skipped from degree {k} on (cap)")
-            return ok, notes
         (d_img, img), (d_cl, cl) = _keyed_coboundary(irep, k), _keyed_coboundary(arep, k)
         residual = contract([(Fraction(1, d_img), "RApa,av->RApv", img, B),
                              (-Fraction(1, d_cl), "AW,RWpv->RApv", B, cl)])

@@ -7,7 +7,8 @@ import pytest
 
 from leibniz_kit import fixtures as corpus
 from leibniz_kit.algebra import LeibnizAlgebra, bracket
-from leibniz_kit.linalg import Matrix, solve, sparse
+from leibniz_kit.linalg import solve, sparse
+from oracles import from_rows
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,7 +42,7 @@ DENSE_BASIS_3 = tuple(tuple(Fraction(x) for x in row) for row in (
 
 def change_basis(g: LeibnizAlgebra, b) -> LeibnizAlgebra:
     """g in the basis f_i = sum_a b[a][i] e_a, for an invertible matrix b."""
-    bm = Matrix.from_rows(b)
+    bm = from_rows(b)
     f = [[bm.entry(a, i) for a in range(g.dim)] for i in range(g.dim)]
     c = [[solve(bm, bracket(g, f[i], f[j])) for j in range(g.dim)]
          for i in range(g.dim)]

@@ -27,7 +27,17 @@ The library stores every action (of a representation, a graph map or a
 naive representation) and the map l1 of a two-term algebra only as a sparse
 tensor.  ``matrices`` and ``matrix`` give the dense matrix view of one, as
 the formulas write it, for these oracles and for the tests; the sums and
-linear combinations of matrices the formulas need are here as well.
+linear combinations of matrices the formulas need are here as well, and the
+dense ``Matrix`` constructors (``from_rows``, ``from_cols``, ``identity``)
+and products (``mv``) the tests write matrices with.
+
+The library's vectors are sparse too: {(a,): x}, and a family of them (a
+``Subspace.basis``, the rho(e_i) of a naive representation) one 2-axis
+tensor.  The oracles keep dense vectors of their own (``vzero``,
+``vaddto``, ``viszero``), read a subspace as dense rows (``basis_rows``,
+``basis_matrix``) and bracket in the omni algebra by the matrix formula
+AB - BA + Av (``omni_bracket``), independently of the library's sparse
+bracket.
 """
 
 from __future__ import annotations
@@ -45,11 +55,11 @@ from leibniz_kit import (
     Matrix,
     NaiveRepresentation,
     Representation,
+    Subspace,
     Witness,
     bracket,
     coboundary_matrix,
     left_center,
-    omni_bracket,
     semidirect,
 )
 from leibniz_kit.algebra import dense
@@ -62,10 +72,23 @@ from leibniz_kit.linalg import (
     solve,
     sparse,
     sparse_tensor,
-    vaddto,
-    viszero,
-    vzero,
 )
+
+
+def vzero(n: int) -> list[Fraction]:
+    return [ZERO] * n
+
+
+def vaddto(acc: list[Fraction], c, u) -> None:
+    """acc += c*u in place."""
+    if c:
+        for i, a in enumerate(u):
+            if a:
+                acc[i] += c * a
+
+
+def viszero(u) -> bool:
+    return all(not a for a in u)
 
 
 def vadd(u, v) -> list[Fraction]:
@@ -81,6 +104,65 @@ def vsub(u, v) -> list[Fraction]:
 
 def zeros(rows: int, cols: int) -> Matrix:
     return Matrix(rows, cols, [{} for _ in range(rows)])
+
+
+def from_rows(rows) -> Matrix:
+    """The matrix with the given dense rows."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    cols = len(rows[0]) if rows else 0
+    if any(len(r) != cols for r in rows):
+        raise ValueError("ragged rows")
+    return Matrix(len(rows), cols, [{j: v for j, v in enumerate(r) if v} for r in rows])
+
+
+def from_cols(n: int, cols) -> Matrix:
+    """The n x len(cols) matrix whose j-th column is the dense vector cols[j]."""
+    return Matrix(n, len(cols), [{j: Fraction(col[i]) for j, col in enumerate(cols) if col[i]}
+                                 for i in range(n)])
+
+
+def identity(n: int) -> Matrix:
+    return Matrix(n, n, [{i: ONE} for i in range(n)])
+
+
+def to_rows(mat: Matrix) -> list[list[Fraction]]:
+    return [[mat.entry(i, j) for j in range(mat.cols)] for i in range(mat.rows)]
+
+
+def mv(mat: Matrix, x) -> list[Fraction]:
+    """The product of a matrix and a dense vector."""
+    if len(x) != mat.cols:
+        raise ValueError(f"vector length {len(x)} != cols {mat.cols}")
+    return [sum((v * x[j] for j, v in mat.row_items(i)), ZERO) for i in range(mat.rows)]
+
+
+def vector(v, n: int) -> list[Fraction]:
+    """The dense form of a sparse vector {(a,): x} of length n."""
+    return list(dense(v, (n,)))
+
+
+def basis_rows(space: Subspace) -> list[list[Fraction]]:
+    """The basis vectors of a subspace, dense."""
+    return [list(row) for row in dense(space.basis, space.basis.shape)]
+
+
+def basis_matrix(space: Subspace) -> Matrix:
+    """ambient_dim x dim, the columns the basis vectors."""
+    return from_cols(space.ambient_dim, basis_rows(space))
+
+
+def contains(space: Subspace, v) -> bool:
+    """Whether the dense vector v lies in the subspace, by a fresh elimination."""
+    return solve(basis_matrix(space), list(v)) is not None
+
+
+def omni_bracket(m: int, x, y) -> list[Fraction]:
+    """[[A+u, B+v]] = AB - BA + Av on dense vectors of gl(V) (+) V, the gl
+    part row-major, by the matrix formula."""
+    a, b = ([[z[r * m + c] for c in range(m)] for r in range(m)] for z in (x, y))
+    gl = [sum((a[r][t] * b[t][c] - b[r][t] * a[t][c] for t in range(m)), ZERO)
+          for r in range(m) for c in range(m)]
+    return gl + [sum((a[r][t] * y[m * m + t] for t in range(m)), ZERO) for r in range(m)]
 
 
 def matrix(t) -> Matrix:
@@ -416,17 +498,19 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     z = left_center(g)
     d1 = z.dim
 
+    zb, zrows = basis_matrix(z), basis_rows(z)
+
     def coords(v):
-        x = solve(z.basis_matrix(), v)
+        x = solve(zb, v)
         if x is None:
             raise ValueError("not in the left center")
         return tuple(x)
 
-    l2_01 = [[coords([HALF * t for t in bracket(g, basis(n, i), list(z.basis[a]))])
+    l2_01 = [[coords([HALF * t for t in bracket(g, basis(n, i), zrows[a])])
               for a in range(d1)] for i in range(n)]
     jt = jacobiator_table(g)
     l3 = [[[coords(jt[i][j][k]) for k in range(n)] for j in range(n)] for i in range(n)]
-    return Lie2Algebra(d1, n, sparse(z.basis_matrix().to_rows(), 2), sparse(skew_bracket(g), 3),
+    return Lie2Algebra(d1, n, sparse(to_rows(zb), 2), sparse(skew_bracket(g), 3),
                        sparse(l2_01, 3), sparse(l3, 4))
 
 
@@ -474,7 +558,7 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
 
     for i in range(n0):
         for a in range(n1):
-            check("a", (i, a), l1.mv(l2_mixed(e0[i], e1[a])), l2(e0[i], incl[a]))
+            check("a", (i, a), mv(l1, l2_mixed(e0[i], e1[a])), l2(e0[i], incl[a]))
     for a in range(n1):
         for b in range(n1):
             check("b", (a, b), l2_mixed(incl[a], e1[b]),
@@ -485,7 +569,7 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
                 acc = l2(e0[i], l2(e0[j], e0[k]))
                 _add(acc, 1, l2(e0[j], l2(e0[k], e0[i])))
                 _add(acc, 1, l2(e0[k], l2(e0[i], e0[j])))
-                check("c", (i, j, k), acc, l1.mv(t[i][j][k]))
+                check("c", (i, j, k), acc, mv(l1, t[i][j][k]))
     for i in range(n0):
         for j in range(n0):
             for a in range(n1):
@@ -531,7 +615,7 @@ def check_representation(rep: Representation) -> IdentityReport:
             }
             for label, d in defects.items():
                 if not d.is_zero():
-                    found[label].append(Witness((i, j), tuple(map(tuple, d.to_rows())), label))
+                    found[label].append(Witness((i, j), tuple(map(tuple, to_rows(d))), label))
     return _report([w for ws in found.values() for w in ws])
 
 
@@ -703,7 +787,7 @@ def right_action_cochain(rep: Representation) -> Cochain:
     """The right action as a 1-cochain valued in gl(V): the value on e_i is
     r_i flattened row-major."""
     return Cochain(1, rep.algebra.dim, rep.vdim ** 2,
-                   tuple(tuple(x for row in r.to_rows() for x in row) for r in matrices(rep.r)))
+                   tuple(tuple(x for row in to_rows(r) for x in row) for r in matrices(rep.r)))
 
 
 def maurer_cartan_defect(h: LeibnizAlgebra, r: Cochain) -> Cochain:
@@ -750,7 +834,7 @@ def graph_check(phi: GraphMap) -> IdentityReport:
             rhs = linear_combination(column(ps[i], j), ps, (m, m))  # phi(phi(e_i) e_j)
             d = mat_sub(commutator(ps[i], ps[j]), rhs)
             if not d.is_zero():
-                witnesses.append(Witness((i, j), tuple(map(tuple, d.to_rows())), "graph"))
+                witnesses.append(Witness((i, j), tuple(map(tuple, to_rows(d))), "graph"))
     return _report(witnesses)
 
 
@@ -762,6 +846,7 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
     n = g.dim
     c = dense(g.c, (n,) * 3)
     ps, theta = matrices(rho.phi), dense(rho.theta, (n, rho.vdim))
+    vectors = dense(rho.rho_vectors, (n, rho.ambient_dim))
     found: dict[str, list[Witness]] = {"con1": [], "con2": [], "hom": []}
     for i in range(n):
         for j in range(n):
@@ -769,20 +854,19 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
             phi_br = linear_combination(br, ps, (rho.vdim, rho.vdim))
             d1 = mat_sub(phi_br, commutator(ps[i], ps[j]))
             if not d1.is_zero():
-                found["con1"].append(Witness((i, j), tuple(map(tuple, d1.to_rows())), "con1"))
+                found["con1"].append(Witness((i, j), tuple(map(tuple, to_rows(d1))), "con1"))
             theta_br = vzero(rho.vdim)
             for k, w in enumerate(br):
                 if w:
                     vaddto(theta_br, w, theta[k])
-            d2 = vsub(theta_br, ps[i].mv(list(theta[j])))
+            d2 = vsub(theta_br, mv(ps[i], theta[j]))
             if not viszero(d2):
                 found["con2"].append(Witness((i, j), tuple(d2), "con2"))
             rho_br = vzero(rho.ambient_dim)
             for k, w in enumerate(br):
                 if w:
-                    vaddto(rho_br, w, rho.rho_vectors[k])
-            d3 = vsub(rho_br, omni_bracket(rho.vdim, rho.rho_vectors[i],
-                                           rho.rho_vectors[j]))
+                    vaddto(rho_br, w, vectors[k])
+            d3 = vsub(rho_br, omni_bracket(rho.vdim, vectors[i], vectors[j]))
             if not viszero(d3):
                 found["hom"].append(Witness((i, j), tuple(d3), "hom"))
     return _report([w for ws in found.values() for w in ws])
@@ -792,7 +876,8 @@ def embedding(rho: NaiveRepresentation, tuples: int) -> Matrix:
     """E: block-diagonal, one block per basis tuple, each block the columns
     rho(e_v) in image coordinates."""
     n, d = rho.algebra.dim, rho.image.dim
-    block = [solve(rho.image.basis_matrix(), list(v)) for v in rho.rho_vectors]
+    to_ambient = basis_matrix(rho.image)
+    block = [solve(to_ambient, list(v)) for v in dense(rho.rho_vectors, (n, rho.ambient_dim))]
     data: list[dict] = [{} for _ in range(tuples * d)]
     for pos in range(tuples):
         for v, col in enumerate(block):
@@ -802,16 +887,13 @@ def embedding(rho: NaiveRepresentation, tuples: int) -> Matrix:
     return Matrix(tuples * d, tuples * n, data)
 
 
-def verify_adjoint_correspondence(rho, irep, arep, k_max, cap):
+def verify_adjoint_correspondence(rho, irep, arep, k_max):
     """D^img_k E_k - E_{k+1} D^cl_k multiplied out as Fraction matrices;
     every nonzero column names a failing basis cochain."""
     n = rho.algebra.dim
     notes = []
     ok = True
     for k in range(min(k_max, 2) + 1):
-        if cap is not None and (n ** (k + 1)) * max(rho.image.dim, 1) > cap:
-            notes.append(f"correspondence check skipped from degree {k} on (cap)")
-            return ok, notes
         lhs = coboundary_matrix(irep, k, None) @ embedding(rho, n ** k)
         rhs = embedding(rho, n ** (k + 1)) @ coboundary_matrix(arep, k, None)
         diff = mat_sub(lhs, rhs)

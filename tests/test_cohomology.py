@@ -87,9 +87,9 @@ def test_trivial_and_adjoint_are_representations(positive_algebras):
 def test_adjoint_matrices_read_off_structure_constants():
     g = l2_algebra()
     ad = adjoint_rep(g)
-    assert matrices(ad.l)[0] == Matrix.from_rows([[0, 0], [1, 0]])   # e1 -> e2
+    assert matrices(ad.l)[0] == oracles.from_rows([[0, 0], [1, 0]])   # e1 -> e2
     assert matrices(ad.l)[1] == zeros(2, 2)
-    assert matrices(ad.r)[0] == Matrix.from_rows([[0, 0], [1, 0]])
+    assert matrices(ad.r)[0] == oracles.from_rows([[0, 0], [1, 0]])
     assert matrices(ad.r)[1] == zeros(2, 2)
     h = heisenberg3()
     adh = adjoint_rep(h)
@@ -137,14 +137,14 @@ def test_representation_witnesses_grouped_by_label():
     assert (first.where, first.label) == ((0, 1), "l-of-bracket")
     # [l_h, l_e] = 2 l_e, so doubling gives 2*2 l_e - 4*2 l_e = -4 l_e
     assert first.defect == tuple(tuple(-4 * x for x in row)
-                                 for row in matrices(ad.l)[1].to_rows())
+                                 for row in oracles.to_rows(matrices(ad.l)[1]))
 
 
 def test_dual_rep_is_negative_transpose():
     g = l2_algebra()
     rep = left_only(adjoint_rep(g))
     dual = dual_rep(rep)
-    assert matrices(dual.l)[0] == Matrix.from_rows([[0, -1], [0, 0]])
+    assert matrices(dual.l)[0] == oracles.from_rows([[0, -1], [0, 0]])
     assert all(m.is_zero() for m in matrices(dual.r))
     assert check_representation(dual).holds
     # dualizing twice restores the original matrices
@@ -163,10 +163,10 @@ def test_conjugation_rep_values():
     assert check_representation(conj).holds
     # [l, I] = 0 for any l
     identity_flat = [F(1), F(0), F(0), F(1)]
-    assert all(not c for c in matrices(conj.l)[0].mv(identity_flat))
+    assert all(not c for c in oracles.mv(matrices(conj.l)[0], identity_flat))
     # with l = E21: [E21, E12] = E22 - E11 (flattened row-major)
     e12_flat = [F(0), F(1), F(0), F(0)]
-    assert matrices(conj.l)[0].mv(e12_flat) == [F(-1), F(0), F(0), F(1)]
+    assert oracles.mv(matrices(conj.l)[0], e12_flat) == [F(-1), F(0), F(0), F(1)]
 
 
 def test_conjugation_of_zero_is_zero():
@@ -208,8 +208,8 @@ def test_coboundary_degree0_kernel_is_left_center(positive_algebras):
         ker = kernel_basis(m0)
         z = left_center(g)
         assert ker.dim == z.dim, name
-        for v in ker.basis:
-            assert z.contains(list(v)), name
+        for v in oracles.basis_rows(ker):
+            assert oracles.contains(z, v), name
 
 
 def test_coboundary_matrix_l2_adjoint_degree0():
@@ -234,7 +234,7 @@ def _flat(c: Cochain) -> list[Fraction]:
 def _fractional_rep() -> Representation:
     """Two commuting left actions with denominators 2 and 3 on Q^2, over the
     abelian plane; the right action is zero."""
-    a = Matrix.from_rows([[F(1, 2), F(1, 3)], [0, F(-1, 2)]])
+    a = oracles.from_rows([[F(1, 2), F(1, 3)], [0, F(-1, 2)]])
     b = a @ a
     return Representation(LeibnizAlgebra.abelian(2), 2, oracles.action_tensor((a, b)), {})
 
@@ -271,13 +271,13 @@ def test_coboundary_matrix_matches_direct_evaluation(positive_algebras, dense_ra
         for k in range(3):
             f = _random_sparse_cochain(rng, k, g.dim, m)
             c = oracles.dense_cochain(f, g.dim)
-            literal = oracles.coboundary(g, lambda s, v: ls[s].mv(v),
-                                         lambda s, v: rs[s].mv(v), c.values, k, m)
+            literal = oracles.coboundary(g, lambda s, v: oracles.mv(ls[s], v),
+                                         lambda s, v: oracles.mv(rs[s], v), c.values, k, m)
             expected = Cochain(k + 1, g.dim, m, literal)
             d = coboundary(rep, f)
             assert d == cochain_tensor(expected), (name, k)
             assert d.shape == (g.dim,) * (k + 1) + (m,) and isinstance(d, Tensor), (name, k)
-            assert coboundary_matrix(rep, k).mv(_flat(c)) == _flat(expected), (name, k)
+            assert oracles.mv(coboundary_matrix(rep, k), _flat(c)) == _flat(expected), (name, k)
             assert coboundary(rep, d) == {}, (name, k)
 
 
@@ -428,8 +428,8 @@ def test_circle_product_of_one_cochains_is_composition():
     alpha = _random_cochain(rng, 1, n, n)
     beta = _random_cochain(rng, 1, n, n)
     got = circle_product(alpha, beta)
-    a = Matrix.from_cols(n, [alpha.value_at((j,)) for j in range(n)])
-    b = Matrix.from_cols(n, [beta.value_at((j,)) for j in range(n)])
+    a = oracles.from_cols(n, [alpha.value_at((j,)) for j in range(n)])
+    b = oracles.from_cols(n, [beta.value_at((j,)) for j in range(n)])
     composed = a @ b
     for j in range(n):
         assert list(got.value_at((j,))) == column(composed, j)
@@ -533,8 +533,8 @@ def test_omni_is_semidirect_of_gl_with_natural_rep():
     gl = _gl(n)
     assert check_leibniz(gl).holds
     basis_action = tuple(
-        Matrix.from_rows([[F(1) if (a, b) == (row, col) else F(0)
-                           for col in range(n)] for row in range(n)])
+        oracles.from_rows([[F(1) if (a, b) == (row, col) else F(0)
+                            for col in range(n)] for row in range(n)])
         for a in range(n) for b in range(n))
     natural = Representation(gl, n, oracles.action_tensor(basis_action), {})
     assert check_representation(natural).holds
@@ -593,7 +593,7 @@ def test_maurer_cartan_survives_change_of_basis(name, data):
     n = g.dim
     entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     b = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
-                  .filter(lambda rows: rank(Matrix.from_rows(rows)) == n))
+                  .filter(lambda rows: rank(oracles.from_rows(rows)) == n))
     moved = change_basis(g, b)
     report = maurer_cartan_check(moved, adjoint_rep(moved))
     assert report.holds, (name, b, report.witnesses[:1])
@@ -675,7 +675,7 @@ true_rank, true_rref = cohomology.rank, linalg.rref
 cohomology.rank = lambda m, pivots=None: true_rank(m, pivots) + 1
 linalg.rref = lambda m: true_rref(Matrix(m.rows, m.cols, [{} for _ in range(m.rows)]))
 for call in (lambda: betti(trivial_rep(LeibnizAlgebra.abelian(1)), 1),
-             lambda: kernel_basis(Matrix.identity(2))):
+             lambda: kernel_basis(Matrix(2, 2, [{0: 1}, {1: 1}]))):
     try:
         call()
     except AssertionError:
@@ -693,7 +693,7 @@ def _seeded_dense_basis(n: int, seed: str) -> list[list[Fraction]]:
     while True:
         b = [[F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in range(n)]
              for _ in range(n)]
-        if rank(Matrix.from_rows(b)) == n:
+        if rank(oracles.from_rows(b)) == n:
             return b
 
 

@@ -24,10 +24,13 @@ from leibniz_kit import (
     NaiveRepresentation,
     Representation,
     Subspace,
+    omni_bracket,
     right_action_cochain,
+    to_naive_cochain,
+    trivial_naive_rep,
 )
 from leibniz_kit.algebra import dense
-from leibniz_kit.linalg import sparse_tensor
+from leibniz_kit.linalg import Tensor, span_of_rows, sparse_tensor
 
 Z2 = [[0, 0], [0, 0]]
 I2 = [[1, 0], [0, 1]]
@@ -50,7 +53,7 @@ BUILDERS = {
     "LeibnizAlgebra": lambda v: [_l2(), LeibnizAlgebra(2, {(0, 0, 1): F(1)}), _l2("2")][v],
     "Representation": lambda v: Representation(_l2(), 2, [Z2, Z2] if v == 0 else {},
                                                (Z2, Z2 if v < 2 else I2)),
-    "Subspace": lambda v: Subspace(2, ((F(1), F(0)),) if v == 0 else ((1, v // 2),)),
+    "Subspace": lambda v: Subspace(2, ((F(1), F(0)),) if v == 0 else [{(0,): 1, (1,): v // 2}]),
     "GraphMap": lambda v: GraphMap(2, [Z2, Z2] if v == 0
                                    else {(1, 1, 1): 0} if v == 1 else {(1, 0, 0): 1, (1, 1, 1): 1}),
     "Lie2Algebra": lambda v: _lie2(l2_01={(0, 0, 0): "0", (1, 0, 0): "0"} if v == 0
@@ -119,7 +122,7 @@ def test_copies_and_pickles_are_equal_values(name):
 
 def test_repr_names_every_field():
     assert (repr(Subspace(1, ((F(1),),)))
-            == "Subspace(ambient_dim=1, basis=((Fraction(1, 1),),))")
+            == "Subspace(ambient_dim=1, basis={(0, 0): Fraction(1, 1)})")
 
 
 # (constructor call, the ValueError message it must raise)
@@ -141,7 +144,7 @@ WRONG_SHAPES = [
      "cochain: an axis of length 3, expected 2"),
     (lambda: sparse_tensor([[0, 0], [0]], (2, 2), "cochain"),
      "cochain: an axis of length 1, expected 2"),
-    (lambda: Subspace(2, ((F(1),),)), "basis vector of wrong length"),
+    (lambda: Subspace(2, ((F(1),),)), "basis vector: an axis of length 1, expected 2"),
     (lambda: Subspace(2, ((F(1), F(2)), (F(2), F(4)))), "basis vectors are linearly dependent"),
     (lambda: GraphMap(2, (Z2,)), "graph map: an axis of length 1, expected 2"),
     (lambda: GraphMap(2, (Z2, [[0] * 3] * 2)), "graph map: an axis of length 3, expected 2"),
@@ -175,6 +178,23 @@ WRONG_SHAPES = [
      "theta: an axis of length 3, expected 2"),
     (lambda: NaiveRepresentation(_l2(), 1, {(0, 0, 1): 1}, {}),
      "phi: key (0, 0, 1) is no index of shape (2, 1, 1)"),
+    # a sparse vector {(a,): x}: a key out of range, negative or no 1-tuple,
+    # at every entry point that takes one
+    *[(lambda key=key, call=call: call({key: 1}), f"{what}: key {key!r} is no index of shape {shape}")
+      for call, what, shape in (
+          (lambda v: Subspace(2, [v]), "basis vector", (2,)),
+          (lambda v: BUILDERS["Subspace"](2).coordinates_of(v), "vector", (2,)),
+          (lambda v: span_of_rows(2, [{(0,): 1}, v]), "vector", (2,)),
+          (lambda v: omni_bracket(1, {(1,): 1}, v), "omni vector", (2,)),
+          (lambda v: trivial_naive_rep(_l2(), v), "functional", (2,)),
+          (lambda v: to_naive_cochain(BUILDERS["NaiveRepresentation"](2), [v], 0), "vector", (6,)))
+      for key in ((shape[0],), (-1,), (0, 0))],
+    # a hand-built Tensor of the right shape is checked like any other mapping
+    (lambda: LeibnizAlgebra(2, Tensor((2, 2, 2), {(0, 0, 5): 1})),
+     "structure tensor: key (0, 0, 5) is no index of shape (2, 2, 2)"),
+    (lambda: Subspace(2, [Tensor((2,), {(-1,): 1})]), "basis vector: key (-1,) is no index of shape (2,)"),
+    (lambda: omni_bracket(1, {(0,): 1}, Tensor((2,), {(2,): 1})),
+     "omni vector: key (2,) is no index of shape (2,)"),
 ]
 
 
@@ -186,11 +206,23 @@ def test_wrong_shapes_raise_their_value_error(index):
     assert str(caught.value) == message
 
 
+def test_hand_built_tensors_are_checked_and_made_canonical():
+    # unsorted keys and an explicit zero come back sorted and without the zero,
+    # so the bisecting int index reads them; a float is refused
+    t = sparse_tensor(Tensor((2, 2), {(1, 0): 3, (0, 1): 0, (0, 0): "1/2"}), (2, 2), "t")
+    assert list(t.keys()) == [(0, 0), (1, 0)]
+    assert (t[0][0], t[0][1], t[1][0]) == (F(1, 2), 0, 3)
+    assert Subspace(2, Tensor((1, 2), {(0, 1): 2, (0, 0): 0})).basis == {(0, 1): 2}
+    with pytest.raises(TypeError, match="exact scalar"):
+        LeibnizAlgebra(1, Tensor((1, 1, 1), {(0, 0, 0): 0.5}))
+
+
 def test_sparse_tensors_are_read_only():
     g, L = _l2(), _lie2(l3={(0, 1, 0, 0): 1}, l1={(1, 0): 1})
     rep, phi, rho = (BUILDERS[name](2) for name in ("Representation", "GraphMap",
                                                     "NaiveRepresentation"))
-    for tensor in (g.c, L.l3, L.l1, rep.r, phi.phi, rho.theta, right_action_cochain(rep)):
+    for tensor in (g.c, L.l3, L.l1, rep.r, phi.phi, rho.theta, right_action_cochain(rep),
+                   BUILDERS["Subspace"](2).basis, rho.rho_vectors, omni_bracket(1, {(0,): 1}, {(1,): 1})):
         key = next(iter(tensor.keys()))
         for change in (lambda: tensor.__setitem__((0, 0, 0), 1), lambda: tensor.__delitem__(key),
                        lambda: tensor.update({key: 2}), lambda: tensor.pop(key),
