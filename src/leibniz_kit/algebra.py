@@ -13,8 +13,6 @@ special case.  Everything is encoded by the tensor c with
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .linalg import (
@@ -22,9 +20,9 @@ from .linalg import (
     Frozen,
     Matrix,
     Subspace,
+    Tensor,
     ZERO,
-    _to_integers,
-    as_rational,
+    contract,
     kernel_basis,
     span_of_rows,
     sparse_tensor,
@@ -80,10 +78,11 @@ def _report(witnesses: list[Witness]) -> IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# exact contraction of sparse structure tensors
+# identities as contractions of sparse structure tensors
 #
 # A sparse tensor is a dict {index tuple: Fraction} that omits zeros.  An
-# identity on basis tuples is a signed sum of contractions; every tuple that
+# identity on basis tuples is a signed sum of contractions
+# (``linalg.contract``, the one product of the package); every tuple that
 # no term reaches has residual exactly zero, so the nonzero entries of the
 # residual are precisely the failing tuples.  Structure tensors and actions
 # are stored in this form only, as a read-only ``linalg.Tensor`` built in the
@@ -103,71 +102,6 @@ def dense(tensor: dict, shape: tuple) -> tuple:
             return tensor.get(prefix, ZERO)
         return tuple(build(prefix + (i,)) for i in range(shape[len(prefix)]))
     return build(())
-
-
-def _picker(letters: str, wanted: str):
-    """Map an index tuple labelled by ``letters`` to the tuple of ``wanted``."""
-    positions = [letters.index(ch) for ch in wanted]
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda key: (key[p],)
-    return itemgetter(*positions) if positions else lambda key: ()
-
-
-def contract(terms) -> dict:
-    """Sum of einsum-style terms ``(coeff, spec, *operands)`` over sparse tensors.
-
-    ``(1, "jka,iat->ijkt", x, y)`` adds sum_a x[j,k,a] * y[i,a,t] at
-    (i,j,k,t), and ``(-1, "jikt->ijkt", x)`` subtracts the transpose of x.
-    Letters missing from the output are summed over; only stored entries are
-    ever multiplied, so the cost follows the supports, not the dimension.
-    The sum is exact: each operand is scaled to integers, the terms are
-    accumulated as integers over one common denominator, and the nonzero
-    entries come back as Fractions.
-    """
-    integral: dict = {}
-    parsed = []
-    scale = 1
-    for coeff, spec, *operands in terms:
-        inputs, out = spec.split("->")
-        subs = inputs.split(",")
-        if (len(subs) != len(operands) or len(subs) > 2 or not set(out) <= set(inputs)
-                or any(len(set(sub)) != len(sub) for sub in subs)):
-            raise ValueError(f"bad contraction spec {spec!r}")
-        ints = []
-        weight = as_rational(coeff)
-        for t in operands:
-            if id(t) not in integral:  # holding t keeps its id from being reused
-                integral[id(t)] = (t, *_to_integers(t))
-            _, it, d = integral[id(t)]
-            ints.append(it)
-            weight /= d
-        parsed.append((weight, subs, out, ints))
-        scale = lcm(scale, weight.denominator)
-    acc: dict = {}
-    for weight, subs, out, ints in parsed:
-        w = weight.numerator * (scale // weight.denominator)
-        if len(subs) == 1:
-            pick = _picker(subs[0], out)
-            for key, v in ints[0].items():
-                k = pick(key)
-                acc[k] = acc.get(k, 0) + w * v
-            continue
-        (sx, sy), (x, y) = subs, ints
-        shared = "".join(ch for ch in sx if ch in sy)
-        by_shared: dict = {}
-        key_y = _picker(sy, shared)
-        for ky, vy in y.items():
-            by_shared.setdefault(key_y(ky), []).append((ky, vy))
-        key_x, pick = _picker(sx, shared), _picker(sx + sy, out)
-        for kx, vx in x.items():
-            matches = by_shared.get(key_x(kx))
-            if matches:
-                wx = w * vx
-                for ky, vy in matches:
-                    k = pick(kx + ky)
-                    acc[k] = acc.get(k, 0) + wx * vy
-    return {k: Fraction(v, scale) for k, v in acc.items() if v}
 
 
 def rows_of(tensor: dict) -> dict:
@@ -219,13 +153,11 @@ def check_leibniz(g: LeibnizAlgebra) -> IdentityReport:
     return _report(residual_witnesses(residual, g.dim, "leibniz"))
 
 
-def left_multiplication_matrix(g: LeibnizAlgebra) -> Matrix:
-    """The n^2 x n matrix of x -> ([x, e_j] for all j), rows indexed by (j, k)."""
+def left_multiplication_matrix(g: LeibnizAlgebra) -> Tensor:
+    """The n^2 x n matrix of x -> ([x, e_j] for all j), rows indexed by
+    (j, k), as the 2-axis tensor {(j n + k, i): c[i, j, k]}."""
     n = g.dim
-    data: list[dict] = [{} for _ in range(n * n)]
-    for (i, j, k), v in g.c.items():
-        data[j * n + k][i] = v
-    return Matrix(n * n, n, data)
+    return Tensor((n * n, n), dict(sorted(((j * n + k, i), v) for (i, j, k), v in g.c.items())))
 
 
 def left_center(g: LeibnizAlgebra) -> Subspace:

@@ -19,7 +19,7 @@ instantiated literally at k = 0 as d v(x) = -r_x(v).  Cohomology dimensions
 come from exact rank-nullity, so every reported Betti number is exact.
 
 The representation conditions and the Maurer-Cartan identity are signed sums
-of exact sparse contractions (``algebra.contract``) of the structure and
+of exact sparse contractions (``linalg.contract``) of the structure and
 action tensors, like every other identity in the package.  The circle
 product and graded bracket of cochains that the Maurer-Cartan identity is
 stated with are evaluated only by the test oracles.
@@ -37,10 +37,9 @@ from .algebra import (
     LeibnizAlgebra,
     _report,
     check_leibniz,
-    contract,
     residual_witnesses,
 )
-from .linalg import Frozen, Matrix, Tensor, _to_integers, rank, sparse_tensor
+from .linalg import Frozen, Matrix, Tensor, _to_integers, contract, rank, sparse_tensor
 
 DEFAULT_CAP = 20000
 
@@ -127,7 +126,7 @@ def _require_left_only(rep: Representation, what: str) -> None:
 
 
 def dual_rep(rep: Representation) -> Representation:
-    """Dual of (V, l, 0): acts by negative transposes on V*."""
+    """Dual of (V, l, 0): x acts on V* by -l_x^T."""
     _require_left_only(rep, "the dual representation")
     return Representation(rep.algebra, rep.vdim,
                           {(i, b, a): -v for (i, a, b), v in rep.l.items()}, {})
@@ -152,7 +151,7 @@ def conjugation_rep(rep: Representation) -> Representation:
 # ---------------------------------------------------------------------------
 # the coboundary operator
 
-def coboundary_columns(rep: Representation, k: int, cap: Optional[int] = DEFAULT_CAP,
+def coboundary_columns(rep: Representation, k: int,
                        skip: frozenset = frozenset()) -> tuple[int, list[dict[int, int]]]:
     """The degree-k coboundary as integer columns over one common denominator.
 
@@ -162,16 +161,13 @@ def coboundary_columns(rep: Representation, k: int, cap: Optional[int] = DEFAULT
     {row: D * d_k[row][j]} of that column in the lexicographic monomial
     basis, of shape (n^(k+1) m) x (n^k m).  Column j = (t, v) is the
     coboundary of the basis cochain supported on tuple t with value e_v;
-    a skipped column is never built.  Refuses to build when the target
-    dimension n^(k+1) m exceeds the cap.
+    a skipped column is never built.  It builds whatever it is asked to:
+    its callers check the cap first.
     """
     if k < 0:
         raise ValueError("degree must be >= 0")
     g = rep.algebra
     n, m = g.dim, rep.vdim
-    out_dim = n ** (k + 1) * m
-    if cap is not None and out_dim > cap:
-        raise ResourceCapExceeded(out_dim, cap)
     (c, dc), (l, dl), (r, dr) = (_to_integers(t) for t in (g.c, rep.l, rep.r))
     den = lcm(dc, dl, dr)
     # lent[s] = [(a, b, D*(l_s)[a][b])] over the nonzero entries; rent likewise
@@ -226,11 +222,13 @@ def coboundary_matrix(rep: Representation, k: int,
                       cap: Optional[int] = DEFAULT_CAP) -> Matrix:
     """Matrix of the degree-k coboundary in the lexicographic monomial basis,
     of shape (n^(k+1) m) x (n^k m): ``coboundary_columns`` laid out by rows
-    and divided by their common denominator.  Refuses to build when the
-    target dimension n^(k+1) m exceeds the cap.
+    and divided by their common denominator.  Refuses to build when a
+    target dimension n^(j+1) m, j <= k, exceeds the cap.
     """
-    den, columns = coboundary_columns(rep, k, cap)
-    data: list[dict[int, Fraction]] = [{} for _ in range(rep.algebra.dim ** (k + 1) * rep.vdim)]
+    n, m = rep.algebra.dim, rep.vdim
+    _require_within_cap(n, m, k, cap)
+    den, columns = coboundary_columns(rep, k)
+    data: list[dict[int, Fraction]] = [{} for _ in range(n ** (k + 1) * m)]
     for col, entries in enumerate(columns):
         for row, val in entries.items():
             data[row][col] = Fraction(val, den)
@@ -248,7 +246,7 @@ def coboundary(rep: Representation, f: Tensor) -> Tensor:
     k = len(f.shape) - 1
     if f.shape != (n,) * k + (m,):
         raise ValueError("cochain does not match the representation")
-    den, columns = coboundary_columns(rep, k, None)
+    den, columns = coboundary_columns(rep, k)
     rank_of = {t: r for r, t in enumerate(product(range(n), repeat=k))}
     tuples = list(product(range(n), repeat=k + 1))
     acc: dict[int, Fraction] = {}
@@ -286,8 +284,7 @@ def _require_within_cap(n: int, m: int, k_max: int, cap: Optional[int]) -> None:
 
 
 def betti(rep: Representation, k_max: int,
-          cap: Optional[int] = DEFAULT_CAP, *,
-          assert_square_zero: bool = False) -> BettiReport:
+          cap: Optional[int] = DEFAULT_CAP) -> BettiReport:
     """Cohomology dimensions for degrees 0..k_max via exact rank-nullity.
 
     Every degree is checked against the cap before any is built, and the
@@ -295,20 +292,18 @@ def betti(rep: Representation, k_max: int,
     fails the Leibniz identity, or a representation that fails its
     conditions, is refused with a ValueError naming the first witness.  The
     rank of d_k is taken on its integer columns from ``coboundary_columns``,
-    as the rows of the integer matrix (D d_k)^T, so no Fraction matrix and
-    no transpose is built.  With assert_square_zero every composite
-    (D d_(k-1))^T (D d_k)^T = D^2 (d_k d_(k-1))^T is also multiplied out in
-    integers and required to vanish.
+    as the rows of the integer matrix (D d_k)^T, so no Fraction matrix is
+    built and d_k is never laid out by rows.
 
     The ranks are cleared: the elimination of d_(k-1) reports its pivot
     columns, coordinates of C^k on which im d_(k-1) projects isomorphically.
     Since d_k d_(k-1) = 0, d_k of each such coordinate is a combination of
     d_k on the other coordinates, so those rows of (D d_k)^T are never
-    built: ``coboundary_columns`` skips them.  The product check of
-    assert_square_zero needs every column, so there they are built and
-    dropped before ``rank``.  That d^2 = 0 follows from the identities the
-    refusal has just proven on the instance (Loday-Pirashvili, Math. Ann.
-    1993).
+    built: ``coboundary_columns`` skips them.  That d^2 = 0 follows from the
+    identities the refusal has just proven on the instance
+    (Loday-Pirashvili, Math. Ann. 1993).  This holds for every complex
+    here, the naive one included: it is the complex of the image
+    representation, which the refusal checks like any other.
     """
     g = rep.algebra
     n, m = g.dim, rep.vdim
@@ -317,18 +312,9 @@ def betti(rep: Representation, k_max: int,
     if refusal:
         raise ValueError(refusal)
     ranks = []
-    prev_mat: Optional[Matrix] = None
     cleared: frozenset = frozenset()
     for k in range(k_max + 1):
-        if assert_square_zero:
-            columns = coboundary_columns(rep, k, cap)[1]
-            mat = Matrix(len(columns), n ** (k + 1) * m, columns)
-            if prev_mat is not None and not (prev_mat @ mat).is_zero():
-                raise AssertionError(f"coboundary squared is nonzero at degree {k - 1}")
-            prev_mat = mat
-            kept = [col for j, col in enumerate(columns) if j not in cleared]
-        else:
-            kept = coboundary_columns(rep, k, cap, cleared)[1]
+        kept = coboundary_columns(rep, k, cleared)[1]
         pivots: list[int] = []
         ranks.append(rank(Matrix(len(kept), n ** (k + 1) * m, kept), pivots))
         cleared = frozenset(pivots)

@@ -12,7 +12,7 @@ J back in as a ternary homotopy yields a two-term graded algebra
 l1, l2, l3, verified here against the five standard axioms.
 
 Every identity is a signed sum of exact contractions over the sparse
-supports of the structure tensors (``algebra.contract``), so its cost
+supports of the structure tensors (``linalg.contract``), so its cost
 follows the nonzero constants rather than n^4 dense evaluations; the
 residual still covers every basis tuple, and any nonzero entry of it is a
 witness.
@@ -27,7 +27,6 @@ from .algebra import (
     LeibnizAlgebra,
     Witness,
     _report,
-    contract,
     left_center,
     residual_witnesses,
     rows_of,
@@ -36,13 +35,14 @@ from .linalg import (
     HALF,
     Frozen,
     QUARTER,
+    contract,
     sparse_tensor,
 )
 
 
 def skew_bracket(g: LeibnizAlgebra) -> dict:
     """<<e_i, e_j>> = ([e_i,e_j] - [e_j,e_i]) / 2 as a sparse tensor: half the
-    difference of the structure tensor and its transpose; antisymmetric."""
+    structure tensor minus itself with i and j swapped; antisymmetric."""
     return contract([(HALF, "ijk->ijk", g.c), (-HALF, "jik->ijk", g.c)])
 
 
@@ -55,7 +55,7 @@ def _jacobiator(c: dict) -> dict:
 
 def _antisymmetry_witnesses(t: dict, dim: int, label: str) -> list[Witness]:
     """Total antisymmetry of a sparse trilinear tensor, by its two adjacent
-    transpositions; a witness's where is ((i, j, k), transposed triple)."""
+    transpositions; a witness's where is ((i, j, k), swapped triple)."""
     found = []
     for spec, swap in (("jikt->ijkt", lambda i, j, k: (j, i, k)),
                        ("ikjt->ijkt", lambda i, j, k: (i, k, j))):

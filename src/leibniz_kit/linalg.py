@@ -4,6 +4,11 @@ Scalars are ``fractions.Fraction`` (arbitrary-precision, always in lowest
 terms with positive denominator), so every rank, kernel and solution below
 is exact: there are no tolerances anywhere in this package.
 
+One product serves the whole package: ``contract``, an einsum-style sum of
+contractions of sparse tensors over their supports, exact over one common
+denominator.  Every identity check is a ``contract`` sum, and so are the
+verification of ``kernel_basis`` and the conjugation action.
+
 One elimination kernel computes every rank: ``integer_rank`` first peels,
 taking as a pivot every row that is alone in some column, again and again
 as the peeled rows leave further columns with one row, and then runs
@@ -12,19 +17,19 @@ Markowitz-style pivot (the sparsest live row, on its column with the fewest
 live rows, ties to the lowest index) on the rows left, so its fill-in stays
 low whatever the order of the basis.  The pivots come in that order: the
 peeled ones as they were peeled, then one per elimination step.  ``rank``
-feeds it the shorter side of a matrix, rows of ints as they are and
+feeds it the rows of a matrix as given, rows of ints as they are and
 rational rows scaled to integers; ``cohomology.betti`` hands ``rank`` the
-coboundary columns over one common denominator, which are integer
-already.  One helper, ``_to_integers``, scales a sparse rational
-tensor to integers over its common denominator: the rows ``rank``
-eliminates, the operands of ``algebra.contract`` and the structure and
-action tensors ``cohomology.coboundary_columns`` assembles.  ``rref`` (and
-through it ``kernel_basis``, ``span_of_rows``, ``solve`` and the
-coordinate form each ``Subspace`` derives once) needs the reduced matrix
-itself, not just its rank, and runs Gauss-Jordan elimination over
-Fractions.  It stays a second loop: canonical bases (spans, naive images,
-the left center) need lowest-column pivots and back-elimination, which the
-Markowitz kernel lacks and which would slow every rank.
+coboundary columns over one common denominator, the shorter side of d_k,
+which are integer already.  One helper, ``_to_integers``, scales a sparse
+rational tensor to integers over its common denominator: the rows ``rank``
+eliminates, the operands of ``contract`` and the structure and action
+tensors ``cohomology.coboundary_columns`` assembles.  ``rref`` (and through
+it ``kernel_basis``, ``span_of_rows``, ``solve`` and the coordinate form
+each ``Subspace`` derives once) needs the reduced matrix itself, not just
+its rank, and runs Gauss-Jordan elimination over Fractions.  It stays a
+second loop: canonical bases (spans, naive images, the left center) need
+lowest-column pivots and back-elimination, which the Markowitz kernel lacks
+and which would slow every rank.
 
 The kernel also reports, on request, the pivot column of each step; the
 input restricted to those columns keeps its rank.  ``betti`` uses this to
@@ -33,18 +38,19 @@ Bauer, Kerber and Reininghaus, "Clear and compress", 2014).  Once
 d_k d_(k-1) = 0 is proven on the instance, im d_(k-1) projects
 isomorphically onto the pivot coordinates of its elimination, so the
 columns of d_k at those coordinates are combinations of the others and are
-not built.  Where d^2 = 0 is not proven, nothing is dropped.
+not built.
 
-Matrices are logically dense row-major arrays but store each row as a
-{column: nonzero} dict; coboundary matrices of tensor-power complexes are
-overwhelmingly sparse and dense row lists were measured to exhaust memory
-near the resource cap.  A vector is sparse too: the 1-axis tensor
-{(a,): nonzero Fraction} that ``algebra.contract`` reads and writes.  A
-family of vectors, such as the basis of a ``Subspace``, is one read-only
-2-axis ``Tensor`` whose row u is ``t[u]``.  ``Subspace``,
-``coordinates_of`` and ``span_of_rows`` take sparse vectors (or dense
-sequences, through ``sparse_tensor``), and ``coordinates_of`` costs the
-supports it touches, not the ambient dimension.
+A ``Matrix`` stores each row as a {column: nonzero} dict; coboundary
+matrices of tensor-power complexes are overwhelmingly sparse and dense row
+lists were measured to exhaust memory near the resource cap.  It only
+carries rows into ``rank``, ``rref`` and ``solve``, and has no arithmetic
+of its own.  A vector is sparse too: the 1-axis tensor {(a,): nonzero
+Fraction} that ``contract`` reads and writes.  A family of vectors, such as
+the basis of a ``Subspace`` or the matrix whose kernel ``kernel_basis``
+takes, is one read-only 2-axis ``Tensor`` whose row u is ``t[u]``.
+``Subspace``, ``coordinates_of`` and ``span_of_rows`` take sparse vectors
+(or dense sequences, through ``sparse_tensor``), and ``coordinates_of``
+costs the supports it touches, not the ambient dimension.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 Rational = Fraction
@@ -208,7 +215,9 @@ class Matrix:
     """Immutable rows x cols matrix of exact rationals (Fractions, or ints).
 
     ``entry(i, j)`` gives the dense view; internally each row is a dict of
-    its nonzero entries.  All operations return new matrices.
+    its nonzero entries.  It carries rows into ``rank``, ``rref`` and
+    ``solve`` and out of ``rref``; products of matrices and tensors are
+    ``contract``'s.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -228,28 +237,6 @@ class Matrix:
 
     def row_items(self, i: int):
         return self._data[i].items()
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        data: list[dict[int, Fraction]] = []
-        for row in self._data:
-            acc: dict[int, Fraction] = {}
-            for k, a in row.items():
-                for j, b in other._data[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            data.append(acc)
-        return Matrix(self.rows, other.cols, data)
-
-    def transpose(self) -> "Matrix":
-        data: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._data):
-            for j, v in row.items():
-                data[j][i] = v
-        return Matrix(self.cols, self.rows, data)
-
-    def is_zero(self) -> bool:
-        return all(not row for row in self._data)
 
     def nnz(self) -> int:
         return sum(len(row) for row in self._data)
@@ -459,17 +446,79 @@ def _to_integers(t: dict) -> tuple[dict, int]:
     return {k: v.numerator * (d // v.denominator) for k, v in t.items()}, d
 
 
-def rank(m: Matrix, pivots: Optional[list[int]] = None) -> int:
-    """Exact rank by ``integer_rank`` on the shorter side of m: its rows, or
-    the rows of its transpose when m is tall, each scaled to integers.
-    ``pivots`` goes to ``integer_rank``, so it receives columns of m, or rows
-    of m when m is tall.
+def _picker(letters: str, wanted: str):
+    """Map an index tuple labelled by ``letters`` to the tuple of ``wanted``."""
+    positions = [letters.index(ch) for ch in wanted]
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda key: (key[p],)
+    return itemgetter(*positions) if positions else lambda key: ()
 
-    Entries may be Fractions or ints (``betti`` passes the integer matrix
-    (D d_k)^T, which is already the shorter side, and whose rows reach the
-    kernel without a copy)."""
-    data = m.transpose()._data if m.rows > m.cols else m._data
-    return integer_rank((_to_integers(row)[0] for row in data), pivots)
+
+def contract(terms) -> dict:
+    """Sum of einsum-style terms ``(coeff, spec, *operands)`` over sparse tensors.
+
+    ``(1, "jka,iat->ijkt", x, y)`` adds sum_a x[j,k,a] * y[i,a,t] at
+    (i,j,k,t), and ``(-1, "jikt->ijkt", x)`` subtracts x with its first two
+    axes swapped.
+    Letters missing from the output are summed over; only stored entries are
+    ever multiplied, so the cost follows the supports, not the dimension.
+    The sum is exact: each operand is scaled to integers, the terms are
+    accumulated as integers over one common denominator, and the nonzero
+    entries come back as Fractions.
+    """
+    integral: dict = {}
+    parsed = []
+    scale = 1
+    for coeff, spec, *operands in terms:
+        inputs, out = spec.split("->")
+        subs = inputs.split(",")
+        if (len(subs) != len(operands) or len(subs) > 2 or not set(out) <= set(inputs)
+                or any(len(set(sub)) != len(sub) for sub in subs)):
+            raise ValueError(f"bad contraction spec {spec!r}")
+        ints = []
+        weight = as_rational(coeff)
+        for t in operands:
+            if id(t) not in integral:  # holding t keeps its id from being reused
+                integral[id(t)] = (t, *_to_integers(t))
+            _, it, d = integral[id(t)]
+            ints.append(it)
+            weight /= d
+        parsed.append((weight, subs, out, ints))
+        scale = lcm(scale, weight.denominator)
+    acc: dict = {}
+    for weight, subs, out, ints in parsed:
+        w = weight.numerator * (scale // weight.denominator)
+        if len(subs) == 1:
+            pick = _picker(subs[0], out)
+            for key, v in ints[0].items():
+                k = pick(key)
+                acc[k] = acc.get(k, 0) + w * v
+            continue
+        (sx, sy), (x, y) = subs, ints
+        shared = "".join(ch for ch in sx if ch in sy)
+        by_shared: dict = {}
+        key_y = _picker(sy, shared)
+        for ky, vy in y.items():
+            by_shared.setdefault(key_y(ky), []).append((ky, vy))
+        key_x, pick = _picker(sx, shared), _picker(sx + sy, out)
+        for kx, vx in x.items():
+            matches = by_shared.get(key_x(kx))
+            if matches:
+                wx = w * vx
+                for ky, vy in matches:
+                    k = pick(kx + ky)
+                    acc[k] = acc.get(k, 0) + wx * vy
+    return {k: Fraction(v, scale) for k, v in acc.items() if v}
+
+
+def rank(m: Matrix, pivots: Optional[list[int]] = None) -> int:
+    """Exact rank by ``integer_rank`` on the rows of m as given, each scaled
+    to integers; ``pivots`` goes to ``integer_rank`` and receives columns of
+    m.  The elimination follows the rows, so a caller passes the shorter
+    side: ``betti`` passes the integer matrix (D d_k)^T, whose rows reach the
+    kernel without a copy."""
+    return integer_rank((_to_integers(row)[0] for row in m._data), pivots)
 
 
 class Subspace(Frozen):
@@ -541,24 +590,30 @@ def span_of_rows(ambient_dim: int, vectors: Iterable) -> Subspace:
                                   for i in range(ech.rank)])
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Basis of {x : m x = 0}; dimension is cols - rank by rank-nullity.  The
-    basis K is verified by one product, m K^T = 0."""
-    ech = rref(m)
+def kernel_basis(t: Tensor) -> Subspace:
+    """Basis of {x : t x = 0} for a 2-axis ``Tensor`` t of shape (rows,
+    cols); dimension is cols - rank by rank-nullity.  The basis K is
+    verified by one contraction, t K^T = 0."""
+    rows, cols = t.shape
+    data: list[dict] = [{} for _ in range(rows)]
+    for (i, j), x in t.items():
+        data[i][j] = x
+    ech = rref(Matrix(rows, cols, data))
     pivot_set = set(ech.pivot_columns)
-    rows = []
-    for free in range(m.cols):
+    vectors = []
+    for free in range(cols):
         if free in pivot_set:
             continue
-        v = {free: ONE}
+        v = {(free,): ONE}
         for i, p in enumerate(ech.pivot_columns):
             coef = ech.matrix.entry(i, free)
             if coef:
-                v[p] = -coef
-        rows.append(v)
-    if not (m @ Matrix(len(rows), m.cols, rows).transpose()).is_zero():
+                v[p,] = -coef
+        vectors.append(v)
+    kernel = {(u, *key): x for u, v in enumerate(vectors) for key, x in v.items()}
+    if contract([(1, "ia,ua->iu", t, kernel)]):
         raise AssertionError("kernel vector failed verification")
-    return Subspace(m.cols, [{(a,): x for a, x in v.items()} for v in rows])
+    return Subspace(cols, vectors)
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[list[Fraction]]:

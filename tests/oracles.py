@@ -28,8 +28,10 @@ naive representation) and the map l1 of a two-term algebra only as a sparse
 tensor.  ``matrices`` and ``matrix`` give the dense matrix view of one, as
 the formulas write it, for these oracles and for the tests; the sums and
 linear combinations of matrices the formulas need are here as well, and the
-dense ``Matrix`` constructors (``from_rows``, ``from_cols``, ``identity``)
-and products (``mv``) the tests write matrices with.
+dense ``Matrix`` constructors (``from_rows``, ``from_cols``, ``identity``),
+products (``matmul``, ``mv``), ``transpose`` and zero test (``is_zero``)
+the tests write matrices with.  The library's one product is
+``linalg.contract``; a ``Matrix`` there has no arithmetic.
 
 The library's vectors are sparse too: {(a,): x}, and a family of them (a
 ``Subspace.basis``, the rho(e_i) of a naive representation) one 2-axis
@@ -123,6 +125,39 @@ def from_cols(n: int, cols) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return Matrix(n, n, [{i: ONE} for i in range(n)])
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b, row by row."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    data = []
+    for i in range(a.rows):
+        acc: dict = {}
+        for k, x in a.row_items(i):
+            for j, y in b.row_items(k):
+                acc[j] = acc.get(j, ZERO) + x * y
+        data.append(acc)
+    return Matrix(a.rows, b.cols, data)
+
+
+def transpose(mat: Matrix) -> Matrix:
+    data: list[dict] = [{} for _ in range(mat.cols)]
+    for i in range(mat.rows):
+        for j, v in mat.row_items(i):
+            data[j][i] = v
+    return Matrix(mat.cols, mat.rows, data)
+
+
+def is_zero(mat: Matrix) -> bool:
+    return mat.nnz() == 0
+
+
+def tensor(mat: Matrix) -> Tensor:
+    """The 2-axis tensor {(i, j): entry} of a matrix, the form
+    ``kernel_basis`` takes."""
+    return sparse_tensor({(i, j): v for i in range(mat.rows) for j, v in mat.row_items(i)},
+                         mat.shape, "matrix")
 
 
 def to_rows(mat: Matrix) -> list[list[Fraction]]:
@@ -224,7 +259,7 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(a @ b, b @ a)
+    return mat_sub(matmul(a, b), matmul(b, a))
 
 
 def basis(n: int, i: int) -> list[Fraction]:
@@ -611,10 +646,10 @@ def check_representation(rep: Representation) -> IdentityReport:
                                         commutator(ls[i], ls[j])),
                 "r-of-bracket": mat_sub(linear_combination(br, rs, shape),
                                         commutator(ls[i], rs[j])),
-                "r-absorbs-l": mat_add(rs[j] @ ls[i], rs[j] @ rs[i]),
+                "r-absorbs-l": mat_add(matmul(rs[j], ls[i]), matmul(rs[j], rs[i])),
             }
             for label, d in defects.items():
-                if not d.is_zero():
+                if not is_zero(d):
                     found[label].append(Witness((i, j), tuple(map(tuple, to_rows(d))), label))
     return _report([w for ws in found.values() for w in ws])
 
@@ -833,7 +868,7 @@ def graph_check(phi: GraphMap) -> IdentityReport:
         for j in range(m):
             rhs = linear_combination(column(ps[i], j), ps, (m, m))  # phi(phi(e_i) e_j)
             d = mat_sub(commutator(ps[i], ps[j]), rhs)
-            if not d.is_zero():
+            if not is_zero(d):
                 witnesses.append(Witness((i, j), tuple(map(tuple, to_rows(d))), "graph"))
     return _report(witnesses)
 
@@ -853,7 +888,7 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
             br = c[i][j]
             phi_br = linear_combination(br, ps, (rho.vdim, rho.vdim))
             d1 = mat_sub(phi_br, commutator(ps[i], ps[j]))
-            if not d1.is_zero():
+            if not is_zero(d1):
                 found["con1"].append(Witness((i, j), tuple(map(tuple, to_rows(d1))), "con1"))
             theta_br = vzero(rho.vdim)
             for k, w in enumerate(br):
@@ -894,8 +929,8 @@ def verify_adjoint_correspondence(rho, irep, arep, k_max):
     notes = []
     ok = True
     for k in range(min(k_max, 2) + 1):
-        lhs = coboundary_matrix(irep, k, None) @ embedding(rho, n ** k)
-        rhs = embedding(rho, n ** (k + 1)) @ coboundary_matrix(arep, k, None)
+        lhs = matmul(coboundary_matrix(irep, k, None), embedding(rho, n ** k))
+        rhs = matmul(embedding(rho, n ** (k + 1)), coboundary_matrix(arep, k, None))
         diff = mat_sub(lhs, rhs)
         for col in sorted({j for i in range(diff.rows) for j, _ in diff.row_items(i)}):
             ok = False

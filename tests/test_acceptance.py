@@ -16,7 +16,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
-from oracles import basis_rows, graded_bracket, shuffles, shuffles_by_filter, structure_cochain
+from oracles import (basis_rows, graded_bracket, is_zero, matmul, shuffles, shuffles_by_filter,
+                     structure_cochain)
 from leibniz_kit import (
     DEFAULT_CAP,
     LeibnizAlgebra,
@@ -127,7 +128,7 @@ def _square_products(rep: Representation) -> tuple[int, int]:
         if low is None or high is None:
             capped += 1
             continue
-        assert (high @ low).is_zero(), f"d^2 != 0 at degree {k}"
+        assert is_zero(matmul(high, low)), f"d^2 != 0 at degree {k}"
         checked += 1
     return checked, capped
 

@@ -19,7 +19,7 @@ from leibniz_kit import (
 )
 from leibniz_kit.fixtures import heisenberg3, l2_algebra, nonleibniz, sl2
 from leibniz_kit.algebra import dense
-from oracles import basis_rows, contains, from_rows, identity, mv, to_rows
+from oracles import basis_rows, contains, from_rows, identity, matmul, mv, to_rows
 
 F = Fraction
 E = lambda n, i: [F(j == i) for j in range(n)]
@@ -178,7 +178,7 @@ def invertible_matrices(draw, n):
                        for a in range(n)])
     upper = from_rows([[draw(entries) if b > a else draw(entries.filter(bool)) if b == a
                         else F(0) for b in range(n)] for a in range(n)])
-    rows = to_rows(lower @ upper)
+    rows = to_rows(matmul(lower, upper))
     return [rows[i] for i in draw(st.permutations(range(n)))]
 
 

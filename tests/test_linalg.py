@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leibniz_kit.linalg as linalg_module
-from oracles import basis_matrix, basis_rows, contains, from_rows, identity, mv, to_rows, zeros
+from oracles import (basis_matrix, basis_rows, contains, from_rows, identity, matmul, mv, tensor,
+                     to_rows, transpose, zeros)
 from leibniz_kit.algebra import dense
 from leibniz_kit.cohomology import adjoint_rep, betti
 from leibniz_kit.linalg import (
     Matrix,
     Subspace,
+    Tensor,
     integer_rank,
     kernel_basis,
     rank,
@@ -23,6 +25,7 @@ from leibniz_kit.linalg import (
     solve,
     span_of_rows,
     sparse,
+    sparse_tensor,
 )
 
 F = Fraction
@@ -68,32 +71,48 @@ def test_rref_of_int_matrix_stays_exact():
 
 
 def test_kernel_of_int_matrix_with_pivot_three():
-    ker = kernel_basis(Matrix(1, 3, [{0: 3, 1: 1, 2: 1}]))
+    # a hand-built tensor of ints: the pivot 3 must divide to Fractions
+    ker = kernel_basis(Tensor((1, 3), {(0, 0): 3, (0, 1): 1, (0, 2): 1}))
     assert dense(ker.basis, ker.basis.shape) == ((F(-1, 3), 1, 0), (F(-1, 3), 0, 1))
     assert ker.basis == {(0, 0): F(-1, 3), (0, 1): 1, (1, 0): F(-1, 3), (1, 2): 1}
 
 
 def test_kernel_of_zero_map():
-    assert kernel_basis(zeros(2, 3)).dim == 3
+    assert kernel_basis(sparse_tensor({}, (2, 3), "matrix")).dim == 3
 
 
 def test_kernel_of_identity():
-    assert kernel_basis(identity(2)).dim == 0
+    assert kernel_basis(tensor(identity(2))).dim == 0
 
 
 def test_kernel_contains_hand_solution():
     # x + y = 0 with z free: kernel is spanned by (1,-1,0) and (0,0,1)
-    ker = kernel_basis(from_rows([[1, 1, 0]]))
+    ker = kernel_basis(sparse_tensor([[1, 1, 0]], (1, 3), "matrix"))
     assert ker.dim == 2
     assert contains(ker, [F(1), F(-1), F(0)])
+
+
+def test_kernel_check_is_not_vacuous(monkeypatch):
+    # x + y = 0 again: a wrong reduced row (1, 2, 0) in place of (1, 1, 0)
+    # gives the kernel vector (-2, 1, 0), which the check t K^T = 0 catches
+    true_rref = linalg_module.rref
+
+    def wrong_rref(m):
+        ech = true_rref(m)
+        assert to_rows(ech.matrix) == [[1, 1, 0]]
+        return ech._replace(matrix=from_rows([[1, 2, 0]]))
+
+    monkeypatch.setattr(linalg_module, "rref", wrong_rref)
+    with pytest.raises(AssertionError, match="^kernel vector failed verification$"):
+        kernel_basis(sparse_tensor([[1, 1, 0]], (1, 3), "matrix"))
 
 
 def test_rank_examples():
     assert rank(identity(4)) == 4
     assert rank(zeros(2, 5)) == 0
     assert rank(from_rows([[1, 2], [2, 4], [3, 6]])) == 1
-    # tall, with mixed denominators and a zero row: transposed, then the
-    # rows are cleared of denominators and divided by their content
+    # tall, with mixed denominators and a zero row: the rows are cleared of
+    # denominators and divided by their content
     assert rank(from_rows([[F(1, 2), F(1, 3)], [F(3, 7), F(2, 7)],
                            [1, F(2, 3)], [0, 0], [F(-1, 6), F(1, 6)]])) == 2
 
@@ -140,9 +159,9 @@ def test_subspace_coordinates():
 def test_matrix_product_shapes():
     a = from_rows([[1, 2], [3, 4], [5, 6]])
     b = from_rows([[1, 0, 0], [0, 1, 1]])
-    assert (a @ b) == from_rows([[1, 2, 2], [3, 4, 4], [5, 6, 6]])
+    assert matmul(a, b) == from_rows([[1, 2, 2], [3, 4, 4], [5, 6, 6]])
     with pytest.raises(ValueError):
-        b @ b
+        matmul(b, b)
 
 
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -160,7 +179,7 @@ def matrices(draw, max_rows=5, max_cols=5):
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(m):
-    assert rank(m) + kernel_basis(m).dim == m.cols
+    assert rank(m) + kernel_basis(tensor(m)).dim == m.cols
 
 
 @given(matrices())
@@ -188,7 +207,7 @@ def subspaces(draw):
     kind = draw(st.sampled_from(["rref", "kernel", "dense"]))
     if kind != "dense":
         m = draw(matrices())
-        return span_of_rows(m.cols, to_rows(m)) if kind == "rref" else kernel_basis(m)
+        return span_of_rows(m.cols, to_rows(m)) if kind == "rref" else kernel_basis(tensor(m))
     n = draw(st.integers(0, 4))
     d = draw(st.integers(0, n))
     if d == 0:
@@ -201,7 +220,7 @@ def subspaces(draw):
     echelon = from_rows([to_rows(unit)[a] + [draw(scalars) for _ in range(n - d)]
                          for a in range(d)])
     order = draw(st.permutations(range(n)))
-    rows = to_rows(lower @ upper @ echelon)
+    rows = to_rows(matmul(matmul(lower, upper), echelon))
     return Subspace(n, [sparse([row[j] for j in order], 1) for row in rows])
 
 
@@ -223,7 +242,7 @@ def test_subspace_coordinates_match_solve(s, data):
 @given(matrices())
 @settings(max_examples=40, deadline=None)
 def test_kernel_vectors_annihilate(m):
-    ker = kernel_basis(m)
+    ker = kernel_basis(tensor(m))
     for v in basis_rows(ker):
         assert all(not c for c in mv(m, v))
 
@@ -248,7 +267,7 @@ def rank_matrices(draw, max_side=12):
         inner = draw(st.integers(0, 4))
         a = draw(matrices_of(rows, inner))
         b = draw(matrices_of(inner, cols))
-        m = a @ b
+        m = matmul(a, b)
     elif shape == "sparse":
         data = [{} for _ in range(rows)]
         if rows and cols:
@@ -271,7 +290,7 @@ def rank_matrices(draw, max_side=12):
 @given(rank_matrices())
 @settings(max_examples=200, deadline=None)
 def test_rank_agrees_with_rref(m):
-    assert rank(m) == rref(m).rank == rank(m.transpose())
+    assert rank(m) == rref(m).rank == rank(transpose(m))
 
 
 def test_adjoint_betti_in_dense_rational_basis(dense_rational_algebras):
@@ -334,15 +353,11 @@ def test_integer_rank_reports_pivot_columns(m, data):
     assert all(0 <= j < m.cols for j in pivots)
     restricted = [{j: v for j, v in row.items() if j in pivots} for row in rows]
     assert rref_rank_of_ints(m.cols, restricted) == r
-    # rank forwards the list: columns of a wide matrix, rows of a tall one
+    # rank eliminates the rows as given, wide or tall, and forwards the list
     mat = Matrix(len(rows), m.cols, rows)
     forwarded = []
     assert rank(mat, forwarded) == r
-    if mat.rows <= mat.cols:
-        assert forwarded == pivots
-    else:
-        assert len(set(forwarded)) == r and all(0 <= i < mat.rows for i in forwarded)
-        assert rref(Matrix(r, m.cols, [rows[i] for i in forwarded])).rank == r
+    assert forwarded == pivots
 
 
 def test_integer_rank_examples():

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leibniz_kit.cohomology as cohomology_module
 import leibniz_kit.omni as omni_module
 import oracles
 from conftest import change_basis
 from leibniz_kit import (
+    IdentityReport,
     LeibnizAlgebra,
     NaiveRepresentation,
     Representation,
     ResourceCapExceeded,
+    Witness,
     adjoint_naive,
     adjoint_rep,
     bracket,
@@ -53,8 +56,8 @@ from leibniz_kit.fixtures import (
     l2_algebra,
     sl2,
 )
-from leibniz_kit.algebra import contract, dense
-from leibniz_kit.linalg import rank, sparse, sparse_tensor
+from leibniz_kit.algebra import dense
+from leibniz_kit.linalg import contract, rank, sparse, sparse_tensor
 from leibniz_kit.omni import GraphMap, _verify_adjoint_correspondence
 
 F = Fraction
@@ -164,7 +167,7 @@ def test_omni_bracket_matches_the_matrix_formula(case):
     m, x, y = case
     a, b = (oracles.from_rows([z[r * m:(r + 1) * m] for r in range(m)]) if m
             else oracles.zeros(0, 0) for z in (x, y))
-    gl = oracles.mat_sub(a @ b, b @ a)
+    gl = oracles.commutator(a, b)
     expected = [gl.entry(r, c) for r in range(m) for c in range(m)] + oracles.mv(a, y[m * m:])
     assert omni_bracket(m, sparse(x, 1), sparse(y, 1)) == sparse(expected, 1)
     assert omni_bracket(m, x, y) == sparse(expected, 1)  # dense vectors are taken too
@@ -565,6 +568,27 @@ def test_scaled_theta_admissible_only_for_zero_actions():
     assert report.all_equal
 
 
+def test_naive_paths_are_blocked_by_the_refusal_of_betti(monkeypatch):
+    # image_representation does not check its result; betti's refusal does,
+    # so a failing representation check stops naive_betti and compare_adjoint
+    # with betti's ValueError, and it was handed the image representation
+    g = l2_algebra()
+    rho = adjoint_naive(g)
+    seen = []
+
+    def failing(rep):
+        seen.append(rep)
+        return IdentityReport(False, (Witness((0, 1), ((F(1),),), "l-of-bracket"),))
+
+    monkeypatch.setattr(cohomology_module, "check_representation", failing)
+    message = "^input is not a representation; first witness at \\(0, 1\\)$"
+    with pytest.raises(ValueError, match=message):
+        naive_betti(rho, 2)
+    with pytest.raises(ValueError, match=message):
+        compare_adjoint(g, 2)
+    assert seen == [image_representation(rho)] * 2
+
+
 def test_construction_invariants_survive_optimize_flag():
     # python -O strips assert statements; each construction re-checks its
     # result explicitly, so a check forced to fail must still raise
@@ -575,7 +599,6 @@ from leibniz_kit import IdentityReport, adjoint_rep
 from leibniz_kit.fixtures import graph_for, heisenberg3, l2_algebra
 
 phi = graph_for(heisenberg3())
-rho = omni.adjoint_naive(l2_algebra())
 failing = lambda *args: IdentityReport(False)
 cases = [
     (omni, "check_leibniz", failing, lambda: omni.induced_leibniz(phi)),
@@ -583,7 +606,6 @@ cases = [
     (omni, "naive_check", failing, lambda: omni.adjoint_naive(l2_algebra())),
     (omni, "naive_check", failing, lambda: omni.tautological_rep(phi)),
     (omni, "naive_check", failing, lambda: omni.naive_from_rep(adjoint_rep(l2_algebra()))),
-    (omni, "check_representation", failing, lambda: omni.image_representation(rho)),
     (algebra.Subspace, "coordinates_of", lambda self, v: None,
      lambda: algebra.quotient_by_left_center(l2_algebra())),
 ]
