@@ -40,6 +40,12 @@ tensor.  The oracles keep dense vectors of their own (``vzero``,
 ``basis_matrix``) and bracket in the omni algebra by the matrix formula
 AB - BA + Av (``omni_bracket``), independently of the library's sparse
 bracket.
+
+The image representation of a naive representation is here as the direct
+construction: rho(e_i) omni-multiplied with each image basis vector by the
+library's sparse bracket (itself held to the matrix formula), read in
+image coordinates.  The library contracts the structure constants with the
+image coordinates of rho and a section of them instead.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from leibniz_kit import (
     bracket,
     coboundary_matrix,
     left_center,
+    omni_bracket as library_omni_bracket,
     semidirect,
 )
 from leibniz_kit.algebra import dense
@@ -905,6 +912,26 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
             if not viszero(d3):
                 found["hom"].append(Witness((i, j), tuple(d3), "hom"))
     return _report([w for ws in found.values() for w in ws])
+
+
+def image_representation(rho: NaiveRepresentation) -> Representation:
+    """The action of g on the image of rho by left/right omni multiplication:
+    each rho(e_i) bracketed with each image basis vector on both sides by the
+    library's sparse ``omni_bracket``, in image coordinates.  Raises
+    ValueError when a bracket leaves the image."""
+    image, m = rho.image, rho.vdim
+    ls: dict = {}
+    rs: dict = {}
+    for i, rho_i in enumerate(rho.rho_vectors):
+        for col, b in enumerate(image.basis):
+            lv = image.coordinates_of(library_omni_bracket(m, rho_i, b))
+            rv = image.coordinates_of(library_omni_bracket(m, b, rho_i))
+            if lv is None or rv is None:
+                raise ValueError("image of the representation is not closed under "
+                                 "the omni bracket; the map is not a homomorphism")
+            ls.update(((i, a, col), x) for (a,), x in lv.items())
+            rs.update(((i, a, col), x) for (a,), x in rv.items())
+    return Representation(rho.algebra, image.dim, ls, rs)
 
 
 def embedding(rho: NaiveRepresentation, tuples: int) -> Matrix:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import change_basis
 from leibniz_kit import (
     GraphMap,
     LeibnizAlgebra,
@@ -43,6 +44,8 @@ from leibniz_kit import (
     semidirect,
     skew_bracket,
     square_in_center_check,
+    trivial_naive_rep,
+    trivial_naive_space,
     trivial_rep,
     verify_lie2,
 )
@@ -53,7 +56,7 @@ from leibniz_kit.algebra import (
     residual_witnesses,
 )
 from leibniz_kit.cohomology import maurer_cartan_residual
-from leibniz_kit.linalg import Tensor, contract, span_of_rows, sparse
+from leibniz_kit.linalg import Tensor, contract, rank, span_of_rows, sparse
 from leibniz_kit.omni import _verify_adjoint_correspondence
 from leibniz_kit.serialize import graph_from_json, representation_from_json
 
@@ -486,14 +489,67 @@ def _naive_representations(small_algebras, dense_rational_algebras) -> dict:
 
 
 def test_naive_check_matches_oracle(small_algebras, dense_rational_algebras):
+    # the library proves the homomorphism by con1 and con2 alone; the
+    # oracle's direct route against the omni bracket (hom) must fail on
+    # exactly the same representations
     labels = set()
+    outcomes = set()
     for name, rho in _naive_representations(small_algebras, dense_rational_algebras).items():
         new, old = naive_check(rho), oracles.naive_check(rho)
         assert new.holds == old.holds, name
-        assert new.witnesses == old.witnesses, name
-        labels |= {w.label for w in new.witnesses}
-    # every term of both component conditions is exercised
+        assert new.witnesses == tuple(w for w in old.witnesses if w.label != "hom"), name
+        assert new.holds == (not any(w.label == "hom" for w in old.witnesses)), name
+        labels |= {w.label for w in old.witnesses}
+        if name.startswith("random-"):
+            outcomes.add(new.holds)
+    # every term of both component conditions is exercised, and the direct
+    # route too; the seeded random maps include failing ones
     assert labels == {"con1", "con2", "hom"}
+    assert False in outcomes
+
+
+def _valid_naive_representations(positive_algebras, dense_rational_algebras) -> dict:
+    out = {}
+    for name, g in {**positive_algebras,
+                    **{f"dense-{n}": g for n, g in dense_rational_algebras.items()}}.items():
+        out[f"{name}/adjoint"] = adjoint_naive(g)
+        out[f"{name}/from-adjoint-rep"] = naive_from_rep(adjoint_rep(g))
+        for u, xi in enumerate(trivial_naive_space(g).basis):
+            out[f"{name}/trivial-{u}"] = trivial_naive_rep(g, xi)
+    # seeded random: a random basis of a fixture, its left action with theta
+    # a random multiple of the identity (zero gives the quotient by the left
+    # center), and a random functional killing [g, g]
+    names = ("L2", "heis3", "sl2", "abelian2")
+    for seed in range(8):
+        rng = random.Random(seed)
+        g = corpus.algebra(names[seed % len(names)])
+        n = g.dim
+        while True:
+            b = _random_matrices(rng, 1, n)[0]
+            if rank(oracles.from_rows(b)) == n:
+                break
+        g = change_basis(g, b)
+        s = rng.choice((0, F(rng.randint(-3, 3), rng.randint(1, 3))))
+        rho = NaiveRepresentation(g, n, adjoint_rep(g).l, {(i, i): s for i in range(n)})
+        assert naive_check(rho).holds, seed
+        out[f"random-{seed}/adjoint-theta-{s}"] = rho
+        space = trivial_naive_space(g)
+        if space.dim:
+            xi = contract([(1, "u,ua->a", sparse(_random_tensor(rng, (space.dim,)), 1),
+                            space.basis)])
+            out[f"random-{seed}/trivial"] = trivial_naive_rep(g, xi)
+    return out
+
+
+def test_image_representation_matches_oracle(positive_algebras, dense_rational_algebras):
+    # the two contractions B c S give the tensors of the omni brackets,
+    # also where rho has a kernel
+    kernels = 0
+    for name, rho in _valid_naive_representations(positive_algebras,
+                                                   dense_rational_algebras).items():
+        assert image_representation(rho) == oracles.image_representation(rho), name
+        kernels += rho.image.dim < rho.algebra.dim
+    assert kernels
 
 
 def test_adjoint_correspondence_matches_oracle(dense_rational_algebras):

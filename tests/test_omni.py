@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from leibniz_kit import (
     Witness,
     adjoint_naive,
     adjoint_rep,
+    betti,
     bracket,
     build_lie2,
     check_leibniz,
@@ -57,11 +60,14 @@ from leibniz_kit.fixtures import (
     sl2,
 )
 from leibniz_kit.algebra import dense
+from leibniz_kit.cli import main
 from leibniz_kit.linalg import contract, rank, sparse, sparse_tensor
 from leibniz_kit.omni import GraphMap, _verify_adjoint_correspondence
+from leibniz_kit.serialize import representation_from_json
 
 F = Fraction
 E = lambda n, i: [F(j == i) for j in range(n)]
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -201,32 +207,37 @@ def test_left_action_with_zero_theta_is_naive():
 def test_naive_check_three_routes_agree_on_corruption():
     g = l2_algebra()
     good = adjoint_naive(g)
-    # corrupt theta: breaks the cocycle condition and the direct test alike
+    # corrupt theta: breaks the cocycle condition, and the oracle's direct
+    # test against the omni bracket fails at the same pairs
     theta = (list(E(2, 0)), [F(1), F(1)])
     bad = NaiveRepresentation(g, 2, good.phi, theta)
     report = naive_check(bad)
     assert not report.holds
-    labels = {w.label for w in report.witnesses}
-    assert "con2" in labels and "hom" in labels and "con1" not in labels
+    assert {w.label for w in report.witnesses} == {"con2"}
+    direct = [w.where for w in oracles.naive_check(bad).witnesses if w.label == "hom"]
+    assert direct == [w.where for w in report.witnesses]
 
 
 def test_naive_check_witnesses_grouped_by_label():
-    # con2 and hom fail at (0, 0) and (0, 1): every con2 witness comes before
-    # every hom witness
+    # con2 fails at (0, 0) and (0, 1), and so does the oracle's direct test
     g = l2_algebra()
     bad = NaiveRepresentation(g, 2, adjoint_naive(g).phi, (list(E(2, 0)), [F(1), F(1)]))
     assert [(w.where, w.label) for w in naive_check(bad).witnesses] == [
-        ((0, 0), "con2"), ((0, 1), "con2"), ((0, 0), "hom"), ((0, 1), "hom")]
-    # doubling phi on sl2 breaks all three routes
+        ((0, 0), "con2"), ((0, 1), "con2")]
+    assert [(w.where, w.label) for w in oracles.naive_check(bad).witnesses
+            if w.label == "hom"] == [((0, 0), "hom"), ((0, 1), "hom")]
+    # doubling phi on sl2 breaks both component conditions: every con1
+    # witness comes before every con2 witness
     rho = adjoint_naive(sl2())
     doubled = NaiveRepresentation(rho.algebra, 3, oracles.scaled(rho.phi, 2), rho.theta)
     report = naive_check(doubled)
     labels = [w.label for w in report.witnesses]
-    assert labels == sorted(labels, key=["con1", "con2", "hom"].index)
-    assert set(labels) == {"con1", "con2", "hom"}
-    for label in ("con1", "con2", "hom"):
+    assert labels == sorted(labels, key=["con1", "con2"].index)
+    assert set(labels) == {"con1", "con2"}
+    for label in ("con1", "con2"):
         where = [w.where for w in report.witnesses if w.label == label]
         assert where == sorted(where), label
+    assert any(w.label == "hom" for w in oracles.naive_check(doubled).witnesses)
 
 
 def test_trivial_naive_space_values():
@@ -294,6 +305,72 @@ def test_naive_coboundary_agrees_with_image_representation(small_algebras):
                 assert naive_coboundary(rho, f) == to_naive_cochain(
                     rho, [sparse(v, 1) for v in literal], k + 1)
                 assert naive_coboundary(rho, f) == coboundary(rep, f)
+
+
+def test_image_representation_refuses_a_map_that_is_no_homomorphism():
+    # the contractions give the image representation only for a homomorphism;
+    # the corrupted theta of L2 fails con2 first at (0, 0)
+    g = l2_algebra()
+    bad = NaiveRepresentation(g, 2, adjoint_naive(g).phi, (list(E(2, 0)), [F(1), F(1)]))
+    message = "^the map is not a homomorphism; first witness con2 at \\(0, 0\\)$"
+    with pytest.raises(ValueError, match=message):
+        image_representation(bad)
+    with pytest.raises(ValueError, match=message):
+        naive_betti(bad, 1)
+
+
+def test_naive_betti_path_runs_no_omni_bracket(monkeypatch, positive_algebras, capsys):
+    # with omni_bracket unavailable, naive_betti, compare_adjoint,
+    # compare_trivial and cohomology --naive / --compare give the Betti
+    # numbers of the omni-bracket construction of the image representation
+    k_max = 2
+
+    def dims(rep):
+        return [d.dim_h for d in betti(rep, k_max).degrees]
+
+    def naive_dims(rho):
+        return dims(oracles.image_representation(rho))
+
+    cases = []  # (fixture, --rep, naive representation or None, classical representation)
+    for name, g in positive_algebras.items():
+        space = trivial_naive_space(g)
+        cases.append((name, "trivial", trivial_naive_rep(g, space.basis[0]) if space.dim else None,
+                      trivial_rep(g)))
+        cases.append((name, "adjoint", adjoint_naive(g), adjoint_rep(g)))
+        path = FIXTURES / f"rep_adjoint_{name}.json"
+        if path.exists():
+            rep = representation_from_json(g, json.loads(path.read_text("utf-8")))
+            cases.append((name, str(path), naive_from_rep(rep), rep))
+    expected = [(naive_dims(rho) if rho else [0] * (k_max + 1), dims(rep))
+                for _, _, rho, rep in cases]
+
+    def refuse(*args):
+        raise RuntimeError("omni_bracket was called")
+
+    monkeypatch.setattr(omni_module, "omni_bracket", refuse)
+    with pytest.raises(RuntimeError, match="was called"):
+        omni_module.omni_lie(1)
+    for (name, rep_arg, rho, _), (naive, classical) in zip(cases, expected, strict=True):
+        if rho is not None:
+            assert [d.dim_h for d in naive_betti(rho, k_max).degrees] == naive, (name, rep_arg)
+        if rep_arg in ("trivial", "adjoint"):
+            compare = compare_trivial if rep_arg == "trivial" else compare_adjoint
+            report = compare(positive_algebras[name], k_max)
+            assert report.side_checks_ok, name
+            assert [(r.dim_naive, r.dim_classical) for r in report.rows] == \
+                list(zip(naive, classical)), (name, rep_arg)
+        argv = ["cohomology", str(FIXTURES / f"{name}.json"), "--rep", rep_arg,
+                "--max-degree", str(k_max), "--json"]
+        capsys.readouterr()
+        main([*argv, "--naive"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        got = [d["dim_H"] for d in results["naive_betti"]["degrees"]] if rho else None
+        assert got == (naive if rho else None), (name, rep_arg)
+        if rep_arg in ("trivial", "adjoint"):
+            main([*argv, "--compare"])
+            rows = json.loads(capsys.readouterr().out)["results"]["comparison"]["degrees"]
+            assert [(r["dim_naive"], r["dim_classical"]) for r in rows] == \
+                list(zip(naive, classical)), (name, rep_arg)
 
 
 def test_naive_coboundary_trivial_rep_reduces_to_bracket_sum():
