@@ -35,9 +35,10 @@ class LeibnizAlgebra(Frozen):
     ``c`` is the read-only sparse ``linalg.Tensor`` {(i, j, k): nonzero
     Fraction}, the one stored form that every check reads; ``g.c[i][j][k]``
     reads an entry.  The constructor takes that mapping or the dense
-    nested sequences (``linalg.sparse_tensor``)."""
+    nested sequences (``linalg.sparse_tensor``).  ``_skew`` and
+    ``_jacobiator`` are ``lie2``'s, derived once per value."""
 
-    __slots__ = ("dim", "c")
+    __slots__ = ("dim", "c", "_verdict", "_skew", "_jacobiator")
 
     def __init__(self, dim: int, c):
         self._set(dim, sparse_tensor(c, (dim,) * 3, "structure tensor"))

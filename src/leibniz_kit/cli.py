@@ -175,7 +175,7 @@ def _basis_strings(space) -> list[list[str]]:
 def cmd_check(args) -> int:
     run = _Run(args)
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
-    leib = check_leibniz(g)
+    leib = g._derived("_verdict", check_leibniz)
     run.results["dim"] = g.dim
     run.results["leibniz"] = leib.holds
     run.say(f"dimension: {g.dim}")
@@ -264,7 +264,8 @@ def cmd_cohomology(args) -> int:
     cap = _cap()
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     rep, rep_label = _resolve_representation(run, args, g)
-    refusal = _refusal(g, rep)
+    # --compare builds its own trivial or adjoint representation and checks it
+    refusal = _refusal(g, None if args.compare else rep)
     if refusal:
         run.fail(refusal)
         return run.finish()
@@ -359,7 +360,7 @@ def cmd_omni(args) -> int:
 def cmd_graph(args) -> int:
     run = _Run(args)
     phi = graph_from_json(run.read_document(args.graph, "graph map"))
-    report = graph_check(phi)
+    report = phi._derived("_verdict", graph_check)
     run.results["closes"] = report.holds
     if args.emit_algebra and not args.json:
         # keep stdout pure JSON so the command stays pipeable

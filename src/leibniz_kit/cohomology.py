@@ -66,7 +66,7 @@ class Representation(Frozen):
     ``rep.l[i][a][b]`` reads an entry.  The constructor takes that mapping
     or the dense nested sequences (``linalg.sparse_tensor``)."""
 
-    __slots__ = ("algebra", "vdim", "l", "r")
+    __slots__ = ("algebra", "vdim", "l", "r", "_verdict")
 
     def __init__(self, algebra: LeibnizAlgebra, vdim: int, l, r):
         shape = (algebra.dim, vdim, vdim)
@@ -95,15 +95,12 @@ def check_representation(rep: Representation) -> IdentityReport:
 
 def _refusal(g: LeibnizAlgebra, rep: Optional[Representation] = None) -> Optional[str]:
     """Why g is not a Leibniz algebra, or rep (when given) not a
-    representation of it, or None when they are."""
-    report = check_leibniz(g)
-    if not report.holds:
-        return f"input is not a Leibniz algebra; first witness at {report.witnesses[0].where}"
-    if rep is None:
-        return None
-    report = check_representation(rep)
-    if not report.holds:
-        return f"input is not a representation; first witness at {report.witnesses[0].where}"
+    representation of it, or None when they are.  Each value keeps the
+    report of its identity, so it is checked once however often it is asked."""
+    for value, check, what in ((g, check_leibniz, "a Leibniz algebra"),
+                               (rep, check_representation, "a representation")):
+        if value is not None and not (report := value._derived("_verdict", check)).holds:
+            return f"input is not {what}; first witness at {report.witnesses[0].where}"
     return None
 
 
@@ -300,10 +297,10 @@ def betti(rep: Representation, k_max: int,
     Since d_k d_(k-1) = 0, d_k of each such coordinate is a combination of
     d_k on the other coordinates, so those rows of (D d_k)^T are never
     built: ``coboundary_columns`` skips them.  That d^2 = 0 follows from the
-    identities the refusal has just proven on the instance
-    (Loday-Pirashvili, Math. Ann. 1993).  This holds for every complex
-    here, the naive one included: it is the complex of the image
-    representation, which the refusal checks like any other.
+    identities the refusal proves on the instance (Loday-Pirashvili, Math.
+    Ann. 1993), once per value: g and rep keep their reports.  This holds
+    for every complex here, the naive one included: it is the complex of
+    the image representation, which the refusal checks like any other.
     """
     g = rep.algebra
     n, m = g.dim, rep.vdim
@@ -347,7 +344,7 @@ def semidirect(g: LeibnizAlgebra, rep: Representation, mode: str) -> LeibnizAlge
     if mode == "lr":
         c.update(rbar(g, rep))
     out = LeibnizAlgebra(n + rep.vdim, c)
-    report = check_leibniz(out)
+    report = out._derived("_verdict", check_leibniz)
     if not report.holds:
         raise ValueError("semidirect product violates the Leibniz identity; "
                          f"first witness at {report.witnesses[0].where} "

@@ -46,9 +46,10 @@ def skew_bracket(g: LeibnizAlgebra) -> dict:
     return contract([(HALF, "ijk->ijk", g.c), (-HALF, "jik->ijk", g.c)])
 
 
-def _jacobiator(c: dict) -> dict:
+def _jacobiator(g: LeibnizAlgebra) -> dict:
     """J(e_i,e_j,e_k) at (i,j,k,t) by the closed quarter-formula, from the
     sparse structure tensor."""
+    c = g.c
     return contract([(QUARTER, "kja,ait->ijkt", c, c), (QUARTER, "ika,ajt->ijkt", c, c),
                      (QUARTER, "jia,akt->ijkt", c, c)])
 
@@ -77,8 +78,8 @@ def check_jacobiator_identities(g: LeibnizAlgebra) -> IdentityReport:
 
     Witnesses are labelled, and listed, in that order.
     """
-    n, c, s = g.dim, g.c, skew_bracket(g)
-    jac = _jacobiator(c)
+    n, c = g.dim, g.c
+    s, jac = g._derived("_skew", skew_bracket), g._derived("_jacobiator", _jacobiator)
     direct = contract([(1, "jka,iat->ijkt", s, s), (1, "kia,jat->ijkt", s, s),
                        (1, "ija,kat->ijkt", s, s), (-1, "ijkt->ijkt", jac)])
     center = contract([(1, "ijka,alt->ijklt", jac, c)])
@@ -159,9 +160,9 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     # z.basis[u, a] is coordinate a of the center basis vector u
     half_action = contract([(HALF, "ua,iat->iut", z.basis, c)])
     l2_01 = center_coords(half_action, "[e_{}, z_{}]/2")
-    l3 = center_coords(_jacobiator(c), "J(e_{},e_{},e_{})")
-    return Lie2Algebra(d1, n, {(a, u): v for (u, a), v in z.basis.items()}, skew_bracket(g),
-                       l2_01, l3)
+    l3 = center_coords(g._derived("_jacobiator", _jacobiator), "J(e_{},e_{},e_{})")
+    return Lie2Algebra(d1, n, {(a, u): v for (u, a), v in z.basis.items()},
+                       g._derived("_skew", skew_bracket), l2_01, l3)
 
 
 def check_lie2_structure(L: Lie2Algebra) -> IdentityReport:

@@ -89,15 +89,25 @@ class Frozen:
     Equality, hash and repr go by value; assigning raises AttributeError.
 
     Slots named with a leading underscore come last and hold forms derived
-    from the fields.  ``_set`` stores them too, but equality, hash, repr and
-    pickling see only the fields, so a copy or an unpickled twin derives
-    them again in its constructor."""
+    from the fields: ``_set`` stores those a constructor derives, and
+    ``_derived`` fills the others on first use.  One of those is
+    ``_verdict``, the report of a checked type's defining identity, so each
+    value is checked once.  Equality, hash, repr and pickling see only the
+    fields, so a copy or an unpickled twin derives them again."""
 
     __slots__ = ()
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    def _derived(self, name: str, build):
+        """The derived slot ``name``, filled with ``build(self)`` when first read."""
+        try:
+            return getattr(self, name)
+        except AttributeError:
+            object.__setattr__(self, name, build(self))
+            return getattr(self, name)
 
     def _fields(self) -> list:
         return [name for name in self.__slots__ if name[0] != "_"]

@@ -63,6 +63,7 @@ from .cohomology import (
     DEFAULT_CAP,
     BettiReport,
     Representation,
+    _refusal,
     _require_within_cap,
     adjoint_rep,
     betti,
@@ -130,7 +131,7 @@ def omni_lie(m: int) -> LeibnizAlgebra:
     units = [Tensor((n,), {(p,): ONE}) for p in range(n)]
     out = LeibnizAlgebra(n, {(p, q, k): v for p in range(n) for q in range(n)
                              for (k,), v in omni_bracket(m, units[p], units[q]).items()})
-    if not check_leibniz(out).holds:
+    if not out._derived("_verdict", check_leibniz).holds:
         raise AssertionError("omni bracket failed the Leibniz identity")
     return out
 
@@ -146,7 +147,7 @@ class GraphMap(Frozen):
     the constructor takes that mapping or the dense nested sequences
     (``linalg.sparse_tensor``)."""
 
-    __slots__ = ("vdim", "phi")
+    __slots__ = ("vdim", "phi", "_verdict")
 
     def __init__(self, vdim: int, phi):
         self._set(vdim, sparse_tensor(phi, (vdim,) * 3, "graph map"))
@@ -164,13 +165,13 @@ def graph_check(phi: GraphMap) -> IdentityReport:
 
 def induced_leibniz(phi: GraphMap) -> LeibnizAlgebra:
     """The bracket [u, v] = phi(u) v on V, defined when the graph closes."""
-    report = graph_check(phi)
+    report = phi._derived("_verdict", graph_check)
     if not report.holds:
         raise ValueError("graph map fails the closure condition at "
                          f"{report.witnesses[0].where}")
     # [e_i, e_j] = phi_i e_j has entry (phi_i)[k][j] at k
     out = LeibnizAlgebra(phi.vdim, {(i, j, k): v for (i, k, j), v in phi.phi.items()})
-    if not check_leibniz(out).holds:
+    if not out._derived("_verdict", check_leibniz).holds:
         raise AssertionError("graph-induced bracket failed the Leibniz identity")
     return out
 
@@ -199,7 +200,7 @@ class NaiveRepresentation(Frozen):
     (``image.coordinates_of``).
     """
 
-    __slots__ = ("algebra", "vdim", "phi", "theta", "_image")
+    __slots__ = ("algebra", "vdim", "phi", "theta", "_image", "_verdict")
 
     def __init__(self, algebra: LeibnizAlgebra, vdim: int, phi, theta):
         n = algebra.dim
@@ -230,7 +231,7 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
     theta([x,y]) = phi(x) theta(y) (con2).  Each contracts c with
     P[i,a,b] = (phi_i)[a][b] and T[i,a] = theta_i[a]; witnesses come grouped
     by label (con1, then con2), each in lexicographic order.
-    ``image_representation`` runs it before its contractions."""
+    ``image_representation`` reads it before its contractions."""
     c, P, T = rho.algebra.c, rho.phi, rho.theta
     con1 = contract([(1, "ijk,kab->ijab", c, P), (-1, "iau,jub->ijab", P, P),
                      (1, "jau,iub->ijab", P, P)])
@@ -251,17 +252,20 @@ def trivial_naive_rep(g: LeibnizAlgebra, xi) -> NaiveRepresentation:
     [g,g], a sparse vector {(i,): x} (or a dense sequence) of length dim g."""
     xi = sparse_tensor(xi, (g.dim,), "functional")
     rho = NaiveRepresentation(g, 1, {}, {(i, 0): x for (i,), x in xi.items()})
-    report = naive_check(rho)
-    if not report.holds:
+    if not rho._derived("_verdict", naive_check).holds:
         raise ValueError("functional does not vanish on the derived subalgebra")
     return rho
 
 
 def adjoint_naive(g: LeibnizAlgebra) -> NaiveRepresentation:
-    """rho(x) = (left multiplication by x) + x, acting on g itself."""
+    """rho(x) = (left multiplication by x) + x, acting on g itself;
+    ValueError, in ``betti``'s words, unless g is a Leibniz algebra."""
+    refusal = _refusal(g)
+    if refusal:
+        raise ValueError(refusal)
     n = g.dim
     rho = NaiveRepresentation(g, n, adjoint_rep(g).l, {(i, i): 1 for i in range(n)})
-    if not naive_check(rho).holds:
+    if not rho._derived("_verdict", naive_check).holds:
         raise AssertionError("adjoint naive map is not a homomorphism")
     if rho.image.dim != n:
         raise AssertionError(f"adjoint naive image has dim {rho.image.dim}, expected {n}")
@@ -272,14 +276,14 @@ def naive_from_rep(rep: Representation) -> NaiveRepresentation:
     """Package a classical representation (V, l, r) as a naive representation
     on the matrix space V* (x) V: the gl part acts by [l_x, .] and the V part
     is the flattened right action."""
-    report = check_representation(rep)
-    if not report.holds:
-        raise ValueError(f"not a representation; first witness {report.witnesses[0].where}")
+    refusal = _refusal(rep.algebra, rep)
+    if refusal:
+        raise ValueError(refusal)
     m = rep.vdim
     conj = conjugation_rep(Representation(rep.algebra, m, rep.l, {}))
     theta = {(i, a * m + b): v for (i, a, b), v in rep.r.items()}
     rho = NaiveRepresentation(rep.algebra, m * m, conj.l, theta)
-    if not naive_check(rho).holds:
+    if not rho._derived("_verdict", naive_check).holds:
         raise AssertionError("induced naive map is not a homomorphism")
     return rho
 
@@ -306,9 +310,10 @@ def image_representation(rho: NaiveRepresentation) -> Representation:
 
         l_i[a,b] = sum B[a,k] c[i,j,k] S[j,b]    r_i[a,b] = sum B[a,k] c[j,i,k] S[j,b].
 
-    ``betti``'s refusal checks the result again.
+    rho keeps the ``naive_check`` report its constructor made, and the
+    result is a new value, which ``betti``'s refusal checks once.
     """
-    report = naive_check(rho)
+    report = rho._derived("_verdict", naive_check)
     if not report.holds:
         w = report.witnesses[0]
         raise ValueError(f"the map is not a homomorphism; first witness {w.label} at {w.where}")
@@ -471,7 +476,7 @@ def tautological_rep(phi: GraphMap) -> NaiveRepresentation:
     g = induced_leibniz(phi)
     m = phi.vdim
     rho = NaiveRepresentation(g, m, phi.phi, {(i, i): 1 for i in range(m)})
-    if not naive_check(rho).holds:
+    if not rho._derived("_verdict", naive_check).holds:
         raise AssertionError("tautological graph map is not a homomorphism")
     return rho
 
@@ -483,7 +488,7 @@ def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
 
         l_x u = phi(theta(x)) u          r_x u = phi(u) theta(x).
     """
-    if not graph_check(phi).holds:
+    if not phi._derived("_verdict", graph_check).holds:
         raise ValueError("graph map fails the closure condition")
     if phi.vdim != rho.vdim:
         raise ValueError("graph and representation act on different spaces")
@@ -491,12 +496,12 @@ def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
     escapes = contract([(1, "ia,auv->iuv", rho.theta, phi.phi), (-1, "iuv->iuv", rho.phi)])
     if escapes:
         raise ValueError(f"image of basis element {min(escapes)[0]} escapes the graph")
-    if not naive_check(rho).holds:
+    if not rho._derived("_verdict", naive_check).holds:
         raise ValueError("the map is not a naive representation")
     # the escape check has proven l_x = phi(theta(x)) = rho.phi[x]
     rs = contract([(1, "auv,iv->iua", phi.phi, rho.theta)])
     rep = Representation(g, rho.vdim, rho.phi, rs)
-    report = check_representation(rep)
+    report = rep._derived("_verdict", check_representation)
     if not report.holds:
         raise ValueError("induced actions fail the representation conditions at "
                          f"{report.witnesses[0].where}")

@@ -42,6 +42,7 @@ from leibniz_kit import (
     coboundary_columns,
     coboundary_matrix,
     cocycle_check,
+    compare_adjoint,
     compare_trivial,
     conjugation_rep,
     dual_rep,
@@ -773,9 +774,18 @@ def test_betti_refuses_input_that_fails_its_identities(monkeypatch, rep, message
 
 @pytest.mark.parametrize("g", [nonleibniz(), nonleibniz2()], ids=["nonleibniz", "nonleibniz2"])
 def test_comparisons_refuse_non_leibniz_input(g):
+    # each entry point refuses in the CLI's words, the adjoint naive map too
     message = "^input is not a Leibniz algebra; first witness at \\(0, 0, 0\\)$"
-    with pytest.raises(ValueError, match=message):
-        compare_trivial(g, 2)
+    for call in (lambda: compare_trivial(g, 2), lambda: compare_adjoint(g, 2),
+                 lambda: adjoint_naive(g)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_naive_from_rep_refuses_in_the_words_of_the_cli():
+    with pytest.raises(ValueError,
+                       match="^input is not a representation; first witness at \\(0, 0\\)$"):
+        naive_from_rep(bad_representation())
 
 
 def test_over_cap_betti_refuses_before_any_work(monkeypatch):

@@ -24,12 +24,18 @@ from leibniz_kit import (
     NaiveRepresentation,
     Representation,
     Subspace,
+    check_leibniz,
+    check_representation,
+    graph_check,
+    naive_check,
+    skew_bracket,
     omni_bracket,
     right_action_cochain,
     to_naive_cochain,
     trivial_naive_rep,
 )
 from leibniz_kit.algebra import dense
+from leibniz_kit.lie2 import _jacobiator
 from leibniz_kit.linalg import Tensor, span_of_rows, sparse_tensor
 
 Z2 = [[0, 0], [0, 0]]
@@ -66,10 +72,27 @@ BUILDERS = {
 FIELDS = {"LeibnizAlgebra": "c", "Representation": "l", "Subspace": "basis", "GraphMap": "phi", "Lie2Algebra": "l3",
           "NaiveRepresentation": "phi"}
 
-# The slots holding forms a constructor derives from the fields: the
-# elimination a subspace and the image of a naive representation need.  Every
-# tensor is stored once, as its field.
-DERIVED = {"Subspace": ("_pivots", "_inverse"), "NaiveRepresentation": ("_image",)}
+# The slots holding forms derived from the fields: the elimination a subspace
+# and the image of a naive representation need, which the constructor
+# derives, and the report of each checked type's identity and the lie2 forms
+# of an algebra, which are derived on first use.  Every tensor is stored
+# once, as its field.
+DERIVED = {"Subspace": ("_pivots", "_inverse"), "NaiveRepresentation": ("_image", "_verdict"),
+           "LeibnizAlgebra": ("_verdict", "_skew", "_jacobiator"),
+           "Representation": ("_verdict",), "GraphMap": ("_verdict",)}
+
+# What derives each slot filled on first use, by type and slot.
+ON_FIRST_USE = {("LeibnizAlgebra", "_verdict"): check_leibniz,
+                ("LeibnizAlgebra", "_skew"): skew_bracket,
+                ("LeibnizAlgebra", "_jacobiator"): _jacobiator,
+                ("Representation", "_verdict"): check_representation,
+                ("GraphMap", "_verdict"): graph_check,
+                ("NaiveRepresentation", "_verdict"): naive_check}
+
+
+def _derived_form(value, slot):
+    """The form in a derived slot, derived first if it is filled on first use."""
+    return value._derived(slot, ON_FIRST_USE.get((type(value).__name__, slot)))
 
 
 def _with_bogus_derived_forms(name):
@@ -113,11 +136,11 @@ def test_copies_and_pickles_are_equal_values(name):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert twin == value and type(twin) is type(value)
         for slot in DERIVED.get(name, ()):
-            assert getattr(twin, slot) == getattr(value, slot)
+            assert _derived_form(twin, slot) == _derived_form(value, slot)
     # a pickle holds the fields only; the derived forms are derived again
     assert pickle.dumps(_with_bogus_derived_forms(name)) == pickle.dumps(value)
     for slot in DERIVED.get(name, ()):
-        assert getattr(copy.copy(_with_bogus_derived_forms(name)), slot) != {"bogus": slot}
+        assert _derived_form(copy.copy(_with_bogus_derived_forms(name)), slot) != {"bogus": slot}
 
 
 def test_repr_names_every_field():
