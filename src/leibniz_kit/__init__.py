@@ -10,7 +10,6 @@ from .algebra import (
     IdentityReport,
     LeibnizAlgebra,
     Witness,
-    bracket,
     check_leibniz,
     derived_subalgebra,
     is_lie,
@@ -43,13 +42,11 @@ from .lie2 import (
     Lie2Algebra,
     build_lie2,
     check_jacobiator_identities,
-    check_lie2_structure,
     skew_bracket,
     verify_lie2,
 )
 from .linalg import (
     Matrix,
-    Rational,
     Subspace,
     integer_rank,
     kernel_basis,

@@ -12,13 +12,11 @@ special case.  Everything is encoded by the tensor c with
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .linalg import (
     ONE,
     Frozen,
-    Matrix,
     Subspace,
     Tensor,
     ZERO,
@@ -94,7 +92,7 @@ def _report(witnesses: list[Witness]) -> IdentityReport:
 # ``right_action_cochain`` build one.  A vector is the 1-axis tensor
 # {(a,): x}, and a family of vectors, such as a ``Subspace.basis`` or the
 # rho(e_i) of a naive representation, one 2-axis tensor.  Only witnesses
-# (and the CLI's basis strings) build dense tuples, with ``dense``.
+# build dense tuples, with ``dense``.
 
 def dense(tensor: dict, shape: tuple) -> tuple:
     """The nested tuples of the given shape holding a sparse tensor."""
@@ -125,20 +123,6 @@ def residual_witnesses(residual: dict, dim: int, label: str, axes: int = 1) -> l
             blocks.setdefault(key[:-axes], {})[key[-axes:]] = v
     return [Witness(where, dense(block, (dim,) * axes), label)
             for where, block in sorted(blocks.items())]
-
-
-def bracket(g: LeibnizAlgebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-    """Bilinear extension of the structure constants to coordinate vectors."""
-    n = g.dim
-    if len(x) != n or len(y) != n:
-        raise ValueError(f"vectors must have length {n}")
-    out = [ZERO] * n
-    for i, xi in enumerate(x):
-        if xi:
-            for (j, k), v in g.c[i].items():
-                if y[j]:
-                    out[k] += xi * y[j] * v
-    return out
 
 
 def check_leibniz(g: LeibnizAlgebra) -> IdentityReport:
@@ -186,42 +170,28 @@ def square_in_center_check(g: LeibnizAlgebra) -> IdentityReport:
     return _report(residual_witnesses(residual, g.dim, "square-center"))
 
 
-def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
-    """The algebra induced on g / Z(g), plus the projection matrix.
+def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Tensor]:
+    """The algebra induced on g / Z(g), plus the projection onto it, the
+    2-axis ``Tensor`` of shape (q, n).
 
-    The complement of Z(g) is spanned by the standard basis vectors whose
-    indices avoid the pivot columns of the RREF'd center basis; this makes
-    the construction deterministic.  The quotient of a Leibniz algebra by
-    its left center is a Lie algebra, which is checked on the result.
+    Y, the RREF basis of Z(g), is the identity on its pivot columns P; the
+    quotient keeps the other coordinates C, in order, which makes the
+    construction deterministic.  The projection sends e_(C_a) to e_a and
+    e_(P_u) to -sum_a Y[u, C_a] e_a, so it kills Y, and the bracket is one
+    contraction: [e_a, e_b] = proj [e_(C_a), e_(C_b)].  The quotient of a
+    Leibniz algebra by its left center is a Lie algebra, which is checked on
+    the result.
     """
     n = g.dim
-    z = left_center(g)
-    complement = [i for i in range(n) if i not in z._pivots]
-    q = len(complement)
-
-    # change of basis: center vectors first, then the complement unit vectors
-    try:
-        extended = Subspace(n, [*z.basis, *({(i,): ONE} for i in complement)])
-    except ValueError:
-        raise AssertionError("center basis extension failed to span")
-
-    def project(v):
-        coords = extended.coordinates_of(v)
-        if coords is None:
-            raise AssertionError("vector outside the span of the extended center basis")
-        return {(a - z.dim,): x for (a,), x in coords.items() if a >= z.dim}
-
-    rows = rows_of(g.c)
-    quotient = LeibnizAlgebra(q, {(a, b, k): x for a, ia in enumerate(complement)
-                                  for b, ib in enumerate(complement) if (ia, ib) in rows
-                                  for (k,), x in project(rows[ia, ib]).items()})
+    y = span_of_rows(n, left_center(g).basis)
+    pivots = y._pivots
+    kept = {i: a for a, i in enumerate(i for i in range(n) if i not in pivots)}
+    entries = {(a, i): ONE for i, a in kept.items()}
+    entries.update(((kept[j], pivots[u]), -x) for (u, j), x in y.basis.items() if j in kept)
+    proj = Tensor((len(kept), n), dict(sorted(entries.items())))
+    c = {(kept[i], kept[j], t): x for (i, j, t), x in g.c.items() if i in kept and j in kept}
+    quotient = LeibnizAlgebra(len(kept), contract([(1, "abt,kt->abk", c, proj)]))
     if not is_lie(quotient):
         raise RuntimeError("quotient by the left center is not antisymmetric; "
                            "input violates the Leibniz identity")
-
-    # q x n, column i the projection of e_i; the shape holds also when q = 0
-    data: list[dict] = [{} for _ in range(q)]
-    for i in range(n):
-        for (k,), x in project({(i,): ONE}).items():
-            data[k][i] = x
-    return quotient, Matrix(q, n, data)
+    return quotient, proj

@@ -23,7 +23,6 @@ import time
 from . import fixtures as fixture_corpus
 from .algebra import (
     check_leibniz,
-    dense,
     derived_subalgebra,
     is_lie,
     left_center,
@@ -64,6 +63,7 @@ from .serialize import (
     lie2_to_json,
     representation_from_json,
     scalar_to_str,
+    tensor_to_json,
 )
 
 EXIT_OK = 0
@@ -168,10 +168,6 @@ def _witness_lines(report, limit: int = 5) -> list[str]:
     return lines
 
 
-def _basis_strings(space) -> list[list[str]]:
-    return [[scalar_to_str(x) for x in v] for v in dense(space.basis, space.basis.shape)]
-
-
 def cmd_check(args) -> int:
     run = _Run(args)
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
@@ -186,12 +182,12 @@ def cmd_check(args) -> int:
         run.fail(f"Leibniz identity fails on {len(leib.witnesses)} basis triples; "
                  f"first witness at {leib.witnesses[0].where}")
     z = left_center(g)
+    basis = tensor_to_json(z.basis, z.basis.shape)
     run.results["left_center_dim"] = z.dim
-    run.results["left_center_basis"] = _basis_strings(z)
+    run.results["left_center_basis"] = basis
     basis_note = ""
     if z.dim:
-        basis_note = ", basis " + " ".join(
-            "(" + ", ".join(v) + ")" for v in _basis_strings(z))
+        basis_note = ", basis " + " ".join("(" + ", ".join(v) + ")" for v in basis)
     run.say(f"left center: dim {z.dim}{basis_note}")
     der = derived_subalgebra(g)
     run.results["derived_dim"] = der.dim

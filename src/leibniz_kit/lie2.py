@@ -165,14 +165,6 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
                        g._derived("_skew", skew_bracket), l2_01, l3)
 
 
-def check_lie2_structure(L: Lie2Algebra) -> IdentityReport:
-    """Antisymmetry of l2 on degree 0 and total antisymmetry of l3."""
-    s = L.l2_00
-    l2 = contract([(1, "ijt->ijt", s), (1, "jit->ijt", s)])
-    return _report(residual_witnesses(l2, L.dim0, "l2-antisymmetry")
-                   + _antisymmetry_witnesses(L.l3, L.dim1, "l3-antisymmetry"))
-
-
 def verify_lie2(L: Lie2Algebra) -> AxiomReport:
     """Check axioms (a)-(e) on all basis tuples.
 

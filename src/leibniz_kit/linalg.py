@@ -64,8 +64,6 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)

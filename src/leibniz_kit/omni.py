@@ -378,9 +378,6 @@ class ComparisonReport(NamedTuple):
     def all_equal(self) -> bool:
         return all(r.equal for r in self.rows if r.k >= 1)
 
-    def row(self, k: int) -> ComparisonRow:
-        return self.rows[k]
-
 
 def _rows_from_dims(naive_dims, classical_dims) -> tuple[ComparisonRow, ...]:
     return tuple(ComparisonRow(k, a, b, a == b)

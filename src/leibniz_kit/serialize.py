@@ -14,7 +14,7 @@ from typing import Any, Optional
 from .algebra import LeibnizAlgebra
 from .cohomology import BettiReport, Representation
 from .lie2 import Lie2Algebra
-from .omni import ComparisonReport, GraphMap, NaiveRepresentation
+from .omni import ComparisonReport, GraphMap
 
 SCHEMA = "leibniz-kit/1"
 
@@ -147,22 +147,7 @@ def representation_from_json(g: LeibnizAlgebra, data: Any) -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# naive representations and graph maps
-
-def naive_to_json(rho: NaiveRepresentation) -> dict:
-    n, m = rho.algebra.dim, rho.vdim
-    return {"schema": SCHEMA, "vdim": m, "phi": tensor_to_json(rho.phi, (n, m, m)),
-            "theta": tensor_to_json(rho.theta, (n, m))}
-
-
-def naive_from_json(g: LeibnizAlgebra, data: Any) -> NaiveRepresentation:
-    where = "naive representation"
-    _expect_schema(data, where)
-    m, parsed = _expect_dim(data, "vdim", where), {}
-    phi = tensor_from_json(_expect(data, "phi", where), (g.dim, m, m), f"{where}.phi", parsed)
-    theta = tensor_from_json(_expect(data, "theta", where), (g.dim, m), f"{where}.theta", parsed)
-    return NaiveRepresentation(g, m, phi, theta)
-
+# graph maps
 
 def graph_to_json(phi: GraphMap) -> dict:
     return {"schema": SCHEMA, "vdim": phi.vdim, "phi": tensor_to_json(phi.phi, (phi.vdim,) * 3)}

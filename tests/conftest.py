@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from leibniz_kit import fixtures as corpus
-from leibniz_kit.algebra import LeibnizAlgebra, bracket
+from leibniz_kit.algebra import LeibnizAlgebra
 from leibniz_kit.linalg import solve, sparse
-from oracles import from_rows
+from oracles import bracket, from_rows
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -36,10 +36,10 @@ the tests write matrices with.  The library's one product is
 The library's vectors are sparse too: {(a,): x}, and a family of them (a
 ``Subspace.basis``, the rho(e_i) of a naive representation) one 2-axis
 tensor.  The oracles keep dense vectors of their own (``vzero``,
-``vaddto``, ``viszero``), read a subspace as dense rows (``basis_rows``,
-``basis_matrix``) and bracket in the omni algebra by the matrix formula
-AB - BA + Av (``omni_bracket``), independently of the library's sparse
-bracket.
+``vaddto``, ``viszero``) and the bracket of g on them (``bracket``),
+read a subspace as dense rows (``basis_rows``, ``basis_matrix``) and
+bracket in the omni algebra by the matrix formula AB - BA + Av
+(``omni_bracket``), independently of the library's sparse bracket.
 
 The image representation of a naive representation is here as the direct
 construction: rho(e_i) omni-multiplied with each image basis vector by the
@@ -65,7 +65,6 @@ from leibniz_kit import (
     Representation,
     Subspace,
     Witness,
-    bracket,
     coboundary_matrix,
     left_center,
     omni_bracket as library_omni_bracket,
@@ -271,6 +270,21 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def basis(n: int, i: int) -> list[Fraction]:
     return [Fraction(int(j == i)) for j in range(n)]
+
+
+def bracket(g: LeibnizAlgebra, x, y) -> list[Fraction]:
+    """Bilinear extension of the structure constants to dense coordinate
+    vectors; row i of ``g.c`` is read for each nonzero x[i]."""
+    n = g.dim
+    if len(x) != n or len(y) != n:
+        raise ValueError(f"vectors must have length {n}")
+    out = vzero(n)
+    for i, xi in enumerate(x):
+        if xi:
+            for (j, k), v in g.c[i].items():
+                if y[j]:
+                    out[k] += xi * y[j] * v
+    return out
 
 
 def _report(witnesses) -> IdentityReport:

@@ -16,8 +16,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
-from oracles import (basis_rows, graded_bracket, is_zero, matmul, shuffles, shuffles_by_filter,
-                     structure_cochain)
+from oracles import (basis_rows, bracket, graded_bracket, is_zero, matmul, shuffles,
+                     shuffles_by_filter, structure_cochain)
 from leibniz_kit import (
     DEFAULT_CAP,
     LeibnizAlgebra,
@@ -26,7 +26,6 @@ from leibniz_kit import (
     adjoint_naive,
     adjoint_rep,
     betti,
-    bracket,
     build_lie2,
     check_jacobiator_identities,
     check_leibniz,

@@ -17,6 +17,7 @@ import oracles
 from conftest import change_basis
 from oracles import (
     Cochain,
+    bracket,
     circle_product,
     cochain_tensor,
     column,
@@ -35,7 +36,6 @@ from leibniz_kit import (
     adjoint_naive,
     adjoint_rep,
     betti,
-    bracket,
     check_leibniz,
     check_representation,
     coboundary,

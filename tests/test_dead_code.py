@@ -1,5 +1,6 @@
 """No dead code in the package: no module imports a name it never uses, and
-every function, method and class is referred to somewhere.  Both are read
+every function, method, class and module-level name is referred to
+somewhere.  Both are read
 from syntax trees with the standard library's ``ast``."""
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def _references(trees: dict) -> dict:
-    """{identifier: [(path, line)]} over names, attributes, imported names and
-    whole string constants (the benchmark traces functions by name)."""
+    """{identifier: [(path, line, how)]} over loaded names, attributes,
+    imported names and whole string constants (the benchmark traces
+    functions by name); ``how`` is the node's type name."""
     refs: dict = {}
     for path, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
@@ -51,11 +53,17 @@ def _references(trees: dict) -> dict:
                 name = node.value
             else:
                 continue
-            refs.setdefault(name, []).append((path, node.lineno))
+            refs.setdefault(name, []).append((path, node.lineno, type(node).__name__))
     return refs
 
 
 def test_every_function_method_and_class_is_referred_to():
+    # A function or class needs a reference outside its own definition (a
+    # recursive call does not count).  A method needs an attribute reference
+    # .name, a string constant, or a bare name in its own class body, such as
+    # __setitem__ = ... = _read_only: a variable of the same name elsewhere is
+    # no use of it.  A module-level name assigned in the package needs a load
+    # outside its own assignment; an import by __init__ only re-exports it.
     trees = {path: _parse(path) for top in ("src", "tests", "perfbench")
              for path in sorted((REPO_ROOT / top).rglob("*.py"))}
     refs = _references(trees)
@@ -63,12 +71,25 @@ def test_every_function_method_and_class_is_referred_to():
     for path, tree in trees.items():
         if PACKAGE not in path.parents:
             continue
+        methods = {id(item): node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body if isinstance(item, ast.FunctionDef)}
         for node in ast.walk(tree):
             if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     or node.name.startswith("__") and node.name.endswith("__")):
                 continue
-            # a reference inside the definition itself (recursion) does not count
+            cls = methods.get(id(node))
+            found = [(where, line) for where, line, how in refs.get(node.name, [])
+                     if cls is None or how in ("Attribute", "Constant")
+                     or where == path and cls.lineno <= line <= cls.end_lineno]
             if all(where == path and node.lineno <= line <= node.end_lineno
-                   for where, line in refs.get(node.name, [])):
+                   for where, line in found):
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for name in (t.id for t in targets if isinstance(t, ast.Name)):
+                if name.startswith("__") or any(
+                        how != "alias" or where != PACKAGE / "__init__.py"
+                        for where, _, how in refs.get(name, [])):
+                    continue
+                dead.append(f"{path.name}:{node.lineno} {name}")
     assert dead == []

@@ -3,11 +3,16 @@ a whole algebra or a whole report, pinned by sha256.
 
 The digests of ``GOLDEN`` were computed when the structure tensors were
 stored densely; a change of storage or of the JSON writer must leave every
-byte of these outputs as it was.  ``GOLDEN_STREAMS`` pins stderr as well,
-for ``check``, ``cohomology``, ``mc`` and ``graph`` on the fixtures, the
-negative ones included, so the refusals are pinned with the results; its
-digests were computed before each premise was checked once per value.
-``elapsed_s`` is the one field masked.  Commands run in process through
+byte of these outputs as it was.  ``GOLDEN_STREAMS`` pins stdout and
+stderr, for ``check``, ``cohomology``, ``mc`` and ``graph`` on the
+fixtures, the negative ones included, so the refusals are pinned with the
+results; its digests were computed before each premise was checked once per
+value.  Its cases at the top of the cap and one degree past it, of
+``semidirect`` on a bad or mismatched representation and of nonsensical
+arguments, and the stderr of ``GOLDEN``, were added later and computed on
+the code before the library-only second routes were deleted.
+``elapsed_s`` is the one field masked, and argparse formats its usage for
+a terminal 200 columns wide.  Commands run in process through
 ``cli.main``, from the repository root, so the input paths in the
 ``--json`` reports are the same on every checkout.
 """
@@ -72,67 +77,134 @@ def _stream_cases() -> dict:
                   for flags in ((), ("--json",))]
     for name in _GRAPHS:
         argvs += [["graph", f"fixtures/{name}.json", *flags] for flags in ((), ("--json",))]
+    # the top degree within the default cap, then the first one past it (exit 3)
+    for name, top in (("L2", 12), ("omni1", 12), ("heis3", 7), ("sl2", 7)):
+        for rep, k in (("adjoint", top), ("trivial", top + 1)):
+            argvs += [["cohomology", f"fixtures/{name}.json", "--rep", rep, "--max-degree", str(d)]
+                      for d in (k, k + 1)]
+    for name, rep in (("L2", "rep_bad_L2"), ("heis3", "rep_adjoint_L2")):
+        argvs += [["semidirect", f"fixtures/{name}.json", f"fixtures/{rep}.json", "--mode", mode]
+                  for mode in ("lr", "l0")]
+    # the arguments of test_cli.test_nonsensical_arguments_exit_2
+    argvs += [["cohomology", "fixtures/L2.json", "--max-degree", "-1"],
+              ["cohomology", "fixtures/L2.json", "--rep", "adjoint", "--compare", "--max-degree", "0"],
+              ["omni", "--dim", "-1"],
+              ["cohomology", "fixtures/L2.json", "--naive", "--compare", "--max-degree", "1"],
+              ["cohomology", "fixtures/L2.json", "--rep", "fixtures/rep_bad_L2.json",
+               "--compare", "--max-degree", "1"]]
     return {" ".join(argv): argv for argv in argvs}
 
 
 STREAM_CASES = _stream_cases()
 
-# (exit code, sha256 of stdout) per case
+# (exit code, sha256 of stdout, sha256 of stderr) per case
 GOLDEN = {
-    "graph graph_L2 --emit-algebra": (0, "ab7e354f15d9de267590bfefc10c082d7f191a638d70542a52441e5f6311f0f1"),
-    "graph graph_bad --emit-algebra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "graph graph_heis3 --emit-algebra": (0, "67f9ad879dae2282fd76aa94e70387843efdc65243edbae2871a62ca4bad7a4f"),
-    "lie2 L2 --emit": (0, "836593407753292fb30a7149d9f2940a0b31b7496686d42c44ac478825abcfd3"),
-    "lie2 L2 --json": (0, "2727d60554e1d5307e35f072693099b4ae42af1fe5fef603ee36b756197dec31"),
-    "lie2 L2": (0, "ba15bf183327dbb77a74b422ccad2b3faa380506ecde3ef8ace80cd94ad285ee"),
-    "lie2 abelian1 --emit": (0, "f53a52ae81594bb1dc255bfe6f855bcc3a8b6db7267a1d14cd62325ee265fe55"),
-    "lie2 abelian1 --json": (0, "1301bc27d418386dd9fdfe3625c73834c65d7c570a4b46561ec7c761658cc327"),
-    "lie2 abelian1": (0, "1e74d1b6d94b5f4920e300eb88630916d176cab7eea90da7fecc6cb221cfc9a7"),
-    "lie2 abelian2 --emit": (0, "ffc183b940a2142a30ce19728d1aa440e3128e02bef1ad4370fadd2e1b1bde76"),
-    "lie2 abelian2 --json": (0, "7b1122c1d35a57ed35f29ca3fb98cb5b64a24e006fed8379eb3e6b94b40a22bc"),
-    "lie2 abelian2": (0, "03e3fdfe3d6bd6b1572f09591d04369320510d77e965b107bef95326d87ffa1d"),
-    "lie2 abelian3 --emit": (0, "b1ee9bb4cb6e9bb67e24c5557b34db077adb0df34efdca90547f9ccd22228e8d"),
-    "lie2 abelian3 --json": (0, "f6a35a0c1190ec10aa4f92a51f913b6c0da398e5c8e6a83df2440d71f7d59956"),
-    "lie2 abelian3": (0, "d0409e542310823e206e056bd94fc475de5bd880a2330c799e4316e3be5ebfad"),
-    "lie2 heis3 --emit": (0, "1f44ab76395c8b0f9719adc511f1cd9026ce81df106e51b3fa3992efea29360d"),
-    "lie2 heis3 --json": (0, "e63e07a7757695a2641cdc3c93aa1a2872c92f9087a4c679ca4ea8f72be3f191"),
-    "lie2 heis3": (0, "ec5c9b5df1a8a2ba693d00e7b825d2ddfc9e0ea8a6d2646044ccdd96d423e023"),
-    "lie2 omni1 --emit": (0, "557a66f01b1cfcfa135cb72c1a21fea7d684b4425f763e1b9e6e4fca32f3cd99"),
-    "lie2 omni1 --json": (0, "de7eae5559caf6807bec84d813970d55b34aefebd6ba1427fb0161f0f967ebc8"),
-    "lie2 omni1": (0, "ba15bf183327dbb77a74b422ccad2b3faa380506ecde3ef8ace80cd94ad285ee"),
-    "lie2 omni2 --emit": (0, "bd402d11865574f2a6aa7ae47eab90ff97e4fcbbdc6324ac0177ee1f7a441680"),
-    "lie2 omni2 --json": (0, "3681ee1cd9a497b48e6f73c5182c5bffe242ca29e793d38c2ce5114505bf2155"),
-    "lie2 omni2": (0, "b4119b075a96e35dfdfa8d0057deae61b5f93723f3e70d63d462b1499d9a4c9f"),
-    "lie2 omni3 --emit": (0, "52f9069419d7835f51b651370661508c98754f542be13c4d1b6c79cab4afdea0"),
-    "lie2 omni3 --json": (0, "b0b888e6fde6cdceb29c4e8a577570a29d593f1b43f57131d2250a4928a7b3f5"),
-    "lie2 omni3": (0, "c9f3076d542143394d82b54706ab0fb744a5a11c701aabc56579d932c5c421b1"),
-    "lie2 semidirect_L2_l0 --emit": (0, "66c46e681db8fde61d47a48b3dcfed1c790afe08bbac19188c03d1a6cc872f8f"),
-    "lie2 semidirect_L2_l0 --json": (0, "4be5bb76ce8bfbc6d3d980220eaa39c1994560a1a4c8f7e7f9b3a3d0653300b6"),
-    "lie2 semidirect_L2_l0": (0, "81f8c7f3665ca25dcb11d0627e7970afbcbb1aab59b4f2974d13025d06fe1295"),
-    "lie2 semidirect_heis3_lr --emit": (0, "afb24c554c6ee33ff3dc9978cc79c66a897129ec74c14f686e2b92abc04e6843"),
-    "lie2 semidirect_heis3_lr --json": (0, "4b9a2f56050a47e8a939ea7b637f86bbdea963a3467d5219ff4200497b27b98c"),
-    "lie2 semidirect_heis3_lr": (0, "b4119b075a96e35dfdfa8d0057deae61b5f93723f3e70d63d462b1499d9a4c9f"),
-    "lie2 sl2 --emit": (0, "4a7626ab293e83a5650ec1b7b7edd0e2a626dd44aaf9f8f728f5863eda822aa6"),
-    "lie2 sl2 --json": (0, "b0051daba616fe20b0961c912cb5a86ffd44649223198ae771edd77656220d2c"),
-    "lie2 sl2": (0, "57f8a64e455b7ace83d8d66b59491b970f6366c6726b2c71a498130c549630d4"),
-    "omni --dim 0": (0, "26ba429262c183015d604a7521038305510928a89ad6d1486df8ec5441bd2e4b"),
-    "omni --dim 1": (0, "628852b06a23ca76c0a8360fb8c8cc59bb8728dc1ce6be6a8166cafbb541644e"),
-    "omni --dim 2": (0, "7074cf555b74351270582fc77bf93ab9ac66bdde71365f6ca84030993c68c1b0"),
-    "omni --dim 3": (0, "a56359c33e8c13b2e03c68a968e7de36e410766b8f6dbad78ac67725e6ddf167"),
-    "omni --dim 4": (0, "03e5779e121a3e150ddbe9b99972b6175f41f30931e842294da53ab121d47cee"),
-    "semidirect L2 --mode l0": (0, "3fe302229d802d1f78fe2b4d0859a34ddb957a2fe4454e8b15496d4887a2c227"),
-    "semidirect L2 --mode lr": (0, "9b4439b14e5349af19c80beee6c6da6e8df28f426b5bc3cc686a8036e1e0064d"),
-    "semidirect heis3 --mode l0": (0, "32a30467a37f84b1bea0824a82b4be13b9b04f8f3cadd2fbe0a874389bc7ef98"),
-    "semidirect heis3 --mode lr": (0, "8b146570f7a343230f69bfa9f5a89e16ea80930b97c02a6982d5351d7824b580"),
-    "semidirect sl2 --mode l0": (0, "e4221cf66ef3bd0ce8d7366bd0e2341e32f4484e31c059d74d2ef1cb74bf9b97"),
-    "semidirect sl2 --mode lr": (0, "41093533db8dc2e76f8f113fcc3455910b5f1548ebc5ac648b2c6ca02763412f"),
+    "graph graph_L2 --emit-algebra": (0, "ab7e354f15d9de267590bfefc10c082d7f191a638d70542a52441e5f6311f0f1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "graph graph_bad --emit-algebra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "cc9a5d3d6ca6f01394c9671e434b71a0b18fd263c68f7bfb3e894cbc47335904"),
+    "graph graph_heis3 --emit-algebra": (0, "67f9ad879dae2282fd76aa94e70387843efdc65243edbae2871a62ca4bad7a4f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 L2 --emit": (0, "836593407753292fb30a7149d9f2940a0b31b7496686d42c44ac478825abcfd3",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 L2 --json": (0, "2727d60554e1d5307e35f072693099b4ae42af1fe5fef603ee36b756197dec31",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 L2": (0, "ba15bf183327dbb77a74b422ccad2b3faa380506ecde3ef8ace80cd94ad285ee",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 abelian1 --emit": (0, "f53a52ae81594bb1dc255bfe6f855bcc3a8b6db7267a1d14cd62325ee265fe55",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 abelian1 --json": (0, "1301bc27d418386dd9fdfe3625c73834c65d7c570a4b46561ec7c761658cc327",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 abelian1": (0, "1e74d1b6d94b5f4920e300eb88630916d176cab7eea90da7fecc6cb221cfc9a7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 abelian2 --emit": (0, "ffc183b940a2142a30ce19728d1aa440e3128e02bef1ad4370fadd2e1b1bde76",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 abelian2 --json": (0, "7b1122c1d35a57ed35f29ca3fb98cb5b64a24e006fed8379eb3e6b94b40a22bc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 abelian2": (0, "03e3fdfe3d6bd6b1572f09591d04369320510d77e965b107bef95326d87ffa1d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 abelian3 --emit": (0, "b1ee9bb4cb6e9bb67e24c5557b34db077adb0df34efdca90547f9ccd22228e8d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 abelian3 --json": (0, "f6a35a0c1190ec10aa4f92a51f913b6c0da398e5c8e6a83df2440d71f7d59956",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 abelian3": (0, "d0409e542310823e206e056bd94fc475de5bd880a2330c799e4316e3be5ebfad",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 heis3 --emit": (0, "1f44ab76395c8b0f9719adc511f1cd9026ce81df106e51b3fa3992efea29360d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 heis3 --json": (0, "e63e07a7757695a2641cdc3c93aa1a2872c92f9087a4c679ca4ea8f72be3f191",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 heis3": (0, "ec5c9b5df1a8a2ba693d00e7b825d2ddfc9e0ea8a6d2646044ccdd96d423e023",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 omni1 --emit": (0, "557a66f01b1cfcfa135cb72c1a21fea7d684b4425f763e1b9e6e4fca32f3cd99",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 omni1 --json": (0, "de7eae5559caf6807bec84d813970d55b34aefebd6ba1427fb0161f0f967ebc8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 omni1": (0, "ba15bf183327dbb77a74b422ccad2b3faa380506ecde3ef8ace80cd94ad285ee",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 omni2 --emit": (0, "bd402d11865574f2a6aa7ae47eab90ff97e4fcbbdc6324ac0177ee1f7a441680",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 omni2 --json": (0, "3681ee1cd9a497b48e6f73c5182c5bffe242ca29e793d38c2ce5114505bf2155",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 omni2": (0, "b4119b075a96e35dfdfa8d0057deae61b5f93723f3e70d63d462b1499d9a4c9f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 omni3 --emit": (0, "52f9069419d7835f51b651370661508c98754f542be13c4d1b6c79cab4afdea0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 omni3 --json": (0, "b0b888e6fde6cdceb29c4e8a577570a29d593f1b43f57131d2250a4928a7b3f5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 omni3": (0, "c9f3076d542143394d82b54706ab0fb744a5a11c701aabc56579d932c5c421b1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 semidirect_L2_l0 --emit": (0, "66c46e681db8fde61d47a48b3dcfed1c790afe08bbac19188c03d1a6cc872f8f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 semidirect_L2_l0 --json": (0, "4be5bb76ce8bfbc6d3d980220eaa39c1994560a1a4c8f7e7f9b3a3d0653300b6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 semidirect_L2_l0": (0, "81f8c7f3665ca25dcb11d0627e7970afbcbb1aab59b4f2974d13025d06fe1295",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 semidirect_heis3_lr --emit": (0, "afb24c554c6ee33ff3dc9978cc79c66a897129ec74c14f686e2b92abc04e6843",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 semidirect_heis3_lr --json": (0, "4b9a2f56050a47e8a939ea7b637f86bbdea963a3467d5219ff4200497b27b98c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 semidirect_heis3_lr": (0, "b4119b075a96e35dfdfa8d0057deae61b5f93723f3e70d63d462b1499d9a4c9f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 sl2 --emit": (0, "4a7626ab293e83a5650ec1b7b7edd0e2a626dd44aaf9f8f728f5863eda822aa6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 sl2 --json": (0, "b0051daba616fe20b0961c912cb5a86ffd44649223198ae771edd77656220d2c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lie2 sl2": (0, "57f8a64e455b7ace83d8d66b59491b970f6366c6726b2c71a498130c549630d4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "omni --dim 0": (0, "26ba429262c183015d604a7521038305510928a89ad6d1486df8ec5441bd2e4b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "omni --dim 1": (0, "628852b06a23ca76c0a8360fb8c8cc59bb8728dc1ce6be6a8166cafbb541644e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "omni --dim 2": (0, "7074cf555b74351270582fc77bf93ab9ac66bdde71365f6ca84030993c68c1b0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "omni --dim 3": (0, "a56359c33e8c13b2e03c68a968e7de36e410766b8f6dbad78ac67725e6ddf167",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "omni --dim 4": (0, "03e5779e121a3e150ddbe9b99972b6175f41f30931e842294da53ab121d47cee",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "semidirect L2 --mode l0": (0, "3fe302229d802d1f78fe2b4d0859a34ddb957a2fe4454e8b15496d4887a2c227",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "semidirect L2 --mode lr": (0, "9b4439b14e5349af19c80beee6c6da6e8df28f426b5bc3cc686a8036e1e0064d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "semidirect heis3 --mode l0": (0, "32a30467a37f84b1bea0824a82b4be13b9b04f8f3cadd2fbe0a874389bc7ef98",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "semidirect heis3 --mode lr": (0, "8b146570f7a343230f69bfa9f5a89e16ea80930b97c02a6982d5351d7824b580",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "semidirect sl2 --mode l0": (0, "e4221cf66ef3bd0ce8d7366bd0e2341e32f4484e31c059d74d2ef1cb74bf9b97",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "semidirect sl2 --mode lr": (0, "41093533db8dc2e76f8f113fcc3455910b5f1548ebc5ac648b2c6ca02763412f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 
 def _run(monkeypatch, capsys, argv, stdin_bytes=b""):
-    """(exit code, stdout, stderr) of one command, with ``elapsed_s`` masked."""
+    """(exit code, stdout, stderr) of one command, with ``elapsed_s`` masked;
+    an argparse refusal exits through SystemExit."""
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin_bytes)))
-    code = main(argv)
+    monkeypatch.setenv("COLUMNS", "200")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, _ELAPSED.sub('"elapsed_s": 0', out), err
 
@@ -150,8 +222,8 @@ def test_cli_output_is_unchanged(case, monkeypatch, capsys):
         code, out, _ = _run(monkeypatch, capsys, ["omni", "--dim", "3"])
         assert code == 0
         stdin_bytes = out.encode("utf-8")
-    code, out, _ = _run(monkeypatch, capsys, argv, stdin_bytes)
-    assert (code, _sha256(out)) == GOLDEN[case]
+    code, out, err = _run(monkeypatch, capsys, argv, stdin_bytes)
+    assert (code, _sha256(out), _sha256(err)) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
@@ -235,12 +307,27 @@ GOLDEN_STREAMS = {
     "check fixtures/sl2.json --json": (
         0, "7303e00de73fe0e490cb912c49cacc1d33b7885a76e9cbc39023bb6aa909c47f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/L2.json --max-degree -1": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "31e2be17011825616e2e57691aa5c178b32237cfb4797debf5bba7d8f98522ec"),
+    "cohomology fixtures/L2.json --naive --compare --max-degree 1": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a58ed1b4a29f454b9a447b097141cbe70e85a27fef9d72e1f1739137459085ea"),
+    "cohomology fixtures/L2.json --rep adjoint --compare --max-degree 0": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "0d238d249467773d9e130363dea5c731c31cf149d98dac867f16f21c80f449f0"),
     "cohomology fixtures/L2.json --rep adjoint --compare --max-degree 2": (
         0, "b5589e1dc85ec3aaaac9b97871dc73777467d97cc9394cc2a6f15c1dacda8a11",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "cohomology fixtures/L2.json --rep adjoint --compare --max-degree 2 --json": (
         0, "8ca704527a21c548b17f12da5e677ccd8177cf9f90979f1a3fb09816910956ef",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/L2.json --rep adjoint --max-degree 12": (
+        0, "5aba4e778c2878526c4bb7c37ba9e9c1301b31bc800ce18d00bfe9bf96f09216",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/L2.json --rep adjoint --max-degree 13": (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b1e9a71d4e6800c43de6c710865b539f1ef276c04e5899079413e1b824150743"),
     "cohomology fixtures/L2.json --rep adjoint --max-degree 2": (
         0, "19cac5cbcad60ca36d40a0d05ebcf32fb432159e7a43b43bbafe203d1dacd136",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -271,6 +358,9 @@ GOLDEN_STREAMS = {
     "cohomology fixtures/L2.json --rep fixtures/rep_adjoint_L2.json --naive --max-degree 2 --json": (
         0, "f50e17901705a3fc6d92bb32967289920ce286c244eba1a226fc0312ec7ccf51",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/L2.json --rep fixtures/rep_bad_L2.json --compare --max-degree 1": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "841e8604029ec0e74028a687b8dd5989e4e229f373e2997fa18559e505a2c41b"),
     "cohomology fixtures/L2.json --rep fixtures/rep_bad_L2.json --compare --max-degree 2": (
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "841e8604029ec0e74028a687b8dd5989e4e229f373e2997fa18559e505a2c41b"),
@@ -295,6 +385,12 @@ GOLDEN_STREAMS = {
     "cohomology fixtures/L2.json --rep trivial --compare --max-degree 2 --json": (
         0, "60e4c519e8683ed09e75cd7721c3636eb162bb4c12d2f256dc2129502c35897f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/L2.json --rep trivial --max-degree 13": (
+        0, "fc7d7f5802e175601cd332ca0821773fd3c08b220c194b4e3e67518f39137c77",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/L2.json --rep trivial --max-degree 14": (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b1e9a71d4e6800c43de6c710865b539f1ef276c04e5899079413e1b824150743"),
     "cohomology fixtures/L2.json --rep trivial --max-degree 2": (
         0, "a94f78f3789ef51804ea7582d082b2b69dc33223e0dc24fa4ad08e6b8172ea39",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -427,6 +523,12 @@ GOLDEN_STREAMS = {
     "cohomology fixtures/heis3.json --rep adjoint --max-degree 2 --json": (
         0, "1c3f92c2de8ee1f530f36f90cf4bac193fa04ac01dd7cc1bf42bc3c9ab4e51a9",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/heis3.json --rep adjoint --max-degree 7": (
+        0, "54a6c15fbfe2448310d7ea2e8c971b4c6b32b655d471aae939e5e2fd3fe28ddc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/heis3.json --rep adjoint --max-degree 8": (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2bcd8baf36e1e57f88ccb2cb217641186aca030380c2932ca7fea8b7acafde1f"),
     "cohomology fixtures/heis3.json --rep adjoint --naive --max-degree 2": (
         0, "7a1030e977436107fad8ae7e84494abf3ae80055cb80e5f04fcb57a7f76d9850",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -463,6 +565,12 @@ GOLDEN_STREAMS = {
     "cohomology fixtures/heis3.json --rep trivial --max-degree 2 --json": (
         0, "6a6afd02dcb9e27290c8f5452ef20a4333eb1415075680300d22914488506c94",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/heis3.json --rep trivial --max-degree 8": (
+        0, "e263c6434c7acbf72bb43cdc33f22fa899746901ff7eddb706b7f84250e0470b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/heis3.json --rep trivial --max-degree 9": (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2bcd8baf36e1e57f88ccb2cb217641186aca030380c2932ca7fea8b7acafde1f"),
     "cohomology fixtures/heis3.json --rep trivial --naive --max-degree 2": (
         0, "4d88dc20e5b497805c39adc44bf026df13f1c0b2f3aa550190c10c1575bef5e3",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -547,6 +655,12 @@ GOLDEN_STREAMS = {
     "cohomology fixtures/omni1.json --rep adjoint --compare --max-degree 2 --json": (
         0, "c62568bb8e09a1010108900121e7a85f4ff781e9b411570322f00d5019119bd9",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/omni1.json --rep adjoint --max-degree 12": (
+        0, "3a09edd5a6a49e509ec6861f6ee586a6705a0b58a45e880bc26b887ed04a055d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/omni1.json --rep adjoint --max-degree 13": (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b1e9a71d4e6800c43de6c710865b539f1ef276c04e5899079413e1b824150743"),
     "cohomology fixtures/omni1.json --rep adjoint --max-degree 2": (
         0, "f542c1dadd1b53cb8a987244486a5ae5dc84955feaac19319f3535625e3f3d4f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -565,6 +679,12 @@ GOLDEN_STREAMS = {
     "cohomology fixtures/omni1.json --rep trivial --compare --max-degree 2 --json": (
         0, "99146667271d8f6e6f6f2c1d3ee550d6da0cb7c978308cc75fb349199a6a4862",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/omni1.json --rep trivial --max-degree 13": (
+        0, "fc7d7f5802e175601cd332ca0821773fd3c08b220c194b4e3e67518f39137c77",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/omni1.json --rep trivial --max-degree 14": (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b1e9a71d4e6800c43de6c710865b539f1ef276c04e5899079413e1b824150743"),
     "cohomology fixtures/omni1.json --rep trivial --max-degree 2": (
         0, "a94f78f3789ef51804ea7582d082b2b69dc33223e0dc24fa4ad08e6b8172ea39",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -697,6 +817,12 @@ GOLDEN_STREAMS = {
     "cohomology fixtures/sl2.json --rep adjoint --max-degree 2 --json": (
         0, "6b6430be02b49f2c7c9d0e97b70a19f2238e84ce603d8ecf44356cdfab858a79",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/sl2.json --rep adjoint --max-degree 7": (
+        0, "219a6b3a516a28cce1e40e73e10822c358e5f769fb96ede35d3db50bac83c471",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/sl2.json --rep adjoint --max-degree 8": (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2bcd8baf36e1e57f88ccb2cb217641186aca030380c2932ca7fea8b7acafde1f"),
     "cohomology fixtures/sl2.json --rep adjoint --naive --max-degree 2": (
         0, "85778a1b21a8dbb4e0bc2922e69c06893ae3da9f676c913098dcd5269c406423",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -733,6 +859,12 @@ GOLDEN_STREAMS = {
     "cohomology fixtures/sl2.json --rep trivial --max-degree 2 --json": (
         0, "61cd4210e29ab31d659454bdfab6f8b75d88d78f70eac77ef724bf0cc6897a2e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/sl2.json --rep trivial --max-degree 8": (
+        0, "306d4607c1a576063e7d0028616af9920d3c6201ec12e8297b4d94a24fabbb8d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "cohomology fixtures/sl2.json --rep trivial --max-degree 9": (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2bcd8baf36e1e57f88ccb2cb217641186aca030380c2932ca7fea8b7acafde1f"),
     "cohomology fixtures/sl2.json --rep trivial --naive --max-degree 2": (
         0, "8d3bd588619034aa0bd2025e3c170af86545346c093d018f25e018ad9c69ce0e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -781,4 +913,19 @@ GOLDEN_STREAMS = {
     "mc fixtures/sl2.json fixtures/rep_adjoint_sl2.json --json": (
         0, "7111415d741338829d58fb2efe63d9f18b82b046a012ad5060265b159d8ddf65",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "omni --dim -1": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "908d72b9de724858509c2008fd49c8793c03f941ba2df641b1066a3264def7f5"),
+    "semidirect fixtures/L2.json fixtures/rep_bad_L2.json --mode l0": (
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "68555a428ce9b86d36390781946c822f095d037fc9f487211aa9762665391e8f"),
+    "semidirect fixtures/L2.json fixtures/rep_bad_L2.json --mode lr": (
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "68555a428ce9b86d36390781946c822f095d037fc9f487211aa9762665391e8f"),
+    "semidirect fixtures/heis3.json fixtures/rep_adjoint_L2.json --mode l0": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "79708869aedfb3927962eaf522d10d7deae3d124732277a61c5af3bf783ff61d"),
+    "semidirect fixtures/heis3.json fixtures/rep_adjoint_L2.json --mode lr": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "79708869aedfb3927962eaf522d10d7deae3d124732277a61c5af3bf783ff61d"),
 }

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import basis_rows, column, contains, jacobiator_closed, jacobiator_direct, matrix
+from oracles import (basis_rows, bracket, check_lie2_structure, column, contains,
+                     jacobiator_closed, jacobiator_direct, matrix)
 from leibniz_kit import (
     LeibnizAlgebra,
-    bracket,
     build_lie2,
     check_jacobiator_identities,
-    check_lie2_structure,
     left_center,
     omni_lie,
     skew_bracket,

@@ -19,7 +19,6 @@ from leibniz_kit.fixtures import (
 )
 from leibniz_kit.algebra import dense
 from leibniz_kit.linalg import sparse_tensor
-from leibniz_kit.omni import adjoint_naive
 from leibniz_kit.serialize import (
     SCHEMA,
     SchemaError,
@@ -30,8 +29,6 @@ from leibniz_kit.serialize import (
     graph_from_json,
     graph_to_json,
     lie2_to_json,
-    naive_from_json,
-    naive_to_json,
     representation_from_json,
     representation_to_json,
     scalar_to_str,
@@ -72,13 +69,6 @@ def test_representation_round_trip():
     doc = representation_to_json(rep)
     back = representation_from_json(g, json.loads(json.dumps(doc)))
     assert back.l == rep.l and back.r == rep.r
-
-
-def test_naive_round_trip():
-    g = l2_algebra()
-    rho = adjoint_naive(g)
-    back = naive_from_json(g, json.loads(json.dumps(naive_to_json(rho))))
-    assert back.phi == rho.phi and back.theta == rho.theta
 
 
 def test_graph_round_trip():
@@ -190,10 +180,6 @@ TENSOR_READERS = [
     (algebra_from_json, algebra_to_json(heisenberg3()), "c", "algebra.c"),
     (lambda doc: representation_from_json(l2_algebra(), doc),
      representation_to_json(adjoint_rep(l2_algebra())), "r", "representation.r"),
-    (lambda doc: naive_from_json(l2_algebra(), doc),
-     naive_to_json(adjoint_naive(l2_algebra())), "phi", "naive representation.phi"),
-    (lambda doc: naive_from_json(l2_algebra(), doc),
-     naive_to_json(adjoint_naive(l2_algebra())), "theta", "naive representation.theta"),
     (graph_from_json, graph_to_json(graph_for(heisenberg3())), "phi", "graph map.phi"),
 ]
 
