@@ -15,13 +15,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .linalg import (
-    ONE,
     Frozen,
     Subspace,
     Tensor,
     ZERO,
     contract,
     kernel_basis,
+    reduced_rows,
     span_of_rows,
     sparse_tensor,
 )
@@ -174,21 +174,15 @@ def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Tensor]:
     """The algebra induced on g / Z(g), plus the projection onto it, the
     2-axis ``Tensor`` of shape (q, n).
 
-    Y, the RREF basis of Z(g), is the identity on its pivot columns P; the
-    quotient keeps the other coordinates C, in order, which makes the
-    construction deterministic.  The projection sends e_(C_a) to e_a and
-    e_(P_u) to -sum_a Y[u, C_a] e_a, so it kills Y, and the bracket is one
-    contraction: [e_a, e_b] = proj [e_(C_a), e_(C_b)].  The quotient of a
-    Leibniz algebra by its left center is a Lie algebra, which is checked on
-    the result.
+    Z(g) is the kernel of ``left_multiplication_matrix``, so its reduced
+    rows R, with pivot columns J (``linalg.reduced_rows``), are the
+    projection onto g / Z(g) in the basis of the classes of the e_(J_a): R
+    kills Z(g) and sends e_(J_a) to e_a.  The bracket is one contraction,
+    [e_a, e_b] = R [e_(J_a), e_(J_b)].  The quotient of a Leibniz algebra by
+    its left center is a Lie algebra, which is checked on the result.
     """
-    n = g.dim
-    y = span_of_rows(n, left_center(g).basis)
-    pivots = y._pivots
-    kept = {i: a for a, i in enumerate(i for i in range(n) if i not in pivots)}
-    entries = {(a, i): ONE for i, a in kept.items()}
-    entries.update(((kept[j], pivots[u]), -x) for (u, j), x in y.basis.items() if j in kept)
-    proj = Tensor((len(kept), n), dict(sorted(entries.items())))
+    proj, pivots = reduced_rows(left_multiplication_matrix(g))
+    kept = {i: a for a, i in enumerate(pivots)}
     c = {(kept[i], kept[j], t): x for (i, j, t), x in g.c.items() if i in kept and j in kept}
     quotient = LeibnizAlgebra(len(kept), contract([(1, "abt,kt->abk", c, proj)]))
     if not is_lie(quotient):

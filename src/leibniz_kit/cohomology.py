@@ -282,7 +282,8 @@ def _require_within_cap(n: int, m: int, k_max: int, cap: Optional[int]) -> None:
 
 def betti(rep: Representation, k_max: int,
           cap: Optional[int] = DEFAULT_CAP) -> BettiReport:
-    """Cohomology dimensions for degrees 0..k_max via exact rank-nullity.
+    """Cohomology dimensions for degrees 0..k_max via exact rank-nullity;
+    ValueError for k_max < 0.
 
     Every degree is checked against the cap before any is built, and the
     first one over it raises ResourceCapExceeded.  Then an algebra that
@@ -302,6 +303,8 @@ def betti(rep: Representation, k_max: int,
     for every complex here, the naive one included: it is the complex of
     the image representation, which the refusal checks like any other.
     """
+    if k_max < 0:
+        raise ValueError(f"degrees start at 0: k_max must be >= 0, got {k_max}")
     g = rep.algebra
     n, m = g.dim, rep.vdim
     _require_within_cap(n, m, k_max, cap)

@@ -24,12 +24,17 @@ which are integer already.  One helper, ``_to_integers``, scales a sparse
 rational tensor to integers over its common denominator: the rows ``rank``
 eliminates, the operands of ``contract`` and the structure and action
 tensors ``cohomology.coboundary_columns`` assembles.  ``rref`` (and through
-it ``kernel_basis``, ``span_of_rows``, ``solve`` and the coordinate form
-each ``Subspace`` derives once) needs the reduced matrix itself, not just
-its rank, and runs Gauss-Jordan elimination over Fractions.  It stays a
-second loop: canonical bases (spans, naive images, the left center) need
+it ``solve`` and the coordinate form each ``Subspace`` derives once) needs
+the reduced matrix itself, not just its rank, and runs Gauss-Jordan
+elimination over Fractions.  It stays a second loop: canonical bases need
 lowest-column pivots and back-elimination, which the Markowitz kernel lacks
 and which would slow every rank.
+
+One reduction serves every quotient: ``reduced_rows(t)`` gives R, the
+projection of Q^n onto Q^n / ker t, and its pivot columns J.
+``kernel_basis``, ``span_of_rows``, ``algebra.quotient_by_left_center`` (R
+of left multiplication) and a naive representation (R of v -> rho(e_v),
+onto g / ker rho) are built on it.
 
 The kernel also reports, on request, the pivot column of each step; the
 input restricted to those columns keeps its rank.  ``betti`` uses this to
@@ -588,40 +593,46 @@ class Subspace(Frozen):
         return {(u,): xu for u, xu in x.items()}
 
 
+def reduced_rows(t: Tensor) -> tuple[Tensor, tuple[int, ...]]:
+    """(R, J): the nonzero rows R of the RREF of a 2-axis ``Tensor`` t of
+    shape (rows, cols), a ``Tensor`` of shape (rank, cols), and their pivot
+    columns J.  Only the rows t stores are eliminated, so a tall t with few
+    stored rows costs its support, not its height.  R has the kernel of t
+    and is the identity on J, so it is the projection of Q^cols onto
+    Q^cols / ker t in the basis of the classes of the e_j, j in J."""
+    rows: dict = {}
+    for (i, j), x in t.items():
+        rows.setdefault(i, {})[j] = x
+    ech = rref(Matrix(len(rows), t.shape[1], list(rows.values())))
+    return (Tensor((ech.rank, t.shape[1]), {(a, j): x for a in range(ech.rank)
+                                             for j, x in sorted(ech.matrix.row_items(a))}),
+            ech.pivot_columns)
+
+
 def span_of_rows(ambient_dim: int, vectors: Iterable) -> Subspace:
     """Subspace spanned by the given vectors, each a sparse vector {(a,): x}
     or a dense sequence, with a canonical (RREF) basis."""
-    rows = [{a: x for (a,), x in sparse_tensor(v, (ambient_dim,), "vector").items()}
-            for v in vectors]
-    ech = rref(Matrix(len(rows), ambient_dim, rows))
-    return Subspace(ambient_dim, [{(a,): x for a, x in ech.matrix.row_items(i)}
-                                  for i in range(ech.rank)])
+    rows = [sparse_tensor(v, (ambient_dim,), "vector") for v in vectors]
+    return Subspace(ambient_dim, reduced_rows(Tensor(
+        (len(rows), ambient_dim), {(u, a): x for u, row in enumerate(rows)
+                                   for (a,), x in row.items()}))[0])
 
 
 def kernel_basis(t: Tensor) -> Subspace:
     """Basis of {x : t x = 0} for a 2-axis ``Tensor`` t of shape (rows,
-    cols); dimension is cols - rank by rank-nullity.  The basis K is
-    verified by one contraction, t K^T = 0."""
-    rows, cols = t.shape
-    data: list[dict] = [{} for _ in range(rows)]
-    for (i, j), x in t.items():
-        data[i][j] = x
-    ech = rref(Matrix(rows, cols, data))
-    pivot_set = set(ech.pivot_columns)
-    vectors = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = {(free,): ONE}
-        for i, p in enumerate(ech.pivot_columns):
-            coef = ech.matrix.entry(i, free)
-            if coef:
-                v[p,] = -coef
-        vectors.append(v)
-    kernel = {(u, *key): x for u, v in enumerate(vectors) for key, x in v.items()}
+    cols); dimension is cols - rank by rank-nullity.  With (R, J) =
+    ``reduced_rows(t)``, the vector of each free column j is e_j minus
+    R[a, j] at each pivot J_a.  The basis K is verified by one contraction,
+    t K^T = 0."""
+    R, pivots = reduced_rows(t)
+    vectors = {j: {(j,): ONE} for j in range(t.shape[1]) if j not in pivots}
+    for (a, j), x in R.items():
+        if j in vectors:
+            vectors[j][pivots[a],] = -x
+    kernel = {(u, *key): x for u, v in enumerate(vectors.values()) for key, x in v.items()}
     if contract([(1, "ia,ua->iu", t, kernel)]):
         raise AssertionError("kernel vector failed verification")
-    return Subspace(cols, vectors)
+    return Subspace(t.shape[1], vectors.values())
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[list[Fraction]]:

@@ -14,40 +14,41 @@ equivalently a pair (phi, theta) with
 
 Cochains valued in the image of rho carry the naive coboundary: the
 coboundary formula with omni multiplication by rho(x) in place of the
-actions.  In image coordinates it is the coboundary of the image
-representation (left and right omni multiplication by rho(e_i) on the
-image): ``naive_coboundary(rho, f)`` is
-``coboundary(image_representation(rho), f)``, and the naive complex is one
-more ``coboundary_columns``.  A homomorphism rho (``naive_check``) makes
-ker rho a two-sided ideal and the image g / ker rho, so the image
-representation is the adjoint representation of g on that quotient, which
-``image_representation`` contracts from the structure constants with no
-omni bracket.  Its Betti numbers are ``betti`` of the image representation,
-which that representation's refusal check admits and whose ranks are
-cleared like those of any classical complex.  They are compared
-degree-by-degree against the classical complex for the matching
-representation.  For the adjoint naive representation the chain-level
-correspondence F -> rho o F is checked as the identity
+actions.  A homomorphism rho (``naive_check``) makes ker rho a two-sided
+ideal and identifies the image with g / ker rho (Loday and Pirashvili, Math.
+Ann. 1993), so the naive complex is the complex of the image
+representation, the adjoint representation of g on that quotient:
+``naive_coboundary(rho, f)`` is ``coboundary(image_representation(rho),
+f)``, and the naive complex is one more ``coboundary_columns``.  One
+reduction gives the quotient: (R, J) = ``linalg.reduced_rows`` of v ->
+rho(e_v), with R the projection of g onto g / ker rho and rho(e_J) the
+basis of the image, so ``image_representation`` contracts the structure
+constants with R, with no omni bracket.  Its Betti numbers are ``betti`` of
+the image representation, cleared like those of any classical complex.
 
-    D^img_k E_k = E_{k+1} D^cl_k,
+The comparisons hold the naive numbers against the classical complex of
+the matching representation.  For the adjoint and the trivial naive map
+the image representation is that classical representation itself, so the
+chain-level correspondence F -> rho o F, D^img_k E_k = E_{k+1} D^cl_k with
+E = I, holds in every degree exactly when the two are equal: one exact
+equality, after which the classical complex is ranked once.
 
-with E_k block-diagonal B on the values of the n^k basis tuples.
-
-Graph closure, the component conditions of a naive representation and that
-correspondence are ``linalg.contract`` sums, like every other identity.
+Graph closure and the component conditions of a naive representation are
+``linalg.contract`` sums, like every other identity.
 
 A vector of gl(V) (+) V is sparse, the 1-axis tensor {(p,): x}, with the gl
 part row-major at p = a m + b and the V part at p = m^2 + a.
 ``omni_bracket`` takes and returns such vectors and visits only their
 nonzero coordinates; ``omni_lie`` is that bracket on unit vectors.  The
-vectors rho(e_i) are the rows of the 2-axis tensor ``rho.rho_vectors``, and
-the image's coordinates are ``rho.image.coordinates_of``, so the naive
-image costs the supports of these vectors, not the ambient dimension m^2+m.
+vectors rho(e_i) are the rows of the 2-axis tensor ``rho.rho_vectors``.
+The reduction eliminates only the ambient coordinates some rho(e_i) holds,
+so the naive image costs the supports of these vectors, not the ambient
+dimension m^2+m; the image as a ``Subspace`` of that ambient space, with
+``rho.image.coordinates_of``, is built only when read.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Optional
 
@@ -69,7 +70,6 @@ from .cohomology import (
     betti,
     check_representation,
     coboundary,
-    coboundary_columns,
     conjugation_rep,
     trivial_rep,
 )
@@ -81,7 +81,7 @@ from .linalg import (
     Tensor,
     contract,
     kernel_basis,
-    span_of_rows,
+    reduced_rows,
     sparse_tensor,
 )
 
@@ -194,20 +194,26 @@ class NaiveRepresentation(Frozen):
     (shape n x m, T[i,a] = theta_i[a]) are read-only sparse
     ``linalg.Tensor``s, the gl(V) and V components of rho(e_i) and their
     one stored form; the constructor takes those mappings or the dense
-    nested sequences (``linalg.sparse_tensor``).  The image subspace is
-    computed once (RREF basis) into the derived slot ``_image``; cochains of
-    the naive complex take their values in its coordinates
-    (``image.coordinates_of``).
+    nested sequences (``linalg.sparse_tensor``).
+
+    The constructor reduces the matrix of rho once, into the derived slot
+    ``_reduced``: (R, J) = ``linalg.reduced_rows`` of v -> rho(e_v), so R
+    is the projection of g onto g / ker rho and rho(e_v) = sum_a R[a, v]
+    rho(e_(J_a)).  The image has the basis rho(e_J); its ``Subspace`` in
+    the ambient space, whose coordinates the cochains of the naive complex
+    take their values in (``image.coordinates_of``), is built on first read
+    into ``_image``.
     """
 
-    __slots__ = ("algebra", "vdim", "phi", "theta", "_image", "_verdict")
+    __slots__ = ("algebra", "vdim", "phi", "theta", "_reduced", "_image", "_verdict")
 
     def __init__(self, algebra: LeibnizAlgebra, vdim: int, phi, theta):
         n = algebra.dim
         phi = sparse_tensor(phi, (n, vdim, vdim), "phi")
         theta = sparse_tensor(theta, (n, vdim), "theta")
-        self._set(algebra, vdim, phi, theta,
-                  span_of_rows(vdim * vdim + vdim, _rho_entries(n, vdim, phi, theta)))
+        matrix = {(p, i): x for (i, p), x in _rho_entries(n, vdim, phi, theta).items()}
+        self._set(algebra, vdim, phi, theta, reduced_rows(
+            Tensor((vdim * vdim + vdim, n), dict(sorted(matrix.items())))))
 
     @property
     def ambient_dim(self) -> int:
@@ -215,7 +221,8 @@ class NaiveRepresentation(Frozen):
 
     @property
     def image(self) -> Subspace:
-        return self._image
+        return self._derived("_image", lambda rho: Subspace(
+            rho.ambient_dim, map(rho.rho_vectors.__getitem__, rho._reduced[1])))
 
     @property
     def rho_vectors(self) -> Tensor:
@@ -267,8 +274,8 @@ def adjoint_naive(g: LeibnizAlgebra) -> NaiveRepresentation:
     rho = NaiveRepresentation(g, n, adjoint_rep(g).l, {(i, i): 1 for i in range(n)})
     if not rho._derived("_verdict", naive_check).holds:
         raise AssertionError("adjoint naive map is not a homomorphism")
-    if rho.image.dim != n:
-        raise AssertionError(f"adjoint naive image has dim {rho.image.dim}, expected {n}")
+    if len(rho._reduced[1]) != n:
+        raise AssertionError(f"adjoint naive image has dim {len(rho._reduced[1])}, expected {n}")
     return rho
 
 
@@ -291,24 +298,15 @@ def naive_from_rep(rep: Representation) -> NaiveRepresentation:
 # ---------------------------------------------------------------------------
 # the naive complex
 
-def _image_coordinates(rho: NaiveRepresentation) -> Tensor:
-    """B[a, v], the image coordinate a of rho(e_v): rho onto its image, a
-    tensor of shape (dim image, dim g) of rank dim image."""
-    return sparse_tensor({(a, v): x for v, vec in enumerate(rho.rho_vectors)
-                          for (a,), x in rho.image.coordinates_of(vec).items()},
-                         (rho.image.dim, rho.algebra.dim), "image coordinates")
-
-
 def image_representation(rho: NaiveRepresentation) -> Representation:
     """The action of g on the image of rho by left/right omni multiplication,
-    in image coordinates; ValueError unless ``naive_check`` holds.
+    in the basis rho(e_J); ValueError unless ``naive_check`` holds.
 
     Then ker rho is a two-sided ideal and this is the adjoint representation
-    of g on g / ker rho.  With B[a, v] the image coordinates of rho(e_v) and
-    S the inverse of B on d pivot columns (B S = I), it is two contractions
-    per action, whatever the section:
+    of g on g / ker rho: [[rho(e_i), rho(e_(J_b))]] = rho([e_i, e_(J_b)]),
+    and R writes rho(e_k) in the basis, so each action is one contraction:
 
-        l_i[a,b] = sum B[a,k] c[i,j,k] S[j,b]    r_i[a,b] = sum B[a,k] c[j,i,k] S[j,b].
+        l_i[a,b] = sum_k R[a,k] c[i,J_b,k]      r_i[a,b] = sum_k R[a,k] c[J_b,i,k].
 
     rho keeps the ``naive_check`` report its constructor made, and the
     result is a new value, which ``betti``'s refusal checks once.
@@ -318,12 +316,12 @@ def image_representation(rho: NaiveRepresentation) -> Representation:
         w = report.witnesses[0]
         raise ValueError(f"the map is not a homomorphism; first witness {w.label} at {w.where}")
     g = rho.algebra
-    B = _image_coordinates(rho)
-    rows = Subspace(g.dim, B)  # holds the inverse of B on its pivot columns
-    S = {(j, b): x for j, row in zip(rows._pivots, rows._inverse) for b, x in row.items()}
-    l, r = (contract([(1, "ak,ikb->iab", B, contract([(1, spec, g.c, S)]))])
-            for spec in ("ijk,jb->ikb", "jik,jb->ikb"))
-    return Representation(g, rho.image.dim, l, r)
+    R, pivots = rho._reduced
+    at = {j: b for b, j in enumerate(pivots)}
+    left = {(i, at[j], k): x for (i, j, k), x in g.c.items() if j in at}
+    right = {(at[j], i, k): x for (j, i, k), x in g.c.items() if j in at}
+    return Representation(g, len(pivots), contract([(1, "ak,ibk->iab", R, left)]),
+                          contract([(1, "ak,bik->iab", R, right)]))
 
 
 def to_naive_cochain(rho: NaiveRepresentation, ambient_values, degree: int) -> Tensor:
@@ -352,7 +350,7 @@ def naive_betti(rho: NaiveRepresentation, k_max: int,
     and whose ranks are cleared like those of every other complex.  The cap
     is checked on the image dimension before the image representation is
     built."""
-    _require_within_cap(rho.algebra.dim, rho.image.dim, k_max, cap)
+    _require_within_cap(rho.algebra.dim, len(rho._reduced[1]), k_max, cap)
     return betti(image_representation(rho), k_max, cap)
 
 
@@ -379,9 +377,33 @@ class ComparisonReport(NamedTuple):
         return all(r.equal for r in self.rows if r.k >= 1)
 
 
-def _rows_from_dims(naive_dims, classical_dims) -> tuple[ComparisonRow, ...]:
-    return tuple(ComparisonRow(k, a, b, a == b)
-                 for k, (a, b) in enumerate(zip(naive_dims, classical_dims)))
+def _require_comparison_degree(k_max: int) -> None:
+    if k_max < 1:
+        raise ValueError(f"the comparison starts at degree 1: k_max must be >= 1, got {k_max}")
+
+
+def _compare(naive: Optional[Representation], classical: Representation, k_max: int,
+             cap: Optional[int], notes: tuple = ()) -> ComparisonReport:
+    """The naive Betti numbers, of the image representation ``naive`` (None
+    for the zero complex), against those of ``classical``.
+
+    Where the two representations are equal, the correspondence F -> rho o F
+    with E = I, D^img_k E_k = E_(k+1) D^cl_k, holds in every degree, so the
+    two complexes are isomorphic and the classical one is ranked once.
+    Otherwise ``side_checks_ok`` is False with a note and both are ranked.
+    """
+    dims = [d.dim_h for d in betti(classical, k_max, cap).degrees]
+    ok = naive is None or naive == classical
+    if naive is None:
+        naive_dims = [0] * len(dims)
+    elif ok:
+        naive_dims = dims
+    else:
+        naive_dims = [d.dim_h for d in betti(naive, k_max, cap).degrees]
+        notes += ("the image representation differs from the classical one, so "
+                  "F -> rho o F is no chain map",)
+    return ComparisonReport(tuple(ComparisonRow(k, a, b, a == b) for k, (a, b)
+                                  in enumerate(zip(naive_dims, dims))), ok, notes)
 
 
 def compare_trivial(g: LeibnizAlgebra, k_max: int,
@@ -389,83 +411,35 @@ def compare_trivial(g: LeibnizAlgebra, k_max: int,
     """Naive cohomology of a rank-one naive representation with zero gl part
     against the cohomology of the trivial representation (Q, 0, 0).
 
-    When [g,g] = g the only such naive map is zero and its complex vanishes;
-    the classical side is then expected to vanish in degrees >= 1 as well.
+    For xi != 0 the image representation is the trivial one: R = xi / xi_j
+    on J = (j,), and R kills [g, g].  When [g,g] = g the only such naive map
+    is zero and its complex vanishes; the classical side is then expected
+    to vanish in degrees >= 1 as well.  ValueError for k_max < 1.
     """
-    classical = betti(trivial_rep(g), k_max, cap)
+    _require_comparison_degree(k_max)
     space = trivial_naive_space(g)
     if space.dim == 0:
-        naive_dims = [0] * (k_max + 1)
-        notes = ("derived subalgebra is all of g; the zero map is the only "
-                 "rank-one naive representation and its complex vanishes",)
-    else:
-        rho = trivial_naive_rep(g, space.basis[0])
-        naive = naive_betti(rho, k_max, cap)
-        naive_dims = [naive.dim_h(k) for k in range(k_max + 1)]
-        notes = ()
-    classical_dims = [classical.dim_h(k) for k in range(k_max + 1)]
-    return ComparisonReport(_rows_from_dims(naive_dims, classical_dims), True, notes)
+        return _compare(None, trivial_rep(g), k_max, cap, (
+            "derived subalgebra is all of g; the zero map is the only "
+            "rank-one naive representation and its complex vanishes",))
+    return _compare(image_representation(trivial_naive_rep(g, space.basis[0])),
+                    trivial_rep(g), k_max, cap)
 
 
 def compare_adjoint(g: LeibnizAlgebra, k_max: int,
                     cap: Optional[int] = DEFAULT_CAP) -> ComparisonReport:
     """Naive cohomology of the adjoint naive representation against the
-    classical adjoint cohomology.
-
-    Besides the dimension comparison, the chain-level correspondence
-    F -> rho o F is verified as a matrix identity in every degree
-    k <= min(k_max, 2):
-
-        D^img_k E_k = E_{k+1} D^cl_k
-
-    with D^img_k the coboundary of the image representation (the naive
-    coboundary in image coordinates), D^cl_k the classical adjoint
-    coboundary, and E_k the block-diagonal embedding that applies rho to
-    the value of a g-valued cochain on each of the n^k basis tuples.  Column
-    (tuple #pos, value v) of each side is the image of one basis cochain,
-    so a differing column names a basis cochain on which the
-    correspondence fails.  The cap is checked before anything is built: the
-    image of the adjoint naive representation has dimension n, so both
-    complexes have n^(k+1) n target rows in degree k.
+    classical adjoint cohomology, with the chain-level correspondence
+    F -> rho o F proven in every degree: rho is injective, so R = I, the
+    embedding E_k is the identity, and D^img_k E_k = E_{k+1} D^cl_k holds
+    exactly when the image representation equals the adjoint one
+    (``_compare``).  The cap is checked before anything is built: the image
+    has dimension n, so both complexes have n^(k+1) n target rows in degree
+    k.  ValueError for k_max < 1.
     """
+    _require_comparison_degree(k_max)
     _require_within_cap(g.dim, g.dim, k_max, cap)
-    rho = adjoint_naive(g)
-    irep = image_representation(rho)
-    arep = adjoint_rep(g)
-    side_ok, notes = _verify_adjoint_correspondence(rho, irep, arep, k_max)
-    naive = betti(irep, k_max, cap)
-    classical = betti(arep, k_max, cap)
-    rows = _rows_from_dims([naive.dim_h(k) for k in range(k_max + 1)],
-                           [classical.dim_h(k) for k in range(k_max + 1)])
-    return ComparisonReport(rows, side_ok, tuple(notes))
-
-
-def _keyed_coboundary(rep: Representation, k: int) -> tuple[int, dict]:
-    """(D, {(target tuple, target coordinate, source tuple, source
-    coordinate): D * d_k entry}) from ``coboundary_columns``, uncapped."""
-    den, columns = coboundary_columns(rep, k)
-    m = rep.vdim
-    return den, {(*divmod(row, m), *divmod(col, m)): x
-                 for col, entries in enumerate(columns) for row, x in entries.items()}
-
-
-def _verify_adjoint_correspondence(rho, irep, arep, k_max):
-    """D^img_k E_k - E_{k+1} D^cl_k as one contraction per degree, with
-    B[a, v] the image coordinate a of rho(e_v) as the block of E; a nonzero
-    entry at (.., tuple #pos, value v) names a failing basis cochain.  The
-    caller has checked the cap for degree k_max."""
-    B = _image_coordinates(rho)
-    notes = []
-    ok = True
-    for k in range(min(k_max, 2) + 1):
-        (d_img, img), (d_cl, cl) = _keyed_coboundary(irep, k), _keyed_coboundary(arep, k)
-        residual = contract([(Fraction(1, d_img), "RApa,av->RApv", img, B),
-                             (-Fraction(1, d_cl), "AW,RWpv->RApv", B, cl)])
-        for pos, v in sorted({key[2:] for key in residual}):
-            ok = False
-            notes.append(f"correspondence fails on basis cochain "
-                         f"(degree {k}, tuple #{pos}, value {v})")
-    return ok, notes
+    return _compare(image_representation(adjoint_naive(g)), adjoint_rep(g), k_max, cap)
 
 
 def tautological_rep(phi: GraphMap) -> NaiveRepresentation:
@@ -484,7 +458,10 @@ def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
     the classical complex of the induced actions
 
         l_x u = phi(theta(x)) u          r_x u = phi(u) theta(x).
+
+    ValueError for k_max < 1.
     """
+    _require_comparison_degree(k_max)
     if not phi._derived("_verdict", graph_check).holds:
         raise ValueError("graph map fails the closure condition")
     if phi.vdim != rho.vdim:
@@ -502,8 +479,6 @@ def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
     if not report.holds:
         raise ValueError("induced actions fail the representation conditions at "
                          f"{report.witnesses[0].where}")
-    naive = naive_betti(rho, k_max, cap)
-    classical = betti(rep, k_max, cap)
-    rows = _rows_from_dims([naive.dim_h(k) for k in range(k_max + 1)],
-                           [classical.dim_h(k) for k in range(k_max + 1)])
-    return ComparisonReport(rows, True, ())
+    naive, classical = naive_betti(rho, k_max, cap), betti(rep, k_max, cap)
+    return ComparisonReport(tuple(ComparisonRow(a.k, a.dim_h, b.dim_h, a.dim_h == b.dim_h)
+                                  for a, b in zip(naive.degrees, classical.degrees)))

@@ -162,16 +162,18 @@ def test_quotient_heis3():
 
 def test_quotient_is_fixed_by_its_defining_properties(positive_algebras,
                                                       dense_rational_algebras):
-    # the projection kills Z(g), sends e_(C_a) to e_a for the columns C that
-    # are no pivot of the RREF basis of Z(g), and carries brackets to
-    # brackets; these determine the quotient and its projection
+    # the projection kills Z(g), sends e_(J_a) to e_a for the pivot columns J
+    # of the RREF of left multiplication, and carries brackets to brackets;
+    # these determine the quotient and its projection
     algebras = {**positive_algebras, "omni3": omni_lie(3),
                 **{f"{name} (dense)": g for name, g in dense_rational_algebras.items()}}
     for name, g in algebras.items():
         n, z = g.dim, left_center(g)
         q, proj = quotient_by_left_center(g)
-        pivots = rref(from_rows(basis_rows(z))).pivot_columns
-        kept = {i: a for a, i in enumerate(i for i in range(n) if i not in pivots)}
+        c = dense(g.c, (n,) * 3)
+        pivots = rref(from_rows([[c[i][j][k] for i in range(n)]
+                                 for j in range(n) for k in range(n)])).pivot_columns
+        kept = {i: a for a, i in enumerate(pivots)}
         assert q.dim == len(kept) and proj.shape == (q.dim, n), name
         assert not contract([(1, "ka,ua->uk", proj, z.basis)]), name
         assert {(k, kept[i]): x for (k, i), x in proj.items() if i in kept} == {

@@ -56,7 +56,6 @@ from leibniz_kit.algebra import (
 )
 from leibniz_kit.cohomology import maurer_cartan_residual
 from leibniz_kit.linalg import Tensor, contract, rank, span_of_rows, sparse
-from leibniz_kit.omni import _verify_adjoint_correspondence
 from leibniz_kit.serialize import graph_from_json, representation_from_json
 
 F = Fraction
@@ -548,9 +547,29 @@ def test_image_representation_matches_oracle(positive_algebras, dense_rational_a
     assert kernels
 
 
+def test_naive_reduction_writes_rho_in_the_image_basis(small_algebras, positive_algebras,
+                                                       dense_rational_algebras):
+    # (R, J), the reduced rows of v -> rho(e_v): rho(e_v) = sum_a R[a, v]
+    # rho(e_(J_a)), and the rho(e_J) are independent, also where rho has a
+    # kernel and where rho is no homomorphism
+    maps = {**_naive_representations(small_algebras, dense_rational_algebras),
+            **_valid_naive_representations(positive_algebras, dense_rational_algebras)}
+    kernels = 0
+    for name, rho in maps.items():
+        R, J = rho._reduced
+        vectors = rho.rho_vectors
+        basis = {(a, *key): x for a, j in enumerate(J) for key, x in vectors[j].items()}
+        assert contract([(1, "av,ap->vp", R, basis)]) == vectors, name
+        assert rank(oracles.from_rows(dense(basis, (len(J), rho.ambient_dim)))
+                    if J else oracles.zeros(0, 0)) == len(J), name
+        kernels += len(J) < rho.algebra.dim
+    assert kernels
+
+
 def test_adjoint_correspondence_matches_oracle(dense_rational_algebras):
-    # the classical side with one action scaled by 3/2 breaks the
-    # correspondence
+    # the equality compare_adjoint proves, image representation = classical
+    # representation, holds exactly where the oracle's chain-level identity
+    # does; the classical side with one action scaled by 3/2 breaks both
     for name, g in dense_rational_algebras.items():
         rho = adjoint_naive(g)
         irep = image_representation(rho)
@@ -559,7 +578,5 @@ def test_adjoint_correspondence_matches_oracle(dense_rational_algebras):
         for side, rep in (("none", arep),
                           ("l", Representation(g, g.dim, scaled(arep.l), arep.r)),
                           ("r", Representation(g, g.dim, arep.l, scaled(arep.r)))):
-            ok, notes = _verify_adjoint_correspondence(rho, irep, rep, 2)
-            assert (ok, notes) == oracles.verify_adjoint_correspondence(rho, irep, rep, 2), \
-                (name, side)
-            assert ok == (side == "none"), (name, side)
+            ok = oracles.verify_adjoint_correspondence(rho, irep, rep, 2)[0]
+            assert (irep == rep) == ok == (side == "none"), (name, side)

@@ -6,7 +6,7 @@ from heapq import heappop
 from math import gcd, isqrt, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leibniz_kit.linalg as linalg_module
@@ -18,9 +18,11 @@ from leibniz_kit.linalg import (
     Matrix,
     Subspace,
     Tensor,
+    contract,
     integer_rank,
     kernel_basis,
     rank,
+    reduced_rows,
     rref,
     solve,
     span_of_rows,
@@ -237,6 +239,37 @@ def test_subspace_coordinates_match_solve(s, data):
     v = data.draw(st.lists(scalars, min_size=s.ambient_dim, max_size=s.ambient_dim))
     y = solve(to_ambient, v)
     assert s.coordinates_of(sparse(v, 1)) == (None if y is None else sparse(y, 1))
+
+
+@st.composite
+def matrices_with_zero_rows(draw):
+    """The rows of a drawn matrix with up to three zero rows put in, and its
+    number of columns."""
+    m = draw(matrices())
+    rows = to_rows(m) if m.rows else []
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), [F(0)] * m.cols)
+    return rows, m.cols
+
+
+@given(matrices_with_zero_rows())
+@example(([], 3))
+@example(([[F(0)] * 2] * 3, 2))
+@example(([[0, 0, 0], [0, 2, 4], [0, 0, 0]], 3))
+@settings(max_examples=100, deadline=None)
+def test_reduced_rows_project_onto_the_quotient_by_the_kernel(rows_and_cols):
+    # R is in RREF, the identity on its pivot columns J, kills the kernel of
+    # t and has its rank; zero rows, the zero matrix and no rows at all
+    rows, cols = rows_and_cols
+    t = sparse_tensor(rows, (len(rows), cols), "matrix")
+    R, J = reduced_rows(t)
+    assert R.shape == (len(J), cols)
+    assert len(J) == rank(from_rows(rows) if rows else zeros(0, cols))
+    assert list(J) == sorted(set(J))
+    assert [min(j for a, j in R.keys() if a == b) for b in range(len(J))] == list(J)
+    assert {(a, J.index(j)): x for (a, j), x in R.items() if j in J} == {
+        (a, a): F(1) for a in range(len(J))}
+    assert not contract([(1, "aj,uj->au", R, kernel_basis(t).basis)])
 
 
 @given(matrices())

@@ -61,7 +61,7 @@ from leibniz_kit.fixtures import (
 from leibniz_kit.algebra import dense
 from leibniz_kit.cli import main
 from leibniz_kit.linalg import contract, rank, sparse, sparse_tensor
-from leibniz_kit.omni import GraphMap, _verify_adjoint_correspondence
+from leibniz_kit.omni import GraphMap
 from leibniz_kit.serialize import representation_from_json
 
 F = Fraction
@@ -499,7 +499,9 @@ def test_compare_adjoint_small_fixtures(small_algebras):
 
 def test_adjoint_correspondence_check_is_not_vacuous():
     # doubling the right, then the left action of the classical side breaks
-    # the correspondence on exactly these basis cochains (degree, tuple, value)
+    # the equality compare_adjoint proves, image representation = adjoint
+    # representation, and the oracle's chain-level identity fails on exactly
+    # these basis cochains (degree, tuple, value)
     broken = {
         ("L2", "r"): [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0),
                       (2, 3, 0)],
@@ -511,26 +513,81 @@ def test_adjoint_correspondence_check_is_not_vacuous():
                         + [(2, 0, 0), (2, 1, 0), (2, 2, 0), (2, 3, 1), (2, 4, 1), (2, 5, 1),
                            (2, 6, 0), (2, 6, 1), (2, 7, 0), (2, 7, 1), (2, 8, 0), (2, 8, 1)],
     }
-    first = {
-        ("L2", "r"): "correspondence fails on basis cochain (degree 0, tuple #0, value 0)",
-        ("L2", "l"): "correspondence fails on basis cochain (degree 1, tuple #0, value 0)",
-        ("heis3", "r"): "correspondence fails on basis cochain (degree 0, tuple #0, value 0)",
-        ("heis3", "l"): "correspondence fails on basis cochain (degree 1, tuple #0, value 0)",
-    }
     for name, g in (("L2", l2_algebra()), ("heis3", heisenberg3())):
         rho = adjoint_naive(g)
         irep = image_representation(rho)
         arep = adjoint_rep(g)
-        assert _verify_adjoint_correspondence(rho, irep, arep, 2) == (True, [])
+        assert irep == arep
+        assert oracles.verify_adjoint_correspondence(rho, irep, arep, 2) == (True, [])
         doubled = lambda t: oracles.scaled(t, 2)
         for side, bad in (("r", Representation(g, g.dim, arep.l, doubled(arep.r))),
                           ("l", Representation(g, g.dim, doubled(arep.l), arep.r))):
-            ok, notes = _verify_adjoint_correspondence(rho, irep, bad, 2)
-            assert not ok
-            assert notes[0] == first[name, side]
-            assert notes == [f"correspondence fails on basis cochain "
-                             f"(degree {k}, tuple #{pos}, value {v})"
-                             for k, pos, v in broken[name, side]]
+            assert irep != bad, (name, side)
+            assert oracles.verify_adjoint_correspondence(rho, irep, bad, 2) == (
+                False, [f"correspondence fails on basis cochain "
+                        f"(degree {k}, tuple #{pos}, value {v})"
+                        for k, pos, v in broken[name, side]]), (name, side)
+
+
+def test_compare_fails_when_the_image_representation_differs(monkeypatch, capsys):
+    # an image representation with the right action dropped, still a
+    # representation, breaks the equality: both complexes are ranked, the
+    # report says why, and --compare exits 1
+    real = omni_module.image_representation
+
+    def without_right_action(rho):
+        rep = real(rho)
+        return Representation(rep.algebra, rep.vdim, rep.l, {})
+
+    monkeypatch.setattr(omni_module, "image_representation", without_right_action)
+    report = compare_adjoint(corpus.algebra("omni2"), 2)
+    assert not report.side_checks_ok and len(report.notes) == 1
+    argv = ["cohomology", str(FIXTURES / "omni2.json"), "--rep", "adjoint", "--compare",
+            "--max-degree", "2"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert f"note: {report.notes[0]}" in out
+    assert "chain-level correspondence check failed" in out
+
+
+def test_naive_paths_build_no_ambient_image(monkeypatch, capsys):
+    # cohomology --naive and --compare and naive_betti work on the reduction
+    # of rho alone; the image subspace is built when it is first read
+    made = []
+    real = omni_module.naive_check
+    monkeypatch.setattr(omni_module, "naive_check", lambda rho: made.append(rho) or real(rho))
+    for rep, mode in (("adjoint", "--naive"), ("trivial", "--naive"), ("adjoint", "--compare"),
+                      ("trivial", "--compare"), (str(FIXTURES / "rep_adjoint_L2.json"), "--naive")):
+        argv = ["cohomology", str(FIXTURES / "L2.json"), "--rep", rep, mode, "--max-degree", "2"]
+        assert main(argv) == 0, (rep, mode, capsys.readouterr())
+    rho = adjoint_naive(heisenberg3())
+    naive_betti(rho, 2)
+    assert len(made) == 6
+    assert not any(hasattr(value, "_image") for value in made)
+    assert rho.image.dim == 3 and hasattr(rho, "_image")
+
+
+@pytest.mark.parametrize("k_max", [-1, 0])
+def test_vacuous_degrees_are_refused_before_anything_is_built(monkeypatch, k_max):
+    # betti and naive_betti start at degree 0, the comparisons at degree 1
+    g = l2_algebra()
+    rho, phi = adjoint_naive(g), graph_for(g)
+    if k_max < 0:
+        for call in (lambda: betti(adjoint_rep(g), k_max), lambda: naive_betti(rho, k_max)):
+            with pytest.raises(ValueError, match="^degrees start at 0: k_max must be >= 0, got -1$"):
+                call()
+
+    def refuse(*args):
+        raise RuntimeError("something was built")
+
+    for name in ("betti", "adjoint_naive", "trivial_naive_space", "naive_betti", "adjoint_rep"):
+        monkeypatch.setattr(omni_module, name, refuse)
+    message = f"^the comparison starts at degree 1: k_max must be >= 1, got {k_max}$"
+    for call in (lambda: compare_trivial(g, k_max), lambda: compare_adjoint(g, k_max),
+                 lambda: graph_rep_cohomology(tautological_rep(phi), phi, k_max)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @settings(max_examples=10, deadline=None)

@@ -72,12 +72,13 @@ BUILDERS = {
 FIELDS = {"LeibnizAlgebra": "c", "Representation": "l", "Subspace": "basis", "GraphMap": "phi", "Lie2Algebra": "l3",
           "NaiveRepresentation": "phi"}
 
-# The slots holding forms derived from the fields: the elimination a subspace
-# and the image of a naive representation need, which the constructor
-# derives, and the report of each checked type's identity and the lie2 forms
-# of an algebra, which are derived on first use.  Every tensor is stored
-# once, as its field.
-DERIVED = {"Subspace": ("_pivots", "_inverse"), "NaiveRepresentation": ("_image", "_verdict"),
+# The slots holding forms derived from the fields: the eliminations a
+# subspace and a naive representation need, which the constructor derives,
+# and the report of each checked type's identity, the image subspace of a
+# naive representation and the lie2 forms of an algebra, which are derived on
+# first use.  Every tensor is stored once, as its field.
+DERIVED = {"Subspace": ("_pivots", "_inverse"),
+           "NaiveRepresentation": ("_reduced", "_image", "_verdict"),
            "LeibnizAlgebra": ("_verdict", "_skew", "_jacobiator"),
            "Representation": ("_verdict",), "GraphMap": ("_verdict",)}
 
@@ -87,7 +88,8 @@ ON_FIRST_USE = {("LeibnizAlgebra", "_verdict"): check_leibniz,
                 ("LeibnizAlgebra", "_jacobiator"): _jacobiator,
                 ("Representation", "_verdict"): check_representation,
                 ("GraphMap", "_verdict"): graph_check,
-                ("NaiveRepresentation", "_verdict"): naive_check}
+                ("NaiveRepresentation", "_verdict"): naive_check,
+                ("NaiveRepresentation", "_image"): lambda rho: rho.image}
 
 
 def _derived_form(value, slot):
