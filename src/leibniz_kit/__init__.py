@@ -69,7 +69,6 @@ from .omni import (
     naive_check,
     naive_coboundary,
     naive_from_rep,
-    omni_bracket,
     omni_lie,
     tautological_rep,
     to_naive_cochain,

@@ -103,26 +103,24 @@ def dense(tensor: dict, shape: tuple) -> tuple:
     return build(())
 
 
-def rows_of(tensor: dict) -> dict:
-    """{index prefix: sparse last-axis vector {(k,): entry}} for every prefix
-    at which the tensor has a nonzero entry."""
+def rows_of(tensor: dict, axes: int = 1) -> dict:
+    """{index prefix: sparse block {last ``axes`` indices: entry}} for every
+    prefix at which the tensor has a nonzero entry; with axes=1 each block is
+    a sparse vector {(k,): entry}."""
     rows: dict = {}
     for key, v in tensor.items():
         if v:
-            rows.setdefault(key[:-1], {})[key[-1:]] = v
+            rows.setdefault(key[:-axes], {})[key[-axes:]] = v
     return rows
 
 
 def residual_witnesses(residual: dict, dim: int, label: str, axes: int = 1) -> list[Witness]:
-    """One witness per nonzero block of a residual, in lexicographic order of
-    ``where``: the indices but the last ``axes``, whose block of length dim
-    on each axis is the dense defect (a vector, or a matrix when axes=2)."""
-    blocks: dict = {}
-    for key, v in residual.items():
-        if v:
-            blocks.setdefault(key[:-axes], {})[key[-axes:]] = v
+    """One witness per nonzero block of a residual (``rows_of``), in
+    lexicographic order of ``where``: the indices but the last ``axes``, whose
+    block of length dim on each axis is the dense defect (a vector, or a
+    matrix when axes=2)."""
     return [Witness(where, dense(block, (dim,) * axes), label)
-            for where, block in sorted(blocks.items())]
+            for where, block in sorted(rows_of(residual, axes).items())]
 
 
 def check_leibniz(g: LeibnizAlgebra) -> IdentityReport:

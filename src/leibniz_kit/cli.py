@@ -8,7 +8,7 @@ compose in pipelines:
     leibniz-kit omni --dim 2 | leibniz-kit check -
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 malformed
-input, 3 resource cap exceeded.
+input, 3 resource cap exceeded; a closed stdout does not change them.
 """
 
 from __future__ import annotations
@@ -87,9 +87,31 @@ def _cap() -> int:
     return value
 
 
+def _out(text: str) -> None:
+    """Print a line on stdout.  A reader that closes the pipe early, as
+    ``| head`` does, does not end the run: the rest of its output goes to
+    os.devnull, and the run exits with the code its checks give."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_json(doc) -> None:
     """Print a JSON document on stdout, as every command writes one."""
-    print(json.dumps(doc, indent=1))
+    _out(json.dumps(doc, indent=1))
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key that it repeats."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise SchemaError(f"repeated key {key!r}")
+        out[key] = value
+    return out
 
 
 class _Run:
@@ -117,13 +139,20 @@ class _Run:
         self.inputs.append({"source": label,
                             "sha256": hashlib.sha256(raw).hexdigest()})
         try:
-            return json.loads(raw.decode("utf-8"))
+            return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+        except SchemaError as exc:
+            raise SchemaError(f"{label}: {exc}")
+        except RecursionError:
+            raise SchemaError(f"{label}: not valid JSON (nested too deeply)")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SchemaError(f"{label}: not valid JSON ({exc})")
+        except ValueError:  # the one other: int() refuses a literal over its digit limit
+            raise SchemaError(f"{label}: an integer literal of more than "
+                              f"{sys.get_int_max_str_digits()} digits")
 
     def say(self, line: str) -> None:
         if not self.json_mode:
-            print(line)
+            _out(line)
 
     def fail(self, message: str) -> None:
         self.failures.append(message)
@@ -144,11 +173,11 @@ class _Run:
             _print_json(report)
         else:
             for message in self.failures:
-                print(f"FAILED: {message}")
+                _out(f"FAILED: {message}")
             if payload is not None:
                 _print_json(payload)
         if not self.json_mode and not self.failures and payload is None:
-            print("ok")
+            _out("ok")
         return code
 
 
@@ -381,14 +410,14 @@ def cmd_graph(args) -> int:
 def cmd_fixtures(args) -> int:
     if args.list or not args.dest:
         for name in sorted(fixture_corpus.corpus()):
-            print(name)
+            _out(name)
         return EXIT_OK
     try:
         written = fixture_corpus.write_corpus(args.dest)
     except OSError as exc:
         raise SchemaError(f"cannot write the corpus to {args.dest}: {exc}")
     for path in written:
-        print(path)
+        _out(path)
     return EXIT_OK
 
 
@@ -479,9 +508,6 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as exc:
         print(f"resource cap: {exc} (override with {CAP_ENV_VAR})", file=sys.stderr)
         return EXIT_RESOURCE_CAP
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

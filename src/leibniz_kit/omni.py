@@ -36,11 +36,12 @@ equality, after which the classical complex is ranked once.
 Graph closure and the component conditions of a naive representation are
 ``linalg.contract`` sums, like every other identity.
 
-A vector of gl(V) (+) V is sparse, the 1-axis tensor {(p,): x}, with the gl
-part row-major at p = a m + b and the V part at p = m^2 + a.
-``omni_bracket`` takes and returns such vectors and visits only their
-nonzero coordinates; ``omni_lie`` is that bracket on unit vectors.  The
-vectors rho(e_i) are the rows of the 2-axis tensor ``rho.rho_vectors``.
+The omni algebra is its structure constants: ``omni_lie`` writes [E_ab,
+E_cd] = d_bc E_ad - d_da E_cb and [E_ab, e_c] = d_bc e_a as one contraction,
+with the matrix unit E_ab at p = a m + b and e_a at p = m^2 + a.  A vector
+of gl(V) (+) V is the sparse 1-axis tensor {(p,): x}, and the bracket of two
+is x.c.y.  The vectors rho(e_i) are the rows of the 2-axis tensor
+``rho.rho_vectors``.
 The reduction eliminates only the ambient coordinates some rho(e_i) holds,
 so the naive image costs the supports of these vectors, not the ambient
 dimension m^2+m; the image as a ``Subspace`` of that ambient space, with
@@ -74,8 +75,6 @@ from .cohomology import (
     trivial_rep,
 )
 from .linalg import (
-    ONE,
-    ZERO,
     Frozen,
     Subspace,
     Tensor,
@@ -89,48 +88,17 @@ from .linalg import (
 # ---------------------------------------------------------------------------
 # the omni algebra
 
-def omni_bracket(m: int, x, y) -> Tensor:
-    """[[A+u, B+v]] = [A,B] + Av on sparse vectors {(p,): x} of gl(V) (+) V
-    (or dense sequences), as a read-only sparse vector of shape (m^2+m,).
-    Only the nonzero coordinates of x and y are visited, grouped by matrix
-    row."""
-    m2 = m * m
-    x, y = (sparse_tensor(z, (m2 + m,), "omni vector") for z in (x, y))
-
-    def by_row(z):
-        # rows[t] holds (b, z[t][b]) for the gl part; rows[m] the V part
-        rows: dict = {}
-        for (p,), zp in z.items():
-            t, b = divmod(p, m)
-            rows.setdefault(t, []).append((b, zp))
-        return rows
-
-    xr, yr = by_row(x), by_row(y)
-    v = dict(yr.pop(m, ()))
-    xr.pop(m, None)
-    out: dict = {}
-    for a, row in xr.items():
-        for t, va in row:  # A[a][t]: (AB)[a][b] and (Av)[a]
-            for b, vb in yr.get(t, ()):
-                out[a * m + b] = out.get(a * m + b, ZERO) + va * vb
-            if t in v:
-                out[m2 + a] = out.get(m2 + a, ZERO) + va * v[t]
-    for a, row in yr.items():
-        for t, vb in row:  # B[a][t]: (BA)[a][b]
-            for b, va in xr.get(t, ()):
-                out[a * m + b] = out.get(a * m + b, ZERO) - vb * va
-    return Tensor((m2 + m,), {(p,): w for p, w in sorted(out.items()) if w})
-
-
 def omni_lie(m: int) -> LeibnizAlgebra:
-    """The omni algebra of Q^m as an (m^2+m)-dimensional Leibniz algebra:
-    ``omni_bracket`` on every pair of unit vectors."""
+    """The omni algebra of Q^m as an (m^2+m)-dimensional Leibniz algebra,
+    from its structure constants: [E_ab, E_cd] = d_bc E_ad - d_da E_cb and
+    [E_ab, e_c] = d_bc e_a, with E_ab at a m + b and e_a at m^2 + a."""
     if m < 0:
         raise ValueError(f"omni algebra needs m >= 0, got {m}")
-    n = m * m + m
-    units = [Tensor((n,), {(p,): ONE}) for p in range(n)]
-    out = LeibnizAlgebra(n, {(p, q, k): v for p in range(n) for q in range(n)
-                             for (k,), v in omni_bracket(m, units[p], units[q]).items()})
+    m2 = m * m
+    products = {(a * m + b, b * m + d, a * m + d): 1 for a, b, d in product(range(m), repeat=3)}
+    actions = {(a * m + b, m2 + b, m2 + a): 1 for a, b in product(range(m), repeat=2)}
+    out = LeibnizAlgebra(m2 + m, contract([(1, "ijk->ijk", products), (-1, "jik->ijk", products),
+                                           (1, "ijk->ijk", actions)]))
     if not out._derived("_verdict", check_leibniz).holds:
         raise AssertionError("omni bracket failed the Leibniz identity")
     return out

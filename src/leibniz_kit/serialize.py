@@ -8,6 +8,7 @@ carries a "schema": "leibniz-kit/1" marker.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -31,16 +32,23 @@ def scalar_to_str(q: Fraction) -> str:
 
 def _scalar(x: Any, parsed: dict) -> Optional[Fraction]:
     """x as a Fraction, or None if it is no scalar (a JSON true or false is
-    none); strings go through the memo."""
+    none, and so is a string of more digits than the interpreter converts);
+    strings go through the memo."""
     if not isinstance(x, str):
         return Fraction(x) if isinstance(x, int) and not isinstance(x, bool) else None
     if x not in parsed and _SCALAR_RE.match(x):
-        parsed[x] = Fraction(x)
+        try:
+            parsed[x] = Fraction(x)
+        except ValueError:
+            return None
     return parsed.get(x)
 
 
 def str_to_scalar(s: Any, where: str = "scalar") -> Fraction:
     q = _scalar(s, {})
+    if q is None and isinstance(s, str) and _SCALAR_RE.match(s):
+        raise SchemaError(f"{where}: a scalar of {len(s)} characters, with more than "
+                          f"{sys.get_int_max_str_digits()} digits in a numerator or denominator")
     if q is None:
         raise SchemaError(f"{where}: expected an integer or 'p/q' string, got {s!r}")
     return q

@@ -39,13 +39,13 @@ tensor.  The oracles keep dense vectors of their own (``vzero``,
 ``vaddto``, ``viszero``) and the bracket of g on them (``bracket``),
 read a subspace as dense rows (``basis_rows``, ``basis_matrix``) and
 bracket in the omni algebra by the matrix formula AB - BA + Av
-(``omni_bracket``), independently of the library's sparse bracket.
+(``omni_bracket``); the library has no element-wise omni bracket, only
+the structure constants of ``omni_lie``, which the tests hold to it.
 
 The image representation of a naive representation is here as the direct
-construction: rho(e_i) omni-multiplied with each image basis vector by the
-library's sparse bracket (itself held to the matrix formula), read in
-image coordinates.  The library contracts the structure constants with the
-image coordinates of rho and a section of them instead.
+construction: rho(e_i) omni-multiplied with each image basis vector by
+that matrix formula, read in image coordinates.  The library contracts the
+structure constants with the reduction of rho instead.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from leibniz_kit import (
     Witness,
     coboundary_matrix,
     left_center,
-    omni_bracket as library_omni_bracket,
     semidirect,
 )
 from leibniz_kit.algebra import dense
@@ -931,15 +930,15 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
 def image_representation(rho: NaiveRepresentation) -> Representation:
     """The action of g on the image of rho by left/right omni multiplication:
     each rho(e_i) bracketed with each image basis vector on both sides by the
-    library's sparse ``omni_bracket``, in image coordinates.  Raises
+    dense matrix formula (``omni_bracket``), in image coordinates.  Raises
     ValueError when a bracket leaves the image."""
     image, m = rho.image, rho.vdim
     ls: dict = {}
     rs: dict = {}
-    for i, rho_i in enumerate(rho.rho_vectors):
-        for col, b in enumerate(image.basis):
-            lv = image.coordinates_of(library_omni_bracket(m, rho_i, b))
-            rv = image.coordinates_of(library_omni_bracket(m, b, rho_i))
+    for i, rho_i in enumerate(dense(rho.rho_vectors, rho.rho_vectors.shape)):
+        for col, b in enumerate(basis_rows(image)):
+            lv = image.coordinates_of(omni_bracket(m, rho_i, b))
+            rv = image.coordinates_of(omni_bracket(m, b, rho_i))
             if lv is None or rv is None:
                 raise ValueError("image of the representation is not closed under "
                                  "the omni bracket; the map is not a homomorphism")

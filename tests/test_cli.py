@@ -215,6 +215,80 @@ def nonleibniz_trivial_rep(tmp_path):
 REFUSAL = "input is not a Leibniz algebra; first witness at (0, 0, 0)"
 
 
+def _document(tmp_path, text: str) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_deeply_nested_json_exits_2_naming_its_source(tmp_path, capsys):
+    # json.loads raised an uncaught RecursionError: a traceback and exit 1
+    path = _document(tmp_path, "[" * 3000 + "]" * 3000)
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == f"input error: {path}: not valid JSON (nested too deeply)\n"
+
+
+def test_a_repeated_key_exits_2_naming_the_key(tmp_path, capsys):
+    # the last "dim" was read without a word, and this document passed
+    path = _document(tmp_path, '{"schema": "leibniz-kit/1", "dim": 2, "dim": 1, "c": [[["0"]]]}')
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == f"input error: {path}: repeated key 'dim'\n"
+
+
+@pytest.mark.parametrize("scalar", ["1" * 5000, "-1/" + "7" * 5000], ids=["integer", "fraction"])
+def test_an_oversized_scalar_exits_2_with_its_path(tmp_path, capsys, scalar):
+    # Python's "Exceeds the limit (4300 digits)" message came without a path
+    path = _document(tmp_path, json.dumps({"schema": "leibniz-kit/1", "dim": 1,
+                                           "c": [[[scalar]]]}))
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: algebra.c[0][0][0]: a scalar of {len(scalar)} characters, with more "
+        f"than {sys.get_int_max_str_digits()} digits in a numerator or denominator\n")
+
+
+@pytest.mark.parametrize("field", ["dim", "c"])
+def test_an_oversized_integer_literal_exits_2_naming_its_source(tmp_path, capsys, field):
+    literal = "9" * 5000
+    doc = {"schema": "leibniz-kit/1", "dim": 1, "c": [[["0"]]]}
+    doc[field] = "LITERAL" if field == "dim" else [[["LITERAL"]]]
+    path = _document(tmp_path, json.dumps(doc).replace('"LITERAL"', literal))
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == (f"input error: {path}: an integer literal of more "
+                                       f"than {sys.get_int_max_str_digits()} digits\n")
+
+
+@pytest.mark.parametrize("args, code", [
+    (("omni", "--dim", "3"), 0),
+    (("lie2", str(FIXTURES / "omni2.json"), "--json"), 0),
+    (("check", str(FIXTURES / "nonleibniz.json")), 1),
+], ids=["omni", "lie2-json", "failed-check"])
+def test_a_closed_stdout_keeps_the_exit_code(args, code):
+    # a pipe with no reader left: every write fails with EPIPE, which used to
+    # end the run with a BrokenPipeError traceback (or an "Exception
+    # ignored" line at exit) and exit 1 or 120
+    import os
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "leibniz_kit", *args],
+                                stdin=subprocess.DEVNULL, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (code, b"")
+
+
+def test_omni_into_head_ends_without_a_traceback():
+    # omni --dim 6 | head -n 1: the reader goes after one line of 685 kB
+    proc = subprocess.Popen([sys.executable, "-m", "leibniz_kit", "omni", "--dim", "6"],
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
+
+
 def test_mc_refuses_non_leibniz_algebra(nonleibniz_trivial_rep, capsys):
     args = ["mc", str(FIXTURES / "nonleibniz.json"), str(nonleibniz_trivial_rep)]
     assert main(args) == 1

@@ -40,7 +40,6 @@ from leibniz_kit import (
     naive_check,
     naive_coboundary,
     naive_from_rep,
-    omni_bracket,
     omni_lie,
     tautological_rep,
     to_naive_cochain,
@@ -154,13 +153,18 @@ def test_graph_subalgebra_brackets_match_induced():
     g = induced_leibniz(phi)
     m = phi.vdim
     rho = tautological_rep(phi)
-    vectors = rho.rho_vectors
+    vectors = dense(rho.rho_vectors, rho.rho_vectors.shape)
     for i in range(m):
         for j in range(m):
             br = oracles.bracket(g, E(m, i), E(m, j))
-            expected = contract([(1, "k,kp->p", sparse(br, 1), vectors)])  # rho([u, v])
-            got = omni_bracket(m, vectors[i], vectors[j])
-            assert got == expected
+            expected = contract([(1, "k,kp->p", sparse(br, 1), rho.rho_vectors)])  # rho([u, v])
+            assert sparse(oracles.omni_bracket(m, vectors[i], vectors[j]), 1) == expected
+
+
+def _omni_product(c, x, y) -> dict:
+    """x.c.y, the bracket of two sparse vectors in an algebra with structure
+    constants c: two contractions."""
+    return contract([(1, "jk,j->k", contract([(1, "i,ijk->jk", x, c)]), y)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,15 +172,24 @@ def test_graph_subalgebra_brackets_match_induced():
     st.just(m), *[st.lists(st.sampled_from([F(0), F(0), F(1), F(-2), F(1, 3)]),
                            min_size=m * m + m, max_size=m * m + m)] * 2)))
 def test_omni_bracket_matches_the_matrix_formula(case):
-    # [[A+u, B+v]] = AB - BA + Av with A, B the row-major gl parts
+    # [[A+u, B+v]] = AB - BA + Av with A, B the row-major gl parts, as x.c.y
+    # with the structure constants of omni_lie(m)
     m, x, y = case
     a, b = (oracles.from_rows([z[r * m:(r + 1) * m] for r in range(m)]) if m
             else oracles.zeros(0, 0) for z in (x, y))
     gl = oracles.commutator(a, b)
     expected = [gl.entry(r, c) for r in range(m) for c in range(m)] + oracles.mv(a, y[m * m:])
-    assert omni_bracket(m, sparse(x, 1), sparse(y, 1)) == sparse(expected, 1)
-    assert omni_bracket(m, x, y) == sparse(expected, 1)  # dense vectors are taken too
+    assert _omni_product(omni_lie(m).c, sparse(x, 1), sparse(y, 1)) == sparse(expected, 1)
     assert oracles.omni_bracket(m, x, y) == expected
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_omni_structure_constants_bracket_every_pair_of_unit_vectors(m):
+    c, n = omni_lie(m).c, m * m + m
+    for p in range(n):
+        for q in range(n):
+            expected = sparse(oracles.omni_bracket(m, E(n, p), E(n, q)), 1)
+            assert _omni_product(c, {(p,): 1}, {(q,): 1}) == expected, (p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +331,11 @@ def test_image_representation_refuses_a_map_that_is_no_homomorphism():
         naive_betti(bad, 1)
 
 
-def test_naive_betti_path_runs_no_omni_bracket(monkeypatch, positive_algebras, capsys):
-    # with omni_bracket unavailable, naive_betti, compare_adjoint,
-    # compare_trivial and cohomology --naive / --compare give the Betti
-    # numbers of the omni-bracket construction of the image representation
+def test_naive_betti_path_runs_no_omni_bracket(positive_algebras, capsys):
+    # naive_betti, compare_adjoint, compare_trivial and cohomology --naive /
+    # --compare, which contract structure constants and have no omni bracket
+    # to call, give the Betti numbers of the omni-bracket construction of the
+    # image representation
     k_max = 2
 
     def dims(rep):
@@ -343,12 +357,6 @@ def test_naive_betti_path_runs_no_omni_bracket(monkeypatch, positive_algebras, c
     expected = [(naive_dims(rho) if rho else [0] * (k_max + 1), dims(rep))
                 for _, _, rho, rep in cases]
 
-    def refuse(*args):
-        raise RuntimeError("omni_bracket was called")
-
-    monkeypatch.setattr(omni_module, "omni_bracket", refuse)
-    with pytest.raises(RuntimeError, match="was called"):
-        omni_module.omni_lie(1)
     for (name, rep_arg, rho, _), (naive, classical) in zip(cases, expected, strict=True):
         if rho is not None:
             assert [d.dim_h for d in naive_betti(rho, k_max).degrees] == naive, (name, rep_arg)

@@ -29,7 +29,6 @@ from leibniz_kit import (
     graph_check,
     naive_check,
     skew_bracket,
-    omni_bracket,
     right_action_cochain,
     to_naive_cochain,
     trivial_naive_rep,
@@ -210,7 +209,6 @@ WRONG_SHAPES = [
           (lambda v: Subspace(2, [v]), "basis vector", (2,)),
           (lambda v: BUILDERS["Subspace"](2).coordinates_of(v), "vector", (2,)),
           (lambda v: span_of_rows(2, [{(0,): 1}, v]), "vector", (2,)),
-          (lambda v: omni_bracket(1, {(1,): 1}, v), "omni vector", (2,)),
           (lambda v: trivial_naive_rep(_l2(), v), "functional", (2,)),
           (lambda v: to_naive_cochain(BUILDERS["NaiveRepresentation"](2), [v], 0), "vector", (6,)))
       for key in ((shape[0],), (-1,), (0, 0))],
@@ -218,8 +216,6 @@ WRONG_SHAPES = [
     (lambda: LeibnizAlgebra(2, Tensor((2, 2, 2), {(0, 0, 5): 1})),
      "structure tensor: key (0, 0, 5) is no index of shape (2, 2, 2)"),
     (lambda: Subspace(2, [Tensor((2,), {(-1,): 1})]), "basis vector: key (-1,) is no index of shape (2,)"),
-    (lambda: omni_bracket(1, {(0,): 1}, Tensor((2,), {(2,): 1})),
-     "omni vector: key (2,) is no index of shape (2,)"),
 ]
 
 
@@ -247,7 +243,7 @@ def test_sparse_tensors_are_read_only():
     rep, phi, rho = (BUILDERS[name](2) for name in ("Representation", "GraphMap",
                                                     "NaiveRepresentation"))
     for tensor in (g.c, L.l3, L.l1, rep.r, phi.phi, rho.theta, right_action_cochain(rep),
-                   BUILDERS["Subspace"](2).basis, rho.rho_vectors, omni_bracket(1, {(0,): 1}, {(1,): 1})):
+                   BUILDERS["Subspace"](2).basis, rho.rho_vectors):
         key = next(iter(tensor.keys()))
         for change in (lambda: tensor.__setitem__((0, 0, 0), 1), lambda: tensor.__delitem__(key),
                        lambda: tensor.update({key: 2}), lambda: tensor.pop(key),
