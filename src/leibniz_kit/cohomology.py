@@ -47,8 +47,8 @@ DEFAULT_CAP = 20000
 class ResourceCapExceeded(Exception):
     """Raised when a cochain space would outgrow the configured cap."""
 
-    def __init__(self, required: int, cap: int):
-        super().__init__(f"cochain space of dimension {required} exceeds cap {cap}")
+    def __init__(self, required: int, cap: int, what: str = "cochain space of dimension"):
+        super().__init__(f"{what} {required} exceeds cap {cap}")
         self.required = required
         self.cap = cap
 
@@ -167,6 +167,8 @@ def coboundary_columns(rep: Representation, k: int,
     n, m = g.dim, rep.vdim
     (c, dc), (l, dl), (r, dr) = (_to_integers(t) for t in (g.c, rep.l, rep.r))
     den = lcm(dc, dl, dr)
+    if m == 0:  # no values, so no columns: the n^k tuples are not walked
+        return den, []
     # lent[s] = [(a, b, D*(l_s)[a][b])] over the nonzero entries; rent likewise
     lent = [[] for _ in range(n)]
     rent = [[] for _ in range(n)]
@@ -271,13 +273,21 @@ class BettiReport(NamedTuple):
 
 
 def _require_within_cap(n: int, m: int, k_max: int, cap: Optional[int]) -> None:
-    """Raise ResourceCapExceeded for the first degree k <= k_max whose
-    coboundary into n^(k+1) m target rows exceeds the cap, before any is
-    built; no cap (None) admits every degree."""
-    if cap is not None:
-        for k in range(k_max + 1):
-            if n ** (k + 1) * m > cap:
-                raise ResourceCapExceeded(n ** (k + 1) * m, cap)
+    """Before anything is built, raise ResourceCapExceeded for the first
+    degree k <= k_max with over cap target rows, n^(k+1) m, or else when the
+    degrees, each handling (k+1)-tuples however few its rows, weigh over it
+    together: max(m, 1) (k_max+1)(k_max+2)/2.  The rows never shrink with k
+    and reach 2^(k+1) for n >= 2, so no degree past the bit length of the
+    cap is the first over it.  No cap (None) admits every degree."""
+    if cap is None:
+        return
+    for k in range(min(k_max, cap.bit_length()) + 1):
+        if n ** (k + 1) * m > cap:
+            raise ResourceCapExceeded(n ** (k + 1) * m, cap)
+    weight = max(m, 1) * (k_max + 1) * (k_max + 2) // 2
+    if weight > cap:
+        raise ResourceCapExceeded(weight, cap, f"the {k_max + 1} degrees 0..{k_max}, "
+                                  "of weight max(m, 1) (k_max+1)(k_max+2)/2 =")
 
 
 def betti(rep: Representation, k_max: int,

@@ -24,17 +24,18 @@ which are integer already.  One helper, ``_to_integers``, scales a sparse
 rational tensor to integers over its common denominator: the rows ``rank``
 eliminates, the operands of ``contract`` and the structure and action
 tensors ``cohomology.coboundary_columns`` assembles.  ``rref`` (and through
-it ``solve`` and the coordinate form each ``Subspace`` derives once) needs
-the reduced matrix itself, not just its rank, and runs Gauss-Jordan
-elimination over Fractions.  It stays a second loop: canonical bases need
-lowest-column pivots and back-elimination, which the Markowitz kernel lacks
-and which would slow every rank.
+it ``reduced_rows`` and ``solve``) needs the reduced matrix itself, not just
+its rank, and runs Gauss-Jordan elimination over Fractions.  It stays a
+second loop: canonical bases need lowest-column pivots and
+back-elimination, which the Markowitz kernel lacks and which would slow
+every rank.
 
 One reduction serves every quotient: ``reduced_rows(t)`` gives R, the
 projection of Q^n onto Q^n / ker t, and its pivot columns J.
 ``kernel_basis``, ``span_of_rows``, ``algebra.quotient_by_left_center`` (R
 of left multiplication) and a naive representation (R of v -> rho(e_v),
-onto g / ker rho) are built on it.
+onto g / ker rho) are built on it, and every ``Subspace`` holds a basis
+in that reduced form, so its coordinates are read at its key columns.
 
 The kernel also reports, on request, the pivot column of each step; the
 input restricted to those columns keeps its rank.  ``betti`` uses this to
@@ -61,7 +62,7 @@ costs the supports it touches, not the ambient dimension.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -535,35 +536,33 @@ def rank(m: Matrix, pivots: Optional[list[int]] = None) -> int:
 
 
 class Subspace(Frozen):
-    """A subspace of Q^ambient_dim given by a linearly independent basis.
+    """A subspace of Q^ambient_dim given by a basis in reduced form.
 
     ``basis`` is the read-only sparse ``Tensor`` of shape (dim, ambient_dim)
     whose row u, ``basis[u]``, is the u-th basis vector.  The constructor
     takes a sequence of vectors, each a sparse vector {(a,): x} or a dense
     sequence (``sparse_tensor``), or such a ``Tensor``.
 
-    It row-reduces [B | I] once, with the basis vectors as the rows of B.
-    That gives E B in RREF, so E B is the identity on its pivot columns and
-    E = B[:, pivots]^-1; a pivot in the I part means the basis is dependent.
-    ``coordinates_of`` reads a vector at the pivots and multiplies by E,
-    with no elimination per query.
+    Reduced form means each basis vector u has a key column, where u is 1
+    and every other basis vector is 0: the pivots of RREF rows
+    (``span_of_rows``), the free columns of ``kernel_basis``.  The
+    constructor stores the lowest key column of each vector in ``_keys``
+    and refuses any other basis, a dependent one included.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots", "_inverse")
+    __slots__ = ("ambient_dim", "basis", "_keys")
 
     def __init__(self, ambient_dim: int, basis):
         rows = [sparse_tensor(v, (ambient_dim,), "basis vector") for v in basis]
-        d = len(rows)
-        ech = rref(Matrix(d, ambient_dim + d, [{**{a: x for (a,), x in row.items()},
-                                                 ambient_dim + u: ONE}
-                                                for u, row in enumerate(rows)]))
-        if any(p >= ambient_dim for p in ech.pivot_columns):
-            raise ValueError("basis vectors are linearly dependent")
-        inverse = tuple({j - ambient_dim: x for j, x in ech.matrix.row_items(i)
-                         if j >= ambient_dim} for i in range(ech.rank))
-        basis = Tensor((d, ambient_dim), {(u, *key): x for u, row in enumerate(rows)
-                                          for key, x in row.items()})
-        self._set(ambient_dim, basis, ech.pivot_columns, inverse)
+        held = Counter(key for row in rows for key in row.keys())
+        keys = tuple(min((a for (a,), x in row.items() if x == ONE and held[a,] == 1),
+                         default=None) for row in rows)
+        if None in keys:
+            raise ValueError(f"basis vector {keys.index(None)} has no key column: "
+                             "the basis is not in reduced form")
+        basis = Tensor((len(rows), ambient_dim), {(u, *key): x for u, row in enumerate(rows)
+                                                  for key, x in row.items()})
+        self._set(ambient_dim, basis, keys)
 
     @property
     def dim(self) -> int:
@@ -573,24 +572,16 @@ class Subspace(Frozen):
         """Coordinates {(u,): nonzero x} of v in this basis, or None if v is
         outside the span; v is a sparse vector {(a,): x} or a dense sequence.
 
-        v[pivots] E is the only candidate.  It is checked exactly by
+        v read at the keys is the only candidate.  It is checked exactly by
         rebuilding v from the basis, which touches only the supports of v and
         of the basis vectors it uses."""
         v = sparse_tensor(v, (self.ambient_dim,), "vector")
-        x: dict = {}
-        for p, row in zip(self._pivots, self._inverse):
-            vp = v.get((p,))
-            if vp:
-                for u, e in row.items():
-                    x[u] = x.get(u, ZERO) + vp * e
-        x = {u: xu for u, xu in x.items() if xu}
+        x = {(u,): v[key,] for u, key in enumerate(self._keys) if (key,) in v}
         residual = dict(v)
-        for u, xu in x.items():
+        for (u,), xu in x.items():
             for key, b in self.basis[u].items():
                 residual[key] = residual.get(key, ZERO) - xu * b
-        if any(residual.values()):
-            return None
-        return {(u,): xu for u, xu in x.items()}
+        return None if any(residual.values()) else x
 
 
 def reduced_rows(t: Tensor) -> tuple[Tensor, tuple[int, ...]]:

@@ -44,8 +44,7 @@ is x.c.y.  The vectors rho(e_i) are the rows of the 2-axis tensor
 ``rho.rho_vectors``.
 The reduction eliminates only the ambient coordinates some rho(e_i) holds,
 so the naive image costs the supports of these vectors, not the ambient
-dimension m^2+m; the image as a ``Subspace`` of that ambient space, with
-``rho.image.coordinates_of``, is built only when read.
+dimension m^2+m.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .algebra import (
     LeibnizAlgebra,
     _report,
     check_leibniz,
-    derived_subalgebra,
     residual_witnesses,
 )
 from .cohomology import (
@@ -167,13 +165,11 @@ class NaiveRepresentation(Frozen):
     The constructor reduces the matrix of rho once, into the derived slot
     ``_reduced``: (R, J) = ``linalg.reduced_rows`` of v -> rho(e_v), so R
     is the projection of g onto g / ker rho and rho(e_v) = sum_a R[a, v]
-    rho(e_(J_a)).  The image has the basis rho(e_J); its ``Subspace`` in
-    the ambient space, whose coordinates the cochains of the naive complex
-    take their values in (``image.coordinates_of``), is built on first read
-    into ``_image``.
+    rho(e_(J_a)).  The image has the basis rho(e_J), and the cochains of
+    the naive complex take their values in its coordinates.
     """
 
-    __slots__ = ("algebra", "vdim", "phi", "theta", "_reduced", "_image", "_verdict")
+    __slots__ = ("algebra", "vdim", "phi", "theta", "_reduced", "_verdict")
 
     def __init__(self, algebra: LeibnizAlgebra, vdim: int, phi, theta):
         n = algebra.dim
@@ -186,11 +182,6 @@ class NaiveRepresentation(Frozen):
     @property
     def ambient_dim(self) -> int:
         return self.vdim * self.vdim + self.vdim
-
-    @property
-    def image(self) -> Subspace:
-        return self._derived("_image", lambda rho: Subspace(
-            rho.ambient_dim, map(rho.rho_vectors.__getitem__, rho._reduced[1])))
 
     @property
     def rho_vectors(self) -> Tensor:
@@ -216,10 +207,10 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
 
 
 def trivial_naive_space(g: LeibnizAlgebra) -> Subspace:
-    """Functionals vanishing on the derived subalgebra: the candidates for
-    the V part of a naive representation on Q with zero gl part."""
-    d = derived_subalgebra(g)
-    return kernel_basis(d.basis)
+    """Functionals killing every bracket, the kernel of the rows c[i,j,k] at
+    (i n + j, k): the V parts of naive representations on Q with zero gl part."""
+    n = g.dim
+    return kernel_basis(Tensor((n * n, n), {(i * n + j, k): x for (i, j, k), x in g.c.items()}))
 
 
 def trivial_naive_rep(g: LeibnizAlgebra, xi) -> NaiveRepresentation:
@@ -293,16 +284,24 @@ def image_representation(rho: NaiveRepresentation) -> Representation:
 
 
 def to_naive_cochain(rho: NaiveRepresentation, ambient_values, degree: int) -> Tensor:
-    """An image-valued cochain tensor, in image coordinates, from its ambient
+    """An image-valued cochain tensor in the basis rho(e_J), from its ambient
     gl(V)(+)V values on the n^degree basis tuples in lexicographic order,
-    each a sparse vector {(p,): x} (or a dense sequence)."""
+    each a sparse vector {(p,): x} (or a dense sequence).  In one
+    ``reduced_rows`` of [rho | values], a value escapes the image when its
+    column is a pivot, and otherwise that column of R holds its coordinates."""
     n = rho.algebra.dim
-    coords = [rho.image.coordinates_of(v) for v in ambient_values]
-    if any(c is None for c in coords):
+    values = [sparse_tensor(v, (rho.ambient_dim,), "vector") for v in ambient_values]
+    if len(values) != n ** degree:
+        raise ValueError(f"{len(values)} values for the {n ** degree} tuples of degree {degree}")
+    columns = {(p, i): x for (i, p), x in rho.rho_vectors.items()}
+    columns.update(((p, n + t), x) for t, v in enumerate(values) for (p,), x in v.items())
+    matrix = Tensor((rho.ambient_dim, n + len(values)), dict(sorted(columns.items())))
+    R, pivots = reduced_rows(matrix)
+    if pivots and pivots[-1] >= n:
         raise ValueError("cochain value escapes the image of the representation")
-    tuples = product(range(n), repeat=degree)
-    return sparse_tensor({(*t, a): x for t, c in zip(tuples, coords, strict=True)
-                          for (a,), x in c.items()}, (n,) * degree + (rho.image.dim,), "cochain")
+    tuples = list(product(range(n), repeat=degree))
+    return sparse_tensor({(*tuples[j - n], a): x for (a, j), x in R.items() if j >= n},
+                         (n,) * degree + (len(pivots),), "cochain")
 
 
 def naive_coboundary(rho: NaiveRepresentation, f: Tensor) -> Tensor:

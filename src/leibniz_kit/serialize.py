@@ -44,13 +44,19 @@ def _scalar(x: Any, parsed: dict) -> Optional[Fraction]:
     return parsed.get(x)
 
 
+def _echo(x: Any) -> str:
+    """repr(x), or its type and the first 64 characters of it if longer."""
+    text = repr(x)
+    return text if len(text) <= 64 else f"a {type(x).__name__} beginning {text[:64]} ..."
+
+
 def str_to_scalar(s: Any, where: str = "scalar") -> Fraction:
     q = _scalar(s, {})
     if q is None and isinstance(s, str) and _SCALAR_RE.match(s):
         raise SchemaError(f"{where}: a scalar of {len(s)} characters, with more than "
                           f"{sys.get_int_max_str_digits()} digits in a numerator or denominator")
     if q is None:
-        raise SchemaError(f"{where}: expected an integer or 'p/q' string, got {s!r}")
+        raise SchemaError(f"{where}: expected an integer or 'p/q' string, got {_echo(s)}")
     return q
 
 
@@ -65,7 +71,7 @@ def _expect(data: Any, key: str, where: str) -> Any:
 def _expect_schema(data: Any, where: str) -> None:
     found = _expect(data, "schema", where)
     if found != SCHEMA:
-        raise SchemaError(f"{where}: unsupported schema {found!r} (expected {SCHEMA!r})")
+        raise SchemaError(f"{where}: unsupported schema {_echo(found)} (expected {SCHEMA!r})")
 
 
 def _expect_dim(data: Any, key: str, where: str) -> int:

@@ -43,8 +43,9 @@ bracket in the omni algebra by the matrix formula AB - BA + Av
 the structure constants of ``omni_lie``, which the tests hold to it.
 
 The image representation of a naive representation is here as the direct
-construction: rho(e_i) omni-multiplied with each image basis vector by
-that matrix formula, read in image coordinates.  The library contracts the
+construction: rho(e_i) omni-multiplied with each image basis vector
+rho(e_j), j in J, by that matrix formula, and solved for in the basis
+rho(e_J) (``image_basis``).  The library contracts the
 structure constants with the reduction of rho instead.
 """
 
@@ -927,31 +928,41 @@ def naive_check(rho: NaiveRepresentation) -> IdentityReport:
     return _report([w for ws in found.values() for w in ws])
 
 
+def image_basis(rho: NaiveRepresentation) -> Matrix:
+    """ambient_dim x d, the columns rho(e_J): the basis of the image at the
+    pivot columns J of the reduction of rho."""
+    vectors = dense(rho.rho_vectors, rho.rho_vectors.shape)
+    return from_cols(rho.ambient_dim, [vectors[j] for j in rho._reduced[1]])
+
+
 def image_representation(rho: NaiveRepresentation) -> Representation:
     """The action of g on the image of rho by left/right omni multiplication:
     each rho(e_i) bracketed with each image basis vector on both sides by the
-    dense matrix formula (``omni_bracket``), in image coordinates.  Raises
-    ValueError when a bracket leaves the image."""
-    image, m = rho.image, rho.vdim
+    dense matrix formula (``omni_bracket``), in the coordinates of the basis
+    rho(e_J) by a fresh ``solve``.  Raises ValueError when a bracket leaves
+    the image."""
+    vectors, m = dense(rho.rho_vectors, rho.rho_vectors.shape), rho.vdim
+    to_ambient = image_basis(rho)
     ls: dict = {}
     rs: dict = {}
-    for i, rho_i in enumerate(dense(rho.rho_vectors, rho.rho_vectors.shape)):
-        for col, b in enumerate(basis_rows(image)):
-            lv = image.coordinates_of(omni_bracket(m, rho_i, b))
-            rv = image.coordinates_of(omni_bracket(m, b, rho_i))
+    for i, rho_i in enumerate(vectors):
+        for col, j in enumerate(rho._reduced[1]):
+            lv = solve(to_ambient, omni_bracket(m, rho_i, vectors[j]))
+            rv = solve(to_ambient, omni_bracket(m, vectors[j], rho_i))
             if lv is None or rv is None:
                 raise ValueError("image of the representation is not closed under "
                                  "the omni bracket; the map is not a homomorphism")
-            ls.update(((i, a, col), x) for (a,), x in lv.items())
-            rs.update(((i, a, col), x) for (a,), x in rv.items())
-    return Representation(rho.algebra, image.dim, ls, rs)
+            ls.update(((i, a, col), x) for a, x in enumerate(lv) if x)
+            rs.update(((i, a, col), x) for a, x in enumerate(rv) if x)
+    return Representation(rho.algebra, to_ambient.cols, ls, rs)
 
 
 def embedding(rho: NaiveRepresentation, tuples: int) -> Matrix:
     """E: block-diagonal, one block per basis tuple, each block the columns
-    rho(e_v) in image coordinates."""
-    n, d = rho.algebra.dim, rho.image.dim
-    to_ambient = basis_matrix(rho.image)
+    rho(e_v) in the coordinates of the basis rho(e_J), by ``solve``."""
+    n = rho.algebra.dim
+    to_ambient = image_basis(rho)
+    d = to_ambient.cols
     block = [solve(to_ambient, list(v)) for v in dense(rho.rho_vectors, (n, rho.ambient_dim))]
     data: list[dict] = [{} for _ in range(tuples * d)]
     for pos in range(tuples):

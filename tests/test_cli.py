@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import leibniz_kit.cli as cli
+import leibniz_kit.cohomology as cohomology_module
 import leibniz_kit.omni as omni_module
 from leibniz_kit.cli import main
 
@@ -221,11 +222,66 @@ def _document(tmp_path, text: str) -> str:
     return str(path)
 
 
+@pytest.mark.parametrize("mode", [[], ["--naive"], ["--compare"]],
+                         ids=["classical", "naive", "compare"])
+@pytest.mark.parametrize("dim, rep", [(0, "adjoint"), (0, "trivial"), (1, "adjoint"),
+                                      (1, "trivial")])
+def test_a_degree_count_over_the_cap_exits_3_at_once(tmp_path, monkeypatch, capsys,
+                                                     dim, rep, mode):
+    # on dim 0 and dim 1 the rows n^(k+1) m never pass the cap, and a run
+    # to degree 10^8 went on until a timeout killed it; the degrees
+    # themselves weigh max(m, 1) (K+1)(K+2)/2 against the cap, before any
+    # is built.  Dim 0 with --rep trivial --naive has the zero complex only.
+    def refuse(*args):
+        raise RuntimeError("a coboundary was built")
+
+    monkeypatch.setattr(cohomology_module, "coboundary_columns", refuse)
+    monkeypatch.delenv("LEIBNIZ_KIT_CAP", raising=False)
+    path = _document(tmp_path, json.dumps({"schema": "leibniz-kit/1", "dim": dim,
+                                           "c": [[["0"]]] if dim else []}))
+    code = main(["cohomology", path, "--rep", rep, "--max-degree", "100000000", *mode])
+    out, err = capsys.readouterr()
+    if (dim, rep, mode) == (0, "trivial", ["--naive"]):
+        assert (code, err) == (0, "")
+        assert "the naive complex is zero" in out
+        return
+    assert (code, out) == (3, "")
+    assert err == ("resource cap: the 100000001 degrees 0..100000000, of weight max(m, 1) "
+                   "(k_max+1)(k_max+2)/2 = 5000000150000001 exceeds cap 20000 "
+                   "(override with LEIBNIZ_KIT_CAP)\n")
+
+
+@pytest.mark.parametrize("vdim, mode", [(0, []), (0, ["--naive"]), (1, ["--naive"])],
+                         ids=["vdim0", "vdim0-naive", "zero-rep-naive"])
+def test_a_zero_module_on_l2_finishes_degree_40(tmp_path, vdim, mode):
+    # with m = 0 (a vdim-0 module, or the zero image of the zero
+    # representation) every degree has no columns, but its 2^k tuples were
+    # still walked: degree 40 ran for hours, under a degree weight of 861
+    zeros = [[["0"] * vdim for _ in range(vdim)] for _ in range(2)]
+    path = _document(tmp_path, json.dumps({"schema": "leibniz-kit/1", "vdim": vdim,
+                                           "l": zeros, "r": zeros}))
+    result = subprocess.run([sys.executable, "-m", "leibniz_kit", "cohomology",
+                             str(FIXTURES / "L2.json"), "--rep", path,
+                             "--max-degree", "40", *mode], capture_output=True, timeout=10)
+    assert (result.returncode, result.stderr) == (0, b"")
+    table = result.stdout.decode().splitlines()[2:-1]
+    assert [line.split() for line in table] == [[str(k), "0", "0", "0", "0"] for k in range(41)]
+
+
 def test_deeply_nested_json_exits_2_naming_its_source(tmp_path, capsys):
     # json.loads raised an uncaught RecursionError: a traceback and exit 1
     path = _document(tmp_path, "[" * 3000 + "]" * 3000)
     assert main(["check", path]) == 2
     assert capsys.readouterr().err == f"input error: {path}: not valid JSON (nested too deeply)\n"
+
+
+def test_a_deeply_nested_scalar_exits_2_with_a_short_line(tmp_path, capsys):
+    # the whole value was echoed, a line of 1,876 bytes
+    deep = "[" * 900 + "]" * 900
+    path = _document(tmp_path, '{"schema": "leibniz-kit/1", "dim": 1, "c": [[[' + deep + "]]]}")
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == ("input error: algebra.c[0][0][0]: expected an integer or "
+                                       f"'p/q' string, got a list beginning {'[' * 64} ...\n")
 
 
 def test_a_repeated_key_exits_2_naming_the_key(tmp_path, capsys):

@@ -363,6 +363,40 @@ def test_resource_cap():
         betti(adjoint_rep(g), 4, cap=100)
 
 
+def test_the_cap_weighs_the_degrees_in_closed_form():
+    # n^(k+1) m stays at m (n = 1) or 0 (n = 0, or m = 0), so the rows alone
+    # admitted any number of degrees; the weight max(m, 1) (K+1)(K+2)/2 is
+    # checked without a loop over them
+    for n, m in ((1, 1), (0, 1), (0, 0), (1, 3)):
+        with pytest.raises(ResourceCapExceeded) as caught:
+            cohomology_module._require_within_cap(n, m, 10 ** 8, 20000)
+        weight = max(m, 1) * (10 ** 8 + 1) * (10 ** 8 + 2) // 2
+        assert (caught.value.required, caught.value.cap) == (weight, 20000)
+        assert str(caught.value) == (f"the 100000001 degrees 0..100000000, of weight max(m, 1) "
+                                     f"(k_max+1)(k_max+2)/2 = {weight} exceeds cap 20000")
+    cohomology_module._require_within_cap(1, 1, 198, 20000)  # 199 * 200 / 2 = 19900
+    with pytest.raises(ResourceCapExceeded):
+        cohomology_module._require_within_cap(1, 1, 199, 20000)  # 200 * 201 / 2 = 20100
+    cohomology_module._require_within_cap(1, 1, 10 ** 8, None)
+
+
+def test_the_degree_weight_refuses_nothing_the_rows_admit():
+    # for n >= 2 and m >= 1, 2^(K+1) >= (K+1)(K+2)/2 makes the weight follow
+    # from the rows: the outcome and its message are those of the row rule,
+    # checked degree by degree
+    def rows_refusal(n, m, k_max, cap):
+        return next((n ** (k + 1) * m for k in range(k_max + 1) if n ** (k + 1) * m > cap), None)
+
+    for n, m, k_max, cap in itertools.product((2, 3), (1, 2, 5), range(25), (1, 7, 80, 20000)):
+        try:
+            cohomology_module._require_within_cap(n, m, k_max, cap)
+            refused = None
+        except ResourceCapExceeded as exc:
+            assert str(exc) == f"cochain space of dimension {exc.required} exceeds cap {cap}"
+            refused = exc.required
+        assert refused == rows_refusal(n, m, k_max, cap), (n, m, k_max, cap)
+
+
 # ---------------------------------------------------------------------------
 # shuffles and the graded bracket
 

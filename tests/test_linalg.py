@@ -152,10 +152,24 @@ def test_subspace_coordinates():
     assert Subspace(0, ()).coordinates_of({}) == {}
     assert Subspace(2, ()).coordinates_of({}) == {}
     assert Subspace(2, ()).coordinates_of({(1,): F(1)}) is None
-    full = Subspace(2, [{(0,): F(1, 2), (1,): 1}, {(0,): 1, (1,): 3}])
-    assert full.coordinates_of({(0,): 1, (1,): 1}) == {(0,): F(4), (1,): F(-1)}
+    # coordinates are read at the key columns, here 2 and 0
+    keyed = Subspace(3, [{(1,): 3, (2,): 1}, {(0,): 1, (1,): F(-1, 2)}])
+    assert keyed._keys == (2, 0)
+    assert keyed.coordinates_of({(0,): 4, (1,): 4, (2,): 2}) == {(0,): F(2), (1,): F(4)}
+    assert keyed.coordinates_of({(0,): 4, (1,): 3, (2,): 2}) is None
     # a dense vector is taken too
-    assert full.coordinates_of([F(1), F(1)]) == {(0,): F(4), (1,): F(-1)}
+    assert keyed.coordinates_of([F(4), F(4), F(2)]) == {(0,): F(2), (1,): F(4)}
+
+
+def test_subspace_refuses_a_basis_without_key_columns():
+    # independent, but no vector is 1 where the other is 0: the basis must
+    # be in reduced form, as span_of_rows gives it
+    rows = [{(0,): F(1, 2), (1,): 1}, {(0,): 1, (1,): 3}]
+    with pytest.raises(ValueError, match="^basis vector 0 has no key column"):
+        Subspace(2, rows)
+    with pytest.raises(ValueError, match="^basis vector 0 has no key column"):
+        Subspace(1, [{(0,): 2}])
+    assert span_of_rows(2, rows).coordinates_of({(0,): 1, (1,): 1}) == {(0,): 1, (1,): 1}
 
 
 def test_matrix_product_shapes():
@@ -201,11 +215,19 @@ def test_solve_roundtrip(m, data):
     assert mv(m, y) == b
 
 
+def _has_key_columns(rows) -> bool:
+    """Whether each dense row is 1 in some column where the others are 0."""
+    return all(any(x == 1 and all(other[j] == 0 for b, other in enumerate(rows) if b != a)
+                   for j, x in enumerate(row)) for a, row in enumerate(rows))
+
+
 @st.composite
 def subspaces(draw):
-    """A subspace with an RREF basis (``span_of_rows``), a ``kernel_basis``
-    basis, or a dense rational basis: the rows of L U [I | C] with permuted
-    columns, L unit lower and U upper triangular with a nonzero diagonal."""
+    """A subspace with an RREF basis (``span_of_rows``) or a ``kernel_basis``
+    basis, or the span of a dense rational basis: the rows of L U [I | C]
+    with permuted columns, L unit lower and U upper triangular with a
+    nonzero diagonal.  ``Subspace`` refuses that basis unless it happens to
+    have key columns."""
     kind = draw(st.sampled_from(["rref", "kernel", "dense"]))
     if kind != "dense":
         m = draw(matrices())
@@ -222,8 +244,14 @@ def subspaces(draw):
     echelon = from_rows([to_rows(unit)[a] + [draw(scalars) for _ in range(n - d)]
                          for a in range(d)])
     order = draw(st.permutations(range(n)))
-    rows = to_rows(matmul(matmul(lower, upper), echelon))
-    return Subspace(n, [sparse([row[j] for j in order], 1) for row in rows])
+    rows = [[row[j] for j in order] for row in to_rows(matmul(matmul(lower, upper), echelon))]
+    vectors = [sparse(row, 1) for row in rows]
+    if _has_key_columns(rows):
+        assert Subspace(n, vectors).dim == d
+    else:
+        with pytest.raises(ValueError, match="no key column"):
+            Subspace(n, vectors)
+    return span_of_rows(n, vectors)
 
 
 @given(subspaces(), st.data())

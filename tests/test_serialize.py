@@ -56,6 +56,26 @@ def test_scalar_rejects_non_rational_strings(bad):
         str_to_scalar(bad)
 
 
+def test_a_long_or_deep_bad_scalar_is_echoed_by_its_type_and_a_prefix():
+    # the whole value was echoed: 5,077 bytes for a long string, and 1,876
+    # for a list nested 900 deep; a value of at most 64 characters is echoed
+    # as it was
+    refused = "scalar: expected an integer or 'p/q' string, got "
+    deep = json.loads("[" * 900 + "]" * 900)
+    for bad in ("x" * 5000, deep, {"k" * 80: 1}, ["1/2"] * 30):
+        with pytest.raises(SchemaError) as caught:
+            str_to_scalar(bad)
+        assert str(caught.value) == f"{refused}a {type(bad).__name__} beginning {repr(bad)[:64]} ..."
+    for bad in ("x" * 62, [[]] * 10, {"a": [None, True]}):
+        with pytest.raises(SchemaError) as caught:
+            str_to_scalar(bad)
+        assert str(caught.value) == refused + repr(bad)
+    with pytest.raises(SchemaError) as caught:
+        algebra_from_json({"schema": "x" * 5000, "dim": 0, "c": []})
+    assert str(caught.value) == ("algebra: unsupported schema a str beginning '" + "x" * 63
+                                 + f" ... (expected {SCHEMA!r})")
+
+
 def test_algebra_round_trip():
     g = heisenberg3()
     doc = algebra_to_json(g)

@@ -71,13 +71,13 @@ BUILDERS = {
 FIELDS = {"LeibnizAlgebra": "c", "Representation": "l", "Subspace": "basis", "GraphMap": "phi", "Lie2Algebra": "l3",
           "NaiveRepresentation": "phi"}
 
-# The slots holding forms derived from the fields: the eliminations a
-# subspace and a naive representation need, which the constructor derives,
-# and the report of each checked type's identity, the image subspace of a
-# naive representation and the lie2 forms of an algebra, which are derived on
-# first use.  Every tensor is stored once, as its field.
-DERIVED = {"Subspace": ("_pivots", "_inverse"),
-           "NaiveRepresentation": ("_reduced", "_image", "_verdict"),
+# The slots holding forms derived from the fields: the key columns of a
+# subspace and the reduction of a naive representation, which the
+# constructor derives, and the report of each checked type's identity and the
+# lie2 forms of an algebra, which are derived on first use.  Every tensor is
+# stored once, as its field.
+DERIVED = {"Subspace": ("_keys",),
+           "NaiveRepresentation": ("_reduced", "_verdict"),
            "LeibnizAlgebra": ("_verdict", "_skew", "_jacobiator"),
            "Representation": ("_verdict",), "GraphMap": ("_verdict",)}
 
@@ -87,8 +87,7 @@ ON_FIRST_USE = {("LeibnizAlgebra", "_verdict"): check_leibniz,
                 ("LeibnizAlgebra", "_jacobiator"): _jacobiator,
                 ("Representation", "_verdict"): check_representation,
                 ("GraphMap", "_verdict"): graph_check,
-                ("NaiveRepresentation", "_verdict"): naive_check,
-                ("NaiveRepresentation", "_image"): lambda rho: rho.image}
+                ("NaiveRepresentation", "_verdict"): naive_check}
 
 
 def _derived_form(value, slot):
@@ -169,7 +168,8 @@ WRONG_SHAPES = [
     (lambda: sparse_tensor([[0, 0], [0]], (2, 2), "cochain"),
      "cochain: an axis of length 1, expected 2"),
     (lambda: Subspace(2, ((F(1),),)), "basis vector: an axis of length 1, expected 2"),
-    (lambda: Subspace(2, ((F(1), F(2)), (F(2), F(4)))), "basis vectors are linearly dependent"),
+    (lambda: Subspace(2, ((F(1), F(2)), (F(2), F(4)))),
+     "basis vector 0 has no key column: the basis is not in reduced form"),
     (lambda: GraphMap(2, (Z2,)), "graph map: an axis of length 1, expected 2"),
     (lambda: GraphMap(2, (Z2, [[0] * 3] * 2)), "graph map: an axis of length 3, expected 2"),
     (lambda: _lie2(l1=[[0, 0]]), "l1: an axis of length 1, expected 2"),
@@ -233,7 +233,7 @@ def test_hand_built_tensors_are_checked_and_made_canonical():
     t = sparse_tensor(Tensor((2, 2), {(1, 0): 3, (0, 1): 0, (0, 0): "1/2"}), (2, 2), "t")
     assert list(t.keys()) == [(0, 0), (1, 0)]
     assert (t[0][0], t[0][1], t[1][0]) == (F(1, 2), 0, 3)
-    assert Subspace(2, Tensor((1, 2), {(0, 1): 2, (0, 0): 0})).basis == {(0, 1): 2}
+    assert Subspace(2, Tensor((1, 2), {(0, 1): 1, (0, 0): 0})).basis == {(0, 1): 1}
     with pytest.raises(TypeError, match="exact scalar"):
         LeibnizAlgebra(1, Tensor((1, 1, 1), {(0, 0, 0): 0.5}))
 
