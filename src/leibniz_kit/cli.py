@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Commands read algebra/representation/graph JSON from files or stdin ("-"),
-print human-readable summaries (or machine reports with --json), and emit
-algebra JSON on stdout where the result is itself an algebra, so commands
-compose in pipelines:
+Commands read algebra/representation/graph JSON from files or stdin ("-")
+with ``serialize.read_json``, and print either human-readable summaries or
+one JSON document and nothing else (``serialize.write_json``): the run
+report with --json, or the algebra where the result is itself one, so
+commands compose in pipelines:
 
     leibniz-kit omni --dim 2 | leibniz-kit check -
 
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
+from pathlib import Path
 
 from . import fixtures as fixture_corpus
 from .algebra import (
@@ -55,15 +56,18 @@ from .omni import (
 from .serialize import (
     SCHEMA,
     SchemaError,
+    _echo,
     algebra_from_json,
     algebra_to_json,
     betti_to_json,
     comparison_to_json,
     graph_from_json,
     lie2_to_json,
+    read_json,
     representation_from_json,
     scalar_to_str,
     tensor_to_json,
+    write_json,
 )
 
 EXIT_OK = 0
@@ -81,7 +85,7 @@ def _cap() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise SchemaError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+        raise SchemaError(f"{CAP_ENV_VAR} must be an integer, got {_echo(raw)}")
     if value <= 0:
         raise SchemaError(f"{CAP_ENV_VAR} must be positive")
     return value
@@ -101,17 +105,7 @@ def _out(text: str) -> None:
 
 def _print_json(doc) -> None:
     """Print a JSON document on stdout, as every command writes one."""
-    _out(json.dumps(doc, indent=1))
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict, refusing a key that it repeats."""
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise SchemaError(f"repeated key {key!r}")
-        out[key] = value
-    return out
+    _out(write_json(doc))
 
 
 class _Run:
@@ -126,29 +120,14 @@ class _Run:
         self.failures: list[str] = []
 
     def read_document(self, source: str, what: str) -> dict:
-        if source == "-":
-            raw = sys.stdin.buffer.read()
-            label = "<stdin>"
-        else:
-            try:
-                with open(source, "rb") as fh:
-                    raw = fh.read()
-            except OSError as exc:
-                raise SchemaError(f"cannot read {what} from {source}: {exc}")
-            label = source
+        label = "<stdin>" if source == "-" else source
+        try:
+            raw = sys.stdin.buffer.read() if source == "-" else Path(source).read_bytes()
+        except OSError as exc:
+            raise SchemaError(f"cannot read {what} from {source}: {exc}")
         self.inputs.append({"source": label,
                             "sha256": hashlib.sha256(raw).hexdigest()})
-        try:
-            return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
-        except SchemaError as exc:
-            raise SchemaError(f"{label}: {exc}")
-        except RecursionError:
-            raise SchemaError(f"{label}: not valid JSON (nested too deeply)")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SchemaError(f"{label}: not valid JSON ({exc})")
-        except ValueError:  # the one other: int() refuses a literal over its digit limit
-            raise SchemaError(f"{label}: an integer literal of more than "
-                              f"{sys.get_int_max_str_digits()} digits")
+        return read_json(raw, label)
 
     def say(self, line: str) -> None:
         if not self.json_mode:
@@ -157,28 +136,21 @@ class _Run:
     def fail(self, message: str) -> None:
         self.failures.append(message)
 
-    def finish(self, payload=None) -> int:
-        status = "fail" if self.failures else "pass"
-        code = EXIT_CHECK_FAILED if self.failures else EXIT_OK
+    def finish(self) -> int:
+        """Print the run report, or without --json each failure or "ok"."""
         if self.json_mode:
-            report = {
+            _print_json({
                 "schema": SCHEMA,
                 "command": self.command,
                 "inputs": self.inputs,
                 "results": self.results,
                 "failures": self.failures,
                 "elapsed_s": round(time.perf_counter() - self.started, 6),
-                "status": status,
-            }
-            _print_json(report)
-        else:
-            for message in self.failures:
-                _out(f"FAILED: {message}")
-            if payload is not None:
-                _print_json(payload)
-        if not self.json_mode and not self.failures and payload is None:
-            _out("ok")
-        return code
+                "status": "fail" if self.failures else "pass",
+            })
+        for line in [f"FAILED: {message}" for message in self.failures] or ["ok"]:
+            self.say(line)
+        return EXIT_CHECK_FAILED if self.failures else EXIT_OK
 
 
 def _format_defect(defect) -> str:
@@ -187,13 +159,12 @@ def _format_defect(defect) -> str:
     return "(" + ", ".join(scalar_to_str(x) for x in defect) + ")"
 
 
-def _witness_lines(report, limit: int = 5) -> list[str]:
-    lines = []
-    for w in report.witnesses[:limit]:
-        lines.append(f"  witness {w.label or 'defect'} at {w.where}: "
-                     f"{_format_defect(w.defect)}")
-    if len(report.witnesses) > limit:
-        lines.append(f"  ... and {len(report.witnesses) - limit} more")
+def _witness_lines(report) -> list[str]:
+    shown = report.witnesses[:5]
+    lines = [f"  witness {w.label or 'defect'} at {w.where}: {_format_defect(w.defect)}"
+             for w in shown]
+    if len(report.witnesses) > len(shown):
+        lines.append(f"  ... and {len(report.witnesses) - len(shown)} more")
     return lines
 
 
@@ -251,7 +222,7 @@ def cmd_lie2(args) -> int:
     run.results["dim1"] = L.dim1
     run.results["dim0"] = L.dim0
     run.results["axioms"] = dict(axioms.passed)
-    if run.json_mode or args.emit:  # plain runs print no JSON, so none is built
+    if run.json_mode:  # plain runs print no JSON, so none is built
         run.results["lie2"] = lie2_to_json(L)
     run.say(f"graded pieces: degree 1 of dim {L.dim1}, degree 0 of dim {L.dim0}")
     for name in "abcde":
@@ -259,7 +230,7 @@ def cmd_lie2(args) -> int:
     if not axioms.all_pass:
         failed = [name for name in "abcde" if not axioms.passed[name]]
         run.fail(f"axioms failed: {', '.join(failed)}")
-    return run.finish(run.results["lie2"] if args.emit else None)
+    return run.finish()
 
 
 def _resolve_representation(run, args, g):
@@ -408,16 +379,15 @@ def cmd_graph(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    if args.list or not args.dest:
-        for name in sorted(fixture_corpus.corpus()):
-            _out(name)
-        return EXIT_OK
-    try:
-        written = fixture_corpus.write_corpus(args.dest)
-    except OSError as exc:
-        raise SchemaError(f"cannot write the corpus to {args.dest}: {exc}")
-    for path in written:
-        _out(path)
+    if not args.dest:
+        lines = sorted(fixture_corpus.corpus())
+    else:
+        try:
+            lines = fixture_corpus.write_corpus(args.dest)
+        except OSError as exc:
+            raise SchemaError(f"cannot write the corpus to {args.dest}: {exc}")
+    for line in lines:
+        _out(line)
     return EXIT_OK
 
 
@@ -450,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lie2", help="build and verify the two-term graded algebra")
     p.add_argument("algebra")
-    p.add_argument("--emit", action="store_true",
-                   help="also print the constructed algebra as JSON")
     add_json(p)
     p.set_defaults(handler=cmd_lie2)
 
@@ -492,9 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_graph)
 
     p = sub.add_parser("fixtures", help="list or export the built-in corpus")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--list", action="store_true")
-    mode.add_argument("--dest", help="directory to write the corpus into")
+    p.add_argument("--dest", help="directory to write the corpus into")
     p.set_defaults(handler=cmd_fixtures)
 
     return parser

@@ -1,5 +1,6 @@
 """The built-in example corpus: small algebras, representations and graph
-maps used by the test suite, the CLI and the documentation.
+maps used by the test suite, the CLI and the documentation; ``write_corpus``
+writes each document as the text of ``serialize.write_json`` and a newline.
 
 Positive fixtures satisfy the identities their kind promises; negative
 fixtures are shipped so that every checker has a failing input.
@@ -7,13 +8,12 @@ fixtures are shipped so that every checker has a failing input.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .algebra import LeibnizAlgebra
 from .cohomology import Representation, adjoint_rep, semidirect
 from .omni import GraphMap, omni_lie
-from .serialize import algebra_to_json, graph_to_json, representation_to_json
+from .serialize import algebra_to_json, graph_to_json, representation_to_json, write_json
 
 
 def abelian(n: int) -> LeibnizAlgebra:
@@ -138,7 +138,7 @@ def write_corpus(dest: Path) -> list[Path]:
     written = []
     for fname, doc in sorted(corpus().items()):
         path = dest / fname
-        path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        path.write_text(write_json(doc) + "\n", encoding="utf-8")
         written.append(path)
     return written
 

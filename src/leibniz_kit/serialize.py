@@ -2,11 +2,13 @@
 
 All scalars are strings "p/q" (or just "p" for integers); matrices and
 tensors are row-major nested arrays of such strings.  Every document
-carries a "schema": "leibniz-kit/1" marker.
+carries a "schema": "leibniz-kit/1" marker, and every one is read by
+``read_json`` and written by ``write_json``.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from fractions import Fraction
@@ -48,6 +50,37 @@ def _echo(x: Any) -> str:
     """repr(x), or its type and the first 64 characters of it if longer."""
     text = repr(x)
     return text if len(text) <= 64 else f"a {type(x).__name__} beginning {text[:64]} ..."
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key that it repeats."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise SchemaError(f"repeated key {_echo(key)}")
+        out[key] = value
+    return out
+
+
+def read_json(raw: bytes, label: str) -> Any:
+    """The document in raw, the bytes read from label; refuses invalid UTF-8 or
+    JSON, deep nesting, a repeated key and an over-long integer literal."""
+    try:
+        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except SchemaError as exc:
+        raise SchemaError(f"{label}: {exc}")
+    except RecursionError:
+        raise SchemaError(f"{label}: not valid JSON (nested too deeply)")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"{label}: not valid JSON ({exc})")
+    except ValueError:  # the one other: int() refuses a literal over its digit limit
+        raise SchemaError(f"{label}: an integer literal of more than "
+                          f"{sys.get_int_max_str_digits()} digits")
+
+
+def write_json(doc: Any) -> str:
+    """A document's text; stdout and the corpus files add one newline."""
+    return json.dumps(doc, indent=1)
 
 
 def str_to_scalar(s: Any, where: str = "scalar") -> Fraction:

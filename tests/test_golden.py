@@ -12,15 +12,17 @@ value.  Its cases at the top of the cap and one degree past it, of
 arguments, and the stderr of ``GOLDEN``, were added later and computed on
 the code before the library-only second routes were deleted.
 ``elapsed_s`` is the one field masked, and argparse formats its usage for
-a terminal 200 columns wide.  Commands run in process through
-``cli.main``, from the repository root, so the input paths in the
-``--json`` reports are the same on every checkout.
+a terminal 200 columns wide.  Every case also holds the stdout contract
+(``_assert_one_document``): one JSON document, or no line ``{``.
+Commands run in process through ``cli.main``, from the repository root, so
+the input paths in the ``--json`` reports are the same on every checkout.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import json
 import re
 import sys
 
@@ -44,7 +46,7 @@ def _cases() -> dict:
     for name in (*_ALGEBRAS, "omni3"):
         source = "-" if name == "omni3" else f"fixtures/{name}.json"
         stdin = "omni3" if name == "omni3" else None
-        for flags in ((), ("--emit",), ("--json",)):
+        for flags in ((), ("--json",)):
             cases[" ".join(("lie2", name, *flags))] = (["lie2", source, *flags], stdin)
     for name in _ADJOINT_REPS:
         for mode in ("lr", "l0"):
@@ -105,67 +107,45 @@ GOLDEN = {
         "cc9a5d3d6ca6f01394c9671e434b71a0b18fd263c68f7bfb3e894cbc47335904"),
     "graph graph_heis3 --emit-algebra": (0, "67f9ad879dae2282fd76aa94e70387843efdc65243edbae2871a62ca4bad7a4f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "lie2 L2 --emit": (0, "836593407753292fb30a7149d9f2940a0b31b7496686d42c44ac478825abcfd3",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 L2 --json": (0, "2727d60554e1d5307e35f072693099b4ae42af1fe5fef603ee36b756197dec31",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 L2": (0, "ba15bf183327dbb77a74b422ccad2b3faa380506ecde3ef8ace80cd94ad285ee",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "lie2 abelian1 --emit": (0, "f53a52ae81594bb1dc255bfe6f855bcc3a8b6db7267a1d14cd62325ee265fe55",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 abelian1 --json": (0, "1301bc27d418386dd9fdfe3625c73834c65d7c570a4b46561ec7c761658cc327",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 abelian1": (0, "1e74d1b6d94b5f4920e300eb88630916d176cab7eea90da7fecc6cb221cfc9a7",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "lie2 abelian2 --emit": (0, "ffc183b940a2142a30ce19728d1aa440e3128e02bef1ad4370fadd2e1b1bde76",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 abelian2 --json": (0, "7b1122c1d35a57ed35f29ca3fb98cb5b64a24e006fed8379eb3e6b94b40a22bc",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 abelian2": (0, "03e3fdfe3d6bd6b1572f09591d04369320510d77e965b107bef95326d87ffa1d",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "lie2 abelian3 --emit": (0, "b1ee9bb4cb6e9bb67e24c5557b34db077adb0df34efdca90547f9ccd22228e8d",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 abelian3 --json": (0, "f6a35a0c1190ec10aa4f92a51f913b6c0da398e5c8e6a83df2440d71f7d59956",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 abelian3": (0, "d0409e542310823e206e056bd94fc475de5bd880a2330c799e4316e3be5ebfad",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "lie2 heis3 --emit": (0, "1f44ab76395c8b0f9719adc511f1cd9026ce81df106e51b3fa3992efea29360d",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 heis3 --json": (0, "e63e07a7757695a2641cdc3c93aa1a2872c92f9087a4c679ca4ea8f72be3f191",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 heis3": (0, "ec5c9b5df1a8a2ba693d00e7b825d2ddfc9e0ea8a6d2646044ccdd96d423e023",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "lie2 omni1 --emit": (0, "557a66f01b1cfcfa135cb72c1a21fea7d684b4425f763e1b9e6e4fca32f3cd99",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 omni1 --json": (0, "de7eae5559caf6807bec84d813970d55b34aefebd6ba1427fb0161f0f967ebc8",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 omni1": (0, "ba15bf183327dbb77a74b422ccad2b3faa380506ecde3ef8ace80cd94ad285ee",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "lie2 omni2 --emit": (0, "bd402d11865574f2a6aa7ae47eab90ff97e4fcbbdc6324ac0177ee1f7a441680",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 omni2 --json": (0, "3681ee1cd9a497b48e6f73c5182c5bffe242ca29e793d38c2ce5114505bf2155",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 omni2": (0, "b4119b075a96e35dfdfa8d0057deae61b5f93723f3e70d63d462b1499d9a4c9f",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "lie2 omni3 --emit": (0, "52f9069419d7835f51b651370661508c98754f542be13c4d1b6c79cab4afdea0",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 omni3 --json": (0, "b0b888e6fde6cdceb29c4e8a577570a29d593f1b43f57131d2250a4928a7b3f5",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 omni3": (0, "c9f3076d542143394d82b54706ab0fb744a5a11c701aabc56579d932c5c421b1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "lie2 semidirect_L2_l0 --emit": (0, "66c46e681db8fde61d47a48b3dcfed1c790afe08bbac19188c03d1a6cc872f8f",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 semidirect_L2_l0 --json": (0, "4be5bb76ce8bfbc6d3d980220eaa39c1994560a1a4c8f7e7f9b3a3d0653300b6",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 semidirect_L2_l0": (0, "81f8c7f3665ca25dcb11d0627e7970afbcbb1aab59b4f2974d13025d06fe1295",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "lie2 semidirect_heis3_lr --emit": (0, "afb24c554c6ee33ff3dc9978cc79c66a897129ec74c14f686e2b92abc04e6843",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 semidirect_heis3_lr --json": (0, "4b9a2f56050a47e8a939ea7b637f86bbdea963a3467d5219ff4200497b27b98c",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 semidirect_heis3_lr": (0, "b4119b075a96e35dfdfa8d0057deae61b5f93723f3e70d63d462b1499d9a4c9f",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "lie2 sl2 --emit": (0, "4a7626ab293e83a5650ec1b7b7edd0e2a626dd44aaf9f8f728f5863eda822aa6",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 sl2 --json": (0, "b0051daba616fe20b0961c912cb5a86ffd44649223198ae771edd77656220d2c",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -213,6 +193,17 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _assert_one_document(argv, code, out):
+    """A run with --json, and an omni, semidirect or graph --emit-algebra
+    run, prints exactly one JSON document (nothing when it is refused); any
+    other run prints no line that opens a document."""
+    if "--json" in argv or argv[0] in ("omni", "semidirect") or "--emit-algebra" in argv:
+        if out or code == 0:
+            json.loads(out)
+    else:
+        assert "{" not in out.splitlines()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_is_unchanged(case, monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
@@ -224,6 +215,7 @@ def test_cli_output_is_unchanged(case, monkeypatch, capsys):
         stdin_bytes = out.encode("utf-8")
     code, out, err = _run(monkeypatch, capsys, argv, stdin_bytes)
     assert (code, _sha256(out), _sha256(err)) == GOLDEN[case]
+    _assert_one_document(argv, code, out)
 
 
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
@@ -231,6 +223,7 @@ def test_cli_output_and_refusals_are_unchanged(case, monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
     code, out, err = _run(monkeypatch, capsys, STREAM_CASES[case])
     assert (code, _sha256(out), _sha256(err)) == GOLDEN_STREAMS[case]
+    _assert_one_document(STREAM_CASES[case], code, out)
 
 
 # (exit code, sha256 of stdout, sha256 of stderr) per case

@@ -29,12 +29,14 @@ from leibniz_kit.serialize import (
     graph_from_json,
     graph_to_json,
     lie2_to_json,
+    read_json,
     representation_from_json,
     representation_to_json,
     scalar_to_str,
     str_to_scalar,
     tensor_from_json,
     tensor_to_json,
+    write_json,
 )
 
 F = Fraction
@@ -279,3 +281,26 @@ def test_repo_fixture_directory_matches_builders():
     for name in names:
         on_disk = json.loads((fdir / name).read_text(encoding="utf-8"))
         assert _normalize(on_disk) == _normalize(built[name]), name
+
+
+def test_fixture_files_are_the_writer_bytes_and_read_back():
+    # write_json is the one writer: each fixture file is its text and a
+    # newline, and read_json gives back the built document
+    built = corpus()
+    for name, doc in built.items():
+        raw = (REPO_ROOT / "fixtures" / name).read_bytes()
+        assert raw == (write_json(doc) + "\n").encode("utf-8"), name
+        assert read_json(raw, name) == doc, name
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"a": 1, "a": 2}', "src: repeated key 'a'"),
+    (b"[" * 3000 + b"]" * 3000, "src: not valid JSON (nested too deeply)"),
+    (b"\xff", "src: not valid JSON ("),
+    (b"{", "src: not valid JSON ("),
+    (b"1" * 5000, "src: an integer literal of more than "),
+], ids=["repeated-key", "deep", "not-utf8", "truncated", "long-integer"])
+def test_read_json_refuses_with_the_label(raw, message):
+    with pytest.raises(SchemaError) as info:
+        read_json(raw, "src")
+    assert str(info.value).startswith(message)
