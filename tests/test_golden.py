@@ -14,6 +14,8 @@ the code before the library-only second routes were deleted.
 ``elapsed_s`` is the one field masked, and argparse formats its usage for
 a terminal 200 columns wide.  Every case also holds the stdout contract
 (``_assert_one_document``): one JSON document, or no line ``{``.
+``EMITTED`` keeps the stdout digests of the removed ``lie2 <name> --emit``,
+which the plain table and ``--json``'s ``results.lie2`` must still rebuild.
 Commands run in process through ``cli.main``, from the repository root, so
 the input paths in the ``--json`` reports are the same on every checkout.
 """
@@ -30,6 +32,7 @@ import pytest
 
 from leibniz_kit import fixtures as corpus
 from leibniz_kit.cli import main
+from leibniz_kit.serialize import write_json
 
 from conftest import REPO_ROOT
 
@@ -175,6 +178,22 @@ GOLDEN = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
+# sha256 of the stdout of ``lie2 <name> --emit``, pinned before the option
+# was removed in favour of ``--json``'s ``results.lie2``
+EMITTED = {
+    "L2": "836593407753292fb30a7149d9f2940a0b31b7496686d42c44ac478825abcfd3",
+    "abelian1": "f53a52ae81594bb1dc255bfe6f855bcc3a8b6db7267a1d14cd62325ee265fe55",
+    "abelian2": "ffc183b940a2142a30ce19728d1aa440e3128e02bef1ad4370fadd2e1b1bde76",
+    "abelian3": "b1ee9bb4cb6e9bb67e24c5557b34db077adb0df34efdca90547f9ccd22228e8d",
+    "heis3": "1f44ab76395c8b0f9719adc511f1cd9026ce81df106e51b3fa3992efea29360d",
+    "omni1": "557a66f01b1cfcfa135cb72c1a21fea7d684b4425f763e1b9e6e4fca32f3cd99",
+    "omni2": "bd402d11865574f2a6aa7ae47eab90ff97e4fcbbdc6324ac0177ee1f7a441680",
+    "omni3": "52f9069419d7835f51b651370661508c98754f542be13c4d1b6c79cab4afdea0",
+    "semidirect_L2_l0": "66c46e681db8fde61d47a48b3dcfed1c790afe08bbac19188c03d1a6cc872f8f",
+    "semidirect_heis3_lr": "afb24c554c6ee33ff3dc9978cc79c66a897129ec74c14f686e2b92abc04e6843",
+    "sl2": "4a7626ab293e83a5650ec1b7b7edd0e2a626dd44aaf9f8f728f5863eda822aa6",
+}
+
 
 def _run(monkeypatch, capsys, argv, stdin_bytes=b""):
     """(exit code, stdout, stderr) of one command, with ``elapsed_s`` masked;
@@ -204,18 +223,39 @@ def _assert_one_document(argv, code, out):
         assert "{" not in out.splitlines()
 
 
+def _stdin_of(monkeypatch, capsys, stdin):
+    """The bytes a case reads on stdin: the omni3 document, or none."""
+    if stdin != "omni3":
+        return b""
+    code, out, _ = _run(monkeypatch, capsys, ["omni", "--dim", "3"])
+    assert code == 0
+    return out.encode("utf-8")
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_is_unchanged(case, monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
     argv, stdin = CASES[case]
-    stdin_bytes = b""
-    if stdin == "omni3":
-        code, out, _ = _run(monkeypatch, capsys, ["omni", "--dim", "3"])
-        assert code == 0
-        stdin_bytes = out.encode("utf-8")
+    stdin_bytes = _stdin_of(monkeypatch, capsys, stdin)
     code, out, err = _run(monkeypatch, capsys, argv, stdin_bytes)
     assert (code, _sha256(out), _sha256(err)) == GOLDEN[case]
     _assert_one_document(argv, code, out)
+
+
+@pytest.mark.parametrize("name", sorted(EMITTED))
+def test_removed_emit_bytes_are_the_plain_table_and_json_results(name, monkeypatch, capsys):
+    """``lie2 <name> --emit`` printed the plain table, then the Lie 2-algebra
+    document instead of "ok".  The plain run and ``--json``'s
+    ``results.lie2`` still give those bytes exactly."""
+    monkeypatch.chdir(REPO_ROOT)
+    argv, stdin = CASES[f"lie2 {name}"]
+    stdin_bytes = _stdin_of(monkeypatch, capsys, stdin)
+    code, table, _ = _run(monkeypatch, capsys, argv, stdin_bytes)
+    assert code == 0 and table.endswith("\nok\n")
+    code, report, _ = _run(monkeypatch, capsys, [*argv, "--json"], stdin_bytes)
+    assert code == 0
+    emitted = table[:-len("ok\n")] + write_json(json.loads(report)["results"]["lie2"]) + "\n"
+    assert _sha256(emitted) == EMITTED[name]
 
 
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
