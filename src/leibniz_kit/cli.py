@@ -9,13 +9,12 @@ commands compose in pipelines:
     leibniz-kit omni --dim 2 | leibniz-kit check -
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 malformed
-input, 3 resource cap exceeded; a closed stdout does not change them.
+input, 3 resource cap exceeded; a closed stdout or stderr does not change them.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import time
@@ -70,6 +69,14 @@ from .serialize import (
     write_json,
 )
 
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -91,15 +98,17 @@ def _cap() -> int:
     return value
 
 
-def _out(text: str) -> None:
-    """Print a line on stdout.  A reader that closes the pipe early, as
-    ``| head`` does, does not end the run: the rest of its output goes to
-    os.devnull, and the run exits with the code its checks give."""
+def _out(text: str, stream=None) -> None:
+    """Print a line on stdout, or on ``stream``: every line on stderr comes
+    here too.  A reader that closes the pipe early, as ``| head`` does, does
+    not end the run: the rest of that stream goes to os.devnull, and the run
+    exits with the code its checks give."""
+    stream = stream or sys.stdout
     try:
-        print(text, flush=True)
+        print(text, file=stream, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
@@ -126,7 +135,7 @@ class _Run:
         except OSError as exc:
             raise SchemaError(f"cannot read {what} from {source}: {exc}")
         self.inputs.append({"source": label,
-                            "sha256": hashlib.sha256(raw).hexdigest()})
+                            "sha256": sha256(raw).hexdigest()})
         return read_json(raw, label)
 
     def say(self, line: str) -> None:
@@ -340,7 +349,7 @@ def cmd_semidirect(args) -> int:
                                                         "representation"))
     refusal = _refusal(g, rep)
     if refusal:
-        print(f"FAILED: {refusal}", file=sys.stderr)
+        _out(f"FAILED: {refusal}", sys.stderr)
         return EXIT_CHECK_FAILED
     out = semidirect(g, rep, args.mode)
     _print_json(algebra_to_json(out))
@@ -361,8 +370,8 @@ def cmd_graph(args) -> int:
     if args.emit_algebra and not args.json:
         # keep stdout pure JSON so the command stays pipeable
         if not report.holds:
-            print("FAILED: graph map does not close; first witness at "
-                  f"{report.witnesses[0].where}", file=sys.stderr)
+            _out("FAILED: graph map does not close; first witness at "
+                 f"{report.witnesses[0].where}", sys.stderr)
             return EXIT_CHECK_FAILED
         _print_json(algebra_to_json(induced_leibniz(phi)))
         return EXIT_OK
@@ -472,12 +481,8 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except ResourceCapExceeded as exc:
-        print(f"resource cap: {exc} (override with {CAP_ENV_VAR})", file=sys.stderr)
+        _out(f"resource cap: {exc} (override with {CAP_ENV_VAR})", sys.stderr)
         return EXIT_RESOURCE_CAP
     except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _out(f"input error: {exc}", sys.stderr)
         return EXIT_INPUT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -352,6 +354,25 @@ def test_a_closed_stdout_keeps_the_exit_code(args, code):
     assert (result.returncode, result.stderr) == (code, b"")
 
 
+@pytest.mark.parametrize("args, code", [
+    (("check", str(FIXTURES / "nonexist.json")), 2),
+    (("cohomology", str(FIXTURES / "L2.json"), "--rep", "adjoint", "--max-degree", "13"), 3),
+    (("graph", str(FIXTURES / "graph_bad.json"), "--emit-algebra"), 1),
+], ids=["input-error", "resource-cap", "failed-graph"])
+def test_a_closed_stderr_keeps_the_exit_code(args, code):
+    # the refusal line on a stderr with no reader used to raise
+    # BrokenPipeError out of main, which ended the run with exit 1
+    import os
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "leibniz_kit", *args],
+                                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=write)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stdout) == (code, b"")
+
+
 def test_omni_into_head_ends_without_a_traceback():
     # omni --dim 6 | head -n 1: the reader goes after one line of 685 kB
     proc = subprocess.Popen([sys.executable, "-m", "leibniz_kit", "omni", "--dim", "6"],
@@ -396,6 +417,71 @@ def test_json_report_structure(capsys):
     assert report["results"]["left_center_dim"] == 1
     assert len(report["inputs"]) == 1
     assert len(report["inputs"][0]["sha256"]) == 64
+
+
+def _mask_elapsed(out: str) -> str:
+    return re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0', out)
+
+
+@pytest.mark.parametrize("args", [
+    ("omni", "--dim", "2"),
+    ("cohomology", str(FIXTURES / "omni2.json"), "--rep", "adjoint", "--compare",
+     "--max-degree", "2", "--json"),
+    ("check", str(FIXTURES / "nonleibniz.json")),
+    ("check", str(FIXTURES / "nonexist.json")),
+    ("check", str(FIXTURES / "L2.json"), "--no-such-flag"),
+    ("cohomology", str(FIXTURES / "L2.json"), "--rep", "adjoint", "--max-degree", "13"),
+], ids=["omni", "compare-json", "failed-check", "missing-file", "unknown-flag", "over-cap"])
+def test_the_entry_gives_what_main_gives(args, capsys):
+    # python -m leibniz_kit goes through __main__.run, which freezes the
+    # objects before the interpreter exits; the streams and the code are main's
+    try:
+        code = main(list(args))
+    except SystemExit as exc:  # argparse refuses the unknown flag
+        code = exc.code
+    out, err = capsys.readouterr()
+    result = run_cli(*args)
+    assert (result.returncode, _mask_elapsed(result.stdout.decode()), result.stderr.decode()) \
+        == (code, _mask_elapsed(out), err)
+
+
+def test_the_script_names_the_entry_that_python_m_calls():
+    import ast
+    script = re.search(r'^leibniz-kit = "(.+)"$',
+                       (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)[1]
+    tree = ast.parse((REPO_ROOT / "src" / "leibniz_kit" / "__main__.py").read_text(encoding="utf-8"))
+    guard = next(node for node in tree.body if isinstance(node, ast.If))
+    called = guard.body[0].value.args[0].func.id  # sys.exit(run())
+    assert script == f"leibniz_kit.__main__:{called}" == "leibniz_kit.__main__:run"
+
+
+def test_importing_the_cli_loads_no_openssl():
+    import importlib.util
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    script = "import sys; import leibniz_kit.cli; print('_hashlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr
+
+
+def _report_of(path: Path) -> list[str]:
+    """A --json run that reads ``path``: a graph, a representation of the
+    algebra its name ends with, or an algebra."""
+    name = path.stem
+    if name.startswith("graph_"):
+        return ["graph", str(path), "--json"]
+    if name.startswith("rep_"):
+        algebra = FIXTURES / f"{name.rsplit('_', 1)[1]}.json"
+        return ["cohomology", str(algebra), "--rep", str(path), "--max-degree", "0", "--json"]
+    return ["check", str(path), "--json"]
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda path: path.stem)
+def test_the_report_hashes_each_input_as_hashlib_does(path, capsys):
+    main(_report_of(path))
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    digest = next(entry["sha256"] for entry in inputs if entry["source"] == str(path))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_pipeline_omni_check():
