@@ -15,20 +15,23 @@ read-only sparse ``linalg.Tensor`` of shape (n,)*k + (m,): the entry at
                         + (-1)^{k+1} r_{x_{k+1}} c(x_1..x_k)
                         + sum_{i<j} (-1)^i c(..^x_i.., [x_i,x_j] at slot j, ..)
 
-instantiated literally at k = 0 as d v(x) = -r_x(v).  Cohomology dimensions
-come from exact rank-nullity, so every reported Betti number is exact.
+instantiated literally at k = 0 as d v(x) = -r_x(v).  Its terms are written
+once, in ``coboundary_columns``, which builds only the columns its caller
+names.  Cohomology dimensions come from exact rank-nullity, so every
+reported Betti number is exact.
 
-The representation conditions and the Maurer-Cartan identity are signed sums
-of exact sparse contractions (``linalg.contract``) of the structure and
-action tensors, like every other identity in the package.  The circle
-product and graded bracket of cochains that the Maurer-Cartan identity is
-stated with are evaluated only by the test oracles.
+The representation conditions are signed sums of exact sparse contractions
+(``linalg.contract``) of the structure and action tensors, like every other
+identity in the package.  The Maurer-Cartan residual is the adjoint
+coboundary of the cochain plus its circle product with itself, one more
+contraction.  The graded bracket of cochains that the identity is stated
+with is evaluated only by the test oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import groupby
 from math import lcm
 from typing import NamedTuple, Optional
 
@@ -149,17 +152,17 @@ def conjugation_rep(rep: Representation) -> Representation:
 # the coboundary operator
 
 def coboundary_columns(rep: Representation, k: int,
-                       skip: frozenset = frozenset()) -> tuple[int, list[dict[int, int]]]:
+                       columns: Optional[list[int]] = None) -> tuple[int, list[dict[int, int]]]:
     """The degree-k coboundary as integer columns over one common denominator.
 
-    Returns (D, columns): D is the lcm of every denominator in rep.l, rep.r
-    and the structure constants, and columns holds, for each column j of
-    the coboundary not in ``skip``, in order, the nonzero entries
-    {row: D * d_k[row][j]} of that column in the lexicographic monomial
-    basis, of shape (n^(k+1) m) x (n^k m).  Column j = (t, v) is the
-    coboundary of the basis cochain supported on tuple t with value e_v;
-    a skipped column is never built.  It builds whatever it is asked to:
-    its callers check the cap first.
+    Returns (D, built): D is the lcm of every denominator in rep.l, rep.r
+    and the structure constants, and built holds, for each index j of the
+    increasing list ``columns`` (None names them all), the nonzero entries
+    {row: D * d_k[row][j]} of column j of the coboundary in the
+    lexicographic monomial basis, of shape (n^(k+1) m) x (n^k m).  Column
+    j = R m + v is the coboundary of the basis cochain supported on the
+    k-tuple of rank R with value e_v; a column not named is never built.
+    It builds whatever it is asked to: its callers check the cap first.
     """
     if k < 0:
         raise ValueError("degree must be >= 0")
@@ -167,14 +170,13 @@ def coboundary_columns(rep: Representation, k: int,
     n, m = g.dim, rep.vdim
     (c, dc), (l, dl), (r, dr) = (_to_integers(t) for t in (g.c, rep.l, rep.r))
     den = lcm(dc, dl, dr)
-    if m == 0:  # no values, so no columns: the n^k tuples are not walked
-        return den, []
-    # lent[s] = [(a, b, D*(l_s)[a][b])] over the nonzero entries; rent likewise
-    lent = [[] for _ in range(n)]
-    rent = [[] for _ in range(n)]
+    # lent[b] = [(s, a, D*(l_s)[a][b])] over the nonzero entries, the left
+    # actions on e_b; rent likewise
+    lent = [[] for _ in range(m)]
+    rent = [[] for _ in range(m)]
     for ent, t, d in ((lent, l, dl), (rent, r, dr)):
         for (s, a, b), x in t.items():
-            ent[s].append((a, b, x * (den // d)))
+            ent[b].append((s, a, x * (den // d)))
     # structure constants grouped by target index: target -> [(a, b, D*coeff)]
     by_target: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for (a, b, t), w in c.items():
@@ -183,18 +185,16 @@ def coboundary_columns(rep: Representation, k: int,
     # A tuple T of rank R (its lexicographic position) is the base-n digits
     # of R, and T[q] = R // power[q+1] % n with power[q] = n^(k-q).  Putting
     # s into T before position q gives the (k+1)-tuple of rank
-    # base[q] + s * power[q], with base[q] the rank when s is 0.
+    # base[q] + s * power[q], with base[q] the rank when s is 0.  The action
+    # terms put l_s before position q < k, with sign (-1)^q, or r_s last.
     power = [n ** (k - q) for q in range(k + 1)]
-    r_sign = 1 if (k + 1) % 2 == 0 else -1
-    columns: list[dict[int, int]] = []
-    for R in range(n ** k):
-        values = [v for v in range(m) if R * m + v not in skip]
-        if not values:
-            continue
+    actions = [((-1) ** q, lent) for q in range(k)] + [((-1) ** (k + 1), rent)]
+    built: list[dict[int, int]] = []
+    for R, named in groupby(range(n ** k * m) if columns is None else columns, lambda j: j // m):
         base = [R // p * p * n + R % p for p in power]
         # the bracket terms: [x_i, x_j] at slot j replaces T[slot] by b and
         # puts a before position q <= slot.  They act on the value alone, so
-        # they are summed once, by row offset, for all m columns of T.
+        # they are summed once, by row offset, for the named columns of T.
         terms: dict[int, int] = {}
         for slot in range(k):
             t = R // power[slot + 1] % n
@@ -203,18 +203,15 @@ def coboundary_columns(rep: Representation, k: int,
                 for q in range(slot + 1):
                     rbase = (base[q] + a * power[q] + shift) * m
                     terms[rbase] = terms.get(rbase, 0) + (-w if q % 2 == 0 else w)
-        accs = [{rbase + v: w for rbase, w in terms.items() if w} for v in range(m)]
-        # the action terms: l_s put before position q < k, r_s after the last
-        for q in range(k + 1):
-            sign = r_sign if q == k else (1 if q % 2 == 0 else -1)
-            for s in range(n):
-                rbase = (base[q] + s * power[q]) * m
-                for a, b, x in (rent if q == k else lent)[s]:
-                    acc = accs[b]
-                    row = rbase + a
+        for v in (j % m for j in named):
+            acc = {rbase + v: w for rbase, w in terms.items() if w}
+            for q, (sign, ent) in enumerate(actions):
+                offset, step = base[q] * m, power[q] * m
+                for s, a, x in ent[v]:
+                    row = offset + s * step + a
                     acc[row] = acc.get(row, 0) + sign * x
-        columns += [{row: x for row, x in accs[v].items() if x} for v in values]
-    return den, columns
+            built.append({row: x for row, x in acc.items() if x})
+    return den, built
 
 
 def coboundary_matrix(rep: Representation, k: int,
@@ -237,23 +234,25 @@ def coboundary_matrix(rep: Representation, k: int,
 def coboundary(rep: Representation, f: Tensor) -> Tensor:
     """The coboundary of the k-cochain f, a ``linalg.Tensor`` of shape
     (n,)*k + (m,) keyed (t_1, .., t_k, v): the uncapped degree-k columns of
-    ``coboundary_columns`` applied to the nonzero entries of f.  Column
-    R m + v is the basis cochain at the k-tuple of lexicographic rank R
-    with value e_v, and row R' m + w is coordinate w at the (k+1)-tuple of
-    rank R'."""
+    ``coboundary_columns`` at the nonzero entries of f, and only those,
+    times those entries.  A key is read as its row-major position: the
+    entry at (t, v) is column R m + v, with R the rank of t, and row
+    R' m + w is coordinate w at the (k+1)-tuple of rank R'."""
     n, m = rep.algebra.dim, rep.vdim
     k = len(f.shape) - 1
     if f.shape != (n,) * k + (m,):
         raise ValueError("cochain does not match the representation")
-    den, columns = coboundary_columns(rep, k)
-    rank_of = {t: r for r, t in enumerate(product(range(n), repeat=k))}
-    tuples = list(product(range(n), repeat=k + 1))
-    acc: dict[int, Fraction] = {}
-    for key, x in f.items():
-        for row, w in columns[rank_of[key[:-1]] * m + key[-1]].items():
+    shape = (n,) * (k + 1) + (m,)
+    strides = [n ** (k - q) * m for q in range(k + 1)] + [1]  # f's shape has strides[1:]
+    named = [sum(i * s for i, s in zip(key, strides[1:])) for key in f.keys()]
+    den, columns = coboundary_columns(rep, k, named)
+    entries, df = _to_integers(f)
+    acc: dict[int, int] = {}
+    for x, column in zip(entries.values(), columns):
+        for row, w in column.items():
             acc[row] = acc.get(row, 0) + x * w
-    return sparse_tensor({(*tuples[row // m], row % m): x / den for row, x in acc.items()},
-                         (n,) * (k + 1) + (m,), "coboundary")
+    return Tensor(shape, {tuple(row // s % d for s, d in zip(strides, shape)):
+                          Fraction(x, den * df) for row, x in sorted(acc.items()) if x})
 
 
 class DegreeData(NamedTuple):
@@ -307,11 +306,12 @@ def betti(rep: Representation, k_max: int,
     columns, coordinates of C^k on which im d_(k-1) projects isomorphically.
     Since d_k d_(k-1) = 0, d_k of each such coordinate is a combination of
     d_k on the other coordinates, so those rows of (D d_k)^T are never
-    built: ``coboundary_columns`` skips them.  That d^2 = 0 follows from the
-    identities the refusal proves on the instance (Loday-Pirashvili, Math.
-    Ann. 1993), once per value: g and rep keep their reports.  This holds
-    for every complex here, the naive one included: it is the complex of
-    the image representation, which the refusal checks like any other.
+    built: ``coboundary_columns`` is named only the others.  That d^2 = 0
+    follows from the identities the refusal proves on the instance
+    (Loday-Pirashvili, Math. Ann. 1993), once per value: g and rep keep
+    their reports.  This holds for every complex here, the naive one
+    included: it is the complex of the image representation, which the
+    refusal checks like any other.
     """
     if k_max < 0:
         raise ValueError(f"degrees start at 0: k_max must be >= 0, got {k_max}")
@@ -324,7 +324,7 @@ def betti(rep: Representation, k_max: int,
     ranks = []
     cleared: frozenset = frozenset()
     for k in range(k_max + 1):
-        kept = coboundary_columns(rep, k, cleared)[1]
+        kept = coboundary_columns(rep, k, [j for j in range(n ** k * m) if j not in cleared])[1]
         pivots: list[int] = []
         ranks.append(rank(Matrix(len(kept), n ** (k + 1) * m, kept), pivots))
         cleared = frozenset(pivots)
@@ -373,28 +373,21 @@ def rbar(g: LeibnizAlgebra, rep: Representation) -> Tensor:
                          (total,) * 3, "rbar")
 
 
-def maurer_cartan_residual(c0: dict, r: dict) -> dict:
-    """d r - [r, r]/2 for a 2-cochain r with values in the algebra itself.
+def maurer_cartan_residual(h: LeibnizAlgebra, r: Tensor) -> dict:
+    """d r - [r, r]/2 for a 2-cochain r on h with values in h itself, d the
+    coboundary of the adjoint representation of h.
 
-    Both arguments are sparse 3-tensors: c0 holds the structure constants of
-    the algebra whose adjoint coboundary is d, and r holds the cochain.  For a
-    2-cochain [r, r]/2 is the circle product r o r, so the residual at
-    (e_i, e_j, e_k) is
+    r is a tensor of shape (h.dim,)*3.  For a 2-cochain [r, r]/2 is the
+    circle product r o r, so the residual at (e_i, e_j, e_k) is
+    ``coboundary(adjoint_rep(h), r)`` there plus
 
-        [x, r(y,z)] - [y, r(x,z)] - [r(x,y), z]
-        - r([x,y], z) - r(y, [x,z]) + r(x, [y,z])
         - r(r(x,y), z) + r(x, r(y,z)) - r(y, r(x,z)),
 
     keyed (i, j, k, t) with t the output coordinate.
     """
-    return contract([
-        (1, "jka,iat->ijkt", r, c0), (-1, "ika,jat->ijkt", r, c0),
-        (-1, "ija,akt->ijkt", r, c0),
-        (-1, "ija,akt->ijkt", c0, r), (-1, "ika,jat->ijkt", c0, r),
-        (1, "jka,iat->ijkt", c0, r),
-        (-1, "ija,akt->ijkt", r, r), (1, "jka,iat->ijkt", r, r),
-        (-1, "ika,jat->ijkt", r, r),
-    ])
+    return contract([(1, "ijkt->ijkt", coboundary(adjoint_rep(h), r)),
+                     (-1, "ija,akt->ijkt", r, r), (1, "jka,iat->ijkt", r, r),
+                     (-1, "ika,jat->ijkt", r, r)])
 
 
 def maurer_cartan_check(g: LeibnizAlgebra, rep: Representation) -> IdentityReport:
@@ -407,12 +400,12 @@ def maurer_cartan_check(g: LeibnizAlgebra, rep: Representation) -> IdentityRepor
     for the coboundary of the adjoint representation of the (l,0)-product,
     and that the (l,0)-bracket plus rbar equals the (l,r)-bracket.
     """
-    c0 = semidirect(g, rep, "l0").c
+    h = semidirect(g, rep, "l0")
     r = rbar(g, rep)
     clr = semidirect(g, rep, "lr").c
-    deformation = contract([(1, "ijt->ijt", c0), (1, "ijt->ijt", r), (-1, "ijt->ijt", clr)])
+    deformation = contract([(1, "ijt->ijt", h.c), (1, "ijt->ijt", r), (-1, "ijt->ijt", clr)])
     total = g.dim + rep.vdim
-    return _report(residual_witnesses(maurer_cartan_residual(c0, r), total, "maurer-cartan")
+    return _report(residual_witnesses(maurer_cartan_residual(h, r), total, "maurer-cartan")
                    + residual_witnesses(deformation, total, "deformation"))
 
 

@@ -199,11 +199,22 @@ def contains(space: Subspace, v) -> bool:
 
 def omni_bracket(m: int, x, y) -> list[Fraction]:
     """[[A+u, B+v]] = AB - BA + Av on dense vectors of gl(V) (+) V, the gl
-    part row-major, by the matrix formula."""
-    a, b = ([[z[r * m + c] for c in range(m)] for r in range(m)] for z in (x, y))
-    gl = [sum((a[r][t] * b[t][c] - b[r][t] * a[t][c] for t in range(m)), ZERO)
-          for r in range(m) for c in range(m)]
-    return gl + [sum((a[r][t] * y[m * m + t] for t in range(m)), ZERO) for r in range(m)]
+    part row-major, by the matrix formula.  Only the nonzero entries of A
+    and B are multiplied: each row of a product walks the entries of the
+    left factor's row, and for each entry (r, t) the row t of the right
+    factor."""
+    a, b = ([[(c, z[r * m + c]) for c in range(m) if z[r * m + c]] for r in range(m)]
+            for z in (x, y))
+    out = [ZERO] * (m * m + m)
+    for left, right, sign in ((a, b, 1), (b, a, -1)):
+        for r in range(m):
+            for t, p in left[r]:
+                for c, q in right[t]:
+                    out[r * m + c] += sign * p * q
+    for r in range(m):
+        for t, p in a[r]:
+            out[m * m + r] += p * y[m * m + t]
+    return out
 
 
 def matrix(t) -> Matrix:

@@ -192,7 +192,8 @@ def test_criterion_5_graded_bracket_equivalence():
             # with zero structure the Maurer-Cartan residual of alpha is
             # -[alpha, alpha]/2, which is the Leibniz residual of g
             leibniz = check_leibniz(g).witnesses
-            mc = residual_witnesses(maurer_cartan_residual({}, g.c), n, "leibniz")
+            mc = residual_witnesses(maurer_cartan_residual(LeibnizAlgebra.abelian(n), g.c),
+                                    n, "leibniz")
             assert tuple(mc) == leibniz, name
             defects = {w.where: w.defect for w in leibniz}
             for where, value in zip(itertools.product(range(n), repeat=3), squared.values):

@@ -70,7 +70,7 @@ from leibniz_kit.fixtures import (
     nonleibniz2,
     sl2,
 )
-from leibniz_kit.linalg import Tensor, sparse_tensor
+from leibniz_kit.linalg import Tensor, contract, sparse_tensor
 
 F = Fraction
 E = lambda n, i: [F(j == i) for j in range(n)]
@@ -293,6 +293,93 @@ def test_coboundary_refuses_a_cochain_of_another_shape():
         for check in (coboundary, cocycle_check):
             with pytest.raises(ValueError, match="cochain does not match the representation"):
                 check(rep, f)
+
+
+def _counting_columns(monkeypatch) -> list:
+    """Record the number of columns each ``coboundary_columns`` call builds."""
+    true_build = cohomology_module.coboundary_columns
+    built = []
+
+    def counting_build(*args, **kwargs):
+        den, columns = true_build(*args, **kwargs)
+        built.append(len(columns))
+        return den, columns
+
+    monkeypatch.setattr(cohomology_module, "coboundary_columns", counting_build)
+    return built
+
+
+def test_coboundary_builds_only_the_columns_of_its_cochain(monkeypatch, positive_algebras):
+    # one column per entry of f, so a one-entry cochain of degree 4 on omni2
+    # adjoint builds 1 of its 7776 columns, and the result is the literal
+    # formula on random sparse cochains of every fixture
+    built = _counting_columns(monkeypatch)
+    rep = adjoint_rep(omni_lie(2))
+    d = coboundary(rep, sparse_tensor({(1, 0, 5, 2, 3): 1}, (6,) * 5, "cochain"))
+    assert built == [1] and d
+    rng = random.Random(31)
+    for name, g in positive_algebras.items():
+        for rep in (trivial_rep(g), adjoint_rep(g)):
+            m = rep.vdim
+            ls, rs = matrices(rep.l), matrices(rep.r)
+            for k in range(4):
+                f = _random_sparse_cochain(rng, k, g.dim, m)
+                del built[:]
+                d = coboundary(rep, f)
+                assert built == [len(f)], (name, m, k)
+                literal = oracles.coboundary(g, lambda s, v: oracles.mv(ls[s], v),
+                                             lambda s, v: oracles.mv(rs[s], v),
+                                             oracles.dense_cochain(f, g.dim).values, k, m)
+                assert d == cochain_tensor(Cochain(k + 1, g.dim, m, literal)), (name, m, k)
+
+
+def _kernel_cochains(rep: Representation, k: int) -> list[Tensor]:
+    """A basis of ker d_k, each vector a k-cochain tensor: coordinate j of
+    the kernel of the coboundary matrix is the value e_(j % m) on the
+    k-tuple of rank j // m."""
+    n, m = rep.algebra.dim, rep.vdim
+    tuples = list(itertools.product(range(n), repeat=k))
+    kernel = kernel_basis(oracles.tensor(coboundary_matrix(rep, k)))
+    return [sparse_tensor({(*tuples[j // m], j % m): x
+                           for (j,), x in kernel.basis[u].items()}, (n,) * k + (m,), "cochain")
+            for u in range(kernel.dim)]
+
+
+def _extension(rep: Representation, omega: Tensor) -> LeibnizAlgebra:
+    """g (+) V with [x+u, y+v] = [x,y] + l_x v + r_y u + omega(x,y)."""
+    g = rep.algebra
+    c = {**semidirect(g, rep, "lr").c,
+         **{(i, j, g.dim + w): x for (i, j, w), x in omega.items()}}
+    return LeibnizAlgebra(g.dim + rep.vdim, c)
+
+
+def test_one_cocycles_of_the_adjoint_representation_are_derivations(positive_algebras):
+    # d f(x, y) = [x, f(y)] + [f(x), y] - f([x, y]), so Z^1(g, g) is Der(g):
+    # D[x, y] - [Dx, y] - [x, Dy] vanishes on every basis pair
+    for name, g in positive_algebras.items():
+        kernel = _kernel_cochains(adjoint_rep(g), 1)
+        assert len(kernel) >= g.dim - left_center(g).dim, name  # the inner ones at least
+        for D in kernel:
+            assert not contract([(1, "ija,at->ijt", g.c, D), (-1, "ia,ajt->ijt", D, g.c),
+                                 (-1, "ja,iat->ijt", D, g.c)]), name
+
+
+def test_two_cochains_extend_exactly_when_they_are_cocycles(positive_algebras):
+    # g (+) V bracketed through omega is Leibniz iff d omega = 0, for the
+    # trivial and the adjoint module (Loday-Pirashvili, Math. Ann. 1993):
+    # every basis cocycle extends, and a random cochain extends iff it is one
+    rng = random.Random(22)
+    for name, g in positive_algebras.items():
+        for rep in (trivial_rep(g), adjoint_rep(g)):
+            for omega in _kernel_cochains(rep, 2):
+                assert check_leibniz(_extension(rep, omega)).holds, (name, rep.vdim)
+            refused = 0
+            for _ in range(8):
+                omega = _random_sparse_cochain(rng, 2, g.dim, rep.vdim)
+                closed = not coboundary(rep, omega)
+                assert check_leibniz(_extension(rep, omega)).holds == closed, (name, rep.vdim)
+                refused += not closed
+            assert refused or coboundary_matrix(rep, 2).nnz() == 0, (name, rep.vdim)
 
 
 def test_coboundary_matrix_is_columns_over_common_denominator(small_algebras,
@@ -757,9 +844,9 @@ def test_betti_clears_the_pivots_of_the_degree_below(monkeypatch, naive):
     assert rows == [d.dim_cochains - ranks[d.k] for d in report.degrees] == [3, 6, 21, 60]
 
 
-def test_coboundary_columns_builds_all_but_the_skipped_columns(positive_algebras,
-                                                              dense_rational_algebras):
-    # the subset build is the full build with the skipped columns removed
+def test_coboundary_columns_builds_the_named_columns(positive_algebras,
+                                                    dense_rational_algebras):
+    # the subset build is the full build restricted to the named columns
     rng = random.Random(15)
     for name, rep in _reps_for_kernel_checks(positive_algebras, dense_rational_algebras):
         for k in range(4):
@@ -767,8 +854,9 @@ def test_coboundary_columns_builds_all_but_the_skipped_columns(positive_algebras
             everything = range(len(full))
             for skip in (frozenset(), frozenset(everything), frozenset({0, len(full) - 1}),
                          frozenset(j for j in everything if rng.random() < 0.5)):
-                kept = [col for j, col in enumerate(full) if j not in skip]
-                assert coboundary_columns(rep, k, skip=skip) == (den, kept), (name, k)
+                named = [j for j in everything if j not in skip]
+                kept = [full[j] for j in named]
+                assert coboundary_columns(rep, k, columns=named) == (den, kept), (name, k)
 
 
 @pytest.mark.parametrize("rep", [adjoint_rep(sl2()), adjoint_rep(heisenberg3()),
@@ -776,15 +864,7 @@ def test_coboundary_columns_builds_all_but_the_skipped_columns(positive_algebras
                          ids=["sl2/adjoint", "heis3/adjoint", "omni1/trivial", "fractional"])
 def test_betti_builds_only_the_columns_it_ranks(monkeypatch, rep):
     # the columns at the pivots of d_(k-1) are never built
-    true_build = cohomology_module.coboundary_columns
-    built = []
-
-    def counting_build(*args, **kwargs):
-        den, columns = true_build(*args, **kwargs)
-        built.append(len(columns))
-        return den, columns
-
-    monkeypatch.setattr(cohomology_module, "coboundary_columns", counting_build)
+    built = _counting_columns(monkeypatch)
     report = betti(rep, 3)
     ranks = [0] + [d.rank_d for d in report.degrees]
     assert built == [d.dim_cochains - ranks[d.k] for d in report.degrees]

@@ -55,7 +55,7 @@ from leibniz_kit.algebra import (
     residual_witnesses,
 )
 from leibniz_kit.cohomology import maurer_cartan_residual
-from leibniz_kit.linalg import Tensor, contract, rank, span_of_rows, sparse
+from leibniz_kit.linalg import Tensor, contract, rank, span_of_rows, sparse, sparse_tensor
 from leibniz_kit.serialize import graph_from_json, representation_from_json
 
 F = Fraction
@@ -427,8 +427,8 @@ def test_maurer_cartan_residual_matches_oracle_on_random_cochains(seed):
     g = corpus.algebra("heis3" if seed % 2 else "L2")
     h = semidirect(g, adjoint_rep(g), "l0")
     total = h.dim
-    r = _random_sparse_cochain(rng, total, 4 + seed)
-    new = residual_witnesses(maurer_cartan_residual(h.c, r), total, "maurer-cartan")
+    r = sparse_tensor(_random_sparse_cochain(rng, total, 4 + seed), (total,) * 3, "cochain")
+    new = residual_witnesses(maurer_cartan_residual(h, r), total, "maurer-cartan")
     planes = dense(r, (total,) * 3)
     cochain = oracles.Cochain(2, total, total, tuple(row for plane in planes for row in plane))
     old = oracles.maurer_cartan_witnesses(oracles.maurer_cartan_defect(h, cochain))
