@@ -38,7 +38,6 @@ from .cohomology import (
     trivial_rep,
 )
 from .lie2 import (
-    AxiomReport,
     Lie2Algebra,
     build_lie2,
     check_jacobiator_identities,

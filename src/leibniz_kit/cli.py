@@ -8,6 +8,8 @@ commands compose in pipelines:
 
     leibniz-kit omni --dim 2 | leibniz-kit check -
 
+Each identity check is stated by ``_Run.verdict``; a failed one prints its first witnesses.
+
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 malformed
 input, 3 resource cap exceeded; a closed stdout or stderr does not change them.
 """
@@ -145,6 +147,17 @@ class _Run:
     def fail(self, message: str) -> None:
         self.failures.append(message)
 
+    def verdict(self, key: str, label: str, report) -> bool:
+        """Record whether an ``IdentityReport`` holds as ``results[key]``, say
+        ``label: ok``, or ``label: FAILED`` and its first witnesses, and
+        return whether it holds; the caller words its own failure."""
+        self.results[key] = report.holds
+        self.say(f"{label}: {'ok' if report.holds else 'FAILED'}")
+        if not report.holds:
+            for line in _witness_lines(report):
+                self.say(line)
+        return report.holds
+
     def finish(self) -> int:
         """Print the run report, or without --json each failure or "ok"."""
         if self.json_mode:
@@ -182,16 +195,12 @@ def cmd_check(args) -> int:
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     leib = g._derived("_verdict", check_leibniz)
     run.results["dim"] = g.dim
-    run.results["leibniz"] = leib.holds
     run.say(f"dimension: {g.dim}")
-    run.say(f"Leibniz identity: {'ok' if leib.holds else 'FAILED'}")
-    if not leib.holds:
-        for line in _witness_lines(leib):
-            run.say(line)
+    if not run.verdict("leibniz", "Leibniz identity", leib):
         run.fail(f"Leibniz identity fails on {len(leib.witnesses)} basis triples; "
                  f"first witness at {leib.witnesses[0].where}")
     z = left_center(g)
-    basis = tensor_to_json(z.basis, z.basis.shape)
+    basis = tensor_to_json(z.basis)
     run.results["left_center_dim"] = z.dim
     run.results["left_center_basis"] = basis
     basis_note = ""
@@ -201,10 +210,8 @@ def cmd_check(args) -> int:
     der = derived_subalgebra(g)
     run.results["derived_dim"] = der.dim
     run.say(f"derived subalgebra: dim {der.dim}")
-    sq = square_in_center_check(g)
-    run.results["squares_in_left_center"] = sq.holds
-    run.say(f"squares in left center: {'ok' if sq.holds else 'FAILED'}")
-    if not sq.holds:
+    if not run.verdict("squares_in_left_center", "squares in left center",
+                       square_in_center_check(g)):
         run.fail("some square [x,x] acts nontrivially on the left")
     lie = is_lie(g)
     run.results["lie"] = lie
@@ -219,26 +226,21 @@ def cmd_lie2(args) -> int:
     if refusal:
         run.fail(refusal)
         return run.finish()
-    jac = check_jacobiator_identities(g)
-    run.results["jacobiator_identities"] = jac.holds
-    run.say(f"Jacobiator identities: {'ok' if jac.holds else 'FAILED'}")
-    if not jac.holds:
-        for line in _witness_lines(jac):
-            run.say(line)
+    if not run.verdict("jacobiator_identities", "Jacobiator identities",
+                       check_jacobiator_identities(g)):
         run.fail("Jacobiator identities failed")
     L = build_lie2(g)
-    axioms = verify_lie2(L)
+    broken = {w.label for w in verify_lie2(L).witnesses}
     run.results["dim1"] = L.dim1
     run.results["dim0"] = L.dim0
-    run.results["axioms"] = dict(axioms.passed)
+    run.results["axioms"] = {name: name not in broken for name in "abcde"}
     if run.json_mode:  # plain runs print no JSON, so none is built
         run.results["lie2"] = lie2_to_json(L)
     run.say(f"graded pieces: degree 1 of dim {L.dim1}, degree 0 of dim {L.dim0}")
     for name in "abcde":
-        run.say(f"axiom ({name}): {'ok' if axioms.passed[name] else 'FAILED'}")
-    if not axioms.all_pass:
-        failed = [name for name in "abcde" if not axioms.passed[name]]
-        run.fail(f"axioms failed: {', '.join(failed)}")
+        run.say(f"axiom ({name}): {'FAILED' if name in broken else 'ok'}")
+    if broken:
+        run.fail(f"axioms failed: {', '.join(sorted(broken))}")
     return run.finish()
 
 
@@ -269,8 +271,8 @@ def cmd_cohomology(args) -> int:
     cap = _cap()
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     rep, rep_label = _resolve_representation(run, args, g)
-    # --compare builds its own trivial or adjoint representation and checks it
-    refusal = _refusal(g, None if args.compare else rep)
+    # betti checks a built-in representation, or the one it ranks instead
+    refusal = _refusal(g, None if rep_label in ("trivial", "adjoint") else rep)
     if refusal:
         run.fail(refusal)
         return run.finish()
@@ -332,12 +334,8 @@ def cmd_mc(args) -> int:
     if refusal:
         run.fail(refusal)
         return run.finish()
-    report = maurer_cartan_check(g, rep)
-    run.results["maurer_cartan"] = report.holds
-    run.say(f"Maurer-Cartan identity: {'ok' if report.holds else 'FAILED'}")
-    if not report.holds:
-        for line in _witness_lines(report):
-            run.say(line)
+    if not run.verdict("maurer_cartan", "Maurer-Cartan identity",
+                       maurer_cartan_check(g, rep)):
         run.fail("Maurer-Cartan identity failed")
     return run.finish()
 
@@ -366,7 +364,6 @@ def cmd_graph(args) -> int:
     run = _Run(args)
     phi = graph_from_json(run.read_document(args.graph, "graph map"))
     report = phi._derived("_verdict", graph_check)
-    run.results["closes"] = report.holds
     if args.emit_algebra and not args.json:
         # keep stdout pure JSON so the command stays pipeable
         if not report.holds:
@@ -375,14 +372,9 @@ def cmd_graph(args) -> int:
             return EXIT_CHECK_FAILED
         _print_json(algebra_to_json(induced_leibniz(phi)))
         return EXIT_OK
-    run.say(f"graph closure [phi(u), phi(v)] = phi(phi(u) v): "
-            f"{'ok' if report.holds else 'FAILED'}")
-    if not report.holds:
-        for line in _witness_lines(report):
-            run.say(line)
+    if not run.verdict("closes", "graph closure [phi(u), phi(v)] = phi(phi(u) v)", report):
         run.fail("graph map does not close")
-        return run.finish()
-    if args.emit_algebra:
+    elif args.emit_algebra:
         run.results["induced_algebra"] = algebra_to_json(induced_leibniz(phi))
     return run.finish()
 

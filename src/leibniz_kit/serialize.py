@@ -147,12 +147,12 @@ def tensor_from_json(data: Any, shape: tuple, where: str = "tensor",
     return out
 
 
-def tensor_to_json(t, shape: tuple) -> list:
-    """The nested lists of the given shape holding a sparse tensor, "0" where
+def tensor_to_json(t) -> list:
+    """The nested lists of ``t.shape`` holding a ``linalg.Tensor``, "0" where
     it has no entry; every matrix and tensor is written from its sparse form."""
     def zeros(axes):
         return [zeros(axes[1:]) for _ in range(axes[0])] if len(axes) > 1 else ["0"] * axes[0]
-    out = zeros(shape)
+    out = zeros(t.shape)
     for key, v in t.items():
         row = out
         for i in key[:-1]:
@@ -165,7 +165,7 @@ def tensor_to_json(t, shape: tuple) -> list:
 # algebras
 
 def algebra_to_json(g: LeibnizAlgebra) -> dict:
-    return {"schema": SCHEMA, "dim": g.dim, "c": tensor_to_json(g.c, (g.dim,) * 3)}
+    return {"schema": SCHEMA, "dim": g.dim, "c": tensor_to_json(g.c)}
 
 
 def algebra_from_json(data: Any) -> LeibnizAlgebra:
@@ -179,9 +179,8 @@ def algebra_from_json(data: Any) -> LeibnizAlgebra:
 # representations
 
 def representation_to_json(rep: Representation) -> dict:
-    shape = (rep.algebra.dim, rep.vdim, rep.vdim)
     return {"schema": SCHEMA, "vdim": rep.vdim,
-            "l": tensor_to_json(rep.l, shape), "r": tensor_to_json(rep.r, shape)}
+            "l": tensor_to_json(rep.l), "r": tensor_to_json(rep.r)}
 
 
 def representation_from_json(g: LeibnizAlgebra, data: Any) -> Representation:
@@ -197,7 +196,7 @@ def representation_from_json(g: LeibnizAlgebra, data: Any) -> Representation:
 # graph maps
 
 def graph_to_json(phi: GraphMap) -> dict:
-    return {"schema": SCHEMA, "vdim": phi.vdim, "phi": tensor_to_json(phi.phi, (phi.vdim,) * 3)}
+    return {"schema": SCHEMA, "vdim": phi.vdim, "phi": tensor_to_json(phi.phi)}
 
 
 def graph_from_json(data: Any) -> GraphMap:
@@ -215,10 +214,10 @@ def lie2_to_json(L: Lie2Algebra) -> dict:
         "schema": SCHEMA,
         "dim1": L.dim1,
         "dim0": L.dim0,
-        "l1": tensor_to_json(L.l1, (L.dim0, L.dim1)),
-        "l2_00": tensor_to_json(L.l2_00, (L.dim0,) * 3),
-        "l2_01": tensor_to_json(L.l2_01, (L.dim0, L.dim1, L.dim1)),
-        "l3": tensor_to_json(L.l3, (L.dim0,) * 3 + (L.dim1,)),
+        "l1": tensor_to_json(L.l1),
+        "l2_00": tensor_to_json(L.l2_00),
+        "l2_01": tensor_to_json(L.l2_01),
+        "l3": tensor_to_json(L.l3),
     }
 
 

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from leibniz_kit import (
-    AxiomReport,
     GraphMap,
     IdentityReport,
     LeibnizAlgebra,
@@ -593,7 +592,14 @@ def check_lie2_structure(L: Lie2Algebra) -> IdentityReport:
     return _report(witnesses + _antisymmetry(t, n, "l3-antisymmetry"))
 
 
-def verify_lie2(L: Lie2Algebra) -> AxiomReport:
+def axiom_verdicts(report: IdentityReport) -> dict:
+    """{axiom: holds} for (a)-(e) from a ``verify_lie2`` report: an axiom
+    holds when no witness carries its letter."""
+    broken = {w.label for w in report.witnesses}
+    return {axiom: axiom not in broken for axiom in "abcde"}
+
+
+def verify_lie2(L: Lie2Algebra) -> IdentityReport:
     n0, n1 = L.dim0, L.dim1
     s, m = dense(L.l2_00, (n0,) * 3), dense(L.l2_01, (n0, n1, n1))
     t = dense(L.l3, (n0,) * 3 + (n1,))
@@ -601,7 +607,6 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
     e1 = [basis(n1, a) for a in range(n1)]
     l1 = matrix(L.l1)
     incl = [column(l1, a) for a in range(n1)]
-    passed = {axiom: True for axiom in "abcde"}
     witnesses = []
 
     def l2(x, y):
@@ -620,7 +625,6 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
     def check(axiom, where, lhs, rhs):
         d = vsub(lhs, rhs)
         if not viszero(d):
-            passed[axiom] = False
             witnesses.append(Witness(where, tuple(d), axiom))
 
     for i in range(n0):
@@ -660,7 +664,7 @@ def verify_lie2(L: Lie2Algebra) -> AxiomReport:
                     _add(rhs, -1, l3(l2(y, w), x, z))
                     _add(rhs, 1, l3(l2(z, w), x, y))
                     check("e", (i, j, k, l), lhs, rhs)
-    return AxiomReport(passed, tuple(witnesses))
+    return _report(witnesses)
 
 
 def check_representation(rep: Representation) -> IdentityReport:

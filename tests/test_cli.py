@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import leibniz_kit.cli as cli
 import leibniz_kit.cohomology as cohomology_module
 import leibniz_kit.omni as omni_module
+from leibniz_kit import fixtures as corpus
 from leibniz_kit.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +48,25 @@ def test_check_fails_on_negative(capsys):
     assert main(["check", str(FIXTURES / "nonleibniz.json")]) == 1
     out = capsys.readouterr().out
     assert "witness" in out
+
+
+@pytest.mark.parametrize("argv", [("check", f"fixtures/{name}.json")
+                                  for name in corpus.negative_algebra_names()]
+                         + [("graph", "fixtures/graph_bad.json")], ids=" ".join)
+def test_every_failed_check_is_followed_by_its_first_witnesses(argv, monkeypatch, capsys):
+    # the squares check of check once said FAILED with no witness after it
+    monkeypatch.chdir(REPO_ROOT)
+    assert main(list(argv)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [i for i, line in enumerate(lines) if line.endswith(": FAILED")]
+    assert failed
+    witness, more = re.compile(r"  witness \S+ at .+: .+"), re.compile(r"  \.\.\. and [1-9]\d* more")
+    for i in failed:
+        block = list(itertools.takewhile(lambda line: line.startswith("  "), lines[i + 1:]))
+        shown = list(itertools.takewhile(witness.fullmatch, block))
+        rest = block[len(shown):]
+        assert 1 <= len(shown) <= 5, lines[i]
+        assert rest == [] or (len(shown) == 5 and len(rest) == 1 and more.fullmatch(rest[0])), lines[i]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -19,6 +19,7 @@ import oracles
 from conftest import change_basis
 from leibniz_kit import (
     GraphMap,
+    IdentityReport,
     LeibnizAlgebra,
     Lie2Algebra,
     NaiveRepresentation,
@@ -133,7 +134,7 @@ def test_lie2_construction_and_axioms_match_oracles(positive_algebras,
         L = build_lie2(g)
         assert L == oracles.build_lie2(g), name
         new, old = verify_lie2(L), oracles.verify_lie2(L)
-        assert new.passed == old.passed and new.all_pass, name
+        assert new == old and new.holds, name
         assert oracles.check_lie2_structure(L).holds, name
 
 
@@ -141,20 +142,23 @@ def test_lie2_construction_and_axioms_match_oracles(positive_algebras,
 def test_broken_lie2_matches_oracles(make):
     L = make()
     new, old = verify_lie2(L), oracles.verify_lie2(L)
-    assert new.passed == old.passed
-    assert not new.all_pass
+    assert oracles.axiom_verdicts(new) == oracles.axiom_verdicts(old)
+    assert not new.holds
     assert_same_witnesses(new, old)
     assert [w.label for w in new.witnesses] == sorted(w.label for w in new.witnesses)
 
 
 def test_random_lie2_fails_every_axiom():
-    assert not any(verify_lie2(_random_lie2(11)).passed.values())
+    assert not any(oracles.axiom_verdicts(verify_lie2(_random_lie2(11))).values())
 
 
 def test_corrupted_lie2_keeps_axiom_b():
     # (b) reads l2_01 only on the center, which the corruption misses
-    passed = verify_lie2(_corrupted_lie2()).passed
-    assert passed == {"a": False, "b": True, "c": False, "d": False, "e": False}
+    report = verify_lie2(_corrupted_lie2())
+    assert isinstance(report, IdentityReport)
+    assert {w.label for w in report.witnesses} == {"a", "c", "d", "e"}
+    assert oracles.axiom_verdicts(report) == {"a": False, "b": True, "c": False, "d": False,
+                                              "e": False}
 
 
 def test_build_lie2_rejects_non_leibniz_like_oracle():

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (basis_rows, bracket, check_lie2_structure, column, contains,
-                     jacobiator_closed, jacobiator_direct, matrix)
+from oracles import (axiom_verdicts, basis_rows, bracket, check_lie2_structure, column,
+                     contains, jacobiator_closed, jacobiator_direct, matrix)
 from leibniz_kit import (
     LeibnizAlgebra,
     build_lie2,
@@ -135,7 +135,7 @@ def test_build_lie2_center_dimension_matches(positive_algebras):
 def test_verify_lie2_accepts_all_fixtures(positive_algebras):
     for name, g in positive_algebras.items():
         report = verify_lie2(build_lie2(g))
-        assert report.all_pass, (name, report.passed)
+        assert report.holds, (name, report.witnesses[:2])
 
 
 def test_omni2_has_nonzero_l3():
@@ -146,7 +146,7 @@ def test_omni2_has_nonzero_l3():
 def test_lie_algebra_with_trivial_degree_one_piece_passes():
     g = sl2()
     L = Lie2Algebra(0, 3, {}, g.c, {}, {})
-    assert verify_lie2(L).all_pass
+    assert verify_lie2(L).holds
 
 
 def test_empty_l2_01_is_refused_when_degree_zero_is_not():
@@ -165,8 +165,8 @@ def test_zeroing_l3_breaks_axiom_c():
     broken = Lie2Algebra(L.dim1, L.dim0, L.l1, L.l2_00, L.l2_01, dict.fromkeys(L.l3.keys(), F(0)))
     assert broken.l3 == {}
     report = verify_lie2(broken)
-    assert not report.passed["c"]
-    assert not report.all_pass
+    assert not axiom_verdicts(report)["c"]
+    assert not report.holds
 
 
 def test_build_lie2_rejects_non_leibniz_input():

@@ -100,7 +100,7 @@ def test_omni_left_center_is_the_vector_part(m):
 
 def test_omni_lie2_passes_axioms():
     for m in (1, 2):
-        assert verify_lie2(build_lie2(omni_lie(m))).all_pass
+        assert verify_lie2(build_lie2(omni_lie(m))).holds
 
 
 # ---------------------------------------------------------------------------
