@@ -64,6 +64,7 @@ from .omni import (
     graph_rep_cohomology,
     image_representation,
     induced_leibniz,
+    matching_naive_image,
     naive_betti,
     naive_check,
     naive_coboundary,

@@ -177,13 +177,18 @@ def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Tensor]:
     projection onto g / Z(g) in the basis of the classes of the e_(J_a): R
     kills Z(g) and sends e_(J_a) to e_a.  The bracket is one contraction,
     [e_a, e_b] = R [e_(J_a), e_(J_b)].  The quotient of a Leibniz algebra by
-    its left center is a Lie algebra, which is checked on the result.
+    its left center is a Lie algebra, which is checked on the result; so g is
+    refused first, with a ValueError naming the first witness, unless it
+    passes the Leibniz identity.
     """
+    report = g._derived("_verdict", check_leibniz)
+    if not report.holds:
+        raise ValueError("input is not a Leibniz algebra; first witness at "
+                         f"{report.witnesses[0].where}")
     proj, pivots = reduced_rows(left_multiplication_matrix(g))
     kept = {i: a for a, i in enumerate(pivots)}
     c = {(kept[i], kept[j], t): x for (i, j, t), x in g.c.items() if i in kept and j in kept}
     quotient = LeibnizAlgebra(len(kept), contract([(1, "abt,kt->abk", c, proj)]))
     if not is_lie(quotient):
-        raise RuntimeError("quotient by the left center is not antisymmetric; "
-                           "input violates the Leibniz identity")
+        raise AssertionError("quotient of a Leibniz algebra by its left center is not Lie")
     return quotient, proj

@@ -34,7 +34,6 @@ from .cohomology import (
     DEFAULT_CAP,
     ResourceCapExceeded,
     _refusal,
-    _require_within_cap,
     adjoint_rep,
     betti,
     maurer_cartan_check,
@@ -43,16 +42,12 @@ from .cohomology import (
 )
 from .lie2 import build_lie2, check_jacobiator_identities, verify_lie2
 from .omni import (
-    adjoint_naive,
     compare_adjoint,
     compare_trivial,
     graph_check,
     induced_leibniz,
-    naive_betti,
-    naive_from_rep,
+    matching_naive_image,
     omni_lie,
-    trivial_naive_rep,
-    trivial_naive_space,
 )
 from .serialize import (
     SCHEMA,
@@ -271,8 +266,9 @@ def cmd_cohomology(args) -> int:
     cap = _cap()
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     rep, rep_label = _resolve_representation(run, args, g)
+    builtin = rep_label in ("trivial", "adjoint")
     # betti checks a built-in representation, or the one it ranks instead
-    refusal = _refusal(g, None if rep_label in ("trivial", "adjoint") else rep)
+    refusal = _refusal(g, None if builtin else rep)
     if refusal:
         run.fail(refusal)
         return run.finish()
@@ -300,28 +296,15 @@ def cmd_cohomology(args) -> int:
             run.fail("chain-level correspondence check failed")
         return run.finish()
 
-    if args.naive:
-        if rep_label == "trivial":
-            space = trivial_naive_space(g)
-            if space.dim == 0:
-                run.results["naive"] = {"zero_complex": True}
-                run.say("derived subalgebra is all of g: the naive complex is zero")
-                return run.finish()
-            rho = trivial_naive_rep(g, space.basis[0])
-        elif rep_label == "adjoint":
-            # its image has dim n: refuse an over-cap degree before building it
-            _require_within_cap(g.dim, g.dim, k_max, cap)
-            rho = adjoint_naive(g)
-        else:
-            rho = naive_from_rep(rep)
-        report = naive_betti(rho, k_max, cap)
-        run.results["naive_betti"] = betti_to_json(report)
-        _betti_table(run, "naive cohomology", report)
-        return run.finish()
-
+    if args.naive:  # the naive complex is that of the image representation
+        rep = matching_naive_image(g, rep_label if builtin else rep, k_max, cap)
+        if rep is None:
+            run.results["naive"] = {"zero_complex": True}
+            run.say("derived subalgebra is all of g: the naive complex is zero")
+            return run.finish()
     report = betti(rep, k_max, cap)
-    run.results["betti"] = betti_to_json(report)
-    _betti_table(run, f"cohomology ({rep_label})", report)
+    run.results["naive_betti" if args.naive else "betti"] = betti_to_json(report)
+    _betti_table(run, "naive cohomology" if args.naive else f"cohomology ({rep_label})", report)
     return run.finish()
 
 

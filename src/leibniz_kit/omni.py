@@ -317,8 +317,39 @@ def naive_betti(rho: NaiveRepresentation, k_max: int,
     and whose ranks are cleared like those of every other complex.  The cap
     is checked on the image dimension before the image representation is
     built."""
+    return betti(_image_within_cap(rho, k_max, cap), k_max, cap)
+
+
+def _image_within_cap(rho: NaiveRepresentation, k_max: int,
+                      cap: Optional[int]) -> Representation:
     _require_within_cap(rho.algebra.dim, len(rho._reduced[1]), k_max, cap)
-    return betti(image_representation(rho), k_max, cap)
+    return image_representation(rho)
+
+
+def matching_naive_image(g: LeibnizAlgebra, choice, k_max: int,
+                         cap: Optional[int] = DEFAULT_CAP) -> Optional[Representation]:
+    """The image representation of the naive representation that goes with
+    a classical choice, or None when that naive complex is zero; every
+    degree to k_max is checked against the cap before the image
+    representation is built.
+
+    ``choice`` is "trivial", "adjoint" or a ``Representation`` of g:
+    the rank-one naive map of the first functional of
+    ``trivial_naive_space`` (None when [g,g] = g, where the zero map is the
+    only one), ``adjoint_naive`` (whose image has dimension n, so the cap is
+    checked before the adjoint naive map is built), or ``naive_from_rep``.
+    """
+    if choice == "trivial":
+        space = trivial_naive_space(g)
+        if not space.dim:
+            return None
+        rho = trivial_naive_rep(g, {(i,): x for (u, i), x in space.basis.items() if u == 0})
+    elif choice == "adjoint":
+        _require_within_cap(g.dim, g.dim, k_max, cap)
+        rho = adjoint_naive(g)
+    else:
+        rho = naive_from_rep(choice)
+    return _image_within_cap(rho, k_max, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +367,8 @@ class ComparisonReport(NamedTuple):
     information only; the headline equality is over degrees >= 1."""
 
     rows: tuple[ComparisonRow, ...]
-    side_checks_ok: bool = True
-    notes: tuple[str, ...] = ()
+    side_checks_ok: bool
+    notes: tuple[str, ...]
 
     @property
     def all_equal(self) -> bool:
@@ -350,9 +381,10 @@ def _require_comparison_degree(k_max: int) -> None:
 
 
 def _compare(naive: Optional[Representation], classical: Representation, k_max: int,
-             cap: Optional[int], notes: tuple = ()) -> ComparisonReport:
+             cap: Optional[int]) -> ComparisonReport:
     """The naive Betti numbers, of the image representation ``naive`` (None
-    for the zero complex), against those of ``classical``.
+    for the zero complex of ``matching_naive_image``), against those of
+    ``classical``: the one place that builds a ``ComparisonReport``.
 
     Where the two representations are equal, the correspondence F -> rho o F
     with E = I, D^img_k E_k = E_(k+1) D^cl_k, holds in every degree, so the
@@ -360,15 +392,16 @@ def _compare(naive: Optional[Representation], classical: Representation, k_max: 
     Otherwise ``side_checks_ok`` is False with a note and both are ranked.
     """
     dims = [d.dim_h for d in betti(classical, k_max, cap).degrees]
-    ok = naive is None or naive == classical
     if naive is None:
-        naive_dims = [0] * len(dims)
-    elif ok:
-        naive_dims = dims
+        naive_dims, ok, notes = [0] * len(dims), True, (
+            "derived subalgebra is all of g; the zero map is the only "
+            "rank-one naive representation and its complex vanishes",)
+    elif naive == classical:
+        naive_dims, ok, notes = dims, True, ()
     else:
         naive_dims = [d.dim_h for d in betti(naive, k_max, cap).degrees]
-        notes += ("the image representation differs from the classical one, so "
-                  "F -> rho o F is no chain map",)
+        ok, notes = False, ("the image representation differs from the classical one, so "
+                            "F -> rho o F is no chain map",)
     return ComparisonReport(tuple(ComparisonRow(k, a, b, a == b) for k, (a, b)
                                   in enumerate(zip(naive_dims, dims))), ok, notes)
 
@@ -384,13 +417,7 @@ def compare_trivial(g: LeibnizAlgebra, k_max: int,
     to vanish in degrees >= 1 as well.  ValueError for k_max < 1.
     """
     _require_comparison_degree(k_max)
-    space = trivial_naive_space(g)
-    if space.dim == 0:
-        return _compare(None, trivial_rep(g), k_max, cap, (
-            "derived subalgebra is all of g; the zero map is the only "
-            "rank-one naive representation and its complex vanishes",))
-    return _compare(image_representation(trivial_naive_rep(g, space.basis[0])),
-                    trivial_rep(g), k_max, cap)
+    return _compare(matching_naive_image(g, "trivial", k_max, cap), trivial_rep(g), k_max, cap)
 
 
 def compare_adjoint(g: LeibnizAlgebra, k_max: int,
@@ -400,13 +427,12 @@ def compare_adjoint(g: LeibnizAlgebra, k_max: int,
     F -> rho o F proven in every degree: rho is injective, so R = I, the
     embedding E_k is the identity, and D^img_k E_k = E_{k+1} D^cl_k holds
     exactly when the image representation equals the adjoint one
-    (``_compare``).  The cap is checked before anything is built: the image
-    has dimension n, so both complexes have n^(k+1) n target rows in degree
-    k.  ValueError for k_max < 1.
+    (``_compare``).  The cap is checked before anything is built
+    (``matching_naive_image``): the image has dimension n, so both complexes
+    have n^(k+1) n target rows in degree k.  ValueError for k_max < 1.
     """
     _require_comparison_degree(k_max)
-    _require_within_cap(g.dim, g.dim, k_max, cap)
-    return _compare(image_representation(adjoint_naive(g)), adjoint_rep(g), k_max, cap)
+    return _compare(matching_naive_image(g, "adjoint", k_max, cap), adjoint_rep(g), k_max, cap)
 
 
 def tautological_rep(phi: GraphMap) -> NaiveRepresentation:
@@ -426,6 +452,12 @@ def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
 
         l_x u = phi(theta(x)) u          r_x u = phi(u) theta(x).
 
+    The image representation is checked against the cap before it is built,
+    and ``image_representation`` refuses a map that is no homomorphism
+    before the induced actions are.  ``_compare`` holds the two: for
+    ``tautological_rep`` the two are equal and the classical complex is
+    ranked once; where they differ (theta = 0 over sl2: an image of dim 0
+    against a module of dim 2) ``side_checks_ok`` is False with its note.
     ValueError for k_max < 1.
     """
     _require_comparison_degree(k_max)
@@ -437,8 +469,7 @@ def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
     escapes = contract([(1, "ia,auv->iuv", rho.theta, phi.phi), (-1, "iuv->iuv", rho.phi)])
     if escapes:
         raise ValueError(f"image of basis element {min(escapes)[0]} escapes the graph")
-    if not rho._derived("_verdict", naive_check).holds:
-        raise ValueError("the map is not a naive representation")
+    image = _image_within_cap(rho, k_max, cap)
     # the escape check has proven l_x = phi(theta(x)) = rho.phi[x]
     rs = contract([(1, "auv,iv->iua", phi.phi, rho.theta)])
     rep = Representation(g, rho.vdim, rho.phi, rs)
@@ -446,6 +477,4 @@ def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
     if not report.holds:
         raise ValueError("induced actions fail the representation conditions at "
                          f"{report.witnesses[0].where}")
-    naive, classical = naive_betti(rho, k_max, cap), betti(rep, k_max, cap)
-    return ComparisonReport(tuple(ComparisonRow(a.k, a.dim_h, b.dim_h, a.dim_h == b.dim_h)
-                                  for a, b in zip(naive.degrees, classical.degrees)))
+    return _compare(image, rep, k_max, cap)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from leibniz_kit import (
     quotient_by_left_center,
     square_in_center_check,
 )
-from leibniz_kit.fixtures import heisenberg3, l2_algebra, nonleibniz, sl2
+from leibniz_kit.fixtures import heisenberg3, l2_algebra, nonleibniz, nonleibniz2, sl2
 from leibniz_kit.algebra import dense
 from leibniz_kit.linalg import contract, rref
 from leibniz_kit.omni import omni_lie
@@ -158,6 +159,20 @@ def test_quotient_heis3():
     assert q.dim == 2
     assert is_lie(q)
     assert not q.c
+
+
+def test_quotient_refuses_an_algebra_that_is_not_leibniz():
+    # [e0,e1] = -e1, [e0,e2] = -e2, [e1,e2] = e0 is antisymmetric but fails the
+    # Jacobi identity, and so does its quotient: only a check of the input
+    # itself refuses it, in the words of every other refusal
+    skew = LeibnizAlgebra.from_brackets(3, {(0, 1): {1: -1}, (1, 0): {1: 1}, (0, 2): {2: -1},
+                                            (2, 0): {2: 1}, (1, 2): {0: 1}, (2, 1): {0: -1}})
+    assert is_lie(skew)
+    for g in (skew, nonleibniz(), nonleibniz2()):
+        where = check_leibniz(g).witnesses[0].where
+        message = f"input is not a Leibniz algebra; first witness at {where}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quotient_by_left_center(g)
 
 
 def test_quotient_is_fixed_by_its_defining_properties(positive_algebras,

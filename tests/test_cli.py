@@ -114,7 +114,6 @@ def test_adjoint_naive_is_not_built_past_the_cap(monkeypatch, capsys, mode):
     def refuse(*args):
         raise RuntimeError("the adjoint naive representation was built")
 
-    monkeypatch.setattr(cli, "adjoint_naive", refuse)
     monkeypatch.setattr(omni_module, "adjoint_naive", refuse)
     monkeypatch.setenv("LEIBNIZ_KIT_CAP", "80")
     assert main(["cohomology", str(FIXTURES / "heis3.json"), "--rep", "adjoint",

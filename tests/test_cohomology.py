@@ -382,6 +382,31 @@ def test_two_cochains_extend_exactly_when_they_are_cocycles(positive_algebras):
             assert refused or coboundary_matrix(rep, 2).nnz() == 0, (name, rep.vdim)
 
 
+def test_cohomologous_two_cocycles_give_isomorphic_extensions(positive_algebras):
+    # omega + d phi extends g by V isomorphically to omega: the map
+    # x + u -> x + u + phi(x), the identity plus phi off the diagonal and so
+    # invertible, carries the bracket of the first extension to that of the
+    # second, which one contraction checks on every basis pair
+    rng = random.Random(23)
+    for name, g in positive_algebras.items():
+        n = g.dim
+        for rep in (trivial_rep(g), adjoint_rep(g)):
+            m = rep.vdim
+            moved = 0
+            for omega, _ in itertools.product(_kernel_cochains(rep, 2), range(3)):
+                phi = _random_sparse_cochain(rng, 1, n, m)
+                d_phi = coboundary(rep, phi)
+                moved += bool(d_phi)
+                shifted = _extension(rep, contract([(1, "ijv->ijv", omega),
+                                                    (1, "ijv->ijv", d_phi)]))
+                P = {**{(a, a): F(1) for a in range(n + m)},
+                     **{(t, n + v): x for (t, v), x in phi.items()}}
+                carried = contract([(1, "ia,abt->ibt", P, _extension(rep, omega).c)])
+                assert not contract([(1, "ijk,kt->ijt", shifted.c, P),
+                                     (-1, "jb,ibt->ijt", P, carried)]), (name, m)
+            assert moved or coboundary_matrix(rep, 1).nnz() == 0, (name, m)
+
+
 def test_coboundary_matrix_is_columns_over_common_denominator(small_algebras,
                                                               dense_rational_algebras):
     # column j of d_k, over the common denominator, is column j of the

@@ -626,12 +626,20 @@ def test_compare_adjoint_degree0_matches_here():
 # ---------------------------------------------------------------------------
 # graph representations
 
-def test_graph_rep_cohomology_tautological():
+def test_graph_rep_cohomology_tautological(monkeypatch):
+    # the image representation of a tautological graph equals the induced
+    # one, so the comparison proves the chain isomorphism and ranks once
+    ranked = []
+    monkeypatch.setattr(omni_module, "betti", lambda rep, *args: ranked.append(rep) or
+                        betti(rep, *args))
     for g in (l2_algebra(), heisenberg3()):
         phi = graph_for(g)
         rho = tautological_rep(phi)
+        ranked.clear()
         report = graph_rep_cohomology(rho, phi, 3 if g.dim == 2 else 2)
         assert report.all_equal, report.rows
+        assert report.side_checks_ok and report.notes == (), report.notes
+        assert len(ranked) == 1 and ranked[0] == image_representation(rho)
 
 
 def test_graph_rep_matches_adjoint_actions():
@@ -679,6 +687,12 @@ def test_graph_rep_zero_theta_reduces_to_trivial_branch():
     for row in report.rows:
         if row.k >= 1:
             assert row.dim_naive == 0 and row.dim_classical == 0
+    # but the image, of dim 0, is no chain-level copy of the induced module
+    # of dim 2: the report says so rather than passing the side check
+    assert (report.rows[0].dim_naive, report.rows[0].dim_classical) == (0, 2)
+    assert report.side_checks_ok is False
+    assert report.notes == ("the image representation differs from the classical one, so "
+                            "F -> rho o F is no chain map",)
 
 
 def test_graph_rep_surjective_quotient_theta():
