@@ -12,7 +12,7 @@ special case.  Everything is encoded by the tensor c with
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .linalg import (
     Frozen,
@@ -37,9 +37,15 @@ class LeibnizAlgebra(Frozen):
     ``_jacobiator`` are ``lie2``'s, derived once per value."""
 
     __slots__ = ("dim", "c", "_verdict", "_skew", "_jacobiator")
+    noun = "a Leibniz algebra"
 
     def __init__(self, dim: int, c):
         self._set(dim, sparse_tensor(c, (dim,) * 3, "structure tensor"))
+
+    @property
+    def verdict(self) -> IdentityReport:
+        """``check_leibniz`` of this algebra, run on first read and kept."""
+        return self._derived("_verdict", check_leibniz)
 
     @classmethod
     def abelian(cls, n: int) -> "LeibnizAlgebra":
@@ -74,6 +80,28 @@ class IdentityReport(NamedTuple):
 
 def _report(witnesses: list[Witness]) -> IdentityReport:
     return IdentityReport(not witnesses, tuple(witnesses))
+
+
+def refusal(*values) -> Optional[str]:
+    """The reason to refuse the first of ``values`` that fails its defining
+    identity, or None when each holds; a None among them is skipped.
+
+    A value is a checked type: a ``LeibnizAlgebra``, ``Representation``,
+    ``GraphMap`` or ``NaiveRepresentation``, whose ``verdict`` is the report
+    of its identity, kept once it is made, and whose ``noun`` names it.
+    Every refusal of the package, the CLI's and the library's, is worded
+    here: "input is not <noun>; first witness at <where>"."""
+    for value in values:
+        if value is not None and not (report := value.verdict).holds:
+            return f"input is not {value.noun}; first witness at {report.witnesses[0].where}"
+    return None
+
+
+def require(*values) -> None:
+    """Raise ``refusal(*values)`` as a ValueError, unless every value holds."""
+    reason = refusal(*values)
+    if reason:
+        raise ValueError(reason)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +206,9 @@ def quotient_by_left_center(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Tensor]:
     kills Z(g) and sends e_(J_a) to e_a.  The bracket is one contraction,
     [e_a, e_b] = R [e_(J_a), e_(J_b)].  The quotient of a Leibniz algebra by
     its left center is a Lie algebra, which is checked on the result; so g is
-    refused first, with a ValueError naming the first witness, unless it
-    passes the Leibniz identity.
+    refused first (``require``) unless it passes the Leibniz identity.
     """
-    report = g._derived("_verdict", check_leibniz)
-    if not report.holds:
-        raise ValueError("input is not a Leibniz algebra; first witness at "
-                         f"{report.witnesses[0].where}")
+    require(g)
     proj, pivots = reduced_rows(left_multiplication_matrix(g))
     kept = {i: a for a, i in enumerate(pivots)}
     c = {(kept[i], kept[j], t): x for (i, j, t), x in g.c.items() if i in kept and j in kept}

@@ -8,7 +8,7 @@ commands compose in pipelines:
 
     leibniz-kit omni --dim 2 | leibniz-kit check -
 
-Each identity check is stated by ``_Run.verdict``; a failed one prints its first witnesses.
+Each identity check is stated by ``_Run.verdict``; a failed one prints up to five witnesses.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 malformed
 input, 3 resource cap exceeded; a closed stdout or stderr does not change them.
@@ -24,16 +24,15 @@ from pathlib import Path
 
 from . import fixtures as fixture_corpus
 from .algebra import (
-    check_leibniz,
     derived_subalgebra,
     is_lie,
     left_center,
+    refusal,
     square_in_center_check,
 )
 from .cohomology import (
     DEFAULT_CAP,
     ResourceCapExceeded,
-    _refusal,
     adjoint_rep,
     betti,
     maurer_cartan_check,
@@ -44,7 +43,6 @@ from .lie2 import build_lie2, check_jacobiator_identities, verify_lie2
 from .omni import (
     compare_adjoint,
     compare_trivial,
-    graph_check,
     induced_leibniz,
     matching_naive_image,
     omni_lie,
@@ -144,7 +142,7 @@ class _Run:
 
     def verdict(self, key: str, label: str, report) -> bool:
         """Record whether an ``IdentityReport`` holds as ``results[key]``, say
-        ``label: ok``, or ``label: FAILED`` and its first witnesses, and
+        ``label: ok``, or ``label: FAILED`` and up to five witnesses, and
         return whether it holds; the caller words its own failure."""
         self.results[key] = report.holds
         self.say(f"{label}: {'ok' if report.holds else 'FAILED'}")
@@ -188,7 +186,7 @@ def _witness_lines(report) -> list[str]:
 def cmd_check(args) -> int:
     run = _Run(args)
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
-    leib = g._derived("_verdict", check_leibniz)
+    leib = g.verdict
     run.results["dim"] = g.dim
     run.say(f"dimension: {g.dim}")
     if not run.verdict("leibniz", "Leibniz identity", leib):
@@ -217,9 +215,9 @@ def cmd_check(args) -> int:
 def cmd_lie2(args) -> int:
     run = _Run(args)
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
-    refusal = _refusal(g)
-    if refusal:
-        run.fail(refusal)
+    reason = refusal(g)
+    if reason:
+        run.fail(reason)
         return run.finish()
     if not run.verdict("jacobiator_identities", "Jacobiator identities",
                        check_jacobiator_identities(g)):
@@ -268,9 +266,9 @@ def cmd_cohomology(args) -> int:
     rep, rep_label = _resolve_representation(run, args, g)
     builtin = rep_label in ("trivial", "adjoint")
     # betti checks a built-in representation, or the one it ranks instead
-    refusal = _refusal(g, None if builtin else rep)
-    if refusal:
-        run.fail(refusal)
+    reason = refusal(g, None if builtin else rep)
+    if reason:
+        run.fail(reason)
         return run.finish()
     k_max = args.max_degree
     run.results["rep"] = rep_label
@@ -313,9 +311,9 @@ def cmd_mc(args) -> int:
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     rep = representation_from_json(g, run.read_document(args.representation,
                                                         "representation"))
-    refusal = _refusal(g, rep)
-    if refusal:
-        run.fail(refusal)
+    reason = refusal(g, rep)
+    if reason:
+        run.fail(reason)
         return run.finish()
     if not run.verdict("maurer_cartan", "Maurer-Cartan identity",
                        maurer_cartan_check(g, rep)):
@@ -328,9 +326,9 @@ def cmd_semidirect(args) -> int:
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     rep = representation_from_json(g, run.read_document(args.representation,
                                                         "representation"))
-    refusal = _refusal(g, rep)
-    if refusal:
-        _out(f"FAILED: {refusal}", sys.stderr)
+    reason = refusal(g, rep)
+    if reason:
+        _out(f"FAILED: {reason}", sys.stderr)
         return EXIT_CHECK_FAILED
     out = semidirect(g, rep, args.mode)
     _print_json(algebra_to_json(out))
@@ -346,7 +344,7 @@ def cmd_omni(args) -> int:
 def cmd_graph(args) -> int:
     run = _Run(args)
     phi = graph_from_json(run.read_document(args.graph, "graph map"))
-    report = phi._derived("_verdict", graph_check)
+    report = phi.verdict
     if args.emit_algebra and not args.json:
         # keep stdout pure JSON so the command stays pipeable
         if not report.holds:

@@ -39,7 +39,7 @@ from .algebra import (
     IdentityReport,
     LeibnizAlgebra,
     _report,
-    check_leibniz,
+    require,
     residual_witnesses,
 )
 from .linalg import Frozen, Matrix, Tensor, _to_integers, contract, rank, sparse_tensor
@@ -70,11 +70,18 @@ class Representation(Frozen):
     or the dense nested sequences (``linalg.sparse_tensor``)."""
 
     __slots__ = ("algebra", "vdim", "l", "r", "_verdict")
+    noun = "a representation"
 
     def __init__(self, algebra: LeibnizAlgebra, vdim: int, l, r):
         shape = (algebra.dim, vdim, vdim)
         self._set(algebra, vdim, sparse_tensor(l, shape, "left action"),
                   sparse_tensor(r, shape, "right action"))
+
+    @property
+    def verdict(self) -> IdentityReport:
+        """``check_representation`` of this representation, run on first
+        read and kept."""
+        return self._derived("_verdict", check_representation)
 
 
 def check_representation(rep: Representation) -> IdentityReport:
@@ -94,17 +101,6 @@ def check_representation(rep: Representation) -> IdentityReport:
     }
     return _report([w for label, terms in identities.items()
                     for w in residual_witnesses(contract(terms), rep.vdim, label, axes=2)])
-
-
-def _refusal(g: LeibnizAlgebra, rep: Optional[Representation] = None) -> Optional[str]:
-    """Why g is not a Leibniz algebra, or rep (when given) not a
-    representation of it, or None when they are.  Each value keeps the
-    report of its identity, so it is checked once however often it is asked."""
-    for value, check, what in ((g, check_leibniz, "a Leibniz algebra"),
-                               (rep, check_representation, "a representation")):
-        if value is not None and not (report := value._derived("_verdict", check)).holds:
-            return f"input is not {what}; first witness at {report.witnesses[0].where}"
-    return None
 
 
 def trivial_rep(g: LeibnizAlgebra) -> Representation:
@@ -297,7 +293,7 @@ def betti(rep: Representation, k_max: int,
     Every degree is checked against the cap before any is built, and the
     first one over it raises ResourceCapExceeded.  Then an algebra that
     fails the Leibniz identity, or a representation that fails its
-    conditions, is refused with a ValueError naming the first witness.  The
+    conditions, is refused (``algebra.require``).  The
     rank of d_k is taken on its integer columns from ``coboundary_columns``,
     as the rows of the integer matrix (D d_k)^T, so no Fraction matrix is
     built and d_k is never laid out by rows.
@@ -318,9 +314,7 @@ def betti(rep: Representation, k_max: int,
     g = rep.algebra
     n, m = g.dim, rep.vdim
     _require_within_cap(n, m, k_max, cap)
-    refusal = _refusal(g, rep)
-    if refusal:
-        raise ValueError(refusal)
+    require(g, rep)
     ranks = []
     cleared: frozenset = frozenset()
     for k in range(k_max + 1):
@@ -344,24 +338,27 @@ def betti(rep: Representation, k_max: int,
 # semidirect products and the Maurer-Cartan identity
 
 def semidirect(g: LeibnizAlgebra, rep: Representation, mode: str) -> LeibnizAlgebra:
-    """Leibniz structure on g (+) V, refused unless it is Leibniz:
+    """Leibniz structure on g (+) V:
 
         mode "lr": [x+u, y+v] = [x,y] + l_x v + r_y u
         mode "l0": [x+u, y+v] = [x,y] + l_x v
+
+    g and rep are refused (``algebra.require``) in either mode unless they
+    are a Leibniz algebra and a representation of it; then the product is
+    Leibniz (Loday-Pirashvili, Math. Ann. 1993), which is checked on it as
+    an invariant.
     """
     if mode not in ("lr", "l0"):
         raise ValueError("mode must be 'lr' or 'l0'")
+    require(g, rep)
     n = g.dim
     c = dict(g.c)
     c.update(((i, n + b, n + w), v) for (i, w, b), v in rep.l.items())
     if mode == "lr":
         c.update(rbar(g, rep))
     out = LeibnizAlgebra(n + rep.vdim, c)
-    report = out._derived("_verdict", check_leibniz)
-    if not report.holds:
-        raise ValueError("semidirect product violates the Leibniz identity; "
-                         f"first witness at {report.witnesses[0].where} "
-                         "(is the representation valid?)")
+    if not out.verdict.holds:
+        raise AssertionError("semidirect product of a representation failed the Leibniz identity")
     return out
 
 

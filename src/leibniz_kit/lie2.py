@@ -26,6 +26,7 @@ from .algebra import (
     Witness,
     _report,
     left_center,
+    require,
     residual_witnesses,
     rows_of,
 )
@@ -125,10 +126,11 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     l1 is the inclusion of the left center, l2 on two degree-0 elements is
     the skew bracket, l2 of a degree-0 and a center element is half the
     original bracket (which still lies in the center since Z(g) is an
-    ideal), and l3 is the Jacobiator in center coordinates.  Both center
-    memberships are exact coordinate checks in Z(g); failure means the input
-    was not a Leibniz algebra.
+    ideal), and l3 is the Jacobiator in center coordinates.  g is refused
+    (``algebra.require``) unless it is a Leibniz algebra; then both center
+    memberships hold, and are exact coordinate checks in Z(g).
     """
+    require(g)
     n = g.dim
     z = left_center(g)
     d1 = z.dim
@@ -140,8 +142,8 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
         for where, v in sorted(rows_of(tensor).items()):
             x = z.coordinates_of(v)
             if x is None:
-                raise ValueError(f"{context.format(*where)} is not in the left center; "
-                                 "input violates the Leibniz identity")
+                raise AssertionError(f"{context.format(*where)} of a Leibniz algebra "
+                                     "is not in the left center")
             coords.update(((*where, a), xa) for (a,), xa in x.items())
         return coords
 

@@ -77,12 +77,10 @@ QUARTER = Fraction(1, 4)
 
 
 def as_rational(x) -> Fraction:
-    """Coerce int / str / Fraction to Fraction.  Floats are rejected."""
+    """Coerce int / str / Fraction to Fraction.  Floats and bools are rejected."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
 
@@ -211,13 +209,13 @@ def sparse_tensor(t, shape: tuple, what: str) -> Tensor:
     """The ``Tensor`` of the given shape holding t: a mapping {index tuple:
     scalar}, or the nested sequences of the dense form.  Zeros are dropped.
     Raises ValueError, naming ``what``, on a key that is no index of the
-    shape or on an axis of the wrong length."""
+    shape (a bool is none) or on an axis of the wrong length."""
     if not isinstance(t, Mapping):
         t = sparse(freeze(t, shape, what), len(shape))
     out = {}
     for key, v in t.items():
         if not (isinstance(key, tuple) and len(key) == len(shape)
-                and all(isinstance(i, int) and 0 <= i < d for i, d in zip(key, shape))):
+                and all(type(i) is int and 0 <= i < d for i, d in zip(key, shape))):
             raise ValueError(f"{what}: key {key!r} is no index of shape {shape}")
         v = as_rational(v)
         if v:

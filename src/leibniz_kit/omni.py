@@ -56,18 +56,16 @@ from .algebra import (
     IdentityReport,
     LeibnizAlgebra,
     _report,
-    check_leibniz,
+    require,
     residual_witnesses,
 )
 from .cohomology import (
     DEFAULT_CAP,
     BettiReport,
     Representation,
-    _refusal,
     _require_within_cap,
     adjoint_rep,
     betti,
-    check_representation,
     coboundary,
     conjugation_rep,
     trivial_rep,
@@ -97,7 +95,7 @@ def omni_lie(m: int) -> LeibnizAlgebra:
     actions = {(a * m + b, m2 + b, m2 + a): 1 for a, b in product(range(m), repeat=2)}
     out = LeibnizAlgebra(m2 + m, contract([(1, "ijk->ijk", products), (-1, "jik->ijk", products),
                                            (1, "ijk->ijk", actions)]))
-    if not out._derived("_verdict", check_leibniz).holds:
+    if not out.verdict.holds:
         raise AssertionError("omni bracket failed the Leibniz identity")
     return out
 
@@ -114,9 +112,15 @@ class GraphMap(Frozen):
     (``linalg.sparse_tensor``)."""
 
     __slots__ = ("vdim", "phi", "_verdict")
+    noun = "a closed graph map"
 
     def __init__(self, vdim: int, phi):
         self._set(vdim, sparse_tensor(phi, (vdim,) * 3, "graph map"))
+
+    @property
+    def verdict(self) -> IdentityReport:
+        """``graph_check`` of this map, run on first read and kept."""
+        return self._derived("_verdict", graph_check)
 
 
 def graph_check(phi: GraphMap) -> IdentityReport:
@@ -130,14 +134,12 @@ def graph_check(phi: GraphMap) -> IdentityReport:
 
 
 def induced_leibniz(phi: GraphMap) -> LeibnizAlgebra:
-    """The bracket [u, v] = phi(u) v on V, defined when the graph closes."""
-    report = phi._derived("_verdict", graph_check)
-    if not report.holds:
-        raise ValueError("graph map fails the closure condition at "
-                         f"{report.witnesses[0].where}")
+    """The bracket [u, v] = phi(u) v on V, defined when the graph closes
+    (``algebra.require``)."""
+    require(phi)
     # [e_i, e_j] = phi_i e_j has entry (phi_i)[k][j] at k
     out = LeibnizAlgebra(phi.vdim, {(i, j, k): v for (i, k, j), v in phi.phi.items()})
-    if not out._derived("_verdict", check_leibniz).holds:
+    if not out.verdict.holds:
         raise AssertionError("graph-induced bracket failed the Leibniz identity")
     return out
 
@@ -170,6 +172,7 @@ class NaiveRepresentation(Frozen):
     """
 
     __slots__ = ("algebra", "vdim", "phi", "theta", "_reduced", "_verdict")
+    noun = "a naive representation"
 
     def __init__(self, algebra: LeibnizAlgebra, vdim: int, phi, theta):
         n = algebra.dim
@@ -178,6 +181,11 @@ class NaiveRepresentation(Frozen):
         matrix = {(p, i): x for (i, p), x in _rho_entries(n, vdim, phi, theta).items()}
         self._set(algebra, vdim, phi, theta, reduced_rows(
             Tensor((vdim * vdim + vdim, n), dict(sorted(matrix.items())))))
+
+    @property
+    def verdict(self) -> IdentityReport:
+        """``naive_check`` of this map, run on first read and kept."""
+        return self._derived("_verdict", naive_check)
 
     @property
     def ambient_dim(self) -> int:
@@ -218,20 +226,18 @@ def trivial_naive_rep(g: LeibnizAlgebra, xi) -> NaiveRepresentation:
     [g,g], a sparse vector {(i,): x} (or a dense sequence) of length dim g."""
     xi = sparse_tensor(xi, (g.dim,), "functional")
     rho = NaiveRepresentation(g, 1, {}, {(i, 0): x for (i,), x in xi.items()})
-    if not rho._derived("_verdict", naive_check).holds:
+    if not rho.verdict.holds:
         raise ValueError("functional does not vanish on the derived subalgebra")
     return rho
 
 
 def adjoint_naive(g: LeibnizAlgebra) -> NaiveRepresentation:
-    """rho(x) = (left multiplication by x) + x, acting on g itself;
-    ValueError, in ``betti``'s words, unless g is a Leibniz algebra."""
-    refusal = _refusal(g)
-    if refusal:
-        raise ValueError(refusal)
+    """rho(x) = (left multiplication by x) + x, acting on g itself; g is
+    refused (``algebra.require``) unless it is a Leibniz algebra."""
+    require(g)
     n = g.dim
     rho = NaiveRepresentation(g, n, adjoint_rep(g).l, {(i, i): 1 for i in range(n)})
-    if not rho._derived("_verdict", naive_check).holds:
+    if not rho.verdict.holds:
         raise AssertionError("adjoint naive map is not a homomorphism")
     if len(rho._reduced[1]) != n:
         raise AssertionError(f"adjoint naive image has dim {len(rho._reduced[1])}, expected {n}")
@@ -241,15 +247,14 @@ def adjoint_naive(g: LeibnizAlgebra) -> NaiveRepresentation:
 def naive_from_rep(rep: Representation) -> NaiveRepresentation:
     """Package a classical representation (V, l, r) as a naive representation
     on the matrix space V* (x) V: the gl part acts by [l_x, .] and the V part
-    is the flattened right action."""
-    refusal = _refusal(rep.algebra, rep)
-    if refusal:
-        raise ValueError(refusal)
+    is the flattened right action; refused (``algebra.require``) unless rep
+    is a representation of a Leibniz algebra."""
+    require(rep.algebra, rep)
     m = rep.vdim
     conj = conjugation_rep(Representation(rep.algebra, m, rep.l, {}))
     theta = {(i, a * m + b): v for (i, a, b), v in rep.r.items()}
     rho = NaiveRepresentation(rep.algebra, m * m, conj.l, theta)
-    if not rho._derived("_verdict", naive_check).holds:
+    if not rho.verdict.holds:
         raise AssertionError("induced naive map is not a homomorphism")
     return rho
 
@@ -259,7 +264,8 @@ def naive_from_rep(rep: Representation) -> NaiveRepresentation:
 
 def image_representation(rho: NaiveRepresentation) -> Representation:
     """The action of g on the image of rho by left/right omni multiplication,
-    in the basis rho(e_J); ValueError unless ``naive_check`` holds.
+    in the basis rho(e_J); refused (``algebra.require``) unless rho is a
+    homomorphism.
 
     Then ker rho is a two-sided ideal and this is the adjoint representation
     of g on g / ker rho: [[rho(e_i), rho(e_(J_b))]] = rho([e_i, e_(J_b)]),
@@ -267,13 +273,10 @@ def image_representation(rho: NaiveRepresentation) -> Representation:
 
         l_i[a,b] = sum_k R[a,k] c[i,J_b,k]      r_i[a,b] = sum_k R[a,k] c[J_b,i,k].
 
-    rho keeps the ``naive_check`` report its constructor made, and the
-    result is a new value, which ``betti``'s refusal checks once.
+    rho keeps its ``verdict``, and the result is a new value, which
+    ``betti``'s refusal checks once.
     """
-    report = rho._derived("_verdict", naive_check)
-    if not report.holds:
-        w = report.witnesses[0]
-        raise ValueError(f"the map is not a homomorphism; first witness {w.label} at {w.where}")
+    require(rho)
     g = rho.algebra
     R, pivots = rho._reduced
     at = {j: b for b, j in enumerate(pivots)}
@@ -440,7 +443,7 @@ def tautological_rep(phi: GraphMap) -> NaiveRepresentation:
     g = induced_leibniz(phi)
     m = phi.vdim
     rho = NaiveRepresentation(g, m, phi.phi, {(i, i): 1 for i in range(m)})
-    if not rho._derived("_verdict", naive_check).holds:
+    if not rho.verdict.holds:
         raise AssertionError("tautological graph map is not a homomorphism")
     return rho
 
@@ -452,17 +455,18 @@ def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
 
         l_x u = phi(theta(x)) u          r_x u = phi(u) theta(x).
 
-    The image representation is checked against the cap before it is built,
-    and ``image_representation`` refuses a map that is no homomorphism
-    before the induced actions are.  ``_compare`` holds the two: for
+    A graph that does not close is refused (``algebra.require``).  The image
+    representation is checked against the cap before it is built, and
+    ``image_representation`` refuses a map that is no homomorphism.  Then
+    the induced actions are a representation, which the ``betti`` of
+    ``_compare`` checks, like any other.  ``_compare`` holds the two: for
     ``tautological_rep`` the two are equal and the classical complex is
     ranked once; where they differ (theta = 0 over sl2: an image of dim 0
     against a module of dim 2) ``side_checks_ok`` is False with its note.
     ValueError for k_max < 1.
     """
     _require_comparison_degree(k_max)
-    if not phi._derived("_verdict", graph_check).holds:
-        raise ValueError("graph map fails the closure condition")
+    require(phi)
     if phi.vdim != rho.vdim:
         raise ValueError("graph and representation act on different spaces")
     g = rho.algebra
@@ -472,9 +476,4 @@ def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
     image = _image_within_cap(rho, k_max, cap)
     # the escape check has proven l_x = phi(theta(x)) = rho.phi[x]
     rs = contract([(1, "auv,iv->iua", phi.phi, rho.theta)])
-    rep = Representation(g, rho.vdim, rho.phi, rs)
-    report = rep._derived("_verdict", check_representation)
-    if not report.holds:
-        raise ValueError("induced actions fail the representation conditions at "
-                         f"{report.witnesses[0].where}")
-    return _compare(image, rep, k_max, cap)
+    return _compare(image, Representation(g, rho.vdim, rho.phi, rs), k_max, cap)

@@ -1,8 +1,10 @@
 """Each premise is proven once per value: a checked value keeps the report of
-its defining identity in its ``_verdict`` slot, and ``lie2`` keeps the skew
-bracket and the Jacobiator of an algebra, so however many callers in one
-command ask (the CLI's refusal, a constructor, each ``betti``), each value
-is checked, or each form computed, once.
+its defining identity, its ``verdict``, and ``lie2`` keeps the skew bracket
+and the Jacobiator of an algebra, so however many callers in one command ask
+(the CLI's refusal, the ``algebra.require`` of each library entry point, a
+constructor, each ``betti``), each value is checked, or each form computed,
+once.  ``semidirect`` refuses its inputs itself, and reads the verdicts that
+the CLI made.
 
 The calls are counted by wrapping the functions on every module of the
 package that binds them, as ``perfbench/launch.py`` does, around
@@ -47,6 +49,8 @@ COUNTS = {
     "cohomology fixtures/omni2.json --rep adjoint --max-degree 1":
         {"check_leibniz": 1, "check_representation": 1},
     "mc omni3.json rep3.json": {"check_leibniz": 3, "check_representation": 1},
+    "semidirect fixtures/heis3.json fixtures/rep_adjoint_heis3.json":
+        {"check_leibniz": 2, "check_representation": 1},
     "lie2 omni3.json": {"check_leibniz": 1, "_jacobiator": 1, "skew_bracket": 1},
     "check fixtures/heis3.json": {"check_leibniz": 1},
     "graph fixtures/graph_heis3.json --emit-algebra": {"check_leibniz": 1, "graph_check": 1},

@@ -163,7 +163,8 @@ def test_corrupted_lie2_keeps_axiom_b():
 
 def test_build_lie2_rejects_non_leibniz_like_oracle():
     g = _perturbed_omni2()
-    with pytest.raises(ValueError, match="is not in the left center"):
+    with pytest.raises(ValueError, match="^input is not a Leibniz algebra; first witness at "
+                                         "\\(0, 1, 0\\)$"):
         build_lie2(g)
     with pytest.raises(ValueError):
         oracles.build_lie2(g)

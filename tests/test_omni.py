@@ -329,7 +329,9 @@ def test_image_representation_refuses_a_map_that_is_no_homomorphism():
     # the corrupted theta of L2 fails con2 first at (0, 0)
     g = l2_algebra()
     bad = NaiveRepresentation(g, 2, adjoint_naive(g).phi, (list(E(2, 0)), [F(1), F(1)]))
-    message = "^the map is not a homomorphism; first witness con2 at \\(0, 0\\)$"
+    first = bad.verdict.witnesses[0]
+    assert (first.label, first.where) == ("con2", (0, 0))
+    message = "^input is not a naive representation; first witness at \\(0, 0\\)$"
     with pytest.raises(ValueError, match=message):
         image_representation(bad)
     with pytest.raises(ValueError, match=message):
@@ -754,18 +756,26 @@ def test_construction_invariants_survive_optimize_flag():
     # python -O strips assert statements; each construction re-checks its
     # result explicitly, so a check forced to fail must still raise
     script = """
+import leibniz_kit.algebra as algebra
+import leibniz_kit.cohomology as cohomology
+import leibniz_kit.lie2 as lie2
 import leibniz_kit.omni as omni
-from leibniz_kit import IdentityReport, adjoint_rep
+from leibniz_kit import IdentityReport, Subspace, adjoint_rep
 from leibniz_kit.fixtures import graph_for, heisenberg3, l2_algebra
 
 phi = graph_for(heisenberg3())
 failing = lambda *args: IdentityReport(False)
 cases = [
-    (omni, "check_leibniz", failing, lambda: omni.induced_leibniz(phi)),
-    (omni, "check_leibniz", failing, lambda: omni.omni_lie(1)),
+    (algebra, "check_leibniz", failing, lambda: omni.induced_leibniz(phi)),
+    (algebra, "check_leibniz", failing, lambda: omni.omni_lie(1)),
     (omni, "naive_check", failing, lambda: omni.adjoint_naive(l2_algebra())),
     (omni, "naive_check", failing, lambda: omni.tautological_rep(phi)),
     (omni, "naive_check", failing, lambda: omni.naive_from_rep(adjoint_rep(l2_algebra()))),
+    # inputs that pass their checks, and an output check or a left center
+    # that goes wrong after them
+    (algebra, "check_leibniz", lambda g: IdentityReport(g.dim <= 2),
+     lambda: cohomology.semidirect(l2_algebra(), adjoint_rep(l2_algebra()), "lr")),
+    (lie2, "left_center", lambda g: Subspace(g.dim, []), lambda: lie2.build_lie2(omni.omni_lie(2))),
 ]
 for module, name, fake, call in cases:
     real = getattr(module, name)

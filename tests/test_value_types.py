@@ -35,7 +35,7 @@ from leibniz_kit import (
 )
 from leibniz_kit.algebra import dense
 from leibniz_kit.lie2 import _jacobiator
-from leibniz_kit.linalg import Tensor, span_of_rows, sparse_tensor
+from leibniz_kit.linalg import Tensor, as_rational, span_of_rows, sparse_tensor
 
 Z2 = [[0, 0], [0, 0]]
 I2 = [[1, 0], [0, 1]]
@@ -191,6 +191,9 @@ WRONG_SHAPES = [
     (lambda: LeibnizAlgebra(1, {0: 1}), "structure tensor: key 0 is no index of shape (1, 1, 1)"),
     (lambda: LeibnizAlgebra(2, {(0, "1", 0): 1}),
      "structure tensor: key (0, '1', 0) is no index of shape (2, 2, 2)"),
+    (lambda: LeibnizAlgebra(2, {(True, 0, 1): 1}),
+     "structure tensor: key (True, 0, 1) is no index of shape (2, 2, 2)"),
+    (lambda: trivial_naive_rep(_l2(), {(False,): 1}), "functional: key (False,) is no index of shape (2,)"),
     # the actions: every field of every value type goes through one check
     (lambda: Representation(_l2(), 2, {(2, 0, 0): 1}, {}),
      "left action: key (2, 0, 0) is no index of shape (2, 2, 2)"),
@@ -236,6 +239,14 @@ def test_hand_built_tensors_are_checked_and_made_canonical():
     assert Subspace(2, Tensor((1, 2), {(0, 1): 1, (0, 0): 0})).basis == {(0, 1): 1}
     with pytest.raises(TypeError, match="exact scalar"):
         LeibnizAlgebra(1, Tensor((1, 1, 1), {(0, 0, 0): 0.5}))
+
+
+def test_a_bool_is_no_exact_scalar():
+    # bool subclasses int; the JSON reader refuses it, and so do the constructors
+    for build in (lambda: as_rational(True), lambda: LeibnizAlgebra(2, {(1, 0, 1): True}),
+                  lambda: LeibnizAlgebra(1, [[[False]]]), lambda: GraphMap(1, {(0, 0, 0): True})):
+        with pytest.raises(TypeError, match="^expected an exact scalar, got bool$"):
+            build()
 
 
 def test_sparse_tensors_are_read_only():
