@@ -151,17 +151,24 @@ def residual_witnesses(residual: dict, dim: int, label: str, axes: int = 1) -> l
             for where, block in sorted(rows_of(residual, axes).items())]
 
 
-def check_leibniz(g: LeibnizAlgebra) -> IdentityReport:
-    """Evaluate [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]] on all basis triples.
+def leibniz_residual(c: dict) -> dict:
+    """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]] at (i, j, k, t), t
+    the output coordinate, for the bracket of structure constants c: the one
+    place that writes the Leibniz identity.
 
-    The three terms are contractions of the sparse structure tensor, and the
+    The three terms are contractions of the sparse tensor c, and the
     residual covers every basis triple: a triple no term reaches is exactly
-    zero, so a report that holds is a proof on the whole basis.
+    zero.  ``check_leibniz`` reads it for an algebra, and the Maurer-Cartan
+    residual and graph closure are it for a deformed or an induced bracket.
     """
-    c = g.c
-    residual = contract([(1, "jka,iat->ijkt", c, c), (-1, "ija,akt->ijkt", c, c),
-                         (-1, "ika,jat->ijkt", c, c)])
-    return _report(residual_witnesses(residual, g.dim, "leibniz"))
+    return contract([(1, "jka,iat->ijkt", c, c), (-1, "ija,akt->ijkt", c, c),
+                     (-1, "ika,jat->ijkt", c, c)])
+
+
+def check_leibniz(g: LeibnizAlgebra) -> IdentityReport:
+    """The Leibniz residual of g on all basis triples; a report that holds
+    is a proof on the whole basis."""
+    return _report(residual_witnesses(leibniz_residual(g.c), g.dim, "leibniz"))
 
 
 def left_multiplication_matrix(g: LeibnizAlgebra) -> Tensor:

@@ -208,8 +208,11 @@ class Tensor(dict):
 def sparse_tensor(t, shape: tuple, what: str) -> Tensor:
     """The ``Tensor`` of the given shape holding t: a mapping {index tuple:
     scalar}, or the nested sequences of the dense form.  Zeros are dropped.
-    Raises ValueError, naming ``what``, on a key that is no index of the
+    Raises ValueError, naming ``what``, on a shape with an axis that is no
+    size (an int >= 0; a bool is none), on a key that is no index of the
     shape (a bool is none) or on an axis of the wrong length."""
+    if not all(type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"{what}: shape {shape!r} has an axis that is no size")
     if not isinstance(t, Mapping):
         t = sparse(freeze(t, shape, what), len(shape))
     out = {}

@@ -33,8 +33,11 @@ chain-level correspondence F -> rho o F, D^img_k E_k = E_{k+1} D^cl_k with
 E = I, holds in every degree exactly when the two are equal: one exact
 equality, after which the classical complex is ranked once.
 
-Graph closure and the component conditions of a naive representation are
-``linalg.contract`` sums, like every other identity.
+A graph closes exactly when the bracket [u, v] = phi(u) v it induces on V
+is Leibniz, so ``graph_check`` is the Leibniz residual of that bracket
+(``algebra.leibniz_residual``), read transposed.  The component conditions
+of a naive representation are ``linalg.contract`` sums, like every other
+identity.
 
 The omni algebra is its structure constants: ``omni_lie`` writes [E_ab,
 E_cd] = d_bc E_ad - d_da E_cb and [E_ab, e_c] = d_bc e_a as one contraction,
@@ -56,6 +59,7 @@ from .algebra import (
     IdentityReport,
     LeibnizAlgebra,
     _report,
+    leibniz_residual,
     require,
     residual_witnesses,
 )
@@ -123,13 +127,18 @@ class GraphMap(Frozen):
         return self._derived("_verdict", graph_check)
 
 
+def _induced_bracket(phi: GraphMap) -> dict:
+    """The structure constants of [u, v] = phi(u) v on V: [e_i, e_j] =
+    phi_i e_j has entry (phi_i)[k][j] at k."""
+    return {(i, j, k): v for (i, k, j), v in phi.phi.items()}
+
+
 def graph_check(phi: GraphMap) -> IdentityReport:
-    """The closure condition [phi(u), phi(v)] = phi(phi(u) v) on basis pairs,
-    as a contraction of P[i,a,b] = (phi_i)[a][b] with itself; each witness
-    carries the m x m defect at (i, j)."""
-    P = phi.phi
-    residual = contract([(1, "iau,jub->ijab", P, P), (-1, "jau,iub->ijab", P, P),
-                         (-1, "iuj,uab->ijab", P, P)])
+    """The closure condition [phi(u), phi(v)] = phi(phi(u) v) on basis pairs.
+    The graph closes exactly when the induced bracket [u, v] = phi(u) v is
+    Leibniz, and its defect at (i, j) is the Leibniz residual of that bracket
+    at (i, j, b, a), read transposed; each witness carries the m x m defect."""
+    residual = contract([(1, "ijba->ijab", leibniz_residual(_induced_bracket(phi)))])
     return _report(residual_witnesses(residual, phi.vdim, "graph", axes=2))
 
 
@@ -137,8 +146,7 @@ def induced_leibniz(phi: GraphMap) -> LeibnizAlgebra:
     """The bracket [u, v] = phi(u) v on V, defined when the graph closes
     (``algebra.require``)."""
     require(phi)
-    # [e_i, e_j] = phi_i e_j has entry (phi_i)[k][j] at k
-    out = LeibnizAlgebra(phi.vdim, {(i, j, k): v for (i, k, j), v in phi.phi.items()})
+    out = LeibnizAlgebra(phi.vdim, _induced_bracket(phi))
     if not out.verdict.holds:
         raise AssertionError("graph-induced bracket failed the Leibniz identity")
     return out
@@ -223,11 +231,12 @@ def trivial_naive_space(g: LeibnizAlgebra) -> Subspace:
 
 def trivial_naive_rep(g: LeibnizAlgebra, xi) -> NaiveRepresentation:
     """The naive representation on Q determined by a functional xi killing
-    [g,g], a sparse vector {(i,): x} (or a dense sequence) of length dim g."""
+    [g,g], a sparse vector {(i,): x} (or a dense sequence) of length dim g;
+    refused (``algebra.require``) unless it is a naive representation, that
+    is, unless xi kills [g,g]."""
     xi = sparse_tensor(xi, (g.dim,), "functional")
     rho = NaiveRepresentation(g, 1, {}, {(i, 0): x for (i,), x in xi.items()})
-    if not rho.verdict.holds:
-        raise ValueError("functional does not vanish on the derived subalgebra")
+    require(rho)
     return rho
 
 

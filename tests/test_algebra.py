@@ -18,7 +18,7 @@ from leibniz_kit import (
     square_in_center_check,
 )
 from leibniz_kit.fixtures import heisenberg3, l2_algebra, nonleibniz, nonleibniz2, sl2
-from leibniz_kit.algebra import dense
+from leibniz_kit.algebra import dense, leibniz_residual, residual_witnesses
 from leibniz_kit.linalg import contract, rref
 from leibniz_kit.omni import omni_lie
 from oracles import basis_rows, bracket, contains, from_rows, matmul, to_rows
@@ -128,6 +128,19 @@ def test_square_in_center(positive_algebras):
 
 
 def test_square_in_center_negative():
+    assert not square_in_center_check(nonleibniz()).holds
+
+
+def test_the_squares_residual_is_the_leibniz_residual_symmetrized(positive_algebras,
+                                                                    negative_algebras):
+    # [[e_i,e_j] + [e_j,e_i], e_k] = -(L(i,j,k) + L(j,i,k)) for L the Leibniz
+    # residual, the [e_i,[e_j,e_k]] and [e_j,[e_i,e_k]] terms cancelling, so
+    # the squares check fails only where the Leibniz identity fails
+    for name, g in {**positive_algebras, **negative_algebras}.items():
+        L = leibniz_residual(g.c)
+        symmetrized = contract([(-1, "ijkt->ijkt", L), (-1, "jikt->ijkt", L)])
+        expected = residual_witnesses(symmetrized, g.dim, "square-center")
+        assert square_in_center_check(g).witnesses == tuple(expected), name
     assert not square_in_center_check(nonleibniz()).holds
 
 

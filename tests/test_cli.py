@@ -69,6 +69,20 @@ def test_every_failed_check_is_followed_by_its_first_witnesses(argv, monkeypatch
         assert rest == [] or (len(shown) == 5 and len(rest) == 1 and more.fullmatch(rest[0])), lines[i]
 
 
+def test_the_witness_tail_counts_the_witnesses_not_shown(tmp_path, capsys):
+    # [e_i, e_j] = e_0 + e_1 fails both identities on all 8 triples, with
+    # defects -2 (e_0 + e_1) and 4 (e_0 + e_1): 5 witnesses and "... and 3 more"
+    doc = tmp_path / "ones.json"
+    doc.write_text(json.dumps({"schema": "leibniz-kit/1", "dim": 2, "c": [[[1, 1]] * 2] * 2}),
+                   encoding="utf-8")
+    assert main(["check", str(doc)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for label, defect in (("leibniz", "(-2, -2)"), ("square-center", "(4, 4)")):
+        i = lines.index(f"  witness {label} at (0, 0, 0): {defect}")
+        assert lines[i + 4:i + 6] == [f"  witness {label} at (1, 0, 0): {defect}",
+                                      "  ... and 3 more"], label
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -330,6 +344,13 @@ def test_a_long_non_integer_cap_exits_2_with_a_short_line(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: LEIBNIZ_KIT_CAP must be an integer, got a str beginning 'xxx")
     assert err.count("\n") == 1 and len(err.encode("utf-8")) < 200
+
+
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_a_cap_that_is_not_positive_exits_2(monkeypatch, capsys, raw):
+    monkeypatch.setenv("LEIBNIZ_KIT_CAP", raw)
+    assert main(["cohomology", str(FIXTURES / "L2.json")]) == 2
+    assert capsys.readouterr() == ("", "input error: LEIBNIZ_KIT_CAP must be positive\n")
 
 
 @pytest.mark.parametrize("scalar", ["1" * 5000, "-1/" + "7" * 5000], ids=["integer", "fraction"])

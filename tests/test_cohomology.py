@@ -71,6 +71,8 @@ from leibniz_kit.fixtures import (
     nonleibniz2,
     sl2,
 )
+from leibniz_kit.algebra import leibniz_residual
+from leibniz_kit.cohomology import maurer_cartan_residual
 from leibniz_kit.linalg import Tensor, contract, sparse_tensor
 
 F = Fraction
@@ -296,6 +298,19 @@ def test_coboundary_refuses_a_cochain_of_another_shape():
                 check(rep, f)
 
 
+def test_the_maurer_cartan_residual_reads_its_cochain_like_any_tensor():
+    # r goes through sparse_tensor, as every mapping a constructor takes: a
+    # key that is no index of shape (n, n, n) is refused, and a dict is read
+    g = l2_algebra()
+    for key in ((0, 0, 2), (0, 0), (0, 0, 0, 0), (True, 0, 0)):
+        with pytest.raises(ValueError) as caught:
+            maurer_cartan_residual(g, {key: 1})
+        assert str(caught.value) == f"cochain: key {key!r} is no index of shape (2, 2, 2)"
+    r = {(0, 1, 1): 1, (1, 0, 0): F(1, 2)}
+    assert maurer_cartan_residual(g, r) == maurer_cartan_residual(g, sparse_tensor(r, (2, 2, 2), "r"))
+    assert maurer_cartan_residual(g, r)
+
+
 def _counting_columns(monkeypatch) -> list:
     """Record the number of columns each ``coboundary_columns`` call builds."""
     true_build = cohomology_module.coboundary_columns
@@ -408,6 +423,43 @@ def test_cohomologous_two_cocycles_give_isomorphic_extensions(positive_algebras)
             assert moved or coboundary_matrix(rep, 1).nnz() == 0, (name, m)
 
 
+def test_the_adjoint_coboundary_of_a_two_cochain_is_the_cross_term_of_the_leibniz_residual(
+        positive_algebras, negative_algebras):
+    # Leib(c + r) = Leib(c) + d r + Leib(r) as polynomials in c and r, for
+    # d the coboundary of the adjoint representation of c, Leibniz or not:
+    # d r is the part of the Leibniz residual of c + r linear in r, which is
+    # what lets the Maurer-Cartan residual build no coboundary
+    rng = random.Random(25)
+    for name, g in {**positive_algebras, **negative_algebras}.items():
+        rep = adjoint_rep(g)
+        moved = 0
+        for _ in range(6):
+            r = _random_sparse_cochain(rng, 2, g.dim, g.dim)
+            deformed = contract([(1, "ijt->ijt", g.c), (1, "ijt->ijt", r)])
+            cross = contract([(1, "ijkt->ijkt", leibniz_residual(deformed)),
+                              (-1, "ijkt->ijkt", leibniz_residual(g.c)),
+                              (-1, "ijkt->ijkt", leibniz_residual(r))])
+            d = coboundary(rep, r)
+            assert d == cross, name
+            moved += bool(d)
+        assert moved or coboundary_matrix(rep, 2).nnz() == 0, name
+
+
+def test_the_leibniz_residual_of_a_two_cocycle_is_a_three_cocycle(positive_algebras):
+    # for omega in ker d_2 (adjoint), c + t omega is Leibniz up to t^2 J,
+    # J the Leibniz residual of omega alone, and J is a 3-cocycle: the first
+    # obstruction to extending the deformation (Gerstenhaber, Ann. of Math.
+    # 79, 1964); this checks d_3 without a rank
+    nonzero = 0
+    for name, g in positive_algebras.items():
+        n, rep = g.dim, adjoint_rep(g)
+        for omega in _kernel_cochains(rep, 2):
+            J = sparse_tensor(leibniz_residual(omega), (n,) * 4, "cochain")
+            assert coboundary(rep, J) == {}, name
+            nonzero += bool(J)
+    assert nonzero
+
+
 def test_coboundary_matrix_is_columns_over_common_denominator(small_algebras,
                                                               dense_rational_algebras):
     # column j of d_k, over the common denominator, is column j of the
@@ -491,6 +543,17 @@ def test_the_cap_weighs_the_degrees_in_closed_form():
     with pytest.raises(ResourceCapExceeded):
         cohomology_module._require_within_cap(1, 1, 199, 20000)  # 200 * 201 / 2 = 20100
     cohomology_module._require_within_cap(1, 1, 10 ** 8, None)
+
+
+def test_a_degree_weight_at_the_cap_is_admitted():
+    # the cap bounds the weight from above: exactly at it is within it
+    cohomology_module._require_within_cap(1, 1, 198, 19900)  # 199 * 200 / 2 = 19900
+    cohomology_module._require_within_cap(0, 2, 3, 20)  # 2 * 4 * 5 / 2 = 20
+    assert betti(trivial_rep(LeibnizAlgebra.abelian(1)), 3, cap=10).dim_h(3) == 1
+    for n, m, k_max, cap in ((1, 1, 198, 19899), (0, 2, 3, 19), (1, 1, 3, 9)):
+        with pytest.raises(ResourceCapExceeded) as caught:
+            cohomology_module._require_within_cap(n, m, k_max, cap)
+        assert (caught.value.required, caught.value.cap) == (cap + 1, cap)
 
 
 def test_the_degree_weight_refuses_nothing_the_rows_admit():

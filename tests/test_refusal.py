@@ -23,9 +23,11 @@ from leibniz_kit import (
     quotient_by_left_center,
     semidirect,
     tautological_rep,
+    trivial_naive_rep,
     trivial_rep,
 )
 from leibniz_kit.algebra import refusal, require
+from leibniz_kit.cohomology import maurer_cartan_residual
 from leibniz_kit.fixtures import bad_graph, bad_representation, l2_algebra, nonleibniz
 
 NOT_LEIBNIZ = "input is not a Leibniz algebra; first witness at (0, 0, 0)"
@@ -69,6 +71,11 @@ REFUSALS = {
         lambda: graph_rep_cohomology(adjoint_naive(l2_algebra()), bad_graph(), 1), NOT_CLOSED),
     "image_representation": (lambda: image_representation(_corrupted_theta()), NOT_NAIVE),
     "naive_betti": (lambda: naive_betti(_corrupted_theta(), 1), NOT_NAIVE),
+    # the functional (0, 1) does not kill [e_0, e_0] = e_1
+    "trivial_naive_rep": (lambda: trivial_naive_rep(l2_algebra(), [0, 1]), NOT_NAIVE),
+    # a non-Leibniz h has no adjoint differential
+    "maurer_cartan_residual": (
+        lambda: maurer_cartan_residual(nonleibniz(), nonleibniz().c), NOT_LEIBNIZ),
 }
 
 

@@ -219,6 +219,25 @@ WRONG_SHAPES = [
     (lambda: LeibnizAlgebra(2, Tensor((2, 2, 2), {(0, 0, 5): 1})),
      "structure tensor: key (0, 0, 5) is no index of shape (2, 2, 2)"),
     (lambda: Subspace(2, [Tensor((2,), {(-1,): 1})]), "basis vector: key (-1,) is no index of shape (2,)"),
+    # a size is an int >= 0, and no bool: every constructor checks it through
+    # the shape it gives sparse_tensor
+    (lambda: LeibnizAlgebra(-1, {}),
+     "structure tensor: shape (-1, -1, -1) has an axis that is no size"),
+    (lambda: LeibnizAlgebra(2.0, {}),
+     "structure tensor: shape (2.0, 2.0, 2.0) has an axis that is no size"),
+    (lambda: LeibnizAlgebra(True, {(0, 0, 0): 1}),
+     "structure tensor: shape (True, True, True) has an axis that is no size"),
+    (lambda: LeibnizAlgebra("2", [[["0"]]]),
+     "structure tensor: shape ('2', '2', '2') has an axis that is no size"),
+    (lambda: Representation(LeibnizAlgebra(1, {}), True, {(0, 0, 0): 1}, {}),
+     "left action: shape (1, True, True) has an axis that is no size"),
+    (lambda: GraphMap(-2, {}), "graph map: shape (-2, -2, -2) has an axis that is no size"),
+    (lambda: NaiveRepresentation(_l2(), 1.0, {}, {}),
+     "phi: shape (2, 1.0, 1.0) has an axis that is no size"),
+    (lambda: _lie2(dim1=-1), "l1: shape (2, -1) has an axis that is no size"),
+    (lambda: Subspace(False, [{}]), "basis vector: shape (False,) has an axis that is no size"),
+    (lambda: sparse_tensor([], (0, None), "cochain"),
+     "cochain: shape (0, None) has an axis that is no size"),
 ]
 
 
