@@ -9,6 +9,7 @@ computed exactly with arbitrary-precision rationals.
 from .algebra import (
     IdentityReport,
     LeibnizAlgebra,
+    Refused,
     Witness,
     check_leibniz,
     derived_subalgebra,

@@ -97,11 +97,16 @@ def refusal(*values) -> Optional[str]:
     return None
 
 
+class Refused(ValueError):
+    """A premise of a construction fails on its input, as ``refusal`` words
+    it: the one exception a refused premise raises, wherever it is checked."""
+
+
 def require(*values) -> None:
-    """Raise ``refusal(*values)`` as a ValueError, unless every value holds."""
+    """Raise ``refusal(*values)`` as ``Refused``, unless every value holds."""
     reason = refusal(*values)
     if reason:
-        raise ValueError(reason)
+        raise Refused(reason)
 
 
 # ---------------------------------------------------------------------------

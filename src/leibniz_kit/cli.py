@@ -10,8 +10,15 @@ commands compose in pipelines:
 
 Each identity check is stated by ``_Run.verdict``; a failed one prints up to five witnesses.
 
-Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 malformed
-input, 3 resource cap exceeded; a closed stdout or stderr does not change them.
+``main`` is the one run boundary.  It builds the ``_Run``, calls the
+command's handler, and turns the outcome into the exit code, every one
+through ``_Run.finish``; a handler prints no verdict of its own and returns
+no code.  Exit codes: 0 all checks passed; 1 a mathematical check failed, or
+a premise was refused (``algebra.Refused``), by the handler or inside any
+library call; 2 malformed input (``serialize.SchemaError``, or argparse);
+3 resource cap exceeded.  Any other exception is a fault of the program and
+ends the run with its traceback.  A closed stdout or stderr does not change
+the code.
 """
 
 from __future__ import annotations
@@ -21,13 +28,15 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 from . import fixtures as fixture_corpus
 from .algebra import (
+    Refused,
     derived_subalgebra,
     is_lie,
     left_center,
-    refusal,
+    require,
     square_in_center_check,
 )
 from .cohomology import (
@@ -107,17 +116,16 @@ def _out(text: str, stream=None) -> None:
         os.close(devnull)
 
 
-def _print_json(doc) -> None:
-    """Print a JSON document on stdout, as every command writes one."""
-    _out(write_json(doc))
-
-
 class _Run:
-    """Collects inputs, results and timing for the final report."""
+    """Collects inputs, results and timing for the final report.  A command
+    that prints a document or lines instead (``emits``, without --json) puts
+    them in ``emitted``: stdout holds them alone, or nothing when it fails."""
 
     def __init__(self, args):
         self.command = args.command
         self.json_mode = getattr(args, "json", False)
+        self.emits = getattr(args, "emits", False) and not self.json_mode
+        self.emitted: list[str] = []
         self.inputs: list[dict] = []
         self.results: dict = {}
         self.started = time.perf_counter()
@@ -151,10 +159,20 @@ class _Run:
                 self.say(line)
         return report.holds
 
-    def finish(self) -> int:
-        """Print the run report, or without --json each failure or "ok"."""
-        if self.json_mode:
-            _print_json({
+    def finish(self, code: Optional[int] = None, line: str = "") -> int:
+        """End the run and give its exit code.  An input error or the cap
+        gives its ``code`` with ``line`` on stderr.  Otherwise print the
+        emitted lines, or the run report, or without --json each failure or
+        "ok"; an emitting run prints its failures on stderr."""
+        if code is not None:
+            _out(line, sys.stderr)
+            return code
+        failed = [f"FAILED: {message}" for message in self.failures]
+        if self.emits:
+            for text in failed or self.emitted:
+                _out(text, sys.stderr if failed else None)
+        elif self.json_mode:
+            _out(write_json({
                 "schema": SCHEMA,
                 "command": self.command,
                 "inputs": self.inputs,
@@ -162,9 +180,10 @@ class _Run:
                 "failures": self.failures,
                 "elapsed_s": round(time.perf_counter() - self.started, 6),
                 "status": "fail" if self.failures else "pass",
-            })
-        for line in [f"FAILED: {message}" for message in self.failures] or ["ok"]:
-            self.say(line)
+            }))
+        else:
+            for text in failed or ["ok"]:
+                _out(text)
         return EXIT_CHECK_FAILED if self.failures else EXIT_OK
 
 
@@ -183,8 +202,7 @@ def _witness_lines(report) -> list[str]:
     return lines
 
 
-def cmd_check(args) -> int:
-    run = _Run(args)
+def cmd_check(run, args) -> None:
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     leib = g.verdict
     run.results["dim"] = g.dim
@@ -209,16 +227,11 @@ def cmd_check(args) -> int:
     lie = is_lie(g)
     run.results["lie"] = lie
     run.say(f"Lie algebra: {'yes' if lie else 'no'}")
-    return run.finish()
 
 
-def cmd_lie2(args) -> int:
-    run = _Run(args)
+def cmd_lie2(run, args) -> None:
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
-    reason = refusal(g)
-    if reason:
-        run.fail(reason)
-        return run.finish()
+    require(g)
     if not run.verdict("jacobiator_identities", "Jacobiator identities",
                        check_jacobiator_identities(g)):
         run.fail("Jacobiator identities failed")
@@ -234,7 +247,6 @@ def cmd_lie2(args) -> int:
         run.say(f"axiom ({name}): {'FAILED' if name in broken else 'ok'}")
     if broken:
         run.fail(f"axioms failed: {', '.join(sorted(broken))}")
-    return run.finish()
 
 
 def _resolve_representation(run, args, g):
@@ -254,22 +266,18 @@ def _betti_table(run, label, report):
                 f"{d.dim_ker:7d}  {d.dim_h:5d}")
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(run, args) -> None:
     if args.compare and args.max_degree < 1:
         raise SchemaError("--compare needs --max-degree >= 1: the comparison "
                           "starts at degree 1")
     if args.compare and args.rep not in ("trivial", "adjoint"):
         raise SchemaError("--compare supports only --rep trivial or adjoint")
-    run = _Run(args)
     cap = _cap()
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     rep, rep_label = _resolve_representation(run, args, g)
     builtin = rep_label in ("trivial", "adjoint")
     # betti checks a built-in representation, or the one it ranks instead
-    reason = refusal(g, None if builtin else rep)
-    if reason:
-        run.fail(reason)
-        return run.finish()
+    require(g, None if builtin else rep)
     k_max = args.max_degree
     run.results["rep"] = rep_label
     run.results["max_degree"] = k_max
@@ -292,85 +300,59 @@ def cmd_cohomology(args) -> int:
             run.fail("dimensions differ in some degree >= 1")
         if not comparison.side_checks_ok:
             run.fail("chain-level correspondence check failed")
-        return run.finish()
+        return
 
     if args.naive:  # the naive complex is that of the image representation
         rep = matching_naive_image(g, rep_label if builtin else rep, k_max, cap)
         if rep is None:
             run.results["naive"] = {"zero_complex": True}
             run.say("derived subalgebra is all of g: the naive complex is zero")
-            return run.finish()
+            return
     report = betti(rep, k_max, cap)
     run.results["naive_betti" if args.naive else "betti"] = betti_to_json(report)
     _betti_table(run, "naive cohomology" if args.naive else f"cohomology ({rep_label})", report)
-    return run.finish()
 
 
-def cmd_mc(args) -> int:
-    run = _Run(args)
+def cmd_mc(run, args) -> None:
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     rep = representation_from_json(g, run.read_document(args.representation,
                                                         "representation"))
-    reason = refusal(g, rep)
-    if reason:
-        run.fail(reason)
-        return run.finish()
+    require(g, rep)
     if not run.verdict("maurer_cartan", "Maurer-Cartan identity",
                        maurer_cartan_check(g, rep)):
         run.fail("Maurer-Cartan identity failed")
-    return run.finish()
 
 
-def cmd_semidirect(args) -> int:
-    run = _Run(args)
+def cmd_semidirect(run, args) -> None:
     g = algebra_from_json(run.read_document(args.algebra, "algebra"))
     rep = representation_from_json(g, run.read_document(args.representation,
                                                         "representation"))
-    reason = refusal(g, rep)
-    if reason:
-        _out(f"FAILED: {reason}", sys.stderr)
-        return EXIT_CHECK_FAILED
-    out = semidirect(g, rep, args.mode)
-    _print_json(algebra_to_json(out))
-    return EXIT_OK
+    run.emitted = [write_json(algebra_to_json(semidirect(g, rep, args.mode)))]
 
 
-def cmd_omni(args) -> int:
-    out = omni_lie(args.dim)
-    _print_json(algebra_to_json(out))
-    return EXIT_OK
+def cmd_omni(run, args) -> None:
+    run.emitted = [write_json(algebra_to_json(omni_lie(args.dim)))]
 
 
-def cmd_graph(args) -> int:
-    run = _Run(args)
+def cmd_graph(run, args) -> None:
     phi = graph_from_json(run.read_document(args.graph, "graph map"))
-    report = phi.verdict
-    if args.emit_algebra and not args.json:
-        # keep stdout pure JSON so the command stays pipeable
-        if not report.holds:
-            _out("FAILED: graph map does not close; first witness at "
-                 f"{report.witnesses[0].where}", sys.stderr)
-            return EXIT_CHECK_FAILED
-        _print_json(algebra_to_json(induced_leibniz(phi)))
-        return EXIT_OK
-    if not run.verdict("closes", "graph closure [phi(u), phi(v)] = phi(phi(u) v)", report):
+    if run.emits:  # without --json, stdout holds the induced algebra alone
+        run.emitted = [write_json(algebra_to_json(induced_leibniz(phi)))]
+    elif not run.verdict("closes", "graph closure [phi(u), phi(v)] = phi(phi(u) v)",
+                         phi.verdict):
         run.fail("graph map does not close")
-    elif args.emit_algebra:
+    elif args.emits:
         run.results["induced_algebra"] = algebra_to_json(induced_leibniz(phi))
-    return run.finish()
 
 
-def cmd_fixtures(args) -> int:
+def cmd_fixtures(run, args) -> None:
     if not args.dest:
-        lines = sorted(fixture_corpus.corpus())
-    else:
-        try:
-            lines = fixture_corpus.write_corpus(args.dest)
-        except OSError as exc:
-            raise SchemaError(f"cannot write the corpus to {args.dest}: {exc}")
-    for line in lines:
-        _out(line)
-    return EXIT_OK
+        run.emitted = sorted(fixture_corpus.corpus())
+        return
+    try:
+        run.emitted = fixture_corpus.write_corpus(args.dest)
+    except OSError as exc:
+        raise SchemaError(f"cannot write the corpus to {args.dest}: {exc}")
 
 
 def _nonnegative_int(text: str) -> int:
@@ -428,34 +410,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("representation")
     p.add_argument("--mode", choices=("lr", "l0"), default="lr")
-    p.set_defaults(handler=cmd_semidirect)
+    p.set_defaults(handler=cmd_semidirect, emits=True)
 
     p = sub.add_parser("omni", help="emit the omni algebra of Q^m")
     p.add_argument("--dim", type=_nonnegative_int, required=True)
-    p.set_defaults(handler=cmd_omni)
+    p.set_defaults(handler=cmd_omni, emits=True)
 
     p = sub.add_parser("graph", help="check closure of a map V -> gl(V)")
     p.add_argument("graph")
-    p.add_argument("--emit-algebra", action="store_true",
+    p.add_argument("--emit-algebra", dest="emits", action="store_true",
                    help="print the induced algebra when the graph closes")
     add_json(p)
     p.set_defaults(handler=cmd_graph)
 
     p = sub.add_parser("fixtures", help="list or export the built-in corpus")
     p.add_argument("--dest", help="directory to write the corpus into")
-    p.set_defaults(handler=cmd_fixtures)
+    p.set_defaults(handler=cmd_fixtures, emits=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and give its exit code: the one run boundary."""
+    args = build_parser().parse_args(argv)
+    run = _Run(args)
     try:
-        return args.handler(args)
+        args.handler(run, args)
+    except Refused as exc:
+        run.fail(str(exc))
+    except SchemaError as exc:
+        return run.finish(EXIT_INPUT_ERROR, f"input error: {exc}")
     except ResourceCapExceeded as exc:
-        _out(f"resource cap: {exc} (override with {CAP_ENV_VAR})", sys.stderr)
-        return EXIT_RESOURCE_CAP
-    except ValueError as exc:
-        _out(f"input error: {exc}", sys.stderr)
-        return EXIT_INPUT_ERROR
+        return run.finish(EXIT_RESOURCE_CAP, f"resource cap: {exc} (override with {CAP_ENV_VAR})")
+    return run.finish()

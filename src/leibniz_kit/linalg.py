@@ -561,8 +561,8 @@ class Subspace(Frozen):
         if None in keys:
             raise ValueError(f"basis vector {keys.index(None)} has no key column: "
                              "the basis is not in reduced form")
-        basis = Tensor((len(rows), ambient_dim), {(u, *key): x for u, row in enumerate(rows)
-                                                  for key, x in row.items()})
+        basis = sparse_tensor({(u, *key): x for u, row in enumerate(rows) for key, x in row.items()},
+                              (len(rows), ambient_dim), "basis")
         self._set(ambient_dim, basis, keys)
 
     @property

@@ -92,8 +92,8 @@ def omni_lie(m: int) -> LeibnizAlgebra:
     """The omni algebra of Q^m as an (m^2+m)-dimensional Leibniz algebra,
     from its structure constants: [E_ab, E_cd] = d_bc E_ad - d_da E_cb and
     [E_ab, e_c] = d_bc e_a, with E_ab at a m + b and e_a at m^2 + a."""
-    if m < 0:
-        raise ValueError(f"omni algebra needs m >= 0, got {m}")
+    if type(m) is not int or m < 0:
+        raise ValueError(f"omni algebra needs an int m >= 0, got {m!r}")
     m2 = m * m
     products = {(a * m + b, b * m + d, a * m + d): 1 for a, b, d in product(range(m), repeat=3)}
     actions = {(a * m + b, m2 + b, m2 + a): 1 for a, b in product(range(m), repeat=2)}

@@ -435,6 +435,30 @@ def test_mc_refuses_non_leibniz_algebra(nonleibniz_trivial_rep, capsys):
     assert (report["status"], report["failures"], report["results"]) == ("fail", [REFUSAL], {})
 
 
+def test_a_fault_is_no_input_error(monkeypatch, capsys):
+    # main caught every ValueError as malformed input: this run exited 2
+    # with "input error: a fault".  Only a SchemaError is an input error
+    def fault(*args):
+        raise ValueError("a fault")
+
+    monkeypatch.setattr(cli, "betti", fault)
+    with pytest.raises(ValueError, match="^a fault$"):
+        main(["cohomology", str(FIXTURES / "L2.json"), "--max-degree", "1"])
+    assert capsys.readouterr().err == ""
+
+
+def test_a_refusal_inside_a_library_call_exits_1(nonleibniz_trivial_rep, monkeypatch, capsys):
+    # without the handler's own require, maurer_cartan_check refuses the
+    # algebra itself; main reports that Refused as any other refusal
+    monkeypatch.setattr(cli, "require", lambda *values: None)
+    args = ["mc", str(FIXTURES / "nonleibniz.json"), str(nonleibniz_trivial_rep)]
+    assert main(args) == 1
+    assert capsys.readouterr() == (f"FAILED: {REFUSAL}\n", "")
+    assert main(args + ["--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["failures"], report["results"]) == ("fail", [REFUSAL], {})
+
+
 @pytest.mark.parametrize("mode", ["lr", "l0"])
 def test_semidirect_refuses_non_leibniz_algebra(nonleibniz_trivial_rep, mode):
     result = run_cli("semidirect", str(FIXTURES / "nonleibniz.json"),
@@ -551,7 +575,7 @@ def test_pipeline_graph_emit():
     bad = run_cli("graph", str(FIXTURES / "graph_bad.json"), "--emit-algebra")
     assert bad.returncode == 1
     assert bad.stdout == b""
-    assert b"does not close" in bad.stderr
+    assert b"input is not a closed graph map" in bad.stderr
 
 
 def test_emitted_algebras_reparse(tmp_path, capsys):

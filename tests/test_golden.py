@@ -12,7 +12,9 @@ value.  Its cases at the top of the cap and one degree past it, of
 arguments, and the stderr of ``GOLDEN``, were added later and computed on
 the code before the library-only second routes were deleted.  The plain
 ``check`` digests of the two negative fixtures were computed again when the
-squares check began to print its witnesses, as every failed check does.
+squares check began to print its witnesses, as every failed check does, and
+the stderr of ``graph graph_bad --emit-algebra`` when its refusal came to be
+worded by the ``require`` of ``induced_leibniz``, as every refusal is.
 ``elapsed_s`` is the one field masked, and argparse formats its usage for
 a terminal 200 columns wide.  Every case also holds the stdout contract
 (``_assert_one_document``): one JSON document, or no line ``{``.
@@ -109,7 +111,7 @@ GOLDEN = {
     "graph graph_L2 --emit-algebra": (0, "ab7e354f15d9de267590bfefc10c082d7f191a638d70542a52441e5f6311f0f1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "graph graph_bad --emit-algebra": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "cc9a5d3d6ca6f01394c9671e434b71a0b18fd263c68f7bfb3e894cbc47335904"),
+        "02d231b2f5d34f48ecb28bbf27b72261d4a06aba64185c6129d3049b5c5f0657"),
     "graph graph_heis3 --emit-algebra": (0, "67f9ad879dae2282fd76aa94e70387843efdc65243edbae2871a62ca4bad7a4f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lie2 L2 --json": (0, "2727d60554e1d5307e35f072693099b4ae42af1fe5fef603ee36b756197dec31",

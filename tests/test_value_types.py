@@ -28,6 +28,7 @@ from leibniz_kit import (
     check_representation,
     graph_check,
     naive_check,
+    omni_lie,
     skew_bracket,
     right_action_cochain,
     to_naive_cochain,
@@ -238,6 +239,15 @@ WRONG_SHAPES = [
     (lambda: Subspace(False, [{}]), "basis vector: shape (False,) has an axis that is no size"),
     (lambda: sparse_tensor([], (0, None), "cochain"),
      "cochain: shape (0, None) has an axis that is no size"),
+    # an empty basis has no vector to check the size by: the basis tensor
+    # itself goes through sparse_tensor
+    (lambda: Subspace(-1, []), "basis: shape (0, -1) has an axis that is no size"),
+    (lambda: Subspace(2.0, []), "basis: shape (0, 2.0) has an axis that is no size"),
+    (lambda: Subspace(True, []), "basis: shape (0, True) has an axis that is no size"),
+    # the omni algebra of Q^m takes a size m, and names any other m
+    (lambda: omni_lie(True), "omni algebra needs an int m >= 0, got True"),
+    (lambda: omni_lie(1.5), "omni algebra needs an int m >= 0, got 1.5"),
+    (lambda: omni_lie(-1), "omni algebra needs an int m >= 0, got -1"),
 ]
 
 
