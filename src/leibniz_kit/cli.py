@@ -68,7 +68,6 @@ from .serialize import (
     lie2_to_json,
     read_json,
     representation_from_json,
-    scalar_to_str,
     tensor_to_json,
     write_json,
 )
@@ -190,7 +189,7 @@ class _Run:
 def _format_defect(defect) -> str:
     if defect and isinstance(defect[0], tuple):
         return "[" + "; ".join(_format_defect(row) for row in defect) + "]"
-    return "(" + ", ".join(scalar_to_str(x) for x in defect) + ")"
+    return "(" + ", ".join(map(str, defect)) + ")"
 
 
 def _witness_lines(report) -> list[str]:

@@ -214,7 +214,7 @@ def coboundary_columns(rep: Representation, k: int,
 
 
 def coboundary_matrix(rep: Representation, k: int,
-                      cap: Optional[int] = DEFAULT_CAP) -> Matrix:
+                      cap: int = DEFAULT_CAP) -> Matrix:
     """Matrix of the degree-k coboundary in the lexicographic monomial basis,
     of shape (n^(k+1) m) x (n^k m): ``coboundary_columns`` laid out by rows
     and divided by their common denominator.  Refuses to build when a
@@ -270,15 +270,13 @@ class BettiReport(NamedTuple):
         return self.degrees[k].dim_h
 
 
-def _require_within_cap(n: int, m: int, k_max: int, cap: Optional[int]) -> None:
+def _require_within_cap(n: int, m: int, k_max: int, cap: int) -> None:
     """Before anything is built, raise ResourceCapExceeded for the first
     degree k <= k_max with over cap target rows, n^(k+1) m, or else when the
     degrees, each handling (k+1)-tuples however few its rows, weigh over it
     together: max(m, 1) (k_max+1)(k_max+2)/2.  The rows never shrink with k
     and reach 2^(k+1) for n >= 2, so no degree past the bit length of the
-    cap is the first over it.  No cap (None) admits every degree."""
-    if cap is None:
-        return
+    cap is the first over it."""
     for k in range(min(k_max, cap.bit_length()) + 1):
         if n ** (k + 1) * m > cap:
             raise ResourceCapExceeded(n ** (k + 1) * m, cap)
@@ -289,7 +287,7 @@ def _require_within_cap(n: int, m: int, k_max: int, cap: Optional[int]) -> None:
 
 
 def betti(rep: Representation, k_max: int,
-          cap: Optional[int] = DEFAULT_CAP) -> BettiReport:
+          cap: int = DEFAULT_CAP) -> BettiReport:
     """Cohomology dimensions for degrees 0..k_max via exact rank-nullity;
     ValueError for k_max < 0.
 

@@ -28,7 +28,6 @@ from .algebra import (
     left_center,
     require,
     residual_witnesses,
-    rows_of,
 )
 from .linalg import (
     HALF,
@@ -131,27 +130,20 @@ def build_lie2(g: LeibnizAlgebra) -> Lie2Algebra:
     memberships hold, and are exact coordinate checks in Z(g).
     """
     require(g)
-    n = g.dim
+    n, c = g.dim, g.c
     z = left_center(g)
-    d1 = z.dim
-    c = g.c
 
-    def center_coords(tensor, context):
-        # a zero vector has zero coordinates, so only nonzero rows are read
-        coords = {}
-        for where, v in sorted(rows_of(tensor).items()):
-            x = z.coordinates_of(v)
-            if x is None:
-                raise AssertionError(f"{context.format(*where)} of a Leibniz algebra "
-                                     "is not in the left center")
-            coords.update(((*where, a), xa) for (a,), xa in x.items())
+    def center_coords(tensor, shape, name):
+        coords = z.coordinates_of(sparse_tensor(tensor, shape, name))
+        if coords is None:
+            raise AssertionError(f"{name} of a Leibniz algebra is not in the left center")
         return coords
 
     # z.basis[u, a] is coordinate a of the center basis vector u
-    half_action = contract([(HALF, "ua,iat->iut", z.basis, c)])
-    l2_01 = center_coords(half_action, "[e_{}, z_{}]/2")
-    l3 = center_coords(g._derived("_jacobiator", _jacobiator), "J(e_{},e_{},e_{})")
-    return Lie2Algebra(d1, n, {(a, u): v for (u, a), v in z.basis.items()},
+    l2_01 = center_coords(contract([(HALF, "ua,iat->iut", z.basis, c)]), (n, z.dim, n),
+                          "[e_i, z_u]/2")
+    l3 = center_coords(g._derived("_jacobiator", _jacobiator), (n,) * 4, "J(e_i,e_j,e_k)")
+    return Lie2Algebra(z.dim, n, {(a, u): v for (u, a), v in z.basis.items()},
                        g._derived("_skew", skew_bracket), l2_01, l3)
 
 

@@ -53,10 +53,15 @@ carries rows into ``rank``, ``rref`` and ``solve``, and has no arithmetic
 of its own.  A vector is sparse too: the 1-axis tensor {(a,): nonzero
 Fraction} that ``contract`` reads and writes.  A family of vectors, such as
 the basis of a ``Subspace`` or the matrix whose kernel ``kernel_basis``
-takes, is one read-only 2-axis ``Tensor`` whose row u is ``t[u]``.
-``Subspace``, ``coordinates_of`` and ``span_of_rows`` take sparse vectors
-(or dense sequences, through ``sparse_tensor``), and ``coordinates_of``
-costs the supports it touches, not the ambient dimension.
+takes, is one read-only 2-axis ``Tensor``, its entry (u, a) coordinate a of
+vector u.  The package reads every ``Tensor`` by its keys and items; the
+dense view (an int index, and iteration along the first axis) serves only
+the benchmark's own tests and the test oracles.  ``Subspace`` takes such a
+tensor or a sequence of sparse vectors (or dense sequences, through
+``sparse_tensor``), and ``span_of_rows`` such a sequence.
+``coordinates_of`` takes a vector, or any tensor whose last axis is the
+ambient one, and checks all of its vectors in one ``contract``, at the cost
+of the supports it touches, not of the ambient dimension.
 """
 
 from __future__ import annotations
@@ -166,11 +171,14 @@ class Tensor(dict):
     ``keys``, ``items``, ``get``, lookup by index tuple and equality are a
     dict's.
 
-    An int index and iteration read the dense form along the first axis,
-    for code that reads the fields as nested sequences (the benchmark's own
-    tests do): ``t[i]`` is the sub-tensor at i, or the entry (zero included)
-    on the last axis.  It is found by bisecting the keys, so ``t[i][j]``
-    costs a slice of the support, not a dense walk."""
+    An int index and iteration read the dense form along the first axis:
+    ``t[i]`` is the sub-tensor at i, or the entry (zero included) on the
+    last axis.  It is found by bisecting the keys, so ``t[i][j]`` costs a
+    slice of the support, not a dense walk.  This view serves only code
+    that reads the fields as nested sequences, the benchmark's own tests and
+    the test oracles; no code path of the package reads it.  ``iter(t)``
+    walks this view, not the keys, so the package reads ``keys()`` and
+    ``items()``."""
 
     __slots__ = ("shape", "_keys")
 
@@ -540,49 +548,71 @@ class Subspace(Frozen):
     """A subspace of Q^ambient_dim given by a basis in reduced form.
 
     ``basis`` is the read-only sparse ``Tensor`` of shape (dim, ambient_dim)
-    whose row u, ``basis[u]``, is the u-th basis vector.  The constructor
-    takes a sequence of vectors, each a sparse vector {(a,): x} or a dense
-    sequence (``sparse_tensor``), or such a ``Tensor``.
+    whose entry (u, a) is coordinate a of the u-th basis vector.  The
+    constructor takes such a ``Tensor``, converted once by ``sparse_tensor``,
+    or a sequence of vectors, each a sparse vector {(a,): x} or a dense
+    sequence, stacked into one (``_stacked``).
 
     Reduced form means each basis vector u has a key column, where u is 1
     and every other basis vector is 0: the pivots of RREF rows
     (``span_of_rows``), the free columns of ``kernel_basis``.  The
-    constructor stores the lowest key column of each vector in ``_keys``
-    and refuses any other basis, a dependent one included.
+    constructor finds them with one count over the entries, stores the
+    lowest key column of each vector in ``_keys`` and refuses any other
+    basis, a dependent one included.  Like every reader of a ``Tensor`` in
+    the package, it reads the basis by its keys and items only.
     """
 
     __slots__ = ("ambient_dim", "basis", "_keys")
 
     def __init__(self, ambient_dim: int, basis):
-        rows = [sparse_tensor(v, (ambient_dim,), "basis vector") for v in basis]
-        held = Counter(key for row in rows for key in row.keys())
-        keys = tuple(min((a for (a,), x in row.items() if x == ONE and held[a,] == 1),
-                         default=None) for row in rows)
+        if not isinstance(basis, Tensor):
+            basis = _stacked(ambient_dim, basis, "basis vector")
+        basis = sparse_tensor(basis, (basis.shape[0], ambient_dim), "basis")
+        held = Counter(a for _, a in basis.keys())
+        # read backwards, so the lowest key column of each vector is written last
+        lowest = {u: a for (u, a), x in reversed(basis.items()) if x == ONE and held[a] == 1}
+        keys = tuple(map(lowest.get, range(basis.shape[0])))
         if None in keys:
             raise ValueError(f"basis vector {keys.index(None)} has no key column: "
                              "the basis is not in reduced form")
-        basis = sparse_tensor({(u, *key): x for u, row in enumerate(rows) for key, x in row.items()},
-                              (len(rows), ambient_dim), "basis")
         self._set(ambient_dim, basis, keys)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def coordinates_of(self, v) -> Optional[dict]:
-        """Coordinates {(u,): nonzero x} of v in this basis, or None if v is
-        outside the span; v is a sparse vector {(a,): x} or a dense sequence.
+    def coordinates_of(self, t) -> Optional[dict]:
+        """Coordinates of t in this basis, or None if t is outside the span.
 
-        v read at the keys is the only candidate.  It is checked exactly by
-        rebuilding v from the basis, which touches only the supports of v and
-        of the basis vectors it uses."""
-        v = sparse_tensor(v, (self.ambient_dim,), "vector")
-        x = {(u,): v[key,] for u, key in enumerate(self._keys) if (key,) in v}
-        residual = dict(v)
-        for (u,), xu in x.items():
-            for key, b in self.basis[u].items():
-                residual[key] = residual.get(key, ZERO) - xu * b
-        return None if any(residual.values()) else x
+        t is a vector, sparse {(a,): x} or a dense sequence, whose
+        coordinates are {(u,): nonzero x}; or any sparse ``Tensor`` whose
+        last axis has length ``ambient_dim``, a family of vectors indexed by
+        the other axes, whose coordinates are {(*prefix, u): nonzero x} and
+        None if any of its vectors is outside the span.
+
+        Each vector read at the keys is the only candidate.  One
+        ``contract`` checks all of them exactly, by rebuilding t from the
+        basis, which touches only the supports of t and of the basis vectors
+        it uses."""
+        if not isinstance(t, Tensor):
+            t = sparse_tensor(t, (self.ambient_dim,), "vector")
+        if t.shape[-1:] != (self.ambient_dim,):
+            raise ValueError(f"vector: shape {t.shape} does not end in an axis of length "
+                             f"{self.ambient_dim}")
+        column = {a: u for u, a in enumerate(self._keys)}
+        x = {(*key[:-1], column[key[-1]]): v for key, v in t.items() if key[-1] in column}
+        prefix = "bcdefghijklmnopqrstvwxyz"[:len(t.shape) - 1]
+        rebuilt = contract([(1, f"{prefix}u,ua->{prefix}a", x, self.basis),
+                            (-1, f"{prefix}a->{prefix}a", t)])
+        return None if rebuilt else x
+
+
+def _stacked(ambient_dim: int, vectors: Iterable, what: str) -> Tensor:
+    """The 2-axis ``Tensor`` whose entry (u, a) is entry a of the u-th of
+    the given vectors, each refused by ``sparse_tensor`` as ``what``."""
+    rows = [sparse_tensor(v, (ambient_dim,), what) for v in vectors]
+    return Tensor((len(rows), ambient_dim), {(u, *key): x for u, row in enumerate(rows)
+                                             for key, x in row.items()})
 
 
 def reduced_rows(t: Tensor) -> tuple[Tensor, tuple[int, ...]]:
@@ -603,28 +633,26 @@ def reduced_rows(t: Tensor) -> tuple[Tensor, tuple[int, ...]]:
 
 def span_of_rows(ambient_dim: int, vectors: Iterable) -> Subspace:
     """Subspace spanned by the given vectors, each a sparse vector {(a,): x}
-    or a dense sequence, with a canonical (RREF) basis."""
-    rows = [sparse_tensor(v, (ambient_dim,), "vector") for v in vectors]
-    return Subspace(ambient_dim, reduced_rows(Tensor(
-        (len(rows), ambient_dim), {(u, a): x for u, row in enumerate(rows)
-                                   for (a,), x in row.items()}))[0])
+    or a dense sequence, with a canonical (RREF) basis: R of their
+    ``reduced_rows``."""
+    return Subspace(ambient_dim, reduced_rows(_stacked(ambient_dim, vectors, "vector"))[0])
 
 
 def kernel_basis(t: Tensor) -> Subspace:
     """Basis of {x : t x = 0} for a 2-axis ``Tensor`` t of shape (rows,
     cols); dimension is cols - rank by rank-nullity.  With (R, J) =
-    ``reduced_rows(t)``, the vector of each free column j is e_j minus
-    R[a, j] at each pivot J_a.  The basis K is verified by one contraction,
-    t K^T = 0."""
+    ``reduced_rows(t)``, the vector of the u-th free column j is e_j minus
+    R[a, j] at each pivot J_a.  The basis, the tensor K of shape
+    (cols - rank, cols), is verified by one contraction, t K^T = 0, and is
+    the basis of the ``Subspace``."""
     R, pivots = reduced_rows(t)
-    vectors = {j: {(j,): ONE} for j in range(t.shape[1]) if j not in pivots}
-    for (a, j), x in R.items():
-        if j in vectors:
-            vectors[j][pivots[a],] = -x
-    kernel = {(u, *key): x for u, v in enumerate(vectors.values()) for key, x in v.items()}
+    free = {j: u for u, j in enumerate(j for j in range(t.shape[1]) if j not in pivots)}
+    kernel = {(u, j): ONE for j, u in free.items()}
+    kernel.update({(free[j], pivots[a]): -x for (a, j), x in R.items() if j in free})
+    kernel = sparse_tensor(kernel, (len(free), t.shape[1]), "kernel")
     if contract([(1, "ia,ua->iu", t, kernel)]):
         raise AssertionError("kernel vector failed verification")
-    return Subspace(t.shape[1], vectors.values())
+    return Subspace(t.shape[1], kernel)
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[list[Fraction]]:

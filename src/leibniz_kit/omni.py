@@ -58,6 +58,7 @@ from typing import NamedTuple, Optional
 from .algebra import (
     IdentityReport,
     LeibnizAlgebra,
+    Refused,
     _report,
     leibniz_residual,
     require,
@@ -323,7 +324,7 @@ def naive_coboundary(rho: NaiveRepresentation, f: Tensor) -> Tensor:
 
 
 def naive_betti(rho: NaiveRepresentation, k_max: int,
-                cap: Optional[int] = DEFAULT_CAP) -> BettiReport:
+                cap: int = DEFAULT_CAP) -> BettiReport:
     """Cohomology of the naive complex: ``betti`` of the induced
     representation on the image, whose refusal checks that representation
     and whose ranks are cleared like those of every other complex.  The cap
@@ -333,13 +334,13 @@ def naive_betti(rho: NaiveRepresentation, k_max: int,
 
 
 def _image_within_cap(rho: NaiveRepresentation, k_max: int,
-                      cap: Optional[int]) -> Representation:
+                      cap: int) -> Representation:
     _require_within_cap(rho.algebra.dim, len(rho._reduced[1]), k_max, cap)
     return image_representation(rho)
 
 
 def matching_naive_image(g: LeibnizAlgebra, choice, k_max: int,
-                         cap: Optional[int] = DEFAULT_CAP) -> Optional[Representation]:
+                         cap: int = DEFAULT_CAP) -> Optional[Representation]:
     """The image representation of the naive representation that goes with
     a classical choice, or None when that naive complex is zero; every
     degree to k_max is checked against the cap before the image
@@ -393,7 +394,7 @@ def _require_comparison_degree(k_max: int) -> None:
 
 
 def _compare(naive: Optional[Representation], classical: Representation, k_max: int,
-             cap: Optional[int]) -> ComparisonReport:
+             cap: int) -> ComparisonReport:
     """The naive Betti numbers, of the image representation ``naive`` (None
     for the zero complex of ``matching_naive_image``), against those of
     ``classical``: the one place that builds a ``ComparisonReport``.
@@ -419,7 +420,7 @@ def _compare(naive: Optional[Representation], classical: Representation, k_max: 
 
 
 def compare_trivial(g: LeibnizAlgebra, k_max: int,
-                    cap: Optional[int] = DEFAULT_CAP) -> ComparisonReport:
+                    cap: int = DEFAULT_CAP) -> ComparisonReport:
     """Naive cohomology of a rank-one naive representation with zero gl part
     against the cohomology of the trivial representation (Q, 0, 0).
 
@@ -433,7 +434,7 @@ def compare_trivial(g: LeibnizAlgebra, k_max: int,
 
 
 def compare_adjoint(g: LeibnizAlgebra, k_max: int,
-                    cap: Optional[int] = DEFAULT_CAP) -> ComparisonReport:
+                    cap: int = DEFAULT_CAP) -> ComparisonReport:
     """Naive cohomology of the adjoint naive representation against the
     classical adjoint cohomology, with the chain-level correspondence
     F -> rho o F proven in every degree: rho is injective, so R = I, the
@@ -458,13 +459,18 @@ def tautological_rep(phi: GraphMap) -> NaiveRepresentation:
 
 
 def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
-                         cap: Optional[int] = DEFAULT_CAP) -> ComparisonReport:
+                         cap: int = DEFAULT_CAP) -> ComparisonReport:
     """Naive cohomology of a representation landing in a closed graph against
     the classical complex of the induced actions
 
         l_x u = phi(theta(x)) u          r_x u = phi(u) theta(x).
 
-    A graph that does not close is refused (``algebra.require``).  The image
+    A graph that does not close is refused (``algebra.require``).  So, with
+    ``algebra.Refused`` in the same words ("input is not a naive
+    representation into the graph; first witness at ..."), is a rho on
+    another space, the witness naming both dimensions, and a rho whose
+    image escapes the graph, the witness being the least (i, u, v) at which
+    phi(theta(e_i)) and rho(e_i) differ in gl(V).  The image
     representation is checked against the cap before it is built, and
     ``image_representation`` refuses a map that is no homomorphism.  Then
     the induced actions are a representation, which the ``betti`` of
@@ -477,11 +483,13 @@ def graph_rep_cohomology(rho: NaiveRepresentation, phi: GraphMap, k_max: int,
     _require_comparison_degree(k_max)
     require(phi)
     if phi.vdim != rho.vdim:
-        raise ValueError("graph and representation act on different spaces")
+        raise Refused("input is not a naive representation into the graph; first witness at "
+                      f"vdim {rho.vdim}, not the graph's {phi.vdim}")
     g = rho.algebra
     escapes = contract([(1, "ia,auv->iuv", rho.theta, phi.phi), (-1, "iuv->iuv", rho.phi)])
     if escapes:
-        raise ValueError(f"image of basis element {min(escapes)[0]} escapes the graph")
+        raise Refused("input is not a naive representation into the graph; first witness at "
+                      f"{min(escapes)}")
     image = _image_within_cap(rho, k_max, cap)
     # the escape check has proven l_x = phi(theta(x)) = rho.phi[x]
     rs = contract([(1, "auv,iv->iua", phi.phi, rho.theta)])

@@ -28,10 +28,6 @@ class SchemaError(ValueError):
     """Input document does not match the expected schema."""
 
 
-def scalar_to_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _scalar(x: Any, parsed: dict) -> Optional[Fraction]:
     """x as a Fraction, or None if it is no scalar (a JSON true or false is
     none, and so is a string of more digits than the interpreter converts);
@@ -157,7 +153,7 @@ def tensor_to_json(t) -> list:
         row = out
         for i in key[:-1]:
             row = row[i]
-        row[key[-1]] = scalar_to_str(v)
+        row[key[-1]] = str(v)
     return out
 
 

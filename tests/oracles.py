@@ -995,8 +995,8 @@ def verify_adjoint_correspondence(rho, irep, arep, k_max):
     notes = []
     ok = True
     for k in range(min(k_max, 2) + 1):
-        lhs = matmul(coboundary_matrix(irep, k, None), embedding(rho, n ** k))
-        rhs = matmul(embedding(rho, n ** (k + 1)), coboundary_matrix(arep, k, None))
+        lhs = matmul(coboundary_matrix(irep, k), embedding(rho, n ** k))
+        rhs = matmul(embedding(rho, n ** (k + 1)), coboundary_matrix(arep, k))
         diff = mat_sub(lhs, rhs)
         for col in sorted({j for i in range(diff.rows) for j, _ in diff.row_items(i)}):
             ok = False

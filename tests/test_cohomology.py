@@ -501,6 +501,31 @@ def test_betti_of_zero_module_and_fractional_actions():
     assert ranks[0] == 0  # degree 0 sees only r = 0
 
 
+def null_filiform(n: int, mirrored: bool = False) -> LeibnizAlgebra:
+    """NF_n, [e_1, e_i] = e_(i+1) for i < n (Ayupov and Omirov, Siberian
+    Math. J. 42, 2001), 0-based; mirrored, [e_i, e_1] = e_(i+1) instead."""
+    return LeibnizAlgebra(n, {((i, 0) if mirrored else (0, i)) + (i + 1,): 1
+                              for i in range(n - 1)})
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_null_filiform_is_leibniz_with_a_left_center_of_codimension_one(n):
+    g = null_filiform(n)
+    assert check_leibniz(g).holds
+    assert left_center(g).dim == n - 1
+    # in the left convention of the package the mirrored bracket is no
+    # Leibniz algebra once it has a second bracket (n >= 3)
+    assert check_leibniz(null_filiform(n, mirrored=True)).holds == (n == 2)
+
+
+@pytest.mark.parametrize("n, trivial_top", [(3, 6), (4, 6), (5, 5)])
+def test_null_filiform_betti_numbers(n, trivial_top):
+    # degree 6 of NF_5 would take 5^7 = 78,125 rows, past the default cap
+    g = null_filiform(n)
+    assert [d.dim_h for d in betti(trivial_rep(g), trivial_top).degrees] == [1] * (trivial_top + 1)
+    assert [d.dim_h for d in betti(adjoint_rep(g), 4).degrees] == [n - 1] * 5
+
+
 def test_coboundary_squares_to_zero_spot(small_algebras):
     # d_(k+1) d_k = 0 by the oracle product, for the classical complexes and
     # for the image representations whose complexes are the naive ones:
@@ -542,7 +567,6 @@ def test_the_cap_weighs_the_degrees_in_closed_form():
     cohomology_module._require_within_cap(1, 1, 198, 20000)  # 199 * 200 / 2 = 19900
     with pytest.raises(ResourceCapExceeded):
         cohomology_module._require_within_cap(1, 1, 199, 20000)  # 200 * 201 / 2 = 20100
-    cohomology_module._require_within_cap(1, 1, 10 ** 8, None)
 
 
 def test_a_degree_weight_at_the_cap_is_admitted():

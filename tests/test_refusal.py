@@ -1,13 +1,17 @@
 """One wording for every refusal.  Each library entry point proves the
 premises of its construction on its inputs before it builds anything, with
-``algebra.require``, and refuses a failed one with the ValueError "input is
-not <noun>; first witness at <where>", the words the CLI prints."""
+``algebra.require``, and refuses a failed one with ``algebra.Refused``, a
+ValueError, "input is not <noun>; first witness at <where>", the words the
+CLI prints.  ``graph_rep_cohomology`` words the pairing of its two values,
+a representation on the graph's space whose image stays in the graph, the
+same way."""
 
 from __future__ import annotations
 
 import pytest
 
 from leibniz_kit import (
+    GraphMap,
     NaiveRepresentation,
     adjoint_naive,
     betti,
@@ -26,14 +30,15 @@ from leibniz_kit import (
     trivial_naive_rep,
     trivial_rep,
 )
-from leibniz_kit.algebra import refusal, require
+from leibniz_kit.algebra import Refused, refusal, require
 from leibniz_kit.cohomology import maurer_cartan_residual
-from leibniz_kit.fixtures import bad_graph, bad_representation, l2_algebra, nonleibniz
+from leibniz_kit.fixtures import bad_graph, bad_representation, graph_for, l2_algebra, nonleibniz
 
 NOT_LEIBNIZ = "input is not a Leibniz algebra; first witness at (0, 0, 0)"
 NOT_REP = "input is not a representation; first witness at (0, 0)"
 NOT_CLOSED = "input is not a closed graph map; first witness at (0, 0)"
 NOT_NAIVE = "input is not a naive representation; first witness at (0, 0)"
+NOT_INTO_GRAPH = "input is not a naive representation into the graph; first witness at "
 
 
 def _corrupted_theta():
@@ -41,6 +46,13 @@ def _corrupted_theta():
     first at (0, 0)."""
     g = l2_algebra()
     return NaiveRepresentation(g, 2, adjoint_naive(g).phi, {(0, 0): 1, (1, 0): 1, (1, 1): 1})
+
+
+def _escaping_rho():
+    """theta = I and a zero gl part over the algebra the graph of L2
+    induces: rho(e_0) misses phi(e_0), which is 1 at (1, 0)."""
+    return NaiveRepresentation(induced_leibniz(graph_for(l2_algebra())), 2, {},
+                               {(0, 0): 1, (1, 1): 1})
 
 
 # entry point: (call, message)
@@ -69,6 +81,12 @@ REFUSALS = {
     "tautological_rep": (lambda: tautological_rep(bad_graph()), NOT_CLOSED),
     "graph_rep_cohomology": (
         lambda: graph_rep_cohomology(adjoint_naive(l2_algebra()), bad_graph(), 1), NOT_CLOSED),
+    "graph_rep_cohomology(another space)": (
+        lambda: graph_rep_cohomology(adjoint_naive(l2_algebra()), GraphMap(3, {}), 1),
+        NOT_INTO_GRAPH + "vdim 2, not the graph's 3"),
+    "graph_rep_cohomology(escaping image)": (
+        lambda: graph_rep_cohomology(_escaping_rho(), graph_for(l2_algebra()), 1),
+        NOT_INTO_GRAPH + "(0, 1, 0)"),
     "image_representation": (lambda: image_representation(_corrupted_theta()), NOT_NAIVE),
     "naive_betti": (lambda: naive_betti(_corrupted_theta(), 1), NOT_NAIVE),
     # the functional (0, 1) does not kill [e_0, e_0] = e_1
@@ -82,7 +100,7 @@ REFUSALS = {
 @pytest.mark.parametrize("entry", sorted(REFUSALS))
 def test_every_entry_point_refuses_in_one_wording(entry):
     call, message = REFUSALS[entry]
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(Refused) as caught:
         call()
     assert str(caught.value) == message
 

@@ -32,7 +32,6 @@ from leibniz_kit.serialize import (
     read_json,
     representation_from_json,
     representation_to_json,
-    scalar_to_str,
     str_to_scalar,
     tensor_from_json,
     tensor_to_json,
@@ -44,8 +43,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_scalar_format():
-    assert scalar_to_str(F(3)) == "3"
-    assert scalar_to_str(F(-1, 2)) == "-1/2"
+    t = sparse_tensor({(0,): F(3), (1,): F(-1, 2)}, (3,), "t")
+    assert tensor_to_json(t) == ["3", "-1/2", "0"]
     assert str_to_scalar("3") == F(3)
     assert str_to_scalar("-1/2") == F(-1, 2)
     assert str_to_scalar(4) == F(4)
