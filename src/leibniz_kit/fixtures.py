@@ -16,10 +16,6 @@ from .omni import GraphMap, omni_lie
 from .serialize import algebra_to_json, graph_to_json, representation_to_json, write_json
 
 
-def abelian(n: int) -> LeibnizAlgebra:
-    return LeibnizAlgebra.abelian(n)
-
-
 def l2_algebra() -> LeibnizAlgebra:
     """Two-dimensional algebra with [e1, e1] = e2 and all other brackets zero;
     the smallest Leibniz algebra that is not Lie."""
@@ -72,9 +68,9 @@ def bad_representation() -> Representation:
 
 
 _ALGEBRAS = {
-    "abelian1": lambda: abelian(1),
-    "abelian2": lambda: abelian(2),
-    "abelian3": lambda: abelian(3),
+    "abelian1": lambda: LeibnizAlgebra.abelian(1),
+    "abelian2": lambda: LeibnizAlgebra.abelian(2),
+    "abelian3": lambda: LeibnizAlgebra.abelian(3),
     "L2": l2_algebra,
     "heis3": heisenberg3,
     "sl2": sl2,

@@ -55,8 +55,9 @@ Fraction} that ``contract`` reads and writes.  A family of vectors, such as
 the basis of a ``Subspace`` or the matrix whose kernel ``kernel_basis``
 takes, is one read-only 2-axis ``Tensor``, its entry (u, a) coordinate a of
 vector u.  The package reads every ``Tensor`` by its keys and items; the
-dense view (an int index, and iteration along the first axis) serves only
-the benchmark's own tests and the test oracles.  ``Subspace`` takes such a
+dense view (an int index, and iteration along the first axis) reads the
+entries when asked, at the cost of the support, and serves only the
+benchmark's own tests and the test oracles.  ``Subspace`` takes such a
 tensor or a sequence of sparse vectors (or dense sequences, through
 ``sparse_tensor``), and ``span_of_rows`` such a sequence.
 ``coordinates_of`` takes a vector, or any tensor whose last axis is the
@@ -66,7 +67,6 @@ of the supports it touches, not of the ambient dimension.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -173,18 +173,18 @@ class Tensor(dict):
 
     An int index and iteration read the dense form along the first axis:
     ``t[i]`` is the sub-tensor at i, or the entry (zero included) on the
-    last axis.  It is found by bisecting the keys, so ``t[i][j]`` costs a
-    slice of the support, not a dense walk.  This view serves only code
-    that reads the fields as nested sequences, the benchmark's own tests and
-    the test oracles; no code path of the package reads it.  ``iter(t)``
+    last axis.  The sub-tensor is read from the entries when asked, at the
+    cost of the support.  This view serves only code that reads the fields
+    as nested sequences, the benchmark's own tests and the test oracles, all
+    on small tensors; no code path of the package reads it.  ``iter(t)``
     walks this view, not the keys, so the package reads ``keys()`` and
     ``items()``."""
 
-    __slots__ = ("shape", "_keys")
+    __slots__ = ("shape",)
 
     def __init__(self, shape: tuple, entries: dict):
         super().__init__(entries)
-        self.shape, self._keys = shape, list(entries)
+        self.shape = shape
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("a sparse tensor is read-only")
@@ -205,9 +205,7 @@ class Tensor(dict):
             raise IndexError(f"index {index} out of range for axis of length {self.shape[0]}")
         if len(self.shape) == 1:
             return self.get((index,), ZERO)
-        keys = self._keys
-        keys = keys[bisect_left(keys, (index,)):bisect_left(keys, (index + 1,))]
-        return Tensor(self.shape[1:], {k[1:]: self.get(k) for k in keys})
+        return Tensor(self.shape[1:], {k[1:]: v for k, v in self.items() if k[0] == index})
 
     def __iter__(self):
         return map(self.__getitem__, range(self.shape[0]))
@@ -272,16 +270,6 @@ class Matrix:
         return (isinstance(other, Matrix) and self.shape == other.shape
                 and self._data == other._data)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols,
-                     tuple(tuple(sorted(r.items())) for r in self._data)))
-
-    def __repr__(self) -> str:
-        if self.rows * self.cols > 64:
-            return f"Matrix({self.rows}x{self.cols}, nnz={self.nnz()})"
-        return "Matrix(" + "; ".join(
-            " ".join(str(self.entry(i, j)) for j in range(self.cols))
-            for i in range(self.rows)) + ")"
 
 class Echelon(NamedTuple):
     """Result of row reduction: the RREF matrix, its rank, and pivot columns."""

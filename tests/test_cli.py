@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import re
@@ -578,6 +579,20 @@ def test_pipeline_graph_emit():
     assert b"input is not a closed graph map" in bad.stderr
 
 
+def test_graph_emit_json_reports_the_emitted_algebra(capsys):
+    graph = str(FIXTURES / "graph_heis3.json")
+    assert main(["graph", graph, "--emit-algebra"]) == 0
+    emitted = json.loads(capsys.readouterr().out)
+    assert main(["graph", graph, "--emit-algebra", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["induced_algebra"] == emitted
+
+
+def test_a_document_that_is_no_object_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"[]")))
+    assert main(["check", "-"]) == 2
+    assert capsys.readouterr() == ("", "input error: algebra: expected an object\n")
+
+
 def test_emitted_algebras_reparse(tmp_path, capsys):
     # everything the CLI emits must re-parse and pass the checker
     for args in (["omni", "--dim", "1"], ["omni", "--dim", "2"],
@@ -626,12 +641,27 @@ def test_compare_with_file_rep_is_input_error(capsys):
     # --compare takes no representation file; it was read and checked first
     ("cohomology", str(FIXTURES / "L2.json"), "--rep", str(FIXTURES / "rep_bad_L2.json"),
      "--compare", "--max-degree", "1"),
+    # a count that is no integer is argparse's to refuse, before any input is read
+    ("cohomology", str(FIXTURES / "L2.json"), "--max-degree", "x"),
+    ("omni", "--dim", "1.5"),
 ])
 def test_nonsensical_arguments_exit_2(args):
     # each of these used to exit 0 with an empty or vacuous result
     result = run_cli(*args)
     assert result.returncode == 2, result.stdout
     assert result.stdout == b""
+
+
+@pytest.mark.parametrize("args, text", [
+    (("cohomology", str(FIXTURES / "L2.json"), "--max-degree", "x"), "x"),
+    (("omni", "--dim", "1.5"), "1.5"),
+])
+def test_a_count_that_is_no_integer_exits_2_naming_it(args, text, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(list(args))
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"expected an integer, got {text!r}\n"), err
 
 
 def test_fixtures_list_with_dest_exit_2(tmp_path):

@@ -19,21 +19,27 @@ from hypothesis import strategies as st
 
 from leibniz_kit import (
     GraphMap,
+    IdentityReport,
     LeibnizAlgebra,
     Lie2Algebra,
     NaiveRepresentation,
     Representation,
     Subspace,
+    Witness,
     check_leibniz,
     check_representation,
+    coboundary_columns,
     graph_check,
     naive_check,
     omni_lie,
     skew_bracket,
     right_action_cochain,
+    semidirect,
     to_naive_cochain,
     trivial_naive_rep,
+    trivial_rep,
 )
+from leibniz_kit import fixtures
 from leibniz_kit.algebra import dense
 from leibniz_kit.lie2 import _jacobiator
 from leibniz_kit.linalg import Tensor, as_rational, span_of_rows, sparse_tensor
@@ -248,6 +254,12 @@ WRONG_SHAPES = [
     (lambda: omni_lie(True), "omni algebra needs an int m >= 0, got True"),
     (lambda: omni_lie(1.5), "omni algebra needs an int m >= 0, got 1.5"),
     (lambda: omni_lie(-1), "omni algebra needs an int m >= 0, got -1"),
+    # a family of vectors must end in the ambient axis
+    (lambda: Subspace(2, [[1, 0]]).coordinates_of(sparse_tensor({(0, 2): 1}, (1, 3), "t")),
+     "vector: shape (1, 3) does not end in an axis of length 2"),
+    # a degree below 0 and a mode that is neither product
+    (lambda: coboundary_columns(trivial_rep(_l2()), -1), "degree must be >= 0"),
+    (lambda: semidirect(_l2(), trivial_rep(_l2()), "rl"), "mode must be 'lr' or 'l0'"),
 ]
 
 
@@ -257,6 +269,17 @@ def test_wrong_shapes_raise_their_value_error(index):
     with pytest.raises(ValueError) as caught:
         build()
     assert str(caught.value) == message
+
+
+def test_a_report_is_true_exactly_when_its_identity_holds():
+    # a NamedTuple that holds a witness would be truthy without __bool__
+    assert bool(IdentityReport(False, (Witness((0, 0, 0), (1,)),))) is False
+    assert bool(check_leibniz(fixtures.l2_algebra())) is True
+
+
+def test_an_unknown_fixture_name_raises_key_error():
+    with pytest.raises(KeyError, match="unknown algebra fixture 'nope'"):
+        fixtures.algebra("nope")
 
 
 def test_hand_built_tensors_are_checked_and_made_canonical():
