@@ -49,6 +49,7 @@ from .cohomology import (
     trivial_rep,
 )
 from .lie2 import build_lie2, check_jacobiator_identities, verify_lie2
+from .linalg import as_integer
 from .omni import (
     compare_adjoint,
     compare_trivial,
@@ -89,11 +90,9 @@ CAP_ENV_VAR = "LEIBNIZ_KIT_CAP"
 
 
 def _cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
+    raw = os.environ.get(CAP_ENV_VAR, str(DEFAULT_CAP))
     try:
-        value = int(raw)
+        value = as_integer(raw)
     except ValueError:
         raise SchemaError(f"{CAP_ENV_VAR} must be an integer, got {_echo(raw)}")
     if value <= 0:
@@ -356,9 +355,9 @@ def cmd_fixtures(run, args) -> None:
 
 def _nonnegative_int(text: str) -> int:
     try:
-        value = int(text)
+        value = as_integer(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_echo(text)}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value

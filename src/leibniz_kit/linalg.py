@@ -2,7 +2,12 @@
 
 Scalars are ``fractions.Fraction`` (arbitrary-precision, always in lowest
 terms with positive denominator), so every rank, kernel and solution below
-is exact: there are no tolerances anywhere in this package.
+is exact: there are no tolerances anywhere in this package.  Every number
+the package reads as text follows one grammar, written here once:
+``INTEGER``, an optional sign and ASCII digits, and ``RATIONAL``, an
+integer and optionally "/q" with q ASCII digits and no leading zero, each
+matched whole.  ``as_rational`` reads every exact scalar by it, and
+``as_integer`` every count.
 
 One product serves the whole package: ``contract``, an einsum-style sum of
 contractions of sparse tensors over their supports, exact over one common
@@ -67,6 +72,7 @@ of the supports it touches, not of the ambient dimension.
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -81,10 +87,27 @@ HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
+# the one grammar of a number read as text (see the module docstring)
+INTEGER = re.compile(r"[+-]?[0-9]+")
+RATIONAL = re.compile(rf"{INTEGER.pattern}(/[1-9][0-9]*)?")
+
+
+def as_integer(text: str) -> int:
+    """The int that text spells in the integer grammar.  Raises ValueError
+    on any other text, and on one past the interpreter's digit limit."""
+    if INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text[:64]!r}")
+    return int(text)
+
+
 def as_rational(x) -> Fraction:
-    """Coerce int / str / Fraction to Fraction.  Floats and bools are rejected."""
+    """x as a Fraction: an int (a bool is none), a Fraction, or a str in the
+    rational grammar.  Any other type raises TypeError; a str outside the
+    grammar, or past the interpreter's digit limit, raises ValueError."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and RATIONAL.fullmatch(x) is None:
+        raise ValueError(f"not an integer or 'p/q' string: {x[:64]!r}")
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
@@ -146,8 +169,11 @@ class Frozen:
 def freeze(x, shape: tuple, what: str) -> tuple:
     """Nested tuples of Fractions from nested sequences of the given shape.
 
-    Raises ValueError, naming ``what``, when an axis has the wrong length.
+    Raises ValueError, naming ``what``, when an axis is no list or tuple or
+    has the wrong length.
     """
+    if not isinstance(x, (list, tuple)):
+        raise ValueError(f"{what}: an axis of type {type(x).__name__}, expected a list or tuple")
     if len(x) != shape[0]:
         raise ValueError(f"{what}: an axis of length {len(x)}, expected {shape[0]}")
     if len(shape) == 1:

@@ -1,45 +1,31 @@
 """JSON encoding of every value the tool reads or writes.
 
 All scalars are strings "p/q" (or just "p" for integers); matrices and
-tensors are row-major nested arrays of such strings.  Every document
-carries a "schema": "leibniz-kit/1" marker, and every one is read by
-``read_json`` and written by ``write_json``.
+tensors are row-major nested arrays of such strings.  A scalar is read by
+``linalg.as_rational``, in its one grammar; ``str_to_scalar`` words a
+refusal and names its path.  Every document carries a "schema":
+"leibniz-kit/1" marker, and every one is read by ``read_json`` and written
+by ``write_json``.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from .algebra import LeibnizAlgebra
 from .cohomology import BettiReport, Representation
 from .lie2 import Lie2Algebra
+from .linalg import RATIONAL, as_rational
 from .omni import ComparisonReport, GraphMap
 
 SCHEMA = "leibniz-kit/1"
 
-_SCALAR_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
 
 class SchemaError(ValueError):
     """Input document does not match the expected schema."""
-
-
-def _scalar(x: Any, parsed: dict) -> Optional[Fraction]:
-    """x as a Fraction, or None if it is no scalar (a JSON true or false is
-    none, and so is a string of more digits than the interpreter converts);
-    strings go through the memo."""
-    if not isinstance(x, str):
-        return Fraction(x) if isinstance(x, int) and not isinstance(x, bool) else None
-    if x not in parsed and _SCALAR_RE.match(x):
-        try:
-            parsed[x] = Fraction(x)
-        except ValueError:
-            return None
-    return parsed.get(x)
 
 
 def _echo(x: Any) -> str:
@@ -80,13 +66,15 @@ def write_json(doc: Any) -> str:
 
 
 def str_to_scalar(s: Any, where: str = "scalar") -> Fraction:
-    q = _scalar(s, {})
-    if q is None and isinstance(s, str) and _SCALAR_RE.match(s):
-        raise SchemaError(f"{where}: a scalar of {len(s)} characters, with more than "
-                          f"{sys.get_int_max_str_digits()} digits in a numerator or denominator")
-    if q is None:
-        raise SchemaError(f"{where}: expected an integer or 'p/q' string, got {_echo(s)}")
-    return q
+    """s as a Fraction (``linalg.as_rational``), or SchemaError naming ``where``."""
+    try:
+        return as_rational(s)
+    except (TypeError, ValueError):
+        if not (isinstance(s, str) and RATIONAL.fullmatch(s)):
+            raise SchemaError(f"{where}: expected an integer or 'p/q' string, got {_echo(s)}")
+    # s is in the grammar, so Fraction refused it for its digits
+    raise SchemaError(f"{where}: a scalar of {len(s)} characters, with more than "
+                      f"{sys.get_int_max_str_digits()} digits in a numerator or denominator")
 
 
 def _expect(data: Any, key: str, where: str) -> Any:
@@ -97,13 +85,12 @@ def _expect(data: Any, key: str, where: str) -> Any:
     return data[key]
 
 
-def _expect_schema(data: Any, where: str) -> None:
+def _expect_dim(data: Any, key: str, where: str) -> int:
+    """The size ``key`` of a document, a nonnegative int, read after its
+    schema marker is checked."""
     found = _expect(data, "schema", where)
     if found != SCHEMA:
         raise SchemaError(f"{where}: unsupported schema {_echo(found)} (expected {SCHEMA!r})")
-
-
-def _expect_dim(data: Any, key: str, where: str) -> int:
     v = _expect(data, key, where)
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise SchemaError(f"{where}: {key} must be a nonnegative integer")
@@ -116,30 +103,29 @@ def _expect_list(v: Any, length: int, where: str) -> list:
     return v
 
 
-def tensor_from_json(data: Any, shape: tuple, where: str = "tensor",
-                     parsed: Optional[dict] = None) -> dict:
+def tensor_from_json(data: Any, shape: tuple, where: str = "tensor") -> dict:
     """The sparse tensor {index tuple: nonzero Fraction} that nested lists of
     the given shape hold, keys in lexicographic order: the mirror of
-    ``tensor_to_json``.  Scalars are memoized in ``parsed``.  A list of the
-    wrong length is refused with its path, ``where`` followed by one [i] per
-    axis above it, and a bad scalar (``str_to_scalar``) with its own path."""
-    parsed = {} if parsed is None else parsed
+    ``tensor_to_json``.  Each distinct scalar string is parsed once.  A list
+    of the wrong length is refused with its path, ``where`` followed by one
+    [i] per axis above it, and a bad scalar (``str_to_scalar``) with its own
+    path."""
+    lists = [((), data, where)]  # (key, list, path) along every axis but the last
+    for length in shape[:-1]:
+        lists = [(key + (i,), sub, f"{path}[{i}]") for key, v, path in lists
+                 for i, sub in enumerate(_expect_list(v, length, path))]
+    parsed: dict = {}  # str keys only: a JSON true would find the int 1
     out: dict = {}
-
-    def walk(v, key, where):
-        v = _expect_list(v, shape[len(key)], where)
-        if len(key) + 1 < len(shape):
-            for i, sub in enumerate(v):
-                walk(sub, key + (i,), f"{where}[{i}]")
-            return
-        for i, x in enumerate(v):
-            q = _scalar(x, parsed)
-            if q is None:
-                str_to_scalar(x, f"{where}[{i}]")  # refuses x with its path
+    for key, v, path in lists:
+        for i, x in enumerate(_expect_list(v, shape[-1], path)):
+            try:
+                q = parsed[x]
+            except (KeyError, TypeError):  # TypeError: x is a list or an object
+                q = str_to_scalar(x, f"{path}[{i}]")
+                if isinstance(x, str):
+                    parsed[x] = q
             if q:
                 out[key + (i,)] = q
-
-    walk(data, (), where)
     return out
 
 
@@ -166,7 +152,6 @@ def algebra_to_json(g: LeibnizAlgebra) -> dict:
 
 def algebra_from_json(data: Any) -> LeibnizAlgebra:
     where = "algebra"
-    _expect_schema(data, where)
     n = _expect_dim(data, "dim", where)
     return LeibnizAlgebra(n, tensor_from_json(_expect(data, "c", where), (n,) * 3, f"{where}.c"))
 
@@ -181,9 +166,8 @@ def representation_to_json(rep: Representation) -> dict:
 
 def representation_from_json(g: LeibnizAlgebra, data: Any) -> Representation:
     where = "representation"
-    _expect_schema(data, where)
-    m, parsed = _expect_dim(data, "vdim", where), {}
-    ls, rs = (tensor_from_json(_expect(data, key, where), (g.dim, m, m), f"{where}.{key}", parsed)
+    m = _expect_dim(data, "vdim", where)
+    ls, rs = (tensor_from_json(_expect(data, key, where), (g.dim, m, m), f"{where}.{key}")
               for key in ("l", "r"))
     return Representation(g, m, ls, rs)
 
@@ -197,7 +181,6 @@ def graph_to_json(phi: GraphMap) -> dict:
 
 def graph_from_json(data: Any) -> GraphMap:
     where = "graph map"
-    _expect_schema(data, where)
     m = _expect_dim(data, "vdim", where)
     return GraphMap(m, tensor_from_json(_expect(data, "phi", where), (m,) * 3, f"{where}.phi"))
 

@@ -644,6 +644,11 @@ def test_compare_with_file_rep_is_input_error(capsys):
     # a count that is no integer is argparse's to refuse, before any input is read
     ("cohomology", str(FIXTURES / "L2.json"), "--max-degree", "x"),
     ("omni", "--dim", "1.5"),
+    # int() read whitespace, an underscore and any Unicode digit
+    ("cohomology", str(FIXTURES / "L2.json"), "--max-degree", " 2"),
+    ("cohomology", str(FIXTURES / "L2.json"), "--max-degree", "1_0"),
+    ("cohomology", str(FIXTURES / "L2.json"), "--max-degree", "\u0662"),
+    ("omni", "--dim", "\u0662"),
 ])
 def test_nonsensical_arguments_exit_2(args):
     # each of these used to exit 0 with an empty or vacuous result
@@ -655,6 +660,10 @@ def test_nonsensical_arguments_exit_2(args):
 @pytest.mark.parametrize("args, text", [
     (("cohomology", str(FIXTURES / "L2.json"), "--max-degree", "x"), "x"),
     (("omni", "--dim", "1.5"), "1.5"),
+    (("cohomology", str(FIXTURES / "L2.json"), "--max-degree", " 2"), " 2"),
+    (("cohomology", str(FIXTURES / "L2.json"), "--max-degree", "1_0"), "1_0"),
+    (("cohomology", str(FIXTURES / "L2.json"), "--max-degree", "\u0662"), "\u0662"),
+    (("omni", "--dim", "\u0662"), "\u0662"),
 ])
 def test_a_count_that_is_no_integer_exits_2_naming_it(args, text, capsys):
     with pytest.raises(SystemExit) as exit_:
@@ -662,6 +671,36 @@ def test_a_count_that_is_no_integer_exits_2_naming_it(args, text, capsys):
     assert exit_.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.endswith(f"expected an integer, got {text!r}\n"), err
+
+
+@pytest.mark.parametrize("raw", ["1_0", " 20000"])
+def test_a_cap_outside_the_integer_grammar_exits_2(monkeypatch, capsys, raw):
+    # int() read both, as 10 and 20000
+    monkeypatch.setenv("LEIBNIZ_KIT_CAP", raw)
+    assert main(["cohomology", str(FIXTURES / "L2.json")]) == 2
+    assert capsys.readouterr() == ("", f"input error: LEIBNIZ_KIT_CAP must be an integer, "
+                                       f"got {raw!r}\n")
+
+
+@pytest.mark.parametrize("args, cap", [
+    (("cohomology", str(FIXTURES / "L2.json"), "--max-degree", "x" * 5000), None),
+    (("omni", "--dim", "9" * 5000), None),
+    (("cohomology", str(FIXTURES / "L2.json")), "9" * 5000),
+], ids=["max-degree", "dim", "cap"])
+def test_a_long_count_exits_2_with_a_short_line(monkeypatch, capsys, args, cap):
+    # the count was echoed whole: 5,254 bytes for --max-degree, and 5,108 for
+    # --dim past the interpreter's digit limit
+    if cap is not None:
+        monkeypatch.setenv("LEIBNIZ_KIT_CAP", cap)
+    try:
+        code = main(list(args))
+    except SystemExit as exit_:  # argparse refuses the two flags
+        code = exit_.code
+    assert code == 2
+    out, err = capsys.readouterr()
+    last = err.splitlines()[-1]
+    assert out == "" and last.endswith(" ...") and "a str beginning '" in last, err
+    assert all(len(line.encode("utf-8")) < 200 for line in err.splitlines())
 
 
 def test_fixtures_list_with_dest_exit_2(tmp_path):

@@ -51,10 +51,19 @@ def test_scalar_format():
     assert str_to_scalar("2/4") == F(1, 2)   # canonicalized on parse
 
 
-@pytest.mark.parametrize("bad", ["1.5", "a/b", "1/0", "1/-2", "", "0x2", None, 1.5])
+@pytest.mark.parametrize("bad", ["1.5", "a/b", "1/0", "1/-2", "", "0x2", None, 1.5,
+                                 "3\n", "\u0663", " 3", "1_0", "1e3"])
 def test_scalar_rejects_non_rational_strings(bad):
     with pytest.raises(SchemaError):
         str_to_scalar(bad)
+
+
+def test_a_scalar_with_a_trailing_newline_is_refused_with_its_path():
+    # "$" matched before a final newline, so "1\n" was read as 1
+    with pytest.raises(SchemaError) as caught:
+        algebra_from_json({"schema": SCHEMA, "dim": 1, "c": [[["1\n"]]]})
+    assert str(caught.value) == ("algebra.c[0][0][0]: expected an integer or 'p/q' string, "
+                                 "got '1\\n'")
 
 
 def test_a_long_or_deep_bad_scalar_is_echoed_by_its_type_and_a_prefix():

@@ -42,7 +42,7 @@ from leibniz_kit import (
 from leibniz_kit import fixtures
 from leibniz_kit.algebra import dense
 from leibniz_kit.lie2 import _jacobiator
-from leibniz_kit.linalg import Tensor, as_rational, span_of_rows, sparse_tensor
+from leibniz_kit.linalg import Matrix, Tensor, as_rational, span_of_rows, sparse_tensor
 
 Z2 = [[0, 0], [0, 0]]
 I2 = [[1, 0], [0, 1]]
@@ -260,6 +260,17 @@ WRONG_SHAPES = [
     # a degree below 0 and a mode that is neither product
     (lambda: coboundary_columns(trivial_rep(_l2()), -1), "degree must be >= 0"),
     (lambda: semidirect(_l2(), trivial_rep(_l2()), "rl"), "mode must be 'lr' or 'l0'"),
+    # a scalar where an axis belongs: a string was read as a row of its
+    # characters, and an int raised TypeError
+    (lambda: LeibnizAlgebra(2, [["12", "00"], ["00", "00"]]),
+     "structure tensor: an axis of type str, expected a list or tuple"),
+    (lambda: Subspace(2, ["10"]), "basis vector: an axis of type str, expected a list or tuple"),
+    (lambda: sparse_tensor("3", (1,), "v"), "v: an axis of type str, expected a list or tuple"),
+    (lambda: LeibnizAlgebra(2, [1, 2]),
+     "structure tensor: an axis of type int, expected a list or tuple"),
+    # a row count that the rows do not have, and a negative one
+    (lambda: Matrix(2, 2, [{}]), "inconsistent matrix shape"),
+    (lambda: Matrix(-1, 0, []), "inconsistent matrix shape"),
 ]
 
 
@@ -299,6 +310,21 @@ def test_a_bool_is_no_exact_scalar():
                   lambda: LeibnizAlgebra(1, [[[False]]]), lambda: GraphMap(1, {(0, 0, 0): True})):
         with pytest.raises(TypeError, match="^expected an exact scalar, got bool$"):
             build()
+
+
+@pytest.mark.parametrize("bad", ["1.5", "1e3", " 3", "1_0", "\u0663", "3\n"])
+def test_a_scalar_string_outside_the_grammar_is_refused(bad):
+    # these went through Fraction(str), which reads a decimal, an exponent,
+    # whitespace, an underscore and any Unicode digit
+    for build in (lambda: as_rational(bad), lambda: LeibnizAlgebra(1, {(0, 0, 0): bad})):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_an_exact_scalar_in_the_grammar_is_read():
+    for x, value in (("2/4", F(1, 2)), ("+3", F(3)), ("-0", F(0)), (7, F(7)), (F(1, 2), F(1, 2))):
+        assert as_rational(x) == value
+        assert LeibnizAlgebra(1, {(0, 0, 0): x}).c == ({(0, 0, 0): value} if value else {})
 
 
 def test_sparse_tensors_are_read_only():
